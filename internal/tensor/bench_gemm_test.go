@@ -36,6 +36,13 @@ func BenchmarkGEMM(b *testing.B) {
 			}
 			b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
 		})
+		x32, y32 := ToFloat32(x), ToFloat32(y)
+		b.Run(kindSize("f32", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				MatMul32(x32, y32)
+			}
+			b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
+		})
 	}
 }
 

@@ -136,11 +136,16 @@ func TestMatMulDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	b := RandNormal(rng, 0, 1, 256, 256)
 	ser := New(256, 256)
 	matMulRows(a, b, ser, 0, 256)
+	a32, b32 := ToFloat32(a), ToFloat32(b)
+	ser32 := matMul32RowByRow(a32, b32)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 2, 8} {
 		runtime.GOMAXPROCS(procs)
 		if got := MatMul(a, b); !Equal(got, ser, 0) {
 			t.Fatalf("GOMAXPROCS=%d: MatMul diverges from serial reference", procs)
+		}
+		if i := firstBitDiff32(MatMul32(a32, b32), ser32); i >= 0 {
+			t.Fatalf("GOMAXPROCS=%d: MatMul32 diverges from f32 reference at %d", procs, i)
 		}
 		ab := New(2, 256, 256)
 		bb := New(2, 256, 256)

@@ -27,8 +27,9 @@ func clampFinite(v float64) float64 {
 
 func FuzzMatMulShapes(f *testing.F) {
 	// Seeds include the shapes that previously stressed the kernels: the
-	// 1-row product, tile remainders around the 4- and 8-row boundaries,
-	// degenerate k=0, and rank-breaking dimension zeros.
+	// 1-row product, tile remainders around the 4- and 8-row boundaries and
+	// the f32 kernel's 8-column boundary, degenerate k=0, and rank-breaking
+	// dimension zeros.
 	f.Add(1, 1, 1, int64(1))
 	f.Add(1, 7, 5, int64(2))
 	f.Add(8, 33, 4, int64(3))
@@ -36,6 +37,7 @@ func FuzzMatMulShapes(f *testing.F) {
 	f.Add(3, 0, 4, int64(5))
 	f.Add(0, 3, 4, int64(6))
 	f.Add(33, 65, 29, int64(7))
+	f.Add(17, 65, 23, int64(8))
 	f.Fuzz(func(t *testing.T, m, k, n int, seed int64) {
 		// Bound sizes so the fuzzer explores shapes, not out-of-memory.
 		if m < 0 || k < 0 || n < 0 || m > 70 || k > 70 || n > 70 {
@@ -60,6 +62,15 @@ func FuzzMatMulShapes(f *testing.F) {
 		want := MatMulRef(a, b)
 		if !Equal(got, want, 0) {
 			t.Fatalf("MatMul != reference at %dx%dx%d", m, k, n)
+		}
+		// The f32 tier: packed kernels against its row-by-row reference.
+		a32, b32 := ToFloat32(a), ToFloat32(b)
+		got32, err := MatMul32Checked(a32, b32)
+		if err != nil {
+			t.Fatalf("conformable f32 shapes rejected: %v", err)
+		}
+		if i := firstBitDiff32(got32, matMul32RowByRow(a32, b32)); i >= 0 {
+			t.Fatalf("MatMul32 != f32 reference at %dx%dx%d elem %d", m, k, n, i)
 		}
 		// Mismatched inner dimension must error, not panic.
 		if k != n {

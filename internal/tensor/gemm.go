@@ -16,7 +16,8 @@ import "sync"
 //	batched   — BatMul: the tiled/pooled kernel applied per batch slice of
 //	            contiguous stride-indexed rank-3 operands.
 //	f32       — gemm32.go: the same tiling for float32 storage (serving-side
-//	            inference), bounded-ULP against the float64 reference.
+//	            inference) with 8-wide strips, bounded-ULP against the
+//	            float64 reference and bit-identical across its own paths.
 //
 // Determinism contract: every float64 tier accumulates each output element
 // with a single accumulator over ascending k, so for finite inputs all
@@ -29,8 +30,9 @@ import "sync"
 // then.)
 const (
 	gemmMR    = 4 // scalar micro-kernel rows per sweep
-	gemmNR    = 4 // micro-kernel columns; also the packed strip width
+	gemmNR    = 4 // float64 micro-kernel columns; also the packed strip width
 	gemmMRAsm = 8 // AVX micro-kernel rows per sweep (gemm_amd64.s)
+	gemmNR32  = 8 // float32 strip width: one YMM register of columns
 	gemmMC    = 64
 	// gemmNC is the column-block width per cache pass: one block of packed
 	// strips (gemmNC·k floats) is reused across a gemmMC-row block before

@@ -5,10 +5,15 @@ import "sync"
 // This file is the f32 tier of the kernel hierarchy (see gemm.go): an
 // opt-in float32 storage mode for serving-side inference, where halving
 // memory traffic matters more than the last bits of precision. The kernel
-// structure mirrors the float64 engine — packed gemmNR-wide strips, a
-// register micro-kernel sweeping the full k extent with one accumulator
-// per output element — but accumulates in float32, so results track the
-// float64 reference within bounded ULP error rather than bit-exactly.
+// structure mirrors the float64 engine — packed column strips, a register
+// micro-kernel sweeping the full k extent with one accumulator per output
+// element — but accumulates in float32, so results track the float64
+// reference within bounded ULP error rather than bit-exactly. Strips are
+// gemmNR32 = 8 wide, one YMM register of float32 columns, so on AVX
+// machines an 8x8 assembly kernel (gemm_amd64.s) covers every full tile.
+// Every path — AVX, the scalar 4x8 kernel, the edge kernel and the i-k-j
+// loop for small shapes — rounds each multiply and each add separately in
+// ascending k, so all of them are bit-identical to each other.
 
 // Tensor32 is a dense row-major float32 tensor. It is deliberately
 // minimal: the serving path needs construction, conversion, matrix
@@ -105,10 +110,11 @@ func MatMul32(a, b *Tensor32) *Tensor32 {
 }
 
 // MatMul32Checked is MatMul32 returning an error instead of panicking on a
-// shape mismatch. Large products run the packed tiled kernel; small ones
-// the i-k-j reference loop. Both accumulate each output element in float32
-// over ascending k, so the two paths are bit-identical to each other and
-// within bounded ULP error of the float64 reference.
+// shape mismatch. Large products run the packed tiled kernel, on the worker
+// pool above parallelFLOPThreshold; small ones the i-k-j reference loop.
+// Both accumulate each output element in float32 over ascending k, so the
+// two paths are bit-identical to each other and within bounded ULP error of
+// the float64 reference.
 func MatMul32Checked(a, b *Tensor32) (*Tensor32, error) {
 	if a.Rank() != 2 || b.Rank() != 2 {
 		return nil, errf("MatMul32", "requires rank-2 operands, got %v and %v", a.shape, b.shape)
@@ -122,9 +128,13 @@ func MatMul32Checked(a, b *Tensor32) (*Tensor32, error) {
 	if usePacked(m, k, n) {
 		bp := getScratch32(k * n)
 		packB32(b, bp)
-		parallelRowsAligned(m, gemmMR, func(lo, hi int) {
-			gemmPacked32(a.Data, k, n, bp, out.Data, lo, hi)
-		})
+		if int64(m)*int64(k)*int64(n) >= parallelFLOPThreshold {
+			parallelRowsAligned(m, gemmMRAsm, func(lo, hi int) {
+				gemmPacked32(a.Data, k, n, bp, out.Data, lo, hi)
+			})
+		} else {
+			gemmPacked32(a.Data, k, n, bp, out.Data, 0, m)
+		}
 		putScratch32(bp)
 		return out, nil
 	}
@@ -145,14 +155,14 @@ func MatMul32Checked(a, b *Tensor32) (*Tensor32, error) {
 	return out, nil
 }
 
-// packB32 is packB for float32 operands: gemmNR-wide column strips,
+// packB32 is packB for float32 operands: gemmNR32-wide column strips,
 // p-major.
 func packB32(b *Tensor32, bp []float32) {
 	k, n := b.shape[0], b.shape[1]
-	for js := 0; js < n; js += gemmNR {
+	for js := 0; js < n; js += gemmNR32 {
 		w := n - js
-		if w > gemmNR {
-			w = gemmNR
+		if w > gemmNR32 {
+			w = gemmNR32
 		}
 		dst := bp[js*k : js*k+k*w]
 		for p := 0; p < k; p++ {
@@ -161,8 +171,9 @@ func packB32(b *Tensor32, bp []float32) {
 	}
 }
 
-// gemmPacked32 is gemmPacked for float32: same blocking, scalar 4x4
-// micro-kernel (float32 fits the register budget comfortably).
+// gemmPacked32 is gemmPacked for float32: same blocking over 8-wide
+// strips. Full tiles run the 8x8 AVX kernel where available, then the
+// scalar 4x8 kernel; microEdge32 takes the row and column remainders.
 func gemmPacked32(aData []float32, k, n int, bp, out []float32, lo, hi int) {
 	for jc := 0; jc < n; jc += gemmNC {
 		nc := n - jc
@@ -174,16 +185,21 @@ func gemmPacked32(aData []float32, k, n int, bp, out []float32, lo, hi int) {
 			if mc > gemmMC {
 				mc = gemmMC
 			}
-			for js := jc; js < jc+nc; js += gemmNR {
+			for js := jc; js < jc+nc; js += gemmNR32 {
 				w := n - js
-				if w > gemmNR {
-					w = gemmNR
+				if w > gemmNR32 {
+					w = gemmNR32
 				}
 				strip := bp[js*k : js*k+k*w]
 				i := ic
-				if w == gemmNR {
+				if w == gemmNR32 {
+					if hasAVX { // k > 0: usePacked guarantees it
+						for ; i+gemmMRAsm <= ic+mc; i += gemmMRAsm {
+							gemm8x8AVX32(&aData[i*k], k, &strip[0], &out[i*n+js], n)
+						}
+					}
 					for ; i+gemmMR <= ic+mc; i += gemmMR {
-						micro4x4f32(aData[i*k:(i+gemmMR)*k], k, strip, out[i*n+js:], n)
+						micro4x8f32(aData[i*k:(i+gemmMR)*k], k, strip, out[i*n+js:], n)
 					}
 				}
 				for i < ic+mc {
@@ -199,58 +215,81 @@ func gemmPacked32(aData []float32, k, n int, bp, out []float32, lo, hi int) {
 	}
 }
 
-func micro4x4f32(a []float32, k int, strip, out []float32, n int) {
+// micro4x8f32 is the pure-Go kernel for a full 4x8 tile: 32 accumulators,
+// one per output element, sweep the k extent in ascending order, the same
+// per-element arithmetic as the AVX kernel's lanes.
+func micro4x8f32(a []float32, k int, strip, out []float32, n int) {
 	a0, a1, a2, a3 := a[:k], a[k:2*k], a[2*k:3*k], a[3*k:4*k]
-	var c00, c01, c02, c03 float32
-	var c10, c11, c12, c13 float32
-	var c20, c21, c22, c23 float32
-	var c30, c31, c32, c33 float32
-	sp := strip
+	var c00, c01, c02, c03, c04, c05, c06, c07 float32
+	var c10, c11, c12, c13, c14, c15, c16, c17 float32
+	var c20, c21, c22, c23, c24, c25, c26, c27 float32
+	var c30, c31, c32, c33, c34, c35, c36, c37 float32
+	sp := strip[:8*k]
 	for p := 0; p < k; p++ {
-		b0, b1, b2, b3 := sp[0], sp[1], sp[2], sp[3]
-		sp = sp[4:]
-		v0, v1, v2, v3 := a0[p], a1[p], a2[p], a3[p]
-		c00 += v0 * b0
-		c01 += v0 * b1
-		c02 += v0 * b2
-		c03 += v0 * b3
-		c10 += v1 * b0
-		c11 += v1 * b1
-		c12 += v1 * b2
-		c13 += v1 * b3
-		c20 += v2 * b0
-		c21 += v2 * b1
-		c22 += v2 * b2
-		c23 += v2 * b3
-		c30 += v3 * b0
-		c31 += v3 * b1
-		c32 += v3 * b2
-		c33 += v3 * b3
+		b := sp[p*8 : p*8+8]
+		v := a0[p]
+		c00 += v * b[0]
+		c01 += v * b[1]
+		c02 += v * b[2]
+		c03 += v * b[3]
+		c04 += v * b[4]
+		c05 += v * b[5]
+		c06 += v * b[6]
+		c07 += v * b[7]
+		v = a1[p]
+		c10 += v * b[0]
+		c11 += v * b[1]
+		c12 += v * b[2]
+		c13 += v * b[3]
+		c14 += v * b[4]
+		c15 += v * b[5]
+		c16 += v * b[6]
+		c17 += v * b[7]
+		v = a2[p]
+		c20 += v * b[0]
+		c21 += v * b[1]
+		c22 += v * b[2]
+		c23 += v * b[3]
+		c24 += v * b[4]
+		c25 += v * b[5]
+		c26 += v * b[6]
+		c27 += v * b[7]
+		v = a3[p]
+		c30 += v * b[0]
+		c31 += v * b[1]
+		c32 += v * b[2]
+		c33 += v * b[3]
+		c34 += v * b[4]
+		c35 += v * b[5]
+		c36 += v * b[6]
+		c37 += v * b[7]
 	}
-	o := out[:4]
-	o[0], o[1], o[2], o[3] = c00, c01, c02, c03
-	o = out[n : n+4]
-	o[0], o[1], o[2], o[3] = c10, c11, c12, c13
-	o = out[2*n : 2*n+4]
-	o[0], o[1], o[2], o[3] = c20, c21, c22, c23
-	o = out[3*n : 3*n+4]
-	o[0], o[1], o[2], o[3] = c30, c31, c32, c33
+	o := out[:8]
+	o[0], o[1], o[2], o[3], o[4], o[5], o[6], o[7] = c00, c01, c02, c03, c04, c05, c06, c07
+	o = out[n : n+8]
+	o[0], o[1], o[2], o[3], o[4], o[5], o[6], o[7] = c10, c11, c12, c13, c14, c15, c16, c17
+	o = out[2*n : 2*n+8]
+	o[0], o[1], o[2], o[3], o[4], o[5], o[6], o[7] = c20, c21, c22, c23, c24, c25, c26, c27
+	o = out[3*n : 3*n+8]
+	o[0], o[1], o[2], o[3], o[4], o[5], o[6], o[7] = c30, c31, c32, c33, c34, c35, c36, c37
 }
 
+// microEdge32 handles the remainder tiles (r ≤ 4 rows, w ≤ 8 columns) in
+// the same single-accumulator ascending-k order.
 func microEdge32(a []float32, k, r int, strip []float32, w int, out []float32, n int) {
-	var acc [gemmMR * gemmNR]float32
+	var acc [gemmMR * gemmNR32]float32
 	for p := 0; p < k; p++ {
 		bq := strip[p*w : p*w+w]
 		for ir := 0; ir < r; ir++ {
 			v := a[ir*k+p]
-			ac := acc[ir*gemmNR : ir*gemmNR+w]
+			ac := acc[ir*gemmNR32 : ir*gemmNR32+w]
 			for jr, bv := range bq {
 				ac[jr] += v * bv
 			}
 		}
 	}
 	for ir := 0; ir < r; ir++ {
-		copy(out[ir*n:ir*n+w], acc[ir*gemmNR:ir*gemmNR+w])
+		copy(out[ir*n:ir*n+w], acc[ir*gemmNR32:ir*gemmNR32+w])
 	}
 }
 

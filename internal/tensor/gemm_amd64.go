@@ -6,9 +6,10 @@ package tensor
 func cpuidex(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv0() (eax, edx uint32)
 func gemm8x4AVX(a *float64, k int, strip *float64, out *float64, n int)
+func gemm8x8AVX32(a *float32, k int, strip *float32, out *float32, n int)
 
 // hasAVX reports whether the CPU and OS support 256-bit AVX state, gating
-// the assembly micro-kernel. Detection runs once at startup; everything
+// the assembly micro-kernels. Detection runs once at startup; everything
 // else in the engine is pure Go, so non-AVX machines just take the scalar
 // micro-kernels.
 var hasAVX = detectAVX()

@@ -1,8 +1,9 @@
-// AVX micro-kernel for the tiled GEMM engine (gemm.go). The kernel keeps
-// the bit-exactness contract: each output element is one YMM lane that
-// accumulates a[i][p]*b[p][j] in ascending p with a separate VMULPD and
-// VADDPD — the same IEEE-754 mul-then-add rounding as the scalar
-// reference kernel. FMA is never used (its single rounding would differ).
+// AVX micro-kernels for the tiled GEMM engine (gemm.go, gemm32.go). Both
+// keep the bit-exactness contract: each output element is one YMM lane that
+// accumulates a[i][p]*b[p][j] in ascending p with a separate multiply and
+// add (VMULPD/VADDPD for float64, VMULPS/VADDPS for float32) — the same
+// IEEE-754 mul-then-add rounding as the scalar reference kernels. FMA is
+// never used (its single rounding would differ).
 
 #include "textflag.h"
 
@@ -110,5 +111,91 @@ store:
 	VMOVUPD Y14, (DI)
 	ADDQ DX, DI
 	VMOVUPD Y15, (DI)
+	VZEROUPPER
+	RET
+
+// func gemm8x8AVX32(a *float32, k int, strip *float32, out *float32, n int)
+//
+// The float32 counterpart of gemm8x4AVX: a full 8x8 output tile,
+// out[r*n+j] = sum_p a[r*k+p]*strip[p*8+j] for r, j in 0..7. strip is a
+// packB32 column strip (p-major, width 8), so one YMM register holds a
+// whole strip row and each of the eight accumulators is one output row.
+TEXT ·gemm8x8AVX32(SB), NOSPLIT, $0-40
+	MOVQ a+0(FP), SI
+	MOVQ k+8(FP), CX
+	MOVQ strip+16(FP), BX
+	MOVQ out+24(FP), DI
+	MOVQ n+32(FP), DX
+
+	SHLQ $2, DX              // out row stride in bytes
+	MOVQ CX, R15
+	SHLQ $2, R15             // a row stride in bytes; also the loop bound
+	LEAQ (SI)(R15*1), R9     // a row 1
+	LEAQ (R9)(R15*1), R10    // a row 2
+	LEAQ (R10)(R15*1), R11   // a row 3
+	LEAQ (R11)(R15*1), R12   // a row 4
+	LEAQ (R12)(R15*1), R13   // a row 5
+	LEAQ (R13)(R15*1), R14   // a row 6
+	LEAQ (R14)(R15*1), AX    // a row 7
+
+	VXORPS Y8, Y8, Y8
+	VXORPS Y9, Y9, Y9
+	VXORPS Y10, Y10, Y10
+	VXORPS Y11, Y11, Y11
+	VXORPS Y12, Y12, Y12
+	VXORPS Y13, Y13, Y13
+	VXORPS Y14, Y14, Y14
+	VXORPS Y15, Y15, Y15
+
+	XORQ R8, R8              // byte offset into each a row; strip offset is 8x
+	CMPQ R8, R15
+	JGE  store32
+
+loop32:
+	VMOVUPS (BX)(R8*8), Y0   // strip[p*8 .. p*8+7]
+	VBROADCASTSS (SI)(R8*1), Y1
+	VMULPS Y0, Y1, Y1
+	VADDPS Y1, Y8, Y8
+	VBROADCASTSS (R9)(R8*1), Y2
+	VMULPS Y0, Y2, Y2
+	VADDPS Y2, Y9, Y9
+	VBROADCASTSS (R10)(R8*1), Y3
+	VMULPS Y0, Y3, Y3
+	VADDPS Y3, Y10, Y10
+	VBROADCASTSS (R11)(R8*1), Y4
+	VMULPS Y0, Y4, Y4
+	VADDPS Y4, Y11, Y11
+	VBROADCASTSS (R12)(R8*1), Y5
+	VMULPS Y0, Y5, Y5
+	VADDPS Y5, Y12, Y12
+	VBROADCASTSS (R13)(R8*1), Y6
+	VMULPS Y0, Y6, Y6
+	VADDPS Y6, Y13, Y13
+	VBROADCASTSS (R14)(R8*1), Y7
+	VMULPS Y0, Y7, Y7
+	VADDPS Y7, Y14, Y14
+	VBROADCASTSS (AX)(R8*1), Y1
+	VMULPS Y0, Y1, Y1
+	VADDPS Y1, Y15, Y15
+	ADDQ $4, R8
+	CMPQ R8, R15
+	JLT  loop32
+
+store32:
+	VMOVUPS Y8, (DI)
+	ADDQ DX, DI
+	VMOVUPS Y9, (DI)
+	ADDQ DX, DI
+	VMOVUPS Y10, (DI)
+	ADDQ DX, DI
+	VMOVUPS Y11, (DI)
+	ADDQ DX, DI
+	VMOVUPS Y12, (DI)
+	ADDQ DX, DI
+	VMOVUPS Y13, (DI)
+	ADDQ DX, DI
+	VMOVUPS Y14, (DI)
+	ADDQ DX, DI
+	VMOVUPS Y15, (DI)
 	VZEROUPPER
 	RET

@@ -165,21 +165,48 @@ func TestFloat32TierBoundedULP(t *testing.T) {
 	}
 }
 
-// Both f32 paths (packed and reference) must agree with each other
-// bit-exactly, same contract as the f64 tiers.
+// f32Shapes is equivShapes plus the shapes on the 8-row and 8-column
+// boundaries of the f32 AVX kernel's full tiles.
+var f32Shapes = append(append([]struct{ m, k, n int }(nil), equivShapes...),
+	struct{ m, k, n int }{8, 1, 8},
+	struct{ m, k, n int }{16, 33, 24},
+	struct{ m, k, n int }{17, 65, 23},
+	struct{ m, k, n int }{24, 64, 15},
+)
+
+// matMul32RowByRow is the f32 reference: MatMul32 of each 1-row slice of a,
+// which always takes the i-k-j loop (one row is below gemmMinRows).
+func matMul32RowByRow(a, b *Tensor32) *Tensor32 {
+	m, k, n := a.Dim(0), a.Dim(1), b.Dim(1)
+	out := New32(m, n)
+	for i := 0; i < m; i++ {
+		row := &Tensor32{shape: []int{1, k}, Data: a.Data[i*k : (i+1)*k]}
+		copy(out.Data[i*n:(i+1)*n], MatMul32(row, b).Data)
+	}
+	return out
+}
+
+// firstBitDiff32 returns the first index where got and want differ in their
+// bits, or -1 when they are bit-identical.
+func firstBitDiff32(got, want *Tensor32) int {
+	for i := range want.Data {
+		if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
+// Every f32 path (AVX, scalar, edge and reference loop) must agree with the
+// row-by-row reference bit-exactly, same contract as the f64 tiers.
 func TestFloat32PathsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
-	a32 := ToFloat32(randMat(rng, 33, 65))
-	b32 := ToFloat32(randMat(rng, 65, 29))
-	packed := MatMul32(a32, b32) // usePacked(33, 65, 29) is true
-	// Force the reference loop by slicing into small products.
-	for i := 0; i < 33; i++ {
-		row := &Tensor32{shape: []int{1, 65}, Data: a32.Data[i*65 : (i+1)*65]}
-		want := MatMul32(row, b32) // 1 row -> reference loop
-		for j := 0; j < 29; j++ {
-			if packed.Data[i*29+j] != want.Data[j] {
-				t.Fatalf("f32 packed != f32 reference at (%d,%d)", i, j)
-			}
+	for _, s := range f32Shapes {
+		a32 := ToFloat32(randMat(rng, s.m, s.k))
+		b32 := ToFloat32(randMat(rng, s.k, s.n))
+		got := MatMul32(a32, b32)
+		if i := firstBitDiff32(got, matMul32RowByRow(a32, b32)); i >= 0 {
+			t.Errorf("f32 packed != f32 reference at %dx%dx%d elem %d", s.m, s.k, s.n, i)
 		}
 	}
 }

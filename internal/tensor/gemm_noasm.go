@@ -9,3 +9,7 @@ const hasAVX = false
 func gemm8x4AVX(a *float64, k int, strip *float64, out *float64, n int) {
 	panic(errf("MatMul", "assembly kernel unavailable on this architecture"))
 }
+
+func gemm8x8AVX32(a *float32, k int, strip *float32, out *float32, n int) {
+	panic(errf("MatMul32", "assembly kernel unavailable on this architecture"))
+}
