@@ -222,15 +222,19 @@ type worker struct {
 	downTo   int       // round before which the worker is down (0 = up)
 	absent   bool      // elastically left (or not yet joined) via the churn schedule
 	lastLoss float64
+	bx, by   *tensor.Tensor // batch buffers, reused across rounds
 }
 
+// nextBatch gathers the worker's batch for step into its own buffers; the
+// batch is valid until the worker's next call.
 func (w *worker) nextBatch(x, y *tensor.Tensor, step, bs int) (*tensor.Tensor, *tensor.Tensor) {
 	start := (step * bs) % len(w.shard)
 	end := start + bs
 	if end > len(w.shard) {
 		end = len(w.shard)
 	}
-	return nn.GatherBatch(x, y, w.shard[start:end])
+	w.bx, w.by = nn.GatherBatchInto(w.bx, w.by, x, y, w.shard[start:end])
+	return w.bx, w.by
 }
 
 func activeLoss(w *worker) float64 { return w.lastLoss }

@@ -62,7 +62,7 @@ func branchSlice(t *tensor.Tensor, b int) *tensor.Tensor {
 
 // denseForwardBatched computes slice-wise xW+b for branch layer li over
 // all K branches with one BatMul. The bias broadcast mirrors
-// tensor.AddRowVector element for element.
+// tensor.AddRowVectorInPlace element for element.
 func (t *TreeNet) denseForwardBatched(li int, x *tensor.Tensor) *tensor.Tensor {
 	k := x.Dim(0)
 	d0 := t.Branches[0][li].(*nn.Dense)

@@ -36,6 +36,42 @@ func TestBuildRMIArgErrors(t *testing.T) {
 	}
 }
 
+func TestBuildLearnedBloomArgErrors(t *testing.T) {
+	keys, negs := []uint64{10, 20, 30}, []uint64{15, 25}
+	good := LearnedBloomConfig{Hidden: 4, Epochs: 1, LR: 0.01, TargetFPR: 0.05, BackupFPR: 0.05}
+	with := func(edit func(*LearnedBloomConfig)) LearnedBloomConfig {
+		c := good
+		edit(&c)
+		return c
+	}
+	cases := []struct {
+		name       string
+		keys, negs []uint64
+		cfg        LearnedBloomConfig
+	}{
+		{"empty keys", nil, negs, good},
+		{"empty negatives", keys, nil, good},
+		{"zero target FPR", keys, negs, with(func(c *LearnedBloomConfig) { c.TargetFPR = 0 })},
+		{"target FPR one", keys, negs, with(func(c *LearnedBloomConfig) { c.TargetFPR = 1 })},
+		{"target FPR above one", keys, negs, with(func(c *LearnedBloomConfig) { c.TargetFPR = 1.5 })},
+		{"NaN target FPR", keys, negs, with(func(c *LearnedBloomConfig) { c.TargetFPR = math.NaN() })},
+		{"zero hidden", keys, negs, with(func(c *LearnedBloomConfig) { c.Hidden = 0 })},
+		{"negative hidden", keys, negs, with(func(c *LearnedBloomConfig) { c.Hidden = -3 })},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			lb, err := BuildLearnedBloom(rand.New(rand.NewSource(1)), c.keys, c.negs, c.cfg)
+			if lb != nil || err == nil {
+				t.Fatalf("got (%v, %v), want (nil, *ArgError)", lb, err)
+			}
+			var ae *ArgError
+			if !errors.As(err, &ae) || ae.Fn != "BuildLearnedBloom" {
+				t.Fatalf("error %v is not an *ArgError from BuildLearnedBloom", err)
+			}
+		})
+	}
+}
+
 func TestNewDynamicRMIArgErrors(t *testing.T) {
 	for _, c := range []struct {
 		name   string

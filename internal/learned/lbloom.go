@@ -31,25 +31,34 @@ type LearnedBloomConfig struct {
 	BackupFPR float64 // backup filter's own target
 }
 
-// keyFeatures maps a key to classifier features: the normalised key plus
-// two smooth periodic transforms that help the tiny net carve out dense key
-// regions.
-func keyFeatures(k uint64, scale float64) []float64 {
+// keyFeatures writes a key's classifier features into row: the normalised
+// key plus two smooth periodic transforms that help the tiny net carve out
+// dense key regions.
+func keyFeatures(row []float64, k uint64, scale float64) {
 	x := float64(k) / scale
-	return []float64{
-		x,
-		math.Sin(2 * math.Pi * x * 8),
-		math.Cos(2 * math.Pi * x * 32),
-	}
+	row[0] = x
+	row[1] = math.Sin(2 * math.Pi * x * 8)
+	row[2] = math.Cos(2 * math.Pi * x * 32)
 }
 
 const numKeyFeatures = 3
 
 // BuildLearnedBloom trains the classifier on the key set against the given
 // sample of negatives and assembles the backup filter from the classifier's
-// false negatives. A typed error from the backup filter rejects a
-// BackupFPR outside (0,1).
+// false negatives. A typed *ArgError rejects an empty key set or negative
+// sample, a TargetFPR outside (0,1) and a Hidden width below 1; a typed
+// error from the backup filter rejects a BackupFPR outside (0,1).
 func BuildLearnedBloom(rng *rand.Rand, keys, negatives []uint64, cfg LearnedBloomConfig) (*LearnedBloom, error) {
+	switch {
+	case len(keys) == 0:
+		return nil, &ArgError{Fn: "BuildLearnedBloom", Reason: "empty key set"}
+	case len(negatives) == 0:
+		return nil, &ArgError{Fn: "BuildLearnedBloom", Reason: "empty negative sample"}
+	case !(cfg.TargetFPR > 0 && cfg.TargetFPR < 1):
+		return nil, &ArgError{Fn: "BuildLearnedBloom", Reason: "TargetFPR out of (0,1)"}
+	case cfg.Hidden < 1:
+		return nil, &ArgError{Fn: "BuildLearnedBloom", Reason: "Hidden width below 1"}
+	}
 	maxKey := keys[len(keys)-1]
 	for _, k := range negatives {
 		if k > maxKey {
@@ -62,11 +71,11 @@ func BuildLearnedBloom(rng *rand.Rand, keys, negatives []uint64, cfg LearnedBloo
 	x := tensor.New(n, numKeyFeatures)
 	labels := make([]int, n)
 	for i, k := range keys {
-		copy(x.Row(i), keyFeatures(k, scale))
+		keyFeatures(x.Row(i), k, scale)
 		labels[i] = 1
 	}
 	for i, k := range negatives {
-		copy(x.Row(len(keys)+i), keyFeatures(k, scale))
+		keyFeatures(x.Row(len(keys)+i), k, scale)
 	}
 	model := nn.NewMLP(rng, nn.MLPConfig{In: numKeyFeatures, Hidden: []int{cfg.Hidden}, Out: 2})
 	tr := nn.NewTrainer(model, nn.NewSoftmaxCrossEntropy(), nn.NewAdam(cfg.LR), rng)
@@ -82,11 +91,13 @@ func BuildLearnedBloom(rng *rand.Rand, keys, negatives []uint64, cfg LearnedBloo
 	}
 	lb.threshold = negScores[qIdx]
 
-	// Backup filter over the classifier's false negatives.
+	// Backup filter over the classifier's false negatives, scored in one
+	// batch: rows are independent and, for finite features, every GEMM
+	// tier is bit-identical, so each score equals MayContain's lb.score(k).
 	var fns []uint64
-	for _, k := range keys {
-		if lb.score(k) < lb.threshold {
-			fns = append(fns, k)
+	for i, s := range lb.scores(keys) {
+		if s < lb.threshold {
+			fns = append(fns, keys[i])
 		}
 	}
 	backup, err := db.NewBloom(maxInt(len(fns), 1), cfg.BackupFPR)
@@ -111,7 +122,8 @@ func sortFloats(a []float64) { sort.Float64s(a) }
 
 // score returns the classifier's positive-class probability for a key.
 func (lb *LearnedBloom) score(k uint64) float64 {
-	x := tensor.FromSlice(keyFeatures(k, lb.keyScale), 1, numKeyFeatures)
+	x := tensor.New(1, numKeyFeatures)
+	keyFeatures(x.Data, k, lb.keyScale)
 	probs := nn.Softmax(lb.model.Forward(x, false))
 	return probs.At(0, 1)
 }
@@ -119,7 +131,7 @@ func (lb *LearnedBloom) score(k uint64) float64 {
 func (lb *LearnedBloom) scores(keys []uint64) []float64 {
 	x := tensor.New(len(keys), numKeyFeatures)
 	for i, k := range keys {
-		copy(x.Row(i), keyFeatures(k, lb.keyScale))
+		keyFeatures(x.Row(i), k, lb.keyScale)
 	}
 	probs := nn.Softmax(lb.model.Forward(x, false))
 	out := make([]float64, len(keys))

@@ -203,3 +203,22 @@ func TestLearnedPlannerNearOptimal(t *testing.T) {
 		t.Fatalf("learned planner catastrophically off on %d/%d graphs", worseCount, trials)
 	}
 }
+
+// BuildLearnedBloom finds its false negatives with one batched forward, so
+// every batched score must equal the single-row score MayContain computes.
+// 6400 keys put the batch's first-layer product (6400·3·8) past the packed
+// kernel's FLOP threshold while a single row stays on the reference
+// kernel, which pins the tier equivalence the batching relies on at the
+// shape the live index builds.
+func TestBatchedScoresMatchPerKeyScores(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	keys := ClusteredKeys(rng, 6400, 4, 1<<30)
+	lb := must(BuildLearnedBloom(rng, keys, data.NegativeKeys(rng, keys, len(keys)/2+1), LearnedBloomConfig{
+		Hidden: 8, Epochs: 3, LR: 0.01, TargetFPR: 0.025, BackupFPR: 0.025,
+	}))
+	for i, s := range lb.scores(keys) {
+		if one := lb.score(keys[i]); math.Float64bits(s) != math.Float64bits(one) {
+			t.Fatalf("key %d (%d): batched score %v, single-row score %v", i, keys[i], s, one)
+		}
+	}
+}

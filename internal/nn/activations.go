@@ -8,9 +8,10 @@ import (
 
 // ReLU applies max(0, x) element-wise.
 type ReLU struct {
-	name string
-	mask []bool // which inputs were positive
-	n    int
+	name    string
+	mask    []bool // which inputs were positive
+	n       int
+	out, dx *tensor.Tensor // train-mode buffers (see Layer)
 }
 
 // NewReLU creates a ReLU activation layer.
@@ -21,7 +22,7 @@ func (r *ReLU) Name() string { return r.name }
 
 // Forward implements Layer.
 func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	out := tensor.New(x.Shape()...)
+	out := buffer(&r.out, x, train)
 	if train {
 		if cap(r.mask) < x.Size() {
 			r.mask = make([]bool, x.Size())
@@ -35,8 +36,11 @@ func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 			if train {
 				r.mask[i] = true
 			}
-		} else if train {
-			r.mask[i] = false
+		} else {
+			out.Data[i] = 0
+			if train {
+				r.mask[i] = false
+			}
 		}
 	}
 	return out
@@ -44,10 +48,12 @@ func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // Backward implements Layer.
 func (r *ReLU) Backward(dout *tensor.Tensor) *tensor.Tensor {
-	dx := tensor.New(dout.Shape()...)
+	dx := buffer(&r.dx, dout, true)
 	for i, v := range dout.Data {
 		if r.mask[i] {
 			dx.Data[i] = v
+		} else {
+			dx.Data[i] = 0
 		}
 	}
 	return dx
@@ -70,8 +76,9 @@ func (r *ReLU) OutputShape(in []int) []int { return in }
 
 // Sigmoid applies 1/(1+e^-x) element-wise.
 type Sigmoid struct {
-	name string
-	y    *tensor.Tensor
+	name    string
+	y       *tensor.Tensor // cached output for backward
+	out, dx *tensor.Tensor // train-mode buffers (see Layer)
 }
 
 // NewSigmoid creates a Sigmoid activation layer.
@@ -82,7 +89,10 @@ func (s *Sigmoid) Name() string { return s.name }
 
 // Forward implements Layer.
 func (s *Sigmoid) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	out := tensor.Apply(x, func(v float64) float64 { return 1 / (1 + math.Exp(-v)) })
+	out := buffer(&s.out, x, train)
+	for i, v := range x.Data {
+		out.Data[i] = 1 / (1 + math.Exp(-v))
+	}
 	if train {
 		s.y = out
 	} else {
@@ -93,7 +103,7 @@ func (s *Sigmoid) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // Backward implements Layer.
 func (s *Sigmoid) Backward(dout *tensor.Tensor) *tensor.Tensor {
-	dx := tensor.New(dout.Shape()...)
+	dx := buffer(&s.dx, dout, true)
 	for i, v := range dout.Data {
 		y := s.y.Data[i]
 		dx.Data[i] = v * y * (1 - y)
@@ -110,8 +120,9 @@ func (s *Sigmoid) OutputShape(in []int) []int { return in }
 
 // Tanh applies tanh element-wise.
 type Tanh struct {
-	name string
-	y    *tensor.Tensor
+	name    string
+	y       *tensor.Tensor // cached output for backward
+	out, dx *tensor.Tensor // train-mode buffers (see Layer)
 }
 
 // NewTanh creates a Tanh activation layer.
@@ -122,7 +133,10 @@ func (t *Tanh) Name() string { return t.name }
 
 // Forward implements Layer.
 func (t *Tanh) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	out := tensor.Apply(x, math.Tanh)
+	out := buffer(&t.out, x, train)
+	for i, v := range x.Data {
+		out.Data[i] = math.Tanh(v)
+	}
 	if train {
 		t.y = out
 	} else {
@@ -133,7 +147,7 @@ func (t *Tanh) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // Backward implements Layer.
 func (t *Tanh) Backward(dout *tensor.Tensor) *tensor.Tensor {
-	dx := tensor.New(dout.Shape()...)
+	dx := buffer(&t.dx, dout, true)
 	for i, v := range dout.Data {
 		y := t.y.Data[i]
 		dx.Data[i] = v * (1 - y*y)
@@ -152,11 +166,16 @@ func (t *Tanh) OutputShape(in []int) []int { return in }
 // for inference output; training should use the fused SoftmaxCrossEntropy
 // loss, which is numerically stabler and cheaper.
 func Softmax(logits *tensor.Tensor) *tensor.Tensor {
+	return softmaxInto(tensor.New(logits.Shape()...), logits)
+}
+
+// softmaxInto writes Softmax(logits) into out, which has logits' shape,
+// overwriting every element, and returns out.
+func softmaxInto(out, logits *tensor.Tensor) *tensor.Tensor {
 	if logits.Rank() != 2 {
 		panic("nn: Softmax requires rank-2 logits")
 	}
-	m, n := logits.Dim(0), logits.Dim(1)
-	out := tensor.New(m, n)
+	m := logits.Dim(0)
 	for i := 0; i < m; i++ {
 		row := logits.Row(i)
 		orow := out.Row(i)

@@ -18,6 +18,9 @@ type Dense struct {
 	mask *tensor.Tensor
 
 	x *tensor.Tensor // cached input for backward
+	// Train-mode buffers (see Layer): the forward output, the input
+	// gradient, and the weight and bias gradient temporaries.
+	out, dx, dw, db *tensor.Tensor
 }
 
 // NewDense creates a Dense layer with He-initialised weights, appropriate
@@ -81,12 +84,17 @@ func (d *Dense) applyMask() {
 // Forward implements Layer.
 func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	d.applyMask()
+	var out *tensor.Tensor
 	if train {
 		d.x = x
+		d.out = tensor.MatMulInto(d.out, x, d.W.Value)
+		out = d.out
 	} else {
 		d.x = nil
+		out = tensor.MatMul(x, d.W.Value)
 	}
-	return tensor.AddRowVector(tensor.MatMul(x, d.W.Value), d.B.Value)
+	tensor.AddRowVectorInPlace(out, d.B.Value)
+	return out
 }
 
 // Backward implements Layer.
@@ -94,17 +102,18 @@ func (d *Dense) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	if d.x == nil {
 		panic("nn: Dense.Backward without training Forward")
 	}
-	dw := tensor.MatMulTransA(d.x, dout)
+	d.dw = tensor.MatMulTransAInto(d.dw, d.x, dout)
 	if d.mask != nil {
-		for i := range dw.Data {
-			dw.Data[i] *= d.mask.Data[i]
+		for i := range d.dw.Data {
+			d.dw.Data[i] *= d.mask.Data[i]
 		}
 	}
-	d.W.Grad.AddInPlace(dw)
-	d.B.Grad.AddInPlace(tensor.SumRows(dout))
-	dx := tensor.MatMulTransB(dout, d.W.Value)
+	d.W.Grad.AddInPlace(d.dw)
+	d.db = tensor.SumRowsInto(d.db, dout)
+	d.B.Grad.AddInPlace(d.db)
+	d.dx = tensor.MatMulTransBInto(d.dx, dout, d.W.Value)
 	d.x = nil
-	return dx
+	return d.dx
 }
 
 // Params implements Layer.

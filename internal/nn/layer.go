@@ -35,6 +35,13 @@ func (p *Param) ZeroGrad() { p.Grad.Zero() }
 // Backward consumes the gradient of the loss with respect to the layer's
 // output and returns the gradient with respect to its input, accumulating
 // parameter gradients along the way.
+//
+// Train-mode results are borrowed, not owned: a layer may write the output
+// of a train-mode Forward, and the gradient Backward returns, into buffers
+// it owns and reuses across steps. Such a tensor is valid until that
+// layer's next train-mode Forward or Backward; a caller that keeps one
+// longer must Clone it. A layer never overwrites what an inference
+// (train=false) Forward returned, so callers may keep those.
 type Layer interface {
 	// Name identifies the layer for serialization and debugging.
 	Name() string
@@ -68,4 +75,20 @@ type ActivationSizer interface {
 // per-example input shape. Used to size downstream layers mechanically.
 type OutputShaper interface {
 	OutputShape(in []int) []int
+}
+
+// buffer returns the tensor a layer writes an x-shaped result into. In
+// train mode that is the layer-owned *owned, regrown only when x's shape
+// changes; otherwise it is a fresh tensor the caller may keep. A reused
+// buffer holds the previous step's values, so callers overwrite every
+// element.
+func buffer(owned **tensor.Tensor, x *tensor.Tensor, train bool) *tensor.Tensor {
+	if train && *owned != nil && (*owned).SameShape(x) {
+		return *owned
+	}
+	t := tensor.New(x.Shape()...)
+	if train {
+		*owned = t
+	}
+	return t
 }

@@ -1,13 +1,17 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 
 	"dlsys/internal/tensor"
 )
 
 // Loss computes a scalar training loss from a batch of network outputs and
-// targets, and the gradient of that loss with respect to the outputs.
+// targets, and the gradient of that loss with respect to the outputs. A
+// loss follows the Layer rule for train-mode results: the gradient Backward
+// returns lives in a buffer the loss owns and is valid until its next
+// Forward or Backward.
 type Loss interface {
 	// Forward returns the mean loss over the batch.
 	Forward(pred, target *tensor.Tensor) float64
@@ -20,6 +24,7 @@ type Loss interface {
 // numerically-stable (p - t)/batch.
 type SoftmaxCrossEntropy struct {
 	probs, target *tensor.Tensor
+	grad          *tensor.Tensor // Backward's buffer
 }
 
 // NewSoftmaxCrossEntropy creates the fused softmax + cross-entropy loss.
@@ -27,7 +32,7 @@ func NewSoftmaxCrossEntropy() *SoftmaxCrossEntropy { return &SoftmaxCrossEntropy
 
 // Forward implements Loss. target rows must sum to 1 (one-hot or soft).
 func (l *SoftmaxCrossEntropy) Forward(logits, target *tensor.Tensor) float64 {
-	l.probs = Softmax(logits)
+	softmaxInto(buffer(&l.probs, logits, true), logits)
 	l.target = target
 	m := logits.Dim(0)
 	var loss float64
@@ -41,19 +46,23 @@ func (l *SoftmaxCrossEntropy) Forward(logits, target *tensor.Tensor) float64 {
 
 // Backward implements Loss.
 func (l *SoftmaxCrossEntropy) Backward() *tensor.Tensor {
-	m := l.probs.Dim(0)
-	grad := tensor.Sub(l.probs, l.target)
-	grad.ScaleInPlace(1 / float64(m))
+	mustSameShape("SoftmaxCrossEntropy", l.probs, l.target)
+	grad := buffer(&l.grad, l.probs, true)
+	scale := 1 / float64(l.probs.Dim(0))
+	for i, p := range l.probs.Data {
+		grad.Data[i] = (p - l.target.Data[i]) * scale
+	}
 	return grad
 }
 
-// Probs returns the softmax probabilities from the last Forward.
+// Probs returns the softmax probabilities from the last Forward. They live
+// in the loss's own buffer, valid until its next Forward.
 func (l *SoftmaxCrossEntropy) Probs() *tensor.Tensor { return l.probs }
 
 // MSE is the mean squared error loss, 1/(2·batch)·Σ(pred−target)², whose
 // gradient is (pred−target)/batch.
 type MSE struct {
-	diff *tensor.Tensor
+	diff, grad *tensor.Tensor // Forward's and Backward's buffers
 }
 
 // NewMSE creates a mean-squared-error loss.
@@ -61,10 +70,14 @@ func NewMSE() *MSE { return &MSE{} }
 
 // Forward implements Loss.
 func (l *MSE) Forward(pred, target *tensor.Tensor) float64 {
-	l.diff = tensor.Sub(pred, target)
+	mustSameShape("MSE", pred, target)
+	diff := buffer(&l.diff, pred, true)
+	for i, p := range pred.Data {
+		diff.Data[i] = p - target.Data[i]
+	}
 	m := pred.Dim(0)
 	var s float64
-	for _, v := range l.diff.Data {
+	for _, v := range diff.Data {
 		s += v * v
 	}
 	return s / (2 * float64(m))
@@ -72,8 +85,19 @@ func (l *MSE) Forward(pred, target *tensor.Tensor) float64 {
 
 // Backward implements Loss.
 func (l *MSE) Backward() *tensor.Tensor {
-	m := l.diff.Dim(0)
-	return tensor.Scale(1/float64(m), l.diff)
+	grad := buffer(&l.grad, l.diff, true)
+	scale := 1 / float64(l.diff.Dim(0))
+	for i, v := range l.diff.Data {
+		grad.Data[i] = scale * v
+	}
+	return grad
+}
+
+// mustSameShape panics when a loss's prediction and target shapes differ.
+func mustSameShape(loss string, pred, target *tensor.Tensor) {
+	if !pred.SameShape(target) {
+		panic(fmt.Sprintf("nn: %s prediction shape %v != target shape %v", loss, pred.Shape(), target.Shape()))
+	}
 }
 
 // DistillLoss mixes hard-label cross-entropy with a soft-target term at

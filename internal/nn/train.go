@@ -62,6 +62,7 @@ func (t *Trainer) Fit(x, y *tensor.Tensor, cfg TrainConfig) TrainStats {
 		perm[i] = i
 	}
 	var stats TrainStats
+	var bx, by *tensor.Tensor // batch buffers, regrown only for a partial batch
 	// The backward pass costs roughly 2× the forward pass.
 	flopsPerStep := 3 * t.Net.FLOPs(bs)
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
@@ -76,7 +77,7 @@ func (t *Trainer) Fit(x, y *tensor.Tensor, cfg TrainConfig) TrainStats {
 			if end > n {
 				end = n
 			}
-			bx, by := gatherBatch(x, y, perm[start:end])
+			bx, by = GatherBatchInto(bx, by, x, y, perm[start:end])
 			epochLoss += t.Step(bx, by)
 			batches++
 			stats.Steps++
@@ -95,11 +96,9 @@ func (t *Trainer) Fit(x, y *tensor.Tensor, cfg TrainConfig) TrainStats {
 // Step runs one forward/backward/update on a single batch and returns the
 // batch loss.
 func (t *Trainer) Step(bx, by *tensor.Tensor) float64 {
-	t.Net.ZeroGrad()
-	out := t.Net.Forward(bx, true)
-	loss := t.Loss.Forward(out, by)
-	t.Net.Backward(t.Loss.Backward())
-	t.Opt.Step(t.Net.Params())
+	params := t.Net.Params()
+	loss := t.computeGrad(params, bx, by)
+	t.Opt.Step(params)
 	t.Net.PostStep()
 	return loss
 }
@@ -117,34 +116,60 @@ func (t *Trainer) ApplyUpdate() {
 // parameters, leaving gradients accumulated on the network. Distributed
 // training uses this to obtain per-worker gradients. Returns the loss.
 func (t *Trainer) ComputeGrad(bx, by *tensor.Tensor) float64 {
-	t.Net.ZeroGrad()
+	return t.computeGrad(t.Net.Params(), bx, by)
+}
+
+// computeGrad zeroes params' gradients and accumulates the batch's into
+// them.
+func (t *Trainer) computeGrad(params []*Param, bx, by *tensor.Tensor) float64 {
+	for _, p := range params {
+		p.ZeroGrad()
+	}
 	out := t.Net.Forward(bx, true)
 	loss := t.Loss.Forward(out, by)
 	t.Net.Backward(t.Loss.Backward())
 	return loss
 }
 
-// gatherBatch copies the selected example indices of x and y into fresh
-// batch tensors. x may be rank 2 (tabular) or rank 4 (images).
-func gatherBatch(x, y *tensor.Tensor, idx []int) (*tensor.Tensor, *tensor.Tensor) {
-	exSize := x.Size() / x.Dim(0)
-	shape := append([]int{len(idx)}, x.Shape()[1:]...)
-	bx := tensor.New(shape...)
-	for bi, i := range idx {
-		copy(bx.Data[bi*exSize:(bi+1)*exSize], x.Data[i*exSize:(i+1)*exSize])
-	}
-	ySize := y.Dim(1)
-	by := tensor.New(len(idx), ySize)
-	for bi, i := range idx {
-		copy(by.Data[bi*ySize:(bi+1)*ySize], y.Data[i*ySize:(i+1)*ySize])
-	}
-	return bx, by
+// GatherBatch copies the selected example indices of x and y into fresh
+// batch tensors, for packages that orchestrate their own training loops.
+// x may be rank 2 (tabular) or rank 4 (images).
+func GatherBatch(x, y *tensor.Tensor, idx []int) (*tensor.Tensor, *tensor.Tensor) {
+	return GatherBatchInto(nil, nil, x, y, idx)
 }
 
-// GatherBatch is the exported form of batch gathering for packages that
-// orchestrate their own training loops (distributed, ensembles).
-func GatherBatch(x, y *tensor.Tensor, idx []int) (*tensor.Tensor, *tensor.Tensor) {
-	return gatherBatch(x, y, idx)
+// GatherBatchInto is GatherBatch writing into bx and by, reusing each when
+// it already holds len(idx) examples of its source's shape (nil or a
+// differently shaped buffer allocates). It returns the tensors holding the
+// batch; loops that gather every step keep them as their batch buffers.
+func GatherBatchInto(bx, by, x, y *tensor.Tensor, idx []int) (*tensor.Tensor, *tensor.Tensor) {
+	return gatherRows(bx, x, idx), gatherRows(by, y, idx)
+}
+
+// gatherRows copies the examples idx of src (leading axis = examples) into
+// dst under GatherBatchInto's reuse rule.
+func gatherRows(dst, src *tensor.Tensor, idx []int) *tensor.Tensor {
+	if !holdsRows(dst, src, len(idx)) {
+		dst = tensor.New(append([]int{len(idx)}, src.Shape()[1:]...)...)
+	}
+	ex := src.Size() / src.Dim(0)
+	for bi, i := range idx {
+		copy(dst.Data[bi*ex:(bi+1)*ex], src.Data[i*ex:(i+1)*ex])
+	}
+	return dst
+}
+
+// holdsRows reports whether t has shape [rows, src.Shape()[1:]...].
+func holdsRows(t, src *tensor.Tensor, rows int) bool {
+	if t == nil || t.Rank() != src.Rank() || t.Dim(0) != rows {
+		return false
+	}
+	for i := 1; i < src.Rank(); i++ {
+		if t.Dim(i) != src.Dim(i) {
+			return false
+		}
+	}
+	return true
 }
 
 // OneHot encodes integer labels as one-hot rows with the given class count.

@@ -54,7 +54,7 @@ func batchPredict(nets []*nn.Network, x *tensor.Tensor) [][]int {
 				copy(w.Data[i*in*out:(i+1)*in*out], net.Layers[li].(*nn.Dense).W.Value.Data)
 			}
 			prod := tensor.BatMul(cur, w)
-			// Bias add, mirroring tensor.AddRowVector per slice.
+			// Bias add, mirroring tensor.AddRowVectorInPlace per slice.
 			for i, net := range nets {
 				b := net.Layers[li].(*nn.Dense).B.Value.Data
 				slice := prod.Data[i*m*out : (i+1)*m*out]

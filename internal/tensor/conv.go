@@ -81,10 +81,7 @@ func Im2ColInto(dst, in *Tensor, g ConvGeom) *Tensor {
 	must(g.CheckInput(in))
 	n := in.shape[0]
 	oh, ow := g.OutH(), g.OutW()
-	rows, cols := n*oh*ow, g.InC*g.KH*g.KW
-	if dst == nil || dst.Rank() != 2 || dst.shape[0] != rows || dst.shape[1] != cols {
-		dst = New(rows, cols)
-	}
+	dst = dstFor(dst, n*oh*ow, g.InC*g.KH*g.KW, false)
 	im2colInto(dst, in, g)
 	return dst
 }

@@ -47,8 +47,8 @@ const (
 	gemmPackFLOPs = 1 << 16
 )
 
-// scratchPool recycles packing and im2col buffers across calls so steady-
-// state GEMMs allocate nothing beyond their output tensor.
+// scratchPool recycles packing and transpose buffers across calls so
+// steady-state GEMMs allocate nothing beyond their output tensor.
 var scratchPool sync.Pool
 
 // getScratch returns a float64 buffer with at least n usable elements.
@@ -239,13 +239,23 @@ func gemmAuto(aData []float64, m, k, n int, bp, out []float64) {
 	gemmPacked(aData, k, n, bp, out, 0, m)
 }
 
+// matMulPacked runs the packed kernel for the row-major m×k matrix aData
+// times b (k×n) into out, packing b into pooled scratch.
+func matMulPacked(aData []float64, m, k int, b *Tensor, out []float64) {
+	n := b.shape[1]
+	bp := getScratch(k * n)
+	packB(b, bp)
+	gemmAuto(aData, m, k, n, bp, out)
+	putScratch(bp)
+}
+
 // MatMulRef is the serial reference GEMM: the plain i-k-j triple loop every
 // faster kernel tier is measured against. It exists as a public entry point
 // so equivalence tests and benchmarks outside this package can pin the
 // faster tiers to it.
 func MatMulRef(a, b *Tensor) *Tensor {
-	out, err := matMulNew("MatMul", a, b)
-	must(err)
+	must(checkMatMul("MatMul", a, b))
+	out := New(a.shape[0], b.shape[1])
 	matMulRows(a, b, out, 0, a.shape[0])
 	return out
 }
@@ -254,10 +264,10 @@ func MatMulRef(a, b *Tensor) *Tensor {
 // pool) — the "tiled" tier of the kernel hierarchy. Callers normally want
 // MatMul, which picks the best tier automatically.
 func MatMulTiled(a, b *Tensor) *Tensor {
-	out, err := matMulNew("MatMul", a, b)
-	must(err)
+	must(checkMatMul("MatMul", a, b))
 	m, k := a.shape[0], a.shape[1]
 	n := b.shape[1]
+	out := New(m, n)
 	if k == 0 || n == 0 || m == 0 {
 		return out
 	}
@@ -268,15 +278,30 @@ func MatMulTiled(a, b *Tensor) *Tensor {
 	return out
 }
 
-// matMulNew validates rank-2 conformability and allocates the output.
-func matMulNew(op string, a, b *Tensor) (*Tensor, error) {
+// checkMatMul validates rank-2 conformability for a·b.
+func checkMatMul(op string, a, b *Tensor) error {
 	if a.Rank() != 2 || b.Rank() != 2 {
-		return nil, errf(op, "requires rank-2 operands, got %v and %v", a.shape, b.shape)
+		return errf(op, "requires rank-2 operands, got %v and %v", a.shape, b.shape)
 	}
 	if a.shape[1] != b.shape[0] {
-		return nil, errf(op, "inner dimension mismatch %v · %v", a.shape, b.shape)
+		return errf(op, "inner dimension mismatch %v · %v", a.shape, b.shape)
 	}
-	return New(a.shape[0], b.shape[1]), nil
+	return nil
+}
+
+// dstFor returns the m×n output tensor of an …Into entry point: dst itself
+// when it already has that shape, otherwise a fresh zero tensor. zero
+// clears a reused dst for kernels that accumulate into their output, so
+// they start from the same +0 a fresh tensor holds; kernels that store
+// every element once skip it.
+func dstFor(dst *Tensor, m, n int, zero bool) *Tensor {
+	if dst == nil || dst.Rank() != 2 || dst.shape[0] != m || dst.shape[1] != n {
+		return New(m, n)
+	}
+	if zero {
+		dst.Zero()
+	}
+	return dst
 }
 
 // BatMul returns the batched matrix product of two rank-3 tensors:

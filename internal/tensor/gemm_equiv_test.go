@@ -77,6 +77,49 @@ func TestTransposedKernelsMatchReference(t *testing.T) {
 	}
 }
 
+// The …Into entry points must write the bits their allocating forms do,
+// whatever dst held before. A reused dst starts full of NaN, so a kernel
+// that accumulates into an unzeroed buffer shows up as a mismatch; a dst
+// of the wrong shape must be replaced, not written through.
+func TestIntoKernelsReuseDirtyDst(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	dirty := func(r, c int) *Tensor { return Full(math.NaN(), r, c) }
+	sameBits := func(got, want *Tensor) bool {
+		if !got.SameShape(want) {
+			return false
+		}
+		for i, w := range want.Data {
+			if math.Float64bits(got.Data[i]) != math.Float64bits(w) {
+				return false
+			}
+		}
+		return true
+	}
+	for _, s := range equivShapes {
+		a := randMat(rng, s.m, s.k)
+		b := randMat(rng, s.k, s.n)
+		at, bt := Transpose(a), Transpose(b)
+		ref := MatMulRef(a, b)
+		for name, into := range map[string]func(dst *Tensor) *Tensor{
+			"MatMulInto":       func(dst *Tensor) *Tensor { return MatMulInto(dst, a, b) },
+			"MatMulTransAInto": func(dst *Tensor) *Tensor { return MatMulTransAInto(dst, at, b) },
+			"MatMulTransBInto": func(dst *Tensor) *Tensor { return MatMulTransBInto(dst, a, bt) },
+		} {
+			dst := dirty(s.m, s.n)
+			if got := into(dst); got != dst || !sameBits(got, ref) {
+				t.Errorf("%s at %dx%dx%d: reused %v, bit-identical %v", name, s.m, s.k, s.n, got == dst, sameBits(got, ref))
+			}
+			if got := into(dirty(s.n+1, s.m)); !sameBits(got, ref) {
+				t.Errorf("%s at %dx%dx%d: wrongly shaped dst leaked into the result", name, s.m, s.k, s.n)
+			}
+		}
+		dst := dirty(1, s.k)
+		if got := SumRowsInto(dst, a); got != dst || !sameBits(got, SumRows(a)) {
+			t.Errorf("SumRowsInto at %dx%d: reused %v, bit-identical %v", s.m, s.k, got == dst, sameBits(got, SumRows(a)))
+		}
+	}
+}
+
 func TestBatMulSlicesMatchMatMul(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	for _, s := range []struct{ bt, m, k, n int }{

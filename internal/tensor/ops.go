@@ -81,20 +81,25 @@ func MatMul(a, b *Tensor) *Tensor { return mustT(MatMulChecked(a, b)) }
 
 // MatMulChecked is MatMul returning an error instead of panicking on a
 // shape mismatch.
-func MatMulChecked(a, b *Tensor) (*Tensor, error) {
-	out, err := matMulNew("MatMul", a, b)
-	if err != nil {
+func MatMulChecked(a, b *Tensor) (*Tensor, error) { return matMulInto(nil, a, b) }
+
+// MatMulInto is MatMul writing into dst, reusing its storage when dst is
+// already m×n; nil or a wrongly shaped dst allocates. It returns the tensor
+// holding the result. dst must not alias a or b.
+func MatMulInto(dst, a, b *Tensor) *Tensor { return mustT(matMulInto(dst, a, b)) }
+
+func matMulInto(dst, a, b *Tensor) (*Tensor, error) {
+	if err := checkMatMul("MatMul", a, b); err != nil {
 		return nil, err
 	}
 	m, k := a.shape[0], a.shape[1]
 	n := b.shape[1]
 	if usePacked(m, k, n) {
-		bp := getScratch(k * n)
-		packB(b, bp)
-		gemmAuto(a.Data, m, k, n, bp, out.Data)
-		putScratch(bp)
+		out := dstFor(dst, m, n, false)
+		matMulPacked(a.Data, m, k, b, out.Data)
 		return out, nil
 	}
+	out := dstFor(dst, m, n, true)
 	if int64(m)*int64(n)*int64(k) >= parallelFLOPThreshold && m >= 2 {
 		parallelRows(m, func(lo, hi int) {
 			matMulRows(a, b, out, lo, hi)
@@ -135,7 +140,13 @@ func MatMulTransB(a, b *Tensor) *Tensor { return mustT(MatMulTransBChecked(a, b)
 
 // MatMulTransBChecked is MatMulTransB returning an error instead of
 // panicking on a shape mismatch.
-func MatMulTransBChecked(a, b *Tensor) (*Tensor, error) {
+func MatMulTransBChecked(a, b *Tensor) (*Tensor, error) { return matMulTransBInto(nil, a, b) }
+
+// MatMulTransBInto is MatMulTransB writing into dst under MatMulInto's
+// reuse rule.
+func MatMulTransBInto(dst, a, b *Tensor) *Tensor { return mustT(matMulTransBInto(dst, a, b)) }
+
+func matMulTransBInto(dst, a, b *Tensor) (*Tensor, error) {
 	if a.Rank() != 2 || b.Rank() != 2 {
 		return nil, errf("MatMulTransB", "requires rank-2 operands, got %v and %v", a.shape, b.shape)
 	}
@@ -144,7 +155,9 @@ func MatMulTransBChecked(a, b *Tensor) (*Tensor, error) {
 	if k != k2 {
 		return nil, errf("MatMulTransB", "inner dimension mismatch %v · %vᵀ", a.shape, b.shape)
 	}
-	out := New(m, n)
+	// Both paths store every output element once, so a reused dst needs
+	// no zeroing.
+	out := dstFor(dst, m, n, false)
 	if usePacked(m, k, n) {
 		bp := getScratch(k * n)
 		packBTrans(b, bp)
@@ -168,14 +181,20 @@ func MatMulTransBChecked(a, b *Tensor) (*Tensor, error) {
 }
 
 // MatMulTransA returns aᵀ · b for rank-2 tensors: (k×m)ᵀ·(k×n) → m×n.
-// Large products run through the tiled engine after materialising aᵀ (an
-// exact element move costing O(k·m), negligible against the O(m·k·n)
-// product it unlocks).
+// Large products run through the tiled engine after transposing a into
+// pooled scratch (an exact element move costing O(k·m), negligible against
+// the O(m·k·n) product it unlocks).
 func MatMulTransA(a, b *Tensor) *Tensor { return mustT(MatMulTransAChecked(a, b)) }
 
 // MatMulTransAChecked is MatMulTransA returning an error instead of
 // panicking on a shape mismatch.
-func MatMulTransAChecked(a, b *Tensor) (*Tensor, error) {
+func MatMulTransAChecked(a, b *Tensor) (*Tensor, error) { return matMulTransAInto(nil, a, b) }
+
+// MatMulTransAInto is MatMulTransA writing into dst under MatMulInto's
+// reuse rule.
+func MatMulTransAInto(dst, a, b *Tensor) *Tensor { return mustT(matMulTransAInto(dst, a, b)) }
+
+func matMulTransAInto(dst, a, b *Tensor) (*Tensor, error) {
 	if a.Rank() != 2 || b.Rank() != 2 {
 		return nil, errf("MatMulTransA", "requires rank-2 operands, got %v and %v", a.shape, b.shape)
 	}
@@ -185,9 +204,14 @@ func MatMulTransAChecked(a, b *Tensor) (*Tensor, error) {
 		return nil, errf("MatMulTransA", "inner dimension mismatch %vᵀ · %v", a.shape, b.shape)
 	}
 	if usePacked(m, k, n) {
-		return MatMulChecked(Transpose(a), b)
+		out := dstFor(dst, m, n, false)
+		at := getScratch(m * k)
+		transposeInto(at, a.Data, k, m)
+		matMulPacked(at, m, k, b, out.Data)
+		putScratch(at)
+		return out, nil
 	}
-	out := New(m, n)
+	out := dstFor(dst, m, n, true)
 	for p := 0; p < k; p++ {
 		arow := a.Data[p*m : (p+1)*m]
 		brow := b.Data[p*n : (p+1)*n]
@@ -212,12 +236,18 @@ func Transpose(t *Tensor) *Tensor {
 	}
 	m, n := t.shape[0], t.shape[1]
 	out := New(n, m)
+	transposeInto(out.Data, t.Data, m, n)
+	return out
+}
+
+// transposeInto writes the n×m transpose of the row-major m×n matrix src
+// into dst.
+func transposeInto(dst, src []float64, m, n int) {
 	for i := 0; i < m; i++ {
 		for j := 0; j < n; j++ {
-			out.Data[j*m+i] = t.Data[i*n+j]
+			dst[j*m+i] = src[i*n+j]
 		}
 	}
-	return out
 }
 
 // Sum returns the sum of all elements.
@@ -300,12 +330,16 @@ func (t *Tensor) ArgMaxRow(i int) int {
 
 // SumRows reduces a rank-2 tensor over its rows, returning a 1×n tensor
 // where out[j] = Σ_i t[i,j]. Used for bias gradients.
-func SumRows(t *Tensor) *Tensor {
+func SumRows(t *Tensor) *Tensor { return SumRowsInto(nil, t) }
+
+// SumRowsInto is SumRows writing into dst, reusing it when it is already
+// 1×n; it returns the tensor holding the result.
+func SumRowsInto(dst, t *Tensor) *Tensor {
 	if t.Rank() != 2 {
 		panic(errf("SumRows", "requires rank 2, got %v", t.shape))
 	}
 	m, n := t.shape[0], t.shape[1]
-	out := New(1, n)
+	out := dstFor(dst, 1, n, true)
 	for i := 0; i < m; i++ {
 		row := t.Data[i*n : (i+1)*n]
 		for j, v := range row {
@@ -315,22 +349,19 @@ func SumRows(t *Tensor) *Tensor {
 	return out
 }
 
-// AddRowVector adds a 1×n row vector to every row of an m×n tensor,
-// returning a new tensor (broadcast over the leading axis).
-func AddRowVector(t, v *Tensor) *Tensor {
+// AddRowVectorInPlace adds a 1×n row vector to every row of an m×n tensor
+// (broadcast over the leading axis).
+func AddRowVectorInPlace(t, v *Tensor) {
 	if t.Rank() != 2 || v.Rank() != 2 || v.shape[0] != 1 || v.shape[1] != t.shape[1] {
-		panic(errf("AddRowVector", "shapes %v, %v", t.shape, v.shape))
+		panic(errf("AddRowVectorInPlace", "shapes %v, %v", t.shape, v.shape))
 	}
 	m, n := t.shape[0], t.shape[1]
-	out := New(m, n)
 	for i := 0; i < m; i++ {
 		row := t.Data[i*n : (i+1)*n]
-		orow := out.Data[i*n : (i+1)*n]
 		for j := range row {
-			orow[j] = row[j] + v.Data[j]
+			row[j] += v.Data[j]
 		}
 	}
-	return out
 }
 
 // Equal reports whether t and u have the same shape and all elements are

@@ -178,9 +178,9 @@ func TestSumRowsAndAddRowVector(t *testing.T) {
 		t.Fatalf("SumRows = %v", s.Data)
 	}
 	v := FromSlice([]float64{10, 20, 30}, 1, 3)
-	y := AddRowVector(x, v)
-	if y.At(1, 2) != 36 || y.At(0, 0) != 11 {
-		t.Fatalf("AddRowVector = %v", y.Data)
+	AddRowVectorInPlace(x, v)
+	if x.At(1, 2) != 36 || x.At(0, 0) != 11 {
+		t.Fatalf("AddRowVectorInPlace = %v", x.Data)
 	}
 }
 
