@@ -147,8 +147,8 @@ func (c FleetConfig) validate() error {
 }
 
 // fleetReq is one attempt's worth of request state; it travels by value
-// through the queue and event closures, so the fleet stores no per-request
-// ledger rows.
+// through the queue, replica batches and retry records, so the fleet
+// stores no per-request ledger rows.
 type fleetReq struct {
 	id       int
 	tenant   int
@@ -157,6 +157,32 @@ type fleetReq struct {
 	first    float64 // original arrival (latency base)
 	start    float64 // this attempt's arrival (deadline base)
 	enqueued float64
+}
+
+// The fleet's event handlers are built once and reused, so the event loop
+// allocates nothing per request: each tenant's arrival chain, each
+// replica's completion and each retry record owns its handler.
+
+// arrivalChain is one tenant's stream of first attempts. A tenant has at
+// most one arrival pending, so the chain keeps that arrival's index.
+type arrivalChain struct {
+	seq  int     // index of the pending arrival within the tenant's quota
+	mean float64 // mean inter-arrival gap
+	fire func(stamp float64)
+}
+
+// replica is one server's batch, in a BatchMax buffer it owns, and the
+// handler that completes it. A replica serves one batch at a time.
+type replica struct {
+	batch []fleetReq
+	done  func(stamp float64)
+}
+
+// retryRecord is a client retry waiting out its backoff. Records live in
+// Fleet.retryRecs and return to the free list when they fire.
+type retryRecord struct {
+	rq   fleetReq
+	fire func(stamp float64)
 }
 
 // TenantStats is one tenant's aggregate outcome tallies.
@@ -286,18 +312,22 @@ type Fleet struct {
 	scaler *autoscaler
 	obs    *fleetObs
 
-	weights []float64 // tenant traffic shares, sum 1
-	quota   []int     // per-tenant first-attempt request counts
-	keyPred []int     // cached result identity per key
+	weights  []float64 // tenant traffic shares, sum 1
+	quota    []int     // per-tenant first-attempt request counts
+	keyPred  []int     // cached result identity per key
+	arrivals []arrivalChain
 
 	queue []fleetReq
 	qHead int
 
-	idle        []int
-	active      int // live replicas (busy + idle)
-	desired     int // autoscaler target (includes pending activations)
-	nextReplica int
-	inFlight    int
+	replicas []replica // by id; retired replicas keep their slot
+	idle     []int
+	active   int // live replicas (busy + idle)
+	desired  int // autoscaler target (includes pending activations)
+	inFlight int
+
+	retryRecs []retryRecord
+	freeRecs  []int // indices of idle retry records
 
 	nextID    int
 	finalized int
@@ -344,13 +374,15 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 		obs:          newFleetObs(h, cfg.Tenants),
 		active:       cfg.Replicas,
 		desired:      cfg.Replicas,
-		nextReplica:  cfg.Replicas,
 		peakReplicas: cfg.Replicas,
 		tenants:      make([]TenantStats, cfg.Tenants),
 		latWidth:     4 * cfg.DeadlineS / fleetLatBuckets,
 		perItemS:     (cfg.ServiceS + float64(cfg.BatchMax-1)*cfg.BatchItemS) / float64(cfg.BatchMax),
 	}
 	f.inj.SetClock(k)
+	for i := 0; i < cfg.Replicas; i++ {
+		f.newReplica()
+	}
 	for i := cfg.Replicas - 1; i >= 0; i-- {
 		f.idle = append(f.idle, i) // LIFO pop serves replica 0 first
 	}
@@ -380,12 +412,20 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 	for i := range f.tenants {
 		f.tenants[i].Arrived = f.quota[i]
 	}
+	f.arrivals = make([]arrivalChain, cfg.Tenants)
+	for i := range f.arrivals {
+		tenant := i
+		f.arrivals[i] = arrivalChain{
+			mean: 1 / (cfg.ArrivalRate * f.weights[i]),
+			fire: func(stamp float64) { f.arrive(tenant, stamp) },
+		}
+	}
 
 	drain := float64(cfg.Replicas) / f.perItemS
 	f.adm = newAdmitter(cfg.Admission, cfg.DeadlineS, cfg.ServiceS, drain, f.weights)
 	f.budget = newRetryBudget(cfg.Budget, cfg.Tenants)
 	if !cfg.Cache.Disabled {
-		f.cache = newResultCache(cfg.Cache, cfg.DeadlineS)
+		f.cache = newResultCache(cfg.Cache, cfg.DeadlineS, cfg.Keys)
 	}
 	f.keyPred = keyPredictions(cfg.CacheModels, cfg.EvalX, cfg.Keys)
 	f.scaler = newAutoscaler(cfg.Autoscale, f, k.Actor("fleet-scale"), f.obs.queueDelayEst)
@@ -425,6 +465,16 @@ func keyPredictions(models []*nn.Network, evalX *tensor.Tensor, keys int) []int 
 	return out
 }
 
+// newReplica provisions the next replica id with its batch buffer and
+// completion handler.
+func (f *Fleet) newReplica() {
+	r := len(f.replicas)
+	f.replicas = append(f.replicas, replica{
+		batch: make([]fleetReq, 0, f.cfg.BatchMax),
+		done:  func(stamp float64) { f.complete(r, stamp) },
+	})
+}
+
 // Kernel returns the simulation kernel the fleet schedules on.
 func (f *Fleet) Kernel() *sim.Kernel { return f.k }
 
@@ -448,31 +498,38 @@ func (f *Fleet) Start() {
 	t0 := f.k.Now()
 	for t := 0; t < f.cfg.Tenants; t++ {
 		if f.quota[t] > 0 {
-			f.scheduleArrival(t, 0, t0)
+			f.scheduleArrival(t, t0)
 		}
 	}
 	f.scaler.start(t0)
 }
 
-// scheduleArrival books tenant t's request seq at a gap drawn from the
-// tenant's own arrival stream; flash-crowd windows compress exactly the
-// gaps falling inside them (per tenant, when the window lists Workers).
-func (f *Fleet) scheduleArrival(tenant, seq int, from float64) {
-	mean := 1 / (f.cfg.ArrivalRate * f.weights[tenant])
-	f.wl.At(from+f.inj.ArrivalGapFor(tenant, seq, mean, from), func(stamp float64) {
-		if seq+1 < f.quota[tenant] {
-			f.scheduleArrival(tenant, seq+1, stamp)
-		}
-		id := f.nextID
-		f.nextID++
-		f.obs.arrived.Inc()
-		f.obs.tenantArrived[tenant].Inc()
-		f.bucketAt(stamp).Offered++
-		f.handleAttempt(fleetReq{
-			id: id, tenant: tenant, key: f.hotKey(tenant, seq),
-			first: stamp, start: stamp,
-		}, stamp)
-	})
+// scheduleArrival books the tenant's pending arrival at a gap drawn from
+// the tenant's own arrival stream; flash-crowd windows compress exactly
+// the gaps falling inside them (per tenant, when the window lists Workers).
+func (f *Fleet) scheduleArrival(tenant int, from float64) {
+	ch := &f.arrivals[tenant]
+	f.wl.At(from+f.inj.ArrivalGapFor(tenant, ch.seq, ch.mean, from), ch.fire)
+}
+
+// arrive lands the tenant's pending arrival: it books the next one first,
+// then walks the new request through the fleet.
+func (f *Fleet) arrive(tenant int, stamp float64) {
+	ch := &f.arrivals[tenant]
+	seq := ch.seq
+	if seq+1 < f.quota[tenant] {
+		ch.seq++
+		f.scheduleArrival(tenant, stamp)
+	}
+	id := f.nextID
+	f.nextID++
+	f.obs.arrived.Inc()
+	f.obs.tenantArrived[tenant].Inc()
+	f.bucketAt(stamp).Offered++
+	f.handleAttempt(fleetReq{
+		id: id, tenant: tenant, key: f.hotKey(tenant, seq),
+		first: stamp, start: stamp,
+	}, stamp)
 }
 
 // mix64 is the splitmix64 finalizer, the same mixing primitive the fault
@@ -544,20 +601,20 @@ func (f *Fleet) tryDispatch(now float64) {
 		if ql := f.queueLen(); n > ql {
 			n = ql
 		}
-		batch := make([]fleetReq, n)
-		copy(batch, f.queue[f.qHead:f.qHead+n])
+		rep := &f.replicas[r]
+		rep.batch = append(rep.batch[:0], f.queue[f.qHead:f.qHead+n]...)
 		f.qHead += n
 		if f.qHead > 4096 && 2*f.qHead >= len(f.queue) {
 			f.queue = append(f.queue[:0], f.queue[f.qHead:]...)
 			f.qHead = 0
 		}
-		for _, rq := range batch {
+		for _, rq := range rep.batch {
 			f.adm.dequeued(rq.tenant, now-rq.enqueued, now)
 		}
 		service := (f.cfg.ServiceS + float64(n-1)*f.cfg.BatchItemS) *
 			f.inj.FactorAt(fault.KindBrownout, r, now)
 		f.inFlight += n
-		f.srv.At(now+service, func(stamp float64) { f.complete(r, batch, stamp) })
+		f.srv.At(now+service, rep.done)
 	}
 }
 
@@ -565,7 +622,8 @@ func (f *Fleet) tryDispatch(now float64) {
 // deadline are served, the rest are failures the client may retry —
 // crucially, the replica spent full service time on them either way,
 // which is the wasted work that sustains metastable collapse.
-func (f *Fleet) complete(r int, batch []fleetReq, stamp float64) {
+func (f *Fleet) complete(r int, stamp float64) {
+	batch := f.replicas[r].batch
 	f.inFlight -= len(batch)
 	for _, rq := range batch {
 		if stamp <= rq.start+f.cfg.DeadlineS {
@@ -620,10 +678,7 @@ func (f *Fleet) failAttempt(rq fleetReq, now float64, shed bool) {
 			f.obs.retries.Inc()
 			next := rq
 			next.attempt++
-			f.wl.At(now+f.backoff(rq.tenant, rq.attempt, now), func(stamp float64) {
-				next.start = stamp
-				f.handleAttempt(next, stamp)
-			})
+			f.scheduleRetry(next, now+f.backoff(rq.tenant, rq.attempt, now))
 			return
 		}
 		f.retriesDenied++
@@ -641,6 +696,29 @@ func (f *Fleet) failAttempt(rq fleetReq, now float64, shed bool) {
 		f.ledger.fold(rq, Failed, now)
 	}
 	f.finalize(now)
+}
+
+// scheduleRetry books rq's next attempt at t in a free retry record, or
+// in a new one whose handler is built with it.
+func (f *Fleet) scheduleRetry(rq fleetReq, t float64) {
+	var i int
+	if n := len(f.freeRecs); n > 0 {
+		i = f.freeRecs[n-1]
+		f.freeRecs = f.freeRecs[:n-1]
+	} else {
+		i = len(f.retryRecs)
+		f.retryRecs = append(f.retryRecs, retryRecord{fire: func(stamp float64) { f.retry(i, stamp) }})
+	}
+	f.retryRecs[i].rq = rq
+	f.wl.At(t, f.retryRecs[i].fire)
+}
+
+// retry re-sends record i's request and frees the record.
+func (f *Fleet) retry(i int, stamp float64) {
+	rq := f.retryRecs[i].rq
+	rq.start = stamp
+	f.freeRecs = append(f.freeRecs, i)
+	f.handleAttempt(rq, stamp)
 }
 
 // maxAttempts is the client's attempt limit at time t: a retry-storm
@@ -684,8 +762,8 @@ func (f *Fleet) bucketAt(t float64) *GoodputBucket {
 // activation, after the provisioning lag).
 func (f *Fleet) addReplicas(n int, stamp float64) {
 	for j := 0; j < n; j++ {
-		f.idle = append(f.idle, f.nextReplica)
-		f.nextReplica++
+		f.idle = append(f.idle, len(f.replicas))
+		f.newReplica()
 	}
 	f.active += n
 	f.scaleUpN += n

@@ -30,7 +30,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -43,47 +42,107 @@ type Clock interface {
 	Now() float64
 }
 
-// Event is one scheduled occurrence. The zero value is meaningless; events
-// are created by the Kernel's scheduling methods and retained by callers
-// only to Cancel them.
+// Event is a handle to one scheduled occurrence, returned by the
+// scheduling methods and kept by callers only to Cancel it. It is a small
+// value, not the queue entry itself: the queue stores events by value, so
+// scheduling allocates nothing. The zero Event is a handle to nothing.
 type Event struct {
-	t        float64
-	seq      uint64
-	actor    string
-	fn       func(stamp float64)
-	every    func(now float64) bool // periodic callback, nil for one-shots
+	k   *Kernel
+	seq uint64    // a one-shot's sequence number
+	per *periodic // an Every chain's shared state; nil for one-shots
+}
+
+// Cancel stops the event from running: a one-shot is skipped when popped,
+// and a periodic event skips its pending firing and is never rescheduled.
+// Cancelling the zero handle, or a one-shot that has already run, is a
+// no-op. Cancelled events still consume their queue slot but do not
+// appear in the execution log or fingerprint.
+func (e Event) Cancel() {
+	switch {
+	case e.per != nil:
+		e.per.canceled = true
+	case e.k != nil:
+		// Sequence numbers are never reused, so a mark for a one-shot
+		// that already ran matches nothing later.
+		if e.k.canceled == nil {
+			e.k.canceled = map[uint64]struct{}{}
+		}
+		e.k.canceled[e.seq] = struct{}{}
+	}
+}
+
+// periodic is the state an Every chain keeps across its firings, allocated
+// once per Every call; its handle's Cancel sets canceled.
+type periodic struct {
+	fn       func(now float64) bool
 	period   float64
 	canceled bool
 }
 
-// Cancel marks the event so it is skipped when popped. Cancelling an
-// already-executed or nil event is a no-op. Cancelled events still consume
-// their queue slot but do not appear in the execution log or fingerprint.
-func (e *Event) Cancel() {
-	if e != nil {
-		e.canceled = true
-	}
+// event is one queue entry. A one-shot carries fn, a periodic firing per.
+// actor is nil when the event was scheduled by name through Kernel.At; the
+// name is then resolved to an actor when the event runs.
+type event struct {
+	t     float64
+	seq   uint64
+	actor *Actor
+	name  string
+	fn    func(stamp float64)
+	per   *periodic
 }
 
-// eventQueue is a min-heap on (t, seq).
-type eventQueue []*Event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].t != q[j].t {
-		return q[i].t < q[j].t
-	}
-	return q[i].seq < q[j].seq
+// before orders events by (t, seq), a total order since sequence numbers
+// are unique.
+func (e *event) before(o *event) bool {
+	return e.t < o.t || (e.t == o.t && e.seq < o.seq)
 }
-func (q eventQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x interface{}) { *q = append(*q, x.(*Event)) }
-func (q *eventQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return ev
+
+// eventQueue is a binary min-heap of events stored by value.
+type eventQueue []event
+
+func (q *eventQueue) push(ev event) {
+	*q = append(*q, ev)
+	h := *q
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !ev.before(&h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = ev
+}
+
+// pop removes and returns the earliest event; the queue must be non-empty.
+func (q *eventQueue) pop() event {
+	h := *q
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = event{} // drop the handler reference
+	h = h[:n]
+	*q = h
+	if n > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if r := c + 1; r < n && h[r].before(&h[c]) {
+				c = r
+			}
+			if !h[c].before(&last) {
+				break
+			}
+			h[i] = h[c]
+			i = c
+		}
+		h[i] = last
+	}
+	return top
 }
 
 // Kernel is the discrete-event loop: a virtual clock plus a priority queue
@@ -94,6 +153,7 @@ type Kernel struct {
 	now       float64
 	seq       uint64
 	queue     eventQueue
+	canceled  map[uint64]struct{} // sequence numbers of cancelled one-shots
 	processed int
 	actors    map[string]*Actor
 	log       logHash
@@ -159,21 +219,25 @@ func (k *Kernel) Pending() int { return len(k.queue) }
 // simply becomes the next to pop and runs with its own (true) stamp — the
 // clock itself never rewinds. Fine-grained event chains (request arrivals)
 // therefore keep exact timestamps when composed with coarse-grained ones
-// (training rounds).
-func (k *Kernel) At(t float64, actor string, fn func(stamp float64)) *Event {
-	ev := &Event{t: t, seq: k.seq, actor: actor, fn: fn}
-	k.seq++
-	heap.Push(&k.queue, ev)
-	return ev
+// (training rounds). The event counts toward the Fired count of the actor
+// registered under that name when it runs, even if the actor is
+// registered after scheduling.
+func (k *Kernel) At(t float64, actor string, fn func(stamp float64)) Event {
+	return k.schedule(event{t: t, name: actor, fn: fn})
 }
 
 // After schedules fn to run d seconds from the current clock. Negative d
 // clamps to zero.
-func (k *Kernel) After(d float64, actor string, fn func(stamp float64)) *Event {
+func (k *Kernel) After(d float64, actor string, fn func(stamp float64)) Event {
+	return k.At(k.later(d), actor, fn)
+}
+
+// later returns the instant d seconds from now, negative d clamped to zero.
+func (k *Kernel) later(d float64) float64 {
 	if d < 0 {
 		d = 0
 	}
-	return k.At(k.now+d, actor, fn)
+	return k.now + d
 }
 
 // Every schedules fn to first run at start and then every period seconds,
@@ -182,14 +246,26 @@ func (k *Kernel) After(d float64, actor string, fn func(stamp float64)) *Event {
 // not fixed-delay), so a handler that advances the clock does not skew the
 // cadence. A non-positive period panics: it would loop forever at one
 // instant.
-func (k *Kernel) Every(start, period float64, actor string, fn func(now float64) bool) *Event {
+func (k *Kernel) Every(start, period float64, actor string, fn func(now float64) bool) Event {
+	return k.every(event{t: start, name: actor}, period, fn)
+}
+
+// every queues the first firing of a periodic chain; the chain's state is
+// the one allocation it makes.
+func (k *Kernel) every(ev event, period float64, fn func(now float64) bool) Event {
 	if period <= 0 {
-		panic(fmt.Sprintf("sim: Every(%q) with non-positive period %g", actor, period))
+		panic(fmt.Sprintf("sim: Every(%q) with non-positive period %g", ev.name, period))
 	}
-	ev := &Event{t: start, seq: k.seq, actor: actor, every: fn, period: period}
+	ev.per = &periodic{fn: fn, period: period}
+	return k.schedule(ev)
+}
+
+// schedule assigns ev the next sequence number and queues it.
+func (k *Kernel) schedule(ev event) Event {
+	ev.seq = k.seq
 	k.seq++
-	heap.Push(&k.queue, ev)
-	return ev
+	k.queue.push(ev)
+	return Event{k: k, seq: ev.seq, per: ev.per}
 }
 
 // Advance moves the clock forward by d seconds, modelling work performed
@@ -208,39 +284,59 @@ func (k *Kernel) AdvanceTo(t float64) {
 	}
 }
 
+// skip reports whether a popped event was cancelled, forgetting a
+// one-shot's mark once it has served.
+func (k *Kernel) skip(ev *event) bool {
+	if ev.per != nil {
+		return ev.per.canceled
+	}
+	if len(k.canceled) == 0 {
+		return false
+	}
+	if _, ok := k.canceled[ev.seq]; ok {
+		delete(k.canceled, ev.seq)
+		return true
+	}
+	return false
+}
+
 // Step pops and executes the earliest pending event, returning false when
 // the queue is empty. The clock is set to max(now, event time) before the
 // handler runs; the handler receives the event's own scheduled stamp.
 func (k *Kernel) Step() bool {
 	for len(k.queue) > 0 {
-		ev := heap.Pop(&k.queue).(*Event)
-		if ev.canceled {
+		ev := k.queue.pop()
+		if k.skip(&ev) {
 			continue
 		}
 		if ev.t > k.now {
 			k.now = ev.t
 		}
 		k.processed++
-		k.log.event(ev.actor, ev.t, ev.seq)
-		if a, ok := k.actors[ev.actor]; ok {
+		k.log.event(ev.name, ev.t, ev.seq)
+		a := ev.actor
+		if a == nil {
+			a = k.actors[ev.name]
+		}
+		if a != nil {
 			a.fired++
 		}
-		if ev.every != nil {
-			if ev.every(ev.t) && !ev.canceled {
-				// Reuse the same Event so the caller's handle keeps
-				// working for Cancel across reschedules. The next firing
-				// is start+n*period even if the clock has moved past it —
-				// fixed-rate, catching up rather than skewing.
-				ev.t += ev.period
-				ev.seq = k.seq
-				k.seq++
-				heap.Push(&k.queue, ev)
+		if p := ev.per; p != nil {
+			if p.fn(ev.t) && !p.canceled {
+				// The chain's handle stays valid across reschedules
+				// because it points at p, not at a queue entry. The next
+				// firing is start+n*period even if the clock has moved
+				// past it — fixed-rate, catching up rather than skewing.
+				ev.t += p.period
+				k.schedule(ev)
 			}
 			return true
 		}
 		ev.fn(ev.t)
 		return true
 	}
+	// Every mark left belongs to a one-shot that already ran.
+	k.canceled = nil
 	return false
 }
 
@@ -259,9 +355,9 @@ func (k *Kernel) Run() int {
 func (k *Kernel) RunUntil(t float64) int {
 	n := 0
 	for len(k.queue) > 0 {
-		// Peek: heap minimum is index 0.
-		if k.queue[0].canceled {
-			heap.Pop(&k.queue)
+		// Peek: the heap minimum is index 0.
+		if k.skip(&k.queue[0]) {
+			k.queue.pop()
 			continue
 		}
 		if k.queue[0].t > t {

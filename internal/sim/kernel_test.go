@@ -244,3 +244,64 @@ func TestCancelledEventsExcludedFromFingerprint(t *testing.T) {
 		t.Fatalf("processed %d, want 2", k.Processed())
 	}
 }
+
+// TestCancelAfterRunSkipsNothing pins the handle contract: cancelling a
+// one-shot that already ran, or the zero handle, must not touch any event
+// scheduled later — a recycled queue entry would let it.
+func TestCancelAfterRunSkipsNothing(t *testing.T) {
+	k := New()
+	done := k.At(1, "a", func(float64) {})
+	k.Run()
+	done.Cancel()
+	Event{}.Cancel()
+	ran := 0
+	for i := 0; i < 10; i++ {
+		k.At(2, "a", func(float64) { ran++ })
+	}
+	done.Cancel()
+	k.Run()
+	if ran != 10 {
+		t.Fatalf("%d of 10 later events ran after cancelling a spent handle", ran)
+	}
+}
+
+// TestKernelAtCountsLateRegisteredActor pins the attribution rule for
+// events scheduled by name: the firing counts toward the actor registered
+// under that name when the event runs, not when it was scheduled.
+func TestKernelAtCountsLateRegisteredActor(t *testing.T) {
+	k := New()
+	k.At(1, "late", func(float64) {})
+	k.At(2, "late", func(float64) {})
+	k.RunUntil(1) // the first runs before the actor exists
+	a := k.Actor("late")
+	k.Run()
+	if a.Fired() != 1 {
+		t.Fatalf("late-registered actor fired %d, want 1", a.Fired())
+	}
+}
+
+// TestStepAllocations is the kernel's allocation contract: scheduling
+// and running an event with a prebuilt handler, or firing a periodic
+// chain, allocates nothing.
+func TestStepAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation")
+	}
+	k := New()
+	a := k.Actor("w")
+	fn := func(float64) {}
+	for i := 0; i < 64; i++ {
+		a.At(float64(i), fn) // a standing queue, so pops sift
+	}
+	if n := testing.AllocsPerRun(1000, func() {
+		a.At(k.Now()+1, fn)
+		k.Step()
+	}); n != 0 {
+		t.Fatalf("Actor.At + Step made %g allocations, want 0", n)
+	}
+	k.Run()
+	a.Every(k.Now(), 1, func(float64) bool { return true })
+	if n := testing.AllocsPerRun(1000, func() { k.Step() }); n != 0 {
+		t.Fatalf("a periodic firing made %g allocations, want 0", n)
+	}
+}
