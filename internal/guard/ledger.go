@@ -9,10 +9,9 @@
 package guard
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
-	"math"
+
+	"dlsys/internal/fp"
 )
 
 // IncidentKind enumerates what a detector observed.
@@ -135,14 +134,12 @@ func (l *Ledger) Len() int { return len(l.Incidents) }
 // produce equal fingerprints — the replayability contract the X7 experiment
 // asserts.
 func (l *Ledger) Fingerprint() uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
+	h := fp.New()
 	for _, in := range l.Incidents {
-		binary.LittleEndian.PutUint64(buf[:], uint64(int64(in.Step)))
-		h.Write(buf[:])
-		h.Write([]byte{byte(in.Kind), byte(in.Action)})
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(in.Value))
-		h.Write(buf[:])
+		h.Word(uint64(int64(in.Step)))
+		h.Byte(byte(in.Kind))
+		h.Byte(byte(in.Action))
+		h.Float(in.Value)
 	}
-	return h.Sum64()
+	return uint64(h)
 }

@@ -1,10 +1,9 @@
 package livedb
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
-	"math"
+
+	"dlsys/internal/fp"
 )
 
 // EventKind enumerates the maintenance events the engine ledgers.
@@ -100,17 +99,13 @@ func (l *Ledger) First(k EventKind, reason string) (Entry, bool) {
 // counts, and measurements — with FNV-1a. Two runs of the same seeded
 // scenario must produce equal fingerprints.
 func (l *Ledger) Fingerprint() uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
+	h := fp.New()
 	for _, e := range l.Entries {
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(e.T))
-		h.Write(buf[:])
-		h.Write([]byte{byte(e.Kind)})
-		h.Write([]byte(e.Reason))
-		binary.LittleEndian.PutUint64(buf[:], uint64(int64(e.N)))
-		h.Write(buf[:])
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(e.Value))
-		h.Write(buf[:])
+		h.Float(e.T)
+		h.Byte(byte(e.Kind))
+		h.String(e.Reason)
+		h.Word(uint64(int64(e.N)))
+		h.Float(e.Value)
 	}
-	return h.Sum64()
+	return uint64(h)
 }

@@ -14,9 +14,9 @@ package modelstore
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"math"
 
+	"dlsys/internal/fp"
 	"dlsys/internal/tensor"
 )
 
@@ -119,9 +119,9 @@ func (s *Store) Put(model, layer string, acts *tensor.Tensor) error {
 }
 
 func hashChunk(b []byte) uint64 {
-	h := fnv.New64a()
+	h := fp.New()
 	h.Write(b)
-	return h.Sum64()
+	return uint64(h)
 }
 
 // Get reconstructs the stored activations for (model, layer). Each value

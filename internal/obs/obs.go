@@ -16,12 +16,12 @@
 package obs
 
 import (
-	"encoding/binary"
-	"hash/fnv"
 	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
+
+	"dlsys/internal/fp"
 )
 
 // nameShards is the number of mutex-guarded name→instrument maps the
@@ -197,9 +197,9 @@ type shard struct {
 func NewRegistry() *Registry { return &Registry{} }
 
 func nameHash(name string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(name))
-	return h.Sum64()
+	h := fp.New()
+	h.String(name)
+	return uint64(h)
 }
 
 func (r *Registry) shard(name string) *shard {
@@ -323,25 +323,20 @@ func (r *Registry) Fingerprint() uint64 {
 	if r == nil {
 		return 0
 	}
-	h := fnv.New64a()
-	var buf [8]byte
+	h := fp.New()
 	for _, p := range r.Snapshot() {
-		h.Write([]byte(p.Kind))
-		h.Write([]byte(p.Name))
-		binary.LittleEndian.PutUint64(buf[:], uint64(p.Count))
-		h.Write(buf[:])
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(p.Value))
-		h.Write(buf[:])
+		h.String(p.Kind)
+		h.String(p.Name)
+		h.Word(uint64(p.Count))
+		h.Float(p.Value)
 		for _, b := range p.Bounds {
-			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(b))
-			h.Write(buf[:])
+			h.Float(b)
 		}
 		for _, c := range p.Buckets {
-			binary.LittleEndian.PutUint64(buf[:], uint64(c))
-			h.Write(buf[:])
+			h.Word(uint64(c))
 		}
 	}
-	return h.Sum64()
+	return uint64(h)
 }
 
 // Handle bundles a Registry and a Tracer — the single field a subsystem

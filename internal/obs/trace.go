@@ -1,10 +1,9 @@
 package obs
 
 import (
-	"encoding/binary"
-	"hash/fnv"
-	"math"
 	"sync"
+
+	"dlsys/internal/fp"
 )
 
 // SpanRecord is one finished (or still-open, EndS < StartS) span as stored
@@ -118,18 +117,13 @@ func (t *Tracer) Fingerprint() uint64 {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	h := fnv.New64a()
-	var buf [8]byte
+	h := fp.New()
 	for _, s := range t.spans {
-		binary.LittleEndian.PutUint64(buf[:], uint64(int64(s.ID)))
-		h.Write(buf[:])
-		binary.LittleEndian.PutUint64(buf[:], uint64(int64(s.Parent)))
-		h.Write(buf[:])
-		h.Write([]byte(s.Name))
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(s.StartS))
-		h.Write(buf[:])
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(s.EndS))
-		h.Write(buf[:])
+		h.Word(uint64(int64(s.ID)))
+		h.Word(uint64(int64(s.Parent)))
+		h.String(s.Name)
+		h.Float(s.StartS)
+		h.Float(s.EndS)
 	}
-	return h.Sum64()
+	return uint64(h)
 }

@@ -2,9 +2,10 @@ package robust
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"strings"
+
+	"dlsys/internal/fp"
 )
 
 // ReputationConfig tunes the per-worker reputation tracker. The zero value
@@ -139,13 +140,13 @@ func (l *Ledger) OffenderString() string {
 // Fingerprint returns an FNV-1a hash over every recorded event. Two runs
 // of the same seeded scenario must produce identical fingerprints.
 func (l *Ledger) Fingerprint() uint64 {
-	h := fnv.New64a()
+	h := fp.New()
 	if l != nil {
 		for _, ev := range l.events {
-			fmt.Fprintf(h, "%d|%d|%s|%.17g\n", ev.Round, ev.Worker, ev.Kind, ev.Score)
+			fmt.Fprintf(&h, "%d|%d|%s|%.17g\n", ev.Round, ev.Worker, ev.Kind, ev.Score)
 		}
 	}
-	return h.Sum64()
+	return uint64(h)
 }
 
 // Reputation tracks a per-worker EMA of relative distance-to-aggregate and

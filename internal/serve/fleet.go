@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"dlsys/internal/fault"
+	"dlsys/internal/fp"
 	"dlsys/internal/nn"
 	"dlsys/internal/obs"
 	"dlsys/internal/sim"
@@ -257,37 +258,16 @@ func (r FleetResult) RecoveredBy(t, target float64) float64 {
 	return -1
 }
 
-// fleetLedger incrementally fingerprints every final request outcome with
-// FNV-1a, so the ledger costs O(1) memory at any scale. Fingerprints are
-// only ever compared between in-process runs, never persisted.
-type fleetLedger struct {
-	h       uint64
-	started bool
-}
-
-func (l *fleetLedger) init() {
-	if !l.started {
-		l.h = 14695981039346656037 // FNV-1a 64-bit offset basis
-		l.started = true
-	}
-}
-
-func (l *fleetLedger) word(v uint64) {
-	for i := 0; i < 8; i++ {
-		l.h ^= v & 0xff
-		l.h *= 1099511628211
-		v >>= 8
-	}
-}
-
-func (l *fleetLedger) fold(rq fleetReq, oc Outcome, finish float64) {
-	l.init()
-	l.word(uint64(rq.id))
-	l.word(uint64(rq.tenant))
-	l.word(uint64(rq.key))
-	l.word(uint64(rq.attempt) | uint64(oc)<<8)
-	l.word(math.Float64bits(rq.first))
-	l.word(math.Float64bits(finish))
+// foldOutcome folds one final request outcome into the ledger hash, so the
+// ledger costs O(1) memory at any scale. Fingerprints are only ever
+// compared between in-process runs, never persisted.
+func (f *Fleet) foldOutcome(rq fleetReq, oc Outcome, finish float64) {
+	f.ledger.Word(uint64(rq.id))
+	f.ledger.Word(uint64(rq.tenant))
+	f.ledger.Word(uint64(rq.key))
+	f.ledger.Word(uint64(rq.attempt) | uint64(oc)<<8)
+	f.ledger.Float(rq.first)
+	f.ledger.Float(finish)
 }
 
 // fleetLatBuckets is the resolution of the fixed latency histogram:
@@ -342,7 +322,7 @@ type Fleet struct {
 	latHist  [fleetLatBuckets + 1]int
 	latWidth float64
 	buckets  []GoodputBucket
-	ledger   fleetLedger
+	ledger   fp.Hash
 
 	perItemS float64 // amortized service per request at full batch
 
@@ -376,6 +356,7 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 		desired:      cfg.Replicas,
 		peakReplicas: cfg.Replicas,
 		tenants:      make([]TenantStats, cfg.Tenants),
+		ledger:       fp.New(),
 		latWidth:     4 * cfg.DeadlineS / fleetLatBuckets,
 		perItemS:     (cfg.ServiceS + float64(cfg.BatchMax-1)*cfg.BatchItemS) / float64(cfg.BatchMax),
 	}
@@ -664,7 +645,7 @@ func (f *Fleet) finishServed(rq fleetReq, stamp float64) {
 	f.obs.served.Inc()
 	f.obs.tenantServed[rq.tenant].Inc()
 	f.bucketAt(stamp).Served++
-	f.ledger.fold(rq, Served, stamp)
+	f.foldOutcome(rq, Served, stamp)
 	f.finalize(stamp)
 }
 
@@ -688,12 +669,12 @@ func (f *Fleet) failAttempt(rq fleetReq, now float64, shed bool) {
 		f.tenants[rq.tenant].Shed++
 		f.obs.shed.Inc()
 		f.obs.tenantShed[rq.tenant].Inc()
-		f.ledger.fold(rq, Shed, now)
+		f.foldOutcome(rq, Shed, now)
 	} else {
 		f.tenants[rq.tenant].Failed++
 		f.obs.failed.Inc()
 		f.obs.tenantFailed[rq.tenant].Inc()
-		f.ledger.fold(rq, Failed, now)
+		f.foldOutcome(rq, Failed, now)
 	}
 	f.finalize(now)
 }
@@ -808,7 +789,7 @@ func (f *Fleet) Result() FleetResult {
 		BucketS:           f.cfg.BucketS,
 		Buckets:           f.buckets,
 		VirtualS:          f.lastS,
-		LedgerFP:          f.ledgerFingerprint(),
+		LedgerFP:          uint64(f.ledger),
 	}
 	for i := range f.tenants {
 		ts := f.tenants[i]
@@ -825,13 +806,6 @@ func (f *Fleet) Result() FleetResult {
 	r.P99S = f.latQuantile(0.99)
 	f.res = r
 	return r
-}
-
-// LedgerFingerprint exposes the running ledger hash (for replay checks
-// on shared-kernel runs before Result is built).
-func (f *Fleet) ledgerFingerprint() uint64 {
-	f.ledger.init()
-	return f.ledger.h
 }
 
 // latQuantile reads the q-quantile off the fixed latency histogram,

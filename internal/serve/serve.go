@@ -2,11 +2,11 @@ package serve
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sort"
 
 	"dlsys/internal/device"
 	"dlsys/internal/fault"
+	"dlsys/internal/fp"
 	"dlsys/internal/obs"
 	"dlsys/internal/sim"
 	"dlsys/internal/tensor"
@@ -227,13 +227,13 @@ type Result struct {
 // composed experiments (X10) cross-check it against the metric, trace,
 // and kernel fingerprints.
 func (r Result) Fingerprint() uint64 {
-	h := fnv.New64a()
+	h := fp.New()
 	for _, rec := range r.Records {
-		fmt.Fprintf(h, "%d|%.17g|%.17g|%d|%d|%d|%d|%v|%v|%v\n",
+		fmt.Fprintf(&h, "%d|%.17g|%.17g|%d|%d|%d|%d|%v|%v|%v\n",
 			rec.ID, rec.ArrivalS, rec.FinishS, rec.Outcome, rec.Tier,
 			rec.Replica, rec.Attempts, rec.Hedged, rec.HedgeWon, rec.Correct)
 	}
-	return h.Sum64()
+	return uint64(h)
 }
 
 // replicaState is the simulator's per-replica mutable state.

@@ -31,8 +31,8 @@ package sim
 
 import (
 	"fmt"
-	"hash/fnv"
-	"math"
+
+	"dlsys/internal/fp"
 )
 
 // Clock is the read-only view of simulated time that components take as a
@@ -156,50 +156,15 @@ type Kernel struct {
 	canceled  map[uint64]struct{} // sequence numbers of cancelled one-shots
 	processed int
 	actors    map[string]*Actor
-	log       logHash
-}
-
-// logHash incrementally fingerprints the execution log so replay
-// verification costs O(1) memory regardless of run length.
-type logHash struct {
-	h       uint64
-	started bool
-}
-
-func (l *logHash) init() {
-	if !l.started {
-		l.h = fnv.New64a().Sum64() // FNV-1a offset basis
-		l.started = true
-	}
-}
-
-// word folds one 64-bit value into the hash byte by byte, little-endian.
-// Splitting into bytes keeps the stream identical in spirit to the textual
-// log (every bit of every field reaches the FNV state) while avoiding the
-// fmt round-trip that dominated Step at million-event scale.
-func (l *logHash) word(v uint64) {
-	for i := 0; i < 8; i++ {
-		l.h ^= v & 0xff
-		l.h *= 1099511628211
-		v >>= 8
-	}
-}
-
-// event folds one executed event — actor name, scheduled stamp, sequence
-// number — into the log hash without allocating.
-func (l *logHash) event(actor string, t float64, seq uint64) {
-	l.init()
-	for i := 0; i < len(actor); i++ {
-		l.h ^= uint64(actor[i])
-		l.h *= 1099511628211
-	}
-	l.word(math.Float64bits(t))
-	l.word(seq)
+	// log folds every executed event's actor name, scheduled stamp and
+	// sequence number, so replay verification costs O(1) memory regardless
+	// of run length.
+	log fp.Hash
 }
 
 // New builds an empty kernel with the clock at zero.
 func New() *Kernel {
-	return &Kernel{actors: map[string]*Actor{}}
+	return &Kernel{actors: map[string]*Actor{}, log: fp.New()}
 }
 
 // Now returns the current simulated time in seconds.
@@ -313,7 +278,9 @@ func (k *Kernel) Step() bool {
 			k.now = ev.t
 		}
 		k.processed++
-		k.log.event(ev.name, ev.t, ev.seq)
+		k.log.String(ev.name)
+		k.log.Float(ev.t)
+		k.log.Word(ev.seq)
 		a := ev.actor
 		if a == nil {
 			a = k.actors[ev.name]
@@ -376,7 +343,4 @@ func (k *Kernel) RunUntil(t float64) int {
 // number. Two runs of the same scenario must produce identical
 // fingerprints; any divergence in ordering, timing, or event population
 // shows up here even if downstream metrics happen to agree.
-func (k *Kernel) Fingerprint() uint64 {
-	k.log.init()
-	return k.log.h
-}
+func (k *Kernel) Fingerprint() uint64 { return uint64(k.log) }
