@@ -48,6 +48,19 @@ func TestConfigValidateTable(t *testing.T) {
 		{"reputation-patience", func(c *Config) { c.Reputation = &robust.ReputationConfig{Patience: -1} }, "Reputation.Patience"},
 		{"reputation-probation", func(c *Config) { c.Reputation = &robust.ReputationConfig{Probation: -1} }, "Reputation.Probation"},
 		{"byzantine-worker-out-of-range", func(c *Config) { c.Fault = fault.Byzantine(1, fault.KindSignFlip, 9) }, "Fault.ByzantineWorkers"},
+		// NaN and ±Inf slip past every range comparison, so each float
+		// field is checked for them explicitly.
+		{"lr-nan", func(c *Config) { c.LR = math.NaN() }, "LR"},
+		{"lr-inf", func(c *Config) { c.LR = math.Inf(1) }, "LR"},
+		{"topk-nan", func(c *Config) { c.TopK = math.NaN() }, "TopK"},
+		{"topk-inf", func(c *Config) { c.TopK = math.Inf(1) }, "TopK"},
+		{"backoff-inf-with-drops", func(c *Config) {
+			c.RetryBackoffS, c.Fault = math.Inf(1), fault.Config{Seed: 1, DropProb: 0.5}
+		}, "RetryBackoffS"},
+		{"backoff-nan", func(c *Config) { c.RetryBackoffS = math.NaN() }, "RetryBackoffS"},
+		{"reputation-decay-nan", func(c *Config) { c.Reputation = &robust.ReputationConfig{Decay: math.NaN()} }, "Reputation.Decay"},
+		{"reputation-threshold-nan", func(c *Config) { c.Reputation = &robust.ReputationConfig{Threshold: math.NaN()} }, "Reputation.Threshold"},
+		{"reputation-threshold-inf", func(c *Config) { c.Reputation = &robust.ReputationConfig{Threshold: math.Inf(1)} }, "Reputation.Threshold"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

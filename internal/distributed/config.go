@@ -2,6 +2,7 @@ package distributed
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -19,7 +20,8 @@ func (e *ConfigError) Error() string {
 // Validate rejects degenerate configurations with typed errors instead of
 // letting them silently misbehave. Zero values mean "use the default" and
 // always pass; negative values that a default clamp would otherwise hide
-// are rejected. Train calls Validate before touching any state.
+// are rejected, and so are NaN and ±Inf, which every range comparison lets
+// through. Train calls Validate before touching any state.
 func (c Config) Validate() error {
 	if c.Workers < 1 {
 		return &ConfigError{"Workers", fmt.Sprintf("%d < 1: need at least one worker", c.Workers)}
@@ -30,14 +32,14 @@ func (c Config) Validate() error {
 	if c.BatchSize < 1 {
 		return &ConfigError{"BatchSize", fmt.Sprintf("%d < 1", c.BatchSize)}
 	}
-	if c.LR < 0 {
-		return &ConfigError{"LR", fmt.Sprintf("%g is negative", c.LR)}
+	if c.LR < 0 || notFinite(c.LR) {
+		return &ConfigError{"LR", fmt.Sprintf("%g is negative or not finite", c.LR)}
 	}
 	if c.AveragePeriod < 0 {
 		return &ConfigError{"AveragePeriod", fmt.Sprintf("%d is negative", c.AveragePeriod)}
 	}
-	if c.TopK < 0 {
-		return &ConfigError{"TopK", fmt.Sprintf("%g is negative", c.TopK)}
+	if c.TopK < 0 || notFinite(c.TopK) {
+		return &ConfigError{"TopK", fmt.Sprintf("%g is negative or not finite", c.TopK)}
 	}
 	if c.QuantBits < 0 {
 		return &ConfigError{"QuantBits", fmt.Sprintf("%d is negative", c.QuantBits)}
@@ -45,8 +47,8 @@ func (c Config) Validate() error {
 	if c.MaxRetries < 0 {
 		return &ConfigError{"MaxRetries", fmt.Sprintf("%d is negative", c.MaxRetries)}
 	}
-	if c.RetryBackoffS < 0 {
-		return &ConfigError{"RetryBackoffS", fmt.Sprintf("%g is negative", c.RetryBackoffS)}
+	if c.RetryBackoffS < 0 || notFinite(c.RetryBackoffS) {
+		return &ConfigError{"RetryBackoffS", fmt.Sprintf("%g is negative or not finite", c.RetryBackoffS)}
 	}
 	if c.SnapshotPeriod < 0 {
 		return &ConfigError{"SnapshotPeriod", fmt.Sprintf("%d is negative", c.SnapshotPeriod)}
@@ -68,11 +70,11 @@ func (c Config) Validate() error {
 	}
 	if c.Reputation != nil {
 		r := *c.Reputation
-		if r.Decay != 0 && (r.Decay < 0 || r.Decay >= 1) {
+		if math.IsNaN(r.Decay) || r.Decay != 0 && (r.Decay < 0 || r.Decay >= 1) {
 			return &ConfigError{"Reputation.Decay", fmt.Sprintf("%g out of [0, 1)", r.Decay)}
 		}
-		if r.Threshold < 0 {
-			return &ConfigError{"Reputation.Threshold", fmt.Sprintf("%g is negative", r.Threshold)}
+		if r.Threshold < 0 || notFinite(r.Threshold) {
+			return &ConfigError{"Reputation.Threshold", fmt.Sprintf("%g is negative or not finite", r.Threshold)}
 		}
 		if r.Patience < 0 {
 			return &ConfigError{"Reputation.Patience", fmt.Sprintf("%d is negative", r.Patience)}
@@ -91,6 +93,9 @@ func (c Config) Validate() error {
 	}
 	return nil
 }
+
+// notFinite reports NaN and ±Inf, which every range comparison lets through.
+func notFinite(v float64) bool { return math.IsNaN(v) || math.IsInf(v, 0) }
 
 // validateChurn rejects incoherent elastic-membership schedules: events
 // referencing out-of-range workers or negative rounds, two events for one

@@ -237,13 +237,12 @@ func (w *worker) nextBatch(x, y *tensor.Tensor, step, bs int) (*tensor.Tensor, *
 	return w.bx, w.by
 }
 
-func activeLoss(w *worker) float64 { return w.lastLoss }
-
 // liveWorkers applies crash and rejoin transitions for the round and
 // returns the up workers in id order.
-func liveWorkers(workers []*worker, inj *fault.Injector, store *checkpoint.Store, round int, stats *Stats, ins *distObs) []*worker {
+func (j *Job) liveWorkers(round int) []*worker {
+	stats, ins := &j.stats, j.ins
 	var active []*worker
-	for _, wk := range workers {
+	for _, wk := range j.workers {
 		if wk.absent {
 			continue // elastically departed (or not yet joined)
 		}
@@ -253,7 +252,7 @@ func liveWorkers(workers []*worker, inj *fault.Injector, store *checkpoint.Store
 		if wk.downTo > 0 {
 			// Rejoin: restore the newest verifiable snapshot. A corrupted
 			// newer snapshot is detected by its CRC and skipped.
-			if _, skipped, err := store.Restore(wk.net); err == nil {
+			if _, skipped, err := j.store.Restore(wk.net); err == nil {
 				stats.Restores++
 				stats.Corruptions += skipped
 				ins.restores.Inc()
@@ -266,10 +265,10 @@ func liveWorkers(workers []*worker, inj *fault.Injector, store *checkpoint.Store
 				wk.residual[i] = 0 // crash wiped worker memory
 			}
 		}
-		if inj.Crashes(wk.id, round) {
+		if j.inj.Crashes(wk.id, round) {
 			stats.Crashes++
 			ins.crashes.Inc()
-			wk.downTo = round + inj.RestartDelay()
+			wk.downTo = round + j.inj.RestartDelay()
 			continue
 		}
 		active = append(active, wk)
@@ -290,16 +289,18 @@ type gradResult struct {
 }
 
 // computeGrads runs every active worker's forward/backward in parallel
-// goroutines. Determinism holds because workers share no mutable state and
-// results are consumed in worker-id order.
-func computeGrads(active []*worker, x, y *tensor.Tensor, cfg Config, prof device.Profile, inj *fault.Injector, step, round int, flopsPerExample int64, localStep bool) []gradResult {
+// goroutines — a local optimizer step when localStep is set — and records
+// each worker's compute time. Determinism holds because workers share no
+// mutable state and results are consumed in worker-id order.
+func (j *Job) computeGrads(active []*worker, step, round int, localStep bool) []gradResult {
+	inj := j.inj
 	results := make([]gradResult, len(active))
 	var wg sync.WaitGroup
 	for i, wk := range active {
 		wg.Add(1)
 		go func(i int, wk *worker) {
 			defer wg.Done()
-			bx, by := wk.nextBatch(x, y, step, cfg.BatchSize)
+			bx, by := wk.nextBatch(j.x, j.y, step, j.cfg.BatchSize)
 			r := gradResult{wk: wk}
 			// Numerical fault injection: the draws are keyed by
 			// (worker, round), so concurrent execution order cannot
@@ -333,124 +334,108 @@ func computeGrads(active []*worker, x, y *tensor.Tensor, cfg Config, prof device
 				r.byzantine = inj.CorruptGradient(r.grad, wk.id, round)
 				r.poisoned = math.IsNaN(loss) || math.IsInf(loss, 0) || !tensor.AllFinite(r.grad)
 			}
-			r.seconds = prof.ComputeTime(flopsPerExample*int64(bx.Dim(0)), 0.5) * inj.StraggleFactor(wk.id, round)
+			r.seconds = j.prof.ComputeTime(j.flopsPerExample*int64(bx.Dim(0)), 0.5) * inj.StraggleFactor(wk.id, round)
 			results[i] = r
 		}(i, wk)
 	}
 	wg.Wait()
+	j.ins.observeSteps(results)
 	return results
 }
 
-// syncRound executes one synchronous gradient-exchange round with fault
-// handling. Returns worker-ordered first participant's loss and whether the
-// round produced an update.
-func syncRound(active []*worker, x, y *tensor.Tensor, cfg Config, net *transport, clk *jobClock, step, round, modelSize int, flopsPerExample int64, agg robust.Aggregator, chargeAgg bool, rep *robust.Reputation, stats *Stats, span *obs.Span) (float64, bool) {
-	roundStart := clk.now()
-	rep.BeginRound(round)
-	results := computeGrads(active, x, y, cfg, net.prof, net.inj, step, round, flopsPerExample, false)
-	net.obs.observeSteps(results)
-	included := screenRound(results, cfg, net, flopsPerExample, rep, stats)
-
-	// Each included worker compresses and uploads its gradient; lost or
-	// corrupted transmissions are retried with exponential backoff until
-	// the per-round retry budget runs out.
-	avgGrad := make([]float64, modelSize)
-	grads := make([][]float64, 0, len(included))
-	ids := make([]int, 0, len(included))
-	var computeS, uplinkS float64
-	for _, r := range included {
-		if r.seconds > computeS {
-			computeS = r.seconds
+// tally counts the round's injected numerical faults, Byzantine uploads and
+// stragglers, and returns the slowest worker's compute time.
+func (j *Job) tally(results []gradResult) float64 {
+	slow := j.prof.ComputeTime(j.flopsPerExample*int64(j.cfg.BatchSize), 0.5) * 1.5
+	var computeS float64
+	straggled := false
+	for _, r := range results {
+		j.stats.NumericalFaults += r.injected
+		j.ins.numFaults.Add(int64(r.injected))
+		if r.byzantine {
+			j.stats.ByzantineAttacks++
+			j.ins.byzAttacks.Inc()
 		}
+		straggled = straggled || r.seconds > slow
+		computeS = max(computeS, r.seconds)
+	}
+	if straggled {
+		j.stats.StragglerRounds++
+		j.ins.stragglerRounds.Inc()
+	}
+	return computeS
+}
+
+// syncRound executes one synchronous gradient-exchange round over the
+// configured topology. Returns the first participant's loss and whether
+// the round produced an update. Spans record compute, then aggregate (an
+// explicit aggregator only), then comm — the last only when some
+// contribution arrived.
+func (j *Job) syncRound(active []*worker, step, round int, span *obs.Span) (float64, bool) {
+	cfg := j.cfg
+	roundStart := j.clk.now()
+	j.rep.BeginRound(round)
+	results := j.computeGrads(active, step, round, false)
+	j.tally(results)
+	included := j.screenRound(results)
+
+	// Each admitted worker compresses its gradient in place, so the
+	// aggregate reflects what was actually communicated; the exchange moves
+	// what it sends.
+	var computeS float64
+	var payload int64
+	ups := make([]upload, len(included))
+	for i, r := range included {
+		computeS = max(computeS, r.seconds)
 		residual := r.wk.residual
 		if cfg.NoErrorFeedback {
 			residual = nil
 		}
-		sent := compressGradient(r.grad, residual, cfg.TopK, cfg.QuantBits)
-		ok, elapsed := net.send(r.wk.id, 2*round, sent, stats)
-		if elapsed > uplinkS {
-			uplinkS = elapsed
-		}
-		if !ok {
-			stats.Timeouts++
-			net.obs.timeouts.Inc()
-			if residual != nil {
-				// The compressed gradient never arrived; park it locally.
-				for i, g := range r.grad {
-					residual[i] += g
-				}
-			}
-			continue
-		}
-		grads = append(grads, r.grad)
-		ids = append(ids, r.wk.id)
+		ups[i] = upload{r.wk, compressGradient(r.grad, residual, cfg.TopK, cfg.QuantBits)}
+		payload = max(payload, ups[i].bytes)
 	}
-	clk.advance(computeS + uplinkS)
+	lost, upS := j.exchange(active, ups, payload, round)
+	j.clk.advance(computeS + upS)
 	computeSpan := span.Child("compute", roundStart)
 	computeSpan.End(roundStart + computeS)
-	if len(grads) == 0 {
-		return 0, false // every upload timed out: no update this round
-	}
-	// Robust aggregation of the delivered gradients (worker-id order). An
-	// explicitly configured aggregator is charged its FLOPs cost on the
-	// simulated clock — robustness costs time, and X9 measures it.
-	if chargeAgg {
-		aggS := net.prof.ComputeTime(agg.FLOPs(len(grads), modelSize), 0.5)
-		aggSpan := span.Child("aggregate", roundStart+computeS+uplinkS)
-		aggSpan.End(roundStart + computeS + uplinkS + aggS)
-		clk.advance(aggS)
-		stats.AggSeconds += aggS
-	}
-	agg.Aggregate(avgGrad, grads)
-	observeDistances(rep, ids, grads, avgGrad)
 
-	// Broadcast of the averaged (already compressed) update. The server
-	// persists until every live worker has the round's update.
-	bb := broadcastBytes(avgGrad, cfg, len(active))
-	stats.BytesSent += bb
-	net.obs.bytesSent.Add(bb)
-	var downlinkS float64
-	for _, wk := range active {
-		_, elapsed := net.broadcast(wk.id, 2*round+1, perWorkerBroadcastBytes(avgGrad, cfg), stats)
-		if elapsed > downlinkS {
-			downlinkS = elapsed
+	// A contribution that did not arrive — a timed-out upload, a member a
+	// dead link or partition cut off — is parked in the error-feedback
+	// residual, so its work is deferred rather than discarded.
+	ids := make([]int, 0, len(included))
+	grads := make([][]float64, 0, len(included))
+	for _, r := range included {
+		if !lost[r.wk.id] {
+			ids = append(ids, r.wk.id)
+			grads = append(grads, r.grad)
+		} else if !cfg.NoErrorFeedback {
+			for i, g := range r.grad {
+				r.wk.residual[i] += g
+			}
 		}
 	}
-	clk.advance(downlinkS)
+	avgGrad := j.aggregate(ids, grads, span, roundStart+computeS+upS)
+	if avgGrad == nil {
+		return 0, false // nothing arrived: no update this round
+	}
+	downS := j.release(active, broadcastBytes(avgGrad, cfg), round)
 	commSpan := span.Child("comm", roundStart+computeS)
-	commSpan.End(roundStart + computeS + uplinkS + downlinkS)
+	commSpan.End(roundStart + computeS + upS + downS)
 	for _, wk := range active {
 		wk.net.SetGradVector(avgGrad)
 		wk.trainer.Opt.Step(wk.net.Params())
 		wk.net.PostStep()
 	}
-	stats.AveragingRound++
-	net.obs.rounds.Inc()
+	j.stats.AveragingRound++
+	j.ins.rounds.Inc()
 	return results[0].loss, true
 }
 
 // screenRound applies the per-round contribution screens in their
-// historical order — straggler and numerical-fault tallies, the numerical
-// guard, reputation quarantine, then drop-slowest-k — and returns the
-// contributions admitted to aggregation. Shared by the parameter-server
-// star and the collective-topology sync paths.
-func screenRound(results []gradResult, cfg Config, net *transport, flopsPerExample int64, rep *robust.Reputation, stats *Stats) []gradResult {
-	straggled := false
-	for _, r := range results {
-		stats.NumericalFaults += r.injected
-		net.obs.numFaults.Add(int64(r.injected))
-		if r.byzantine {
-			stats.ByzantineAttacks++
-			net.obs.byzAttacks.Inc()
-		}
-		if r.seconds > net.prof.ComputeTime(flopsPerExample*int64(cfg.BatchSize), 0.5)*1.5 {
-			straggled = true
-		}
-	}
-	if straggled {
-		stats.StragglerRounds++
-		net.obs.stragglerRounds.Inc()
-	}
+// historical order — the numerical guard, reputation quarantine, then
+// drop-slowest-k — and returns the contributions admitted to aggregation.
+func (j *Job) screenRound(results []gradResult) []gradResult {
+	cfg, stats, ins := j.cfg, &j.stats, j.ins
 
 	// Numerical guard: a poisoned contribution (non-finite loss or
 	// gradient) is excluded before aggregation — one NaN in the average
@@ -462,7 +447,7 @@ func screenRound(results []gradResult, cfg Config, net *transport, flopsPerExamp
 		for _, r := range results {
 			if r.poisoned {
 				stats.GuardSkipped++
-				net.obs.guardSkipped.Inc()
+				ins.guardSkipped.Inc()
 				continue
 			}
 			kept = append(kept, r)
@@ -474,12 +459,12 @@ func screenRound(results []gradResult, cfg Config, net *transport, flopsPerExamp
 	// contribute this round. Their gradients are NOT folded into the
 	// residual — a quarantined gradient is suspect by definition, and
 	// deferring it would re-inject the poison on readmission.
-	if rep != nil {
+	if j.rep != nil {
 		kept := make([]gradResult, 0, len(screened))
 		for _, r := range screened {
-			if rep.Quarantined(r.wk.id) {
+			if j.rep.Quarantined(r.wk.id) {
 				stats.QuarantineExcluded++
-				net.obs.quarExcluded.Inc()
+				ins.quarExcluded.Inc()
 				continue
 			}
 			kept = append(kept, r)
@@ -510,7 +495,7 @@ func screenRound(results []gradResult, cfg Config, net *transport, flopsPerExamp
 		for _, oi := range order[len(screened)-k:] {
 			r := screened[oi]
 			stats.ExcludedSlow++
-			net.obs.excludedSlow.Inc()
+			ins.excludedSlow.Inc()
 			if !cfg.NoErrorFeedback {
 				// Defer the dropped worker's gradient instead of losing it.
 				for i, g := range r.grad {
@@ -523,281 +508,122 @@ func screenRound(results []gradResult, cfg Config, net *transport, flopsPerExamp
 	return included
 }
 
-// syncRoundCollective is syncRound over an explicit collective topology:
-// instead of the parameter-server star, the admitted gradients are
-// reduce-broadcast across cfg.Topology, with per-hop costs priced by
-// device.TransferTime and link faults retried, healed around, or degraded
-// to the all-to-all fallback by the transport. A member the exchange
-// excluded (dead links, partition) folds its gradient into the
-// error-feedback residual — its work is deferred like a timed-out star
-// upload — but still receives the aggregate: the collective's broadcast
-// sweep keeps every active replica in lockstep.
-func syncRoundCollective(active []*worker, x, y *tensor.Tensor, cfg Config, net *transport, clk *jobClock, step, round, modelSize int, flopsPerExample int64, agg robust.Aggregator, chargeAgg bool, rep *robust.Reputation, stats *Stats, span *obs.Span) (float64, bool) {
-	roundStart := clk.now()
-	rep.BeginRound(round)
-	results := computeGrads(active, x, y, cfg, net.prof, net.inj, step, round, flopsPerExample, false)
-	net.obs.observeSteps(results)
-	included := screenRound(results, cfg, net, flopsPerExample, rep, stats)
-
-	// Compress every admitted gradient first: the collective moves one
-	// uniform payload (segmented by the topology), sized by the largest
-	// compressed contribution.
-	var computeS float64
-	var payload int64
-	for _, r := range included {
-		if r.seconds > computeS {
-			computeS = r.seconds
-		}
-		residual := r.wk.residual
-		if cfg.NoErrorFeedback {
-			residual = nil
-		}
-		if b := compressGradient(r.grad, residual, cfg.TopK, cfg.QuantBits); b > payload {
-			payload = b
-		}
-	}
-	members := make([]int, len(active))
-	for i, wk := range active {
-		members[i] = wk.id
-	}
-	excluded, commS, _ := net.exchange(cfg.Topology, members, payload, round, cfg.GroupSize, stats)
-	stats.CommRounds++
-	net.obs.commRounds.Inc()
-	stats.CommSeconds += commS
-	clk.advance(computeS + commS)
-	computeSpan := span.Child("compute", roundStart)
-	computeSpan.End(roundStart + computeS)
-	commSpan := span.Child("comm", roundStart+computeS)
-	commSpan.End(roundStart + computeS + commS)
-
-	avgGrad := make([]float64, modelSize)
-	grads := make([][]float64, 0, len(included))
-	ids := make([]int, 0, len(included))
-	for _, r := range included {
-		if excluded[r.wk.id] {
-			if !cfg.NoErrorFeedback {
-				// The collective never carried this member's contribution;
-				// park it locally like a timed-out upload.
-				for i, g := range r.grad {
-					r.wk.residual[i] += g
-				}
-			}
-			continue
-		}
-		grads = append(grads, r.grad)
-		ids = append(ids, r.wk.id)
-	}
-	if len(grads) == 0 {
-		return 0, false // nothing survived the exchange: no update this round
-	}
-	if chargeAgg {
-		aggS := net.prof.ComputeTime(agg.FLOPs(len(grads), modelSize), 0.5)
-		aggSpan := span.Child("aggregate", roundStart+computeS+commS)
-		aggSpan.End(roundStart + computeS + commS + aggS)
-		clk.advance(aggS)
-		stats.AggSeconds += aggS
-	}
-	agg.Aggregate(avgGrad, grads)
-	observeDistances(rep, ids, grads, avgGrad)
-	for _, wk := range active {
-		wk.net.SetGradVector(avgGrad)
-		wk.trainer.Opt.Step(wk.net.Params())
-		wk.net.PostStep()
-	}
-	stats.AveragingRound++
-	net.obs.rounds.Inc()
-	return results[0].loss, true
-}
-
 // localRound executes one Local SGD step on every active worker in
 // parallel and accounts its simulated compute time. Under an enforcing
 // guard, a worker whose parameters went non-finite (it already applied a
 // poisoned update locally) is rolled back to the newest verifiable global
 // snapshot instead of shipping NaNs into the next average.
-func localRound(active []*worker, x, y *tensor.Tensor, cfg Config, net *transport, clk *jobClock, store *checkpoint.Store, step, round int, flopsPerExample int64, stats *Stats) {
-	results := computeGrads(active, x, y, cfg, net.prof, net.inj, step, round, flopsPerExample, true)
-	net.obs.observeSteps(results)
-	var computeS float64
-	straggled := false
-	for _, r := range results {
-		stats.NumericalFaults += r.injected
-		net.obs.numFaults.Add(int64(r.injected))
-		if r.seconds > computeS {
-			computeS = r.seconds
-		}
-		if r.seconds > net.prof.ComputeTime(flopsPerExample*int64(cfg.BatchSize), 0.5)*1.5 {
-			straggled = true
-		}
-	}
-	if straggled {
-		stats.StragglerRounds++
-		net.obs.stragglerRounds.Inc()
-	}
-	if cfg.Guard != nil && cfg.Guard.Mode == guard.Enforce {
+func (j *Job) localRound(active []*worker, step, round int) {
+	results := j.computeGrads(active, step, round, true)
+	computeS := j.tally(results)
+	if j.cfg.Guard != nil && j.cfg.Guard.Mode == guard.Enforce {
 		var buf []float64
 		for _, r := range results {
 			buf = r.wk.net.ParamVectorInto(buf)
 			if !tensor.AllFinite(buf) {
-				if _, _, err := store.Restore(r.wk.net); err == nil {
-					stats.GuardRestores++
-					net.obs.guardRestores.Inc()
+				if _, _, err := j.store.Restore(r.wk.net); err == nil {
+					j.stats.GuardRestores++
+					j.ins.guardRestores.Inc()
 				}
 			}
 		}
 	}
-	clk.advance(computeS)
+	j.clk.advance(computeS)
 }
 
-// averageRound is Local SGD's model-averaging exchange with fault
-// handling: every live worker ships its parameters up (with retries) and
-// receives the aggregate back. Workers whose upload times out still
-// receive the aggregate, which re-synchronises any post-crash drift;
-// quarantined workers are excluded from contributing but receive it too,
-// so a readmitted worker rejoins in sync (mirroring the crash-rejoin
-// path). Byzantine workers corrupt their uploaded parameter vector.
-func averageRound(active []*worker, cfg Config, net *transport, clk *jobClock, round, modelSize int, agg robust.Aggregator, chargeAgg bool, rep *robust.Reputation, stats *Stats) {
-	rep.BeginRound(round)
-	modelBytes := int64(modelSize) * wireBytesPerFloat
-	avg := make([]float64, modelSize)
-	vecs := make([][]float64, 0, len(active))
-	ids := make([]int, 0, len(active))
-	var uplinkS float64
+// averageRound is Local SGD's model-averaging exchange over the configured
+// topology: every live worker contributes its parameters and receives the
+// aggregate back. Workers whose contribution was lost still receive the
+// aggregate, which re-synchronises any post-crash drift; quarantined
+// workers are excluded from contributing but receive it too, so a
+// readmitted worker rejoins in sync (mirroring the crash-rejoin path).
+// Byzantine workers corrupt their uploaded parameter vector.
+func (j *Job) averageRound(active []*worker, round int) {
+	j.rep.BeginRound(round)
+	modelBytes := int64(j.modelSize) * wireBytesPerFloat
+	ups := make([]upload, 0, len(active))
 	for _, wk := range active {
-		if rep.Quarantined(wk.id) {
-			stats.QuarantineExcluded++
-			net.obs.quarExcluded.Inc()
+		if j.rep.Quarantined(wk.id) {
+			j.stats.QuarantineExcluded++
+			j.ins.quarExcluded.Inc()
 			continue
 		}
-		ok, elapsed := net.send(wk.id, 2*round, modelBytes, stats)
-		if elapsed > uplinkS {
-			uplinkS = elapsed
-		}
-		if !ok {
-			stats.Timeouts++
-			net.obs.timeouts.Inc()
-			continue
-		}
-		v := wk.net.ParamVectorInto(nil)
-		if net.inj.CorruptGradient(v, wk.id, round) {
-			stats.ByzantineAttacks++
-			net.obs.byzAttacks.Inc()
-		}
-		vecs = append(vecs, v)
-		ids = append(ids, wk.id)
+		ups = append(ups, upload{wk, modelBytes})
 	}
-	clk.advance(uplinkS)
-	if len(vecs) == 0 {
+	lost, upS := j.exchange(active, ups, modelBytes, round)
+	j.clk.advance(upS)
+	ids := make([]int, 0, len(ups))
+	vecs := make([][]float64, 0, len(ups))
+	for _, u := range ups {
+		if lost[u.wk.id] {
+			continue
+		}
+		v := u.wk.net.ParamVectorInto(nil)
+		if j.inj.CorruptGradient(v, u.wk.id, round) {
+			j.stats.ByzantineAttacks++
+			j.ins.byzAttacks.Inc()
+		}
+		ids = append(ids, u.wk.id)
+		vecs = append(vecs, v)
+	}
+	avg := j.aggregate(ids, vecs, nil, 0)
+	if avg == nil {
 		return
 	}
-	if chargeAgg {
-		aggS := net.prof.ComputeTime(agg.FLOPs(len(vecs), modelSize), 0.5)
-		clk.advance(aggS)
-		stats.AggSeconds += aggS
-	}
-	agg.Aggregate(avg, vecs)
-	observeDistances(rep, ids, vecs, avg)
-	var downlinkS float64
-	for _, wk := range active {
-		stats.BytesSent += modelBytes
-		net.obs.bytesSent.Add(modelBytes)
-		_, elapsed := net.broadcast(wk.id, 2*round+1, modelBytes, stats)
-		if elapsed > downlinkS {
-			downlinkS = elapsed
-		}
-		wk.net.SetParamVector(avg)
-	}
-	clk.advance(downlinkS)
-	stats.AveragingRound++
-	net.obs.rounds.Inc()
-}
-
-// averageRoundCollective is Local SGD's model-averaging exchange over an
-// explicit collective topology: one reduce-broadcast of the full parameter
-// vector replaces the star's upload/download pair. Members the exchange
-// excluded (dead links, partition) contribute nothing this round but still
-// receive the aggregate, like quarantined workers; Byzantine members
-// corrupt the parameters they feed into the reduction.
-func averageRoundCollective(active []*worker, cfg Config, net *transport, clk *jobClock, round, modelSize int, agg robust.Aggregator, chargeAgg bool, rep *robust.Reputation, stats *Stats) {
-	rep.BeginRound(round)
-	modelBytes := int64(modelSize) * wireBytesPerFloat
-	members := make([]int, len(active))
-	for i, wk := range active {
-		members[i] = wk.id
-	}
-	excluded, commS, _ := net.exchange(cfg.Topology, members, modelBytes, round, cfg.GroupSize, stats)
-	stats.CommRounds++
-	net.obs.commRounds.Inc()
-	stats.CommSeconds += commS
-	clk.advance(commS)
-
-	avg := make([]float64, modelSize)
-	vecs := make([][]float64, 0, len(active))
-	ids := make([]int, 0, len(active))
-	for _, wk := range active {
-		if rep.Quarantined(wk.id) {
-			stats.QuarantineExcluded++
-			net.obs.quarExcluded.Inc()
-			continue
-		}
-		if excluded[wk.id] {
-			continue
-		}
-		v := wk.net.ParamVectorInto(nil)
-		if net.inj.CorruptGradient(v, wk.id, round) {
-			stats.ByzantineAttacks++
-			net.obs.byzAttacks.Inc()
-		}
-		vecs = append(vecs, v)
-		ids = append(ids, wk.id)
-	}
-	if len(vecs) == 0 {
-		return
-	}
-	if chargeAgg {
-		aggS := net.prof.ComputeTime(agg.FLOPs(len(vecs), modelSize), 0.5)
-		clk.advance(aggS)
-		stats.AggSeconds += aggS
-	}
-	agg.Aggregate(avg, vecs)
-	observeDistances(rep, ids, vecs, avg)
+	j.release(active, modelBytes, round)
 	for _, wk := range active {
 		wk.net.SetParamVector(avg)
 	}
-	stats.AveragingRound++
-	net.obs.rounds.Inc()
+	j.stats.AveragingRound++
+	j.ins.rounds.Inc()
 }
 
-// observeDistances feeds the reputation tracker each contributor's
-// Euclidean distance to the aggregate (ids in worker-id order, matching
-// vecs). Nil-safe: without a tracker it is a no-op.
-func observeDistances(rep *robust.Reputation, ids []int, vecs [][]float64, aggregate []float64) {
-	if rep == nil || len(vecs) == 0 {
-		return
+// aggregate combines the delivered vectors (worker-id order, matching ids)
+// and feeds the reputation tracker each contributor's distance to the
+// result. An explicitly configured aggregator is charged its FLOPs cost on
+// the simulated clock — robustness costs time, and X9 measures it — and,
+// under a non-nil span, recorded as an "aggregate" child from startS.
+// Returns nil when nothing was delivered.
+func (j *Job) aggregate(ids []int, vecs [][]float64, span *obs.Span, startS float64) []float64 {
+	if len(vecs) == 0 {
+		return nil
 	}
-	dists := make([]float64, len(vecs))
-	for i, v := range vecs {
-		var s float64
-		for j := range v {
-			d := v[j] - aggregate[j]
-			s += d * d
+	if j.chargeAgg {
+		aggS := j.prof.ComputeTime(j.agg.FLOPs(len(vecs), j.modelSize), 0.5)
+		aggSpan := span.Child("aggregate", startS)
+		aggSpan.End(startS + aggS)
+		j.clk.advance(aggS)
+		j.stats.AggSeconds += aggS
+	}
+	out := make([]float64, j.modelSize)
+	j.agg.Aggregate(out, vecs)
+	if j.rep != nil {
+		dists := make([]float64, len(vecs))
+		for i, v := range vecs {
+			var s float64
+			for k := range v {
+				d := v[k] - out[k]
+				s += d * d
+			}
+			dists[i] = math.Sqrt(s)
 		}
-		dists[i] = math.Sqrt(s)
+		j.rep.Observe(ids, dists)
 	}
-	rep.Observe(ids, dists)
+	return out
 }
 
-// takeSnapshot captures the consensus model, possibly corrupting the
-// stored payload (which a later Restore detects via CRC and skips).
-func takeSnapshot(store *checkpoint.Store, inj *fault.Injector, step int, net *nn.Network, stats *Stats, ins *distObs) {
+// snapshot captures the consensus model, possibly corrupting the stored
+// payload (which a later Restore detects via CRC and skips).
+func (j *Job) snapshot(step int, net *nn.Network) {
 	snap := checkpoint.TakeSnapshot(step, net)
-	if inj.Corrupts(-1, step, 0) {
-		inj.CorruptPayload(snap.Payload, -1, step, 0)
+	if j.inj.Corrupts(-1, step, 0) {
+		j.inj.CorruptPayload(snap.Payload, -1, step, 0)
 	}
-	store.Put(snap)
-	stats.Snapshots++
-	stats.SnapshotBytes += snap.Bytes()
-	ins.snapshots.Inc()
-	ins.snapshotBytes.Add(snap.Bytes())
+	j.store.Put(snap)
+	j.stats.Snapshots++
+	j.stats.SnapshotBytes += snap.Bytes()
+	j.ins.snapshots.Inc()
+	j.ins.snapshotBytes.Add(snap.Bytes())
 }
 
 // transport simulates the cluster links: per-attempt loss/corruption from
@@ -812,10 +638,6 @@ type transport struct {
 	obs        *distObs // always non-nil; build with newDistObs (nil handle → no-ops)
 }
 
-func (t *transport) attemptTime(bytes int64) float64 {
-	return t.prof.SendTime(bytes)
-}
-
 // send attempts a worker upload up to maxRetries times. Returns whether
 // the message was delivered plus the simulated seconds spent.
 func (t *transport) send(worker, msgKey int, bytes int64, stats *Stats) (bool, float64) {
@@ -828,7 +650,7 @@ func (t *transport) send(worker, msgKey int, bytes int64, stats *Stats) (bool, f
 		}
 		stats.BytesSent += bytes
 		t.obs.bytesSent.Add(bytes)
-		elapsed += t.attemptTime(bytes)
+		elapsed += t.prof.SendTime(bytes)
 		if t.inj.Corrupts(worker, msgKey, attempt) {
 			stats.Corruptions++
 			t.obs.corrupts.Inc()
@@ -863,7 +685,7 @@ func (t *transport) broadcast(worker, msgKey int, bytes int64, stats *Stats) (bo
 			}
 			elapsed += t.backoffS * float64(int64(1)<<(backoff-1))
 		}
-		elapsed += t.attemptTime(bytes)
+		elapsed += t.prof.SendTime(bytes)
 		if t.inj.Corrupts(worker, msgKey, attempt) {
 			stats.Corruptions++
 			t.obs.corrupts.Inc()
@@ -1013,9 +835,9 @@ func quantizeInPlace(g []float64, bits int) {
 	}
 }
 
-// perWorkerBroadcastBytes accounts the server→one-worker traffic for the
-// averaged update under the same compression settings.
-func perWorkerBroadcastBytes(avg []float64, cfg Config) int64 {
+// broadcastBytes accounts the server→one-worker traffic for the averaged
+// update under the same compression settings.
+func broadcastBytes(avg []float64, cfg Config) int64 {
 	nz := 0
 	for _, v := range avg {
 		if v != 0 {
@@ -1030,12 +852,6 @@ func perWorkerBroadcastBytes(avg []float64, cfg Config) int64 {
 		per += int64(nz) * 4
 	}
 	return per
-}
-
-// broadcastBytes accounts the server→workers traffic for the averaged
-// update under the same compression settings.
-func broadcastBytes(avg []float64, cfg Config, workers int) int64 {
-	return perWorkerBroadcastBytes(avg, cfg) * int64(workers)
 }
 
 // StepTimeModel computes the simulated per-step wall-clock time of

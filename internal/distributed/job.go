@@ -177,7 +177,7 @@ func NewJob(seed int64, x, y *tensor.Tensor, cfg Config) (*Job, error) {
 	j.store = checkpoint.NewStore(cfg.SnapshotKeep)
 	j.snaps = j.inj != nil || len(j.churn) > 0
 	if j.snaps {
-		takeSnapshot(j.store, j.inj, 0, j.global, &j.stats, j.ins)
+		j.snapshot(0, j.global)
 	}
 	j.modelSize = j.global.NumParams()
 	j.flopsPerExample = 3 * j.global.FLOPs(1) // forward + ~2x backward
@@ -211,7 +211,7 @@ func (j *Job) Start() {
 // runRound executes one (epoch, step) training round as a kernel event and
 // schedules the successor at the simulated time this one finished.
 func (j *Job) runRound(float64) {
-	cfg, stats, net := j.cfg, &j.stats, j.net
+	cfg, stats := j.cfg, &j.stats
 	if j.step == 0 {
 		for _, wk := range j.workers {
 			wk.rng.Shuffle(len(wk.shard), func(i, jj int) {
@@ -229,59 +229,36 @@ func (j *Job) runRound(float64) {
 		j.applyChurn(j.churn[j.churnIdx])
 		j.churnIdx++
 	}
-	active := liveWorkers(j.workers, j.inj, j.store, round, stats, j.ins)
-	// Every change in the active member set opens a membership epoch: the
-	// collective topology is rebuilt over the new set. Tracked only when
-	// topology or churn is in play, so legacy runs stay untouched.
-	if j.cfg.Topology != TopoDefault || len(j.churn) > 0 {
-		ids := make([]int, len(active))
-		for i, wk := range active {
-			ids[i] = wk.id
-		}
-		if !equalInts(ids, j.lastMembers) {
-			stats.MembershipEpochs++
-			j.ins.epochs.Inc()
-			j.lastMembers = ids
-		}
-	}
+	active := j.liveWorkers(round)
+	j.trackMembership(active)
 	switch {
 	case len(active) == 0:
 		// Whole cluster down: the round idles away a restart delay.
-		j.clk.advance(net.backoffS)
+		j.clk.advance(j.net.backoffS)
 	case cfg.AveragePeriod == 1:
 		roundSpan := j.trainSpan.Child("sync-round", j.clk.now())
-		var loss float64
-		var ok bool
-		if cfg.Topology != TopoDefault {
-			loss, ok = syncRoundCollective(active, j.x, j.y, cfg, net, j.clk, step, round, j.modelSize, j.flopsPerExample, j.agg, j.chargeAgg, j.rep, stats, roundSpan)
-		} else {
-			loss, ok = syncRound(active, j.x, j.y, cfg, net, j.clk, step, round, j.modelSize, j.flopsPerExample, j.agg, j.chargeAgg, j.rep, stats, roundSpan)
-		}
+		loss, ok := j.syncRound(active, step, round, roundSpan)
 		roundSpan.End(j.clk.now())
 		if ok && active[0].id == 0 && !math.IsNaN(loss) && !math.IsInf(loss, 0) {
 			j.epochLoss += loss
 			j.lossSteps++
 		}
 		if j.snaps && stats.AveragingRound%cfg.SnapshotPeriod == 0 {
-			takeSnapshot(j.store, j.inj, round+1, active[0].net, stats, j.ins)
+			j.snapshot(round+1, active[0].net)
 		}
 	default:
-		localRound(active, j.x, j.y, cfg, net, j.clk, j.store, step, round, j.flopsPerExample, stats)
-		if l := activeLoss(active[0]); active[0].id == 0 && !math.IsNaN(l) && !math.IsInf(l, 0) {
+		j.localRound(active, step, round)
+		if l := active[0].lastLoss; active[0].id == 0 && !math.IsNaN(l) && !math.IsInf(l, 0) {
 			j.epochLoss += l
 			j.lossSteps++
 		}
 		globalStep := round + 1
 		if globalStep%cfg.AveragePeriod == 0 {
 			roundSpan := j.trainSpan.Child("avg-round", j.clk.now())
-			if cfg.Topology != TopoDefault {
-				averageRoundCollective(active, cfg, net, j.clk, round, j.modelSize, j.agg, j.chargeAgg, j.rep, stats)
-			} else {
-				averageRound(active, cfg, net, j.clk, round, j.modelSize, j.agg, j.chargeAgg, j.rep, stats)
-			}
+			j.averageRound(active, round)
 			roundSpan.End(j.clk.now())
 			if j.snaps && stats.AveragingRound%cfg.SnapshotPeriod == 0 {
-				takeSnapshot(j.store, j.inj, round+1, active[0].net, stats, j.ins)
+				j.snapshot(round+1, active[0].net)
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package distributed
 import (
 	"math"
 	"math/bits"
+	"slices"
 
 	"dlsys/internal/device"
 )
@@ -13,6 +14,8 @@ import (
 // reduce-broadcast collective whose per-hop costs are priced by
 // device.TransferTime and charged to the simulated clock, so time-per-round
 // scales with worker count the way the real pattern does instead of O(n²).
+// Every topology runs the same sync and average rounds; only exchange and
+// release, at the end of this file, differ.
 type Topology string
 
 const (
@@ -299,15 +302,15 @@ func (t *transport) walk(kind Topology, live []int, payload int64, round, groupS
 	return lost, total
 }
 
-// exchange executes one collective reduce-broadcast of payload bytes over
-// the topology spanning members (ascending worker ids). It prices every
+// collective executes one reduce-broadcast of payload bytes over the
+// topology spanning members (ascending worker ids). It prices every
 // phase on the simulated clock, heals around dead links, excludes members a
 // partition or unhealable link cut off, and — when healing would leave
 // fewer than half the members contributing (the convergence invariant) —
 // degrades the whole round to the all-to-all fallback. Returns the members
 // whose contribution was excluded, the simulated seconds elapsed, and
 // whether the round degraded.
-func (t *transport) exchange(kind Topology, members []int, payload int64, round, groupSize int, stats *Stats) (excluded map[int]bool, elapsed float64, degraded bool) {
+func (t *transport) collective(kind Topology, members []int, payload int64, round, groupSize int, stats *Stats) (excluded map[int]bool, elapsed float64, degraded bool) {
 	excluded = make(map[int]bool)
 	if len(members) < 2 {
 		return excluded, 0, false
@@ -374,14 +377,83 @@ func (t *transport) exchange(kind Topology, members []int, payload int64, round,
 	return excluded, elapsed, degraded
 }
 
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+// upload is one contributor's message into a round's aggregate, sized in
+// wire bytes.
+type upload struct {
+	wk    *worker
+	bytes int64
+}
+
+// exchange moves one round's uploads toward the aggregate over the
+// configured topology, returning the ids whose contribution was lost and
+// the simulated seconds it took. Under the parameter-server star
+// (TopoDefault) each contributor sends its own wire size through
+// transport.send, and an upload that exhausts its retries times out. A
+// collective instead prices one reduce-broadcast of payload bytes across
+// every member, counting CommRounds and CommSeconds, and loses the
+// contributions of members a partition or unhealable link cut off.
+func (j *Job) exchange(members []*worker, ups []upload, payload int64, round int) (map[int]bool, float64) {
+	stats := &j.stats
+	if j.cfg.Topology == TopoDefault {
+		lost := make(map[int]bool)
+		var upS float64
+		for _, u := range ups {
+			ok, s := j.net.send(u.wk.id, 2*round, u.bytes, stats)
+			upS = max(upS, s)
+			if !ok {
+				stats.Timeouts++
+				j.ins.timeouts.Inc()
+				lost[u.wk.id] = true
+			}
 		}
+		return lost, upS
 	}
-	return true
+	ids := make([]int, len(members))
+	for i, wk := range members {
+		ids[i] = wk.id
+	}
+	lost, commS, _ := j.net.collective(j.cfg.Topology, ids, payload, round, j.cfg.GroupSize, stats)
+	stats.CommRounds++
+	j.ins.commRounds.Inc()
+	stats.CommSeconds += commS
+	return lost, commS
+}
+
+// release ships the aggregate back to every member once it exists,
+// advancing the clock by the time that took. The star's server broadcasts
+// bytes to each member and persists until delivery; a collective's
+// reduce-broadcast already carried the aggregate, so it has nothing left to
+// send.
+func (j *Job) release(members []*worker, bytes int64, round int) float64 {
+	if j.cfg.Topology != TopoDefault {
+		return 0
+	}
+	var downS float64
+	for _, wk := range members {
+		j.stats.BytesSent += bytes
+		j.ins.bytesSent.Add(bytes)
+		_, s := j.net.broadcast(wk.id, 2*round+1, bytes, &j.stats)
+		downS = max(downS, s)
+	}
+	j.clk.advance(downS)
+	return downS
+}
+
+// trackMembership opens a membership epoch whenever the active member set
+// changes: the collective topology is rebuilt over the new set. Tracked
+// only when a collective or churn is in play, so a static star run leaves
+// every topology counter at zero.
+func (j *Job) trackMembership(active []*worker) {
+	if j.cfg.Topology == TopoDefault && len(j.churn) == 0 {
+		return
+	}
+	ids := make([]int, len(active))
+	for i, wk := range active {
+		ids[i] = wk.id
+	}
+	if !slices.Equal(ids, j.lastMembers) {
+		j.stats.MembershipEpochs++
+		j.ins.epochs.Inc()
+		j.lastMembers = ids
+	}
 }

@@ -137,7 +137,7 @@ func TestExchangeCleanLinks(t *testing.T) {
 	out := map[Topology]res{}
 	for _, topo := range Topologies() {
 		var stats Stats
-		excluded, s, degraded := net.exchange(topo, members(8), payload, 0, 0, &stats)
+		excluded, s, degraded := net.collective(topo, members(8), payload, 0, 0, &stats)
 		if len(excluded) != 0 || degraded {
 			t.Fatalf("%s: clean exchange excluded %d, degraded %v", topo, len(excluded), degraded)
 		}
@@ -155,7 +155,7 @@ func TestExchangeCleanLinks(t *testing.T) {
 	// Determinism: a second walk over the same round reproduces the time.
 	for _, topo := range Topologies() {
 		var stats Stats
-		_, s, _ := net.exchange(topo, members(8), payload, 0, 0, &stats)
+		_, s, _ := net.collective(topo, members(8), payload, 0, 0, &stats)
 		if s != out[topo].s {
 			t.Fatalf("%s: exchange time not deterministic: %g vs %g", topo, s, out[topo].s)
 		}
@@ -170,7 +170,7 @@ func TestExchangeDegradesUnderTotalLinkLoss(t *testing.T) {
 	net := newTestTransport(inj, 3)
 	for _, topo := range []Topology{TopoRing, TopoTree, TopoHier} {
 		var stats Stats
-		excluded, s, degraded := net.exchange(topo, members(8), 1000, 0, 0, &stats)
+		excluded, s, degraded := net.collective(topo, members(8), 1000, 0, 0, &stats)
 		if !degraded || stats.TopoDegraded != 1 {
 			t.Fatalf("%s: total link loss did not degrade (stats %+v)", topo, stats)
 		}
@@ -194,7 +194,7 @@ func TestExchangeHealsModerateLoss(t *testing.T) {
 	var stats Stats
 	healedRounds := 0
 	for round := 0; round < 20; round++ {
-		excluded, _, degraded := net.exchange(TopoRing, members(8), 1000, round, 0, &stats)
+		excluded, _, degraded := net.collective(TopoRing, members(8), 1000, round, 0, &stats)
 		if degraded {
 			t.Fatalf("round %d: ring degraded under 30%% loss with retries", round)
 		}
@@ -233,7 +233,7 @@ func TestExchangePartitionExcludesMinority(t *testing.T) {
 		minority = 9 - side0
 	}
 	var stats Stats
-	excluded, _, _ := net.exchange(TopoRing, members(9), 1000, 5, 0, &stats)
+	excluded, _, _ := net.collective(TopoRing, members(9), 1000, 5, 0, &stats)
 	if stats.PartitionedRounds != 1 {
 		t.Fatalf("PartitionedRounds = %d, want 1", stats.PartitionedRounds)
 	}
@@ -251,10 +251,10 @@ func TestLinkSlowHopsAccounted(t *testing.T) {
 	inj := fault.NewInjector(fault.Config{Seed: 5, LinkSlowProb: 1, LinkSlowFactor: 8})
 	net := newTestTransport(inj, 4)
 	var slowStats Stats
-	_, slowS, _ := net.exchange(TopoRing, members(4), 1000, 0, 0, &slowStats)
+	_, slowS, _ := net.collective(TopoRing, members(4), 1000, 0, 0, &slowStats)
 	clean := newTestTransport(nil, 4)
 	var cleanStats Stats
-	_, cleanS, _ := clean.exchange(TopoRing, members(4), 1000, 0, 0, &cleanStats)
+	_, cleanS, _ := clean.collective(TopoRing, members(4), 1000, 0, 0, &cleanStats)
 	if slowStats.LinkSlowHops == 0 {
 		t.Fatal("LinkSlowProb=1 recorded no slow hops")
 	}
