@@ -25,7 +25,7 @@ func must[T any](v T, err error) T {
 }
 
 // One benchmark per registered experiment — the claims (E1..E32), the
-// ablations (A1..A9), and the extensions (X1..X10) — each regenerating its
+// ablations (A1..A9), and the extensions (X1..X12, X14) — each regenerating its
 // table at quick scale, so `go test -bench=E<k>$` reproduces any single
 // result and `-bench=.` reproduces them all.
 func benchExperiment(b *testing.B, id string) {
@@ -85,7 +85,7 @@ func BenchmarkA7(b *testing.B) { benchExperiment(b, "A7") }
 func BenchmarkA8(b *testing.B) { benchExperiment(b, "A8") }
 func BenchmarkA9(b *testing.B) { benchExperiment(b, "A9") }
 
-// Extensions X1..X14 — cited systems beyond the explicit claims.
+// Extensions X1..X12, X14 — cited systems beyond the explicit claims.
 func BenchmarkX1(b *testing.B)  { benchExperiment(b, "X1") }
 func BenchmarkX2(b *testing.B)  { benchExperiment(b, "X2") }
 func BenchmarkX3(b *testing.B)  { benchExperiment(b, "X3") }

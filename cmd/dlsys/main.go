@@ -6,16 +6,9 @@
 //	dlsys techniques                 # print the tradeoff framework
 //	dlsys run E13 [-full]            # run one experiment (E1..E32, A1..A9, X1..X12, X14)
 //	dlsys run all [-full]            # run every experiment in order
-//	dlsys bench [x10|x11|x12|x13|x14] [-full] [-o f]
-//	                                 # time the X10 chaos day, the X11 live-index
-//	                                 # cell, the X12 elastic-topology cell, the
-//	                                 # X13 tensor-kernel hierarchy, or the X14
-//	                                 # serving-fleet overload day, and emit a
-//	                                 # JSON perf sample
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -36,8 +29,6 @@ func main() {
 		techniques()
 	case "run":
 		run(os.Args[2:])
-	case "bench":
-		bench(os.Args[2:])
 	default:
 		usage()
 		os.Exit(2)
@@ -45,7 +36,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: dlsys list | dlsys techniques | dlsys run <E1..E32|A1..A9|X1..X14|all> [-full] | dlsys bench [x10|x11|x12|x13|x14] [-full] [-o file] [-pr n] [-date d]")
+	fmt.Fprintln(os.Stderr, "usage: dlsys list | dlsys techniques | dlsys run <E1..E32|A1..A9|X1..X12|X14|all> [-full]")
 }
 
 func list() {
@@ -90,99 +81,5 @@ func run(args []string) {
 			os.Exit(1)
 		}
 		fmt.Println(tab.Render())
-	}
-}
-
-// bench times one composed simulation — the X10 production day (default),
-// the hardest X11 live-index cell, the hardest X12 elastic-topology cell,
-// the X13 tensor-kernel hierarchy, or the X14 serving-fleet overload day —
-// and emits a JSON perf sample, the per-PR trajectory point CI records
-// (BENCH_X10.json … BENCH_X14.json).
-func bench(args []string) {
-	target := "x10"
-	if len(args) > 0 && args[0] != "" && args[0][0] != '-' {
-		target = args[0]
-		args = args[1:]
-	}
-	fs := flag.NewFlagSet("bench", flag.ExitOnError)
-	full := fs.Bool("full", false, "run at full (documented) problem sizes")
-	out := fs.String("o", "", "write the JSON sample to this file instead of stdout")
-	pr := fs.Int("pr", 0, "PR number to stamp into the sample (0 = omit)")
-	date := fs.String("date", "", "date to stamp into the sample (empty = omit)")
-	fs.Parse(args)
-
-	type stamp struct {
-		PR   int    `json:"pr,omitempty"`
-		Date string `json:"date,omitempty"`
-	}
-	var rec any
-	switch target {
-	case "x10":
-		perf, err := dlsys.BenchmarkChaosDay(*full)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		rec = struct {
-			stamp
-			dlsys.ChaosDayPerf
-		}{stamp{*pr, *date}, perf}
-	case "x11":
-		perf, err := dlsys.BenchmarkLiveIndex(*full)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		rec = struct {
-			stamp
-			dlsys.LiveIndexPerf
-		}{stamp{*pr, *date}, perf}
-	case "x12":
-		perf, err := dlsys.BenchmarkTopology(*full)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		rec = struct {
-			stamp
-			dlsys.TopologyPerf
-		}{stamp{*pr, *date}, perf}
-	case "x13":
-		perf, err := dlsys.BenchmarkKernels(*full)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		rec = struct {
-			stamp
-			dlsys.KernelPerf
-		}{stamp{*pr, *date}, perf}
-	case "x14":
-		perf, err := dlsys.BenchmarkFleet(*full)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		rec = struct {
-			stamp
-			dlsys.FleetPerf
-		}{stamp{*pr, *date}, perf}
-	default:
-		fmt.Fprintf(os.Stderr, "unknown bench target %q (have x10, x11, x12, x13, x14)\n", target)
-		os.Exit(2)
-	}
-	buf, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	buf = append(buf, '\n')
-	if *out == "" {
-		os.Stdout.Write(buf)
-		return
-	}
-	if err := os.WriteFile(*out, buf, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
 	}
 }

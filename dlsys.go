@@ -64,7 +64,7 @@ type Experiment = core.Experiment
 type Technique = core.Technique
 
 // Experiments returns all registered experiments: the claim reproductions
-// E1..E32, then the ablations A1..A9, then the extensions X1..X14.
+// E1..E32, then the ablations A1..A9, then the extensions X1..X12, X14.
 func Experiments() []Experiment { return core.All() }
 
 // ClaimExperiments returns only E1..E32, the tutorial-claim reproductions.
@@ -73,96 +73,13 @@ func ClaimExperiments() []Experiment { return core.Claims() }
 // AblationExperiments returns only A1..A9, the design-choice studies.
 func AblationExperiments() []Experiment { return core.Ablations() }
 
-// ExtensionExperiments returns only X1..X14: cited systems implemented
+// ExtensionExperiments returns only X1..X12, X14: cited systems implemented
 // beyond the tutorial's explicit tradeoff claims.
 func ExtensionExperiments() []Experiment { return core.Extensions() }
 
 // Techniques returns the tradeoff classification of every implemented
 // technique — the organising framework of the tutorial.
 func Techniques() []Technique { return core.Techniques() }
-
-// ChaosDayPerf is the X10 composed production-day throughput sample
-// (re-exported from core): wall time and simulation-kernel event
-// throughput for one full scenario run.
-type ChaosDayPerf = core.ChaosDayPerf
-
-// BenchmarkChaosDay times one composed production-day simulation (the X10
-// scenario: training + serving + live index on one kernel under scheduled
-// chaos) and returns the perf-trajectory sample CI records per PR.
-func BenchmarkChaosDay(full bool) (ChaosDayPerf, error) {
-	scale := core.Quick
-	if full {
-		scale = core.Full
-	}
-	return core.ChaosDayBenchmark(scale)
-}
-
-// LiveIndexPerf is the X11 online index-maintenance throughput sample
-// (re-exported from core): wall time, query throughput, and the
-// maintenance outcome of the hardest drift × fault cell.
-type LiveIndexPerf = core.LiveIndexPerf
-
-// BenchmarkLiveIndex times the hardest X11 cell (flash drift × bursty
-// corrupted inserts) and returns the perf-trajectory sample CI records per
-// PR (BENCH_X11.json).
-func BenchmarkLiveIndex(full bool) (LiveIndexPerf, error) {
-	scale := core.Quick
-	if full {
-		scale = core.Full
-	}
-	return core.LiveIndexBenchmark(scale)
-}
-
-// TopologyPerf is the X12 elastic topology-aware training throughput
-// sample (re-exported from core): wall time, simulated communication
-// seconds, and the healing/churn ledger of the largest ring cell under
-// link faults plus worker churn.
-type TopologyPerf = core.TopologyPerf
-
-// BenchmarkTopology times the hardest X12 cell (largest-n ring all-reduce
-// under link faults and scheduled churn) and returns the perf-trajectory
-// sample CI records per PR (BENCH_X12.json).
-func BenchmarkTopology(full bool) (TopologyPerf, error) {
-	scale := core.Quick
-	if full {
-		scale = core.Full
-	}
-	return core.TopologyBenchmark(scale)
-}
-
-// KernelPerf is the X13 tensor-kernel throughput sample (re-exported from
-// core): per-tier GEMM throughput (reference, tiled, pooled, batched,
-// float32), speedups over the serial reference, and whether the fast
-// float64 tiers stayed bit-identical to it.
-type KernelPerf = core.KernelPerf
-
-// BenchmarkKernels times every tier of the GEMM kernel hierarchy on one
-// square product (1024³ at full scale) and returns the perf-trajectory
-// sample CI records per PR (BENCH_X13.json).
-func BenchmarkKernels(full bool) (KernelPerf, error) {
-	scale := core.Quick
-	if full {
-		scale = core.Full
-	}
-	return core.KernelBenchmark(scale)
-}
-
-// FleetPerf is the X14 event-driven serving-fleet throughput sample
-// (re-exported from core): wall time, simulated-request throughput, and
-// kernel-event throughput for one full-control-plane overload day.
-type FleetPerf = core.FleetPerf
-
-// BenchmarkFleet times one X14 overload day (>=1.2M requests at full
-// scale through the event-driven fleet with the whole control plane on)
-// and returns the perf-trajectory sample CI records per PR
-// (BENCH_X14.json).
-func BenchmarkFleet(full bool) (FleetPerf, error) {
-	scale := core.Quick
-	if full {
-		scale = core.Full
-	}
-	return core.FleetBenchmark(scale)
-}
 
 // PipelineSpec declares a train/compress/deploy pipeline (re-exported from
 // pipeline); zero-valued stages are skipped.
@@ -180,7 +97,8 @@ func ComparePipelines(specs ...PipelineSpec) ([]PipelineLedger, error) {
 	return pipeline.Compare(specs...)
 }
 
-// RunExperiment executes one experiment by ID ("E1".."E32", "A1".."A9", "X1".."X14").
+// RunExperiment executes one experiment by ID ("E1".."E32", "A1".."A9",
+// "X1".."X12", "X14").
 // With full set, problem sizes match the documented tables; otherwise a
 // quick scale keeps runs in the low seconds.
 func RunExperiment(id string, full bool) (*Table, error) {

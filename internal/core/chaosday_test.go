@@ -52,22 +52,3 @@ func TestX10ProductionDayClaims(t *testing.T) {
 		}
 	}
 }
-
-// TestChaosDayBenchmark checks the perf-trajectory sample the CI bench
-// step records: a finite wall time and a kernel-event throughput
-// consistent with the processed-event count.
-func TestChaosDayBenchmark(t *testing.T) {
-	if testing.Short() {
-		t.Skip("X10 bench sample skipped in -short mode")
-	}
-	perf, err := ChaosDayBenchmark(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if perf.WallS <= 0 || perf.Events <= 0 {
-		t.Fatalf("degenerate sample %+v", perf)
-	}
-	if got := perf.EventsPerSec * perf.WallS; got < float64(perf.Events)*0.99 || got > float64(perf.Events)*1.01 {
-		t.Fatalf("throughput %g inconsistent with events=%d wall=%gs", perf.EventsPerSec, perf.Events, perf.WallS)
-	}
-}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"time"
 
 	"dlsys/internal/checkpoint"
 	"dlsys/internal/data"
@@ -327,33 +326,17 @@ func runA9(scale Scale) *Table {
 	}
 	preds := []db.Pred{{Col: "a", Lo: 0.2, Hi: 0.8}, {Col: "b", Lo: 0.2, Hi: 0.8}}
 	t := &Table{ID: "A9", Title: "Vectorized execution", Claim: "batching removes per-tuple overhead",
-		Columns: []string{"engine", "ms_per_query", "answer_mean"}}
-	const reps = 5
-	// Warm both paths once.
-	db.VectorizedQuery(tab, db.AggMean, "v", preds)
-	db.TupleAtATimeQuery(tab, db.AggMean, "v", preds)
-	start := time.Now()
-	var vAns float64
-	for r := 0; r < reps; r++ {
-		v, err := db.VectorizedQuery(tab, db.AggMean, "v", preds)
-		if err != nil {
-			panic(err) // fixed valid query
-		}
-		vAns = v
+		Columns: []string{"engine", "answer_mean"}}
+	vAns, err := db.VectorizedQuery(tab, db.AggMean, "v", preds)
+	if err != nil {
+		panic(err) // fixed valid query
 	}
-	vMS := float64(time.Since(start).Microseconds()) / 1000 / reps
-	start = time.Now()
-	var tAns float64
-	for r := 0; r < reps; r++ {
-		v, err := db.TupleAtATimeQuery(tab, db.AggMean, "v", preds)
-		if err != nil {
-			panic(err) // fixed valid query
-		}
-		tAns = v
+	tAns, err := db.TupleAtATimeQuery(tab, db.AggMean, "v", preds)
+	if err != nil {
+		panic(err) // fixed valid query
 	}
-	tMS := float64(time.Since(start).Microseconds()) / 1000 / reps
-	t.AddRow("vectorized", vMS, vAns)
-	t.AddRow("tuple-at-a-time", tMS, tAns)
-	t.Shape = "identical answers; vectorized noticeably faster per query"
+	t.AddRow("vectorized", vAns)
+	t.AddRow("tuple-at-a-time", tAns)
+	t.Shape = "identical answers from both engines; internal/db's TestVectorizedFasterThanTupleAtATime holds the per-query speed claim (same predicates, 400k rows)"
 	return t
 }

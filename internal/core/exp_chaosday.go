@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"time"
 
 	"dlsys/internal/data"
 	"dlsys/internal/device"
@@ -315,10 +314,6 @@ func newX10Scenario(scale Scale) (*x10Scenario, error) {
 		if stats.Quarantine != nil {
 			d.repFP = stats.Quarantine.Fingerprint()
 		}
-		if h == nil {
-			d.reconciled = true
-			return d, nil
-		}
 		d.regFP = h.Reg.Fingerprint()
 		d.traceFP = h.Tracer.Fingerprint()
 
@@ -543,31 +538,4 @@ func runX10(scale Scale) *Table {
 
 	t.Shape = "one shared kernel drives all four subsystems through the scheduled day; availability holds its floors globally and per fleet tenant, training stays near the fault-free loss with guard and quarantine incidents matching the schedule, the live index rides its fallback ladder through the corrupted burst without dropping a query, all counters reconcile exactly, and every fingerprint replays bit-identically"
 	return t
-}
-
-// ChaosDayPerf is one X10 performance sample: how fast the composed
-// simulation runs. The CI bench step appends these to the repo's
-// performance trajectory (BENCH_X10.json).
-type ChaosDayPerf struct {
-	WallS        float64 `json:"wall_s"`
-	Events       int     `json:"events"`
-	EventsPerSec float64 `json:"events_per_sec"`
-}
-
-// ChaosDayBenchmark times one uninstrumented composed production day and
-// reports kernel-event throughput. Scenario construction (the probe run,
-// variant training) is excluded: the sample measures the composed
-// simulation itself.
-func ChaosDayBenchmark(scale Scale) (ChaosDayPerf, error) {
-	sc, err := newX10Scenario(scale)
-	if err != nil {
-		return ChaosDayPerf{}, err
-	}
-	start := time.Now()
-	d, err := sc.run(nil)
-	if err != nil {
-		return ChaosDayPerf{}, err
-	}
-	wall := time.Since(start).Seconds()
-	return ChaosDayPerf{WallS: wall, Events: d.processed, EventsPerSec: float64(d.processed) / wall}, nil
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
-	"time"
 
 	"dlsys/internal/data"
 	"dlsys/internal/device"
@@ -26,7 +25,9 @@ import (
 // deterministic call sites and every span is stamped from a simulated clock;
 // (2) the counters reconcile EXACTLY with each subsystem's own ledger,
 // because they are incremented at the same code sites; (3) instrumentation
-// costs under 5% wall-clock on the compute-dominated experiment paths.
+// costs under 5% wall-clock on the compute-dominated experiment paths. The
+// table shows (1) and (2); (3) is a wall-clock measurement, so
+// TestX8ObservabilityClaims takes it and the table stays byte-stable.
 
 func init() {
 	register(Experiment{
@@ -277,32 +278,10 @@ func x8Scenarios(scale Scale) []obsScenario {
 	}
 }
 
-// bestOf returns the fastest of repeated runs of fn — the standard defence
-// against scheduler noise in wall-clock comparisons. Short scenarios repeat
-// until enough total time accumulates for the minimum to be trustworthy.
-func bestOf(fn func()) time.Duration {
-	const (
-		minReps  = 3
-		maxReps  = 100
-		minTotal = 200 * time.Millisecond
-	)
-	best, total := time.Duration(0), time.Duration(0)
-	for i := 0; i < maxReps && (i < minReps || total < minTotal); i++ {
-		start := time.Now()
-		fn()
-		d := time.Since(start)
-		total += d
-		if best == 0 || d < best {
-			best = d
-		}
-	}
-	return best
-}
-
 func runX8(scale Scale) *Table {
 	t := &Table{ID: "X8", Title: "Deterministic observability",
 		Claim:   "metrics and traces replay bit-identically, reconcile exactly with subsystem ledgers, and cost <5% on compute-dominated paths",
-		Columns: []string{"scenario", "metric_fp", "trace_fp", "replay", "reconciled", "spans", "overhead_pct"}}
+		Columns: []string{"scenario", "metric_fp", "trace_fp", "replay", "reconciled", "spans"}}
 
 	for _, sc := range x8Scenarios(scale) {
 		h1 := obs.NewHandle()
@@ -316,19 +295,12 @@ func runX8(scale Scale) *Table {
 			detail = "ok"
 		}
 
-		// Overhead: fastest-of-3 instrumented vs fastest-of-3 bare. The
-		// scenarios are compute-dominated (training / full simulations), so
-		// the handful of atomic updates per step must disappear into noise.
-		instr := bestOf(func() { sc.run(obs.NewHandle()) })
-		bare := bestOf(func() { sc.run(nil) })
-		overheadPct := 100 * (instr.Seconds() - bare.Seconds()) / bare.Seconds()
-
 		t.AddRow(sc.name,
 			fmt.Sprintf("%016x", h1.Reg.Fingerprint()),
 			fmt.Sprintf("%016x", h1.Tracer.Fingerprint()),
-			yesNo(replay), yesNo(reconciled), h1.Tracer.Len(), overheadPct)
+			yesNo(replay), yesNo(reconciled), h1.Tracer.Len())
 	}
-	t.Shape = "every scenario replays with identical metric and trace fingerprints, every counter reconciles exactly with its subsystem ledger, and measured overhead stays under 5%"
+	t.Shape = "every scenario replays with identical metric and trace fingerprints and every counter reconciles exactly with its subsystem ledger; TestX8ObservabilityClaims holds the <5% wall-clock overhead bound"
 	return t
 }
 

@@ -47,25 +47,3 @@ func TestX11LiveIndexClaims(t *testing.T) {
 		}
 	}
 }
-
-// TestLiveIndexBenchmark checks the perf-trajectory sample the CI bench
-// step records for X11: a finite wall time, a query throughput consistent
-// with the query count, and a maintenance outcome that kept availability.
-func TestLiveIndexBenchmark(t *testing.T) {
-	if testing.Short() {
-		t.Skip("X11 bench sample skipped in -short mode")
-	}
-	perf, err := LiveIndexBenchmark(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if perf.WallS <= 0 || perf.Queries <= 0 {
-		t.Fatalf("degenerate sample %+v", perf)
-	}
-	if got := perf.QueriesPerS * perf.WallS; got < float64(perf.Queries)*0.99 || got > float64(perf.Queries)*1.01 {
-		t.Fatalf("throughput %g inconsistent with queries=%d wall=%gs", perf.QueriesPerS, perf.Queries, perf.WallS)
-	}
-	if !perf.AvailOK {
-		t.Fatal("bench cell lost availability")
-	}
-}

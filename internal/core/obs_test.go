@@ -3,6 +3,9 @@ package core
 import (
 	"strconv"
 	"testing"
+	"time"
+
+	"dlsys/internal/obs"
 )
 
 // TestX8ObservabilityClaims pins the three X8 acceptance criteria: every
@@ -10,9 +13,10 @@ import (
 // fingerprints, every counter reconciles exactly with its subsystem's own
 // ledger, and instrumentation overhead stays under 5% on the
 // compute-dominated experiment paths. Fingerprint and reconciliation checks
-// are deterministic and asserted on every attempt; the overhead column is a
-// wall-clock measurement, so a row only needs to land under the bound on one
-// of a few attempts to absorb scheduler noise.
+// are deterministic and read off one table run. Overhead is a wall-clock
+// measurement, so the table leaves it out and this test takes it: a scenario
+// only needs to land under the bound on one of a few attempts to absorb
+// scheduler noise.
 func TestX8ObservabilityClaims(t *testing.T) {
 	if testing.Short() {
 		t.Skip("X8 replay skipped in -short mode")
@@ -21,80 +25,93 @@ func TestX8ObservabilityClaims(t *testing.T) {
 	if !ok {
 		t.Fatal("X8 not registered")
 	}
+	tab := e.Run(Quick)
+	t.Log("\n" + tab.Render())
+	col := map[string]int{}
+	for i, c := range tab.Columns {
+		col[c] = i
+	}
+	if len(tab.Rows) != 5 {
+		t.Fatalf("X8 produced %d rows, want 5 scenarios", len(tab.Rows))
+	}
+	for _, row := range tab.Rows {
+		name := row[col["scenario"]]
+		if row[col["replay"]] != "yes" {
+			t.Fatalf("%s did not replay bit-identically:\n%s", name, tab.Render())
+		}
+		if row[col["reconciled"]] != "yes" {
+			t.Fatalf("%s counters did not reconcile with the subsystem ledger:\n%s", name, tab.Render())
+		}
+		if spans, err := strconv.Atoi(row[col["spans"]]); err != nil || spans <= 0 {
+			t.Fatalf("%s recorded no spans (%q)", name, row[col["spans"]])
+		}
+		for _, fp := range []string{"metric_fp", "trace_fp"} {
+			v := row[col[fp]]
+			if len(v) != 16 || v == "0000000000000000" {
+				t.Fatalf("%s has an implausible %s %q", name, fp, v)
+			}
+		}
+	}
 
 	const (
 		attempts      = 3
 		overheadBound = 5.0 // percent, per the X8 claim
 	)
-	overheadOK := map[string]bool{}
-	var scenarios []string
-	for attempt := 0; attempt < attempts; attempt++ {
-		tab := e.Run(Quick)
-		if attempt == 0 {
-			t.Log("\n" + tab.Render())
-		}
-		col := map[string]int{}
-		for i, c := range tab.Columns {
-			col[c] = i
-		}
-		if len(tab.Rows) != 5 {
-			t.Fatalf("X8 produced %d rows, want 5 scenarios", len(tab.Rows))
-		}
-		allUnder := true
-		for _, row := range tab.Rows {
-			name := row[col["scenario"]]
-			if attempt == 0 {
-				scenarios = append(scenarios, name)
-			}
-			// Deterministic claims: hold on every single run.
-			if row[col["replay"]] != "yes" {
-				t.Fatalf("%s did not replay bit-identically:\n%s", name, tab.Render())
-			}
-			if row[col["reconciled"]] != "yes" {
-				t.Fatalf("%s counters did not reconcile with the subsystem ledger:\n%s", name, tab.Render())
-			}
-			if spans, err := strconv.Atoi(row[col["spans"]]); err != nil || spans <= 0 {
-				t.Fatalf("%s recorded no spans (%q)", name, row[col["spans"]])
-			}
-			for _, fp := range []string{"metric_fp", "trace_fp"} {
-				v := row[col[fp]]
-				if len(v) != 16 || v == "0000000000000000" {
-					t.Fatalf("%s has an implausible %s %q", name, fp, v)
-				}
-			}
-			// Noisy claim: under the bound on at least one attempt.
-			pct, err := strconv.ParseFloat(row[col["overhead_pct"]], 64)
-			if err != nil {
-				t.Fatalf("%s overhead unparsable: %v", name, err)
-			}
-			if pct < overheadBound {
-				overheadOK[name] = true
-			}
-			if !overheadOK[name] {
-				allUnder = false
+	pending := x8Scenarios(Quick)
+	for attempt := 1; attempt <= attempts && len(pending) > 0; attempt++ {
+		var over []obsScenario
+		for _, sc := range pending {
+			// Fastest instrumented run vs fastest bare run. The scenarios
+			// are compute-dominated (training / full simulations), so the
+			// handful of atomic updates per step must disappear into noise.
+			instr := bestOf(func() { sc.run(obs.NewHandle()) })
+			bare := bestOf(func() { sc.run(nil) })
+			pct := 100 * (instr.Seconds() - bare.Seconds()) / bare.Seconds()
+			t.Logf("attempt %d: %s overhead %.3g%%", attempt, sc.name, pct)
+			if pct >= overheadBound {
+				over = append(over, sc)
 			}
 		}
-		if allUnder {
-			return
-		}
+		pending = over
 	}
-	for _, name := range scenarios {
-		if !overheadOK[name] {
-			t.Fatalf("%s overhead stayed at or above %.1f%% across %d attempts", name, overheadBound, attempts)
-		}
+	for _, sc := range pending {
+		t.Errorf("%s overhead stayed at or above %.1f%% across %d attempts", sc.name, overheadBound, attempts)
 	}
 }
 
+// bestOf returns the fastest of repeated runs of fn — the standard defence
+// against scheduler noise in wall-clock comparisons. Short scenarios repeat
+// until enough total time accumulates for the minimum to be trustworthy.
+func bestOf(fn func()) time.Duration {
+	const (
+		minReps  = 3
+		maxReps  = 100
+		minTotal = 200 * time.Millisecond
+	)
+	best, total := time.Duration(0), time.Duration(0)
+	for i := 0; i < maxReps && (i < minReps || total < minTotal); i++ {
+		start := time.Now()
+		fn()
+		d := time.Since(start)
+		total += d
+		if best == 0 || d < best {
+			best = d
+		}
+	}
+	return best
+}
+
 // TestExperimentReplayDeterminism runs the fault/serving/self-healing
-// experiments twice in-process and asserts the rendered tables are
-// byte-identical — the regression guard for the determinism the whole
-// observability layer is built on. Any hidden global state, map-order
+// experiments, plus the three whose claims involve wall time but whose
+// tables must not (A9, X8, X14), twice in-process and asserts the rendered
+// tables are byte-identical — the regression guard for the determinism the
+// whole observability layer is built on. Any hidden global state, map-order
 // dependence, or wall-clock leakage in these paths shows up here as a diff.
 func TestExperimentReplayDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("replay sweep skipped in -short mode")
 	}
-	for _, id := range []string{"X5", "X6", "X7"} {
+	for _, id := range []string{"X5", "X6", "X7", "A9", "X8", "X14"} {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			e, ok := Get(id)

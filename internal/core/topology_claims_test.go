@@ -1,8 +1,14 @@
 package core
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
+
+	"dlsys/internal/data"
+	"dlsys/internal/distributed"
+	"dlsys/internal/nn"
+	"dlsys/internal/obs"
 )
 
 // TestX12TopologyClaims pins the X12 acceptance criteria: across the
@@ -64,28 +70,25 @@ func TestX12TopologyClaims(t *testing.T) {
 	}
 }
 
-// TestTopologyBenchmark checks the perf-trajectory sample the CI bench
-// step records for X12: a finite wall time, a round throughput consistent
-// with the round count, and a robustness outcome that converged and
-// reconciled.
-func TestTopologyBenchmark(t *testing.T) {
+// TestX12HealsReconcileAtN64 runs X12's hardest quick cell — n=64, ring,
+// link faults and churn together — with obs attached and checks that the
+// distributed.topo_heals counter equals Stats.TopoHeals. The table's
+// invariant-d-reconciliation row reconciles only at n=16.
+func TestX12HealsReconcileAtN64(t *testing.T) {
 	if testing.Short() {
-		t.Skip("X12 bench sample skipped in -short mode")
+		t.Skip("X12 n=64 cell skipped in -short mode")
 	}
-	perf, err := TopologyBenchmark(Quick)
+	const n = 64
+	rng := rand.New(rand.NewSource(200 + n))
+	ds := data.GaussianMixture(rng, 16*n, 5, 3, 3.2)
+	h := obs.NewHandle()
+	cfg := x12Config(n, distributed.TopoRing, "both")
+	cfg.Obs = h
+	_, stats, err := distributed.Train(201, ds.X, nn.OneHot(ds.Labels, 3), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if perf.WallS <= 0 || perf.Rounds <= 0 || perf.Workers < 8 {
-		t.Fatalf("degenerate sample %+v", perf)
-	}
-	if got := perf.RoundsPerS * perf.WallS; got < float64(perf.Rounds)*0.99 || got > float64(perf.Rounds)*1.01 {
-		t.Fatalf("throughput %g inconsistent with rounds=%d wall=%gs", perf.RoundsPerS, perf.Rounds, perf.WallS)
-	}
-	if perf.Joins == 0 || perf.CatchUps == 0 {
-		t.Fatalf("bench cell saw no churn: %+v", perf)
-	}
-	if !perf.ConvergeOK || !perf.ReconcileOK {
-		t.Fatalf("bench cell lost convergence or reconciliation: %+v", perf)
+	if got := h.Reg.Counter("distributed.topo_heals").Value(); stats.TopoHeals == 0 || got != int64(stats.TopoHeals) {
+		t.Fatalf("distributed.topo_heals=%d, Stats.TopoHeals=%d; want equal and nonzero", got, stats.TopoHeals)
 	}
 }

@@ -12,7 +12,10 @@ import (
 // exercise tile remainders, single rows, and degenerate dimensions.
 
 // equivShapes covers 1×1, m=1, tile-multiple and non-multiple dims, the
-// AVX 8-row boundary, and shapes spanning the usePacked threshold.
+// AVX 8-row boundary, and shapes spanning the usePacked threshold. 256³ is
+// the one shape wider than a gemmNC column block and past
+// parallelFLOPThreshold, so MatMulTiled crosses cache blocks in both
+// dimensions and MatMul takes the worker pool.
 var equivShapes = []struct{ m, k, n int }{
 	{1, 1, 1},
 	{1, 7, 5},
@@ -33,6 +36,7 @@ var equivShapes = []struct{ m, k, n int }{
 	{64, 64, 64},
 	{65, 129, 67},
 	{129, 65, 33},
+	{256, 256, 256},
 }
 
 func randMat(rng *rand.Rand, r, c int) *Tensor {
