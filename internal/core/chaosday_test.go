@@ -1,6 +1,10 @@
 package core
 
-import "testing"
+import (
+	"testing"
+
+	"dlsys/internal/obs"
+)
 
 // TestX10ProductionDayClaims pins the X10 acceptance criteria: the
 // composed production day — guarded Byzantine-robust training, the
@@ -50,5 +54,30 @@ func TestX10ProductionDayClaims(t *testing.T) {
 		if row[col["ok"]] != "yes" {
 			t.Errorf("%s failed: %s", row[col["check"]], row[col["detail"]])
 		}
+	}
+}
+
+// TestChaosDayBenchmark builds and runs, outside the X10 table, the
+// composed production day that the benchmark's day workload times, and
+// checks that the day is not degenerate: kernel events from all seven
+// actors, and a shared registry that reconciles with every subsystem
+// ledger.
+func TestChaosDayBenchmark(t *testing.T) {
+	if testing.Short() {
+		t.Skip("X10 composed day skipped in -short mode")
+	}
+	sc, err := newX10Scenario(Quick)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := sc.run(obs.NewHandle())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.processed <= 0 || len(d.actors) != 7 {
+		t.Fatalf("degenerate day: events=%d actors=%v", d.processed, d.actors)
+	}
+	if !d.reconciled {
+		t.Fatalf("day did not reconcile: %s", d.detail)
 	}
 }

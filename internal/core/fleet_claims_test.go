@@ -49,3 +49,22 @@ func TestX14FleetClaims(t *testing.T) {
 		}
 	}
 }
+
+// TestX14BenchmarkSmoke runs one full-control-plane overload day at Quick
+// scale, the day the benchmark's fleet-overload workload times, and checks
+// that every request arrived, each one ended served, shed or failed, and
+// the kernel processed events.
+func TestX14BenchmarkSmoke(t *testing.T) {
+	if testing.Short() {
+		t.Skip("X14 overload day skipped in -short mode")
+	}
+	requests := x14Requests(Quick)
+	res, _, _, events, err := x14Run(requests, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Requests != requests || res.Served+res.Shed+res.Failed != res.Requests || events <= 0 {
+		t.Fatalf("degenerate day: requests=%d/%d served=%d shed=%d failed=%d events=%d",
+			res.Requests, requests, res.Served, res.Shed, res.Failed, events)
+	}
+}

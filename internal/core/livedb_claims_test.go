@@ -47,3 +47,27 @@ func TestX11LiveIndexClaims(t *testing.T) {
 		}
 	}
 }
+
+// TestLiveIndexBenchmark runs, outside the X11 table, the hardest X11
+// cell (flash drift × bursty faults, 2000 keys, 1600 ops at rate 400):
+// the cell the benchmark's live-index workload times. The cell must answer
+// queries, keep availability and, when a swapped-in learned index is still
+// serving, re-attain the learned win.
+func TestLiveIndexBenchmark(t *testing.T) {
+	if testing.Short() {
+		t.Skip("X11 flash x bursty cell skipped in -short mode")
+	}
+	c, err := runX11Cell("flash", "bursty", 2000, 1600, 400)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.stats.Queries() <= 0 {
+		t.Fatalf("cell answered no queries: %+v", c.stats)
+	}
+	if !c.availOK() {
+		t.Fatal("flash x bursty cell lost availability")
+	}
+	if c.stats.Swaps > 0 && c.serving && !c.winOK() {
+		t.Fatalf("learned index serving after %d swaps without the learned win", c.stats.Swaps)
+	}
+}
