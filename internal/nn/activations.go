@@ -9,7 +9,7 @@ import (
 // ReLU applies max(0, x) element-wise.
 type ReLU struct {
 	name    string
-	mask    []bool // which inputs were positive
+	mask    []uint8 // 0xFF where the input was positive, else 0
 	n       int
 	out, dx *tensor.Tensor // train-mode buffers (see Layer)
 }
@@ -20,41 +20,49 @@ func NewReLU(name string) *ReLU { return &ReLU{name: name} }
 // Name implements Layer.
 func (r *ReLU) Name() string { return r.name }
 
-// Forward implements Layer.
+// positiveMask returns all ones when v > 0 and zero otherwise, NaN
+// included, as a conditional move rather than a branch: the sign of a
+// pre-activation is close to a coin flip, so a branch on it mispredicts.
+func positiveMask(v float64) uint64 {
+	var m uint64
+	if v > 0 {
+		m = ^uint64(0)
+	}
+	return m
+}
+
+// Forward implements Layer. Each output is v where v > 0 and +0 elsewhere
+// (NaN, ±0 and negatives), selected by masking v's bits.
 func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	out := buffer(&r.out, x, train)
+	xd := x.Data
+	var mask []uint8
 	if train {
-		if cap(r.mask) < x.Size() {
-			r.mask = make([]bool, x.Size())
+		if cap(r.mask) < len(xd) {
+			r.mask = make([]uint8, len(xd))
 		}
-		r.mask = r.mask[:x.Size()]
-		r.n = x.Size()
+		mask = r.mask[:len(xd)]
+		r.mask, r.n = mask, len(xd)
 	}
-	for i, v := range x.Data {
-		if v > 0 {
-			out.Data[i] = v
-			if train {
-				r.mask[i] = true
-			}
-		} else {
-			out.Data[i] = 0
-			if train {
-				r.mask[i] = false
-			}
+	od := out.Data[:len(xd)]
+	for i, v := range xd {
+		m := positiveMask(v)
+		od[i] = math.Float64frombits(math.Float64bits(v) & m)
+		if train {
+			mask[i] = uint8(m)
 		}
 	}
 	return out
 }
 
-// Backward implements Layer.
+// Backward implements Layer: dout where the input was positive, +0
+// elsewhere, selected through the forward pass's mask.
 func (r *ReLU) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	dx := buffer(&r.dx, dout, true)
+	mask, dd := r.mask[:len(dout.Data)], dx.Data[:len(dout.Data)]
 	for i, v := range dout.Data {
-		if r.mask[i] {
-			dx.Data[i] = v
-		} else {
-			dx.Data[i] = 0
-		}
+		m := uint64(int64(int8(mask[i]))) // sign extension widens 0xFF to all ones
+		dd[i] = math.Float64frombits(math.Float64bits(v) & m)
 	}
 	return dx
 }
@@ -62,8 +70,8 @@ func (r *ReLU) Backward(dout *tensor.Tensor) *tensor.Tensor {
 // Params implements Layer.
 func (r *ReLU) Params() []*Param { return nil }
 
-// ActivationFloats implements ActivationSizer. The boolean mask is charged
-// as one float per element to keep the accounting simple and conservative.
+// ActivationFloats implements ActivationSizer. The byte mask is charged as
+// one float per element to keep the accounting simple and conservative.
 func (r *ReLU) ActivationFloats(batch int) int64 {
 	if batch <= 0 || r.n == 0 {
 		return 0

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -109,6 +110,44 @@ func TestReLUGradients(t *testing.T) {
 		}
 	}
 	checkLayerGradients(t, layer, x, 1e-5)
+
+	// The masked select must give the bits of the branchy definition,
+	// v if v > 0 else +0 forward and dout if v > 0 else +0 backward, in
+	// both modes and on every special value: NaN of either sign, ±Inf, ±0
+	// and subnormals, as input and as incoming gradient.
+	specials := []float64{math.NaN(), -math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1),
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 0x1p-1030, -0x1p-1030, 1.5, -2.5}
+	n := len(specials)
+	in := tensor.New(n, n)
+	dout := tensor.New(n, n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			in.Data[i*n+j], dout.Data[i*n+j] = specials[i], specials[j]
+		}
+	}
+	sameBits := func(what string, got []float64, want func(i int) float64) {
+		for i, g := range got {
+			if w := want(i); math.Float64bits(g) != math.Float64bits(w) {
+				t.Errorf("%s element %d (input %v, dout %v): got %v (%#x), want %v (%#x)",
+					what, i, in.Data[i], dout.Data[i], g, math.Float64bits(g), w, math.Float64bits(w))
+			}
+		}
+	}
+	branchy := func(v, pass float64) float64 {
+		if v > 0 {
+			return pass
+		}
+		return 0
+	}
+	for _, train := range []bool{false, true} {
+		got := layer.Forward(in, train)
+		sameBits(fmt.Sprintf("Forward(train=%v)", train), got.Data, func(i int) float64 {
+			return branchy(in.Data[i], in.Data[i])
+		})
+	}
+	sameBits("Backward", layer.Backward(dout).Data, func(i int) float64 {
+		return branchy(in.Data[i], dout.Data[i])
+	})
 }
 
 func TestSigmoidTanhGradients(t *testing.T) {

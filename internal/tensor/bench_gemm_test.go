@@ -50,6 +50,43 @@ func kindSize(kind string, n int) string {
 	return kind + "/" + strconv.Itoa(n)
 }
 
+// smallShapes are the sub-threshold products this benchmark times: the six
+// Dense-layer shapes of the learned-index and day MLPs, then four shapes
+// outside the small tier's rule (one row, or a B too wide for L1).
+var smallShapes = []struct{ m, k, n int }{
+	{64, 3, 8}, {64, 8, 2}, {16, 6, 24}, {16, 24, 3}, {3, 64, 8}, {8, 64, 2},
+	{1, 3, 8}, {1, 512, 512}, {4, 256, 256}, {7, 64, 64},
+}
+
+// BenchmarkSmallShapes times the three …Into products with a reused
+// destination at every shape in smallShapes: MatMulInto (a·b),
+// MatMulTransAInto (aᵀ·b with a stored k×m) and MatMulTransBInto (a·bᵀ
+// with b stored n×k), each giving the m×n result.
+func BenchmarkSmallShapes(b *testing.B) {
+	for _, s := range smallShapes {
+		rng := rand.New(rand.NewSource(int64(s.m*s.k + s.n)))
+		x := RandNormal(rng, 0, 1, s.m, s.k)
+		y := RandNormal(rng, 0, 1, s.k, s.n)
+		xt, yt := Transpose(x), Transpose(y)
+		name := strconv.Itoa(s.m) + "x" + strconv.Itoa(s.k) + "x" + strconv.Itoa(s.n)
+		for _, c := range []struct {
+			kind string
+			run  func(dst *Tensor) *Tensor
+		}{
+			{"NN", func(dst *Tensor) *Tensor { return MatMulInto(dst, x, y) }},
+			{"TN", func(dst *Tensor) *Tensor { return MatMulTransAInto(dst, xt, y) }},
+			{"NT", func(dst *Tensor) *Tensor { return MatMulTransBInto(dst, x, yt) }},
+		} {
+			b.Run(c.kind+"/"+name, func(b *testing.B) {
+				dst := c.run(nil)
+				for i := 0; i < b.N; i++ {
+					c.run(dst)
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkBatMul measures the batched kernel against per-slice MatMul.
 func BenchmarkBatMul(b *testing.B) {
 	const bt, n = 8, 128

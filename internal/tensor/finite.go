@@ -92,7 +92,7 @@ func Norm2Finite(xs []float64) (norm float64, finite bool) {
 			finite = false
 			continue
 		}
-		s += v * v
+		s += float64(v * v)
 	}
 	return math.Sqrt(s), finite
 }

@@ -5,11 +5,14 @@ import (
 	"testing"
 )
 
-// Fuzz targets for the Checked entry points. Values are clamped finite
-// because the bit-exactness contract only covers finite inputs (gemm.go);
-// shape handling is the property under test — the Checked APIs must either
+// Fuzz targets for the Checked entry points. The Checked APIs must either
 // return a typed error or produce output matching the reference kernel,
-// never panic.
+// never panic. Generated values are clamped finite; FuzzMatMulShapes then
+// places NaN, ±Inf and ±0 by its poison input, but only below the packed
+// threshold: the small tier and the reference loops give the same bits for
+// every input there, while above it the tiled kernel's multiply-through of
+// a skipped zero may differ from the reference on non-finite input
+// (gemm.go).
 
 // clampFinite maps arbitrary fuzzed float64 bits to a finite value.
 func clampFinite(v float64) float64 {
@@ -30,15 +33,19 @@ func FuzzMatMulShapes(f *testing.F) {
 	// 1-row product, tile remainders around the 4- and 8-row boundaries and
 	// the f32 kernel's 8-column boundary, degenerate k=0, and rank-breaking
 	// dimension zeros.
-	f.Add(1, 1, 1, int64(1))
-	f.Add(1, 7, 5, int64(2))
-	f.Add(8, 33, 4, int64(3))
-	f.Add(9, 17, 9, int64(4))
-	f.Add(3, 0, 4, int64(5))
-	f.Add(0, 3, 4, int64(6))
-	f.Add(33, 65, 29, int64(7))
-	f.Add(17, 65, 23, int64(8))
-	f.Fuzz(func(t *testing.T, m, k, n int, seed int64) {
+	// The last three poison the small tier's hot shapes and a single row.
+	f.Add(1, 1, 1, int64(1), uint64(0))
+	f.Add(1, 7, 5, int64(2), uint64(0))
+	f.Add(8, 33, 4, int64(3), uint64(0))
+	f.Add(9, 17, 9, int64(4), uint64(0))
+	f.Add(3, 0, 4, int64(5), uint64(0))
+	f.Add(0, 3, 4, int64(6), uint64(0))
+	f.Add(33, 65, 29, int64(7), uint64(0))
+	f.Add(17, 65, 23, int64(8), uint64(0))
+	f.Add(16, 6, 24, int64(9), uint64(1))
+	f.Add(64, 8, 2, int64(10), uint64(7))
+	f.Add(1, 3, 8, int64(11), uint64(3))
+	f.Fuzz(func(t *testing.T, m, k, n int, seed int64, poison uint64) {
 		// Bound sizes so the fuzzer explores shapes, not out-of-memory.
 		if m < 0 || k < 0 || n < 0 || m > 70 || k > 70 || n > 70 {
 			t.Skip()
@@ -55,6 +62,19 @@ func FuzzMatMulShapes(f *testing.F) {
 		for i := range b.Data {
 			b.Data[i] = next()
 		}
+		poisoned := poison != 0 && !usePacked(m, k, n)
+		if poisoned {
+			specials := []float64{math.NaN(), -math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1)}
+			r := poison
+			for _, x := range []*Tensor{a, b} {
+				for i := range x.Data {
+					r = r*6364136223846793005 + 1442695040888963407
+					if r>>61 == 0 {
+						x.Data[i] = specials[(r>>32)%uint64(len(specials))]
+					}
+				}
+			}
+		}
 		got, err := MatMulChecked(a, b)
 		if err != nil {
 			t.Fatalf("conformable shapes rejected: %v", err)
@@ -62,6 +82,22 @@ func FuzzMatMulShapes(f *testing.F) {
 		want := MatMulRef(a, b)
 		if !Equal(got, want, 0) {
 			t.Fatalf("MatMul != reference at %dx%dx%d", m, k, n)
+		}
+		if poisoned {
+			at, bt := Transpose(a), Transpose(b)
+			for _, r := range []struct {
+				name      string
+				got, want *Tensor
+			}{
+				{"MatMul", got, want},
+				{"MatMulTransA", MatMulTransA(at, b), refTransA(at, b)},
+				{"MatMulTransB", MatMulTransB(a, bt), refTransB(a, bt)},
+			} {
+				if i := firstBitDiff(r.got, r.want); i >= 0 {
+					t.Fatalf("%s differs from its reference loop in the bits of element %d at %dx%dx%d, poison %#x",
+						r.name, i, m, k, n, poison)
+				}
+			}
 		}
 		// The f32 tier: packed kernels against its row-by-row reference.
 		a32, b32 := ToFloat32(a), ToFloat32(b)
@@ -91,11 +127,9 @@ func FuzzMatMulShapes(f *testing.F) {
 				t.Fatalf("BatMul rejected positive shapes: %v", err)
 			}
 			for s := 0; s < 2; s++ {
-				slice := bout.Data[s*m*n : (s+1)*m*n]
-				for i := range slice {
-					if slice[i] != want.Data[i] {
-						t.Fatalf("BatMul slice %d != reference at %dx%dx%d", s, m, k, n)
-					}
+				slice := FromSlice(bout.Data[s*m*n:(s+1)*m*n], m, n)
+				if i := firstBitDiff(slice, want); i >= 0 {
+					t.Fatalf("BatMul slice %d != reference at %dx%dx%d elem %d", s, m, k, n, i)
 				}
 			}
 		} else if _, err := BatMulChecked(New(2, m, k), New(2, k, n)); err == nil {

@@ -6,28 +6,42 @@ import "sync"
 // MatMulTransB, and BatMul. The kernel hierarchy, from slowest and most
 // authoritative to fastest:
 //
-//	reference — matMulRows, the straightforward i-k-j triple loop. Every
-//	            other float64 tier is defined against it.
+//	reference — matMulRows, the straightforward i-k-j triple loop, and
+//	            matMulTransBRows, one dot product per element, for a·bᵀ.
+//	            Every other float64 tier is defined against them.
+//	small     — gemm_small.go: register-tiled loops for a·b, aᵀ·b and a·bᵀ
+//	            below the packed threshold. a·b and aᵀ·b take it with at
+//	            least two rows and k·n ≤ smallMaxKN (B stays in L1); a·bᵀ
+//	            takes it at every sub-threshold shape.
 //	tiled     — gemmPacked: B repacked into contiguous gemmNR-wide column
 //	            strips, output computed by a branch-free 4x4 register
 //	            micro-kernel sweeping the full k extent per output tile.
 //	pooled    — the tiled kernel with output rows partitioned across the
 //	            persistent worker pool (parallel.go).
 //	batched   — BatMul: the tiled/pooled kernel applied per batch slice of
-//	            contiguous stride-indexed rank-3 operands.
+//	            contiguous stride-indexed rank-3 operands, and below the
+//	            threshold the small tier or the reference loop per slice.
 //	f32       — gemm32.go: the same tiling for float32 storage (serving-side
 //	            inference) with 8-wide strips, bounded-ULP against the
 //	            float64 reference and bit-identical across its own paths.
 //
+// The tier is picked from the operand shapes alone, with one exception: a
+// small-tier product whose output holds a NaN is rerun on the reference
+// loop (see gemm_small.go).
+//
 // Determinism contract: every float64 tier accumulates each output element
-// with a single accumulator over ascending k, so for finite inputs all
-// tiers produce bit-identical results — parallelism only changes which
-// worker computes a row, never the arithmetic order. (The reference kernel
-// skips zero left-operand products, the tiled kernel multiplies through;
-// for finite operands adding the resulting ±0 never changes an accumulator,
-// so the tiers agree bit-for-bit. Only non-finite inputs — where 0·Inf is
-// NaN — can make the tiers differ; each tier stays deterministic even
-// then.)
+// with a single accumulator over ascending k, one rounded multiply and one
+// rounded add per step (every product is written float64(x*y), so no
+// GOARCH fuses them), so for finite inputs all tiers produce bit-identical
+// results — parallelism only changes which worker computes a row, never
+// the arithmetic order. (The reference kernel skips zero left-operand
+// products, the faster tiers multiply through; for finite operands adding
+// the resulting ±0 never changes an accumulator, so the tiers agree
+// bit-for-bit.) Below the packed threshold the contract covers every
+// input, NaN, ±Inf and ±0 included, because the small tier hands any NaN
+// output back to the reference loop. Above it, non-finite inputs — where
+// 0·Inf is NaN — can make the tiled tiers differ from the reference; each
+// tier stays deterministic even then.
 const (
 	gemmMR    = 4 // scalar micro-kernel rows per sweep
 	gemmNR    = 4 // float64 micro-kernel columns; also the packed strip width
@@ -40,7 +54,7 @@ const (
 	gemmNC = 128
 
 	// gemmMinRows is the row count below which repacking B cannot be
-	// amortised and the reference kernel runs instead.
+	// amortised and the small tier or the reference kernel runs instead.
 	gemmMinRows = 8
 	// gemmPackFLOPs is the m·k·n product above which the packed tiled
 	// kernel beats the reference kernel despite the packing pass.
@@ -51,19 +65,23 @@ const (
 // steady-state GEMMs allocate nothing beyond their output tensor.
 var scratchPool sync.Pool
 
-// getScratch returns a float64 buffer with at least n usable elements.
-func getScratch(n int) []float64 {
+// getScratch returns a pooled float64 buffer of length n. The pool holds
+// the slice header's pointer, which goes back with putScratch as it came,
+// so a recycled buffer costs no allocation on either side.
+func getScratch(n int) *[]float64 {
 	if v := scratchPool.Get(); v != nil {
 		if s := v.(*[]float64); cap(*s) >= n {
-			return (*s)[:n]
+			*s = (*s)[:n]
+			return s
 		}
 	}
-	return make([]float64, n)
+	s := make([]float64, n)
+	return &s
 }
 
 // putScratch recycles a buffer obtained from getScratch.
-func putScratch(s []float64) {
-	scratchPool.Put(&s)
+func putScratch(s *[]float64) {
+	scratchPool.Put(s)
 }
 
 // packB repacks the k×n matrix b into gemmNR-wide column strips: strip js
@@ -175,22 +193,22 @@ func micro4x4(a []float64, k int, strip, out []float64, n int) {
 		b0, b1, b2, b3 := strip[sp], strip[sp+1], strip[sp+2], strip[sp+3]
 		sp += 4
 		v0, v1, v2, v3 := a0[p], a1[p], a2[p], a3[p]
-		c00 += v0 * b0
-		c01 += v0 * b1
-		c02 += v0 * b2
-		c03 += v0 * b3
-		c10 += v1 * b0
-		c11 += v1 * b1
-		c12 += v1 * b2
-		c13 += v1 * b3
-		c20 += v2 * b0
-		c21 += v2 * b1
-		c22 += v2 * b2
-		c23 += v2 * b3
-		c30 += v3 * b0
-		c31 += v3 * b1
-		c32 += v3 * b2
-		c33 += v3 * b3
+		c00 += float64(v0 * b0)
+		c01 += float64(v0 * b1)
+		c02 += float64(v0 * b2)
+		c03 += float64(v0 * b3)
+		c10 += float64(v1 * b0)
+		c11 += float64(v1 * b1)
+		c12 += float64(v1 * b2)
+		c13 += float64(v1 * b3)
+		c20 += float64(v2 * b0)
+		c21 += float64(v2 * b1)
+		c22 += float64(v2 * b2)
+		c23 += float64(v2 * b3)
+		c30 += float64(v3 * b0)
+		c31 += float64(v3 * b1)
+		c32 += float64(v3 * b2)
+		c33 += float64(v3 * b3)
 	}
 	o := out[:4]
 	o[0], o[1], o[2], o[3] = c00, c01, c02, c03
@@ -212,7 +230,7 @@ func microEdge(a []float64, k, r int, strip []float64, w int, out []float64, n i
 			v := a[ir*k+p]
 			ac := acc[ir*gemmNR : ir*gemmNR+w]
 			for jr, bv := range bq {
-				ac[jr] += v * bv
+				ac[jr] += float64(v * bv)
 			}
 		}
 	}
@@ -244,8 +262,8 @@ func gemmAuto(aData []float64, m, k, n int, bp, out []float64) {
 func matMulPacked(aData []float64, m, k int, b *Tensor, out []float64) {
 	n := b.shape[1]
 	bp := getScratch(k * n)
-	packB(b, bp)
-	gemmAuto(aData, m, k, n, bp, out)
+	packB(b, *bp)
+	gemmAuto(aData, m, k, n, *bp, out)
 	putScratch(bp)
 }
 
@@ -272,8 +290,8 @@ func MatMulTiled(a, b *Tensor) *Tensor {
 		return out
 	}
 	bp := getScratch(k * n)
-	packB(b, bp)
-	gemmPacked(a.Data, k, n, bp, out.Data, 0, m)
+	packB(b, *bp)
+	gemmPacked(a.Data, k, n, *bp, out.Data, 0, m)
 	putScratch(bp)
 	return out
 }
@@ -333,7 +351,8 @@ func BatMulChecked(a, b *Tensor) (*Tensor, error) {
 		// Pack every batch slice once, then partition the bt·m global rows
 		// across the pool; chunk boundaries may land inside a slice, which
 		// the per-element accumulation order makes harmless.
-		bp := getScratch(bt * k * n)
+		buf := getScratch(bt * k * n)
+		bp := *buf
 		for i := 0; i < bt; i++ {
 			packB(batSlice(b, i, k, n), bp[i*k*n:(i+1)*k*n])
 		}
@@ -355,14 +374,18 @@ func BatMulChecked(a, b *Tensor) (*Tensor, error) {
 		} else {
 			run(0, rows)
 		}
-		putScratch(bp)
+		putScratch(buf)
 		return out, nil
 	}
+	small := useSmall(m, k, n)
 	for i := 0; i < bt; i++ {
 		av := batSlice(a, i, m, k)
 		bv := batSlice(b, i, k, n)
 		ov := batSlice(out, i, m, n)
-		matMulRows(av, bv, ov, 0, m)
+		if !small || !smallNN(av.Data, m, k, bv.Data, n, ov.Data) {
+			ov.Zero()
+			matMulRows(av, bv, ov, 0, m)
+		}
 	}
 	return out, nil
 }

@@ -89,17 +89,19 @@ func (t *Tensor32) ToFloat64() *Tensor {
 // scratchPool32 recycles float32 packing buffers, like scratchPool.
 var scratchPool32 sync.Pool
 
-func getScratch32(n int) []float32 {
+func getScratch32(n int) *[]float32 {
 	if v := scratchPool32.Get(); v != nil {
 		if s := v.(*[]float32); cap(*s) >= n {
-			return (*s)[:n]
+			*s = (*s)[:n]
+			return s
 		}
 	}
-	return make([]float32, n)
+	s := make([]float32, n)
+	return &s
 }
 
-func putScratch32(s []float32) {
-	scratchPool32.Put(&s)
+func putScratch32(s *[]float32) {
+	scratchPool32.Put(s)
 }
 
 // MatMul32 returns the float32 matrix product (m×k)·(k×n) → m×n.
@@ -126,7 +128,8 @@ func MatMul32Checked(a, b *Tensor32) (*Tensor32, error) {
 	n := b.shape[1]
 	out := New32(m, n)
 	if usePacked(m, k, n) {
-		bp := getScratch32(k * n)
+		buf := getScratch32(k * n)
+		bp := *buf
 		packB32(b, bp)
 		if int64(m)*int64(k)*int64(n) >= parallelFLOPThreshold {
 			parallelRowsAligned(m, gemmMRAsm, func(lo, hi int) {
@@ -135,7 +138,7 @@ func MatMul32Checked(a, b *Tensor32) (*Tensor32, error) {
 		} else {
 			gemmPacked32(a.Data, k, n, bp, out.Data, 0, m)
 		}
-		putScratch32(bp)
+		putScratch32(buf)
 		return out, nil
 	}
 	for i := 0; i < m; i++ {
@@ -148,7 +151,7 @@ func MatMul32Checked(a, b *Tensor32) (*Tensor32, error) {
 			}
 			brow := b.Data[p*n : (p+1)*n]
 			for j := 0; j < n; j++ {
-				orow[j] += av * brow[j]
+				orow[j] += float32(av * brow[j])
 			}
 		}
 	}
@@ -228,41 +231,41 @@ func micro4x8f32(a []float32, k int, strip, out []float32, n int) {
 	for p := 0; p < k; p++ {
 		b := sp[p*8 : p*8+8]
 		v := a0[p]
-		c00 += v * b[0]
-		c01 += v * b[1]
-		c02 += v * b[2]
-		c03 += v * b[3]
-		c04 += v * b[4]
-		c05 += v * b[5]
-		c06 += v * b[6]
-		c07 += v * b[7]
+		c00 += float32(v * b[0])
+		c01 += float32(v * b[1])
+		c02 += float32(v * b[2])
+		c03 += float32(v * b[3])
+		c04 += float32(v * b[4])
+		c05 += float32(v * b[5])
+		c06 += float32(v * b[6])
+		c07 += float32(v * b[7])
 		v = a1[p]
-		c10 += v * b[0]
-		c11 += v * b[1]
-		c12 += v * b[2]
-		c13 += v * b[3]
-		c14 += v * b[4]
-		c15 += v * b[5]
-		c16 += v * b[6]
-		c17 += v * b[7]
+		c10 += float32(v * b[0])
+		c11 += float32(v * b[1])
+		c12 += float32(v * b[2])
+		c13 += float32(v * b[3])
+		c14 += float32(v * b[4])
+		c15 += float32(v * b[5])
+		c16 += float32(v * b[6])
+		c17 += float32(v * b[7])
 		v = a2[p]
-		c20 += v * b[0]
-		c21 += v * b[1]
-		c22 += v * b[2]
-		c23 += v * b[3]
-		c24 += v * b[4]
-		c25 += v * b[5]
-		c26 += v * b[6]
-		c27 += v * b[7]
+		c20 += float32(v * b[0])
+		c21 += float32(v * b[1])
+		c22 += float32(v * b[2])
+		c23 += float32(v * b[3])
+		c24 += float32(v * b[4])
+		c25 += float32(v * b[5])
+		c26 += float32(v * b[6])
+		c27 += float32(v * b[7])
 		v = a3[p]
-		c30 += v * b[0]
-		c31 += v * b[1]
-		c32 += v * b[2]
-		c33 += v * b[3]
-		c34 += v * b[4]
-		c35 += v * b[5]
-		c36 += v * b[6]
-		c37 += v * b[7]
+		c30 += float32(v * b[0])
+		c31 += float32(v * b[1])
+		c32 += float32(v * b[2])
+		c33 += float32(v * b[3])
+		c34 += float32(v * b[4])
+		c35 += float32(v * b[5])
+		c36 += float32(v * b[6])
+		c37 += float32(v * b[7])
 	}
 	o := out[:8]
 	o[0], o[1], o[2], o[3], o[4], o[5], o[6], o[7] = c00, c01, c02, c03, c04, c05, c06, c07
@@ -284,7 +287,7 @@ func microEdge32(a []float32, k, r int, strip []float32, w int, out []float32, n
 			v := a[ir*k+p]
 			ac := acc[ir*gemmNR32 : ir*gemmNR32+w]
 			for jr, bv := range bq {
-				ac[jr] += v * bv
+				ac[jr] += float32(v * bv)
 			}
 		}
 	}

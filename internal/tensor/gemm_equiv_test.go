@@ -15,7 +15,9 @@ import (
 // AVX 8-row boundary, and shapes spanning the usePacked threshold. 256³ is
 // the one shape wider than a gemmNC column block and past
 // parallelFLOPThreshold, so MatMulTiled crosses cache blocks in both
-// dimensions and MatMul takes the worker pool.
+// dimensions and MatMul takes the worker pool. The last six are the Dense
+// layers of the learned-index and day MLPs, which the small tier takes in
+// every orientation.
 var equivShapes = []struct{ m, k, n int }{
 	{1, 1, 1},
 	{1, 7, 5},
@@ -37,6 +39,12 @@ var equivShapes = []struct{ m, k, n int }{
 	{65, 129, 67},
 	{129, 65, 33},
 	{256, 256, 256},
+	{64, 3, 8},
+	{64, 8, 2},
+	{16, 6, 24},
+	{16, 24, 3},
+	{3, 64, 8},
+	{8, 64, 2},
 }
 
 func randMat(rng *rand.Rand, r, c int) *Tensor {
@@ -88,17 +96,7 @@ func TestTransposedKernelsMatchReference(t *testing.T) {
 func TestIntoKernelsReuseDirtyDst(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
 	dirty := func(r, c int) *Tensor { return Full(math.NaN(), r, c) }
-	sameBits := func(got, want *Tensor) bool {
-		if !got.SameShape(want) {
-			return false
-		}
-		for i, w := range want.Data {
-			if math.Float64bits(got.Data[i]) != math.Float64bits(w) {
-				return false
-			}
-		}
-		return true
-	}
+	sameBits := func(got, want *Tensor) bool { return firstBitDiff(got, want) < 0 }
 	for _, s := range equivShapes {
 		a := randMat(rng, s.m, s.k)
 		b := randMat(rng, s.k, s.n)
@@ -120,6 +118,35 @@ func TestIntoKernelsReuseDirtyDst(t *testing.T) {
 		dst := dirty(1, s.k)
 		if got := SumRowsInto(dst, a); got != dst || !sameBits(got, SumRows(a)) {
 			t.Errorf("SumRowsInto at %dx%d: reused %v, bit-identical %v", s.m, s.k, got == dst, sameBits(got, SumRows(a)))
+		}
+	}
+}
+
+// With a reused destination the …Into kernels allocate nothing: the small
+// tier uses no scratch, and the packed tier hands its pooled buffers back
+// through the pointer it got them by, so no Put boxes a new slice header.
+// 64³ is packed but below the parallel threshold, so it runs serially.
+func TestIntoKernelsAllocateNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop buffers")
+	}
+	rng := rand.New(rand.NewSource(49))
+	for _, s := range []struct{ m, k, n int }{{64, 3, 8}, {64, 64, 64}} {
+		a, b := randMat(rng, s.m, s.k), randMat(rng, s.k, s.n)
+		at, bt := Transpose(a), Transpose(b)
+		dst := New(s.m, s.n)
+		for _, c := range []struct {
+			name string
+			run  func()
+		}{
+			{"MatMulInto", func() { MatMulInto(dst, a, b) }},
+			{"MatMulTransAInto", func() { MatMulTransAInto(dst, at, b) }},
+			{"MatMulTransBInto", func() { MatMulTransBInto(dst, a, bt) }},
+		} {
+			c.run()
+			if got := testing.AllocsPerRun(50, c.run); got != 0 {
+				t.Errorf("%s at %dx%dx%d makes %v allocations with a reused dst, want 0", c.name, s.m, s.k, s.n, got)
+			}
 		}
 	}
 }
@@ -284,8 +311,146 @@ func TestTensor32Conversions(t *testing.T) {
 	}
 }
 
-// Inf/NaN inputs are outside the bit-exactness contract, but every tier
-// must still be deterministic: the same call twice gives the same bits.
+// refTransA is the loop MatMulTransA ran below the packed threshold before
+// the small tier: p-outer, a zero element of a skips its term, and each
+// output element accumulates in memory from +0 over ascending p.
+func refTransA(a, b *Tensor) *Tensor {
+	k, m, n := a.Dim(0), a.Dim(1), b.Dim(1)
+	out := New(m, n)
+	for p := 0; p < k; p++ {
+		arow := a.Data[p*m : (p+1)*m]
+		brow := b.Data[p*n : (p+1)*n]
+		for i, av := range arow {
+			if av == 0 {
+				continue
+			}
+			orow := out.Data[i*n : (i+1)*n]
+			for j := range orow {
+				orow[j] += float64(av * brow[j])
+			}
+		}
+	}
+	return out
+}
+
+// refTransB is the loop MatMulTransB ran below the packed threshold before
+// the small tier: one dot product per output element, no zero skip.
+func refTransB(a, b *Tensor) *Tensor {
+	m, k, n := a.Dim(0), a.Dim(1), b.Dim(0)
+	out := New(m, n)
+	for i := 0; i < m; i++ {
+		arow := a.Data[i*k : (i+1)*k]
+		for j := 0; j < n; j++ {
+			brow := b.Data[j*k : (j+1)*k]
+			var s float64
+			for p := range arow {
+				s += float64(arow[p] * brow[p])
+			}
+			out.Data[i*n+j] = s
+		}
+	}
+	return out
+}
+
+// firstBitDiff returns the first index where got and want differ in their
+// bits (or shape), or -1 when they are bit-identical.
+func firstBitDiff(got, want *Tensor) int {
+	if !got.SameShape(want) {
+		return 0
+	}
+	for i, w := range want.Data {
+		if math.Float64bits(got.Data[i]) != math.Float64bits(w) {
+			return i
+		}
+	}
+	return -1
+}
+
+// Below the packed threshold every entry point gives the reference loops'
+// bits for any input: NaN, ±Inf and ±0 in either operand. The shapes take
+// the small tier in every orientation, plus one-row and wide products
+// outside its rule. In "A and B" a zero of A meets an Inf in the matching
+// row of B, the product the reference's zero skip leaves out (0·Inf would
+// be NaN); a·b and aᵀ·b must keep the skip there, while a·bᵀ, which never
+// skipped, must keep the NaN. In "NaN after Inf−Inf" each output of A's
+// last row sums +Inf, −Inf and then NaN, so its NaN payload depends on
+// which operand each add keeps; the first four shapes give that row to
+// exactly one tile path each (2×4, 2×1, 1×4, 1×1), so every path's
+// checksum must send its product back to the reference.
+func TestSubThresholdBitExactOnNonFinite(t *testing.T) {
+	specials := []float64{math.NaN(), -math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0}
+	rng := rand.New(rand.NewSource(48))
+	poison := func(x *Tensor) {
+		for i := range x.Data {
+			if rng.Intn(3) == 0 {
+				x.Data[i] = specials[rng.Intn(len(specials))]
+			}
+		}
+	}
+	for _, s := range []struct{ m, k, n int }{
+		{2, 4, 4}, {2, 4, 3}, {3, 4, 4}, {3, 4, 3},
+		{3, 5, 6}, {5, 4, 9}, {1, 3, 8}, {16, 6, 24}, {64, 8, 2}, {8, 64, 2}, {4, 40, 40},
+	} {
+		for _, c := range []struct {
+			name string
+			prep func(a, b *Tensor)
+		}{
+			{"A", func(a, b *Tensor) { poison(a) }},
+			{"B", func(a, b *Tensor) { poison(b) }},
+			{"A and B", func(a, b *Tensor) {
+				poison(a)
+				poison(b)
+				a.Data[0], b.Data[0] = 0, math.Inf(1)
+			}},
+			{"a −0 row", func(a, b *Tensor) {
+				// Every product in row 0 is ±0, and its sums must come out
+				// +0 as the reference's do.
+				for p := 0; p < s.k; p++ {
+					a.Data[p] = math.Copysign(0, -1)
+				}
+			}},
+			{"NaN after Inf−Inf", func(a, b *Tensor) {
+				copy(a.Data[(s.m-1)*s.k:], []float64{math.Inf(1), math.Inf(-1), math.NaN()})
+				for i := range b.Data {
+					b.Data[i] = 1
+				}
+			}},
+		} {
+			a, b := randMat(rng, s.m, s.k), randMat(rng, s.k, s.n)
+			c.prep(a, b)
+			at, bt := Transpose(a), Transpose(b)
+			ref, refA, refB := MatMulRef(a, b), refTransA(at, b), refTransB(a, bt)
+			if i := firstBitDiff(refA, ref); i >= 0 {
+				t.Fatalf("%s %dx%dx%d: the TransA reference loop differs from MatMulRef at %d", c.name, s.m, s.k, s.n, i)
+			}
+			dirty := func() *Tensor { return Full(math.NaN(), s.m, s.n) }
+			ab, bb := New(1, s.m, s.k), New(1, s.k, s.n)
+			copy(ab.Data, a.Data)
+			copy(bb.Data, b.Data)
+			for _, r := range []struct {
+				name      string
+				got, want *Tensor
+			}{
+				{"MatMulInto", MatMulInto(dirty(), a, b), ref},
+				{"MatMulTransAInto", MatMulTransAInto(dirty(), at, b), refA},
+				{"MatMulTransBInto", MatMulTransBInto(dirty(), a, bt), refB},
+				{"BatMul", FromSlice(BatMul(ab, bb).Data, s.m, s.n), ref},
+			} {
+				if i := firstBitDiff(r.got, r.want); i >= 0 {
+					t.Errorf("%s with specials in %s at %dx%dx%d: element %d is %v (%#x), want %v (%#x)",
+						r.name, c.name, s.m, s.k, s.n, i, r.got.Data[i], math.Float64bits(r.got.Data[i]),
+						r.want.Data[i], math.Float64bits(r.want.Data[i]))
+				}
+			}
+		}
+	}
+}
+
+// Inf/NaN inputs are inside the bit-exactness contract only below the
+// packed threshold (TestSubThresholdBitExactOnNonFinite); above it the
+// tiled kernel multiplies through a zero the reference skips, so 0·Inf can
+// make the tiers differ. Every tier must still be deterministic there: the
+// same call twice gives the same bits.
 func TestNonFiniteDeterministicPerTier(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	a := randMat(rng, 16, 32)

@@ -35,7 +35,7 @@ func (t *Tensor) AddInPlace(u *Tensor) {
 func (t *Tensor) AxpyInPlace(alpha float64, u *Tensor) {
 	must(checkSameShape("AxpyInPlace", t, u))
 	for i := range t.Data {
-		t.Data[i] += alpha * u.Data[i]
+		t.Data[i] += float64(alpha * u.Data[i])
 	}
 }
 
@@ -72,11 +72,12 @@ func (t *Tensor) ApplyInPlace(f func(float64) float64) {
 }
 
 // MatMul returns the matrix product of two rank-2 tensors: (m×k)·(k×n) → m×n.
-// Small products run the serial reference kernel; products worth blocking
-// run the cache-tiled packed kernel (gemm.go), partitioned across the
-// persistent worker pool once they cross the parallel threshold. Every
-// tier accumulates each output element in the same ascending-k order, so
-// for finite inputs all paths are bit-identical to the reference kernel.
+// Products worth blocking run the cache-tiled packed kernel (gemm.go),
+// partitioned across the persistent worker pool once they cross the
+// parallel threshold; smaller ones run the register-tiled small kernel
+// (gemm_small.go) or the serial reference loop, picked from the shapes.
+// Every tier accumulates each output element in the same ascending-k order
+// and gives the reference kernel's bits (see gemm.go for where that holds).
 func MatMul(a, b *Tensor) *Tensor { return mustT(MatMulChecked(a, b)) }
 
 // MatMulChecked is MatMul returning an error instead of panicking on a
@@ -94,6 +95,14 @@ func matMulInto(dst, a, b *Tensor) (*Tensor, error) {
 	}
 	m, k := a.shape[0], a.shape[1]
 	n := b.shape[1]
+	if useSmall(m, k, n) {
+		out := dstFor(dst, m, n, false)
+		if !smallNN(a.Data, m, k, b.Data, n, out.Data) {
+			out.Zero()
+			matMulRows(a, b, out, 0, m)
+		}
+		return out, nil
+	}
 	if usePacked(m, k, n) {
 		out := dstFor(dst, m, n, false)
 		matMulPacked(a.Data, m, k, b, out.Data)
@@ -112,20 +121,19 @@ func matMulInto(dst, a, b *Tensor) (*Tensor, error) {
 
 // matMulRows computes output rows [lo, hi) of a·b into out. It is the
 // reference kernel of the GEMM hierarchy (see gemm.go): i-k-j order, one
-// memory accumulator per output element, ascending k.
+// memory accumulator per output element, ascending k, and a zero element
+// of a skips its term.
 func matMulRows(a, b, out *Tensor, lo, hi int) {
 	k, n := a.shape[1], b.shape[1]
 	for i := lo; i < hi; i++ {
-		arow := a.Data[i*k : (i+1)*k]
 		orow := out.Data[i*n : (i+1)*n]
-		for p := 0; p < k; p++ {
-			av := arow[p]
+		for p, av := range a.Data[i*k : (i+1)*k] {
 			if av == 0 {
 				continue
 			}
 			brow := b.Data[p*n : (p+1)*n]
 			for j := 0; j < n; j++ {
-				orow[j] += av * brow[j]
+				orow[j] += float64(av * brow[j])
 			}
 		}
 	}
@@ -135,7 +143,7 @@ func matMulRows(a, b, out *Tensor, lo, hi int) {
 // Used by backward passes to avoid materialising transposes. Large
 // products run fused through the tiled engine: the packing pass reads b's
 // rows directly (they are already the columns the kernel wants), so the
-// transpose is free.
+// transpose is free. Smaller ones run the small tier's a·bᵀ loop.
 func MatMulTransB(a, b *Tensor) *Tensor { return mustT(MatMulTransBChecked(a, b)) }
 
 // MatMulTransBChecked is MatMulTransB returning an error instead of
@@ -160,11 +168,23 @@ func matMulTransBInto(dst, a, b *Tensor) (*Tensor, error) {
 	out := dstFor(dst, m, n, false)
 	if usePacked(m, k, n) {
 		bp := getScratch(k * n)
-		packBTrans(b, bp)
-		gemmAuto(a.Data, m, k, n, bp, out.Data)
+		packBTrans(b, *bp)
+		gemmAuto(a.Data, m, k, n, *bp, out.Data)
 		putScratch(bp)
 		return out, nil
 	}
+	if !smallNT(a.Data, m, k, b.Data, n, out.Data) {
+		matMulTransBRows(a, b, out)
+	}
+	return out, nil
+}
+
+// matMulTransBRows computes out = a·bᵀ with one dot product per output
+// element over ascending k, no zero skip. It is the reference for a·bᵀ:
+// smallNT matches it on every result that is not NaN, and hands it the
+// products where a NaN's payload depends on which operand each step kept.
+func matMulTransBRows(a, b, out *Tensor) {
+	m, k, n := a.shape[0], a.shape[1], b.shape[0]
 	for i := 0; i < m; i++ {
 		arow := a.Data[i*k : (i+1)*k]
 		orow := out.Data[i*n : (i+1)*n]
@@ -172,18 +192,18 @@ func matMulTransBInto(dst, a, b *Tensor) (*Tensor, error) {
 			brow := b.Data[j*k : (j+1)*k]
 			var s float64
 			for p := 0; p < k; p++ {
-				s += arow[p] * brow[p]
+				s += float64(arow[p] * brow[p])
 			}
 			orow[j] = s
 		}
 	}
-	return out, nil
 }
 
 // MatMulTransA returns aᵀ · b for rank-2 tensors: (k×m)ᵀ·(k×n) → m×n.
-// Large products run through the tiled engine after transposing a into
-// pooled scratch (an exact element move costing O(k·m), negligible against
-// the O(m·k·n) product it unlocks).
+// Products the small tier takes run its aᵀ·b loop directly. Everything
+// else transposes a (an exact element move costing O(k·m)) and runs the
+// packed tier or the serial reference loop on it, which gives the same
+// per-element sums, zero skip included, as walking a's columns.
 func MatMulTransA(a, b *Tensor) *Tensor { return mustT(MatMulTransAChecked(a, b)) }
 
 // MatMulTransAChecked is MatMulTransA returning an error instead of
@@ -203,28 +223,32 @@ func matMulTransAInto(dst, a, b *Tensor) (*Tensor, error) {
 	if k != k2 {
 		return nil, errf("MatMulTransA", "inner dimension mismatch %vᵀ · %v", a.shape, b.shape)
 	}
-	if usePacked(m, k, n) {
+	if useSmall(m, k, n) {
 		out := dstFor(dst, m, n, false)
-		at := getScratch(m * k)
-		transposeInto(at, a.Data, k, m)
-		matMulPacked(at, m, k, b, out.Data)
-		putScratch(at)
-		return out, nil
-	}
-	out := dstFor(dst, m, n, true)
-	for p := 0; p < k; p++ {
-		arow := a.Data[p*m : (p+1)*m]
-		brow := b.Data[p*n : (p+1)*n]
-		for i := 0; i < m; i++ {
-			av := arow[i]
-			if av == 0 {
-				continue
-			}
-			orow := out.Data[i*n : (i+1)*n]
-			for j := 0; j < n; j++ {
-				orow[j] += av * brow[j]
-			}
+		if smallTN(a.Data, m, k, b.Data, n, out.Data) {
+			return out, nil
 		}
+		dst = out
+	}
+	// A k×1 or 1×m matrix is laid out like its transpose; any other a is
+	// transposed into pooled scratch.
+	at := a.Data
+	var buf *[]float64
+	if m > 1 && k > 1 {
+		buf = getScratch(m * k)
+		at = *buf
+		transposeInto(at, a.Data, k, m)
+	}
+	var out *Tensor
+	if usePacked(m, k, n) {
+		out = dstFor(dst, m, n, false)
+		matMulPacked(at, m, k, b, out.Data)
+	} else {
+		out = dstFor(dst, m, n, true)
+		matMulRows(&Tensor{shape: []int{m, k}, Data: at}, b, out, 0, m)
+	}
+	if buf != nil {
+		putScratch(buf)
 	}
 	return out, nil
 }
@@ -310,7 +334,7 @@ func (t *Tensor) AbsMax() float64 {
 func (t *Tensor) Norm2() float64 {
 	var s float64
 	for _, v := range t.Data {
-		s += v * v
+		s += float64(v * v)
 	}
 	return math.Sqrt(s)
 }
@@ -364,14 +388,20 @@ func AddRowVectorInPlace(t, v *Tensor) {
 	}
 }
 
-// Equal reports whether t and u have the same shape and all elements are
-// within tol of each other.
+// Equal reports whether t and u have the same shape and every pair of
+// elements matches: a value equals itself (infinities of the same sign
+// included), two NaNs count as equal, a NaN never equals a number, and any
+// other pair must lie within tol of each other.
 func Equal(t, u *Tensor, tol float64) bool {
 	if !t.SameShape(u) {
 		return false
 	}
-	for i := range t.Data {
-		if math.Abs(t.Data[i]-u.Data[i]) > tol {
+	for i, x := range t.Data {
+		y := u.Data[i]
+		if x == y || math.IsNaN(x) && math.IsNaN(y) {
+			continue
+		}
+		if !(math.Abs(x-y) <= tol) {
 			return false
 		}
 	}

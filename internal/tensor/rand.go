@@ -10,7 +10,7 @@ import (
 func RandUniform(rng *rand.Rand, lo, hi float64, shape ...int) *Tensor {
 	t := New(shape...)
 	for i := range t.Data {
-		t.Data[i] = lo + (hi-lo)*rng.Float64()
+		t.Data[i] = lo + float64((hi-lo)*rng.Float64())
 	}
 	return t
 }
@@ -19,7 +19,7 @@ func RandUniform(rng *rand.Rand, lo, hi float64, shape ...int) *Tensor {
 func RandNormal(rng *rand.Rand, mean, std float64, shape ...int) *Tensor {
 	t := New(shape...)
 	for i := range t.Data {
-		t.Data[i] = mean + std*rng.NormFloat64()
+		t.Data[i] = mean + float64(std*rng.NormFloat64())
 	}
 	return t
 }

@@ -285,3 +285,36 @@ func TestTransposePropertiesQuick(t *testing.T) {
 		}
 	}
 }
+
+// Equal matches values the way the GEMM pins need: a value equals itself
+// (same-signed infinities included), two NaNs are equal, a NaN never
+// equals a number, and other pairs must lie within tol.
+func TestEqualHandlesNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		x, y, tol float64
+		want      bool
+	}{
+		{nan, 5, 0, false},
+		{5, nan, 1e300, false},
+		{nan, inf, 0, false},
+		{nan, nan, 0, true},
+		{nan, -nan, 0, true},
+		{inf, inf, 0, true},
+		{-inf, -inf, 0, true},
+		{inf, -inf, 1e300, false},
+		{inf, 1e308, 1e300, false},
+		{0, math.Copysign(0, -1), 0, true},
+		{1, 1.5, 0.5, true},
+		{1, 1.5, 0.25, false},
+		{1e-3, 2e-3, 0, false},
+	} {
+		a, b := FromSlice([]float64{1, c.x}, 1, 2), FromSlice([]float64{1, c.y}, 1, 2)
+		if got := Equal(a, b, c.tol); got != c.want {
+			t.Errorf("Equal(%v, %v, tol %v) = %v, want %v", c.x, c.y, c.tol, got, c.want)
+		}
+	}
+	if Equal(New(2, 3), New(3, 2), math.Inf(1)) {
+		t.Error("Equal accepted tensors of different shapes")
+	}
+}
