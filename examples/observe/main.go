@@ -1,7 +1,7 @@
 // Observe: the deterministic observability layer end to end. One guarded
 // training run and one serving run share a single obs.Handle; the demo
-// prints the counters reconciled against each subsystem's own ledger, a few
-// spans stamped from the simulated clocks, the registry and trace
+// prints each subsystem's Reconcile verdict on its counters against its own
+// ledger, a few spans stamped from the simulated clocks, the registry and trace
 // fingerprints for two same-seed replays (bit-identical), and finally a
 // JSONL export — the byte-deterministic dump a dashboard or offline
 // analysis would consume.
@@ -72,18 +72,9 @@ func main() {
 	h := obs.NewHandle()
 	g, res := scenario(h)
 
-	fmt.Println("\ncounters vs the subsystems' own ledgers (must match exactly):")
-	l := g.Ledger()
-	for _, row := range [][2]int64{
-		{h.Counter("guard.incidents").Value(), int64(l.Len())},
-		{h.Counter("guard.skipped").Value(), int64(l.Skipped)},
-		{h.Counter("guard.rollbacks").Value(), int64(l.Rollbacks)},
-		{h.Counter("serve.served").Value(), int64(res.Served)},
-		{h.Counter("serve.shed").Value(), int64(res.Shed)},
-		{h.Counter("serve.hedges_launched").Value(), int64(res.HedgesLaunched)},
-	} {
-		fmt.Printf("  obs %5d  ledger %5d  match=%v\n", row[0], row[1], row[0] == row[1])
-	}
+	fmt.Println("\nReconcile, every counter vs its subsystem's own ledger (<nil> = exact):")
+	fmt.Println("  guard:", g.Ledger().Reconcile(h))
+	fmt.Println("  serve:", res.Reconcile(h))
 
 	fmt.Println("\nfirst spans (timestamps are simulated seconds, not wall time):")
 	for i, sp := range h.Tracer.Spans() {

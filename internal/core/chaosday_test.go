@@ -77,7 +77,7 @@ func TestChaosDayBenchmark(t *testing.T) {
 	if d.processed <= 0 || len(d.actors) != 7 {
 		t.Fatalf("degenerate day: events=%d actors=%v", d.processed, d.actors)
 	}
-	if !d.reconciled {
-		t.Fatalf("day did not reconcile: %s", d.detail)
+	if d.reconcileErr != nil {
+		t.Fatalf("day did not reconcile: %v", d.reconcileErr)
 	}
 }

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 
 	"dlsys/internal/data"
 	"dlsys/internal/device"
@@ -82,8 +84,7 @@ type chaosDay struct {
 
 	regFP, traceFP, serveFP, repFP, kernelFP, dbFP, fleetFP uint64
 
-	reconciled bool
-	detail     string
+	reconcileErr error
 }
 
 // x10Scenario is the composed production day, fixed at construction time:
@@ -320,80 +321,8 @@ func newX10Scenario(scale Scale) (*x10Scenario, error) {
 		// Invariant 3: every counter on the SHARED registry reconciles
 		// exactly with the subsystem's own ledger — all four subsystems
 		// wrote into one handle for the whole day.
-		r := &reconciler{h: h}
-		r.eq("distributed.retransmissions", int64(stats.Retransmissions))
-		r.eq("distributed.dropped_messages", int64(stats.DroppedMessages))
-		r.eq("distributed.corruptions", int64(stats.Corruptions))
-		r.eq("distributed.timeouts", int64(stats.Timeouts))
-		r.eq("distributed.crashes", int64(stats.Crashes))
-		r.eq("distributed.rejoins", int64(stats.Rejoins))
-		r.eq("distributed.restores", int64(stats.Restores))
-		r.eq("distributed.snapshots", int64(stats.Snapshots))
-		r.eq("distributed.snapshot_bytes", stats.SnapshotBytes)
-		r.eq("distributed.straggler_rounds", int64(stats.StragglerRounds))
-		r.eq("distributed.excluded_slow", int64(stats.ExcludedSlow))
-		r.eq("distributed.numerical_faults", int64(stats.NumericalFaults))
-		r.eq("distributed.guard_skipped", int64(stats.GuardSkipped))
-		r.eq("distributed.guard_restores", int64(stats.GuardRestores))
-		r.eq("distributed.averaging_rounds", int64(stats.AveragingRound))
-		r.eq("distributed.steps", int64(stats.Steps))
-		r.eq("distributed.bytes_sent", stats.BytesSent)
-		r.gaugeEq("distributed.sim_seconds", stats.SimSeconds)
-		r.eq("serve.served", int64(res.Served))
-		r.eq("serve.shed", int64(res.Shed))
-		r.eq("serve.failed", int64(res.Failed))
-		r.eq("serve.hedges_launched", int64(res.HedgesLaunched))
-		r.eq("serve.hedge_wins", int64(res.HedgeWins))
-		r.eq("serve.breaker_opened", int64(res.BreakerOpened))
-		r.eq("serve.breaker_reclosed", int64(res.BreakerReclosed))
-		for tier := serve.TierFull; tier < serve.Tier(4); tier++ {
-			r.eq("serve.tier."+tier.String()+".served", int64(res.TierCounts[tier]))
-			hist := h.Reg.Histogram("serve.tier."+tier.String()+".latency_seconds", nil)
-			r.check(hist.Count() == int64(res.TierCounts[tier]),
-				fmt.Sprintf("tier %s latency count %d want %d", tier, hist.Count(), res.TierCounts[tier]))
-			var want float64
-			for _, rec := range res.Records {
-				if rec.Outcome == serve.Served && rec.Tier == tier {
-					want += rec.LatencyS
-				}
-			}
-			r.check(hist.Sum() == want,
-				fmt.Sprintf("tier %s latency sum %g want %g", tier, hist.Sum(), want))
-		}
-		st, led := d.dbStats, eng.Ledger()
-		r.eq("livedb.lookups", int64(st.Lookups))
-		r.eq("livedb.range_scans", int64(st.RangeScans))
-		r.eq("livedb.inserts", int64(st.Stored))
-		r.eq("livedb.duplicates", int64(st.Duplicates))
-		r.eq("livedb.retrains", int64(st.Retrains))
-		r.eq("livedb.swaps", int64(st.Swaps))
-		r.eq("livedb.rollbacks", int64(st.Rollbacks))
-		r.eq("livedb.quarantined", int64(st.Quarantined))
-		for tier := livedb.TierLearned; int(tier) < livedb.NumTiers; tier++ {
-			r.eq("livedb.tier."+tier.String()+".served", int64(st.TierServed[tier]))
-		}
-		r.check(led.Count(livedb.EvRetrainStart) == st.Retrains, "index ledger retrains != stats")
-		r.check(led.Count(livedb.EvSwap) == st.Swaps, "index ledger swaps != stats")
-		r.check(led.Count(livedb.EvRollback) == st.Rollbacks, "index ledger rollbacks != stats")
-		r.check(led.SumN(livedb.EvRollback) == st.Quarantined, "index ledger quarantined != stats")
-		r.eq("fleet.arrived", int64(fres.Requests))
-		r.eq("fleet.served", int64(fres.Served))
-		r.eq("fleet.shed", int64(fres.Shed))
-		r.eq("fleet.failed", int64(fres.Failed))
-		r.eq("fleet.retries", int64(fres.Retries))
-		r.eq("fleet.retries_denied", int64(fres.RetriesDenied))
-		r.eq("fleet.cache_hits", int64(fres.CacheHits))
-		r.eq("fleet.cache_misses", int64(fres.CacheMisses))
-		r.eq("fleet.scale_up_replicas", int64(fres.ScaleUpReplicas))
-		r.eq("fleet.scale_down_replicas", int64(fres.ScaleDownReplicas))
-		for i, ts := range fres.Tenants {
-			r.eq(serve.TenantCounterName(i, "arrived"), int64(ts.Arrived))
-			r.eq(serve.TenantCounterName(i, "served"), int64(ts.Served))
-			r.eq(serve.TenantCounterName(i, "shed"), int64(ts.Shed))
-			r.eq(serve.TenantCounterName(i, "failed"), int64(ts.Failed))
-		}
-		r.check(h.Tracer.Len() > 0, "no spans recorded")
-		d.reconciled, d.detail = r.result()
+		d.reconcileErr = errors.Join(stats.Reconcile(h), res.Reconcile(h),
+			eng.Reconcile(), fres.Reconcile(h))
 		return d, nil
 	}
 
@@ -482,11 +411,11 @@ func runX10(scale Scale) *Table {
 		fmt.Sprintf("held_out=%.4g clean=%.4g ratio=%.4g cap=%.4g", d1.loss, sc.cleanLoss, ratio, x10DivergenceCap),
 		yesNo(okLoss && okIncidents))
 
-	detail := d1.detail
-	if detail == "" {
-		detail = "every counter exact on the shared registry"
+	detail := "every counter exact on the shared registry"
+	if d1.reconcileErr != nil {
+		detail = strings.ReplaceAll(d1.reconcileErr.Error(), "\n", "; ")
 	}
-	t.AddRow("invariant-3-reconcile", detail, yesNo(d1.reconciled && d2.reconciled))
+	t.AddRow("invariant-3-reconcile", detail, yesNo(d1.reconcileErr == nil && d2.reconcileErr == nil))
 
 	replay := d1.regFP == d2.regFP && d1.traceFP == d2.traceFP &&
 		d1.serveFP == d2.serveFP && d1.repFP == d2.repFP &&

@@ -95,39 +95,16 @@ func x14Requests(scale Scale) int {
 	return 200_000
 }
 
-// x14Run executes one arm and returns the result plus the kernel and
-// registry fingerprints for the replay row.
-func x14Run(requests int, fullPlane bool) (serve.FleetResult, uint64, uint64, int, error) {
+// x14Run executes one arm and returns the result and its handle plus the
+// kernel fingerprint and event count for the replay and scale rows.
+func x14Run(requests int, fullPlane bool) (serve.FleetResult, *obs.Handle, uint64, int, error) {
 	h := obs.NewHandle()
 	f, err := serve.NewFleet(x14Config(requests, fullPlane, h))
 	if err != nil {
-		return serve.FleetResult{}, 0, 0, 0, err
+		return serve.FleetResult{}, nil, 0, 0, err
 	}
 	res := f.Run()
-	return res, f.Kernel().Fingerprint(), h.Reg.Fingerprint(), f.Kernel().Processed(), nil
-}
-
-// x14Reconcile checks the X8-style exact contract on the fleet: every
-// counter on the run's registry equals the ledger tally.
-func x14Reconcile(h *obs.Handle, res serve.FleetResult) (bool, string) {
-	r := &reconciler{h: h}
-	r.eq("fleet.arrived", int64(res.Requests))
-	r.eq("fleet.served", int64(res.Served))
-	r.eq("fleet.shed", int64(res.Shed))
-	r.eq("fleet.failed", int64(res.Failed))
-	r.eq("fleet.retries", int64(res.Retries))
-	r.eq("fleet.retries_denied", int64(res.RetriesDenied))
-	r.eq("fleet.cache_hits", int64(res.CacheHits))
-	r.eq("fleet.cache_misses", int64(res.CacheMisses))
-	r.eq("fleet.scale_up_replicas", int64(res.ScaleUpReplicas))
-	r.eq("fleet.scale_down_replicas", int64(res.ScaleDownReplicas))
-	for i, ts := range res.Tenants {
-		r.eq(serve.TenantCounterName(i, "arrived"), int64(ts.Arrived))
-		r.eq(serve.TenantCounterName(i, "served"), int64(ts.Served))
-		r.eq(serve.TenantCounterName(i, "shed"), int64(ts.Shed))
-		r.eq(serve.TenantCounterName(i, "failed"), int64(ts.Failed))
-	}
-	return r.result()
+	return res, h, f.Kernel().Fingerprint(), f.Kernel().Processed(), nil
 }
 
 func runX14(scale Scale) *Table {
@@ -137,24 +114,20 @@ func runX14(scale Scale) *Table {
 	requests := x14Requests(scale)
 
 	// Budgets-off arm: the metastable collapse.
-	off, offKFP, _, offEvents, err := x14Run(requests, false)
+	off, _, offKFP, offEvents, err := x14Run(requests, false)
 	if err != nil {
 		t.AddRow("run-off", err.Error(), yesNo(false))
 		t.Shape = "budgets-off arm failed"
 		return t
 	}
-	// Full-plane arm, twice: recovery plus the replay fingerprints. The
-	// second run reuses the reconcile handle so the registry fingerprint
-	// comparison covers every instrument.
-	on1, on1KFP, on1RFP, on1Events, err1 := x14Run(requests, true)
-	h2 := obs.NewHandle()
-	f2, err2 := serve.NewFleet(x14Config(requests, true, h2))
+	// Full-plane arm, twice: recovery plus the replay fingerprints.
+	on1, h1, on1KFP, on1Events, err1 := x14Run(requests, true)
+	on2, h2, on2KFP, _, err2 := x14Run(requests, true)
 	if err1 != nil || err2 != nil {
 		t.AddRow("run-on", fmt.Sprintf("%v / %v", err1, err2), yesNo(false))
 		t.Shape = "full-plane arm failed"
 		return t
 	}
-	on2 := f2.Run()
 
 	complete := on1.Served+on1.Shed+on1.Failed == requests &&
 		off.Served+off.Shed+off.Failed == requests
@@ -202,18 +175,19 @@ func runX14(scale Scale) *Table {
 		yesNo(on1.ScaleUpReplicas > 0 && on1.ScaleDownReplicas > 0 &&
 			on1.PeakReplicas > 10 && on1.PeakReplicas <= 20 && on1.CacheHits > 0))
 
-	reconciled, detail := x14Reconcile(h2, on2)
-	if detail == "" {
-		detail = "every fleet counter exact against the request ledger"
+	detail := "every fleet counter exact against the request ledger"
+	recErr := on2.Reconcile(h2)
+	if recErr != nil {
+		detail = recErr.Error()
 	}
-	t.AddRow("reconcile", detail, yesNo(reconciled))
+	t.AddRow("reconcile", detail, yesNo(recErr == nil))
 
 	replay := on1.LedgerFP == on2.LedgerFP &&
-		on1KFP == f2.Kernel().Fingerprint() &&
-		on1RFP == h2.Reg.Fingerprint() &&
+		on1KFP == on2KFP &&
+		h1.Reg.Fingerprint() == h2.Reg.Fingerprint() &&
 		offKFP != on1KFP // arms must differ: the toggle changes the day
 	t.AddRow("replay",
-		fmt.Sprintf("ledger=%016x kernel=%016x registry=%016x", on1.LedgerFP, on1KFP, on1RFP),
+		fmt.Sprintf("ledger=%016x kernel=%016x registry=%016x", on1.LedgerFP, on1KFP, h1.Reg.Fingerprint()),
 		yesNo(replay))
 
 	t.Shape = "the budgets-off arm collapses after the crowd and stays collapsed; the full control plane recovers within the stated bound, isolates tenants, reconciles exactly, and replays bit-identically"

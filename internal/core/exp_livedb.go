@@ -47,8 +47,7 @@ type x11Cell struct {
 
 	kernelFP, ledgerFP, regFP [2]uint64
 
-	reconciled bool
-	detail     string
+	reconcileErr error
 
 	serving          bool
 	learnedS, btreeS float64
@@ -96,7 +95,7 @@ func x11CellConfig(drift, faultMode string, ops int, rate float64, seed int64) l
 // stats, fingerprints, reconciliation verdict, and the live crossover
 // sample.
 func runX11Cell(drift, faultMode string, nKeys, ops int, rate float64) (*x11Cell, error) {
-	c := &x11Cell{drift: drift, faults: faultMode, reconciled: true}
+	c := &x11Cell{drift: drift, faults: faultMode}
 	seed := int64(300 + 10*len(drift) + len(faultMode))
 	initial := learned.ClusteredKeys(rand.New(rand.NewSource(seed)), nKeys, 4, 1<<44)
 
@@ -142,36 +141,7 @@ func runX11Cell(drift, faultMode string, nKeys, ops int, rate float64) (*x11Cell
 
 		// Invariant (c), counter half: the shared registry reconciles
 		// exactly with the engine's stats mirror and the maintenance ledger.
-		st, led := c.stats, eng.Ledger()
-		r := &reconciler{h: h}
-		r.eq("livedb.lookups", int64(st.Lookups))
-		r.eq("livedb.range_scans", int64(st.RangeScans))
-		r.eq("livedb.inserts", int64(st.Stored))
-		r.eq("livedb.duplicates", int64(st.Duplicates))
-		r.eq("livedb.bloom_fp", int64(st.BloomFP))
-		r.eq("livedb.bloom_tn", int64(st.BloomTN))
-		r.eq("livedb.degraded_probes", int64(st.DegradedProbes))
-		r.eq("livedb.window_violations", int64(st.WindowViolations))
-		r.eq("livedb.retrains", int64(st.Retrains))
-		r.eq("livedb.swaps", int64(st.Swaps))
-		r.eq("livedb.rollbacks", int64(st.Rollbacks))
-		r.eq("livedb.cooldowns", int64(st.Cooldowns))
-		r.eq("livedb.quarantined", int64(st.Quarantined))
-		r.eq("livedb.drift_flags", int64(st.DriftFlags))
-		r.eq("livedb.snapshots", int64(st.Snapshots))
-		r.eq("livedb.snapshots_skipped", int64(st.SnapshotsSkipped))
-		for tier := livedb.TierLearned; int(tier) < livedb.NumTiers; tier++ {
-			r.eq("livedb.tier."+tier.String()+".served", int64(st.TierServed[tier]))
-			hist := h.Reg.Histogram("livedb.tier."+tier.String()+".latency_seconds", nil)
-			r.check(hist.Count() == int64(st.TierServed[tier]),
-				fmt.Sprintf("tier %s latency count %d want %d", tier, hist.Count(), st.TierServed[tier]))
-		}
-		r.check(led.Count(livedb.EvRetrainStart) == st.Retrains, "ledger retrains != stats")
-		r.check(led.Count(livedb.EvSwap) == st.Swaps, "ledger swaps != stats")
-		r.check(led.Count(livedb.EvRollback) == st.Rollbacks, "ledger rollbacks != stats")
-		r.check(led.Count(livedb.EvCooldownEnd) == st.Cooldowns, "ledger cooldowns != stats")
-		r.check(led.SumN(livedb.EvRollback) == st.Quarantined, "ledger quarantined != stats")
-		c.reconciled, c.detail = r.result()
+		c.reconcileErr = eng.Reconcile()
 	}
 	return c, nil
 }
@@ -234,7 +204,7 @@ func runX11(scale Scale) *Table {
 	swapsSeen, winChecked, winOK := 0, 0, true
 	burstyQuarantines := 0
 	for _, c := range cells {
-		cellOK := c.availOK() && c.stats.WindowViolations == 0 && c.reconciled && c.replayOK()
+		cellOK := c.availOK() && c.stats.WindowViolations == 0 && c.reconcileErr == nil && c.replayOK()
 		t.AddRow("cell-"+c.drift+"-"+c.faults,
 			fmt.Sprintf("retrains=%d swaps=%d rollbacks=%d quarantined=%d corrupted=%d mismatches=%d %s",
 				c.stats.Retrains, c.stats.Swaps, c.stats.Rollbacks, c.stats.Quarantined,
@@ -242,7 +212,7 @@ func runX11(scale Scale) *Table {
 			yesNo(cellOK))
 		allAvail = allAvail && c.availOK()
 		allWindow = allWindow && c.stats.WindowViolations == 0
-		allRecon = allRecon && c.reconciled && c.replayOK()
+		allRecon = allRecon && c.reconcileErr == nil && c.replayOK()
 		swapsSeen += c.stats.Swaps
 		if c.stats.Swaps > 0 && c.serving {
 			winChecked++

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"strings"
 
 	"dlsys/internal/data"
 	"dlsys/internal/device"
@@ -38,41 +37,12 @@ func init() {
 	})
 }
 
-// reconciler collects counter-vs-ledger mismatches for one scenario run.
-type reconciler struct {
-	h          *obs.Handle
-	mismatches []string
-}
-
-func (r *reconciler) eq(name string, want int64) {
-	if got := r.h.Reg.Counter(name).Value(); got != want {
-		r.mismatches = append(r.mismatches, fmt.Sprintf("%s=%d want %d", name, got, want))
-	}
-}
-
-func (r *reconciler) gaugeEq(name string, want float64) {
-	if got := r.h.Reg.Gauge(name).Value(); got != want {
-		r.mismatches = append(r.mismatches, fmt.Sprintf("%s=%g want %g", name, got, want))
-	}
-}
-
-func (r *reconciler) check(cond bool, detail string) {
-	if !cond {
-		r.mismatches = append(r.mismatches, detail)
-	}
-}
-
-func (r *reconciler) result() (bool, string) {
-	return len(r.mismatches) == 0, strings.Join(r.mismatches, "; ")
-}
-
 // obsScenario is one instrumented replay target. run executes the scenario
 // against the handle (nil = uninstrumented baseline for the overhead
-// measurement) and reports whether every counter reconciled with the
-// subsystem's own ledger.
+// measurement) and returns the subsystem's Reconcile verdict on it.
 type obsScenario struct {
 	name string
-	run  func(h *obs.Handle) (reconciled bool, detail string)
+	run  func(h *obs.Handle) error
 }
 
 // x8Scenarios builds the instrumented replays of the X5/X6/X7 paths. All
@@ -94,52 +64,29 @@ func x8Scenarios(scale Scale) []obsScenario {
 	y := nn.OneHot(train.Labels, 3)
 	arch := nn.MLPConfig{In: 6, Hidden: []int{24}, Out: 3}
 	distScenario := func(name string, averagePeriod int) obsScenario {
-		return obsScenario{name: name, run: func(h *obs.Handle) (bool, string) {
+		return obsScenario{name: name, run: func(h *obs.Handle) error {
 			_, stats, err := distributed.Train(151, train.X, y, distributed.Config{
 				Workers: 4, Arch: arch, Epochs: epochs, BatchSize: 16, LR: 0.1,
 				AveragePeriod: averagePeriod, TopK: 0.25,
 				Fault: fault.Rate(152, 0.1), SnapshotPeriod: 3, DropSlowestK: 1,
 				Obs: h,
 			})
-			if err != nil {
-				return false, err.Error()
+			if err != nil || h == nil {
+				return err
 			}
-			if h == nil {
-				return true, ""
-			}
-			r := &reconciler{h: h}
-			r.eq("distributed.retransmissions", int64(stats.Retransmissions))
-			r.eq("distributed.dropped_messages", int64(stats.DroppedMessages))
-			r.eq("distributed.corruptions", int64(stats.Corruptions))
-			r.eq("distributed.timeouts", int64(stats.Timeouts))
-			r.eq("distributed.crashes", int64(stats.Crashes))
-			r.eq("distributed.rejoins", int64(stats.Rejoins))
-			r.eq("distributed.restores", int64(stats.Restores))
-			r.eq("distributed.snapshots", int64(stats.Snapshots))
-			r.eq("distributed.snapshot_bytes", stats.SnapshotBytes)
-			r.eq("distributed.straggler_rounds", int64(stats.StragglerRounds))
-			r.eq("distributed.excluded_slow", int64(stats.ExcludedSlow))
-			r.eq("distributed.numerical_faults", int64(stats.NumericalFaults))
-			r.eq("distributed.guard_skipped", int64(stats.GuardSkipped))
-			r.eq("distributed.guard_restores", int64(stats.GuardRestores))
-			r.eq("distributed.averaging_rounds", int64(stats.AveragingRound))
-			r.eq("distributed.steps", int64(stats.Steps))
-			r.eq("distributed.bytes_sent", stats.BytesSent)
-			r.gaugeEq("distributed.sim_seconds", stats.SimSeconds)
-			r.check(h.Tracer.Len() > 0, "no spans recorded")
-			return r.result()
+			return stats.Reconcile(h)
 		}}
 	}
 
 	// X6 path: variant building plus a replica fleet under faults and
 	// overload — the same compute balance as the X6 benchmark, so the
 	// overhead measurement reflects the path the claim is about.
-	serveScenario := obsScenario{name: "serve", run: func(h *obs.Handle) (bool, string) {
+	serveScenario := obsScenario{name: "serve", run: func(h *obs.Handle) error {
 		variants, eval, err := serve.BuildVariants(serve.VariantsConfig{
 			Seed: 160, Examples: n, Epochs: epochs,
 		})
 		if err != nil {
-			return false, err.Error()
+			return err
 		}
 		mk := func(v serve.Variant) serve.Replica {
 			return serve.Replica{Variant: v, Device: device.EdgeDevice, Efficiency: 0.5}
@@ -158,38 +105,13 @@ func x8Scenarios(scale Scale) []obsScenario {
 			Obs:           h,
 		})
 		if err != nil {
-			return false, err.Error()
+			return err
 		}
 		res := srv.Run()
 		if h == nil {
-			return true, ""
+			return nil
 		}
-		r := &reconciler{h: h}
-		r.eq("serve.served", int64(res.Served))
-		r.eq("serve.shed", int64(res.Shed))
-		r.eq("serve.failed", int64(res.Failed))
-		r.eq("serve.hedges_launched", int64(res.HedgesLaunched))
-		r.eq("serve.hedge_wins", int64(res.HedgeWins))
-		r.eq("serve.breaker_opened", int64(res.BreakerOpened))
-		r.eq("serve.breaker_reclosed", int64(res.BreakerReclosed))
-		for t := serve.TierFull; t < serve.Tier(4); t++ {
-			r.eq("serve.tier."+t.String()+".served", int64(res.TierCounts[t]))
-			hist := h.Reg.Histogram("serve.tier."+t.String()+".latency_seconds", nil)
-			r.check(hist.Count() == int64(res.TierCounts[t]),
-				fmt.Sprintf("tier %s latency count %d want %d", t, hist.Count(), res.TierCounts[t]))
-			// The histogram sum must equal the ledger's latencies added in
-			// the same (request) order — bit-identical, not approximately.
-			var want float64
-			for _, rec := range res.Records {
-				if rec.Outcome == serve.Served && rec.Tier == t {
-					want += rec.LatencyS
-				}
-			}
-			r.check(hist.Sum() == want,
-				fmt.Sprintf("tier %s latency sum %g want %g", t, hist.Sum(), want))
-		}
-		r.check(h.Tracer.Len() == requests, fmt.Sprintf("spans %d want one per request (%d)", h.Tracer.Len(), requests))
-		return r.result()
+		return res.Reconcile(h)
 	}}
 
 	// X7 path: guarded training under numerical faults.
@@ -197,7 +119,7 @@ func x8Scenarios(scale Scale) []obsScenario {
 	gds := data.GaussianMixture(grng, n, 6, 3, 2.5)
 	gtrain, _ := gds.Split(grng, 0.8)
 	gy := nn.OneHot(gtrain.Labels, 3)
-	guardScenario := obsScenario{name: "selfheal", run: func(h *obs.Handle) (bool, string) {
+	guardScenario := obsScenario{name: "selfheal", run: func(h *obs.Handle) error {
 		net := nn.NewMLP(rand.New(rand.NewSource(171)), nn.MLPConfig{In: 6, Hidden: []int{24}, Out: 3})
 		tr := nn.NewTrainer(net, nn.NewSoftmaxCrossEntropy(), nn.NewAdam(0.01), rand.New(rand.NewSource(172)))
 		g := guard.New(tr, guard.Policy{Mode: guard.Enforce, Schema: guard.NewBatchSchema(gtrain.X, 6), Obs: h})
@@ -215,58 +137,24 @@ func x8Scenarios(scale Scale) []obsScenario {
 			LRSpike: func(step int) float64 { return inj.LRSpikeFactor(0, step) },
 		})
 		if h == nil {
-			return true, ""
+			return nil
 		}
-		l := g.Ledger()
-		r := &reconciler{h: h}
-		r.eq("guard.incidents", int64(l.Len()))
-		r.eq("guard.skipped", int64(l.Skipped))
-		r.eq("guard.clipped", int64(l.Clipped))
-		r.eq("guard.backoffs", int64(l.Backoffs))
-		r.eq("guard.rollbacks", int64(l.Rollbacks))
-		r.eq("guard.drifts", int64(l.Drifts))
-		r.eq("guard.observed", int64(l.Observed))
-		rollbackSpans := 0
-		for _, sp := range h.Tracer.Spans() {
-			if sp.Name == "guard.rollback" {
-				rollbackSpans++
-			}
-		}
-		r.check(rollbackSpans == l.Rollbacks,
-			fmt.Sprintf("rollback spans %d want %d", rollbackSpans, l.Rollbacks))
-		return r.result()
+		return g.Ledger().Reconcile(h)
 	}}
 
 	// X5's pipeline rows: compression stages failing and falling back, plus
 	// a guarded training stage feeding incidents through the same handle.
-	pipeScenario := obsScenario{name: "pipeline", run: func(h *obs.Handle) (bool, string) {
+	pipeScenario := obsScenario{name: "pipeline", run: func(h *obs.Handle) error {
 		l, err := pipeline.Run(pipeline.Spec{
 			Seed: 153, Epochs: epochs, PruneSparsity: 0.5, DistillWidth: 8,
 			QuantizeBits: 8, FaultRate: 0.5,
 			SelfHeal: true, NumericalFaultRate: 0.05,
 			Obs: h,
 		})
-		if err != nil {
-			return false, err.Error()
+		if err != nil || h == nil {
+			return err
 		}
-		if h == nil {
-			return true, ""
-		}
-		r := &reconciler{h: h}
-		r.eq("pipeline.stages", int64(len(l.Stages)))
-		r.eq("pipeline.degraded", int64(len(l.Degraded)))
-		r.eq("pipeline.incidents", int64(l.Incidents))
-		r.eq("pipeline.rollbacks", int64(l.Rollbacks))
-		r.eq("guard.incidents", int64(l.Incidents)) // guard shares the handle
-		stageSpans := 0
-		for _, sp := range h.Tracer.Spans() {
-			if strings.HasPrefix(sp.Name, "pipeline.stage.") {
-				stageSpans++
-			}
-		}
-		r.check(stageSpans == len(l.Stages),
-			fmt.Sprintf("stage spans %d want %d", stageSpans, len(l.Stages)))
-		return r.result()
+		return l.Reconcile(h)
 	}}
 
 	return []obsScenario{
@@ -285,15 +173,12 @@ func runX8(scale Scale) *Table {
 
 	for _, sc := range x8Scenarios(scale) {
 		h1 := obs.NewHandle()
-		ok1, detail := sc.run(h1)
+		err1 := sc.run(h1)
 		h2 := obs.NewHandle()
-		ok2, _ := sc.run(h2)
+		err2 := sc.run(h2)
 		replay := h1.Reg.Fingerprint() == h2.Reg.Fingerprint() &&
 			h1.Tracer.Fingerprint() == h2.Tracer.Fingerprint()
-		reconciled := ok1 && ok2
-		if detail == "" {
-			detail = "ok"
-		}
+		reconciled := err1 == nil && err2 == nil
 
 		t.AddRow(sc.name,
 			fmt.Sprintf("%016x", h1.Reg.Fingerprint()),

@@ -71,9 +71,10 @@ func TestX12TopologyClaims(t *testing.T) {
 }
 
 // TestX12HealsReconcileAtN64 runs X12's hardest quick cell — n=64, ring,
-// link faults and churn together — with obs attached and checks that the
-// distributed.topo_heals counter equals Stats.TopoHeals. The table's
-// invariant-d-reconciliation row reconciles only at n=16.
+// link faults and churn together — with obs attached, checks that the cell
+// healed at least once, and reconciles all 32 distributed counters and 3
+// gauges with Stats. The table's invariant-d-reconciliation row reconciles
+// only at n=16.
 func TestX12HealsReconcileAtN64(t *testing.T) {
 	if testing.Short() {
 		t.Skip("X12 n=64 cell skipped in -short mode")
@@ -88,7 +89,10 @@ func TestX12HealsReconcileAtN64(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := h.Reg.Counter("distributed.topo_heals").Value(); stats.TopoHeals == 0 || got != int64(stats.TopoHeals) {
-		t.Fatalf("distributed.topo_heals=%d, Stats.TopoHeals=%d; want equal and nonzero", got, stats.TopoHeals)
+	if stats.TopoHeals == 0 {
+		t.Fatal("the n=64 cell never healed")
+	}
+	if err := stats.Reconcile(h); err != nil {
+		t.Fatal(err)
 	}
 }

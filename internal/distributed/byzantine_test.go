@@ -3,10 +3,12 @@ package distributed
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"dlsys/internal/fault"
 	"dlsys/internal/nn"
+	"dlsys/internal/obs"
 	"dlsys/internal/robust"
 )
 
@@ -183,6 +185,7 @@ func TestLocalSGDByzantineQuarantine(t *testing.T) {
 	cfg := byzCfg(4, robust.CoordMedian{}, &robust.ReputationConfig{Probation: 4})
 	cfg.AveragePeriod = 2
 	cfg.Epochs = 10
+	cfg.Obs = obs.NewHandle()
 	_, stats := mustTrain(t, 150, train.X, y, cfg)
 	if stats.ByzantineAttacks == 0 {
 		t.Fatal("Local SGD regime: adversary never corrupted an upload")
@@ -192,6 +195,15 @@ func TestLocalSGDByzantineQuarantine(t *testing.T) {
 	}
 	if stats.Readmissions == 0 {
 		t.Fatal("probation never expired — readmission path untested")
+	}
+	// The Byzantine and reputation counters reconcile with Stats, and one
+	// extra increment is named.
+	if err := stats.Reconcile(cfg.Obs); err != nil {
+		t.Fatal(err)
+	}
+	cfg.Obs.Counter("distributed.readmissions").Inc()
+	if err := stats.Reconcile(cfg.Obs); err == nil || !strings.Contains(err.Error(), "distributed.readmissions=") {
+		t.Fatalf("a bumped distributed.readmissions was not named: %v", err)
 	}
 }
 

@@ -131,7 +131,8 @@ var goldenPins = map[string][2]uint64{
 // the Local SGD regime — under compression, worker faults, Byzantine
 // defences, link faults with churn, and total upload loss. Unlike the
 // same-code replay tests, these constants catch a refactor that changes
-// behaviour.
+// behaviour. Every row also reconciles its registry with Stats before the
+// registry is hashed; Reconcile reads without registering, so no pin moves.
 func TestRoundPathsPinned(t *testing.T) {
 	train, _ := distDataset(5)
 	y := nn.OneHot(train.Labels, 3)
@@ -149,6 +150,9 @@ func TestRoundPathsPinned(t *testing.T) {
 				net, stats := mustTrain(t, 17, train.X, y, cfg)
 				if !sc.exercised(topo, stats) {
 					t.Errorf("%s: scenario not exercised: %+v", name, stats)
+				}
+				if err := stats.Reconcile(cfg.Obs); err != nil {
+					t.Errorf("%s: %v", name, err)
 				}
 				got := [2]uint64{runDigest(t, net.ParamVector(), stats, cfg), cfg.Obs.Tracer.Fingerprint()}
 				if want, ok := goldenPins[name]; !ok || got != want {

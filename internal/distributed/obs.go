@@ -9,8 +9,8 @@ import (
 // distObs holds the pre-resolved observability instruments for one Train
 // run. Instruments are resolved once up front (never in the hot loop), and
 // every field is a nil no-op when the run is un-instrumented, so call sites
-// stay unconditional. Counter names mirror the Stats fields one-to-one —
-// experiment X8 asserts they reconcile exactly.
+// stay unconditional. Counter and gauge names mirror the Stats fields
+// one-to-one, and Stats.Reconcile checks them.
 type distObs struct {
 	h *obs.Handle
 
@@ -98,4 +98,49 @@ func (d *distObs) observeSteps(results []gradResult) {
 	for _, r := range results {
 		d.stepSeconds[r.wk.id].Observe(r.seconds)
 	}
+}
+
+// Reconcile checks the run's instruments on h against s — every counter
+// and gauge equals its Stats field exactly, and one distributed.train span
+// — and returns one error naming every mismatch and every unchecked
+// distributed.* counter. Reading h creates nothing.
+func (s Stats) Reconcile(h *obs.Handle) error {
+	r := obs.NewReconciler(h, "distributed.")
+	r.Counter("distributed.retransmissions", int64(s.Retransmissions))
+	r.Counter("distributed.dropped_messages", int64(s.DroppedMessages))
+	r.Counter("distributed.corruptions", int64(s.Corruptions))
+	r.Counter("distributed.timeouts", int64(s.Timeouts))
+	r.Counter("distributed.crashes", int64(s.Crashes))
+	r.Counter("distributed.rejoins", int64(s.Rejoins))
+	r.Counter("distributed.restores", int64(s.Restores))
+	r.Counter("distributed.snapshots", int64(s.Snapshots))
+	r.Counter("distributed.straggler_rounds", int64(s.StragglerRounds))
+	r.Counter("distributed.excluded_slow", int64(s.ExcludedSlow))
+	r.Counter("distributed.numerical_faults", int64(s.NumericalFaults))
+	r.Counter("distributed.guard_skipped", int64(s.GuardSkipped))
+	r.Counter("distributed.guard_restores", int64(s.GuardRestores))
+	r.Counter("distributed.byzantine_attacks", int64(s.ByzantineAttacks))
+	r.Counter("distributed.quarantine_excluded", int64(s.QuarantineExcluded))
+	r.Counter("distributed.quarantines", int64(s.Quarantines))
+	r.Counter("distributed.readmissions", int64(s.Readmissions))
+	r.Counter("distributed.averaging_rounds", int64(s.AveragingRound))
+	r.Counter("distributed.steps", int64(s.Steps))
+	r.Counter("distributed.bytes_sent", s.BytesSent)
+	r.Counter("distributed.snapshot_bytes", s.SnapshotBytes)
+	r.Counter("distributed.link_dropped", int64(s.LinkDropped))
+	r.Counter("distributed.link_slow_hops", int64(s.LinkSlowHops))
+	r.Counter("distributed.link_excluded", int64(s.LinkExcluded))
+	r.Counter("distributed.partitioned_rounds", int64(s.PartitionedRounds))
+	r.Counter("distributed.topo_heals", int64(s.TopoHeals))
+	r.Counter("distributed.topo_degraded", int64(s.TopoDegraded))
+	r.Counter("distributed.membership_epochs", int64(s.MembershipEpochs))
+	r.Counter("distributed.joins", int64(s.Joins))
+	r.Counter("distributed.leaves", int64(s.Leaves))
+	r.Counter("distributed.catchups", int64(s.CatchUps))
+	r.Counter("distributed.comm_rounds", int64(s.CommRounds))
+	r.Gauge("distributed.sim_seconds", s.SimSeconds)
+	r.Gauge("distributed.agg_seconds", s.AggSeconds)
+	r.Gauge("distributed.comm_seconds", s.CommSeconds)
+	r.Spans("distributed.train", 1)
+	return r.Err()
 }

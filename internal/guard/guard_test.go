@@ -3,11 +3,13 @@ package guard
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"dlsys/internal/data"
 	"dlsys/internal/fault"
 	"dlsys/internal/nn"
+	"dlsys/internal/obs"
 	"dlsys/internal/tensor"
 )
 
@@ -86,7 +88,8 @@ func TestBatchSchemaChecks(t *testing.T) {
 
 func TestRollbackRestoresBitIdenticalParams(t *testing.T) {
 	tr, ds, y := newTrainer(4)
-	g := New(tr, Policy{SnapshotEvery: 1, RollbackAfter: 3})
+	h := obs.NewHandle()
+	g := New(tr, Policy{SnapshotEvery: 1, RollbackAfter: 3, Obs: h})
 	// A few healthy steps; SnapshotEvery=1 snapshots after each.
 	for i := 0; i < 5; i++ {
 		bx, by := nn.GatherBatch(ds.X, y, []int{4 * i, 4*i + 1, 4*i + 2, 4*i + 3})
@@ -112,6 +115,15 @@ func TestRollbackRestoresBitIdenticalParams(t *testing.T) {
 	}
 	if g.BaseLR() >= 0.01 {
 		t.Fatalf("base LR %g not damped after rollback", g.BaseLR())
+	}
+	// The counters and the rollback span reconcile with the ledger, and one
+	// extra increment is named.
+	if err := g.Ledger().Reconcile(h); err != nil {
+		t.Fatal(err)
+	}
+	h.Counter("guard.rollbacks").Inc()
+	if err := g.Ledger().Reconcile(h); err == nil || !strings.Contains(err.Error(), "guard.rollbacks=") {
+		t.Fatalf("a bumped guard.rollbacks was not named: %v", err)
 	}
 }
 

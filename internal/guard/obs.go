@@ -5,8 +5,8 @@ import (
 )
 
 // guardObs holds the pre-resolved instruments for one guarded run. Counter
-// names mirror the Ledger summary counters one-to-one — experiment X8
-// asserts they reconcile exactly. Every field is a nil no-op for an
+// names mirror the Ledger summary counters one-to-one, and
+// Ledger.Reconcile checks them. Every field is a nil no-op for an
 // un-instrumented run.
 type guardObs struct {
 	h *obs.Handle
@@ -49,4 +49,21 @@ func (o *guardObs) record(in Incident) {
 	case ActionObserved:
 		o.observedCt.Inc()
 	}
+}
+
+// Reconcile checks the run's instruments on h against the ledger — every
+// guard.* counter and one guard.rollback span per rollback — and returns
+// one error naming every mismatch and every unchecked guard.* counter.
+// Reading h creates nothing.
+func (l *Ledger) Reconcile(h *obs.Handle) error {
+	r := obs.NewReconciler(h, "guard.")
+	r.Counter("guard.incidents", int64(l.Len()))
+	r.Counter("guard.skipped", int64(l.Skipped))
+	r.Counter("guard.clipped", int64(l.Clipped))
+	r.Counter("guard.backoffs", int64(l.Backoffs))
+	r.Counter("guard.rollbacks", int64(l.Rollbacks))
+	r.Counter("guard.drifts", int64(l.Drifts))
+	r.Counter("guard.observed", int64(l.Observed))
+	r.Spans("guard.rollback", l.Rollbacks)
+	return r.Err()
 }

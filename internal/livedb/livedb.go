@@ -228,8 +228,9 @@ func log2Cost(n int, per float64) float64 {
 }
 
 // Stats mirrors the engine's obs counters field for field — the
-// reconciliation contract: every counter on the registry must equal the
-// corresponding Stats field exactly at the end of a run.
+// reconciliation contract Engine.Reconcile checks: every counter on the
+// registry must equal the corresponding Stats field exactly at the end of a
+// run.
 type Stats struct {
 	Lookups    int // point queries answered
 	RangeScans int // range-count queries answered
@@ -399,6 +400,43 @@ func (e *Engine) Stats() Stats { return e.stats }
 
 // Ledger returns the maintenance audit trail.
 func (e *Engine) Ledger() *Ledger { return &e.ledger }
+
+// Reconcile checks the instruments on the engine's Config.Obs handle
+// against Stats, and Stats against the ledger: every livedb.* counter, each
+// tier's latency-histogram count, and the ledger's retrain, swap, rollback
+// and cooldown events and quarantined keys. It returns one error naming
+// every mismatch and every unchecked livedb.* counter. Reading creates
+// nothing, so counters the run never touched read as 0.
+func (e *Engine) Reconcile() error {
+	st, led := e.stats, &e.ledger
+	r := obs.NewReconciler(e.h, "livedb.")
+	r.Counter("livedb.lookups", int64(st.Lookups))
+	r.Counter("livedb.range_scans", int64(st.RangeScans))
+	r.Counter("livedb.inserts", int64(st.Stored))
+	r.Counter("livedb.duplicates", int64(st.Duplicates))
+	r.Counter("livedb.bloom_fp", int64(st.BloomFP))
+	r.Counter("livedb.bloom_tn", int64(st.BloomTN))
+	r.Counter("livedb.degraded_probes", int64(st.DegradedProbes))
+	r.Counter("livedb.window_violations", int64(st.WindowViolations))
+	r.Counter("livedb.retrains", int64(st.Retrains))
+	r.Counter("livedb.swaps", int64(st.Swaps))
+	r.Counter("livedb.rollbacks", int64(st.Rollbacks))
+	r.Counter("livedb.cooldowns", int64(st.Cooldowns))
+	r.Counter("livedb.quarantined", int64(st.Quarantined))
+	r.Counter("livedb.drift_flags", int64(st.DriftFlags))
+	r.Counter("livedb.snapshots", int64(st.Snapshots))
+	r.Counter("livedb.snapshots_skipped", int64(st.SnapshotsSkipped))
+	for tier := TierLearned; int(tier) < NumTiers; tier++ {
+		r.Counter("livedb.tier."+tier.String()+".served", int64(st.TierServed[tier]))
+		r.HistogramCount("livedb.tier."+tier.String()+".latency_seconds", int64(st.TierServed[tier]))
+	}
+	r.Check(led.Count(EvRetrainStart) == st.Retrains, "ledger retrains != stats %d", st.Retrains)
+	r.Check(led.Count(EvSwap) == st.Swaps, "ledger swaps != stats %d", st.Swaps)
+	r.Check(led.Count(EvRollback) == st.Rollbacks, "ledger rollbacks != stats %d", st.Rollbacks)
+	r.Check(led.Count(EvCooldownEnd) == st.Cooldowns, "ledger cooldowns != stats %d", st.Cooldowns)
+	r.Check(led.SumN(EvRollback) == st.Quarantined, "ledger quarantined != stats %d", st.Quarantined)
+	return r.Err()
+}
 
 // State returns the maintenance state machine's position.
 func (e *Engine) State() State { return e.state }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"dlsys/internal/fault"
@@ -413,41 +414,12 @@ func TestWindowCapEscalatesUntilSkewedCandidateServes(t *testing.T) {
 func TestCountersReconcileWithStatsAndLedger(t *testing.T) {
 	s := faultyDriftScenario(t, 11)
 	s.run()
-	st := s.eng.Stats()
-	led := s.eng.Ledger()
-
-	counters := map[string]int{
-		"livedb.lookups":           st.Lookups,
-		"livedb.range_scans":       st.RangeScans,
-		"livedb.inserts":           st.Stored,
-		"livedb.duplicates":        st.Duplicates,
-		"livedb.bloom_fp":          st.BloomFP,
-		"livedb.bloom_tn":          st.BloomTN,
-		"livedb.degraded_probes":   st.DegradedProbes,
-		"livedb.window_violations": st.WindowViolations,
-		"livedb.retrains":          st.Retrains,
-		"livedb.swaps":             st.Swaps,
-		"livedb.rollbacks":         st.Rollbacks,
-		"livedb.cooldowns":         st.Cooldowns,
-		"livedb.quarantined":       st.Quarantined,
-		"livedb.drift_flags":       st.DriftFlags,
-		"livedb.snapshots":         st.Snapshots,
-		"livedb.snapshots_skipped": st.SnapshotsSkipped,
+	if err := s.eng.Reconcile(); err != nil {
+		t.Fatal(err)
 	}
-	for _, tier := range []Tier{TierLearned, TierDelta, TierBTree, TierScan} {
-		counters["livedb.tier."+tier.String()+".served"] = st.TierServed[tier]
-	}
-	for name, want := range counters {
-		if got := s.h.Counter(name).Value(); got != int64(want) {
-			t.Errorf("%s: counter=%d stats=%d", name, got, want)
-		}
-	}
-	if led.Count(EvRetrainStart) != st.Retrains || led.Count(EvSwap) != st.Swaps ||
-		led.Count(EvRollback) != st.Rollbacks || led.Count(EvCooldownEnd) != st.Cooldowns {
-		t.Fatalf("ledger counts diverge from stats: %+v vs %+v", led, st)
-	}
-	if led.SumN(EvRollback) != st.Quarantined {
-		t.Fatalf("ledger quarantine total %d != stats %d", led.SumN(EvRollback), st.Quarantined)
+	s.h.Counter("livedb.swaps").Inc()
+	if err := s.eng.Reconcile(); err == nil || !strings.Contains(err.Error(), "livedb.swaps=") {
+		t.Fatalf("a bumped livedb.swaps was not named: %v", err)
 	}
 }
 

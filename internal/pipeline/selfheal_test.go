@@ -2,7 +2,10 @@ package pipeline
 
 import (
 	"math"
+	"strings"
 	"testing"
+
+	"dlsys/internal/obs"
 )
 
 // A self-healing pipeline under numerical faults must ship a usable model
@@ -13,6 +16,7 @@ func TestSelfHealingPipelineSurvivesNumericalFaults(t *testing.T) {
 
 	healed := base
 	healed.SelfHeal = true
+	healed.Obs = obs.NewHandle()
 	lh, err := Run(healed)
 	if err != nil {
 		t.Fatal(err)
@@ -22,6 +26,15 @@ func TestSelfHealingPipelineSurvivesNumericalFaults(t *testing.T) {
 	}
 	if math.IsNaN(lh.Accuracy) || lh.Accuracy < 0.7 {
 		t.Fatalf("self-healing pipeline accuracy %.3f", lh.Accuracy)
+	}
+	// The stage counters, stage spans and the guarded stage's incidents
+	// reconcile with the ledger, and one extra increment is named.
+	if err := lh.Reconcile(healed.Obs); err != nil {
+		t.Fatal(err)
+	}
+	healed.Obs.Counter("pipeline.incidents").Inc()
+	if err := lh.Reconcile(healed.Obs); err == nil || !strings.Contains(err.Error(), "pipeline.incidents=") {
+		t.Fatalf("a bumped pipeline.incidents was not named: %v", err)
 	}
 
 	observed, err := Run(base) // SelfHeal off: observe only

@@ -3,6 +3,7 @@ package serve
 import (
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -184,31 +185,12 @@ func TestFleetObsReconcilesWithLedger(t *testing.T) {
 	h := obs.NewHandle()
 	cfg.Obs = h
 	res := runFleet(t, cfg)
-	counters := map[string]int{
-		"fleet.served":            res.Served,
-		"fleet.shed":              res.Shed,
-		"fleet.failed":            res.Failed,
-		"fleet.arrived":           res.Requests,
-		"fleet.retries":           res.Retries,
-		"fleet.retries_denied":    res.RetriesDenied,
-		"fleet.cache_hits":        res.CacheHits,
-		"fleet.cache_misses":      res.CacheMisses,
-		"fleet.scale_up_replicas": res.ScaleUpReplicas,
+	if err := res.Reconcile(h); err != nil {
+		t.Fatal(err)
 	}
-	for name, want := range counters {
-		if got := h.Counter(name).Value(); got != int64(want) {
-			t.Fatalf("%s = %d, ledger says %d", name, got, want)
-		}
-	}
-	for i, ts := range res.Tenants {
-		prefix := []string{"arrived", "served", "shed", "failed"}
-		want := []int{ts.Arrived, ts.Served, ts.Shed, ts.Failed}
-		for j, suffix := range prefix {
-			name := TenantCounterName(i, suffix)
-			if got := h.Counter(name).Value(); got != int64(want[j]) {
-				t.Fatalf("%s = %d, ledger says %d", name, got, want[j])
-			}
-		}
+	h.Counter("fleet.scale_down_replicas").Inc()
+	if err := res.Reconcile(h); err == nil || !strings.Contains(err.Error(), "fleet.scale_down_replicas=") {
+		t.Fatalf("a bumped fleet.scale_down_replicas was not named: %v", err)
 	}
 }
 

@@ -5,9 +5,9 @@ import (
 )
 
 // serveObs holds the pre-resolved instruments for one serving run. Counter
-// names mirror the Result tallies one-to-one — experiment X8 asserts they
-// reconcile exactly against the request ledger. Every field is a nil no-op
-// for an un-instrumented run.
+// names mirror the Result tallies one-to-one, and Result.Reconcile checks
+// them against the request ledger. Every field is a nil no-op for an
+// un-instrumented run.
 type serveObs struct {
 	h *obs.Handle
 
@@ -71,4 +71,33 @@ func (o *serveObs) record(rec *RequestRecord) {
 		o.hedgeWins.Inc()
 	}
 	o.h.Emit(o.spanNames[rec.Outcome], rec.ArrivalS, rec.FinishS)
+}
+
+// Reconcile checks the run's instruments on h against the request ledger —
+// every serve.* counter, each tier's latency histogram (count, and sum bit
+// for bit in request order) and one serve.request.* span per request — and
+// returns one error naming every mismatch and every unchecked serve.*
+// counter. Reading h creates nothing.
+func (r Result) Reconcile(h *obs.Handle) error {
+	c := obs.NewReconciler(h, "serve.")
+	c.Counter("serve.served", int64(r.Served))
+	c.Counter("serve.shed", int64(r.Shed))
+	c.Counter("serve.failed", int64(r.Failed))
+	c.Counter("serve.hedges_launched", int64(r.HedgesLaunched))
+	c.Counter("serve.hedge_wins", int64(r.HedgeWins))
+	c.Counter("serve.breaker_opened", int64(r.BreakerOpened))
+	c.Counter("serve.breaker_reclosed", int64(r.BreakerReclosed))
+	for t := TierFull; t < numTiers; t++ {
+		var sum float64
+		for _, rec := range r.Records {
+			if rec.Outcome == Served && rec.Tier == t {
+				sum += rec.LatencyS
+			}
+		}
+		c.Counter("serve.tier."+t.String()+".served", int64(r.TierCounts[t]))
+		c.HistogramCount("serve.tier."+t.String()+".latency_seconds", int64(r.TierCounts[t]))
+		c.HistogramSum("serve.tier."+t.String()+".latency_seconds", sum)
+	}
+	c.Spans("serve.request.", len(r.Records))
+	return c.Err()
 }

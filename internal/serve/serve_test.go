@@ -2,10 +2,12 @@ package serve
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"dlsys/internal/device"
 	"dlsys/internal/fault"
+	"dlsys/internal/obs"
 )
 
 // testVariant fabricates a variant with the given tier and byte cost; the
@@ -127,6 +129,23 @@ func TestBreakersOpenAndReclose(t *testing.T) {
 	}
 	if res.BreakerReclosed == 0 {
 		t.Fatal("no breaker re-closed — recovery path never exercised")
+	}
+}
+
+// TestServerObsReconcilesWithLedger runs a faulty, overloaded day with
+// fallback and hedging on, reconciles its counters, tier histograms and
+// request spans with the request ledger, and then requires one extra
+// increment to be named.
+func TestServerObsReconcilesWithLedger(t *testing.T) {
+	cfg := testConfig(11, 0.2, 1.0, 1500, true)
+	cfg.Obs = obs.NewHandle()
+	res := run(t, cfg)
+	if err := res.Reconcile(cfg.Obs); err != nil {
+		t.Fatal(err)
+	}
+	cfg.Obs.Counter("serve.breaker_reclosed").Inc()
+	if err := res.Reconcile(cfg.Obs); err == nil || !strings.Contains(err.Error(), "serve.breaker_reclosed=") {
+		t.Fatalf("a bumped serve.breaker_reclosed was not named: %v", err)
 	}
 }
 
