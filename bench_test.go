@@ -24,82 +24,6 @@ func must[T any](v T, err error) T {
 	return v
 }
 
-// One benchmark per registered experiment — the claims (E1..E32), the
-// ablations (A1..A9), and the extensions (X1..X12, X14) — each regenerating its
-// table at quick scale, so `go test -bench=E<k>$` reproduces any single
-// result and `-bench=.` reproduces them all.
-func benchExperiment(b *testing.B, id string) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		tab, err := RunExperiment(id, false)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(tab.Rows) == 0 {
-			b.Fatalf("%s produced an empty table", id)
-		}
-	}
-}
-
-func BenchmarkE1(b *testing.B)  { benchExperiment(b, "E1") }
-func BenchmarkE2(b *testing.B)  { benchExperiment(b, "E2") }
-func BenchmarkE3(b *testing.B)  { benchExperiment(b, "E3") }
-func BenchmarkE4(b *testing.B)  { benchExperiment(b, "E4") }
-func BenchmarkE5(b *testing.B)  { benchExperiment(b, "E5") }
-func BenchmarkE6(b *testing.B)  { benchExperiment(b, "E6") }
-func BenchmarkE7(b *testing.B)  { benchExperiment(b, "E7") }
-func BenchmarkE8(b *testing.B)  { benchExperiment(b, "E8") }
-func BenchmarkE9(b *testing.B)  { benchExperiment(b, "E9") }
-func BenchmarkE10(b *testing.B) { benchExperiment(b, "E10") }
-func BenchmarkE11(b *testing.B) { benchExperiment(b, "E11") }
-func BenchmarkE12(b *testing.B) { benchExperiment(b, "E12") }
-func BenchmarkE13(b *testing.B) { benchExperiment(b, "E13") }
-func BenchmarkE14(b *testing.B) { benchExperiment(b, "E14") }
-func BenchmarkE15(b *testing.B) { benchExperiment(b, "E15") }
-func BenchmarkE16(b *testing.B) { benchExperiment(b, "E16") }
-func BenchmarkE17(b *testing.B) { benchExperiment(b, "E17") }
-func BenchmarkE18(b *testing.B) { benchExperiment(b, "E18") }
-func BenchmarkE19(b *testing.B) { benchExperiment(b, "E19") }
-func BenchmarkE20(b *testing.B) { benchExperiment(b, "E20") }
-func BenchmarkE21(b *testing.B) { benchExperiment(b, "E21") }
-func BenchmarkE22(b *testing.B) { benchExperiment(b, "E22") }
-func BenchmarkE23(b *testing.B) { benchExperiment(b, "E23") }
-func BenchmarkE24(b *testing.B) { benchExperiment(b, "E24") }
-func BenchmarkE25(b *testing.B) { benchExperiment(b, "E25") }
-func BenchmarkE26(b *testing.B) { benchExperiment(b, "E26") }
-func BenchmarkE27(b *testing.B) { benchExperiment(b, "E27") }
-func BenchmarkE28(b *testing.B) { benchExperiment(b, "E28") }
-func BenchmarkE29(b *testing.B) { benchExperiment(b, "E29") }
-func BenchmarkE30(b *testing.B) { benchExperiment(b, "E30") }
-func BenchmarkE31(b *testing.B) { benchExperiment(b, "E31") }
-func BenchmarkE32(b *testing.B) { benchExperiment(b, "E32") }
-
-// Ablations A1..A9 — design-choice studies (see DESIGN.md).
-func BenchmarkA1(b *testing.B) { benchExperiment(b, "A1") }
-func BenchmarkA2(b *testing.B) { benchExperiment(b, "A2") }
-func BenchmarkA3(b *testing.B) { benchExperiment(b, "A3") }
-func BenchmarkA4(b *testing.B) { benchExperiment(b, "A4") }
-func BenchmarkA5(b *testing.B) { benchExperiment(b, "A5") }
-func BenchmarkA6(b *testing.B) { benchExperiment(b, "A6") }
-func BenchmarkA7(b *testing.B) { benchExperiment(b, "A7") }
-func BenchmarkA8(b *testing.B) { benchExperiment(b, "A8") }
-func BenchmarkA9(b *testing.B) { benchExperiment(b, "A9") }
-
-// Extensions X1..X12, X14 — cited systems beyond the explicit claims.
-func BenchmarkX1(b *testing.B)  { benchExperiment(b, "X1") }
-func BenchmarkX2(b *testing.B)  { benchExperiment(b, "X2") }
-func BenchmarkX3(b *testing.B)  { benchExperiment(b, "X3") }
-func BenchmarkX4(b *testing.B)  { benchExperiment(b, "X4") }
-func BenchmarkX5(b *testing.B)  { benchExperiment(b, "X5") }
-func BenchmarkX6(b *testing.B)  { benchExperiment(b, "X6") }
-func BenchmarkX7(b *testing.B)  { benchExperiment(b, "X7") }
-func BenchmarkX8(b *testing.B)  { benchExperiment(b, "X8") }
-func BenchmarkX9(b *testing.B)  { benchExperiment(b, "X9") }
-func BenchmarkX10(b *testing.B) { benchExperiment(b, "X10") }
-func BenchmarkX11(b *testing.B) { benchExperiment(b, "X11") }
-func BenchmarkX12(b *testing.B) { benchExperiment(b, "X12") }
-func BenchmarkX14(b *testing.B) { benchExperiment(b, "X14") }
-
 // ---- micro-benchmarks for the hot paths underlying the experiments ----
 
 func BenchmarkMatMul128(b *testing.B) {

@@ -67,16 +67,6 @@ type Technique = core.Technique
 // E1..E32, then the ablations A1..A9, then the extensions X1..X12, X14.
 func Experiments() []Experiment { return core.All() }
 
-// ClaimExperiments returns only E1..E32, the tutorial-claim reproductions.
-func ClaimExperiments() []Experiment { return core.Claims() }
-
-// AblationExperiments returns only A1..A9, the design-choice studies.
-func AblationExperiments() []Experiment { return core.Ablations() }
-
-// ExtensionExperiments returns only X1..X12, X14: cited systems implemented
-// beyond the tutorial's explicit tradeoff claims.
-func ExtensionExperiments() []Experiment { return core.Extensions() }
-
 // Techniques returns the tradeoff classification of every implemented
 // technique — the organising framework of the tutorial.
 func Techniques() []Technique { return core.Techniques() }

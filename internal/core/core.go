@@ -228,41 +228,6 @@ func All() []Experiment {
 	return out
 }
 
-// Extensions returns only the X-series studies: systems the tutorial cites
-// that go beyond its explicit tradeoff claims (statistics caching, entity
-// matching, natural-language querying, ...).
-func Extensions() []Experiment {
-	var out []Experiment
-	for _, e := range All() {
-		if e.ID[0] == 'X' {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// Claims returns only the E-series claim-reproduction experiments.
-func Claims() []Experiment {
-	var out []Experiment
-	for _, e := range All() {
-		if e.ID[0] == 'E' {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// Ablations returns only the A-series design-choice ablations.
-func Ablations() []Experiment {
-	var out []Experiment
-	for _, e := range All() {
-		if e.ID[0] == 'A' {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 func expNum(id string) int {
 	n := 0
 	for _, r := range id {

@@ -1,44 +1,39 @@
 package core
 
 import (
+	"errors"
+	"fmt"
+	"os"
 	"strconv"
 	"strings"
 	"testing"
 )
 
 func TestRegistryComplete(t *testing.T) {
-	claims := Claims()
-	if len(claims) != 32 {
-		t.Fatalf("registered %d claim experiments, want 32", len(claims))
-	}
-	for i, e := range claims {
-		want := "E" + strconv.Itoa(i+1)
-		if e.ID != want {
-			t.Fatalf("claim %d has ID %s, want %s", i, e.ID, want)
-		}
-	}
-	abl := Ablations()
-	if len(abl) != 9 {
-		t.Fatalf("registered %d ablations, want 9", len(abl))
-	}
-	for i, e := range abl {
-		want := "A" + strconv.Itoa(i+1)
-		if e.ID != want {
-			t.Fatalf("ablation %d has ID %s, want %s", i, e.ID, want)
-		}
-	}
-	for _, e := range All() {
+	all := All()
+	series := map[byte][]string{} // IDs by prefix, in All() order
+	for _, e := range all {
 		if e.Title == "" || e.Claim == "" || e.Section == "" || e.Run == nil {
 			t.Fatalf("%s is incompletely described", e.ID)
 		}
+		series[e.ID[0]] = append(series[e.ID[0]], e.ID)
 	}
-	ext := Extensions()
-	if len(ext) != 13 {
-		t.Fatalf("registered %d extensions, want 13", len(ext))
+	for prefix, n := range map[byte]int{'E': 32, 'A': 9} {
+		if len(series[prefix]) != n {
+			t.Fatalf("registered %d %c-series experiments, want %d", len(series[prefix]), prefix, n)
+		}
+		for i, id := range series[prefix] {
+			if want := string(prefix) + strconv.Itoa(i+1); id != want {
+				t.Fatalf("%c-series experiment %d has ID %s, want %s", prefix, i, id, want)
+			}
+		}
+	}
+	if len(series['X']) != 13 {
+		t.Fatalf("registered %d extensions, want 13", len(series['X']))
 	}
 	// Order: claims, then ablations, then extensions.
-	if All()[0].ID != "E1" || All()[32].ID != "A1" || All()[41].ID != "X1" {
-		t.Fatalf("ordering wrong: %s, %s, %s", All()[0].ID, All()[32].ID, All()[41].ID)
+	if all[0].ID != "E1" || all[32].ID != "A1" || all[41].ID != "X1" {
+		t.Fatalf("ordering wrong: %s, %s, %s", all[0].ID, all[32].ID, all[41].ID)
 	}
 }
 
@@ -87,12 +82,54 @@ func TestTableRender(t *testing.T) {
 	}
 }
 
-// Every experiment must run at Quick scale and produce a plausible table.
-// Heavier shape assertions live in the per-package tests; here we check the
-// harness end to end.
+// rebless is how to re-pin the tables after a change meant to move them.
+const rebless = "a change meant to move a table replaces EXPERIMENTS.md's measured block with " +
+	"the output of `go run ./cmd/dlsys run all` and names each moved experiment in CHANGES.md"
+
+// pinnedTables splits the fenced block under doc's "Measured tables"
+// heading, which is `dlsys run all` output verbatim, into one rendered
+// table per ID. The block must hold exactly the tables of exps, in order.
+func pinnedTables(doc string, exps []Experiment) (map[string]string, error) {
+	_, rest, heading := strings.Cut(doc, "\n## Measured tables")
+	_, rest, opened := strings.Cut(rest, "\n```\n")
+	block, _, closed := strings.Cut(rest, "\n```")
+	if !heading || !opened || !closed {
+		return nil, errors.New(`no fenced block under a "## Measured tables" heading`)
+	}
+	chunks := strings.Split(block, "\n\n")
+	pinned := make(map[string]string, len(chunks))
+	for i, chunk := range chunks {
+		id, _, _ := strings.Cut(chunk, " — ")
+		if i >= len(exps) {
+			return nil, fmt.Errorf("extra pinned table %s after the last registered experiment", id)
+		}
+		if id != exps[i].ID {
+			return nil, fmt.Errorf("pinned table %d is %s, want %s (All() order)", i+1, id, exps[i].ID)
+		}
+		pinned[id] = chunk + "\n"
+	}
+	if len(chunks) < len(exps) {
+		return nil, fmt.Errorf("no pinned table for %s", exps[len(chunks)].ID)
+	}
+	return pinned, nil
+}
+
+// TestAllExperimentsRunQuick runs every experiment at Quick scale, checks
+// its table's structure, and pins its Render() to its table in
+// EXPERIMENTS.md's "Measured tables" block. The pins are the output on
+// amd64, CI's GOARCH: outside internal/tensor, Go may fuse multiply-adds on
+// arm64. Heavier shape assertions live in the per-package tests.
 func TestAllExperimentsRunQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment sweep skipped in -short mode")
+	}
+	doc, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinned, err := pinnedTables(string(doc), All())
+	if err != nil {
+		t.Fatalf("EXPERIMENTS.md: %v; %s", err, rebless)
 	}
 	for _, e := range All() {
 		e := e
@@ -114,6 +151,14 @@ func TestAllExperimentsRunQuick(t *testing.T) {
 			}
 			if tab.Shape == "" {
 				t.Fatal("experiment did not record its expected shape")
+			}
+			if got := tab.Render(); got != pinned[e.ID] {
+				g, w := strings.Split(got, "\n"), strings.Split(pinned[e.ID], "\n")
+				i := 0
+				for i < len(g)-1 && i < len(w)-1 && g[i] == w[i] {
+					i++
+				}
+				t.Fatalf("table moved at line %d:\n  got:    %q\n  pinned: %q\n%s", i+1, g[i], w[i], rebless)
 			}
 		})
 	}

@@ -1,5 +1,10 @@
 package fault
 
+import (
+	"math"
+	"strconv"
+)
+
 // Time-windowed fault schedules: the declarative layer that lets a composed
 // experiment script a "day in production" — crash worker 3 at t=120s, an
 // ×8 flash crowd for t∈[300,360), a Byzantine coalition active after
@@ -132,9 +137,19 @@ func (c Config) baseProb(field string) float64 {
 // validateSchedule checks every window and rejects schedule-vs-rate
 // conflicts: a kind must be driven either by its flat Config rate or by
 // windows, never both, so there is exactly one source of truth for when
-// each fault class fires.
+// each fault class fires. NaN and ±Inf are rejected first, naming the
+// window's field, because every range comparison below lets NaN through.
 func (c Config) validateSchedule() error {
 	for i, w := range c.Schedule {
+		for _, f := range []struct {
+			name string
+			v    float64
+		}{{"StartS", w.StartS}, {"EndS", w.EndS}, {"Prob", w.Prob}, {"Factor", w.Factor}} {
+			if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+				return &ConfigError{Field: "Schedule[" + strconv.Itoa(i) + "]." + f.name, Value: f.v,
+					Reason: "is not finite"}
+			}
+		}
 		if w.Kind < KindCrash || w.Kind >= kindEnd {
 			return &ConfigError{Field: "Schedule", Value: float64(w.Kind),
 				Reason: "window has unknown fault kind"}

@@ -2,6 +2,7 @@ package fault
 
 import (
 	"errors"
+	"math"
 	"testing"
 )
 
@@ -162,6 +163,8 @@ func TestScheduleValidation(t *testing.T) {
 		{"negative worker", Config{Schedule: []Window{{Kind: KindCrash, Prob: 1, Workers: []int{-3}}}}, "Schedule"},
 		{"arrival without factor", Config{Schedule: []Window{{Kind: KindArrival}}}, "Schedule"},
 		{"negative factor", Config{Schedule: []Window{{Kind: KindStraggle, Prob: 1, Factor: -2}}}, "Schedule"},
+		{"+Inf brownout factor", Config{Schedule: []Window{{Kind: KindBrownout, Factor: math.Inf(1)}}}, "Schedule[0].Factor"},
+		{"NaN probability", Config{Schedule: []Window{{Kind: KindCrash, Prob: 1}, {Kind: KindDrop, Prob: math.NaN()}}}, "Schedule[1].Prob"},
 		{"crash rate conflict",
 			Config{CrashProb: 0.1, Schedule: []Window{{Kind: KindCrash, Prob: 1}}}, "CrashProb"},
 		{"lr-spike rate conflict",

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 )
@@ -25,6 +26,9 @@ func TestConfigErrorTyped(t *testing.T) {
 		{"requests", func(c *Config) { c.Requests = -3 }, "Requests"},
 		{"max attempts", func(c *Config) { c.MaxAttempts = 5 }, "MaxAttempts"},
 		{"hedge quantile", func(c *Config) { c.HedgeQuantile = 1 }, "HedgeQuantile"},
+		{"NaN hedge quantile", func(c *Config) { c.HedgeQuantile = math.NaN() }, "HedgeQuantile"},
+		{"NaN efficiency", func(c *Config) { c.Replicas[1].Efficiency = math.NaN() }, "Replicas[1].Efficiency"},
+		{"NaN breaker failure rate", func(c *Config) { c.Breaker.FailureRate = math.NaN() }, "Breaker.FailureRate"},
 		{"breaker failure rate", func(c *Config) { c.Breaker.FailureRate = 2 }, "Breaker.FailureRate"},
 		{"breaker min samples", func(c *Config) { c.Breaker.Window = 4; c.Breaker.MinSamples = 9 }, "Breaker.MinSamples"},
 	}

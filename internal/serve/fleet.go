@@ -333,6 +333,9 @@ type Fleet struct {
 // NewFleet validates the config and prepares a fleet. Like Server, a
 // fleet is single-use: build a fresh one per run.
 func NewFleet(cfg FleetConfig) (*Fleet, error) {
+	if err := cfg.finite(); err != nil {
+		return nil, err
+	}
 	cfg.defaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err

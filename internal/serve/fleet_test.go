@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"errors"
+	"math"
 	"reflect"
 	"runtime"
 	"strings"
@@ -230,23 +232,34 @@ func TestFleetBrownoutRaisesLatency(t *testing.T) {
 }
 
 func TestFleetConfigErrors(t *testing.T) {
+	nan := math.NaN()
 	cases := []struct {
 		name   string
 		mutate func(*FleetConfig)
+		field  string
 	}{
-		{"no requests", func(c *FleetConfig) { c.Requests = 0 }},
-		{"no arrival rate", func(c *FleetConfig) { c.ArrivalRate = 0 }},
-		{"too many attempts", func(c *FleetConfig) { c.MaxAttempts = 17 }},
-		{"budget ratio", func(c *FleetConfig) { c.Budget.Ratio = 1.5 }},
-		{"codel target", func(c *FleetConfig) { c.Admission.TargetS = 2; c.Admission.IntervalS = 1 }},
-		{"scaler cap", func(c *FleetConfig) { c.Autoscale.MaxReplicas = 2 }},
-		{"scaler thresholds", func(c *FleetConfig) { c.Autoscale.UpDelayS = 0.1; c.Autoscale.DownDelayS = 0.2 }},
+		{"no requests", func(c *FleetConfig) { c.Requests = 0 }, "Requests"},
+		{"no arrival rate", func(c *FleetConfig) { c.ArrivalRate = 0 }, "ArrivalRate"},
+		{"too many attempts", func(c *FleetConfig) { c.MaxAttempts = 17 }, "MaxAttempts"},
+		{"budget ratio", func(c *FleetConfig) { c.Budget.Ratio = 1.5 }, "Budget.Ratio"},
+		{"codel target", func(c *FleetConfig) { c.Admission.TargetS = 2; c.Admission.IntervalS = 1 }, "Admission.TargetS"},
+		{"scaler cap", func(c *FleetConfig) { c.Autoscale.MaxReplicas = 2 }, "Autoscale.MaxReplicas"},
+		{"scaler thresholds", func(c *FleetConfig) { c.Autoscale.UpDelayS = 0.1; c.Autoscale.DownDelayS = 0.2 }, "Autoscale.DownDelayS"},
+		{"NaN arrival rate", func(c *FleetConfig) { c.ArrivalRate = nan }, "ArrivalRate"},
+		{"NaN service time", func(c *FleetConfig) { c.ServiceS = nan }, "ServiceS"},
+		{"NaN deadline", func(c *FleetConfig) { c.DeadlineS = nan }, "DeadlineS"},
+		{"NaN bucket", func(c *FleetConfig) { c.BucketS = nan }, "BucketS"},
+		{"NaN key skew", func(c *FleetConfig) { c.KeySkew = nan }, "KeySkew"},
+		{"NaN Zipf exponent", func(c *FleetConfig) { c.ZipfS = nan }, "ZipfS"},
+		{"-Inf cache TTL", func(c *FleetConfig) { c.Cache.TTLS = math.Inf(-1) }, "Cache.TTLS"},
 	}
 	for _, tc := range cases {
 		cfg := fleetScenario(1, 1000, true)
 		tc.mutate(&cfg)
-		if _, err := NewFleet(cfg); err == nil {
-			t.Fatalf("%s: bad config accepted", tc.name)
+		_, err := NewFleet(cfg)
+		var ce *ConfigError
+		if !errors.As(err, &ce) || ce.Field != tc.field {
+			t.Errorf("%s: got %v, want a *ConfigError on %s", tc.name, err, tc.field)
 		}
 	}
 }

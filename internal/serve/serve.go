@@ -289,6 +289,9 @@ type Server struct {
 // NewServer validates the config and prepares a server. The same server
 // must not be reused across runs; build a fresh one per Run.
 func NewServer(cfg Config) (*Server, error) {
+	if err := cfg.finite(); err != nil {
+		return nil, err
+	}
 	if err := cfg.validateFleet(); err != nil {
 		return nil, err
 	}
