@@ -273,13 +273,15 @@ func (c Config) Enabled() bool {
 		len(c.ByzantineWorkers) > 0 || len(c.Schedule) > 0
 }
 
-// Validate checks every probability is in [0, 1] and that the Byzantine
-// configuration is coherent (a valid attack kind, non-negative worker ids).
+// Validate checks every probability is in [0, 1], every factor is finite,
+// and the Byzantine configuration is coherent (a valid attack kind,
+// non-negative worker ids).
 func (c Config) Validate() error {
-	for _, p := range []struct {
+	type field struct {
 		name string
 		v    float64
-	}{
+	}
+	for _, p := range []field{
 		{"CrashProb", c.CrashProb}, {"StragglerProb", c.StragglerProb},
 		{"DropProb", c.DropProb}, {"CorruptProb", c.CorruptProb},
 		{"BatchCorruptProb", c.BatchCorruptProb}, {"LabelNoiseProb", c.LabelNoiseProb},
@@ -287,8 +289,20 @@ func (c Config) Validate() error {
 		{"LinkDropProb", c.LinkDropProb}, {"LinkSlowProb", c.LinkSlowProb},
 		{"PartitionProb", c.PartitionProb},
 	} {
-		if p.v < 0 || p.v > 1 {
+		if !(p.v >= 0 && p.v <= 1) { // false for NaN too
 			return &ConfigError{Field: p.name, Value: p.v}
+		}
+	}
+	// A NaN factor passes every "<= 1 means the default" test and would be
+	// returned as the multiplier itself.
+	for _, p := range []field{
+		{"StragglerFactor", c.StragglerFactor}, {"LRSpikeFactor", c.LRSpikeFactor},
+		{"LinkSlowFactor", c.LinkSlowFactor}, {"SignFlipFactor", c.SignFlipFactor},
+		{"ScaleAttackFactor", c.ScaleAttackFactor}, {"DriftAttackBias", c.DriftAttackBias},
+		{"ColludeBoost", c.ColludeBoost},
+	} {
+		if math.IsNaN(p.v) || math.IsInf(p.v, 0) {
+			return &ConfigError{Field: p.name, Value: p.v, Reason: "is not finite"}
 		}
 	}
 	if len(c.ByzantineWorkers) > 0 {

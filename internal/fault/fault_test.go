@@ -1,6 +1,8 @@
 package fault
 
 import (
+	"errors"
+	"math"
 	"sync"
 	"testing"
 )
@@ -162,6 +164,31 @@ func TestValidate(t *testing.T) {
 	}
 	if err := (Config{Seed: 1, CrashProb: -0.1}).Validate(); err == nil {
 		t.Fatal("negative CrashProb accepted")
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name  string
+		cfg   Config
+		field string
+	}{
+		{"NaN CrashProb", Config{CrashProb: nan}, "CrashProb"},
+		{"NaN DropProb", Config{DropProb: nan}, "DropProb"},
+		{"NaN ByzantineRate", Config{ByzantineRate: nan}, "ByzantineRate"},
+		{"NaN PartitionProb", Config{PartitionProb: nan}, "PartitionProb"},
+		{"-Inf LRSpikeProb", Config{LRSpikeProb: -inf}, "LRSpikeProb"},
+		{"NaN StragglerFactor", Config{StragglerProb: 0.5, StragglerFactor: nan}, "StragglerFactor"},
+		{"+Inf StragglerFactor", Config{StragglerFactor: inf}, "StragglerFactor"},
+		{"-Inf StragglerFactor", Config{StragglerFactor: -inf}, "StragglerFactor"},
+		{"NaN LRSpikeFactor", Config{LRSpikeProb: 0.5, LRSpikeFactor: nan}, "LRSpikeFactor"},
+		{"+Inf LRSpikeFactor", Config{LRSpikeFactor: inf}, "LRSpikeFactor"},
+		{"NaN LinkSlowFactor", Config{LinkSlowFactor: nan}, "LinkSlowFactor"},
+		{"+Inf ScaleAttackFactor", Config{ScaleAttackFactor: inf}, "ScaleAttackFactor"},
+		{"NaN ColludeBoost", Config{ColludeBoost: nan}, "ColludeBoost"},
+	} {
+		var ce *ConfigError
+		if err := tc.cfg.Validate(); !errors.As(err, &ce) || ce.Field != tc.field {
+			t.Errorf("%s: got %v, want a *ConfigError on %s", tc.name, err, tc.field)
+		}
 	}
 }
 

@@ -44,7 +44,15 @@ func (c Config) finite() error {
 		{"Breaker.FailureRate", c.Breaker.FailureRate}, {"Breaker.CooldownS", c.Breaker.CooldownS},
 	}
 	for i, r := range c.Replicas {
-		fields = append(fields, floatField{fmt.Sprintf("Replicas[%d].Efficiency", i), r.Efficiency})
+		name := fmt.Sprintf("Replicas[%d].", i)
+		d := r.Device
+		fields = append(fields, floatField{name + "Efficiency", r.Efficiency},
+			floatField{name + "Device.FLOPsPerSec", d.FLOPsPerSec},
+			floatField{name + "Device.MemBandwidth", d.MemBandwidth},
+			floatField{name + "Device.LinkBandwidth", d.LinkBandwidth},
+			floatField{name + "Device.LinkLatencyS", d.LinkLatencyS},
+			floatField{name + "Device.Watts", d.Watts},
+			floatField{name + "Device.IdleWatts", d.IdleWatts})
 	}
 	return checkFinite(fields)
 }

@@ -29,6 +29,12 @@ func TestConfigErrorTyped(t *testing.T) {
 		{"NaN hedge quantile", func(c *Config) { c.HedgeQuantile = math.NaN() }, "HedgeQuantile"},
 		{"NaN efficiency", func(c *Config) { c.Replicas[1].Efficiency = math.NaN() }, "Replicas[1].Efficiency"},
 		{"NaN breaker failure rate", func(c *Config) { c.Breaker.FailureRate = math.NaN() }, "Breaker.FailureRate"},
+		{"NaN device FLOPs", func(c *Config) { c.Replicas[0].Device.FLOPsPerSec = math.NaN() }, "Replicas[0].Device.FLOPsPerSec"},
+		{"+Inf device memory bandwidth", func(c *Config) { c.Replicas[1].Device.MemBandwidth = math.Inf(1) }, "Replicas[1].Device.MemBandwidth"},
+		{"NaN device link bandwidth", func(c *Config) { c.Replicas[2].Device.LinkBandwidth = math.NaN() }, "Replicas[2].Device.LinkBandwidth"},
+		{"-Inf device link latency", func(c *Config) { c.Replicas[0].Device.LinkLatencyS = math.Inf(-1) }, "Replicas[0].Device.LinkLatencyS"},
+		{"NaN device watts", func(c *Config) { c.Replicas[1].Device.Watts = math.NaN() }, "Replicas[1].Device.Watts"},
+		{"+Inf device idle watts", func(c *Config) { c.Replicas[2].Device.IdleWatts = math.Inf(1) }, "Replicas[2].Device.IdleWatts"},
 		{"breaker failure rate", func(c *Config) { c.Breaker.FailureRate = 2 }, "Breaker.FailureRate"},
 		{"breaker min samples", func(c *Config) { c.Breaker.Window = 4; c.Breaker.MinSamples = 9 }, "Breaker.MinSamples"},
 	}

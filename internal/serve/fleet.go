@@ -325,6 +325,7 @@ type Fleet struct {
 	ledger   fp.Hash
 
 	perItemS float64 // amortized service per request at full batch
+	skewN    int     // KeySkew when it is an integer in [1, 16]; 0 means math.Pow
 
 	started, finished bool
 	res               FleetResult
@@ -362,6 +363,9 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 		ledger:       fp.New(),
 		latWidth:     4 * cfg.DeadlineS / fleetLatBuckets,
 		perItemS:     (cfg.ServiceS + float64(cfg.BatchMax-1)*cfg.BatchItemS) / float64(cfg.BatchMax),
+	}
+	if s := cfg.KeySkew; s >= 1 && s <= 16 && s == math.Trunc(s) {
+		f.skewN = int(s)
 	}
 	f.inj.SetClock(k)
 	for i := 0; i < cfg.Replicas; i++ {
@@ -529,13 +533,45 @@ func mix64(x uint64) uint64 {
 // through u^skew concentrates mass on the low keys, the stand-in for the
 // Zipf head of real serving traffic.
 func (f *Fleet) hotKey(tenant, seq int) int {
-	x := mix64(uint64(f.cfg.Seed)<<1 ^ uint64(tenant)<<40 ^ uint64(seq))
-	u := float64(x>>11) / (1 << 53)
-	k := int(float64(f.cfg.Keys) * math.Pow(u, f.cfg.KeySkew))
+	k := int(float64(f.cfg.Keys) * f.skew(keyDraw(f.cfg.Seed, tenant, seq)))
 	if k >= f.cfg.Keys {
 		k = f.cfg.Keys - 1
 	}
 	return k
+}
+
+// keyDraw is hotKey's uniform draw for (tenant, seq): 0 or a multiple of
+// 2⁻⁵³ in [2⁻⁵³, 1).
+func keyDraw(seed int64, tenant, seq int) float64 {
+	x := mix64(uint64(seed)<<1 ^ uint64(tenant)<<40 ^ uint64(seq))
+	return float64(x>>11) / (1 << 53)
+}
+
+// skew returns u^KeySkew, by powInt when KeySkew is a small integer.
+func (f *Fleet) skew(u float64) float64 {
+	if f.skewN > 0 {
+		return powInt(u, f.skewN)
+	}
+	return math.Pow(u, f.cfg.KeySkew)
+}
+
+// powInt returns u^n by square-and-multiply over n's bits from the lowest:
+// the products math.Pow forms for an integer exponent, in the same order.
+// Pow multiplies normalised mantissas. For keyDraw's values and n in
+// [1, 16] no product here leaves the normal range, so each rounds exactly
+// as Pow's does and the result equals math.Pow(u, float64(n)) bit for bit.
+func powInt(u float64, n int) float64 {
+	r := 1.0
+	for {
+		if n&1 == 1 {
+			r *= u
+		}
+		n >>= 1
+		if n == 0 {
+			return r
+		}
+		u *= u
+	}
 }
 
 // delayEst is the admission-time queue delay estimate: the backlog over

@@ -313,3 +313,50 @@ func TestFleetRunAllocations(t *testing.T) {
 		}
 	}
 }
+
+// TestKeySkewMatchesPowByBits holds the integer key-skew path to math.Pow
+// bit for bit, for every integer skew in [1, 16], over 10⁶ of hotKey's
+// draws plus the ends of the draw range. Any other skew must still take
+// math.Pow.
+func TestKeySkewMatchesPowByBits(t *testing.T) {
+	draws := 1_000_000
+	if raceEnabled {
+		draws /= 10 // pure arithmetic: the race detector adds only time
+	}
+	us := []float64{0, 0x1p-53, 1 - 0x1p-53}
+	for i := 0; i < draws; i++ {
+		us = append(us, keyDraw(int64(i%5), i%8, i/40))
+	}
+	skewFleet := func(s float64) *Fleet {
+		t.Helper()
+		cfg := fleetScenario(1, 100, true)
+		cfg.KeySkew = s
+		f, err := NewFleet(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	for n := 1; n <= 16; n++ {
+		f := skewFleet(float64(n))
+		if f.skewN != n {
+			t.Fatalf("KeySkew %d: integer path not taken (skewN %d)", n, f.skewN)
+		}
+		for _, u := range us {
+			if got, want := f.skew(u), math.Pow(u, float64(n)); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("KeySkew %d, u = %b: got %b, math.Pow %b", n, u, got, want)
+			}
+		}
+	}
+	for _, s := range []float64{2.5, 0.5, 17} {
+		f := skewFleet(s)
+		if f.skewN != 0 {
+			t.Fatalf("KeySkew %g took the integer path (skewN %d)", s, f.skewN)
+		}
+		for _, u := range us[:1000] {
+			if got, want := f.skew(u), math.Pow(u, s); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("KeySkew %g, u = %b: got %b, math.Pow %b", s, u, got, want)
+			}
+		}
+	}
+}

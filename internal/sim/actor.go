@@ -1,6 +1,10 @@
 package sim
 
-import "sort"
+import (
+	"sort"
+
+	"dlsys/internal/fp"
+)
 
 // Actor is a named participant in the simulation — "trainer", "serve",
 // "chaos". Actors exist so that composed experiments can attribute every
@@ -12,6 +16,7 @@ type Actor struct {
 	k     *Kernel
 	name  string
 	fired int
+	fold  fp.Prefolded // name's fold, so Step folds it in one multiply
 }
 
 // Actor returns the named actor, creating it on first use. Actor identity
@@ -20,7 +25,7 @@ func (k *Kernel) Actor(name string) *Actor {
 	if a, ok := k.actors[name]; ok {
 		return a
 	}
-	a := &Actor{k: k, name: name}
+	a := &Actor{k: k, name: name, fold: fp.Prefold(name)}
 	k.actors[name] = a
 	return a
 }

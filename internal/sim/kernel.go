@@ -278,16 +278,18 @@ func (k *Kernel) Step() bool {
 			k.now = ev.t
 		}
 		k.processed++
-		k.log.String(ev.name)
-		k.log.Float(ev.t)
-		k.log.Word(ev.seq)
 		a := ev.actor
 		if a == nil {
 			a = k.actors[ev.name]
 		}
 		if a != nil {
 			a.fired++
+			k.log.Prefolded(&a.fold)
+		} else {
+			k.log.String(ev.name)
 		}
+		k.log.Float(ev.t)
+		k.log.Word(ev.seq)
 		if p := ev.per; p != nil {
 			if p.fn(ev.t) && !p.canceled {
 				// The chain's handle stays valid across reschedules
