@@ -41,6 +41,10 @@ func TestConfigValidateTable(t *testing.T) {
 		{"topk-negative", func(c *Config) { c.TopK = -0.5 }, "TopK"},
 		{"quant-negative", func(c *Config) { c.QuantBits = -4 }, "QuantBits"},
 		{"retries-negative", func(c *Config) { c.MaxRetries = -1 }, "MaxRetries"},
+		// Attempt 64's backoff term is RetryBackoffS·(int64(1)<<63) < 0,
+		// which would cancel every earlier backoff; 64 retries stop short.
+		{"retries-64", func(c *Config) { c.MaxRetries = 64 }, ""},
+		{"retries-65", func(c *Config) { c.MaxRetries = 65 }, "MaxRetries"},
 		{"backoff-negative", func(c *Config) { c.RetryBackoffS = -1e-3 }, "RetryBackoffS"},
 		{"snapshot-negative", func(c *Config) { c.SnapshotPeriod = -5 }, "SnapshotPeriod"},
 		{"dropk-equals-workers", func(c *Config) { c.DropSlowestK = 4 }, "DropSlowestK"},

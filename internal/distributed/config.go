@@ -44,8 +44,8 @@ func (c Config) Validate() error {
 	if c.QuantBits < 0 {
 		return &ConfigError{"QuantBits", fmt.Sprintf("%d is negative", c.QuantBits)}
 	}
-	if c.MaxRetries < 0 {
-		return &ConfigError{"MaxRetries", fmt.Sprintf("%d is negative", c.MaxRetries)}
+	if c.MaxRetries < 0 || c.MaxRetries > maxRetryCap {
+		return &ConfigError{"MaxRetries", fmt.Sprintf("%d out of [0, %d]", c.MaxRetries, maxRetryCap)}
 	}
 	if c.RetryBackoffS < 0 || notFinite(c.RetryBackoffS) {
 		return &ConfigError{"RetryBackoffS", fmt.Sprintf("%g is negative or not finite", c.RetryBackoffS)}
@@ -93,6 +93,11 @@ func (c Config) Validate() error {
 	}
 	return nil
 }
+
+// maxRetryCap bounds MaxRetries: the backoff before attempt a is
+// RetryBackoffS·2^(a−1) in int64 arithmetic, and at attempt 64 that term
+// turns negative and cancels every earlier one.
+const maxRetryCap = 64
 
 // notFinite reports NaN and ±Inf, which every range comparison lets through.
 func notFinite(v float64) bool { return math.IsNaN(v) || math.IsInf(v, 0) }

@@ -66,8 +66,8 @@ type Config struct {
 	// value selects device.GPUSmall.
 	Device device.Profile
 	// MaxRetries bounds the send attempts per gradient/model upload within
-	// one round (default 4); a sender that exhausts them times out and is
-	// excluded from that round's average.
+	// one round (default 4, at most 64); a sender that exhausts them times
+	// out and is excluded from that round's average.
 	MaxRetries int
 	// RetryBackoffS is the base exponential-backoff delay, in simulated
 	// seconds, inserted before each retransmission (default 1ms).
@@ -636,6 +636,13 @@ type transport struct {
 	maxRetries int
 	backoffS   float64
 	obs        *distObs // always non-nil; build with newDistObs (nil handle → no-ops)
+
+	// One collective walk's scratch, reset when the next walk starts: each
+	// phase's hops, the resolved links by hop position, and the wire time
+	// per payload size.
+	hops  []hop
+	links []walkLink
+	wires []wireTime
 }
 
 // send attempts a worker upload up to maxRetries times. Returns whether

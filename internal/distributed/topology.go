@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"dlsys/internal/device"
+	"dlsys/internal/fault"
 )
 
 // Topology selects the collective communication pattern used for averaging
@@ -107,14 +108,16 @@ func hierGroupSize(groupSize, m int) int {
 // phaseHops enumerates the collective's phases over the live members
 // (ascending worker ids), calling visit once per phase with that phase's
 // concurrent hops. seq numbers the phases so per-hop fault draws are unique
-// across the round. The hops slice is reused between phases.
-func phaseHops(kind Topology, members []int, payload int64, groupSize int, visit func(seq int, hops []hop)) {
+// across the round. Every phase's hops live in buf, which phaseHops
+// returns, grown, for the next call to reuse, so visit must neither keep
+// nor modify them.
+func phaseHops(kind Topology, members []int, payload int64, groupSize int, buf []hop, visit func(seq int, hops []hop)) []hop {
 	m := len(members)
 	if m < 2 {
-		return
+		return buf
 	}
 	seq := 0
-	buf := make([]hop, 0, m)
+	buf = buf[:0]
 	emit := func() {
 		visit(seq, buf)
 		seq++
@@ -131,13 +134,14 @@ func phaseHops(kind Topology, members []int, payload int64, groupSize int, visit
 		}
 	case TopoRing:
 		// Reduce-scatter then all-gather: 2(m-1) phases, each member
-		// passing a 1/m segment to its successor.
+		// passing a 1/m segment to its successor. Every phase has the
+		// same hops, so the list is built once.
 		seg := ceilDiv(payload, m)
-		for s := 0; s < 2*(m-1); s++ {
-			for i := 0; i < m; i++ {
-				buf = append(buf, hop{members[i], members[(i+1)%m], seg})
-			}
-			emit()
+		for i := 0; i < m; i++ {
+			buf = append(buf, hop{members[i], members[(i+1)%m], seg})
+		}
+		for ; seq < 2*(m-1); seq++ {
+			visit(seq, buf)
 		}
 	case TopoTree:
 		// Heap-indexed binary tree over the members array: reduce from the
@@ -223,63 +227,104 @@ func phaseHops(kind Topology, members []int, payload int64, groupSize int, visit
 			emit()
 		}
 	}
+	return buf
 }
 
-// hop prices one topology hop: slow-link latency multiplication, per-attempt
-// link-drop retries with exponential backoff, and — once the retry budget
-// exhausts — a single healing reroute around the dead link (the ring skips
-// to the next live peer, the tree re-parents under the grandparent),
-// modelled as one relayed attempt at twice the wire time. Returns whether
-// the payload ultimately got through and the simulated seconds spent.
-func (t *transport) hop(src, dst int, bytes int64, round, seq int, stats *Stats) (bool, float64) {
-	slow := t.inj.LinkSlow(src, dst, round)
+// hop prices one topology hop over its resolved link l: slow-link latency
+// multiplication of the unslowed wire time, per-attempt link-drop retries
+// with exponential backoff, and — once the retry budget exhausts — a
+// single healing reroute around the dead link (the ring skips to the next
+// live peer, the tree re-parents under the grandparent), modelled as one
+// relayed attempt at twice the wire time. It tallies into stats only;
+// walk mirrors the tallies into obs. Returns whether the payload
+// ultimately got through and the simulated seconds spent.
+func (t *transport) hop(l *fault.Link, wire float64, bytes int64, seq int, stats *Stats) (bool, float64) {
+	slow := l.Slow()
 	if slow > 1 {
 		stats.LinkSlowHops++
-		t.obs.linkSlowHops.Inc()
 	}
-	base := device.TransferTime(t.prof, t.prof, bytes) * slow
+	base := wire * slow
 	var elapsed float64
 	for attempt := 0; attempt < t.maxRetries; attempt++ {
 		if attempt > 0 {
 			stats.Retransmissions++
-			t.obs.retrans.Inc()
 			elapsed += t.backoffS * float64(int64(1)<<(attempt-1))
 		}
 		stats.BytesSent += bytes
-		t.obs.bytesSent.Add(bytes)
 		elapsed += base
-		if t.inj.LinkDrops(src, dst, round, seq, attempt) {
+		if l.Drops(seq, attempt) {
 			stats.LinkDropped++
-			t.obs.linkDropped.Inc()
 			continue
 		}
 		return true, elapsed
 	}
 	stats.BytesSent += 2 * bytes
-	t.obs.bytesSent.Add(2 * bytes)
 	elapsed += 2 * base
-	if !t.inj.LinkDrops(src, dst, round, seq, t.maxRetries) {
+	if !l.Drops(seq, t.maxRetries) {
 		stats.TopoHeals++
-		t.obs.topoHeals.Inc()
 		return true, elapsed
 	}
 	stats.LinkDropped++
-	t.obs.linkDropped.Inc()
 	return false, elapsed
+}
+
+// walkLink is one hop position's resolved link, for the directed pair it
+// was resolved for.
+type walkLink struct {
+	src, dst int
+	link     fault.Link
+}
+
+// wireTime is device.TransferTime for one payload size.
+type wireTime struct {
+	bytes int64
+	s     float64
+}
+
+// link returns the resolved link for the pos-th hop of a phase, reusing
+// the one an earlier phase of the walk resolved at that position when its
+// (src, dst) matches. Every ring phase, and every intra-group ring phase
+// of hier, repeats the same hop list, so those walks resolve each link
+// once. Reuse is sound only inside one walk, which runs at one clock
+// instant in one round.
+func (t *transport) link(pos, src, dst, round int) *fault.Link {
+	if pos == len(t.links) {
+		t.links = append(t.links, walkLink{src: src, dst: dst, link: t.inj.Link(src, dst, round)})
+	} else if w := &t.links[pos]; w.src != src || w.dst != dst {
+		*w = walkLink{src: src, dst: dst, link: t.inj.Link(src, dst, round)}
+	}
+	return &t.links[pos].link
+}
+
+// wire returns the hop transfer time for a payload of bytes, priced once
+// per distinct size in a walk.
+func (t *transport) wire(bytes int64) float64 {
+	for _, w := range t.wires {
+		if w.bytes == bytes {
+			return w.s
+		}
+	}
+	s := device.TransferTime(t.prof, t.prof, bytes)
+	t.wires = append(t.wires, wireTime{bytes, s})
+	return s
 }
 
 // walk prices one traversal of the topology's phases over the live members,
 // returning the members whose contribution dead links lost plus the
 // simulated seconds elapsed. Hops within a phase run concurrently (the
-// phase costs its slowest hop); phases serialize.
+// phase costs its slowest hop); phases serialize. Each link's draws are
+// resolved once per walk, and the per-hop Stats tallies reach obs once,
+// when the walk ends.
 func (t *transport) walk(kind Topology, live []int, payload int64, round, groupSize, salt int, stats *Stats) (map[int]bool, float64) {
 	lost := make(map[int]bool)
 	failed := make(map[int]int)
+	t.links, t.wires = t.links[:0], t.wires[:0]
+	sent, slow, retrans, dropped, heals := stats.BytesSent, stats.LinkSlowHops, stats.Retransmissions, stats.LinkDropped, stats.TopoHeals
 	var total float64
-	phaseHops(kind, live, payload, groupSize, func(seq int, hops []hop) {
+	t.hops = phaseHops(kind, live, payload, groupSize, t.hops, func(seq int, hops []hop) {
 		var phaseS float64
-		for _, h := range hops {
-			ok, s := t.hop(h.src, h.dst, h.bytes, round, salt+seq, stats)
+		for pos, h := range hops {
+			ok, s := t.hop(t.link(pos, h.src, h.dst, round), t.wire(h.bytes), h.bytes, salt+seq, stats)
 			if s > phaseS {
 				phaseS = s
 			}
@@ -299,6 +344,11 @@ func (t *transport) walk(kind Topology, live []int, payload int64, round, groupS
 		}
 		total += phaseS
 	})
+	t.obs.bytesSent.Add(stats.BytesSent - sent)
+	t.obs.linkSlowHops.Add(int64(stats.LinkSlowHops - slow))
+	t.obs.retrans.Add(int64(stats.Retransmissions - retrans))
+	t.obs.linkDropped.Add(int64(stats.LinkDropped - dropped))
+	t.obs.topoHeals.Add(int64(stats.TopoHeals - heals))
 	return lost, total
 }
 

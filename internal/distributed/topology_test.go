@@ -29,7 +29,7 @@ func members(n int) []int {
 // collectPhases materialises phaseHops output for structural assertions.
 func collectPhases(kind Topology, m []int, payload int64, groupSize int) [][]hop {
 	var phases [][]hop
-	phaseHops(kind, m, payload, groupSize, func(seq int, hops []hop) {
+	phaseHops(kind, m, payload, groupSize, nil, func(seq int, hops []hop) {
 		if seq != len(phases) {
 			panic("phase seq out of order")
 		}
@@ -504,7 +504,8 @@ func TestHopDetourHealing(t *testing.T) {
 	certain := fault.NewInjector(fault.Config{Seed: 1, LinkDropProb: 1})
 	net := newTestTransport(certain, 2)
 	var stats Stats
-	ok, elapsed := net.hop(0, 1, 100, 0, 0, &stats)
+	l := certain.Link(0, 1, 0)
+	ok, elapsed := net.hop(&l, net.wire(100), 100, 0, &stats)
 	if ok {
 		t.Fatal("hop delivered with LinkDropProb=1")
 	}
@@ -519,8 +520,9 @@ func TestHopDetourHealing(t *testing.T) {
 	flaky := fault.NewInjector(fault.Config{Seed: 2, LinkDropProb: 0.9})
 	net = newTestTransport(flaky, 2)
 	var fstats Stats
+	l = flaky.Link(0, 1, 0)
 	for seq := 0; seq < 200; seq++ {
-		net.hop(0, 1, 100, 0, seq, &fstats)
+		net.hop(&l, net.wire(100), 100, seq, &fstats)
 	}
 	if fstats.TopoHeals == 0 {
 		t.Fatal("no detour heals over 200 hops at p=0.9")

@@ -358,14 +358,24 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// unit maps (seed, kind, worker, step, attempt) to a uniform [0,1) float.
-func (i *Injector) unit(kind Kind, worker, step, attempt int) float64 {
+// prefix hashes the (seed, kind, worker, step) part of a draw's key, which
+// every attempt of that draw shares.
+func (i *Injector) prefix(kind Kind, worker, step int) uint64 {
 	h := splitmix64(uint64(i.cfg.Seed))
 	h = splitmix64(h ^ uint64(kind))
 	h = splitmix64(h ^ uint64(int64(worker)))
-	h = splitmix64(h ^ uint64(int64(step)))
-	h = splitmix64(h ^ uint64(int64(attempt)))
-	return float64(h>>11) / float64(1<<53)
+	return splitmix64(h ^ uint64(int64(step)))
+}
+
+// finish completes a draw from its prefix with one mix over the attempt
+// and maps the hash to a uniform [0,1) float.
+func finish(prefix uint64, attempt int) float64 {
+	return float64(splitmix64(prefix^uint64(int64(attempt)))>>11) / float64(1<<53)
+}
+
+// unit maps (seed, kind, worker, step, attempt) to a uniform [0,1) float.
+func (i *Injector) unit(kind Kind, worker, step, attempt int) float64 {
+	return finish(i.prefix(kind, worker, step), attempt)
 }
 
 // Chance is the generic deterministic Bernoulli draw: it reports whether

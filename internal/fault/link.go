@@ -14,6 +14,9 @@ package fault
 //     independently (hopSeq salts the attempt key), so a ring that
 //     traverses a link 2(m-1) times sees transient, not sticky, drops.
 //
+// Every draw of one link in one round shares everything but the attempt
+// key, so Injector.Link resolves those shared parts once into a Link.
+//
 // Schedule windows apply with the source worker as the window key: a
 // Window{Kind: KindLinkDrop, Workers: []int{3}} degrades every link out of
 // worker 3 for its duration.
@@ -24,31 +27,48 @@ func linkKey(src, dst int) int {
 	return src<<20 ^ dst ^ (src >> 11)
 }
 
-// LinkDrops reports whether the attempt-th transmission over the directed
-// link src→dst is lost, for the hopSeq-th phase of the round's collective.
-func (i *Injector) LinkDrops(src, dst, round, hopSeq, attempt int) bool {
-	if i == nil {
-		return false
-	}
-	p := i.probNow(KindLinkDrop, src, i.cfg.LinkDropProb)
-	return i.Chance(KindLinkDrop, linkKey(src, dst), round, hopSeq*1024+attempt, p)
+// Link is one directed link's fault draws for one round, resolved by
+// Injector.Link at the clock's instant: the slow multiplier, the drop
+// probability, and the drop stream's hash prefix over (seed,
+// KindLinkDrop, link, round), so each drop draw costs one splitmix64. It
+// stays valid only while the clock and the round stay where they were.
+type Link struct {
+	slow   float64
+	dropP  float64
+	prefix uint64
 }
 
-// LinkSlow returns the latency multiplier for hops over src→dst at the
-// given round: 1 normally, the configured LinkSlowFactor (default 8) when
-// the link is degraded. A slow link stays slow for the whole round.
-func (i *Injector) LinkSlow(src, dst, round int) float64 {
+// Link resolves the directed link src→dst for the round at the attached
+// clock's current time (schedule windows are keyed by src). A nil
+// injector yields a clean link.
+func (i *Injector) Link(src, dst, round int) Link {
+	l := Link{slow: 1}
 	if i == nil {
-		return 1
+		return l
 	}
-	p := i.probNow(KindLinkSlow, src, i.cfg.LinkSlowProb)
-	if !i.Chance(KindLinkSlow, linkKey(src, dst), round, 0, p) {
-		return 1
+	key := linkKey(src, dst)
+	if i.Chance(KindLinkSlow, key, round, 0, i.probNow(KindLinkSlow, src, i.cfg.LinkSlowProb)) {
+		l.slow = i.cfg.LinkSlowFactor
+		if l.slow <= 1 {
+			l.slow = 8
+		}
 	}
-	if i.cfg.LinkSlowFactor <= 1 {
-		return 8
+	l.dropP = i.probNow(KindLinkDrop, src, i.cfg.LinkDropProb)
+	if l.dropP > 0 {
+		l.prefix = i.prefix(KindLinkDrop, key, round)
 	}
-	return i.cfg.LinkSlowFactor
+	return l
+}
+
+// Slow returns the latency multiplier for hops over the link this round:
+// 1 normally, the configured LinkSlowFactor (default 8) when the link is
+// degraded. A slow link stays slow for the whole round.
+func (l *Link) Slow() float64 { return l.slow }
+
+// Drops reports whether the attempt-th transmission over the link is
+// lost, for the hopSeq-th phase of the round's collective.
+func (l *Link) Drops(hopSeq, attempt int) bool {
+	return l.dropP > 0 && finish(l.prefix, hopSeq*1024+attempt) < l.dropP
 }
 
 // PartitionRoundsLen returns how many rounds a partition lasts once begun.

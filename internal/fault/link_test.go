@@ -1,6 +1,22 @@
 package fault
 
-import "testing"
+import (
+	"fmt"
+	"math"
+	"testing"
+)
+
+// linkDrops and linkSlow resolve the link afresh for one draw, the way a
+// caller with a single hop would.
+func linkDrops(inj *Injector, src, dst, round, hopSeq, attempt int) bool {
+	l := inj.Link(src, dst, round)
+	return l.Drops(hopSeq, attempt)
+}
+
+func linkSlow(inj *Injector, src, dst, round int) float64 {
+	l := inj.Link(src, dst, round)
+	return l.Slow()
+}
 
 func TestLinkDrawsDeterministicAndOrderIndependent(t *testing.T) {
 	inj := NewInjector(LinkRate(42, 0.3))
@@ -10,7 +26,7 @@ func TestLinkDrawsDeterministicAndOrderIndependent(t *testing.T) {
 	for src := 0; src < 4; src++ {
 		for dst := 0; dst < 4; dst++ {
 			for round := 0; round < 4; round++ {
-				first = append(first, inj.LinkDrops(src, dst, round, 1, 0))
+				first = append(first, linkDrops(inj, src, dst, round, 1, 0))
 			}
 		}
 	}
@@ -18,11 +34,11 @@ func TestLinkDrawsDeterministicAndOrderIndependent(t *testing.T) {
 	for src := 3; src >= 0; src-- {
 		for dst := 3; dst >= 0; dst-- {
 			for round := 3; round >= 0; round-- {
-				inj.LinkSlow(dst, src, round) // unrelated stream
-				got := inj.LinkDrops(src, dst, round, 1, 0)
+				linkSlow(inj, dst, src, round) // unrelated stream
+				got := linkDrops(inj, src, dst, round, 1, 0)
 				want := first[src*16+dst*4+round]
 				if got != want {
-					t.Fatalf("LinkDrops(%d,%d,%d) changed between queries: %v then %v",
+					t.Fatalf("Link(%d,%d,%d).Drops changed between queries: %v then %v",
 						src, dst, round, want, got)
 				}
 			}
@@ -33,7 +49,7 @@ func TestLinkDrawsDeterministicAndOrderIndependent(t *testing.T) {
 	// p=0.3 the two streams must not be identical.
 	same := true
 	for l := 0; l < 200 && same; l++ {
-		if inj.LinkDrops(l, l+1, 0, 0, 0) != inj.LinkDrops(l, l+1, 0, 1, 0) {
+		if linkDrops(inj, l, l+1, 0, 0, 0) != linkDrops(inj, l, l+1, 0, 1, 0) {
 			same = false
 		}
 	}
@@ -47,7 +63,7 @@ func TestLinkDirectionality(t *testing.T) {
 	// must disagree somewhere across many links.
 	inj := NewInjector(Config{Seed: 7, LinkDropProb: 0.5})
 	for l := 0; l < 200; l++ {
-		if inj.LinkDrops(l, l+1, 3, 0, 0) != inj.LinkDrops(l+1, l, 3, 0, 0) {
+		if linkDrops(inj, l, l+1, 3, 0, 0) != linkDrops(inj, l+1, l, 3, 0, 0) {
 			return
 		}
 	}
@@ -58,12 +74,12 @@ func TestLinkSlowFactorDefaultsAndSticksPerRound(t *testing.T) {
 	inj := NewInjector(Config{Seed: 11, LinkSlowProb: 0.5}) // factor unset → 8
 	sawSlow := false
 	for l := 0; l < 100; l++ {
-		f := inj.LinkSlow(l, l+1, 2)
+		f := linkSlow(inj, l, l+1, 2)
 		if f != 1 && f != 8 {
-			t.Fatalf("LinkSlow returned %v; want 1 or the default 8", f)
+			t.Fatalf("Link.Slow returned %v; want 1 or the default 8", f)
 		}
-		if f != inj.LinkSlow(l, l+1, 2) {
-			t.Fatal("LinkSlow not stable within a round")
+		if f != linkSlow(inj, l, l+1, 2) {
+			t.Fatal("Link.Slow not stable within a round")
 		}
 		if f > 1 {
 			sawSlow = true
@@ -120,11 +136,11 @@ func TestPartitionStableCutAndDuration(t *testing.T) {
 
 func TestNilInjectorLinkMethods(t *testing.T) {
 	var inj *Injector
-	if inj.LinkDrops(0, 1, 0, 0, 0) {
+	if linkDrops(inj, 0, 1, 0, 0, 0) {
 		t.Fatal("nil injector drops")
 	}
-	if f := inj.LinkSlow(0, 1, 0); f != 1 {
-		t.Fatalf("nil injector LinkSlow = %v; want 1", f)
+	if f := linkSlow(inj, 0, 1, 0); f != 1 {
+		t.Fatalf("nil injector Link.Slow = %v; want 1", f)
 	}
 	if _, ok := inj.PartitionAt(0); ok {
 		t.Fatal("nil injector partitions")
@@ -152,5 +168,136 @@ func TestLinkConfigValidation(t *testing.T) {
 	}
 	if (Config{PartitionProb: 0.1}).Enabled() == false {
 		t.Fatal("partition-only config not Enabled")
+	}
+}
+
+// oracleUnit, oracleChance, oracleLinkDrops and oracleLinkSlow are the
+// per-call draws as they were before Link resolved a round's draws once:
+// five straight mixes per draw, and the schedule and rate looked up again
+// for every attempt.
+func oracleUnit(i *Injector, kind Kind, worker, step, attempt int) float64 {
+	h := splitmix64(uint64(i.cfg.Seed))
+	h = splitmix64(h ^ uint64(kind))
+	h = splitmix64(h ^ uint64(int64(worker)))
+	h = splitmix64(h ^ uint64(int64(step)))
+	h = splitmix64(h ^ uint64(int64(attempt)))
+	return float64(h>>11) / float64(1<<53)
+}
+
+func oracleChance(i *Injector, kind Kind, worker, step, attempt int, p float64) bool {
+	if i == nil || p <= 0 {
+		return false
+	}
+	return oracleUnit(i, kind, worker, step, attempt) < p
+}
+
+func oracleLinkDrops(i *Injector, src, dst, round, hopSeq, attempt int) bool {
+	if i == nil {
+		return false
+	}
+	p := i.probNow(KindLinkDrop, src, i.cfg.LinkDropProb)
+	return oracleChance(i, KindLinkDrop, linkKey(src, dst), round, hopSeq*1024+attempt, p)
+}
+
+func oracleLinkSlow(i *Injector, src, dst, round int) float64 {
+	if i == nil {
+		return 1
+	}
+	p := i.probNow(KindLinkSlow, src, i.cfg.LinkSlowProb)
+	if !oracleChance(i, KindLinkSlow, linkKey(src, dst), round, 0, p) {
+		return 1
+	}
+	if i.cfg.LinkSlowFactor <= 1 {
+		return 8
+	}
+	return i.cfg.LinkSlowFactor
+}
+
+// Link resolves a round's draws once; every Slow and Drops it answers must
+// equal the per-call formulas, by bits, across links, rounds, hop sequence
+// numbers, attempts up to 64, flat rates, windows keyed by worker lists,
+// clocks inside, outside and absent, a nil injector, and LinkSlowFactor
+// at or below 1 (which defaults to 8).
+func TestLinkMatchesPerCallDraws(t *testing.T) {
+	windows := []Window{
+		{Kind: KindLinkDrop, Workers: []int{1, 3, 255}, StartS: 10, EndS: 20, Prob: 0.4},
+		{Kind: KindLinkDrop, StartS: 15, EndS: 30, Prob: 0.2},
+		{Kind: KindLinkSlow, Workers: []int{0, 3}, StartS: 5, EndS: 18, Prob: 0.6},
+		{Kind: KindLinkSlow, Workers: []int{2}, StartS: 12, Prob: 1},
+	}
+	configs := map[string]Config{
+		"rate":            LinkRate(42, 0.3),
+		"certain":         {Seed: -7, LinkDropProb: 1, LinkSlowProb: 1, LinkSlowFactor: 3},
+		"factor-below-1":  {Seed: 5, LinkDropProb: 0.5, LinkSlowProb: 0.5, LinkSlowFactor: 0.5},
+		"factor-exactly1": {Seed: 6, LinkSlowProb: 0.5, LinkSlowFactor: 1},
+		"windows":         {Seed: 9, LinkSlowFactor: 4, Schedule: windows},
+		"zero":            {Seed: 11},
+	}
+	links := [][2]int{{0, 1}, {1, 0}, {1, 2}, {2, 3}, {3, 0}, {3, 255}, {255, 3}, {7, 7}, {1000, 2}}
+	rounds := []int{0, 1, 7, 300}
+	seqs := []int{0, 1, 5, 1<<12 + 3}
+	drops, slows := map[bool]int{}, map[float64]int{}
+	check := func(t *testing.T, inj *Injector) {
+		t.Helper()
+		for _, lk := range links {
+			for _, round := range rounds {
+				src, dst := lk[0], lk[1]
+				l := inj.Link(src, dst, round)
+				if got, want := l.Slow(), oracleLinkSlow(inj, src, dst, round); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("Link(%d,%d,%d).Slow() = %v, per-call draw %v", src, dst, round, got, want)
+				}
+				slows[l.Slow()]++
+				for _, seq := range seqs {
+					for attempt := 0; attempt <= 64; attempt++ {
+						got := l.Drops(seq, attempt)
+						if want := oracleLinkDrops(inj, src, dst, round, seq, attempt); got != want {
+							t.Fatalf("Link(%d,%d,%d).Drops(%d,%d) = %v, per-call draw %v", src, dst, round, seq, attempt, got, want)
+						}
+						drops[got]++
+					}
+				}
+			}
+		}
+	}
+	t.Run("nil", func(t *testing.T) { check(t, nil) })
+	for name, cfg := range configs {
+		t.Run(name+"/no-clock", func(t *testing.T) { check(t, NewInjector(cfg)) })
+		for _, now := range []float64{0, 7, 12, 16, 19.5, 25, 40} {
+			t.Run(fmt.Sprintf("%s/t=%g", name, now), func(t *testing.T) {
+				inj := NewInjector(cfg)
+				inj.SetClock(&fixedClock{t: now})
+				check(t, inj)
+			})
+		}
+	}
+	// The sweep must reach both drop outcomes and every slow multiplier
+	// the configs can produce: 1, the default 8, and the factors 3 and 4.
+	if drops[true] == 0 || drops[false] == 0 {
+		t.Fatalf("drop outcomes seen: %v; want both", drops)
+	}
+	for _, f := range []float64{1, 3, 4, 8} {
+		if slows[f] == 0 {
+			t.Fatalf("slow multiplier %v never drawn (seen %v)", f, slows)
+		}
+	}
+}
+
+// unit is prefix plus one finishing mix; it must equal the five straight
+// mixes it replaced, so Chance, Exp and every other draw keep their values.
+func TestUnitMatchesStraightMixes(t *testing.T) {
+	for _, seed := range []int64{0, 1, -1, 42, math.MaxInt64, math.MinInt64} {
+		inj := NewInjector(Config{Seed: seed})
+		for kind := Kind(0); kind <= kindEnd+1; kind++ {
+			for _, worker := range []int{-1, 0, 3, 1 << 20, -1 << 40} {
+				for _, step := range []int{-5, 0, 1, 999, 1 << 33} {
+					for _, attempt := range []int{-1, 0, 1, 63, 64, 1<<12 + 64} {
+						got, want := inj.unit(kind, worker, step, attempt), oracleUnit(inj, kind, worker, step, attempt)
+						if math.Float64bits(got) != math.Float64bits(want) {
+							t.Fatalf("unit(seed %d, %v, %d, %d, %d) = %v, straight mixes %v", seed, kind, worker, step, attempt, got, want)
+						}
+					}
+				}
+			}
+		}
 	}
 }
