@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"dlsys/internal/invalid"
 )
 
 // must unwraps (value, error) pairs whose arguments are valid by
@@ -277,11 +279,11 @@ func TestGenerateKeysUnknownDistribution(t *testing.T) {
 	if err == nil {
 		t.Fatal("unknown distribution accepted")
 	}
-	var de *DistError
+	var de *invalid.Error
 	if !errors.As(err, &de) {
-		t.Fatalf("error %v is not a *DistError", err)
+		t.Fatalf("error %v is not a *invalid.Error", err)
 	}
-	if de.Dist != "cauchy" {
-		t.Fatalf("DistError names %q, want cauchy", de.Dist)
+	if want := `data: GenerateKeys: unknown key distribution "cauchy"`; de.Error() != want {
+		t.Fatalf("error %q, want %q", de.Error(), want)
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+
+	"dlsys/internal/invalid"
 )
 
 // KeyDistribution names a synthetic key distribution for the learned-index
@@ -19,19 +21,9 @@ const (
 	Lognormal KeyDistribution = "lognormal"
 )
 
-// DistError is the typed error GenerateKeys returns for a distribution
-// name it does not recognise.
-type DistError struct {
-	Dist KeyDistribution
-}
-
-func (e *DistError) Error() string {
-	return "data: unknown key distribution " + string(e.Dist)
-}
-
 // GenerateKeys returns n distinct uint64 keys drawn from the named
 // distribution, sorted ascending. An unknown distribution yields a typed
-// *DistError.
+// *invalid.Error.
 func GenerateKeys(rng *rand.Rand, dist KeyDistribution, n int) ([]uint64, error) {
 	seen := make(map[uint64]bool, n)
 	keys := make([]uint64, 0, n)
@@ -61,7 +53,7 @@ func GenerateKeys(rng *rand.Rand, dist KeyDistribution, n int) ([]uint64, error)
 			add(uint64(v * 1000))
 		}
 	default:
-		return nil, &DistError{Dist: dist}
+		return nil, invalid.New("data", "GenerateKeys", "unknown key distribution %q", dist)
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	return keys, nil

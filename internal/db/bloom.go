@@ -1,8 +1,9 @@
 package db
 
 import (
-	"fmt"
 	"math"
+
+	"dlsys/internal/invalid"
 )
 
 // Bloom is a classic Bloom filter over uint64 keys with k independent hash
@@ -21,8 +22,8 @@ func NewBloom(n int, fpr float64) (*Bloom, error) {
 	if n < 1 {
 		n = 1
 	}
-	if fpr <= 0 || fpr >= 1 {
-		return nil, &ArgError{Fn: "NewBloom", Reason: fmt.Sprintf("fpr %g outside (0,1)", fpr)}
+	if !(fpr > 0 && fpr < 1) { // false for NaN too
+		return nil, invalid.New("db", "NewBloom", "fpr %g outside (0,1)", fpr)
 	}
 	m := uint64(math.Ceil(-float64(n) * math.Log(fpr) / (math.Ln2 * math.Ln2)))
 	if m < 64 {

@@ -1,8 +1,9 @@
 package db
 
 import (
-	"fmt"
 	"math"
+
+	"dlsys/internal/invalid"
 )
 
 // Canopy is a Data-Canopy-style statistics cache (Wasay et al., cited in
@@ -41,7 +42,7 @@ type pairStats struct {
 // table's schema is fixed at construction, so callers resolve names once.
 func NewCanopy(t *Table, chunkSize int) (*Canopy, error) {
 	if chunkSize < 1 {
-		return nil, &ArgError{Fn: "NewCanopy", Reason: fmt.Sprintf("chunk size %d < 1", chunkSize)}
+		return nil, invalid.New("db", "NewCanopy", "chunk size %d < 1", chunkSize)
 	}
 	return &Canopy{
 		table:     t,

@@ -1,9 +1,10 @@
 package db
 
 import (
-	"fmt"
 	"math"
 	"sort"
+
+	"dlsys/internal/invalid"
 )
 
 // Table is a minimal in-memory column store: named float64 columns of equal
@@ -39,7 +40,7 @@ func (t *Table) Rows() int { return t.rows }
 // not match the column count (and the row is not added).
 func (t *Table) Append(values ...float64) error {
 	if len(values) != len(t.columns) {
-		return &ArgError{Fn: "Append", Reason: fmt.Sprintf("row width %d != %d columns", len(values), len(t.columns))}
+		return invalid.New("db", "Append", "row width %d != %d columns", len(values), len(t.columns))
 	}
 	for i, v := range values {
 		t.columns[i] = append(t.columns[i], v)
@@ -53,7 +54,7 @@ func (t *Table) Append(values ...float64) error {
 func (t *Table) Column(name string) ([]float64, error) {
 	i, ok := t.colIdx[name]
 	if !ok {
-		return nil, &ArgError{Fn: "Column", Reason: "unknown column " + name}
+		return nil, invalid.New("db", "Column", "unknown column %s", name)
 	}
 	return t.columns[i], nil
 }
@@ -137,7 +138,7 @@ func (t *Table) Aggregate(agg Agg, col string, preds []Pred) (float64, error) {
 	if agg != AggCount {
 		var err error
 		if c, err = t.Column(col); err != nil {
-			return 0, &ArgError{Fn: "Aggregate", Reason: "unknown column " + col}
+			return 0, invalid.New("db", "Aggregate", "unknown column %s", col)
 		}
 	}
 	for r := 0; r < t.rows; r++ {
@@ -199,11 +200,11 @@ func sum(vals []float64) float64 {
 func (t *Table) GroupMeans(groupCol, valCol string, bucket float64) (map[float64]float64, error) {
 	g, err := t.Column(groupCol)
 	if err != nil {
-		return nil, &ArgError{Fn: "GroupMeans", Reason: "unknown column " + groupCol}
+		return nil, invalid.New("db", "GroupMeans", "unknown column %s", groupCol)
 	}
 	v, err := t.Column(valCol)
 	if err != nil {
-		return nil, &ArgError{Fn: "GroupMeans", Reason: "unknown column " + valCol}
+		return nil, invalid.New("db", "GroupMeans", "unknown column %s", valCol)
 	}
 	sums := map[float64]float64{}
 	counts := map[float64]int{}
@@ -225,7 +226,7 @@ func (t *Table) GroupMeans(groupCol, valCol string, bucket float64) (map[float64
 func (t *Table) ColumnQuantiles(col string, q int) ([]float64, error) {
 	c, err := t.Column(col)
 	if err != nil {
-		return nil, &ArgError{Fn: "ColumnQuantiles", Reason: "unknown column " + col}
+		return nil, invalid.New("db", "ColumnQuantiles", "unknown column %s", col)
 	}
 	vals := append([]float64(nil), c...)
 	sort.Float64s(vals)

@@ -1,26 +1,17 @@
 package db
 
-import "fmt"
+import "dlsys/internal/invalid"
 
-// ArgError is a typed argument-validation failure from a db entry point:
-// which function was called, and why its arguments cannot run. Public
-// constructors and query entry points return it instead of panicking, so
+// Public constructors and query entry points reject bad arguments with a
+// typed *invalid.Error naming the entry point, instead of panicking, so
 // callers composing queries from user input (the natural-language layer,
 // exploration agents) can reject bad requests gracefully.
-type ArgError struct {
-	Fn     string
-	Reason string
-}
-
-func (e *ArgError) Error() string {
-	return fmt.Sprintf("db: %s: %s", e.Fn, e.Reason)
-}
 
 // checkPreds validates that every predicate names an existing column.
 func (t *Table) checkPreds(fn string, preds []Pred) error {
 	for _, p := range preds {
 		if _, ok := t.colIdx[p.Col]; !ok {
-			return &ArgError{Fn: fn, Reason: "unknown column " + p.Col}
+			return invalid.New("db", fn, "unknown column %s", p.Col)
 		}
 	}
 	return nil
@@ -29,7 +20,7 @@ func (t *Table) checkPreds(fn string, preds []Pred) error {
 // checkAgg validates the aggregate identifier.
 func checkAgg(fn string, agg Agg) error {
 	if agg < AggCount || agg > AggStd {
-		return &ArgError{Fn: fn, Reason: fmt.Sprintf("unknown aggregate %d", int(agg))}
+		return invalid.New("db", fn, "unknown aggregate %d", int(agg))
 	}
 	return nil
 }
@@ -37,10 +28,10 @@ func checkAgg(fn string, agg Agg) error {
 // checkHistInput validates histogram-constructor arguments.
 func checkHistInput(fn string, values []float64, buckets int) error {
 	if len(values) == 0 {
-		return &ArgError{Fn: fn, Reason: "empty input"}
+		return invalid.New("db", fn, "empty input")
 	}
 	if buckets < 1 {
-		return &ArgError{Fn: fn, Reason: fmt.Sprintf("buckets %d < 1", buckets)}
+		return invalid.New("db", fn, "buckets %d < 1", buckets)
 	}
 	return nil
 }
@@ -51,7 +42,7 @@ func checkQuery(t *Table, fn string, agg Agg, col string, preds []Pred) error {
 		return err
 	}
 	if _, ok := t.colIdx[col]; !ok {
-		return &ArgError{Fn: fn, Reason: "unknown column " + col}
+		return invalid.New("db", fn, "unknown column %s", col)
 	}
 	return t.checkPreds(fn, preds)
 }

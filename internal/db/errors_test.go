@@ -2,7 +2,10 @@ package db
 
 import (
 	"errors"
+	"math"
 	"testing"
+
+	"dlsys/internal/invalid"
 )
 
 // must unwraps (value, error) pairs whose arguments are valid by
@@ -14,18 +17,18 @@ func must[T any](v T, err error) T {
 	return v
 }
 
-// wantArgErr asserts err is a *ArgError from the named entry point.
+// wantArgErr asserts err is a *invalid.Error from the named entry point.
 func wantArgErr(t *testing.T, err error, fn string) {
 	t.Helper()
 	if err == nil {
 		t.Fatalf("%s: expected an error, got nil", fn)
 	}
-	var ae *ArgError
+	var ae *invalid.Error
 	if !errors.As(err, &ae) {
-		t.Fatalf("%s: error %v is not a *ArgError", fn, err)
+		t.Fatalf("%s: error %v is not a *invalid.Error", fn, err)
 	}
-	if ae.Fn != fn {
-		t.Fatalf("ArgError names %q, want %q (err: %v)", ae.Fn, fn, err)
+	if ae.Field != fn {
+		t.Fatalf("error names %q, want %q (err: %v)", ae.Field, fn, err)
 	}
 }
 
@@ -66,6 +69,8 @@ func TestTypedErrorsFromConstructors(t *testing.T) {
 	_, err := NewBloom(100, 0)
 	wantArgErr(t, err, "NewBloom")
 	_, err = NewBloom(100, 1)
+	wantArgErr(t, err, "NewBloom")
+	_, err = NewBloom(100, math.NaN())
 	wantArgErr(t, err, "NewBloom")
 
 	_, err = NewEquiWidth(nil, 8)

@@ -1,6 +1,10 @@
 package db
 
-import "math"
+import (
+	"math"
+
+	"dlsys/internal/invalid"
+)
 
 // Vectorized query execution. Part 1 of the tutorial draws an analogy
 // between neural-network layers and query-processing operators, and its
@@ -126,7 +130,7 @@ func (a *AggOp) Result() (float64, error) {
 		}
 		col, err := b.table.Column(a.col)
 		if err != nil {
-			return 0, &ArgError{Fn: "Result", Reason: "unknown column " + a.col}
+			return 0, invalid.New("db", "Result", "unknown column %s", a.col)
 		}
 		for _, r := range b.rows {
 			v := col[r]

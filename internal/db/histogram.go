@@ -1,6 +1,10 @@
 package db
 
-import "sort"
+import (
+	"sort"
+
+	"dlsys/internal/invalid"
+)
 
 // Histogram is a one-dimensional bucketed frequency summary supporting
 // range-selectivity estimation with intra-bucket uniformity assumption —
@@ -139,7 +143,7 @@ func NewIndependentEstimator(t *Table, buckets int) (*IndependentEstimator, erro
 	for _, c := range t.Columns() {
 		h, err := NewEquiDepth(t.mustColumn(c), buckets)
 		if err != nil {
-			return nil, &ArgError{Fn: "NewIndependentEstimator", Reason: "column " + c + ": " + err.(*ArgError).Reason}
+			return nil, invalid.New("db", "NewIndependentEstimator", "column %s: %s", c, err.(*invalid.Error).Reason)
 		}
 		e.Hists[c] = h
 	}
@@ -153,7 +157,7 @@ func (e *IndependentEstimator) Estimate(preds []Pred) (float64, error) {
 	for _, p := range preds {
 		h, ok := e.Hists[p.Col]
 		if !ok {
-			return 0, &ArgError{Fn: "Estimate", Reason: "no histogram for column " + p.Col}
+			return 0, invalid.New("db", "Estimate", "no histogram for column %s", p.Col)
 		}
 		sel *= h.EstimateRange(p.Lo, p.Hi)
 	}

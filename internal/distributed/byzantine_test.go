@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"dlsys/internal/fault"
+	"dlsys/internal/invalid"
 	"dlsys/internal/nn"
 	"dlsys/internal/obs"
 	"dlsys/internal/robust"
@@ -79,9 +80,9 @@ func TestConfigValidateTable(t *testing.T) {
 				}
 				return
 			}
-			var ce *ConfigError
+			var ce *invalid.Error
 			if !errors.As(err, &ce) {
-				t.Fatalf("want *ConfigError, got %v (%T)", err, err)
+				t.Fatalf("want *invalid.Error, got %v (%T)", err, err)
 			}
 			if ce.Field != tc.field {
 				t.Fatalf("Field = %q, want %q (err: %v)", ce.Field, tc.field, err)

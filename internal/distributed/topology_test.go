@@ -6,6 +6,7 @@ import (
 
 	"dlsys/internal/device"
 	"dlsys/internal/fault"
+	"dlsys/internal/invalid"
 	"dlsys/internal/nn"
 )
 
@@ -272,8 +273,8 @@ func TestTopologyConfigValidation(t *testing.T) {
 	bad.Topology = "torus"
 	if _, _, err := Train(1, train.X, y, bad); err == nil {
 		t.Fatal("unknown topology accepted")
-	} else if ce, ok := err.(*ConfigError); !ok || ce.Field != "Topology" {
-		t.Fatalf("want *ConfigError{Topology}, got %v", err)
+	} else if ce, ok := err.(*invalid.Error); !ok || ce.Field != "Topology" {
+		t.Fatalf("want *invalid.Error{Topology}, got %v", err)
 	}
 
 	bad = base
@@ -299,8 +300,8 @@ func TestTopologyConfigValidation(t *testing.T) {
 		bad.Churn = churn
 		if _, _, err := Train(1, train.X, y, bad); err == nil {
 			t.Fatalf("churn schedule %q accepted", name)
-		} else if ce, ok := err.(*ConfigError); !ok || ce.Field != "Churn" {
-			t.Fatalf("churn %q: want *ConfigError{Churn}, got %v", name, err)
+		} else if ce, ok := err.(*invalid.Error); !ok || ce.Field != "Churn" {
+			t.Fatalf("churn %q: want *invalid.Error{Churn}, got %v", name, err)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dlsys/internal/db"
+	"dlsys/internal/invalid"
 )
 
 // must unwraps (value, error) pairs whose arguments are valid by
@@ -182,9 +183,9 @@ func TestNewViewGridRejectsUnknownColumns(t *testing.T) {
 		if err == nil {
 			t.Fatalf("grid over %v built despite unknown column", cols)
 		}
-		var ae *db.ArgError
+		var ae *invalid.Error
 		if !errors.As(err, &ae) {
-			t.Fatalf("error %v is not a *db.ArgError", err)
+			t.Fatalf("error %v is not a *invalid.Error", err)
 		}
 	}
 }

@@ -15,7 +15,11 @@
 // whole-run results bit-reproducible.
 package fault
 
-import "math"
+import (
+	"math"
+
+	"dlsys/internal/invalid"
+)
 
 // Kind enumerates the injectable fault classes.
 type Kind uint32
@@ -273,67 +277,42 @@ func (c Config) Enabled() bool {
 		len(c.ByzantineWorkers) > 0 || len(c.Schedule) > 0
 }
 
-// Validate checks every probability is in [0, 1], every factor is finite,
+// Validate checks every field is finite, every probability is in [0, 1],
 // and the Byzantine configuration is coherent (a valid attack kind,
-// non-negative worker ids).
+// non-negative worker ids). A NaN factor would pass every "<= 1 means the
+// default" test and be returned as the multiplier itself.
 func (c Config) Validate() error {
-	type field struct {
-		name string
-		v    float64
+	probs := []invalid.Field{
+		invalid.F("CrashProb", c.CrashProb), invalid.F("StragglerProb", c.StragglerProb),
+		invalid.F("DropProb", c.DropProb), invalid.F("CorruptProb", c.CorruptProb),
+		invalid.F("BatchCorruptProb", c.BatchCorruptProb), invalid.F("LabelNoiseProb", c.LabelNoiseProb),
+		invalid.F("LRSpikeProb", c.LRSpikeProb), invalid.F("ByzantineRate", c.ByzantineRate),
+		invalid.F("LinkDropProb", c.LinkDropProb), invalid.F("LinkSlowProb", c.LinkSlowProb),
+		invalid.F("PartitionProb", c.PartitionProb),
 	}
-	for _, p := range []field{
-		{"CrashProb", c.CrashProb}, {"StragglerProb", c.StragglerProb},
-		{"DropProb", c.DropProb}, {"CorruptProb", c.CorruptProb},
-		{"BatchCorruptProb", c.BatchCorruptProb}, {"LabelNoiseProb", c.LabelNoiseProb},
-		{"LRSpikeProb", c.LRSpikeProb}, {"ByzantineRate", c.ByzantineRate},
-		{"LinkDropProb", c.LinkDropProb}, {"LinkSlowProb", c.LinkSlowProb},
-		{"PartitionProb", c.PartitionProb},
-	} {
-		if !(p.v >= 0 && p.v <= 1) { // false for NaN too
-			return &ConfigError{Field: p.name, Value: p.v}
-		}
+	if err := invalid.Finite("fault", append(probs,
+		invalid.F("StragglerFactor", c.StragglerFactor), invalid.F("LRSpikeFactor", c.LRSpikeFactor),
+		invalid.F("LinkSlowFactor", c.LinkSlowFactor), invalid.F("SignFlipFactor", c.SignFlipFactor),
+		invalid.F("ScaleAttackFactor", c.ScaleAttackFactor), invalid.F("DriftAttackBias", c.DriftAttackBias),
+		invalid.F("ColludeBoost", c.ColludeBoost))...); err != nil {
+		return err
 	}
-	// A NaN factor passes every "<= 1 means the default" test and would be
-	// returned as the multiplier itself.
-	for _, p := range []field{
-		{"StragglerFactor", c.StragglerFactor}, {"LRSpikeFactor", c.LRSpikeFactor},
-		{"LinkSlowFactor", c.LinkSlowFactor}, {"SignFlipFactor", c.SignFlipFactor},
-		{"ScaleAttackFactor", c.ScaleAttackFactor}, {"DriftAttackBias", c.DriftAttackBias},
-		{"ColludeBoost", c.ColludeBoost},
-	} {
-		if math.IsNaN(p.v) || math.IsInf(p.v, 0) {
-			return &ConfigError{Field: p.name, Value: p.v, Reason: "is not finite"}
+	for _, p := range probs {
+		if p.Value < 0 || p.Value > 1 {
+			return invalid.New("fault", p.Name, "%g out of [0,1]", p.Value)
 		}
 	}
 	if len(c.ByzantineWorkers) > 0 {
 		if !IsByzantineKind(c.ByzantineKind) {
-			return &ConfigError{Field: "ByzantineKind", Value: float64(c.ByzantineKind),
-				Reason: "is not a Byzantine attack kind"}
+			return invalid.New("fault", "ByzantineKind", "kind %d is not a Byzantine attack kind", c.ByzantineKind)
 		}
 		for _, w := range c.ByzantineWorkers {
 			if w < 0 {
-				return &ConfigError{Field: "ByzantineWorkers", Value: float64(w),
-					Reason: "contains a negative worker id"}
+				return invalid.New("fault", "ByzantineWorkers", "contains a negative worker id %d", w)
 			}
 		}
 	}
 	return c.validateSchedule()
-}
-
-// ConfigError reports an invalid fault-config field: an out-of-range
-// probability unless Reason says otherwise.
-type ConfigError struct {
-	Field  string
-	Value  float64
-	Reason string // defaults to "out of [0,1]" when empty
-}
-
-func (e *ConfigError) Error() string {
-	r := e.Reason
-	if r == "" {
-		r = "out of [0,1]"
-	}
-	return "fault: " + e.Field + " " + r
 }
 
 // Injector answers "does fault X happen at (worker, step, attempt)?"

@@ -5,6 +5,8 @@ import (
 	"math"
 	"sync"
 	"testing"
+
+	"dlsys/internal/invalid"
 )
 
 func TestSameSeedSameSchedule(t *testing.T) {
@@ -185,9 +187,9 @@ func TestValidate(t *testing.T) {
 		{"+Inf ScaleAttackFactor", Config{ScaleAttackFactor: inf}, "ScaleAttackFactor"},
 		{"NaN ColludeBoost", Config{ColludeBoost: nan}, "ColludeBoost"},
 	} {
-		var ce *ConfigError
+		var ce *invalid.Error
 		if err := tc.cfg.Validate(); !errors.As(err, &ce) || ce.Field != tc.field {
-			t.Errorf("%s: got %v, want a *ConfigError on %s", tc.name, err, tc.field)
+			t.Errorf("%s: got %v, want a *invalid.Error on %s", tc.name, err, tc.field)
 		}
 	}
 }

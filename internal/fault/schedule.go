@@ -1,8 +1,9 @@
 package fault
 
 import (
-	"math"
 	"strconv"
+
+	"dlsys/internal/invalid"
 )
 
 // Time-windowed fault schedules: the declarative layer that lets a composed
@@ -50,8 +51,11 @@ type Clock interface {
 //     ByzantineRate semantics).
 //   - Factor: kind-specific multiplier — straggler latency (default 8),
 //     LR-spike multiplier (default 64), arrival-rate multiplier
-//     (required for KindArrival). Overlapping windows multiply their
-//     factors and combine their probabilities as 1-∏(1-pᵢ).
+//     (required for KindArrival), retry aggression and service-time
+//     multipliers (required above 1 for KindRetryStorm and KindBrownout).
+//     No other kind reads it, so Validate rejects a nonzero Factor on any
+//     other kind. Overlapping windows multiply their factors and combine
+//     their probabilities as 1-∏(1-pᵢ).
 type Window struct {
 	Kind    Kind
 	Workers []int
@@ -141,74 +145,75 @@ func (c Config) baseProb(field string) float64 {
 // window's field, because every range comparison below lets NaN through.
 func (c Config) validateSchedule() error {
 	for i, w := range c.Schedule {
-		for _, f := range []struct {
-			name string
-			v    float64
-		}{{"StartS", w.StartS}, {"EndS", w.EndS}, {"Prob", w.Prob}, {"Factor", w.Factor}} {
-			if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
-				return &ConfigError{Field: "Schedule[" + strconv.Itoa(i) + "]." + f.name, Value: f.v,
-					Reason: "is not finite"}
-			}
+		at := "Schedule[" + strconv.Itoa(i) + "]."
+		if err := invalid.Finite("fault", invalid.F(at+"StartS", w.StartS), invalid.F(at+"EndS", w.EndS),
+			invalid.F(at+"Prob", w.Prob), invalid.F(at+"Factor", w.Factor)); err != nil {
+			return err
 		}
 		if w.Kind < KindCrash || w.Kind >= kindEnd {
-			return &ConfigError{Field: "Schedule", Value: float64(w.Kind),
-				Reason: "window has unknown fault kind"}
+			return invalid.New("fault", "Schedule", "window %d has unknown fault kind %d", i, w.Kind)
 		}
 		if w.StartS < 0 {
-			return &ConfigError{Field: "Schedule", Value: w.StartS,
-				Reason: "window start is negative"}
+			return invalid.New("fault", "Schedule", "window %d start %g is negative", i, w.StartS)
 		}
 		if w.EndS != 0 && w.EndS < w.StartS {
-			return &ConfigError{Field: "Schedule", Value: w.EndS,
-				Reason: "window ends before it starts"}
+			return invalid.New("fault", "Schedule", "window %d ends at %g, before it starts", i, w.EndS)
 		}
 		if w.Prob < 0 || w.Prob > 1 {
-			return &ConfigError{Field: "Schedule", Value: w.Prob,
-				Reason: "window probability out of [0,1]"}
+			return invalid.New("fault", "Schedule", "window %d probability %g out of [0,1]", i, w.Prob)
 		}
 		for _, id := range w.Workers {
 			if id < 0 {
-				return &ConfigError{Field: "Schedule", Value: float64(id),
-					Reason: "window worker id is negative"}
+				return invalid.New("fault", "Schedule", "window %d worker id %d is negative", i, id)
 			}
 		}
 		switch {
 		case w.Kind == KindArrival:
 			if w.Factor <= 0 {
-				return &ConfigError{Field: "Schedule", Value: w.Factor,
-					Reason: "arrival window needs a positive rate Factor"}
+				return invalid.New("fault", "Schedule", "arrival window %d needs a positive rate Factor, got %g", i, w.Factor)
 			}
 		case w.Kind == KindRetryStorm:
 			if w.Factor <= 1 {
-				return &ConfigError{Field: "Schedule", Value: w.Factor,
-					Reason: "retry-storm window needs a Factor > 1 (retry aggression multiplier)"}
+				return invalid.New("fault", "Schedule",
+					"retry-storm window %d needs a Factor > 1 (retry aggression multiplier), got %g", i, w.Factor)
 			}
 		case w.Kind == KindBrownout:
 			if w.Factor <= 1 {
-				return &ConfigError{Field: "Schedule", Value: w.Factor,
-					Reason: "brownout window needs a Factor > 1 (service-time multiplier)"}
+				return invalid.New("fault", "Schedule",
+					"brownout window %d needs a Factor > 1 (service-time multiplier), got %g", i, w.Factor)
 			}
 		case IsByzantineKind(w.Kind):
 			if len(c.ByzantineWorkers) > 0 {
-				return &ConfigError{Field: "Schedule", Value: float64(i),
-					Reason: "Byzantine window conflicts with ByzantineWorkers rate config"}
+				return invalid.New("fault", "Schedule",
+					"Byzantine window %d conflicts with ByzantineWorkers rate config", i)
 			}
 		default:
 			if w.Prob == 0 {
-				return &ConfigError{Field: "Schedule", Value: w.Prob,
-					Reason: "window probability is zero (" + w.Kind.String() + " windows need Prob > 0)"}
+				return invalid.New("fault", "Schedule",
+					"window %d probability is zero (%v windows need Prob > 0)", i, w.Kind)
 			}
 			if f := scheduleBaseField(w.Kind); f != "" && c.baseProb(f) > 0 {
-				return &ConfigError{Field: f, Value: c.baseProb(f),
-					Reason: "conflicts with a " + w.Kind.String() + " schedule window (use one or the other)"}
+				return invalid.New("fault", f, "%g conflicts with a %v schedule window (use one or the other)",
+					c.baseProb(f), w.Kind)
 			}
 		}
 		if w.Factor < 0 {
-			return &ConfigError{Field: "Schedule", Value: w.Factor,
-				Reason: "window factor is negative"}
+			return invalid.New("fault", "Schedule", "window %d factor %g is negative", i, w.Factor)
+		}
+		if w.Factor != 0 && !readsFactor(w.Kind) {
+			return invalid.New("fault", at+"Factor", "%g set on a %v window, which reads no Factor", w.Factor, w.Kind)
 		}
 	}
 	return nil
+}
+
+// readsFactor reports whether windows of the kind scale by their Factor.
+func readsFactor(k Kind) bool {
+	switch k {
+	case KindStraggle, KindLRSpike, KindArrival, KindRetryStorm, KindBrownout:
+		return true
+	}
+	return false
 }
 
 // SetClock attaches a simulated-time source for draws that do not carry an

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"math"
 	"testing"
+
+	"dlsys/internal/invalid"
 )
 
 // fixedClock pins the injector's simulated time for window tests.
@@ -164,6 +166,9 @@ func TestScheduleValidation(t *testing.T) {
 		{"arrival without factor", Config{Schedule: []Window{{Kind: KindArrival}}}, "Schedule"},
 		{"negative factor", Config{Schedule: []Window{{Kind: KindStraggle, Prob: 1, Factor: -2}}}, "Schedule"},
 		{"+Inf brownout factor", Config{Schedule: []Window{{Kind: KindBrownout, Factor: math.Inf(1)}}}, "Schedule[0].Factor"},
+		{"factor on a link-slow window", Config{Schedule: []Window{{Kind: KindLinkSlow, Prob: 1, Factor: 4}}}, "Schedule[0].Factor"},
+		{"factor on a crash window", Config{Schedule: []Window{{Kind: KindStraggle, Prob: 1, Factor: 4}, {Kind: KindCrash, Prob: 1, Factor: 2}}}, "Schedule[1].Factor"},
+		{"factor on a Byzantine window", Config{Schedule: []Window{{Kind: KindSignFlip, Factor: 3}}}, "Schedule[0].Factor"},
 		{"NaN probability", Config{Schedule: []Window{{Kind: KindCrash, Prob: 1}, {Kind: KindDrop, Prob: math.NaN()}}}, "Schedule[1].Prob"},
 		{"crash rate conflict",
 			Config{CrashProb: 0.1, Schedule: []Window{{Kind: KindCrash, Prob: 1}}}, "CrashProb"},
@@ -179,13 +184,13 @@ func TestScheduleValidation(t *testing.T) {
 			t.Errorf("%s: Validate accepted an invalid schedule", tc.name)
 			continue
 		}
-		var ce *ConfigError
+		var ce *invalid.Error
 		if !errors.As(err, &ce) {
-			t.Errorf("%s: error %T is not a *ConfigError", tc.name, err)
+			t.Errorf("%s: error %T is not a *invalid.Error", tc.name, err)
 			continue
 		}
 		if ce.Field != tc.field {
-			t.Errorf("%s: ConfigError.Field = %q, want %q", tc.name, ce.Field, tc.field)
+			t.Errorf("%s: Field = %q, want %q", tc.name, ce.Field, tc.field)
 		}
 	}
 	// The non-conflicting combination is legal: rate-driven drops plus a

@@ -7,10 +7,11 @@ import (
 	"testing"
 
 	"dlsys/internal/data"
+	"dlsys/internal/invalid"
 )
 
-// Satellite 1: constructors reject bad arguments with a typed *ArgError
-// instead of panicking.
+// Constructors reject bad arguments with a typed *invalid.Error instead of
+// panicking.
 func TestBuildRMIArgErrors(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -26,11 +27,11 @@ func TestBuildRMIArgErrors(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			r, err := BuildRMI(c.keys, c.leaves)
 			if r != nil || err == nil {
-				t.Fatalf("got (%v, %v), want (nil, *ArgError)", r, err)
+				t.Fatalf("got (%v, %v), want (nil, *invalid.Error)", r, err)
 			}
-			var ae *ArgError
-			if !errors.As(err, &ae) || ae.Fn != c.fn {
-				t.Fatalf("error %v is not an *ArgError from %s", err, c.fn)
+			var ae *invalid.Error
+			if !errors.As(err, &ae) || ae.Field != c.fn {
+				t.Fatalf("error %v is not an *invalid.Error from %s", err, c.fn)
 			}
 		})
 	}
@@ -62,11 +63,11 @@ func TestBuildLearnedBloomArgErrors(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			lb, err := BuildLearnedBloom(rand.New(rand.NewSource(1)), c.keys, c.negs, c.cfg)
 			if lb != nil || err == nil {
-				t.Fatalf("got (%v, %v), want (nil, *ArgError)", lb, err)
+				t.Fatalf("got (%v, %v), want (nil, *invalid.Error)", lb, err)
 			}
-			var ae *ArgError
-			if !errors.As(err, &ae) || ae.Fn != "BuildLearnedBloom" {
-				t.Fatalf("error %v is not an *ArgError from BuildLearnedBloom", err)
+			var ae *invalid.Error
+			if !errors.As(err, &ae) || ae.Field != "BuildLearnedBloom" {
+				t.Fatalf("error %v is not an *invalid.Error from BuildLearnedBloom", err)
 			}
 		})
 	}
@@ -84,11 +85,11 @@ func TestNewDynamicRMIArgErrors(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			d, err := NewDynamicRMI(c.keys, c.leaves)
 			if d != nil || err == nil {
-				t.Fatalf("got (%v, %v), want (nil, *ArgError)", d, err)
+				t.Fatalf("got (%v, %v), want (nil, *invalid.Error)", d, err)
 			}
-			var ae *ArgError
-			if !errors.As(err, &ae) || ae.Fn != "NewDynamicRMI" {
-				t.Fatalf("error %v is not an *ArgError from NewDynamicRMI", err)
+			var ae *invalid.Error
+			if !errors.As(err, &ae) || ae.Field != "NewDynamicRMI" {
+				t.Fatalf("error %v is not an *invalid.Error from NewDynamicRMI", err)
 			}
 		})
 	}

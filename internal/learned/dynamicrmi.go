@@ -1,6 +1,10 @@
 package learned
 
-import "sort"
+import (
+	"sort"
+
+	"dlsys/internal/invalid"
+)
 
 // DynamicRMI extends the static RMI with insert support — the "extending
 // and managing learned access methods" open question Part 2 raises. New
@@ -19,14 +23,13 @@ type DynamicRMI struct {
 }
 
 // NewDynamicRMI builds a dynamic index over the initial sorted keys. A typed
-// *ArgError rejects an empty key set or a non-positive leaf count, mirroring
-// BuildRMI's validation.
+// *invalid.Error rejects an empty key set or a non-positive leaf count,
+// mirroring BuildRMI's validation.
 func NewDynamicRMI(keys []uint64, leaves int) (*DynamicRMI, error) {
 	owned := append([]uint64(nil), keys...)
 	rmi, err := BuildRMI(owned, leaves)
 	if err != nil {
-		argErr := err.(*ArgError)
-		return nil, &ArgError{Fn: "NewDynamicRMI", Reason: argErr.Reason}
+		return nil, invalid.New("learned", "NewDynamicRMI", "%s", err.(*invalid.Error).Reason)
 	}
 	return &DynamicRMI{
 		keys:            owned,

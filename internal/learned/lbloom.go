@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"dlsys/internal/db"
+	"dlsys/internal/invalid"
 	"dlsys/internal/nn"
 	"dlsys/internal/tensor"
 )
@@ -45,19 +46,19 @@ const numKeyFeatures = 3
 
 // BuildLearnedBloom trains the classifier on the key set against the given
 // sample of negatives and assembles the backup filter from the classifier's
-// false negatives. A typed *ArgError rejects an empty key set or negative
+// false negatives. A typed *invalid.Error rejects an empty key set or negative
 // sample, a TargetFPR outside (0,1) and a Hidden width below 1; a typed
 // error from the backup filter rejects a BackupFPR outside (0,1).
 func BuildLearnedBloom(rng *rand.Rand, keys, negatives []uint64, cfg LearnedBloomConfig) (*LearnedBloom, error) {
 	switch {
 	case len(keys) == 0:
-		return nil, &ArgError{Fn: "BuildLearnedBloom", Reason: "empty key set"}
+		return nil, invalid.New("learned", "BuildLearnedBloom", "empty key set")
 	case len(negatives) == 0:
-		return nil, &ArgError{Fn: "BuildLearnedBloom", Reason: "empty negative sample"}
+		return nil, invalid.New("learned", "BuildLearnedBloom", "empty negative sample")
 	case !(cfg.TargetFPR > 0 && cfg.TargetFPR < 1):
-		return nil, &ArgError{Fn: "BuildLearnedBloom", Reason: "TargetFPR out of (0,1)"}
+		return nil, invalid.New("learned", "BuildLearnedBloom", "TargetFPR %g out of (0,1)", cfg.TargetFPR)
 	case cfg.Hidden < 1:
-		return nil, &ArgError{Fn: "BuildLearnedBloom", Reason: "Hidden width below 1"}
+		return nil, invalid.New("learned", "BuildLearnedBloom", "Hidden width %d below 1", cfg.Hidden)
 	}
 	maxKey := keys[len(keys)-1]
 	for _, k := range negatives {

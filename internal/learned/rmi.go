@@ -9,6 +9,8 @@ package learned
 import (
 	"math"
 	"sort"
+
+	"dlsys/internal/invalid"
 )
 
 // linearModel is y ≈ A·x + B fit by least squares.
@@ -62,14 +64,14 @@ type rmiLeaf struct {
 }
 
 // BuildRMI fits the index over sorted keys with the given number of
-// second-level models. A typed *ArgError rejects an empty key set or a
-// non-positive leaf count.
+// second-level models. A typed *invalid.Error rejects an empty key set or
+// a non-positive leaf count.
 func BuildRMI(keys []uint64, numLeaves int) (*RMI, error) {
 	if len(keys) == 0 {
-		return nil, &ArgError{Fn: "BuildRMI", Reason: "empty key set"}
+		return nil, invalid.New("learned", "BuildRMI", "empty key set")
 	}
 	if numLeaves < 1 {
-		return nil, &ArgError{Fn: "BuildRMI", Reason: "needs at least one leaf"}
+		return nil, invalid.New("learned", "BuildRMI", "needs at least one leaf, got %d", numLeaves)
 	}
 	n := len(keys)
 	// Root model maps key → leaf index; fit on (key, leaf) pairs where the
@@ -226,19 +228,19 @@ func (r *RMI) Coeffs() []float64 {
 }
 
 // RMIFromCoeffs reconstructs an index from a Coeffs vector. A typed
-// *ArgError rejects a malformed vector (wrong length, non-positive header
+// *invalid.Error rejects a malformed vector (wrong length, non-positive header
 // fields, non-integral header) so a corrupted snapshot cannot be installed.
 func RMIFromCoeffs(c []float64) (*RMI, error) {
 	if len(c) < 4 {
-		return nil, &ArgError{Fn: "RMIFromCoeffs", Reason: "vector shorter than header"}
+		return nil, invalid.New("learned", "RMIFromCoeffs", "vector of %d shorter than header", len(c))
 	}
 	n, leaves := c[0], c[1]
 	if n != math.Trunc(n) || leaves != math.Trunc(leaves) || n < 1 || leaves < 1 {
-		return nil, &ArgError{Fn: "RMIFromCoeffs", Reason: "non-integral or non-positive header"}
+		return nil, invalid.New("learned", "RMIFromCoeffs", "non-integral or non-positive header (%g, %g)", n, leaves)
 	}
 	nl := int(leaves)
 	if len(c) != 4+4*nl {
-		return nil, &ArgError{Fn: "RMIFromCoeffs", Reason: "vector length does not match leaf count"}
+		return nil, invalid.New("learned", "RMIFromCoeffs", "vector length %d does not match %d leaves", len(c), nl)
 	}
 	r := &RMI{
 		n:      int(n),

@@ -28,6 +28,7 @@ import (
 	"dlsys/internal/data"
 	"dlsys/internal/db"
 	"dlsys/internal/guard"
+	"dlsys/internal/invalid"
 	"dlsys/internal/learned"
 	"dlsys/internal/obs"
 	"dlsys/internal/sim"
@@ -89,16 +90,6 @@ func (s State) String() string {
 		return "cooldown"
 	}
 	return "unknown"
-}
-
-// ConfigError reports an invalid engine configuration field.
-type ConfigError struct {
-	Field  string
-	Reason string
-}
-
-func (e *ConfigError) Error() string {
-	return "livedb: config " + e.Field + " " + e.Reason
 }
 
 // Config parameterizes the engine. Zero fields take the documented
@@ -190,21 +181,42 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// validate rejects incoherent configurations with a typed *ConfigError.
+// validate rejects incoherent configurations with a typed *invalid.Error:
+// NaN and ±Inf first, then out-of-range values and negative sizes.
 func (c Config) validate() error {
+	if err := invalid.Finite("livedb", invalid.F("TargetFPR", c.TargetFPR),
+		invalid.F("RebuildFraction", c.RebuildFraction), invalid.F("FPRTriggerFactor", c.FPRTriggerFactor),
+		invalid.F("MaintainEvery", c.MaintainEvery), invalid.F("RetrainS", c.RetrainS),
+		invalid.F("CooldownS", c.CooldownS), invalid.F("DriftSigma", c.DriftSigma)); err != nil {
+		return err
+	}
+	for _, n := range []struct {
+		name string
+		v    int
+	}{
+		{"Leaves", c.Leaves}, {"BloomHidden", c.BloomHidden}, {"BloomEpochs", c.BloomEpochs},
+		{"MinFPRProbes", c.MinFPRProbes}, {"WindowCap", c.WindowCap},
+		{"Snapshots", c.Snapshots}, {"SnapshotEvery", c.SnapshotEvery},
+	} {
+		if n.v < 0 {
+			return invalid.New("livedb", n.name, "%d is negative", n.v)
+		}
+	}
 	switch {
 	case c.Kernel == nil:
-		return &ConfigError{Field: "Kernel", Reason: "is required"}
-	case c.Leaves < 1:
-		return &ConfigError{Field: "Leaves", Reason: "must be positive"}
+		return invalid.New("livedb", "Kernel", "is required")
 	case c.TargetFPR <= 0 || c.TargetFPR >= 1:
-		return &ConfigError{Field: "TargetFPR", Reason: "out of (0,1)"}
+		return invalid.New("livedb", "TargetFPR", "%g out of (0,1)", c.TargetFPR)
 	case c.RebuildFraction <= 0:
-		return &ConfigError{Field: "RebuildFraction", Reason: "must be positive"}
+		return invalid.New("livedb", "RebuildFraction", "%g is not positive", c.RebuildFraction)
 	case c.FPRTriggerFactor < 1:
-		return &ConfigError{Field: "FPRTriggerFactor", Reason: "must be at least 1"}
-	case c.MaintainEvery <= 0 || c.RetrainS <= 0 || c.CooldownS <= 0:
-		return &ConfigError{Field: "MaintainEvery/RetrainS/CooldownS", Reason: "must be positive"}
+		return invalid.New("livedb", "FPRTriggerFactor", "%g is below 1", c.FPRTriggerFactor)
+	case c.MaintainEvery <= 0:
+		return invalid.New("livedb", "MaintainEvery", "%g is not positive", c.MaintainEvery)
+	case c.RetrainS <= 0:
+		return invalid.New("livedb", "RetrainS", "%g is not positive", c.RetrainS)
+	case c.CooldownS <= 0:
+		return invalid.New("livedb", "CooldownS", "%g is not positive", c.CooldownS)
 	}
 	return nil
 }
@@ -327,7 +339,7 @@ func NewEngine(initial []uint64, cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	if len(initial) == 0 {
-		return nil, &ConfigError{Field: "initial keys", Reason: "must be non-empty"}
+		return nil, invalid.New("livedb", "initial keys", "must be non-empty")
 	}
 	main := append([]uint64(nil), initial...)
 	sort.Slice(main, func(i, j int) bool { return main[i] < main[j] })
@@ -372,7 +384,8 @@ func (e *Engine) buildBloom(keys []uint64) *learned.LearnedBloom {
 		TargetFPR: e.cfg.TargetFPR / 2, BackupFPR: e.cfg.TargetFPR / 2,
 	})
 	if err != nil {
-		// Unreachable: config validation bounds TargetFPR inside (0,1).
+		// Unreachable: validation bounds TargetFPR inside (0,1), NaN
+		// included, and rejects a negative BloomHidden.
 		panic("livedb: buildBloom: " + err.Error())
 	}
 	return lb

@@ -2,12 +2,14 @@ package livedb
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"sort"
 	"strings"
 	"testing"
 
 	"dlsys/internal/fault"
+	"dlsys/internal/invalid"
 	"dlsys/internal/learned"
 	"dlsys/internal/obs"
 	"dlsys/internal/sim"
@@ -93,7 +95,7 @@ func faultyDriftScenario(t *testing.T, seed int64) *scenario {
 }
 
 func TestConfigValidation(t *testing.T) {
-	var ce *ConfigError
+	var ce *invalid.Error
 	if _, err := NewEngine([]uint64{1, 2, 3}, Config{}); !errors.As(err, &ce) || ce.Field != "Kernel" {
 		t.Fatalf("missing kernel: got %v", err)
 	}
@@ -101,15 +103,37 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := NewEngine(nil, Config{Kernel: k}); !errors.As(err, &ce) {
 		t.Fatalf("empty keys: got %v", err)
 	}
-	if _, err := NewEngine([]uint64{1}, Config{Kernel: k, TargetFPR: 1.5}); !errors.As(err, &ce) || ce.Field != "TargetFPR" {
-		t.Fatalf("bad TargetFPR: got %v", err)
-	}
-	if _, err := NewEngine([]uint64{1}, Config{Kernel: k, FPRTriggerFactor: 0.5}); !errors.As(err, &ce) {
-		t.Fatalf("bad FPRTriggerFactor: got %v", err)
+	nan := math.NaN()
+	for _, tc := range []struct {
+		name  string
+		cfg   Config
+		field string
+	}{
+		{"TargetFPR above one", Config{TargetFPR: 1.5}, "TargetFPR"},
+		{"FPRTriggerFactor below one", Config{FPRTriggerFactor: 0.5}, "FPRTriggerFactor"},
+		{"NaN TargetFPR", Config{TargetFPR: nan}, "TargetFPR"},
+		{"negative BloomHidden", Config{BloomHidden: -1}, "BloomHidden"},
+		{"negative Snapshots", Config{Snapshots: -1}, "Snapshots"},
+		{"NaN MaintainEvery", Config{MaintainEvery: nan}, "MaintainEvery"},
+	} {
+		tc.cfg.Kernel = k
+		if _, err := NewEngine([]uint64{1, 2, 3}, tc.cfg); !errors.As(err, &ce) || ce.Field != tc.field {
+			t.Errorf("%s: got %v, want an *invalid.Error on %s", tc.name, err, tc.field)
+		}
 	}
 	eng := must(NewEngine([]uint64{1, 2, 3}, Config{Kernel: k}))
-	if _, err := NewWorkload(eng, nil, WorkloadConfig{}); !errors.As(err, &ce) || ce.Field != "Ops" {
-		t.Fatalf("zero Ops: got %v", err)
+	for _, tc := range []struct {
+		name  string
+		cfg   WorkloadConfig
+		field string
+	}{
+		{"zero Ops", WorkloadConfig{}, "Ops"},
+		{"negative BatchSize", WorkloadConfig{Ops: 10, BatchSize: -1}, "BatchSize"},
+		{"NaN Rate", WorkloadConfig{Ops: 10, Rate: nan}, "Rate"},
+	} {
+		if _, err := NewWorkload(eng, nil, tc.cfg); !errors.As(err, &ce) || ce.Field != tc.field {
+			t.Errorf("%s: got %v, want an *invalid.Error on %s", tc.name, err, tc.field)
+		}
 	}
 }
 

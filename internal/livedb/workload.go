@@ -1,10 +1,12 @@
 package livedb
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 
 	"dlsys/internal/fault"
+	"dlsys/internal/invalid"
 )
 
 // Phase is one segment of the workload's drift schedule. From StartS
@@ -102,8 +104,22 @@ type Workload struct {
 // oracle starts as a sorted copy).
 func NewWorkload(eng *Engine, initial []uint64, cfg WorkloadConfig) (*Workload, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Ops <= 0 {
-		return nil, &ConfigError{Field: "Ops", Reason: "must be positive"}
+	fields := []invalid.Field{invalid.F("Rate", cfg.Rate), invalid.F("InsertFrac", cfg.InsertFrac),
+		invalid.F("RangeFrac", cfg.RangeFrac), invalid.F("AbsentFrac", cfg.AbsentFrac)}
+	for i, ph := range cfg.Phases {
+		at := fmt.Sprintf("Phases[%d].", i)
+		fields = append(fields, invalid.F(at+"StartS", ph.StartS), invalid.F(at+"HardNegFrac", ph.HardNegFrac))
+	}
+	if err := invalid.Finite("livedb", fields...); err != nil {
+		return nil, err
+	}
+	switch {
+	case cfg.Ops <= 0:
+		return nil, invalid.New("livedb", "Ops", "%d is not positive", cfg.Ops)
+	case cfg.Rate < 0:
+		return nil, invalid.New("livedb", "Rate", "%g is negative", cfg.Rate)
+	case cfg.BatchSize < 0:
+		return nil, invalid.New("livedb", "BatchSize", "%d is negative", cfg.BatchSize)
 	}
 	if err := cfg.Faults.Validate(); err != nil {
 		return nil, err

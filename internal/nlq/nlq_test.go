@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dlsys/internal/db"
+	"dlsys/internal/invalid"
 )
 
 // must unwraps (value, error) pairs whose arguments are valid by
@@ -140,8 +141,8 @@ func TestExecuteRejectsHallucinatedColumn(t *testing.T) {
 	if err == nil {
 		t.Fatal("query over a nonexistent column executed")
 	}
-	var ae *db.ArgError
+	var ae *invalid.Error
 	if !errors.As(err, &ae) {
-		t.Fatalf("error %v is not a *db.ArgError", err)
+		t.Fatalf("error %v is not a *invalid.Error", err)
 	}
 }

@@ -66,7 +66,7 @@ func Sparsity(net *nn.Network) float64 {
 // are a caller error, reported rather than panicking: targets usually come
 // from sweep configs, so the library boundary validates them.
 func GlobalPrune(rng *rand.Rand, net *nn.Network, sparsity float64, crit Criterion) error {
-	if sparsity < 0 || sparsity >= 1 {
+	if !(sparsity >= 0 && sparsity < 1) { // false for NaN too
 		return fmt.Errorf("prune: sparsity %g out of [0, 1)", sparsity)
 	}
 	for _, l := range net.Layers {

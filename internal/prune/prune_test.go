@@ -179,7 +179,7 @@ func TestNonzeroParamBytesShrinks(t *testing.T) {
 
 func TestGlobalPruneBadSparsityErrors(t *testing.T) {
 	tr, _, _ := trainedNet(t, 21)
-	for _, sp := range []float64{1.0, 1.5, -0.1} {
+	for _, sp := range []float64{1.0, 1.5, -0.1, math.NaN()} {
 		if err := GlobalPrune(rand.New(rand.NewSource(1)), tr.Net, sp, Magnitude); err == nil {
 			t.Fatalf("sparsity %g accepted", sp)
 		}

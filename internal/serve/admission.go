@@ -1,8 +1,9 @@
 package serve
 
 import (
-	"fmt"
 	"math"
+
+	"dlsys/internal/invalid"
 )
 
 // Admission control for the event-driven fleet. Two modes:
@@ -57,8 +58,7 @@ func (c *AdmissionConfig) defaults(deadlineS float64) {
 
 func (c AdmissionConfig) validate() error {
 	if c.TargetS > 0 && c.IntervalS > 0 && c.TargetS >= c.IntervalS {
-		return &ConfigError{Field: "Admission.TargetS",
-			Reason: fmt.Sprintf("CoDel target %g must be below the interval %g", c.TargetS, c.IntervalS)}
+		return invalid.New("serve", "Admission.TargetS", "CoDel target %g must be below the interval %g", c.TargetS, c.IntervalS)
 	}
 	return nil
 }

@@ -1,8 +1,7 @@
 package serve
 
 import (
-	"fmt"
-
+	"dlsys/internal/invalid"
 	"dlsys/internal/obs"
 	"dlsys/internal/sim"
 )
@@ -66,12 +65,10 @@ func (c AutoscaleConfig) validate(replicas int) error {
 		return nil
 	}
 	if c.MaxReplicas > 0 && c.MaxReplicas < replicas {
-		return &ConfigError{Field: "Autoscale.MaxReplicas",
-			Reason: fmt.Sprintf("%d below the initial fleet size %d", c.MaxReplicas, replicas)}
+		return invalid.New("serve", "Autoscale.MaxReplicas", "%d below the initial fleet size %d", c.MaxReplicas, replicas)
 	}
 	if c.DownDelayS > 0 && c.UpDelayS > 0 && c.DownDelayS >= c.UpDelayS {
-		return &ConfigError{Field: "Autoscale.DownDelayS",
-			Reason: "scale-down threshold must sit below the scale-up threshold"}
+		return invalid.New("serve", "Autoscale.DownDelayS", "scale-down threshold must sit below the scale-up threshold")
 	}
 	return nil
 }

@@ -9,8 +9,7 @@
 package serve
 
 import (
-	"fmt"
-
+	"dlsys/internal/invalid"
 	"dlsys/internal/obs"
 )
 
@@ -78,16 +77,13 @@ func (c *BreakerConfig) defaults() {
 
 func (c BreakerConfig) validate() error {
 	if c.CooldownS <= 0 {
-		return &ConfigError{Field: "Breaker.CooldownS",
-			Reason: fmt.Sprintf("must be positive, got %g", c.CooldownS)}
+		return invalid.New("serve", "Breaker.CooldownS", "must be positive, got %g", c.CooldownS)
 	}
 	if c.FailureRate > 1 {
-		return &ConfigError{Field: "Breaker.FailureRate",
-			Reason: fmt.Sprintf("%g out of (0,1]", c.FailureRate)}
+		return invalid.New("serve", "Breaker.FailureRate", "%g out of (0,1]", c.FailureRate)
 	}
 	if c.MinSamples > c.Window {
-		return &ConfigError{Field: "Breaker.MinSamples",
-			Reason: fmt.Sprintf("%d exceeds Window %d", c.MinSamples, c.Window)}
+		return invalid.New("serve", "Breaker.MinSamples", "%d exceeds Window %d", c.MinSamples, c.Window)
 	}
 	return nil
 }

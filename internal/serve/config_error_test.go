@@ -5,12 +5,13 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"dlsys/internal/invalid"
 )
 
 // TestConfigErrorTyped checks that every Config validation failure comes
-// back as a *serve.ConfigError naming the offending field, so callers can
-// screen bad configs with errors.As the same way they do for
-// distributed.ConfigError.
+// back as the shared *invalid.Error naming the offending field, so callers
+// screen bad configs with one errors.As target across every subsystem.
 func TestConfigErrorTyped(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -47,9 +48,9 @@ func TestConfigErrorTyped(t *testing.T) {
 			if err == nil {
 				t.Fatal("bad config accepted")
 			}
-			var ce *ConfigError
+			var ce *invalid.Error
 			if !errors.As(err, &ce) {
-				t.Fatalf("error %T %q is not a *ConfigError", err, err)
+				t.Fatalf("error %T %q is not a *invalid.Error", err, err)
 			}
 			if ce.Field != tc.field {
 				t.Fatalf("Field = %q, want %q (reason %q)", ce.Field, tc.field, ce.Reason)
@@ -57,8 +58,8 @@ func TestConfigErrorTyped(t *testing.T) {
 			if ce.Reason == "" {
 				t.Fatal("empty Reason")
 			}
-			if !strings.HasPrefix(ce.Error(), "serve: config "+tc.field+" ") {
-				t.Fatalf("Error() = %q lacks the serve: config <field> prefix", ce.Error())
+			if !strings.HasPrefix(ce.Error(), "serve: "+tc.field+": ") {
+				t.Fatalf("Error() = %q lacks the serve: <field>: prefix", ce.Error())
 			}
 		})
 	}
@@ -69,8 +70,8 @@ func TestConfigErrorTyped(t *testing.T) {
 // validated directly.
 func TestConfigErrorBreakerCooldown(t *testing.T) {
 	err := BreakerConfig{CooldownS: -1}.validate()
-	var ce *ConfigError
+	var ce *invalid.Error
 	if !errors.As(err, &ce) || ce.Field != "Breaker.CooldownS" {
-		t.Fatalf("got %v, want *ConfigError on Breaker.CooldownS", err)
+		t.Fatalf("got %v, want *invalid.Error on Breaker.CooldownS", err)
 	}
 }

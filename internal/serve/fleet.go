@@ -1,11 +1,11 @@
 package serve
 
 import (
-	"fmt"
 	"math"
 
 	"dlsys/internal/fault"
 	"dlsys/internal/fp"
+	"dlsys/internal/invalid"
 	"dlsys/internal/nn"
 	"dlsys/internal/obs"
 	"dlsys/internal/sim"
@@ -118,22 +118,33 @@ func (c *FleetConfig) defaults() {
 	}
 }
 
+// finite rejects NaN and ±Inf in every float field. NewFleet calls it
+// before defaults(): NaN passes every range comparison, and a default
+// would silently replace -Inf. Zero still means the default.
+func (c FleetConfig) finite() error {
+	return invalid.Finite("serve",
+		invalid.F("ZipfS", c.ZipfS), invalid.F("ArrivalRate", c.ArrivalRate), invalid.F("ServiceS", c.ServiceS),
+		invalid.F("BatchItemS", c.BatchItemS), invalid.F("DeadlineS", c.DeadlineS), invalid.F("BackoffS", c.BackoffS),
+		invalid.F("KeySkew", c.KeySkew), invalid.F("BucketS", c.BucketS),
+		invalid.F("Budget.Ratio", c.Budget.Ratio), invalid.F("Budget.Burst", c.Budget.Burst),
+		invalid.F("Admission.TargetS", c.Admission.TargetS), invalid.F("Admission.IntervalS", c.Admission.IntervalS),
+		invalid.F("Autoscale.IntervalS", c.Autoscale.IntervalS), invalid.F("Autoscale.LagS", c.Autoscale.LagS),
+		invalid.F("Autoscale.CooldownS", c.Autoscale.CooldownS), invalid.F("Autoscale.UpDelayS", c.Autoscale.UpDelayS),
+		invalid.F("Autoscale.DownDelayS", c.Autoscale.DownDelayS), invalid.F("Cache.TTLS", c.Cache.TTLS))
+}
+
 func (c FleetConfig) validate() error {
 	if c.Requests <= 0 {
-		return &ConfigError{Field: "Requests",
-			Reason: fmt.Sprintf("must be positive, got %d", c.Requests)}
+		return invalid.New("serve", "Requests", "must be positive, got %d", c.Requests)
 	}
 	if c.ArrivalRate <= 0 {
-		return &ConfigError{Field: "ArrivalRate",
-			Reason: fmt.Sprintf("must be positive, got %g", c.ArrivalRate)}
+		return invalid.New("serve", "ArrivalRate", "must be positive, got %g", c.ArrivalRate)
 	}
-	if c.MaxAttempts > 16 {
-		return &ConfigError{Field: "MaxAttempts",
-			Reason: fmt.Sprintf("%d exceeds 16", c.MaxAttempts)}
+	if c.MaxAttempts > maxFleetAttempts {
+		return invalid.New("serve", "MaxAttempts", "%d exceeds %d", c.MaxAttempts, maxFleetAttempts)
 	}
 	if len(c.CacheModels) > 0 && c.EvalX == nil {
-		return &ConfigError{Field: "CacheModels",
-			Reason: "need EvalX to score cached results"}
+		return invalid.New("serve", "CacheModels", "need EvalX to score cached results")
 	}
 	if err := c.Budget.validate(); err != nil {
 		return err
@@ -367,7 +378,6 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 	if s := cfg.KeySkew; s >= 1 && s <= 16 && s == math.Trunc(s) {
 		f.skewN = int(s)
 	}
-	f.inj.SetClock(k)
 	for i := 0; i < cfg.Replicas; i++ {
 		f.newReplica()
 	}
@@ -741,12 +751,18 @@ func (f *Fleet) retry(i int, stamp float64) {
 	f.handleAttempt(rq, stamp)
 }
 
+// maxFleetAttempts caps a client's attempts, a retry storm's included. The
+// backoff doubles per attempt: a ×3 storm on 16 attempts, uncapped, would
+// book the last retry 2⁴⁷/3 BackoffS out, and the autoscaler ticks until
+// it lands.
+const maxFleetAttempts = 16
+
 // maxAttempts is the client's attempt limit at time t: a retry-storm
 // window multiplies the tenant's configured attempts (impatient clients
-// retry more).
+// retry more), up to maxFleetAttempts.
 func (f *Fleet) maxAttempts(tenant int, t float64) int {
 	if s := f.inj.FactorAt(fault.KindRetryStorm, tenant, t); s > 1 {
-		return int(float64(f.cfg.MaxAttempts)*s + 0.5)
+		return int(math.Min(float64(f.cfg.MaxAttempts)*s+0.5, maxFleetAttempts))
 	}
 	return f.cfg.MaxAttempts
 }

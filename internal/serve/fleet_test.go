@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"dlsys/internal/fault"
+	"dlsys/internal/invalid"
 	"dlsys/internal/obs"
 )
 
@@ -257,9 +258,9 @@ func TestFleetConfigErrors(t *testing.T) {
 		cfg := fleetScenario(1, 1000, true)
 		tc.mutate(&cfg)
 		_, err := NewFleet(cfg)
-		var ce *ConfigError
+		var ce *invalid.Error
 		if !errors.As(err, &ce) || ce.Field != tc.field {
-			t.Errorf("%s: got %v, want a *ConfigError on %s", tc.name, err, tc.field)
+			t.Errorf("%s: got %v, want a *invalid.Error on %s", tc.name, err, tc.field)
 		}
 	}
 }

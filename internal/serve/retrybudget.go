@@ -1,5 +1,7 @@
 package serve
 
+import "dlsys/internal/invalid"
+
 // Retry budgets, the SRE-practice defence against retry storms: each
 // tenant (client class) may spend retries only out of a token bucket that
 // is replenished by its *successes* — by default one retry token per ten
@@ -36,8 +38,7 @@ func (c *RetryBudgetConfig) defaults() {
 
 func (c RetryBudgetConfig) validate() error {
 	if c.Ratio > 1 {
-		return &ConfigError{Field: "Budget.Ratio",
-			Reason: "retry/success ratio above 1 defeats the budget's purpose"}
+		return invalid.New("serve", "Budget.Ratio", "retry/success ratio above 1 defeats the budget's purpose")
 	}
 	return nil
 }

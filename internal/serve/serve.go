@@ -7,6 +7,7 @@ import (
 	"dlsys/internal/device"
 	"dlsys/internal/fault"
 	"dlsys/internal/fp"
+	"dlsys/internal/invalid"
 	"dlsys/internal/obs"
 	"dlsys/internal/sim"
 	"dlsys/internal/tensor"
@@ -113,25 +114,40 @@ func (c *Config) defaults() {
 	c.Breaker.defaults()
 }
 
-// validateFleet checks the replica set. It must pass before defaults()
-// derives time units from replica service times.
+// validateFleet rejects NaN and ±Inf in every float field, then checks the
+// replica set. It must pass before defaults(), which derives time units
+// from replica service times and would silently replace a -Inf.
 func (c Config) validateFleet() error {
+	fields := []invalid.Field{
+		invalid.F("ArrivalRate", c.ArrivalRate), invalid.F("DeadlineS", c.DeadlineS),
+		invalid.F("BackoffS", c.BackoffS), invalid.F("RestartS", c.RestartS),
+		invalid.F("HedgeQuantile", c.HedgeQuantile),
+		invalid.F("Breaker.FailureRate", c.Breaker.FailureRate), invalid.F("Breaker.CooldownS", c.Breaker.CooldownS),
+	}
+	for i, r := range c.Replicas {
+		at := fmt.Sprintf("Replicas[%d].", i)
+		d := r.Device
+		fields = append(fields, invalid.F(at+"Efficiency", r.Efficiency),
+			invalid.F(at+"Device.FLOPsPerSec", d.FLOPsPerSec), invalid.F(at+"Device.MemBandwidth", d.MemBandwidth),
+			invalid.F(at+"Device.LinkBandwidth", d.LinkBandwidth), invalid.F(at+"Device.LinkLatencyS", d.LinkLatencyS),
+			invalid.F(at+"Device.Watts", d.Watts), invalid.F(at+"Device.IdleWatts", d.IdleWatts))
+	}
+	if err := invalid.Finite("serve", fields...); err != nil {
+		return err
+	}
 	if len(c.Replicas) == 0 {
-		return &ConfigError{Field: "Replicas", Reason: "must list at least one replica"}
+		return invalid.New("serve", "Replicas", "must list at least one replica")
 	}
 	for i, r := range c.Replicas {
 		if r.Efficiency <= 0 || r.Efficiency > 1 {
-			return &ConfigError{Field: fmt.Sprintf("Replicas[%d].Efficiency", i),
-				Reason: fmt.Sprintf("%g out of (0,1]", r.Efficiency)}
+			return invalid.New("serve", fmt.Sprintf("Replicas[%d].Efficiency", i), "%g out of (0,1]", r.Efficiency)
 		}
 		if r.Variant.Bytes <= 0 || r.Variant.FLOPs <= 0 {
-			return &ConfigError{Field: fmt.Sprintf("Replicas[%d].Variant", i),
-				Reason: fmt.Sprintf("%q has non-positive cost (bytes=%d flops=%d)",
-					r.Variant.Name, r.Variant.Bytes, r.Variant.FLOPs)}
+			return invalid.New("serve", fmt.Sprintf("Replicas[%d].Variant", i),
+				"%q has non-positive cost (bytes=%d flops=%d)", r.Variant.Name, r.Variant.Bytes, r.Variant.FLOPs)
 		}
 		if r.Variant.Tier < TierFull || r.Variant.Tier >= numTiers {
-			return &ConfigError{Field: fmt.Sprintf("Replicas[%d].Variant.Tier", i),
-				Reason: fmt.Sprintf("unknown tier %d", r.Variant.Tier)}
+			return invalid.New("serve", fmt.Sprintf("Replicas[%d].Variant.Tier", i), "unknown tier %d", r.Variant.Tier)
 		}
 	}
 	return nil
@@ -139,23 +155,19 @@ func (c Config) validateFleet() error {
 
 func (c Config) validate() error {
 	if c.ArrivalRate <= 0 {
-		return &ConfigError{Field: "ArrivalRate",
-			Reason: fmt.Sprintf("must be positive, got %g", c.ArrivalRate)}
+		return invalid.New("serve", "ArrivalRate", "must be positive, got %g", c.ArrivalRate)
 	}
 	if c.Requests <= 0 {
-		return &ConfigError{Field: "Requests",
-			Reason: fmt.Sprintf("must be positive, got %d", c.Requests)}
+		return invalid.New("serve", "Requests", "must be positive, got %d", c.Requests)
 	}
 	// The fault hash stream encodes (request, attempt) with primary
 	// attempts in slots 0..3 and hedges in 4..7, so more than 4 primary
 	// attempts would collide with hedge draws.
 	if c.MaxAttempts > 4 {
-		return &ConfigError{Field: "MaxAttempts",
-			Reason: fmt.Sprintf("%d exceeds 4", c.MaxAttempts)}
+		return invalid.New("serve", "MaxAttempts", "%d exceeds 4", c.MaxAttempts)
 	}
 	if c.HedgeQuantile < 0 || c.HedgeQuantile >= 1 {
-		return &ConfigError{Field: "HedgeQuantile",
-			Reason: fmt.Sprintf("%g out of [0,1)", c.HedgeQuantile)}
+		return invalid.New("serve", "HedgeQuantile", "%g out of [0,1)", c.HedgeQuantile)
 	}
 	if err := c.Faults.Validate(); err != nil {
 		return err
@@ -289,9 +301,6 @@ type Server struct {
 // NewServer validates the config and prepares a server. The same server
 // must not be reused across runs; build a fresh one per Run.
 func NewServer(cfg Config) (*Server, error) {
-	if err := cfg.finite(); err != nil {
-		return nil, err
-	}
 	if err := cfg.validateFleet(); err != nil {
 		return nil, err
 	}
@@ -312,7 +321,6 @@ func NewServer(cfg Config) (*Server, error) {
 		lat:    make([]float64, 64),
 		obs:    newServeObs(cfg.Obs),
 	}
-	s.inj.SetClock(k)
 	s.minTier = numTiers
 	for i, r := range cfg.Replicas {
 		br := NewBreaker(cfg.Breaker)

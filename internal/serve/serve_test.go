@@ -1,12 +1,15 @@
 package serve
 
 import (
+	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
 
 	"dlsys/internal/device"
 	"dlsys/internal/fault"
+	"dlsys/internal/invalid"
 	"dlsys/internal/obs"
 )
 
@@ -262,9 +265,20 @@ func TestBuildVariantsLadder(t *testing.T) {
 	if eval == nil || eval.N() == 0 {
 		t.Fatal("no eval split returned")
 	}
-	// Bad ladder configs surface as errors.
-	if _, _, err := BuildVariants(VariantsConfig{Seed: 1, PruneSparsity: 1.5}); err == nil {
-		t.Fatal("PruneSparsity 1.5 accepted")
+	// Bad ladder configs surface as typed errors naming the field.
+	for _, bad := range []struct {
+		cfg   VariantsConfig
+		field string
+	}{
+		{VariantsConfig{Seed: 1, PruneSparsity: 1.5}, "PruneSparsity"},
+		{VariantsConfig{Seed: 1, PruneSparsity: math.NaN()}, "PruneSparsity"},
+		{VariantsConfig{Seed: 1, LR: math.NaN()}, "LR"},
+		{VariantsConfig{Seed: 1, Sep: math.NaN()}, "Sep"},
+	} {
+		var ie *invalid.Error
+		if _, _, err := BuildVariants(bad.cfg); !errors.As(err, &ie) || ie.Field != bad.field {
+			t.Errorf("%+v: got %v, want an *invalid.Error on %s", bad.cfg, err, bad.field)
+		}
 	}
 }
 

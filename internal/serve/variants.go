@@ -6,6 +6,7 @@ import (
 
 	"dlsys/internal/data"
 	"dlsys/internal/distill"
+	"dlsys/internal/invalid"
 	"dlsys/internal/nn"
 	"dlsys/internal/prune"
 	"dlsys/internal/quant"
@@ -125,11 +126,17 @@ func (c *VariantsConfig) defaults() {
 // BuildVariants trains the full model and derives the degradation ladder:
 // int8-quantized, distilled, and pruned variants, each with real measured
 // accuracy and honest cost figures. It also returns the eval split so the
-// server can score the accuracy of the responses it actually serves.
+// server can score the accuracy of the responses it actually serves. A
+// NaN or ±Inf Sep, LR or PruneSparsity, or a PruneSparsity outside [0, 1),
+// is rejected with a typed *invalid.Error.
 func BuildVariants(cfg VariantsConfig) ([]Variant, *data.Dataset, error) {
+	if err := invalid.Finite("serve", invalid.F("Sep", cfg.Sep), invalid.F("LR", cfg.LR),
+		invalid.F("PruneSparsity", cfg.PruneSparsity)); err != nil {
+		return nil, nil, err
+	}
 	cfg.defaults()
-	if cfg.PruneSparsity < 0 || cfg.PruneSparsity >= 1 {
-		return nil, nil, fmt.Errorf("serve: PruneSparsity %g out of [0, 1)", cfg.PruneSparsity)
+	if !(cfg.PruneSparsity >= 0 && cfg.PruneSparsity < 1) { // false for NaN too
+		return nil, nil, invalid.New("serve", "PruneSparsity", "%g out of [0, 1)", cfg.PruneSparsity)
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	ds := data.GaussianMixture(rng, cfg.Examples, cfg.Features, cfg.Classes, cfg.Sep)

@@ -35,13 +35,6 @@ import (
 	"dlsys/internal/fp"
 )
 
-// Clock is the read-only view of simulated time that components take as a
-// dependency. *Kernel satisfies it; so does any fixed stand-in in tests.
-type Clock interface {
-	// Now returns the current simulated time in seconds.
-	Now() float64
-}
-
 // Event is a handle to one scheduled occurrence, returned by the
 // scheduling methods and kept by callers only to Cancel it. It is a small
 // value, not the queue entry itself: the queue stores events by value, so
