@@ -33,8 +33,12 @@ func run(train, test *data.Dataset, kind fault.Kind, agg robust.Aggregator, rep 
 	}
 	if kind != 0 {
 		cfg.Fault = fault.Byzantine(192, kind, adversary)
-		cfg.Fault.ScaleAttackFactor = 1e4
-		cfg.Fault.DriftAttackBias = 6
+		switch kind {
+		case fault.KindScaleAttack:
+			cfg.Fault.Schedule[0].Factor = 1e4
+		case fault.KindDriftAttack:
+			cfg.Fault.Schedule[0].Factor = 6
+		}
 	}
 	net, stats, err := distributed.Train(191, train.X, nn.OneHot(train.Labels, 3), cfg)
 	if err != nil {

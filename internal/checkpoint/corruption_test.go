@@ -14,7 +14,7 @@ import (
 // byte), and the store must skip every CRC-invalid entry and restore the
 // newest snapshot that still verifies.
 func TestStoreSkipsInjectorCorruptedSnapshots(t *testing.T) {
-	inj := fault.NewInjector(fault.Config{Seed: 99, CorruptProb: 1})
+	inj := fault.NewInjector(fault.Config{Seed: 99, Schedule: []fault.Window{{Kind: fault.KindCorrupt, Prob: 1}}})
 	net := nn.NewMLP(rand.New(rand.NewSource(11)), snapArch)
 	st := NewStore(4)
 
@@ -61,7 +61,7 @@ func TestStoreSkipsInjectorCorruptedSnapshots(t *testing.T) {
 // When every retained snapshot is corrupted, Restore must fail loudly with
 // ErrCorrupt and leave the target untouched.
 func TestStoreAllCorruptFailsLoudly(t *testing.T) {
-	inj := fault.NewInjector(fault.Config{Seed: 100, CorruptProb: 1})
+	inj := fault.NewInjector(fault.Config{Seed: 100, Schedule: []fault.Window{{Kind: fault.KindCorrupt, Prob: 1}}})
 	net := nn.NewMLP(rand.New(rand.NewSource(13)), snapArch)
 	st := NewStore(3)
 	for round := 0; round < 3; round++ {

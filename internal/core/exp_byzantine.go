@@ -79,8 +79,12 @@ func runX9(scale Scale) *Table {
 			// dilution absorbs: at the defaults the mean merely takes a
 			// large-but-stable step, which understates the threat the
 			// robust rules are defending against.
-			cfg.Fault.ScaleAttackFactor = 1e4
-			cfg.Fault.DriftAttackBias = 6
+			switch kind {
+			case fault.KindScaleAttack:
+				cfg.Fault.Schedule[0].Factor = 1e4
+			case fault.KindDriftAttack:
+				cfg.Fault.Schedule[0].Factor = 6
+			}
 		}
 		return cfg
 	}

@@ -154,11 +154,11 @@ func runX12(scale Scale) *Table {
 		"every topology × scenario cell within 1.5x of its n's clean mesh loss; churn ledgers exact",
 		yesNo(allConv))
 
-	// Phase 2: forced quorum loss. At LinkDropProb 0.55 with a 2-attempt
+	// Phase 2: forced quorum loss. At a 0.55 link-drop rate with a 2-attempt
 	// budget the ring cannot keep half its members; the round must degrade
 	// to the mesh fallback instead of silently under-aggregating.
 	degCfg := x12Config(8, distributed.TopoRing, "clean")
-	degCfg.Fault = fault.Config{Seed: 138, LinkDropProb: 0.55}
+	degCfg.Fault = fault.Config{Seed: 138, Schedule: []fault.Window{{Kind: fault.KindLinkDrop, Prob: 0.55}}}
 	degCfg.MaxRetries = 2
 	rngD := rand.New(rand.NewSource(208))
 	dsD := data.GaussianMixture(rngD, 16*8, 5, 3, 3.2)

@@ -54,7 +54,12 @@ func TestConfigValidateTable(t *testing.T) {
 		{"reputation-threshold", func(c *Config) { c.Reputation = &robust.ReputationConfig{Threshold: -1} }, "Reputation.Threshold"},
 		{"reputation-patience", func(c *Config) { c.Reputation = &robust.ReputationConfig{Patience: -1} }, "Reputation.Patience"},
 		{"reputation-probation", func(c *Config) { c.Reputation = &robust.ReputationConfig{Probation: -1} }, "Reputation.Probation"},
-		{"byzantine-worker-out-of-range", func(c *Config) { c.Fault = fault.Byzantine(1, fault.KindSignFlip, 9) }, "Fault.ByzantineWorkers"},
+		{"byzantine-worker-out-of-range", func(c *Config) { c.Fault = fault.Byzantine(1, fault.KindSignFlip, 9) }, "Fault.Schedule[0].Workers"},
+		// A window naming a worker the job lacks would never fire.
+		{"crash-window-worker-out-of-range", func(c *Config) {
+			c.Fault = fault.Config{Schedule: []fault.Window{
+				{Kind: fault.KindDrop, Prob: 0.1}, {Kind: fault.KindCrash, Workers: []int{1, 9}, Prob: 1}}}
+		}, "Fault.Schedule[1].Workers"},
 		// NaN and ±Inf slip past every range comparison, so each float
 		// field is checked for them explicitly.
 		{"lr-nan", func(c *Config) { c.LR = math.NaN() }, "LR"},
@@ -62,7 +67,7 @@ func TestConfigValidateTable(t *testing.T) {
 		{"topk-nan", func(c *Config) { c.TopK = math.NaN() }, "TopK"},
 		{"topk-inf", func(c *Config) { c.TopK = math.Inf(1) }, "TopK"},
 		{"backoff-inf-with-drops", func(c *Config) {
-			c.RetryBackoffS, c.Fault = math.Inf(1), fault.Config{Seed: 1, DropProb: 0.5}
+			c.RetryBackoffS, c.Fault = math.Inf(1), fault.Config{Seed: 1, Schedule: []fault.Window{{Kind: fault.KindDrop, Prob: 0.5}}}
 		}, "RetryBackoffS"},
 		{"backoff-nan", func(c *Config) { c.RetryBackoffS = math.NaN() }, "RetryBackoffS"},
 		{"reputation-decay-nan", func(c *Config) { c.Reputation = &robust.ReputationConfig{Decay: math.NaN()} }, "Reputation.Decay"},
@@ -91,7 +96,7 @@ func TestConfigValidateTable(t *testing.T) {
 	}
 	// Fault-config errors pass through Validate untyped but non-nil.
 	bad := base
-	bad.Fault = fault.Config{DropProb: 1.5}
+	bad.Fault = fault.Config{Schedule: []fault.Window{{Kind: fault.KindDrop, Prob: 1.5}}}
 	if err := bad.Validate(); err == nil {
 		t.Fatal("out-of-range fault probability accepted")
 	}

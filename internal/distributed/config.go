@@ -2,6 +2,7 @@ package distributed
 
 import (
 	"sort"
+	"strconv"
 
 	"dlsys/internal/invalid"
 )
@@ -82,9 +83,12 @@ func (c Config) Validate() error {
 			return invalid.New("distributed", "Reputation.Probation", "%d is negative", r.Probation)
 		}
 	}
-	for _, w := range c.Fault.ByzantineWorkers {
-		if w >= c.Workers {
-			return invalid.New("distributed", "Fault.ByzantineWorkers", "worker %d out of [0, %d workers)", w, c.Workers)
+	for i, win := range c.Fault.Schedule {
+		for _, w := range win.Workers {
+			if w >= c.Workers {
+				return invalid.New("distributed", "Fault.Schedule["+strconv.Itoa(i)+"].Workers",
+					"worker %d out of [0, %d workers)", w, c.Workers)
+			}
 		}
 	}
 	if err := c.Fault.Validate(); err != nil {

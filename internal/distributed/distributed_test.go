@@ -62,7 +62,7 @@ func TestConfigErrors(t *testing.T) {
 		t.Fatal("DropSlowestK >= workers accepted")
 	}
 	if _, _, err := Train(1, train.X, y, Config{Workers: 2, Arch: distArch, Epochs: 1, BatchSize: 16, LR: 0.1,
-		Fault: fault.Config{DropProb: 1.5}}); err == nil {
+		Fault: fault.Config{Schedule: []fault.Window{{Kind: fault.KindDrop, Prob: 1.5}}}}); err == nil {
 		t.Fatal("out-of-range fault probability accepted")
 	}
 }

@@ -121,7 +121,7 @@ func TestDropSlowestKMitigatesStragglers(t *testing.T) {
 	y := nn.OneHot(train.Labels, 3)
 	straggly := Config{
 		Workers: 4, Arch: distArch, Epochs: 15, BatchSize: 16, LR: 0.1, AveragePeriod: 1,
-		Fault: fault.Config{Seed: 7, StragglerProb: 0.3, StragglerFactor: 20},
+		Fault: fault.Config{Seed: 7, Schedule: []fault.Window{{Kind: fault.KindStraggle, Prob: 0.3, Factor: 20}}},
 	}
 	_, waitAll := mustTrain(t, 110, train.X, y, straggly)
 
@@ -157,7 +157,7 @@ func TestCrashRecoveryConvergesToSameBand(t *testing.T) {
 	accClean := netClean.Accuracy(test.X, test.Labels)
 
 	crashy := clean
-	crashy.Fault = fault.Config{Seed: 31, CrashProb: 0.02, RestartDelay: 4}
+	crashy.Fault = fault.Config{Seed: 31, RestartDelay: 4, Schedule: []fault.Window{{Kind: fault.KindCrash, Prob: 0.02}}}
 	crashy.SnapshotPeriod = 2
 	netC, stats := mustTrain(t, 120, train.X, y, crashy)
 	accC := netC.Accuracy(test.X, test.Labels)
@@ -174,7 +174,7 @@ func TestCrashRecoveryConvergesToSameBand(t *testing.T) {
 func TestTransportRetryAccounting(t *testing.T) {
 	var stats Stats
 	tr := &transport{
-		inj:        fault.NewInjector(fault.Config{Seed: 5, DropProb: 0.5}),
+		inj:        fault.NewInjector(fault.Config{Seed: 5, Schedule: []fault.Window{{Kind: fault.KindDrop, Prob: 0.5}}}),
 		prof:       device.GPUSmall,
 		maxRetries: 8,
 		backoffS:   1e-3,

@@ -7,8 +7,10 @@ import (
 
 	"dlsys/internal/data"
 	"dlsys/internal/fault"
+	"dlsys/internal/guard"
 	"dlsys/internal/nn"
 	"dlsys/internal/obs"
+	"dlsys/internal/robust"
 )
 
 // fuzzProbs are the probability values a fuzz byte picks from first:
@@ -24,14 +26,31 @@ func fuzzProb(b byte) float64 {
 	return float64(b)/255*1.2 - 0.1
 }
 
-// fuzzFactors are the LinkSlowFactor values a fuzz byte picks from.
-var fuzzFactors = []float64{0, 0.5, 1, 3, 8, math.NaN(), math.Inf(1), -2}
+// fuzzFactors and fuzzTimes are the window Factor and StartS/EndS values
+// a fuzz byte picks from: the default, ordinary and extreme values,
+// negatives, NaN and ±Inf. The times span a one-epoch run on the star,
+// about 5e-5 simulated seconds.
+var (
+	fuzzFactors = []float64{0, 0.5, 1, 3, 8, 64, 1e4, math.NaN(), math.Inf(1), -2}
+	fuzzTimes   = []float64{0, 1e-5, 2e-5, 5e-5, 1e-4, 1e-2, -1, math.NaN(), math.Inf(1), math.Inf(-1)}
+)
+
+// fuzzKinds are the fault kinds training draws: worker, message,
+// numerical, Byzantine and link faults.
+var fuzzKinds = []fault.Kind{
+	fault.KindCrash, fault.KindStraggle, fault.KindDrop, fault.KindCorrupt,
+	fault.KindBatchCorrupt, fault.KindLabelNoise, fault.KindLRSpike,
+	fault.KindSignFlip, fault.KindScaleAttack, fault.KindDriftAttack, fault.KindCollude,
+	fault.KindLinkDrop, fault.KindLinkSlow, fault.KindPartition,
+}
 
 // decodeCollectiveConfig turns fuzz bytes into a small one-epoch run: 2–12
 // workers, the star or one of the four collectives, GroupSize 0–7,
-// MaxRetries 0–70, link, slow and partition probabilities (NaN, ±Inf and
-// out-of-range values included), and up to four churn events, some naming
-// workers out of range. Missing bytes read as zero.
+// MaxRetries 0–70, a plain or CoordMedian aggregator with or without an
+// enforcing guard, up to four fault windows of any training kind (NaN,
+// ±Inf and out-of-range fields included, and workers past the job's), and
+// up to four churn events, some naming workers out of range. Missing bytes
+// read as zero.
 func decodeCollectiveConfig(in []byte) Config {
 	at := func(i int) byte {
 		if i < len(in) {
@@ -43,20 +62,37 @@ func decodeCollectiveConfig(in []byte) Config {
 	workers := 2 + int(at(0))%11
 	c := Config{
 		Workers: workers, Arch: nn.MLPConfig{In: 5, Hidden: []int{4}, Out: 3},
-		Epochs: 1, BatchSize: 4, LR: 0.1, AveragePeriod: 1 + int(at(10))%2,
+		Epochs: 1, BatchSize: 4, LR: 0.1, AveragePeriod: 1 + int(at(6))%2,
 		Topology:   topos[int(at(1))%len(topos)],
 		GroupSize:  int(at(2)) % 8,
 		MaxRetries: int(at(3)) % 71,
 		Fault: fault.Config{
 			Seed:            int64(at(4)),
-			LinkDropProb:    fuzzProb(at(5)),
-			LinkSlowProb:    fuzzProb(at(6)),
-			LinkSlowFactor:  fuzzFactors[int(at(7))%len(fuzzFactors)],
-			PartitionProb:   fuzzProb(at(8)),
-			PartitionRounds: int(at(9)) % 5,
+			PartitionRounds: int(at(5)) % 5,
+			RestartDelay:    int(at(5)) / 5 % 5,
 		},
 	}
-	for i := 11; i+2 < len(in) && len(c.Churn) < 4; i += 3 {
+	if at(7)&1 != 0 {
+		c.Aggregator = robust.CoordMedian{}
+	}
+	if at(7)&2 != 0 {
+		c.Guard = &guard.Policy{Mode: guard.Enforce}
+	}
+	i := 9
+	for n := int(at(8)) % 5; n > 0 && i+5 < len(in); n, i = n-1, i+6 {
+		w := fault.Window{
+			Kind:   fuzzKinds[int(in[i])%len(fuzzKinds)],
+			StartS: fuzzTimes[int(in[i+2])%len(fuzzTimes)],
+			EndS:   fuzzTimes[int(in[i+3])%len(fuzzTimes)],
+			Prob:   fuzzProb(in[i+4]),
+			Factor: fuzzFactors[int(in[i+5])%len(fuzzFactors)],
+		}
+		if id := int(in[i+1]) % 16; id < 13 {
+			w.Workers = []int{id}
+		}
+		c.Fault.Schedule = append(c.Fault.Schedule, w)
+	}
+	for ; i+2 < len(in) && len(c.Churn) < 4; i += 3 {
 		c.Churn = append(c.Churn, ChurnEvent{
 			Round:  int(in[i]) % 8,
 			Worker: int(in[i+1]) % (workers + 1),
@@ -72,14 +108,33 @@ func decodeCollectiveConfig(in []byte) Config {
 func FuzzCollectiveConfig(f *testing.F) {
 	ds := data.GaussianMixture(rand.New(rand.NewSource(5)), 96, 5, 3, 3.2)
 	y := nn.OneHot(ds.Labels, 3)
-	// workers, topology, group size, retries, seed, drop, slow, factor,
-	// partition, partition rounds, H, then churn triples.
-	f.Add([]byte{6, 2, 0, 64, 1, 5, 0, 0, 0, 0, 0})                   // ring, 64 retries, every hop lost
-	f.Add([]byte{6, 2, 0, 65, 1, 5, 0, 0, 0, 0, 0})                   // 65 retries: rejected
-	f.Add([]byte{9, 4, 3, 3, 7, 2, 2, 3, 3, 2, 0})                    // hier, groups of 3, every link fault
-	f.Add([]byte{10, 3, 0, 2, 9, 4, 5, 1, 5, 3, 1, 1, 2, 0, 4, 2, 1}) // tree, Local SGD, leave and rejoin
-	f.Add([]byte{0, 1, 0, 1, 2, 5, 0, 0, 1, 1, 0, 0, 0, 0, 0, 1, 0})  // all-to-all, every member leaves
-	f.Add([]byte{4, 0, 0, 0, 0, 8, 9, 5, 10, 0, 0})                   // NaN and ±Inf rates: rejected
+	// Bytes 0–8 are workers, topology, group size, retries, fault seed,
+	// partition rounds and restart delay, H, defences (bit 0 median, bit 1
+	// guard) and the window count. Each window is six bytes: kind (an
+	// index into fuzzKinds), worker (13–15 mean every worker), start, end,
+	// prob and factor. Churn triples follow the windows.
+	f.Add([]byte{6, 2, 0, 64, 1, 0, 0, 0, 1, 11, 13, 0, 0, 5, 0})                   // ring, 64 retries, every hop lost
+	f.Add([]byte{6, 2, 0, 65, 1, 0, 0, 0, 1, 11, 13, 0, 0, 5, 0})                   // 65 retries: rejected
+	f.Add([]byte{4, 0, 0, 3, 2, 7, 0, 0, 1, 0, 1, 0, 0, 5, 0})                      // crash: worker 1 always down
+	f.Add([]byte{5, 0, 0, 3, 3, 0, 0, 0, 1, 1, 13, 0, 0, 3, 6})                     // straggle ×1e4 on the star
+	f.Add([]byte{5, 0, 0, 2, 4, 0, 0, 0, 1, 2, 13, 1, 3, 4, 0})                     // drop burst in [1e-5, 5e-5)
+	f.Add([]byte{5, 0, 0, 3, 5, 0, 0, 0, 1, 3, 13, 0, 0, 3, 0})                     // corrupt
+	f.Add([]byte{6, 0, 0, 3, 6, 0, 0, 2, 1, 4, 13, 0, 0, 2, 0})                     // batch-corrupt, guarded
+	f.Add([]byte{6, 0, 0, 3, 7, 0, 1, 2, 1, 5, 13, 0, 0, 5, 0})                     // label noise, Local SGD, guarded
+	f.Add([]byte{6, 0, 0, 3, 8, 0, 0, 0, 1, 6, 13, 0, 0, 3, 6})                     // lr-spike ×1e4, which only guard.Fit reads
+	f.Add([]byte{8, 0, 0, 3, 9, 0, 0, 1, 1, 7, 2, 0, 0, 0, 5})                      // sign-flip ×64 by worker 2, median
+	f.Add([]byte{8, 2, 0, 3, 10, 0, 1, 3, 1, 8, 3, 1, 0, 0, 6})                     // scale-attack ×1e4 from 1e-5 s, ring, Local SGD
+	f.Add([]byte{8, 3, 0, 3, 11, 0, 0, 1, 1, 9, 4, 0, 0, 2, 3})                     // drift ×3 at rate 0.3, tree, median
+	f.Add([]byte{8, 0, 0, 3, 12, 0, 0, 3, 2, 10, 5, 0, 0, 0, 0, 10, 6, 0, 0, 0, 0}) // collude by workers 5 and 6, guarded median
+	f.Add([]byte{9, 4, 3, 3, 13, 0, 0, 0, 1, 11, 13, 0, 0, 3, 0})                   // link-drop on hier, groups of 3
+	f.Add([]byte{9, 2, 0, 3, 14, 0, 0, 0, 1, 12, 13, 0, 0, 5, 1})                   // link-slow ×0.5 (default 8) on a ring
+	f.Add([]byte{9, 3, 0, 3, 15, 2, 0, 0, 1, 13, 13, 0, 0, 3, 0})                   // partitions of 2 rounds on a tree
+	f.Add([]byte{9, 4, 3, 3, 7, 2, 0, 3, 4, 11, 13, 0, 0, 2, 0, 12, 13, 0, 0, 2, 3,
+		13, 13, 0, 0, 2, 0, 7, 4, 0, 0, 0, 0}) // every link fault and a sign-flip on hier
+	f.Add([]byte{10, 3, 0, 2, 9, 0, 1, 0, 0, 1, 2, 0, 4, 2, 1})                    // tree, Local SGD, leave and rejoin
+	f.Add([]byte{0, 1, 0, 1, 2, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0})                     // all-to-all, every member leaves
+	f.Add([]byte{4, 0, 0, 0, 0, 0, 0, 0, 2, 0, 13, 7, 0, 5, 0, 1, 13, 0, 0, 8, 8}) // NaN start and prob: rejected
+	f.Add([]byte{2, 0, 0, 3, 0, 0, 0, 0, 1, 0, 9, 0, 0, 5, 0})                     // crash on worker 9 of 4: rejected
 	f.Fuzz(func(t *testing.T, in []byte) {
 		cfg := decodeCollectiveConfig(in)
 		if cfg.Validate() != nil {

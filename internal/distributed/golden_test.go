@@ -30,15 +30,16 @@ var goldenScenarios = []goldenScenario{
 	{"compress", func(c *Config) { c.TopK, c.QuantBits = 0.25, 8 },
 		func(Topology, Stats) bool { return true }},
 	{"faults", func(c *Config) {
-		c.Fault = fault.Config{Seed: 7, CrashProb: 0.05, RestartDelay: 2, StragglerProb: 0.2,
-			StragglerFactor: 8, DropProb: 0.2, CorruptProb: 0.1}
+		c.Fault = fault.Config{Seed: 7, RestartDelay: 2, Schedule: []fault.Window{
+			{Kind: fault.KindCrash, Prob: 0.05}, {Kind: fault.KindStraggle, Prob: 0.2, Factor: 8},
+			{Kind: fault.KindDrop, Prob: 0.2}, {Kind: fault.KindCorrupt, Prob: 0.1}}}
 		c.DropSlowestK, c.MaxRetries = 1, 2
 	}, func(topo Topology, s Stats) bool {
 		return s.Crashes > 0 && (topo != TopoDefault || s.Timeouts > 0)
 	}},
 	{"byzantine", func(c *Config) {
 		c.Fault = fault.Byzantine(40, fault.KindSignFlip, 1)
-		c.Fault.BatchCorruptProb = 0.1
+		c.Fault.Schedule = append(c.Fault.Schedule, fault.Window{Kind: fault.KindBatchCorrupt, Prob: 0.1})
 		c.Aggregator = robust.CoordMedian{}
 		c.Reputation = &robust.ReputationConfig{Patience: 2, Probation: 3, Warmup: 1}
 		c.Guard = &guard.Policy{Mode: guard.Enforce}
@@ -46,8 +47,9 @@ var goldenScenarios = []goldenScenario{
 		return s.ByzantineAttacks > 0 && s.Readmissions > 0 && s.GuardSkipped+s.GuardRestores > 0
 	}},
 	{"links", func(c *Config) {
-		c.Fault = fault.LinkRate(99, 0.15)
-		c.Fault.PartitionProb, c.Fault.PartitionRounds = 0.15, 2
+		c.Fault = fault.Config{Seed: 99, PartitionRounds: 2, Schedule: []fault.Window{
+			{Kind: fault.KindLinkDrop, Prob: 0.15}, {Kind: fault.KindLinkSlow, Prob: 0.15 / 2},
+			{Kind: fault.KindPartition, Prob: 0.15}}}
 		c.Churn = []ChurnEvent{
 			{Round: 2, Worker: 3, Join: false},
 			{Round: 5, Worker: 6, Join: true}, // fresh joiner: starts absent
@@ -59,7 +61,7 @@ var goldenScenarios = []goldenScenario{
 	}},
 	{"noef-drop-all", func(c *Config) {
 		c.NoErrorFeedback, c.TopK = true, 0.5
-		c.Fault = fault.Config{Seed: 3, DropProb: 1} // every star upload times out
+		c.Fault = fault.Config{Seed: 3, Schedule: []fault.Window{{Kind: fault.KindDrop, Prob: 1}}} // every star upload times out
 	}, func(topo Topology, s Stats) bool {
 		return topo != TopoDefault || s.Timeouts > 0 && s.AveragingRound == 0
 	}},

@@ -111,7 +111,7 @@ func NewJob(seed int64, x, y *tensor.Tensor, cfg Config) (*Job, error) {
 		actor: k.Actor("distributed"),
 		clk:   &jobClock{k: k, t0: k.Now()},
 	}
-	if cfg.Fault.Enabled() {
+	if len(cfg.Fault.Schedule) > 0 {
 		j.inj = fault.NewInjector(cfg.Fault)
 		// Schedule windows resolve against absolute kernel time.
 		j.inj.SetClock(k)

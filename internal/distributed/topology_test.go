@@ -164,10 +164,10 @@ func TestExchangeCleanLinks(t *testing.T) {
 }
 
 // Certain-loss links force the healing detour and then the all-to-all
-// degradation; the degraded walk draws independently, so with LinkDropProb 1
-// everything is excluded but the accounting reconciles.
+// degradation; the degraded walk draws independently, so with every link
+// dropping everything is excluded but the accounting reconciles.
 func TestExchangeDegradesUnderTotalLinkLoss(t *testing.T) {
-	inj := fault.NewInjector(fault.Config{Seed: 7, LinkDropProb: 1})
+	inj := fault.NewInjector(fault.Config{Seed: 7, Schedule: []fault.Window{{Kind: fault.KindLinkDrop, Prob: 1}}})
 	net := newTestTransport(inj, 3)
 	for _, topo := range []Topology{TopoRing, TopoTree, TopoHier} {
 		var stats Stats
@@ -179,7 +179,7 @@ func TestExchangeDegradesUnderTotalLinkLoss(t *testing.T) {
 			t.Fatalf("%s: degraded exchange charged no time", topo)
 		}
 		if stats.LinkDropped == 0 {
-			t.Fatalf("%s: no link drops recorded under LinkDropProb=1", topo)
+			t.Fatalf("%s: no link drops recorded at link-drop probability 1", topo)
 		}
 		if stats.LinkExcluded != len(excluded) {
 			t.Fatalf("%s: LinkExcluded %d != excluded set %d", topo, stats.LinkExcluded, len(excluded))
@@ -190,7 +190,7 @@ func TestExchangeDegradesUnderTotalLinkLoss(t *testing.T) {
 // Moderate loss on a ring heals (retries or detours succeed) without
 // degrading, and never excludes a majority.
 func TestExchangeHealsModerateLoss(t *testing.T) {
-	inj := fault.NewInjector(fault.Config{Seed: 11, LinkDropProb: 0.3})
+	inj := fault.NewInjector(fault.Config{Seed: 11, Schedule: []fault.Window{{Kind: fault.KindLinkDrop, Prob: 0.3}}})
 	net := newTestTransport(inj, 4)
 	var stats Stats
 	healedRounds := 0
@@ -217,11 +217,11 @@ func TestExchangeHealsModerateLoss(t *testing.T) {
 // A certain partition excludes exactly the minority side and counts one
 // partitioned round; both sides of the cut agree via the pure hash.
 func TestExchangePartitionExcludesMinority(t *testing.T) {
-	inj := fault.NewInjector(fault.Config{Seed: 3, PartitionProb: 1, PartitionRounds: 2})
+	inj := fault.NewInjector(fault.Config{Seed: 3, PartitionRounds: 2, Schedule: []fault.Window{{Kind: fault.KindPartition, Prob: 1}}})
 	net := newTestTransport(inj, 4)
 	start, active := inj.PartitionAt(5)
 	if !active {
-		t.Fatal("PartitionProb=1 produced no partition")
+		t.Fatal("partition probability 1 produced no partition")
 	}
 	var side0 int
 	for _, w := range members(9) {
@@ -249,7 +249,7 @@ func TestExchangePartitionExcludesMinority(t *testing.T) {
 }
 
 func TestLinkSlowHopsAccounted(t *testing.T) {
-	inj := fault.NewInjector(fault.Config{Seed: 5, LinkSlowProb: 1, LinkSlowFactor: 8})
+	inj := fault.NewInjector(fault.Config{Seed: 5, Schedule: []fault.Window{{Kind: fault.KindLinkSlow, Prob: 1, Factor: 8}}})
 	net := newTestTransport(inj, 4)
 	var slowStats Stats
 	_, slowS, _ := net.collective(TopoRing, members(4), 1000, 0, 0, &slowStats)
@@ -257,7 +257,7 @@ func TestLinkSlowHopsAccounted(t *testing.T) {
 	var cleanStats Stats
 	_, cleanS, _ := clean.collective(TopoRing, members(4), 1000, 0, 0, &cleanStats)
 	if slowStats.LinkSlowHops == 0 {
-		t.Fatal("LinkSlowProb=1 recorded no slow hops")
+		t.Fatal("link-slow probability 1 recorded no slow hops")
 	}
 	if slowS <= cleanS {
 		t.Fatalf("slow links took %g <= clean %g", slowS, cleanS)
@@ -476,12 +476,12 @@ func TestTrainingSurvivesLinkFaults(t *testing.T) {
 // send gives up after MaxRetries attempts with certain loss; broadcast
 // persists past the per-round budget and always reports delivery.
 func TestTransportRetryExhaustion(t *testing.T) {
-	inj := fault.NewInjector(fault.Config{Seed: 1, DropProb: 1})
+	inj := fault.NewInjector(fault.Config{Seed: 1, Schedule: []fault.Window{{Kind: fault.KindDrop, Prob: 1}}})
 	net := newTestTransport(inj, 3)
 	var stats Stats
 	ok, elapsed := net.send(0, 0, 100, &stats)
 	if ok {
-		t.Fatal("send succeeded with DropProb=1")
+		t.Fatal("send succeeded at drop probability 1")
 	}
 	if stats.DroppedMessages != 3 || stats.Retransmissions != 2 {
 		t.Fatalf("send retries: %+v, want 3 drops / 2 retransmissions", stats)
@@ -495,20 +495,20 @@ func TestTransportRetryExhaustion(t *testing.T) {
 		t.Fatal("broadcast reported failure; the server persists")
 	}
 	if bstats.DroppedMessages == 0 {
-		t.Fatal("broadcast recorded no drops under DropProb=1")
+		t.Fatal("broadcast recorded no drops at drop probability 1")
 	}
 }
 
 // hop exhausts retries, then heals via the detour when the extra draw
 // succeeds; with certain loss even the detour fails.
 func TestHopDetourHealing(t *testing.T) {
-	certain := fault.NewInjector(fault.Config{Seed: 1, LinkDropProb: 1})
+	certain := fault.NewInjector(fault.Config{Seed: 1, Schedule: []fault.Window{{Kind: fault.KindLinkDrop, Prob: 1}}})
 	net := newTestTransport(certain, 2)
 	var stats Stats
 	l := certain.Link(0, 1, 0)
 	ok, elapsed := net.hop(&l, net.wire(100), 100, 0, &stats)
 	if ok {
-		t.Fatal("hop delivered with LinkDropProb=1")
+		t.Fatal("hop delivered at link-drop probability 1")
 	}
 	if stats.LinkDropped != 3 { // 2 attempts + failed detour
 		t.Fatalf("LinkDropped = %d, want 3", stats.LinkDropped)
@@ -518,7 +518,7 @@ func TestHopDetourHealing(t *testing.T) {
 	}
 
 	// p=0.9: over many (round, seq) keys some detours succeed → TopoHeals.
-	flaky := fault.NewInjector(fault.Config{Seed: 2, LinkDropProb: 0.9})
+	flaky := fault.NewInjector(fault.Config{Seed: 2, Schedule: []fault.Window{{Kind: fault.KindLinkDrop, Prob: 0.9}}})
 	net = newTestTransport(flaky, 2)
 	var fstats Stats
 	l = flaky.Link(0, 1, 0)

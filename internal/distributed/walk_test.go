@@ -93,12 +93,13 @@ func (c *walkClock) Now() float64 { return c.t }
 // matched a link by hop position alone would show.
 func TestWalkMatchesPerHopPricing(t *testing.T) {
 	faults := map[string]fault.Config{
-		"clean":   {},
-		"drop0.3": {Seed: 21, LinkDropProb: 0.3, LinkSlowProb: 0.2, LinkSlowFactor: 3},
-		"drop1":   {Seed: 22, LinkDropProb: 1},
-		"windows": {Seed: 23, LinkSlowFactor: 5, Schedule: []fault.Window{
-			{Kind: fault.KindLinkSlow, Workers: []int{1, 4, 7, 12}, StartS: 1, EndS: 3, Prob: 0.7},
-			{Kind: fault.KindLinkSlow, StartS: 2.5, EndS: 4, Prob: 0.3},
+		"clean": {},
+		"drop0.3": {Seed: 21, Schedule: []fault.Window{
+			{Kind: fault.KindLinkDrop, Prob: 0.3}, {Kind: fault.KindLinkSlow, Prob: 0.2, Factor: 3}}},
+		"drop1": {Seed: 22, Schedule: []fault.Window{{Kind: fault.KindLinkDrop, Prob: 1}}},
+		"windows": {Seed: 23, Schedule: []fault.Window{
+			{Kind: fault.KindLinkSlow, Workers: []int{1, 4, 7, 12}, StartS: 1, EndS: 3, Prob: 0.7, Factor: 5},
+			{Kind: fault.KindLinkSlow, StartS: 2.5, EndS: 4, Prob: 0.3, Factor: 5},
 			{Kind: fault.KindLinkDrop, Workers: []int{0, 2, 5}, StartS: 2, Prob: 0.4},
 		}},
 	}
@@ -124,7 +125,7 @@ func TestWalkMatchesPerHopPricing(t *testing.T) {
 					name := fmt.Sprintf("%s/%s/gs%d/m%d/salt%d", fname, tc.kind, tc.groupSize, m, salt)
 					clk := &walkClock{}
 					var inj *fault.Injector
-					if fc.Enabled() {
+					if len(fc.Schedule) > 0 {
 						if err := fc.Validate(); err != nil {
 							t.Fatalf("%s: %v", name, err)
 						}
@@ -170,7 +171,8 @@ func TestWalkMatchesPerHopPricing(t *testing.T) {
 // The memo lives on the transport, so once its buffers have grown a walk
 // allocates no more than per-hop pricing does.
 func TestWalkMemoAllocatesNothingNew(t *testing.T) {
-	inj := fault.NewInjector(fault.Config{Seed: 3, LinkDropProb: 0.3, LinkSlowProb: 0.2})
+	inj := fault.NewInjector(fault.Config{Seed: 3, Schedule: []fault.Window{
+		{Kind: fault.KindLinkDrop, Prob: 0.3}, {Kind: fault.KindLinkSlow, Prob: 0.2}}})
 	live := members(64)
 	for _, kind := range Topologies() {
 		net, oracle := newTestTransport(inj, 3), newTestTransport(inj, 3)

@@ -23,28 +23,11 @@ func IsByzantineKind(k Kind) bool {
 	return false
 }
 
-// ByzantineWorker reports whether the worker is in the configured
-// adversarial set.
-func (i *Injector) ByzantineWorker(worker int) bool {
-	if i == nil {
-		return false
-	}
-	for _, w := range i.cfg.ByzantineWorkers {
-		if w == worker {
-			return true
-		}
-	}
-	return false
-}
-
-// ByzantineFires reports whether the (adversarial) worker attacks at the
-// given round: always false for honest workers, and a deterministic
-// ByzantineRate draw keyed by the attack kind for adversarial ones.
-// Byzantine schedule windows (resolved at the attached clock's time) make
-// their listed workers adversarial for the window's duration.
+// ByzantineFires reports whether the worker attacks at the given round: a
+// Byzantine window active at the injector's instant lists it and its
+// draw, keyed by the attack kind, fires.
 func (i *Injector) ByzantineFires(worker, round int) bool {
-	_, fires := i.byzantineAt(worker, round, 0, false)
-	return fires
+	return i.byzantineAt(worker, round) != nil
 }
 
 // ColludesBatch reports whether the worker is a colluder attacking this
@@ -52,8 +35,8 @@ func (i *Injector) ByzantineFires(worker, round int) bool {
 // ColludeShuffleLabels) before the gradient is computed, then amplified by
 // CorruptGradient.
 func (i *Injector) ColludesBatch(worker, round int) bool {
-	kind, fires := i.byzantineAt(worker, round, 0, false)
-	return fires && kind == KindCollude
+	w := i.byzantineAt(worker, round)
+	return w != nil && w.Kind == KindCollude
 }
 
 // ColludeShuffleLabels rotates the one-hot rows of a flat [rows × classes]
@@ -76,68 +59,60 @@ func (i *Injector) ColludeShuffleLabels(labels []float64, rows, classes, round i
 	copy(labels, rotated)
 }
 
-// CorruptGradient applies the configured Byzantine attack to the worker's
-// uploaded gradient (or parameter) vector in place, reporting whether an
-// attack was applied this round. Honest workers and non-attacking rounds
-// are untouched. Every attack keeps the vector finite:
+// CorruptGradient applies the worker's Byzantine attack to its uploaded
+// gradient (or parameter) vector in place, reporting whether an attack was
+// applied this round. Honest workers and non-attacking rounds are
+// untouched. The attack and its magnitude f come from the window that
+// fired (see Window), and every attack keeps the vector finite:
 //
-//   - KindSignFlip: g ← −SignFlipFactor·g (amplified ascent direction)
-//   - KindScaleAttack: g ← ScaleAttackFactor·g
+//   - KindSignFlip: g ← −f·g (amplified ascent direction, default f 100)
+//   - KindScaleAttack: g ← f·g (default f 100)
 //   - KindDriftAttack: g ← g + b, where b is a constant hash-signed bias
-//     vector of per-coordinate magnitude DriftAttackBias, identical every
+//     vector of per-coordinate magnitude f (default 1.5), identical every
 //     round (the stealthy consistent-drift attack)
-//   - KindCollude: g ← ColludeBoost·g, amplifying the label-flip gradient
-//     the coalition produced via ColludeShuffleLabels
+//   - KindCollude: g ← f·g (default f 50), amplifying the label-flip
+//     gradient the coalition produced via ColludeShuffleLabels
 func (i *Injector) CorruptGradient(g []float64, worker, round int) bool {
 	if i == nil || len(g) == 0 {
 		return false
 	}
-	kind, fires := i.byzantineAt(worker, round, 0, false)
-	if !fires {
+	w := i.byzantineAt(worker, round)
+	if w == nil {
 		return false
 	}
-	switch kind {
+	f := w.Factor
+	switch w.Kind {
 	case KindSignFlip:
-		f := i.cfg.SignFlipFactor
 		if f <= 0 {
 			f = 100
 		}
-		for j := range g {
-			g[j] *= -f
-		}
+		f = -f
 	case KindScaleAttack:
-		f := i.cfg.ScaleAttackFactor
 		if f <= 0 {
 			f = 100
 		}
-		for j := range g {
-			g[j] *= f
+	case KindCollude:
+		if f <= 0 {
+			f = 50
 		}
 	case KindDriftAttack:
-		b := i.cfg.DriftAttackBias
-		if b <= 0 {
-			b = 1.5
+		if f <= 0 {
+			f = 1.5
 		}
 		// The bias direction depends only on (seed, coordinate): the same
 		// drift is applied every round, which is what makes it effective.
 		h0 := splitmix64(uint64(i.cfg.Seed)) ^ splitmix64(uint64(KindDriftAttack)<<32)
 		for j := range g {
 			if splitmix64(h0^uint64(j))&1 == 0 {
-				g[j] += b
+				g[j] += f
 			} else {
-				g[j] -= b
+				g[j] -= f
 			}
 		}
-	case KindCollude:
-		f := i.cfg.ColludeBoost
-		if f <= 0 {
-			f = 50
-		}
-		for j := range g {
-			g[j] *= f
-		}
-	default:
-		return false
+		return true
+	}
+	for j := range g {
+		g[j] *= f
 	}
 	return true
 }

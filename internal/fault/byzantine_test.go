@@ -39,34 +39,30 @@ func TestByzantineConfigValidate(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
 	}
-	bad := []Config{
-		{ByzantineWorkers: []int{0}, ByzantineKind: KindCrash},                        // non-Byzantine kind
-		{ByzantineWorkers: []int{-1}, ByzantineKind: KindSignFlip},                    // negative worker
-		{ByzantineWorkers: []int{0}, ByzantineKind: KindSignFlip, ByzantineRate: 1.5}, // rate > 1
+	bad := []Window{
+		{Kind: KindSignFlip, Workers: []int{-1}},           // negative worker
+		{Kind: KindSignFlip, Workers: []int{0}, Prob: 1.5}, // rate > 1
+		{Kind: KindScaleAttack, Factor: -3},                // negative magnitude
 	}
-	for i, cfg := range bad {
-		if err := cfg.Validate(); err == nil {
-			t.Errorf("bad config %d accepted", i)
+	for i, w := range bad {
+		if err := (Config{Schedule: []Window{w}}).Validate(); err == nil {
+			t.Errorf("bad window %d accepted", i)
 		}
 	}
-	if !good.Enabled() {
-		t.Errorf("Byzantine config should report Enabled")
+	if len(good.Schedule) != 1 {
+		t.Errorf("Byzantine config should hold one window, got %+v", good.Schedule)
 	}
 }
 
 func TestByzantineWorkerMembership(t *testing.T) {
 	inj := NewInjector(Byzantine(7, KindScaleAttack, 1, 5))
 	for w := 0; w < 8; w++ {
-		want := w == 1 || w == 5
-		if got := inj.ByzantineWorker(w); got != want {
-			t.Errorf("ByzantineWorker(%d) = %v, want %v", w, got, want)
+		adversary := w == 1 || w == 5
+		for r := 0; r < 16; r++ {
+			if got := inj.ByzantineFires(w, r); got != adversary {
+				t.Fatalf("ByzantineFires(%d, %d) = %v, want %v (rate-1 adversaries fire every round)", w, r, got, adversary)
+			}
 		}
-		if !want && inj.ByzantineFires(w, 0) {
-			t.Errorf("honest worker %d fired", w)
-		}
-	}
-	if !inj.ByzantineFires(1, 3) {
-		t.Errorf("rate-1 adversary should fire every round")
 	}
 }
 
@@ -88,7 +84,7 @@ func TestCorruptGradientSemantics(t *testing.T) {
 
 	t.Run("scale", func(t *testing.T) {
 		cfg := Byzantine(3, KindScaleAttack, 0)
-		cfg.ScaleAttackFactor = 10
+		cfg.Schedule[0].Factor = 10
 		inj := NewInjector(cfg)
 		g := append([]float64(nil), base...)
 		inj.CorruptGradient(g, 0, 2)

@@ -15,11 +15,7 @@
 // whole-run results bit-reproducible.
 package fault
 
-import (
-	"math"
-
-	"dlsys/internal/invalid"
-)
+import "math"
 
 // Kind enumerates the injectable fault classes.
 type Kind uint32
@@ -119,112 +115,50 @@ func (k Kind) String() string {
 	return "unknown"
 }
 
-// Config sets the per-event probabilities of each fault class. The zero
-// value injects nothing (a perfect world).
+// Config describes a fault scenario. The zero value injects nothing (a
+// perfect world). Faults fire only through Schedule's windows, which say
+// both when each class fires and how hard (see Window); Rate, NumericalRate,
+// LinkRate and Byzantine build the usual always-on scenarios.
 type Config struct {
 	Seed int64
 
-	// CrashProb is the per-worker, per-round probability of a crash. A
-	// crashed worker is down for RestartDelay rounds and rejoins by
-	// restoring the latest model snapshot.
-	CrashProb float64
-	// RestartDelay is how many rounds a crashed worker stays down
-	// (default 3 when crashes are enabled).
+	// Schedule lists the windows that fire faults.
+	Schedule []Window
+
+	// RestartDelay is how many rounds a crashed worker stays down before
+	// it rejoins by restoring the latest model snapshot (default 3).
 	RestartDelay int
 
-	// StragglerProb is the per-worker, per-round probability that a step
-	// is slowed by StragglerFactor (default 8x).
-	StragglerProb   float64
-	StragglerFactor float64
-
-	// DropProb is the per-attempt probability that a message is lost in
-	// flight, forcing a retransmission.
-	DropProb float64
-	// CorruptProb is the per-attempt probability that a payload arrives
-	// bit-corrupted; receivers detect this via CRC and request a resend.
-	CorruptProb float64
-
-	// BatchCorruptProb is the per-step probability that the input batch is
-	// poisoned with non-finite or absurdly large values (a flaky data
-	// loader, a bad shard, a bit-flip upstream of the feature pipeline).
-	BatchCorruptProb float64
-	// LabelNoiseProb is the per-step probability that the batch's labels
-	// arrive shuffled — a gradient poison that stays finite, so it must be
-	// caught by divergence detection rather than NaN scans.
-	LabelNoiseProb float64
-	// LRSpikeProb is the per-step probability that the learning rate is
-	// transiently multiplied by LRSpikeFactor (default 64), modelling a
-	// mis-applied schedule or config push.
-	LRSpikeProb   float64
-	LRSpikeFactor float64
-
-	// ByzantineWorkers lists the worker ids that behave adversarially: they
-	// stay up, compute on schedule, and answer every message, but the
-	// gradients (sync regime) or parameters (Local SGD regime) they upload
-	// are poisoned according to ByzantineKind. An empty list disables
-	// Byzantine behaviour.
-	ByzantineWorkers []int
-	// ByzantineKind selects the attack the adversaries mount: KindSignFlip,
-	// KindScaleAttack, KindDriftAttack, or KindCollude.
-	ByzantineKind Kind
-	// ByzantineRate is the per-round probability that each adversary
-	// attacks (0 means the default of 1: the adversary attacks every
-	// round). Draws are keyed by (ByzantineKind, worker, round), so which
-	// rounds are attacked is order-independent like every other fault.
-	ByzantineRate float64
-	// SignFlipFactor amplifies the negated gradient under KindSignFlip
-	// (default 100). A plain negation at f=1/8 workers still averages to a
-	// descent direction; the amplification is what makes the mean diverge.
-	SignFlipFactor float64
-	// ScaleAttackFactor inflates the gradient under KindScaleAttack
-	// (default 100).
-	ScaleAttackFactor float64
-	// DriftAttackBias is the per-coordinate magnitude of the constant,
-	// hash-signed bias vector added under KindDriftAttack (default 1.5).
-	// The direction is fixed per seed, so the attack drifts the model
-	// consistently while each poisoned gradient stays a plausible inlier.
-	DriftAttackBias float64
-	// ColludeBoost amplifies the coalition's coordinated label-flip
-	// gradients under KindCollude (default 50).
-	ColludeBoost float64
-
-	// LinkDropProb is the per-hop, per-attempt probability that a
-	// topology edge loses its payload, forcing the sender to retransmit
-	// and — once the retry budget is exhausted — to route around the link.
-	LinkDropProb float64
-	// LinkSlowProb is the per-link, per-round probability that an edge is
-	// degraded for the whole round, multiplying every hop over it by
-	// LinkSlowFactor (default 8x).
-	LinkSlowProb   float64
-	LinkSlowFactor float64
-	// PartitionProb is the per-round probability that a network
-	// bipartition begins. Once started it lasts PartitionRounds rounds
+	// PartitionRounds is how long a network bipartition lasts once begun
 	// (default 3); each worker's side of the cut is a hash of the start
 	// round, so the cut is stable for the partition's whole duration.
-	PartitionProb   float64
 	PartitionRounds int
+}
 
-	// Schedule lists declarative time-windowed fault rules resolved
-	// against simulated time — see Window. A kind may be driven either by
-	// its flat rate above or by windows, never both (Validate rejects the
-	// conflict), so there is one source of truth for when each class
-	// fires.
-	Schedule []Window
+// always keeps the windows whose Prob is not exactly 0 and leaves them
+// always on: every worker, from t = 0, with no end. A zero rate therefore
+// builds the empty schedule, while a NaN or out-of-range rate stays for
+// Validate to reject.
+func always(ws ...Window) []Window {
+	var out []Window
+	for _, w := range ws {
+		if w.Prob != 0 {
+			out = append(out, w)
+		}
+	}
+	return out
 }
 
 // Rate builds a Config in which one knob drives every fault class at
 // proportions typical of real clusters: message loss and stragglers at the
 // full rate, corruption at a fifth of it, crashes at a tenth.
 func Rate(seed int64, rate float64) Config {
-	return Config{
-		Seed:            seed,
-		CrashProb:       rate / 10,
-		RestartDelay:    3,
-		StragglerProb:   rate,
-		StragglerFactor: 8,
-		DropProb:        rate,
-		CorruptProb:     rate / 5,
-	}
+	return Config{Seed: seed, RestartDelay: 3, Schedule: always(
+		Window{Kind: KindCrash, Prob: rate / 10},
+		Window{Kind: KindStraggle, Prob: rate},
+		Window{Kind: KindDrop, Prob: rate},
+		Window{Kind: KindCorrupt, Prob: rate / 5},
+	)}
 }
 
 // NumericalRate builds a Config in which one knob drives only the numerical
@@ -232,13 +166,11 @@ func Rate(seed int64, rate float64) Config {
 // half, LR spikes at a fifth. This is the scenario generator for the X7
 // self-healing experiment.
 func NumericalRate(seed int64, rate float64) Config {
-	return Config{
-		Seed:             seed,
-		BatchCorruptProb: rate,
-		LabelNoiseProb:   rate / 2,
-		LRSpikeProb:      rate / 5,
-		LRSpikeFactor:    64,
-	}
+	return Config{Seed: seed, Schedule: always(
+		Window{Kind: KindBatchCorrupt, Prob: rate},
+		Window{Kind: KindLabelNoise, Prob: rate / 2},
+		Window{Kind: KindLRSpike, Prob: rate / 5},
+	)}
 }
 
 // LinkRate builds a Config in which one knob drives only the link-level
@@ -246,73 +178,24 @@ func NumericalRate(seed int64, rate float64) Config {
 // half of it, partitions starting at a twentieth. This is the scenario
 // generator for the X12 topology experiment.
 func LinkRate(seed int64, rate float64) Config {
-	return Config{
-		Seed:            seed,
-		LinkDropProb:    rate,
-		LinkSlowProb:    rate / 2,
-		LinkSlowFactor:  8,
-		PartitionProb:   rate / 20,
-		PartitionRounds: 3,
-	}
+	return Config{Seed: seed, PartitionRounds: 3, Schedule: always(
+		Window{Kind: KindLinkDrop, Prob: rate},
+		Window{Kind: KindLinkSlow, Prob: rate / 2},
+		Window{Kind: KindPartition, Prob: rate / 20},
+	)}
 }
 
 // Byzantine builds a Config in which only the listed workers misbehave,
-// mounting the given attack every round (rate 1). Attack magnitudes take
-// their documented defaults; callers tune the exported fields directly for
-// anything else.
+// mounting the given attack (one of the IsByzantineKind kinds) every round
+// at its default magnitude; set the window's Factor for another. With no
+// workers it builds the empty config, since a window's nil Workers would
+// mean every worker.
 func Byzantine(seed int64, kind Kind, workers ...int) Config {
-	return Config{
-		Seed:             seed,
-		ByzantineWorkers: workers,
-		ByzantineKind:    kind,
-		ByzantineRate:    1,
+	c := Config{Seed: seed}
+	if len(workers) > 0 {
+		c.Schedule = []Window{{Kind: kind, Workers: workers, Prob: 1}}
 	}
-}
-
-// Enabled reports whether any fault class has nonzero probability.
-func (c Config) Enabled() bool {
-	return c.CrashProb > 0 || c.StragglerProb > 0 || c.DropProb > 0 || c.CorruptProb > 0 ||
-		c.BatchCorruptProb > 0 || c.LabelNoiseProb > 0 || c.LRSpikeProb > 0 ||
-		c.LinkDropProb > 0 || c.LinkSlowProb > 0 || c.PartitionProb > 0 ||
-		len(c.ByzantineWorkers) > 0 || len(c.Schedule) > 0
-}
-
-// Validate checks every field is finite, every probability is in [0, 1],
-// and the Byzantine configuration is coherent (a valid attack kind,
-// non-negative worker ids). A NaN factor would pass every "<= 1 means the
-// default" test and be returned as the multiplier itself.
-func (c Config) Validate() error {
-	probs := []invalid.Field{
-		invalid.F("CrashProb", c.CrashProb), invalid.F("StragglerProb", c.StragglerProb),
-		invalid.F("DropProb", c.DropProb), invalid.F("CorruptProb", c.CorruptProb),
-		invalid.F("BatchCorruptProb", c.BatchCorruptProb), invalid.F("LabelNoiseProb", c.LabelNoiseProb),
-		invalid.F("LRSpikeProb", c.LRSpikeProb), invalid.F("ByzantineRate", c.ByzantineRate),
-		invalid.F("LinkDropProb", c.LinkDropProb), invalid.F("LinkSlowProb", c.LinkSlowProb),
-		invalid.F("PartitionProb", c.PartitionProb),
-	}
-	if err := invalid.Finite("fault", append(probs,
-		invalid.F("StragglerFactor", c.StragglerFactor), invalid.F("LRSpikeFactor", c.LRSpikeFactor),
-		invalid.F("LinkSlowFactor", c.LinkSlowFactor), invalid.F("SignFlipFactor", c.SignFlipFactor),
-		invalid.F("ScaleAttackFactor", c.ScaleAttackFactor), invalid.F("DriftAttackBias", c.DriftAttackBias),
-		invalid.F("ColludeBoost", c.ColludeBoost))...); err != nil {
-		return err
-	}
-	for _, p := range probs {
-		if p.Value < 0 || p.Value > 1 {
-			return invalid.New("fault", p.Name, "%g out of [0,1]", p.Value)
-		}
-	}
-	if len(c.ByzantineWorkers) > 0 {
-		if !IsByzantineKind(c.ByzantineKind) {
-			return invalid.New("fault", "ByzantineKind", "kind %d is not a Byzantine attack kind", c.ByzantineKind)
-		}
-		for _, w := range c.ByzantineWorkers {
-			if w < 0 {
-				return invalid.New("fault", "ByzantineWorkers", "contains a negative worker id %d", w)
-			}
-		}
-	}
-	return c.validateSchedule()
+	return c
 }
 
 // Injector answers "does fault X happen at (worker, step, attempt)?"
@@ -382,14 +265,9 @@ func (i *Injector) Exp(kind Kind, worker, step, attempt int, mean float64) float
 	return -mean * math.Log(1-i.unit(kind, worker, step, attempt))
 }
 
-// Crashes reports whether the worker crashes at the given round. With a
-// clock attached, crash windows active at the clock's time add to the flat
-// rate.
+// Crashes reports whether the worker crashes at the given round.
 func (i *Injector) Crashes(worker, round int) bool {
-	if i == nil {
-		return false
-	}
-	return i.Chance(KindCrash, worker, round, 0, i.probNow(KindCrash, worker, i.cfg.CrashProb))
+	return i.ChanceAt(KindCrash, worker, round, 0, i.now())
 }
 
 // RestartDelay returns how many rounds a crashed worker stays down.
@@ -401,47 +279,22 @@ func (i *Injector) RestartDelay() int {
 }
 
 // StraggleFactor returns the latency multiplier for the worker's compute
-// at the given round: 1 normally, the configured factor when straggling.
-// With a clock attached, straggle windows active at the clock's time drive
-// the draw (and supply the factor) instead of the flat rate.
+// at the given round: 1 normally, the straggle windows' factor (default 8)
+// when straggling.
 func (i *Injector) StraggleFactor(worker, round int) float64 {
-	if i == nil {
-		return 1
-	}
-	if t, ok := i.clockNow(); ok {
-		return i.StraggleFactorAt(worker, round, t)
-	}
-	return i.straggleFlat(worker, round)
-}
-
-// straggleFlat is the rate-driven straggler draw, shared by the clockless
-// and out-of-window paths.
-func (i *Injector) straggleFlat(worker, round int) float64 {
-	if !i.Chance(KindStraggle, worker, round, 0, i.cfg.StragglerProb) {
-		return 1
-	}
-	if i.cfg.StragglerFactor <= 1 {
-		return 8
-	}
-	return i.cfg.StragglerFactor
+	return i.scaled(KindStraggle, worker, worker, round, 8)
 }
 
 // Drops reports whether the attempt-th transmission of the worker's
 // message at the given round is lost in flight.
 func (i *Injector) Drops(worker, round, attempt int) bool {
-	if i == nil {
-		return false
-	}
-	return i.Chance(KindDrop, worker, round, attempt, i.probNow(KindDrop, worker, i.cfg.DropProb))
+	return i.ChanceAt(KindDrop, worker, round, attempt, i.now())
 }
 
 // Corrupts reports whether the attempt-th transmission arrives with
 // flipped bits (to be caught by the receiver's CRC).
 func (i *Injector) Corrupts(worker, round, attempt int) bool {
-	if i == nil {
-		return false
-	}
-	return i.Chance(KindCorrupt, worker, round, attempt, i.probNow(KindCorrupt, worker, i.cfg.CorruptProb))
+	return i.ChanceAt(KindCorrupt, worker, round, attempt, i.now())
 }
 
 // CorruptPayload deterministically flips one bit of payload (chosen by the

@@ -94,7 +94,7 @@ func TestConcurrentQueriesAreStable(t *testing.T) {
 }
 
 func TestRatesApproximatelyHonoured(t *testing.T) {
-	inj := NewInjector(Config{Seed: 3, DropProb: 0.2})
+	inj := NewInjector(Config{Seed: 3, Schedule: []Window{{Kind: KindDrop, Prob: 0.2}}})
 	n, hits := 20000, 0
 	for i := 0; i < n; i++ {
 		if inj.Drops(i%7, i, 0) {
@@ -119,8 +119,11 @@ func TestZeroConfigInjectsNothing(t *testing.T) {
 			}
 		}
 	}
-	if inj.cfg.Enabled() {
-		t.Fatal("zero config reports Enabled")
+	// A zero rate builds no window, so NewJob runs it without an injector.
+	for _, c := range []Config{Rate(5, 0), NumericalRate(5, 0), LinkRate(5, 0), Byzantine(5, KindSignFlip)} {
+		if len(c.Schedule) != 0 {
+			t.Fatalf("zero-rate builder made windows %+v", c.Schedule)
+		}
 	}
 }
 
@@ -158,14 +161,15 @@ func TestCorruptPayloadFlipsExactlyOneBit(t *testing.T) {
 }
 
 func TestValidate(t *testing.T) {
-	if err := (Config{Seed: 1, DropProb: 0.5}).Validate(); err != nil {
+	one := func(w Window) Config { return Config{Seed: 1, Schedule: []Window{w}} }
+	if err := one(Window{Kind: KindDrop, Prob: 0.5}).Validate(); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
 	}
-	if err := (Config{Seed: 1, DropProb: 1.5}).Validate(); err == nil {
-		t.Fatal("DropProb 1.5 accepted")
+	if err := one(Window{Kind: KindDrop, Prob: 1.5}).Validate(); err == nil {
+		t.Fatal("drop probability 1.5 accepted")
 	}
-	if err := (Config{Seed: 1, CrashProb: -0.1}).Validate(); err == nil {
-		t.Fatal("negative CrashProb accepted")
+	if err := Rate(1, -1).Validate(); err == nil {
+		t.Fatal("negative crash probability accepted")
 	}
 	nan, inf := math.NaN(), math.Inf(1)
 	for _, tc := range []struct {
@@ -173,19 +177,20 @@ func TestValidate(t *testing.T) {
 		cfg   Config
 		field string
 	}{
-		{"NaN CrashProb", Config{CrashProb: nan}, "CrashProb"},
-		{"NaN DropProb", Config{DropProb: nan}, "DropProb"},
-		{"NaN ByzantineRate", Config{ByzantineRate: nan}, "ByzantineRate"},
-		{"NaN PartitionProb", Config{PartitionProb: nan}, "PartitionProb"},
-		{"-Inf LRSpikeProb", Config{LRSpikeProb: -inf}, "LRSpikeProb"},
-		{"NaN StragglerFactor", Config{StragglerProb: 0.5, StragglerFactor: nan}, "StragglerFactor"},
-		{"+Inf StragglerFactor", Config{StragglerFactor: inf}, "StragglerFactor"},
-		{"-Inf StragglerFactor", Config{StragglerFactor: -inf}, "StragglerFactor"},
-		{"NaN LRSpikeFactor", Config{LRSpikeProb: 0.5, LRSpikeFactor: nan}, "LRSpikeFactor"},
-		{"+Inf LRSpikeFactor", Config{LRSpikeFactor: inf}, "LRSpikeFactor"},
-		{"NaN LinkSlowFactor", Config{LinkSlowFactor: nan}, "LinkSlowFactor"},
-		{"+Inf ScaleAttackFactor", Config{ScaleAttackFactor: inf}, "ScaleAttackFactor"},
-		{"NaN ColludeBoost", Config{ColludeBoost: nan}, "ColludeBoost"},
+		{"NaN rate", Rate(1, nan), "Schedule[0].Prob"},
+		{"NaN crash prob", one(Window{Kind: KindCrash, Prob: nan}), "Schedule[0].Prob"},
+		{"NaN drop prob", one(Window{Kind: KindDrop, Prob: nan}), "Schedule[0].Prob"},
+		{"NaN sign-flip prob", one(Window{Kind: KindSignFlip, Prob: nan}), "Schedule[0].Prob"},
+		{"NaN partition prob", one(Window{Kind: KindPartition, Prob: nan}), "Schedule[0].Prob"},
+		{"-Inf lr-spike prob", one(Window{Kind: KindLRSpike, Prob: -inf}), "Schedule[0].Prob"},
+		{"NaN straggle factor", one(Window{Kind: KindStraggle, Prob: 0.5, Factor: nan}), "Schedule[0].Factor"},
+		{"+Inf straggle factor", one(Window{Kind: KindStraggle, Prob: 0.5, Factor: inf}), "Schedule[0].Factor"},
+		{"-Inf straggle factor", one(Window{Kind: KindStraggle, Prob: 0.5, Factor: -inf}), "Schedule[0].Factor"},
+		{"NaN lr-spike factor", one(Window{Kind: KindLRSpike, Prob: 0.5, Factor: nan}), "Schedule[0].Factor"},
+		{"+Inf lr-spike factor", one(Window{Kind: KindLRSpike, Prob: 0.5, Factor: inf}), "Schedule[0].Factor"},
+		{"NaN link-slow factor", one(Window{Kind: KindLinkSlow, Prob: 0.5, Factor: nan}), "Schedule[0].Factor"},
+		{"+Inf scale-attack factor", one(Window{Kind: KindScaleAttack, Factor: inf}), "Schedule[0].Factor"},
+		{"NaN collude factor", one(Window{Kind: KindCollude, Factor: nan}), "Schedule[0].Factor"},
 	} {
 		var ce *invalid.Error
 		if err := tc.cfg.Validate(); !errors.As(err, &ce) || ce.Field != tc.field {

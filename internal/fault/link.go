@@ -28,7 +28,7 @@ func linkKey(src, dst int) int {
 }
 
 // Link is one directed link's fault draws for one round, resolved by
-// Injector.Link at the clock's instant: the slow multiplier, the drop
+// Injector.Link at the injector's instant: the slow multiplier, the drop
 // probability, and the drop stream's hash prefix over (seed,
 // KindLinkDrop, link, round), so each drop draw costs one splitmix64. It
 // stays valid only while the clock and the round stay where they were.
@@ -38,22 +38,17 @@ type Link struct {
 	prefix uint64
 }
 
-// Link resolves the directed link src→dst for the round at the attached
-// clock's current time (schedule windows are keyed by src). A nil
-// injector yields a clean link.
+// Link resolves the directed link src→dst for the round at the injector's
+// instant (schedule windows are keyed by src). A nil injector yields a
+// clean link.
 func (i *Injector) Link(src, dst, round int) Link {
 	l := Link{slow: 1}
 	if i == nil {
 		return l
 	}
 	key := linkKey(src, dst)
-	if i.Chance(KindLinkSlow, key, round, 0, i.probNow(KindLinkSlow, src, i.cfg.LinkSlowProb)) {
-		l.slow = i.cfg.LinkSlowFactor
-		if l.slow <= 1 {
-			l.slow = 8
-		}
-	}
-	l.dropP = i.probNow(KindLinkDrop, src, i.cfg.LinkDropProb)
+	l.slow = i.scaled(KindLinkSlow, src, key, round, 8)
+	l.dropP, _ = i.resolve(KindLinkDrop, src, i.now())
 	if l.dropP > 0 {
 		l.prefix = i.prefix(KindLinkDrop, key, round)
 	}
@@ -61,7 +56,7 @@ func (i *Injector) Link(src, dst, round int) Link {
 }
 
 // Slow returns the latency multiplier for hops over the link this round:
-// 1 normally, the configured LinkSlowFactor (default 8) when the link is
+// 1 normally, the link-slow windows' factor (default 8) when the link is
 // degraded. A slow link stays slow for the whole round.
 func (l *Link) Slow() float64 { return l.slow }
 
@@ -88,8 +83,8 @@ func (i *Injector) PartitionAt(round int) (start int, active bool) {
 		return 0, false
 	}
 	dur := i.PartitionRoundsLen()
+	p, _ := i.resolve(KindPartition, 0, i.now())
 	for r := round; r > round-dur && r >= 0; r-- {
-		p := i.probNow(KindPartition, 0, i.cfg.PartitionProb)
 		if i.Chance(KindPartition, 0, r, 0, p) {
 			return r, true
 		}

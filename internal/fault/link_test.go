@@ -61,7 +61,7 @@ func TestLinkDrawsDeterministicAndOrderIndependent(t *testing.T) {
 func TestLinkDirectionality(t *testing.T) {
 	// src→dst and dst→src are distinct links: at p=0.5 the two directions
 	// must disagree somewhere across many links.
-	inj := NewInjector(Config{Seed: 7, LinkDropProb: 0.5})
+	inj := NewInjector(Config{Seed: 7, Schedule: []Window{{Kind: KindLinkDrop, Prob: 0.5}}})
 	for l := 0; l < 200; l++ {
 		if linkDrops(inj, l, l+1, 3, 0, 0) != linkDrops(inj, l+1, l, 3, 0, 0) {
 			return
@@ -71,7 +71,7 @@ func TestLinkDirectionality(t *testing.T) {
 }
 
 func TestLinkSlowFactorDefaultsAndSticksPerRound(t *testing.T) {
-	inj := NewInjector(Config{Seed: 11, LinkSlowProb: 0.5}) // factor unset → 8
+	inj := NewInjector(Config{Seed: 11, Schedule: []Window{{Kind: KindLinkSlow, Prob: 0.5}}}) // factor unset → 8
 	sawSlow := false
 	for l := 0; l < 100; l++ {
 		f := linkSlow(inj, l, l+1, 2)
@@ -91,7 +91,7 @@ func TestLinkSlowFactorDefaultsAndSticksPerRound(t *testing.T) {
 }
 
 func TestPartitionStableCutAndDuration(t *testing.T) {
-	inj := NewInjector(Config{Seed: 3, PartitionProb: 0.2, PartitionRounds: 3})
+	inj := NewInjector(Config{Seed: 3, PartitionRounds: 3, Schedule: []Window{{Kind: KindPartition, Prob: 0.2}}})
 
 	foundStart := -1
 	for r := 0; r < 50; r++ {
@@ -151,30 +151,29 @@ func TestNilInjectorLinkMethods(t *testing.T) {
 }
 
 func TestLinkConfigValidation(t *testing.T) {
-	for _, c := range []Config{
-		{LinkDropProb: -0.1},
-		{LinkSlowProb: 1.5},
-		{PartitionProb: 2},
+	for _, w := range []Window{
+		{Kind: KindLinkDrop, Prob: -0.1},
+		{Kind: KindLinkSlow, Prob: 1.5},
+		{Kind: KindPartition, Prob: 2},
+		{Kind: KindPartition, Prob: 0.1, Factor: 2},
 	} {
-		if err := c.Validate(); err == nil {
-			t.Fatalf("Validate accepted %+v", c)
+		if err := (Config{Schedule: []Window{w}}).Validate(); err == nil {
+			t.Fatalf("Validate accepted %+v", w)
 		}
 	}
-	if err := LinkRate(1, 0.2).Validate(); err != nil {
+	c := LinkRate(1, 0.2)
+	if err := c.Validate(); err != nil {
 		t.Fatalf("LinkRate config rejected: %v", err)
 	}
-	if !LinkRate(1, 0.2).Enabled() {
-		t.Fatal("LinkRate config not Enabled")
-	}
-	if (Config{PartitionProb: 0.1}).Enabled() == false {
-		t.Fatal("partition-only config not Enabled")
+	if len(c.Schedule) != 3 {
+		t.Fatalf("LinkRate built %d windows, want drop, slow and partition", len(c.Schedule))
 	}
 }
 
 // oracleUnit, oracleChance, oracleLinkDrops and oracleLinkSlow are the
 // per-call draws as they were before Link resolved a round's draws once:
-// five straight mixes per draw, and the schedule and rate looked up again
-// for every attempt.
+// five straight mixes per draw, and the schedule looked up again for every
+// attempt.
 func oracleUnit(i *Injector, kind Kind, worker, step, attempt int) float64 {
 	h := splitmix64(uint64(i.cfg.Seed))
 	h = splitmix64(h ^ uint64(kind))
@@ -195,7 +194,7 @@ func oracleLinkDrops(i *Injector, src, dst, round, hopSeq, attempt int) bool {
 	if i == nil {
 		return false
 	}
-	p := i.probNow(KindLinkDrop, src, i.cfg.LinkDropProb)
+	p, _ := i.resolve(KindLinkDrop, src, i.now())
 	return oracleChance(i, KindLinkDrop, linkKey(src, dst), round, hopSeq*1024+attempt, p)
 }
 
@@ -203,34 +202,41 @@ func oracleLinkSlow(i *Injector, src, dst, round int) float64 {
 	if i == nil {
 		return 1
 	}
-	p := i.probNow(KindLinkSlow, src, i.cfg.LinkSlowProb)
+	p, f := i.resolve(KindLinkSlow, src, i.now())
 	if !oracleChance(i, KindLinkSlow, linkKey(src, dst), round, 0, p) {
 		return 1
 	}
-	if i.cfg.LinkSlowFactor <= 1 {
+	if f <= 1 {
 		return 8
 	}
-	return i.cfg.LinkSlowFactor
+	return f
 }
 
 // Link resolves a round's draws once; every Slow and Drops it answers must
 // equal the per-call formulas, by bits, across links, rounds, hop sequence
-// numbers, attempts up to 64, flat rates, windows keyed by worker lists,
-// clocks inside, outside and absent, a nil injector, and LinkSlowFactor
-// at or below 1 (which defaults to 8).
+// numbers, attempts up to 64, always-on windows, windows keyed by worker
+// lists, clocks inside, outside and absent, a nil injector, and link-slow
+// factors at or below 1 (which default to 8).
 func TestLinkMatchesPerCallDraws(t *testing.T) {
 	windows := []Window{
 		{Kind: KindLinkDrop, Workers: []int{1, 3, 255}, StartS: 10, EndS: 20, Prob: 0.4},
 		{Kind: KindLinkDrop, StartS: 15, EndS: 30, Prob: 0.2},
-		{Kind: KindLinkSlow, Workers: []int{0, 3}, StartS: 5, EndS: 18, Prob: 0.6},
+		{Kind: KindLinkSlow, Workers: []int{0, 3}, StartS: 5, EndS: 18, Prob: 0.6, Factor: 4},
 		{Kind: KindLinkSlow, Workers: []int{2}, StartS: 12, Prob: 1},
+	}
+	linkCfg := func(seed int64, drop, slow, factor float64) Config {
+		c := Config{Seed: seed, Schedule: []Window{{Kind: KindLinkSlow, Prob: slow, Factor: factor}}}
+		if drop > 0 {
+			c.Schedule = append(c.Schedule, Window{Kind: KindLinkDrop, Prob: drop})
+		}
+		return c
 	}
 	configs := map[string]Config{
 		"rate":            LinkRate(42, 0.3),
-		"certain":         {Seed: -7, LinkDropProb: 1, LinkSlowProb: 1, LinkSlowFactor: 3},
-		"factor-below-1":  {Seed: 5, LinkDropProb: 0.5, LinkSlowProb: 0.5, LinkSlowFactor: 0.5},
-		"factor-exactly1": {Seed: 6, LinkSlowProb: 0.5, LinkSlowFactor: 1},
-		"windows":         {Seed: 9, LinkSlowFactor: 4, Schedule: windows},
+		"certain":         linkCfg(-7, 1, 1, 3),
+		"factor-below-1":  linkCfg(5, 0.5, 0.5, 0.5),
+		"factor-exactly1": linkCfg(6, 0, 0.5, 1),
+		"windows":         {Seed: 9, Schedule: windows},
 		"zero":            {Seed: 11},
 	}
 	links := [][2]int{{0, 1}, {1, 0}, {1, 2}, {2, 3}, {3, 0}, {3, 255}, {255, 3}, {7, 7}, {1000, 2}}

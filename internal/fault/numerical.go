@@ -12,10 +12,7 @@ import "math"
 // CorruptsBatch reports whether the worker's input batch at the given step
 // is poisoned.
 func (i *Injector) CorruptsBatch(worker, step int) bool {
-	if i == nil {
-		return false
-	}
-	return i.Chance(KindBatchCorrupt, worker, step, 0, i.probNow(KindBatchCorrupt, worker, i.cfg.BatchCorruptProb))
+	return i.ChanceAt(KindBatchCorrupt, worker, step, 0, i.now())
 }
 
 // CorruptBatchValues deterministically poisons a batch in place and returns
@@ -46,10 +43,7 @@ func (i *Injector) CorruptBatchValues(data []float64, worker, step int) int {
 // LabelNoise reports whether the worker's labels at the given step arrive
 // shuffled.
 func (i *Injector) LabelNoise(worker, step int) bool {
-	if i == nil {
-		return false
-	}
-	return i.Chance(KindLabelNoise, worker, step, 0, i.probNow(KindLabelNoise, worker, i.cfg.LabelNoiseProb))
+	return i.ChanceAt(KindLabelNoise, worker, step, 0, i.now())
 }
 
 // ShuffleLabels deterministically rotates the one-hot rows of a flat
@@ -72,28 +66,8 @@ func (i *Injector) ShuffleLabels(labels []float64, rows, classes, worker, step i
 }
 
 // LRSpikeFactor returns the learning-rate multiplier for the worker's step:
-// 1 normally, the configured spike factor (default 64) when the fault fires.
-// LR-spike windows supply their own Factor when they drive the draw.
+// 1 normally, the lr-spike windows' factor (default 64) when the fault
+// fires.
 func (i *Injector) LRSpikeFactor(worker, step int) float64 {
-	if i == nil {
-		return 1
-	}
-	if t, ok := i.clockNow(); ok {
-		if wp, wf := i.windowStateAt(KindLRSpike, worker, t); wp > 0 {
-			if !i.Chance(KindLRSpike, worker, step, 0, wp) {
-				return 1
-			}
-			if wf <= 1 {
-				return 64
-			}
-			return wf
-		}
-	}
-	if !i.Chance(KindLRSpike, worker, step, 0, i.cfg.LRSpikeProb) {
-		return 1
-	}
-	if i.cfg.LRSpikeFactor <= 1 {
-		return 64
-	}
-	return i.cfg.LRSpikeFactor
+	return i.scaled(KindLRSpike, worker, worker, step, 64)
 }

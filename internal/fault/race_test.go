@@ -13,8 +13,7 @@ import (
 // with a serial reference pass.
 func TestInjectorConcurrentDeterminism(t *testing.T) {
 	cfg := NumericalRate(42, 0.3)
-	cfg.CrashProb = 0.1
-	cfg.DropProb = 0.2
+	cfg.Schedule = append(cfg.Schedule, Window{Kind: KindCrash, Prob: 0.1}, Window{Kind: KindDrop, Prob: 0.2})
 	inj := NewInjector(cfg)
 
 	const workers, steps = 8, 50
@@ -98,15 +97,15 @@ func TestInjectorConcurrentDeterminism(t *testing.T) {
 
 func TestNumericalConfigValidateAndEnabled(t *testing.T) {
 	c := NumericalRate(1, 0.1)
-	if !c.Enabled() {
-		t.Fatal("numerical config should be enabled")
+	if len(c.Schedule) != 3 {
+		t.Fatalf("numerical config should hold three windows, got %+v", c.Schedule)
 	}
 	if err := c.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	c.BatchCorruptProb = 1.5
+	c.Schedule[0].Prob = 1.5
 	if err := c.Validate(); err == nil {
-		t.Fatal("out-of-range BatchCorruptProb accepted")
+		t.Fatal("out-of-range batch-corrupt probability accepted")
 	}
 	for _, k := range []Kind{KindBatchCorrupt, KindLabelNoise, KindLRSpike} {
 		if k.String() == "unknown" {
@@ -116,7 +115,7 @@ func TestNumericalConfigValidateAndEnabled(t *testing.T) {
 }
 
 func TestCorruptBatchValuesGuaranteesPoison(t *testing.T) {
-	inj := NewInjector(Config{Seed: 5, BatchCorruptProb: 1})
+	inj := NewInjector(Config{Seed: 5, Schedule: []Window{{Kind: KindBatchCorrupt, Prob: 1}}})
 	buf := make([]float64, 7) // small batch: len/50 == 0, must still poison ≥1
 	n := inj.CorruptBatchValues(buf, 0, 0)
 	if n < 1 {
@@ -139,7 +138,7 @@ func TestCorruptBatchValuesGuaranteesPoison(t *testing.T) {
 }
 
 func TestShuffleLabelsStaysOneHot(t *testing.T) {
-	inj := NewInjector(Config{Seed: 9, LabelNoiseProb: 1})
+	inj := NewInjector(Config{Seed: 9, Schedule: []Window{{Kind: KindLabelNoise, Prob: 1}}})
 	const rows, classes = 6, 3
 	labels := make([]float64, rows*classes)
 	for r := 0; r < rows; r++ {

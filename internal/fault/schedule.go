@@ -9,19 +9,19 @@ import (
 // Time-windowed fault schedules: the declarative layer that lets a composed
 // experiment script a "day in production" — crash worker 3 at t=120s, an
 // ×8 flash crowd for t∈[300,360), a Byzantine coalition active after
-// t=600, a numerical-fault burst at t=900 — instead of driving every class
-// with a flat per-round rate. A schedule is a list of Windows attached to
-// Config.Schedule; the injector resolves which windows are active at the
-// simulated instant of each draw, either from an attached Clock
-// (SetClock, used by the round-driven training simulator) or from the
-// explicit timestamps that the serving simulator already threads through
-// every draw.
+// t=600, a numerical-fault burst at t=900. Windows are the only way a
+// fault fires: a flat per-round rate is an always-on window (see Rate). A
+// schedule is a list of Windows attached to Config.Schedule; the injector
+// resolves which windows are active at the simulated instant of each draw,
+// either from an attached Clock (SetClock, used by the round-driven
+// training simulator) or from the explicit timestamps that the serving
+// simulator already threads through every draw.
 //
-// Determinism is unchanged: window activity is a pure function of the
-// draw's timestamp, and the Bernoulli draw itself uses the same
-// (seed, kind, worker, step, attempt) hash stream as rate-driven faults,
-// so scheduled scenarios replay bit-identically and remain
-// order-independent across concurrent workers.
+// Determinism holds: window activity is a pure function of the draw's
+// timestamp, and the Bernoulli draw itself uses the
+// (seed, kind, worker, step, attempt) hash stream, so scheduled scenarios
+// replay bit-identically and remain order-independent across concurrent
+// workers.
 
 // Clock is the read-only simulated-time source the injector consults for
 // draws that do not carry an explicit timestamp. *sim.Kernel satisfies it
@@ -32,30 +32,46 @@ type Clock interface {
 }
 
 // Window is one declarative fault rule: during [StartS, EndS) the given
-// Kind fires for the listed workers with probability Prob per draw (or
-// scales by Factor, for factor-shaped kinds). Fields:
+// Kind fires for the listed workers with probability Prob per draw, as
+// hard as Factor says. Fields:
 //
-//   - Kind: any injectable kind. Byzantine kinds turn the listed workers
-//     into adversaries for the window's duration; KindArrival windows
-//     multiply the arrival rate by Factor (the flash-crowd knob) and
-//     ignore Prob.
-//   - Workers: the worker (or replica) ids the window applies to; nil
-//     means all.
+//   - Kind: any injectable kind.
+//   - Workers: the worker (replica, tenant, or link source) ids the window
+//     applies to; nil means all.
 //   - StartS, EndS: the active interval, in simulated seconds, inclusive
 //     of start and exclusive of end. EndS == 0 means open-ended (active
 //     from StartS onwards). A window with EndS == StartS (nonzero) has
 //     zero length and never fires — a legal no-op, so generated schedules
 //     need not special-case empty intervals.
-//   - Prob: per-draw probability while active. For Byzantine kinds, 0
-//     defaults to 1 (the adversary attacks every round, matching
-//     ByzantineRate semantics).
-//   - Factor: kind-specific multiplier — straggler latency (default 8),
-//     LR-spike multiplier (default 64), arrival-rate multiplier
-//     (required for KindArrival), retry aggression and service-time
-//     multipliers (required above 1 for KindRetryStorm and KindBrownout).
-//     No other kind reads it, so Validate rejects a nonzero Factor on any
-//     other kind. Overlapping windows multiply their factors and combine
-//     their probabilities as 1-∏(1-pᵢ).
+//   - Prob: per-draw probability while active. Byzantine kinds read 0 as 1
+//     (the adversary attacks every round); arrival, retry-storm and
+//     brownout windows ignore it; every other kind needs it above 0.
+//   - Factor: how hard the fault fires; 0 takes the kind's default. Only
+//     the ten kinds below read it, so Validate rejects a nonzero Factor on
+//     any other kind.
+//
+// What Factor means, by kind (a straggle, lr-spike or link-slow product
+// at or below 1 also takes the default):
+//
+//   - straggle: compute-time multiplier (default 8)
+//   - lr-spike: learning-rate multiplier (default 64)
+//   - link-slow: hop-time multiplier (default 8)
+//   - sign-flip: amplification of the negated gradient (default 100)
+//   - scale-attack: gradient multiplier (default 100)
+//   - drift-attack: per-coordinate magnitude of the bias (default 1.5)
+//   - collude: amplification of the coalition's gradient (default 50)
+//   - arrival: arrival-rate multiplier (required above 0)
+//   - retry-storm: retry-aggression multiplier (required above 1)
+//   - brownout: service-time multiplier (required above 1)
+//
+// A draw resolves its kind's windows once, at its instant: the explicit
+// time ChanceAt, FactorAt and ArrivalGapFor take, else the attached
+// clock's, else t = 0, so an injector without a clock fires the windows
+// active at 0. Overlapping windows of one kind fire with probability
+// 1−∏(1−pᵢ) (a lone window at exactly its Prob) and multiply their
+// Factors. Byzantine windows do not combine: a worker mounts the attack of
+// the first listed active Byzantine window whose draw fires, at that
+// window's Factor.
 type Window struct {
 	Kind    Kind
 	Workers []int
@@ -66,7 +82,7 @@ type Window struct {
 }
 
 // activeAt reports whether the window covers worker at time t.
-func (w Window) activeAt(worker int, t float64) bool {
+func (w *Window) activeAt(worker int, t float64) bool {
 	if t < w.StartS {
 		return false
 	}
@@ -84,66 +100,22 @@ func (w Window) activeAt(worker int, t float64) bool {
 	return false
 }
 
-// scheduleBaseField maps a window kind to the rate-driven Config field it
-// conflicts with ("" when the kind has no flat-rate counterpart).
-func scheduleBaseField(k Kind) string {
+// readsFactor reports whether windows of the kind scale by their Factor.
+func readsFactor(k Kind) bool {
 	switch k {
-	case KindCrash:
-		return "CrashProb"
-	case KindStraggle:
-		return "StragglerProb"
-	case KindDrop:
-		return "DropProb"
-	case KindCorrupt:
-		return "CorruptProb"
-	case KindBatchCorrupt:
-		return "BatchCorruptProb"
-	case KindLabelNoise:
-		return "LabelNoiseProb"
-	case KindLRSpike:
-		return "LRSpikeProb"
-	case KindLinkDrop:
-		return "LinkDropProb"
-	case KindLinkSlow:
-		return "LinkSlowProb"
-	case KindPartition:
-		return "PartitionProb"
+	case KindStraggle, KindLRSpike, KindLinkSlow, KindArrival, KindRetryStorm, KindBrownout:
+		return true
 	}
-	return ""
+	return IsByzantineKind(k)
 }
 
-func (c Config) baseProb(field string) float64 {
-	switch field {
-	case "CrashProb":
-		return c.CrashProb
-	case "StragglerProb":
-		return c.StragglerProb
-	case "DropProb":
-		return c.DropProb
-	case "CorruptProb":
-		return c.CorruptProb
-	case "BatchCorruptProb":
-		return c.BatchCorruptProb
-	case "LabelNoiseProb":
-		return c.LabelNoiseProb
-	case "LRSpikeProb":
-		return c.LRSpikeProb
-	case "LinkDropProb":
-		return c.LinkDropProb
-	case "LinkSlowProb":
-		return c.LinkSlowProb
-	case "PartitionProb":
-		return c.PartitionProb
-	}
-	return 0
-}
-
-// validateSchedule checks every window and rejects schedule-vs-rate
-// conflicts: a kind must be driven either by its flat Config rate or by
-// windows, never both, so there is exactly one source of truth for when
-// each fault class fires. NaN and ±Inf are rejected first, naming the
-// window's field, because every range comparison below lets NaN through.
-func (c Config) validateSchedule() error {
+// Validate checks every window: finite fields, a known kind, a start at or
+// after 0 and an end at or after it, a probability in [0, 1] and above 0
+// where the kind fires by probability alone, non-negative worker ids, and
+// a Factor only on kinds that read one. NaN and ±Inf are rejected first,
+// naming the window's field, because every range comparison below lets
+// NaN through.
+func (c Config) Validate() error {
 	for i, w := range c.Schedule {
 		at := "Schedule[" + strconv.Itoa(i) + "]."
 		if err := invalid.Finite("fault", invalid.F(at+"StartS", w.StartS), invalid.F(at+"EndS", w.EndS),
@@ -183,18 +155,11 @@ func (c Config) validateSchedule() error {
 					"brownout window %d needs a Factor > 1 (service-time multiplier), got %g", i, w.Factor)
 			}
 		case IsByzantineKind(w.Kind):
-			if len(c.ByzantineWorkers) > 0 {
-				return invalid.New("fault", "Schedule",
-					"Byzantine window %d conflicts with ByzantineWorkers rate config", i)
-			}
+			// Prob 0 attacks every round.
 		default:
 			if w.Prob == 0 {
 				return invalid.New("fault", "Schedule",
 					"window %d probability is zero (%v windows need Prob > 0)", i, w.Kind)
-			}
-			if f := scheduleBaseField(w.Kind); f != "" && c.baseProb(f) > 0 {
-				return invalid.New("fault", f, "%g conflicts with a %v schedule window (use one or the other)",
-					c.baseProb(f), w.Kind)
 			}
 		}
 		if w.Factor < 0 {
@@ -207,112 +172,77 @@ func (c Config) validateSchedule() error {
 	return nil
 }
 
-// readsFactor reports whether windows of the kind scale by their Factor.
-func readsFactor(k Kind) bool {
-	switch k {
-	case KindStraggle, KindLRSpike, KindArrival, KindRetryStorm, KindBrownout:
-		return true
-	}
-	return false
-}
-
 // SetClock attaches a simulated-time source for draws that do not carry an
 // explicit timestamp (the round-driven training path). Call it once,
-// before the injector is shared across goroutines; a nil clock leaves
-// schedule windows inert for clock-based draws.
+// before the injector is shared across goroutines; without a clock those
+// draws resolve at t = 0.
 func (i *Injector) SetClock(c Clock) {
 	if i != nil {
 		i.clock = c
 	}
 }
 
-// clockNow returns the attached clock's time, or 0 and false without one.
-func (i *Injector) clockNow() (float64, bool) {
+// now is the instant a draw without an explicit timestamp resolves at:
+// the attached clock's, else 0.
+func (i *Injector) now() float64 {
 	if i == nil || i.clock == nil {
-		return 0, false
+		return 0
 	}
-	return i.clock.Now(), true
+	return i.clock.Now()
 }
 
-// windowStateAt folds every window of the kind active for worker at t:
-// combined probability 1-∏(1-pᵢ) and the product of factors (1 when no
-// active window sets one).
-func (i *Injector) windowStateAt(kind Kind, worker int, t float64) (prob, factor float64) {
+// resolve folds every window of the kind active for worker at t: the
+// probability that at least one fires, accumulated as q ← q + p − q·p so
+// that a lone window gives exactly its Prob, and the product of their
+// nonzero Factors (1 when none sets one).
+func (i *Injector) resolve(kind Kind, worker int, t float64) (prob, factor float64) {
 	factor = 1
 	if i == nil {
-		return 0, 1
+		return 0, factor
 	}
-	miss := 1.0
-	for _, w := range i.cfg.Schedule {
+	for j := range i.cfg.Schedule {
+		w := &i.cfg.Schedule[j]
 		if w.Kind != kind || !w.activeAt(worker, t) {
 			continue
 		}
-		miss *= 1 - w.Prob
+		prob += w.Prob - prob*w.Prob
 		if w.Factor > 0 {
 			factor *= w.Factor
 		}
 	}
-	return 1 - miss, factor
+	return prob, factor
 }
 
-// probAt combines a flat base probability with the windows active at t.
-// Validation guarantees at most one of the two is nonzero for any kind.
-func (i *Injector) probAt(kind Kind, worker int, base, t float64) float64 {
-	wp, _ := i.windowStateAt(kind, worker, t)
-	if wp <= 0 {
-		return base
-	}
-	return 1 - (1-base)*(1-wp)
-}
-
-// probNow is probAt at the attached clock's time; without a clock the base
-// rate stands alone.
-func (i *Injector) probNow(kind Kind, worker int, base float64) float64 {
-	t, ok := i.clockNow()
-	if !ok {
-		return base
-	}
-	return i.probAt(kind, worker, base, t)
-}
-
-// ChanceAt is Chance with the schedule resolved at the explicit instant t:
-// the effective probability combines base with every window of the kind
-// active for worker at t. Components that track their own absolute
-// timestamps (the serving simulator) use this; clock-driven components use
-// the kind-specific helpers, which resolve at the attached clock.
-func (i *Injector) ChanceAt(kind Kind, worker, step, attempt int, base, t float64) bool {
-	if i == nil {
-		return false
-	}
-	return i.Chance(kind, worker, step, attempt, i.probAt(kind, worker, base, t))
+// ChanceAt reports whether the event of the given kind fires at (worker,
+// step, attempt) under the windows of the kind active for worker at the
+// instant t. Components that track their own absolute timestamps (the
+// serving simulator) call it directly; the kind-specific helpers call it
+// at the injector's own instant.
+func (i *Injector) ChanceAt(kind Kind, worker, step, attempt int, t float64) bool {
+	p, _ := i.resolve(kind, worker, t)
+	return i.Chance(kind, worker, step, attempt, p)
 }
 
 // FactorAt returns the product of the Factors of every window of the kind
 // active for worker at t (1 when none is active or none sets a factor).
 func (i *Injector) FactorAt(kind Kind, worker int, t float64) float64 {
-	_, f := i.windowStateAt(kind, worker, t)
+	_, f := i.resolve(kind, worker, t)
 	return f
 }
 
-// StraggleFactorAt is the explicit-time form of StraggleFactor: the
-// latency multiplier for a draw keyed (worker, step) resolved against the
-// windows active at t. Window factors default to 8 like the flat-rate
-// path.
-func (i *Injector) StraggleFactorAt(worker, step int, t float64) float64 {
-	if i == nil {
+// scaled is the draw of a multiplier-shaped kind at the injector's instant:
+// windows are matched by worker and the draw is keyed (key, step), and it
+// returns 1 when nothing fires, else the active windows' factor, or def
+// when that factor is at most 1.
+func (i *Injector) scaled(kind Kind, worker, key, step int, def float64) float64 {
+	p, f := i.resolve(kind, worker, i.now())
+	if !i.Chance(kind, key, step, 0, p) {
 		return 1
 	}
-	wp, wf := i.windowStateAt(KindStraggle, worker, t)
-	if wp <= 0 {
-		return i.straggleFlat(worker, step)
+	if f <= 1 {
+		return def
 	}
-	if !i.Chance(KindStraggle, worker, step, 0, wp) {
-		return 1
-	}
-	if wf <= 1 {
-		return 8
-	}
-	return wf
+	return f
 }
 
 // ArrivalGapAt draws the deterministic inter-arrival gap before request id
@@ -332,37 +262,21 @@ func (i *Injector) ArrivalGapFor(worker, id int, mean, t float64) float64 {
 	if i == nil || mean <= 0 {
 		return 0
 	}
-	_, f := i.windowStateAt(KindArrival, worker, t)
+	_, f := i.resolve(KindArrival, worker, t)
 	return i.Exp(KindArrival, worker, id, 0, mean/f)
 }
 
-// byzantineAt resolves which Byzantine attack (if any) the worker mounts
-// this round, at simulated time t: the flat ByzantineWorkers config takes
-// priority (validation forbids mixing it with Byzantine windows), then the
-// first active Byzantine window listing the worker. The returned kind
-// selects the attack shape; the magnitude knobs (SignFlipFactor etc.) come
-// from Config as usual.
-func (i *Injector) byzantineAt(worker, round int, t float64, haveT bool) (Kind, bool) {
+// byzantineAt returns the first listed Byzantine window active for the
+// worker at the injector's instant whose draw fires at the round, or nil
+// when none does. The window's kind selects the attack and its Factor the
+// magnitude.
+func (i *Injector) byzantineAt(worker, round int) *Window {
 	if i == nil {
-		return 0, false
+		return nil
 	}
-	if i.ByzantineWorker(worker) {
-		rate := i.cfg.ByzantineRate
-		if rate == 0 {
-			rate = 1
-		}
-		if i.Chance(i.cfg.ByzantineKind, worker, round, 0, rate) {
-			return i.cfg.ByzantineKind, true
-		}
-		return 0, false
-	}
-	if !haveT {
-		var ok bool
-		if t, ok = i.clockNow(); !ok {
-			return 0, false
-		}
-	}
-	for _, w := range i.cfg.Schedule {
+	t := i.now()
+	for j := range i.cfg.Schedule {
+		w := &i.cfg.Schedule[j]
 		if !IsByzantineKind(w.Kind) || !w.activeAt(worker, t) {
 			continue
 		}
@@ -371,8 +285,8 @@ func (i *Injector) byzantineAt(worker, round int, t float64, haveT bool) (Kind, 
 			p = 1
 		}
 		if i.Chance(w.Kind, worker, round, 0, p) {
-			return w.Kind, true
+			return w
 		}
 	}
-	return 0, false
+	return nil
 }

@@ -69,30 +69,37 @@ func TestZeroLengthWindowNeverFires(t *testing.T) {
 	}
 }
 
-// TestOverlappingWindowsCombine checks that two overlapping windows of the
-// same kind combine probabilities as 1-(1-p1)(1-p2) and multiply factors.
+// TestOverlappingWindowsCombine checks that overlapping windows of the
+// same kind combine probabilities as 1-(1-p1)(1-p2) and multiply factors,
+// and that a lone window resolves to exactly its Prob.
 func TestOverlappingWindowsCombine(t *testing.T) {
-	inj := NewInjector(Config{Seed: 7, Schedule: []Window{
+	overlap := []Window{
 		{Kind: KindStraggle, StartS: 0, EndS: 100, Prob: 0.5, Factor: 2},
 		{Kind: KindStraggle, StartS: 50, EndS: 200, Prob: 0.5, Factor: 3},
-	}})
-	prob, factor := inj.windowStateAt(KindStraggle, 0, 75)
-	if prob != 0.75 {
-		t.Fatalf("overlap probability %g, want 0.75", prob)
 	}
-	if factor != 6 {
-		t.Fatalf("overlap factor %g, want 6 (factors multiply)", factor)
-	}
-	// Outside the overlap only one window contributes.
-	prob, factor = inj.windowStateAt(KindStraggle, 0, 150)
-	if prob != 0.5 || factor != 3 {
-		t.Fatalf("single-window state (%g, %g), want (0.5, 3)", prob, factor)
+	for _, tc := range []struct {
+		name         string
+		windows      []Window
+		at           float64
+		prob, factor float64
+	}{
+		{"overlap", overlap, 75, 0.75, 6},
+		{"one of two", overlap, 150, 0.5, 3},
+		{"lone window", []Window{{Kind: KindStraggle, Prob: 0.1}}, 0, 0.1, 1},
+	} {
+		inj := NewInjector(Config{Seed: 7, Schedule: tc.windows})
+		prob, factor := inj.resolve(KindStraggle, 0, tc.at)
+		if prob != tc.prob || factor != tc.factor {
+			t.Errorf("%s: state (%v, %v), want (%v, %v)", tc.name, prob, factor, tc.prob, tc.factor)
+		}
 	}
 	// Straggle draws in the overlap use the combined probability: over many
 	// keyed draws roughly 75% should straggle with factor 6.
+	inj := NewInjector(Config{Seed: 7, Schedule: overlap})
+	inj.SetClock(&fixedClock{t: 75})
 	hits := 0
 	for step := 0; step < 2000; step++ {
-		if f := inj.StraggleFactorAt(0, step, 75); f > 1 {
+		if f := inj.StraggleFactor(0, step); f > 1 {
 			hits++
 			if f != 6 {
 				t.Fatalf("straggle factor %g in overlap, want 6", f)
@@ -166,17 +173,8 @@ func TestScheduleValidation(t *testing.T) {
 		{"arrival without factor", Config{Schedule: []Window{{Kind: KindArrival}}}, "Schedule"},
 		{"negative factor", Config{Schedule: []Window{{Kind: KindStraggle, Prob: 1, Factor: -2}}}, "Schedule"},
 		{"+Inf brownout factor", Config{Schedule: []Window{{Kind: KindBrownout, Factor: math.Inf(1)}}}, "Schedule[0].Factor"},
-		{"factor on a link-slow window", Config{Schedule: []Window{{Kind: KindLinkSlow, Prob: 1, Factor: 4}}}, "Schedule[0].Factor"},
 		{"factor on a crash window", Config{Schedule: []Window{{Kind: KindStraggle, Prob: 1, Factor: 4}, {Kind: KindCrash, Prob: 1, Factor: 2}}}, "Schedule[1].Factor"},
-		{"factor on a Byzantine window", Config{Schedule: []Window{{Kind: KindSignFlip, Factor: 3}}}, "Schedule[0].Factor"},
 		{"NaN probability", Config{Schedule: []Window{{Kind: KindCrash, Prob: 1}, {Kind: KindDrop, Prob: math.NaN()}}}, "Schedule[1].Prob"},
-		{"crash rate conflict",
-			Config{CrashProb: 0.1, Schedule: []Window{{Kind: KindCrash, Prob: 1}}}, "CrashProb"},
-		{"lr-spike rate conflict",
-			Config{LRSpikeProb: 0.2, Schedule: []Window{{Kind: KindLRSpike, Prob: 0.5}}}, "LRSpikeProb"},
-		{"byzantine rate conflict",
-			Config{ByzantineWorkers: []int{1}, ByzantineKind: KindSignFlip,
-				Schedule: []Window{{Kind: KindScaleAttack}}}, "Schedule"},
 	}
 	for _, tc := range cases {
 		err := tc.cfg.Validate()
@@ -193,11 +191,17 @@ func TestScheduleValidation(t *testing.T) {
 			t.Errorf("%s: Field = %q, want %q", tc.name, ce.Field, tc.field)
 		}
 	}
-	// The non-conflicting combination is legal: rate-driven drops plus a
-	// scheduled crash window.
-	ok := Config{DropProb: 0.1, Schedule: []Window{{Kind: KindCrash, StartS: 10, EndS: 20, Prob: 1}}}
-	if err := ok.Validate(); err != nil {
-		t.Fatalf("valid mixed config rejected: %v", err)
+	// Always-on drops beside a crash window are legal, and so is a Factor
+	// on the kinds that read one, link-slow and the Byzantine attacks
+	// included.
+	for _, ok := range []Config{
+		{Schedule: []Window{{Kind: KindDrop, Prob: 0.1}, {Kind: KindCrash, StartS: 10, EndS: 20, Prob: 1}}},
+		{Schedule: []Window{{Kind: KindLinkSlow, Prob: 1, Factor: 4}}},
+		{Schedule: []Window{{Kind: KindSignFlip, Factor: 3}, {Kind: KindDriftAttack, Prob: 0.5, Factor: 0.5}}},
+	} {
+		if err := ok.Validate(); err != nil {
+			t.Errorf("valid config %+v rejected: %v", ok.Schedule, err)
+		}
 	}
 }
 

@@ -177,7 +177,7 @@ func TestLossSpikeBacksOffLR(t *testing.T) {
 	lrBefore := g.BaseLR()
 	// Shuffled labels drive the loss far above baseline without NaNs.
 	bx, by := nn.GatherBatch(ds.X, y, []int{0, 1, 2, 3})
-	inj := fault.NewInjector(fault.Config{Seed: 11, LabelNoiseProb: 1})
+	inj := fault.NewInjector(fault.Config{Seed: 11, Schedule: []fault.Window{{Kind: fault.KindLabelNoise, Prob: 1}}})
 	inj.ShuffleLabels(by.Data, 4, 3, 0, 0)
 	for i := range bx.Data {
 		bx.Data[i] *= 40 // push logits far off to force a large loss
@@ -220,7 +220,7 @@ func TestGradExplosionClipped(t *testing.T) {
 func TestLRSpikeRecoveredByRollback(t *testing.T) {
 	tr, ds, y := newTrainer(8)
 	g := New(tr, Policy{SnapshotEvery: 2, RollbackAfter: 2})
-	inj := fault.NewInjector(fault.Config{Seed: 3, LRSpikeProb: 0.2, LRSpikeFactor: 1e6})
+	inj := fault.NewInjector(fault.Config{Seed: 3, Schedule: []fault.Window{{Kind: fault.KindLRSpike, Prob: 0.2, Factor: 1e6}}})
 	stats := g.Fit(ds.X, y, FitConfig{
 		Epochs: 4, BatchSize: 16,
 		LRSpike: func(step int) float64 { return inj.LRSpikeFactor(0, step) },

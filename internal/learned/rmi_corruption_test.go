@@ -29,7 +29,7 @@ func TestRMILookupSurvivesCorruptedLeaves(t *testing.T) {
 	sort.Slice(keys, func(a, b int) bool { return keys[a] < keys[b] })
 
 	poisons := [...]float64{math.NaN(), math.Inf(1), math.Inf(-1)}
-	inj := fault.NewInjector(fault.Config{Seed: 77, CorruptProb: 0.4})
+	inj := fault.NewInjector(fault.Config{Seed: 77, Schedule: []fault.Window{{Kind: fault.KindCorrupt, Prob: 0.4}}})
 	for round := 0; round < 3; round++ {
 		r := must(BuildRMI(keys, 64))
 		// Deterministically corrupt ~40% of leaves: poison the slope, the

@@ -230,7 +230,7 @@ func (w *Workload) insert(i int, now float64, ph Phase) {
 		} else {
 			k = w.rng.Uint64() % w.cfg.Space
 		}
-		if w.inj.ChanceAt(fault.KindCorrupt, 0, i, j, 0, now) {
+		if w.inj.ChanceAt(fault.KindCorrupt, 0, i, j, now) {
 			// In-flight bit flip past the CRC layer: a high bit lands the
 			// key far outside the schema fence.
 			k |= 1 << (45 + uint(w.rng.Intn(13)))

@@ -97,7 +97,7 @@ func FuzzFleetConfig(f *testing.F) {
 	f.Add(pad([]byte{150, 4, 2, 1, 4, 2}, 17, 0, 0, 0, 5, 9, 18, 2, 4, 0, 4, 1))  // retry storm and brownout
 	f.Add(pad([]byte{50, 2, 2, 0, 5, 6, 9, 7, 0, 8, 6}))                          // NaN and ±Inf fields: rejected
 	f.Add(pad([]byte{50, 2, 2, 0, 6, 1, 0, 0, 0, 0, 0, 17}))                      // 17 attempts: rejected
-	f.Add(pad([]byte{50, 2, 2, 0, 7, 1}, 15, 0, 0, 3, 5, 9))                      // factor on a link-slow window: rejected
+	f.Add(pad([]byte{50, 2, 2, 0, 7, 1}, 1, 0, 0, 3, 5, 9))                       // factor on a crash window: rejected
 	f.Fuzz(func(t *testing.T, in []byte) {
 		cfg := decodeFleetConfig(in)
 		h := obs.NewHandle()

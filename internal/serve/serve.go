@@ -546,19 +546,16 @@ func (s *Server) dispatch(id, attempt int, now, deadline float64, exclude int, o
 	// attempt) hash streams, resolved against the fault schedule at the
 	// attempt's own simulated instant (requests carry absolute times, so
 	// a crash window hits exactly the attempts dispatched inside it).
-	crashed := s.inj.ChanceAt(fault.KindCrash, ri, id, attempt, s.cfg.Faults.CrashProb, now)
+	crashed := s.inj.ChanceAt(fault.KindCrash, ri, id, attempt, now)
 	factor := 1.0
-	if s.inj.ChanceAt(fault.KindStraggle, ri, id, attempt, s.cfg.Faults.StragglerProb, now) {
-		factor = s.cfg.Faults.StragglerFactor
-		if wf := s.inj.FactorAt(fault.KindStraggle, ri, now); wf > 1 {
-			factor = wf
-		}
-		if factor <= 1 {
+	if s.inj.ChanceAt(fault.KindStraggle, ri, id, attempt, now) {
+		// A straggle window's factor defaults to 8, as in training.
+		if factor = s.inj.FactorAt(fault.KindStraggle, ri, now); factor <= 1 {
 			factor = 8
 		}
 	}
-	dropped := s.inj.ChanceAt(fault.KindDrop, ri, id, attempt, s.cfg.Faults.DropProb, now)
-	corrupted := s.inj.ChanceAt(fault.KindCorrupt, ri, id, attempt, s.cfg.Faults.CorruptProb, now)
+	dropped := s.inj.ChanceAt(fault.KindDrop, ri, id, attempt, now)
+	corrupted := s.inj.ChanceAt(fault.KindCorrupt, ri, id, attempt, now)
 
 	work := service * factor
 	switch {

@@ -157,7 +157,7 @@ func TestHedgingFiresAndWins(t *testing.T) {
 	// latency is straggler- rather than queue-dominated: hedges should
 	// fire on straggled attempts and some should win.
 	cfg := testConfig(13, 0, 0.5, 1200, true)
-	cfg.Faults = fault.Config{Seed: 13, StragglerProb: 0.15, StragglerFactor: 8}
+	cfg.Faults = fault.Config{Seed: 13, Schedule: []fault.Window{{Kind: fault.KindStraggle, Prob: 0.15, Factor: 8}}}
 	// Hedge below the straggler fraction: at p90 the quantile IS the
 	// straggled latency and nothing strictly exceeds it.
 	cfg.HedgeQuantile = 0.8
@@ -221,7 +221,7 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.Requests = 0 },
 		func(c *Config) { c.MaxAttempts = 5 },
 		func(c *Config) { c.HedgeQuantile = 1 },
-		func(c *Config) { c.Faults.CrashProb = 1.5 },
+		func(c *Config) { c.Faults.Schedule = []fault.Window{{Kind: fault.KindCrash, Prob: 1.5}} },
 		func(c *Config) { c.Breaker.FailureRate = 2 },
 	}
 	for i, mutate := range bad {
