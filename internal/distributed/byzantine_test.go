@@ -73,6 +73,14 @@ func TestConfigValidateTable(t *testing.T) {
 		{"reputation-decay-nan", func(c *Config) { c.Reputation = &robust.ReputationConfig{Decay: math.NaN()} }, "Reputation.Decay"},
 		{"reputation-threshold-nan", func(c *Config) { c.Reputation = &robust.ReputationConfig{Threshold: math.NaN()} }, "Reputation.Threshold"},
 		{"reputation-threshold-inf", func(c *Config) { c.Reputation = &robust.ReputationConfig{Threshold: math.Inf(1)} }, "Reputation.Threshold"},
+		// nn.NewMLP panics on an arch its Validate rejects.
+		{"arch-zero", func(c *Config) { c.Arch = nn.MLPConfig{} }, "Arch"},
+		{"arch-in-negative", func(c *Config) { c.Arch.In = -5 }, "Arch"},
+		{"arch-hidden-zero", func(c *Config) { c.Arch.Hidden = []int{24, 0} }, "Arch"},
+		{"arch-out-zero", func(c *Config) { c.Arch.Out = 0 }, "Arch"},
+		{"arch-dropout-one", func(c *Config) { c.Arch.Dropout = 1 }, "Arch"},
+		{"arch-dropout-nan", func(c *Config) { c.Arch.Dropout = math.NaN() }, "Arch.Dropout"},
+		{"arch-dropout", func(c *Config) { c.Arch.Dropout = 0.2 }, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -15,7 +15,7 @@ import (
 // any state.
 func (c Config) Validate() error {
 	fields := []invalid.Field{invalid.F("LR", c.LR), invalid.F("TopK", c.TopK),
-		invalid.F("RetryBackoffS", c.RetryBackoffS)}
+		invalid.F("RetryBackoffS", c.RetryBackoffS), invalid.F("Arch.Dropout", c.Arch.Dropout)}
 	if r := c.Reputation; r != nil {
 		fields = append(fields, invalid.F("Reputation.Decay", r.Decay),
 			invalid.F("Reputation.Threshold", r.Threshold))
@@ -31,6 +31,9 @@ func (c Config) Validate() error {
 	}
 	if c.BatchSize < 1 {
 		return invalid.New("distributed", "BatchSize", "%d < 1", c.BatchSize)
+	}
+	if err := c.Arch.Validate(); err != nil {
+		return invalid.New("distributed", "Arch", "%v", err)
 	}
 	if c.LR < 0 {
 		return invalid.New("distributed", "LR", "%g is negative", c.LR)

@@ -1,6 +1,7 @@
 package distributed
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"dlsys/internal/data"
 	"dlsys/internal/device"
 	"dlsys/internal/fault"
+	"dlsys/internal/invalid"
 	"dlsys/internal/nn"
 	"dlsys/internal/tensor"
 )
@@ -64,6 +66,33 @@ func TestConfigErrors(t *testing.T) {
 	if _, _, err := Train(1, train.X, y, Config{Workers: 2, Arch: distArch, Epochs: 1, BatchSize: 16, LR: 0.1,
 		Fault: fault.Config{Schedule: []fault.Window{{Kind: fault.KindDrop, Prob: 1.5}}}}); err == nil {
 		t.Fatal("out-of-range fault probability accepted")
+	}
+}
+
+// Data the arch cannot take is rejected before any worker starts: a
+// worker goroutine that panicked on it would end the caller's process.
+func TestNewJobRejectsDataTheArchCannotTake(t *testing.T) {
+	train, _ := distDataset(1)
+	y := nn.OneHot(train.Labels, 3)
+	cfg := Config{Workers: 2, Arch: distArch, Epochs: 1, BatchSize: 16, LR: 0.1}
+	for _, tc := range []struct {
+		name  string
+		arch  nn.MLPConfig
+		x, y  *tensor.Tensor
+		field string
+	}{
+		{"narrow arch", nn.MLPConfig{In: 4, Hidden: []int{24}, Out: 3}, train.X, y, "Arch.In"},
+		{"wide arch", nn.MLPConfig{In: 6, Hidden: []int{24}, Out: 3}, train.X, y, "Arch.In"},
+		{"x of rank 1", distArch, tensor.New(train.X.Size()), y, "Arch.In"},
+		{"extra class", nn.MLPConfig{In: 5, Hidden: []int{24}, Out: 4}, train.X, y, "Arch.Out"},
+		{"y one short", distArch, train.X, tensor.FromSlice(y.Data[3:], y.Dim(0)-1, 3), "NewJob"},
+	} {
+		cfg.Arch = tc.arch
+		_, _, err := Train(1, tc.x, tc.y, cfg)
+		var ce *invalid.Error
+		if !errors.As(err, &ce) || ce.Field != tc.field {
+			t.Errorf("%s: got %v, want a *invalid.Error on %s", tc.name, err, tc.field)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package distributed
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"dlsys/internal/data"
 	"dlsys/internal/fault"
 	"dlsys/internal/guard"
+	"dlsys/internal/invalid"
 	"dlsys/internal/nn"
 	"dlsys/internal/obs"
 	"dlsys/internal/robust"
@@ -35,6 +37,18 @@ var (
 	fuzzTimes   = []float64{0, 1e-5, 2e-5, 5e-5, 1e-4, 1e-2, -1, math.NaN(), math.Inf(1), math.Inf(-1)}
 )
 
+// fuzzIns, fuzzHiddens, fuzzOuts and fuzzDropouts are the arch values the
+// high bits of bytes 6 and 7 pick. Index 0 is the 5→4→3 MLP the fuzz data
+// fits; the rest are widths the data cannot take, no or two hidden
+// layers, widths nn.MLPConfig.Validate rejects, and dropout in and out of
+// [0, 1).
+var (
+	fuzzIns      = []int{5, 4, 6, 0}
+	fuzzHiddens  = [][]int{{4}, {}, {2, 3}, {-2}}
+	fuzzOuts     = []int{3, 2, 4, 0}
+	fuzzDropouts = []float64{0, 0.2, 1, math.NaN()}
+)
+
 // fuzzKinds are the fault kinds training draws: worker, message,
 // numerical, Byzantine and link faults.
 var fuzzKinds = []fault.Kind{
@@ -46,11 +60,12 @@ var fuzzKinds = []fault.Kind{
 
 // decodeCollectiveConfig turns fuzz bytes into a small one-epoch run: 2–12
 // workers, the star or one of the four collectives, GroupSize 0–7,
-// MaxRetries 0–70, a plain or CoordMedian aggregator with or without an
-// enforcing guard, up to four fault windows of any training kind (NaN,
-// ±Inf and out-of-range fields included, and workers past the job's), and
-// up to four churn events, some naming workers out of range. Missing bytes
-// read as zero.
+// MaxRetries 0–70, an MLP arch (widths the data does not fit, invalid
+// widths and dropout included), a plain or CoordMedian aggregator with or
+// without an enforcing guard, up to four fault windows of any training
+// kind (NaN, ±Inf and out-of-range fields included, and workers past the
+// job's), and up to four churn events, some naming workers out of range.
+// Missing bytes read as zero.
 func decodeCollectiveConfig(in []byte) Config {
 	at := func(i int) byte {
 		if i < len(in) {
@@ -61,7 +76,13 @@ func decodeCollectiveConfig(in []byte) Config {
 	topos := append([]Topology{TopoDefault}, Topologies()...)
 	workers := 2 + int(at(0))%11
 	c := Config{
-		Workers: workers, Arch: nn.MLPConfig{In: 5, Hidden: []int{4}, Out: 3},
+		Workers: workers,
+		Arch: nn.MLPConfig{
+			In:      fuzzIns[at(6)>>1&3],
+			Hidden:  fuzzHiddens[at(6)>>3&3],
+			Out:     fuzzOuts[at(7)>>2&3],
+			Dropout: fuzzDropouts[at(7)>>4&3],
+		},
 		Epochs: 1, BatchSize: 4, LR: 0.1, AveragePeriod: 1 + int(at(6))%2,
 		Topology:   topos[int(at(1))%len(topos)],
 		GroupSize:  int(at(2)) % 8,
@@ -104,13 +125,16 @@ func decodeCollectiveConfig(in []byte) Config {
 
 // FuzzCollectiveConfig holds every config Validate accepts to its
 // promise: Train does not panic, and the obs counters reconcile with
-// Stats exactly.
+// Stats exactly. The one rejection Validate leaves to Train is an arch
+// whose widths the data does not fit.
 func FuzzCollectiveConfig(f *testing.F) {
 	ds := data.GaussianMixture(rand.New(rand.NewSource(5)), 96, 5, 3, 3.2)
 	y := nn.OneHot(ds.Labels, 3)
 	// Bytes 0–8 are workers, topology, group size, retries, fault seed,
-	// partition rounds and restart delay, H, defences (bit 0 median, bit 1
-	// guard) and the window count. Each window is six bytes: kind (an
+	// partition rounds and restart delay, H (bit 0) with the arch's input
+	// width (bits 1–2) and hidden layers (bits 3–4), defences (bit 0
+	// median, bit 1 guard) with the output width (bits 2–3) and dropout
+	// (bits 4–5), and the window count. Each window is six bytes: kind (an
 	// index into fuzzKinds), worker (13–15 mean every worker), start, end,
 	// prob and factor. Churn triples follow the windows.
 	f.Add([]byte{6, 2, 0, 64, 1, 0, 0, 0, 1, 11, 13, 0, 0, 5, 0})                   // ring, 64 retries, every hop lost
@@ -135,6 +159,11 @@ func FuzzCollectiveConfig(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 1, 2, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0})                     // all-to-all, every member leaves
 	f.Add([]byte{4, 0, 0, 0, 0, 0, 0, 0, 2, 0, 13, 7, 0, 5, 0, 1, 13, 0, 0, 8, 8}) // NaN start and prob: rejected
 	f.Add([]byte{2, 0, 0, 3, 0, 0, 0, 0, 1, 0, 9, 0, 0, 5, 0})                     // crash on worker 9 of 4: rejected
+	f.Add([]byte{6, 2, 0, 3, 1, 0, 2, 0, 0})                                       // a 4-wide arch on 5-wide data: Train rejects it
+	f.Add([]byte{6, 0, 0, 3, 1, 0, 0, 4, 0})                                       // a 2-class arch on 3-class labels: Train rejects it
+	f.Add([]byte{4, 0, 0, 3, 2, 0, 9, 0, 0})                                       // no hidden layer, Local SGD
+	f.Add([]byte{6, 2, 0, 3, 3, 0, 16, 17, 1, 11, 13, 0, 0, 3, 0})                 // two hidden layers, dropout 0.2, median, link drops on a ring
+	f.Add([]byte{4, 0, 0, 3, 4, 0, 24, 48, 0})                                     // hidden width −2 and NaN dropout: rejected
 	f.Fuzz(func(t *testing.T, in []byte) {
 		cfg := decodeCollectiveConfig(in)
 		if cfg.Validate() != nil {
@@ -143,6 +172,11 @@ func FuzzCollectiveConfig(f *testing.F) {
 		h := obs.NewHandle()
 		cfg.Obs = h
 		_, stats, err := Train(int64(len(in)), ds.X, y, cfg)
+		var ce *invalid.Error
+		if err != nil && errors.As(err, &ce) &&
+			(ce.Field == "Arch.In" && cfg.Arch.In != 5 || ce.Field == "Arch.Out" && cfg.Arch.Out != 3) {
+			return
+		}
 		if err != nil {
 			t.Fatalf("Train rejected a config Validate accepted: %v (%+v)", err, cfg)
 		}

@@ -8,6 +8,7 @@ import (
 	"dlsys/internal/checkpoint"
 	"dlsys/internal/device"
 	"dlsys/internal/fault"
+	"dlsys/internal/invalid"
 	"dlsys/internal/nn"
 	"dlsys/internal/obs"
 	"dlsys/internal/robust"
@@ -81,6 +82,17 @@ func NewJob(seed int64, x, y *tensor.Tensor, cfg Config) (*Job, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	// A width the model cannot take would panic inside a worker goroutine,
+	// which no caller can recover from.
+	if x.Rank() != 2 || x.Dim(1) != cfg.Arch.In {
+		return nil, invalid.New("distributed", "Arch.In", "%d, but x has shape %v", cfg.Arch.In, x.Shape())
+	}
+	if y.Rank() != 2 || y.Dim(1) != cfg.Arch.Out {
+		return nil, invalid.New("distributed", "Arch.Out", "%d, but y has shape %v", cfg.Arch.Out, y.Shape())
+	}
+	if y.Dim(0) != x.Dim(0) {
+		return nil, invalid.New("distributed", "NewJob", "x has %d examples but y has %d", x.Dim(0), y.Dim(0))
+	}
 	if cfg.AveragePeriod < 1 {
 		cfg.AveragePeriod = 1
 	}
@@ -137,12 +149,22 @@ func NewJob(seed int64, x, y *tensor.Tensor, cfg Config) (*Job, error) {
 	// All workers start from the same initialisation but own independent
 	// RNG streams derived from (seed, workerID), so fault-induced
 	// reordering of worker execution cannot change any worker's batches.
-	j.global = nn.NewMLP(rand.New(rand.NewSource(seed)), cfg.Arch)
+	// A replica is a copy of the global model. The generator that builds
+	// it only draws He weights the copy overwrites, so every replica
+	// shares the global model's, unless dropout masks draw from it: then
+	// each keeps a generator seeded like the global model's.
+	initRNG := rand.New(rand.NewSource(seed))
+	j.global = nn.NewMLP(initRNG, cfg.Arch)
+	params := j.global.ParamVector()
 	j.workers = make([]*worker, cfg.Workers)
 	shards := shardIndices(x.Dim(0), cfg.Workers)
 	for w := range j.workers {
-		wnet := nn.NewMLP(rand.New(rand.NewSource(seed)), cfg.Arch)
-		wnet.SetParamVector(j.global.ParamVector())
+		rng := initRNG
+		if cfg.Arch.Dropout > 0 {
+			rng = rand.New(rand.NewSource(seed))
+		}
+		wnet := nn.NewMLP(rng, cfg.Arch)
+		wnet.SetParamVector(params)
 		wrng := rand.New(rand.NewSource(fault.WorkerSeed(seed, w)))
 		j.workers[w] = &worker{
 			id:       w,

@@ -191,6 +191,9 @@ func TestValidate(t *testing.T) {
 		{"NaN link-slow factor", one(Window{Kind: KindLinkSlow, Prob: 0.5, Factor: nan}), "Schedule[0].Factor"},
 		{"+Inf scale-attack factor", one(Window{Kind: KindScaleAttack, Factor: inf}), "Schedule[0].Factor"},
 		{"NaN collude factor", one(Window{Kind: KindCollude, Factor: nan}), "Schedule[0].Factor"},
+		// A partition cuts the whole job; PartitionAt never reads a list.
+		{"partition workers", one(Window{Kind: KindPartition, Prob: 0.1, Workers: []int{3}}), "Schedule[0].Workers"},
+		{"partition empty workers", one(Window{Kind: KindPartition, Prob: 0.1, Workers: []int{}}), "Schedule[0].Workers"},
 	} {
 		var ce *invalid.Error
 		if err := tc.cfg.Validate(); !errors.As(err, &ce) || ce.Field != tc.field {

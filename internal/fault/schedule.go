@@ -37,7 +37,8 @@ type Clock interface {
 //
 //   - Kind: any injectable kind.
 //   - Workers: the worker (replica, tenant, or link source) ids the window
-//     applies to; nil means all.
+//     applies to; nil means all. A partition window must leave it nil,
+//     since a partition cuts the whole job.
 //   - StartS, EndS: the active interval, in simulated seconds, inclusive
 //     of start and exclusive of end. EndS == 0 means open-ended (active
 //     from StartS onwards). A window with EndS == StartS (nonzero) has
@@ -111,10 +112,11 @@ func readsFactor(k Kind) bool {
 
 // Validate checks every window: finite fields, a known kind, a start at or
 // after 0 and an end at or after it, a probability in [0, 1] and above 0
-// where the kind fires by probability alone, non-negative worker ids, and
-// a Factor only on kinds that read one. NaN and ±Inf are rejected first,
-// naming the window's field, because every range comparison below lets
-// NaN through.
+// where the kind fires by probability alone, non-negative worker ids and
+// none on a partition window (PartitionAt draws one cut for the whole
+// job, so a list would never be read), and a Factor only on kinds that
+// read one. NaN and ±Inf are rejected first, naming the window's field,
+// because every range comparison below lets NaN through.
 func (c Config) Validate() error {
 	for i, w := range c.Schedule {
 		at := "Schedule[" + strconv.Itoa(i) + "]."
@@ -138,6 +140,9 @@ func (c Config) Validate() error {
 			if id < 0 {
 				return invalid.New("fault", "Schedule", "window %d worker id %d is negative", i, id)
 			}
+		}
+		if w.Kind == KindPartition && w.Workers != nil {
+			return invalid.New("fault", at+"Workers", "%v set on a partition window, which cuts the whole job", w.Workers)
 		}
 		switch {
 		case w.Kind == KindArrival:

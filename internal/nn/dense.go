@@ -99,6 +99,14 @@ func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // Backward implements Layer.
 func (d *Dense) Backward(dout *tensor.Tensor) *tensor.Tensor {
+	d.backwardParams(dout)
+	d.dx = tensor.MatMulTransBInto(d.dx, dout, d.W.Value)
+	return d.dx
+}
+
+// backwardParams is Backward without the input gradient: it accumulates
+// W's and b's gradients and releases the cached input.
+func (d *Dense) backwardParams(dout *tensor.Tensor) {
 	if d.x == nil {
 		panic("nn: Dense.Backward without training Forward")
 	}
@@ -111,9 +119,7 @@ func (d *Dense) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	d.W.Grad.AddInPlace(d.dw)
 	d.db = tensor.SumRowsInto(d.db, dout)
 	d.B.Grad.AddInPlace(d.db)
-	d.dx = tensor.MatMulTransBInto(d.dx, dout, d.W.Value)
 	d.x = nil
-	return d.dx
 }
 
 // Params implements Layer.

@@ -102,6 +102,23 @@ func (n *Network) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	return dout
 }
 
+// backwardParams is Backward for a training step, which reads only the
+// parameter gradients: a first Dense layer stops at its own, skipping the
+// product that would give the gradient with respect to the input.
+func (n *Network) backwardParams(dout *tensor.Tensor) {
+	for i := len(n.Layers) - 1; i > 0; i-- {
+		dout = n.Layers[i].Backward(dout)
+	}
+	if len(n.Layers) == 0 {
+		return
+	}
+	if d, ok := n.Layers[0].(*Dense); ok {
+		d.backwardParams(dout)
+		return
+	}
+	n.Layers[0].Backward(dout)
+}
+
 // Params returns all trainable parameters in layer order.
 func (n *Network) Params() []*Param {
 	var ps []*Param

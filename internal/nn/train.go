@@ -120,14 +120,15 @@ func (t *Trainer) ComputeGrad(bx, by *tensor.Tensor) float64 {
 }
 
 // computeGrad zeroes params' gradients and accumulates the batch's into
-// them.
+// them. Nothing reads the gradient with respect to the batch, so the
+// backward pass stops at the parameters' (Network.backwardParams).
 func (t *Trainer) computeGrad(params []*Param, bx, by *tensor.Tensor) float64 {
 	for _, p := range params {
 		p.ZeroGrad()
 	}
 	out := t.Net.Forward(bx, true)
 	loss := t.Loss.Forward(out, by)
-	t.Net.Backward(t.Loss.Backward())
+	t.Net.backwardParams(t.Loss.Backward())
 	return loss
 }
 

@@ -255,3 +255,40 @@ func TestMLPRegressionWithMSE(t *testing.T) {
 		t.Fatalf("loss only fell from %.4f to %.4f", stats.EpochLoss[0], stats.FinalLoss())
 	}
 }
+
+// A training step skips the first Dense layer's input gradient, which
+// nothing reads, and must leave the loss and every parameter gradient
+// exactly as the full backward pass does. Network.Backward still returns
+// the input gradient.
+func TestComputeGradSkipsOnlyTheInputGradient(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	net := NewMLP(rng, MLPConfig{In: 3, Hidden: []int{8, 5}, Out: 2})
+	x := tensor.RandNormal(rng, 0, 1, 16, 3)
+	labels := make([]int, 16)
+	for i := range labels {
+		labels[i] = i % 2
+	}
+	y := OneHot(labels, 2)
+	tr := NewTrainer(net, NewSoftmaxCrossEntropy(), NewSGD(0.1), rng)
+	loss := tr.ComputeGrad(x, y)
+	grads := net.GradVector()
+	if dx := net.Layers[0].(*Dense).dx; dx != nil {
+		t.Fatalf("a training step computed the first layer's input gradient %v", dx.Shape())
+	}
+
+	net.ZeroGrad()
+	lf := NewSoftmaxCrossEntropy()
+	full := lf.Forward(net.Forward(x, true), y)
+	dx := net.Backward(lf.Backward())
+	if math.Float64bits(full) != math.Float64bits(loss) {
+		t.Fatalf("loss %v, full backward's %v", loss, full)
+	}
+	for i, g := range net.GradVector() {
+		if math.Float64bits(g) != math.Float64bits(grads[i]) {
+			t.Fatalf("gradient %d is %v, full backward's %v", i, grads[i], g)
+		}
+	}
+	if dx == nil || !dx.SameShape(x) {
+		t.Fatalf("Network.Backward returned %v, want the input gradient of shape %v", dx, x.Shape())
+	}
+}

@@ -9,10 +9,14 @@ import "sync"
 //	reference — matMulRows, the straightforward i-k-j triple loop, and
 //	            matMulTransBRows, one dot product per element, for a·bᵀ.
 //	            Every other float64 tier is defined against them.
-//	small     — gemm_small.go: register-tiled loops for a·b, aᵀ·b and a·bᵀ
+//	small     — gemm_small.go: one kernel each for a·b, aᵀ·b and a·bᵀ
 //	            below the packed threshold. a·b and aᵀ·b take it with at
 //	            least two rows and k·n ≤ smallMaxKN (B stays in L1); a·bᵀ
-//	            takes it at every sub-threshold shape.
+//	            takes it at every sub-threshold shape. On amd64 with AVX
+//	            all three run gemmSmallAVX (gemm_amd64.s), 4×4 tiles with
+//	            one YMM lane per output; a·bᵀ transposes B into pooled
+//	            scratch for it when k·n ≤ smallMaxKN and there are at
+//	            least four rows. Elsewhere register-tiled Go loops run.
 //	tiled     — gemmPacked: B repacked into contiguous gemmNR-wide column
 //	            strips, output computed by a branch-free 4x4 register
 //	            micro-kernel sweeping the full k extent per output tile.

@@ -1,9 +1,10 @@
-// AVX micro-kernels for the tiled GEMM engine (gemm.go, gemm32.go). Both
-// keep the bit-exactness contract: each output element is one YMM lane that
-// accumulates a[i][p]*b[p][j] in ascending p with a separate multiply and
-// add (VMULPD/VADDPD for float64, VMULPS/VADDPS for float32) — the same
-// IEEE-754 mul-then-add rounding as the scalar reference kernels. FMA is
-// never used (its single rounding would differ).
+// AVX kernels for the tiled GEMM engine (gemm.go, gemm32.go) and the small
+// tier (gemm_small.go). All three keep the bit-exactness contract: each
+// output element is one YMM lane that accumulates a[i][p]*b[p][j] in
+// ascending p with a separate multiply and add (VMULPD/VADDPD for float64,
+// VMULPS/VADDPS for float32) — the same IEEE-754 mul-then-add rounding as
+// the scalar reference kernels. FMA is never used (its single rounding
+// would differ).
 
 #include "textflag.h"
 
@@ -198,4 +199,147 @@ store32:
 	ADDQ DX, DI
 	VMOVUPS Y15, (DI)
 	VZEROUPPER
+	RET
+
+// smallMask holds four all-ones qwords and then four zero ones: the four
+// qwords at byte offset (4-w)*8 are the lane mask of a strip w columns
+// wide, for w in 1..4.
+DATA smallMask<>+0(SB)/8, $-1
+DATA smallMask<>+8(SB)/8, $-1
+DATA smallMask<>+16(SB)/8, $-1
+DATA smallMask<>+24(SB)/8, $-1
+DATA smallMask<>+32(SB)/8, $0
+DATA smallMask<>+40(SB)/8, $0
+DATA smallMask<>+48(SB)/8, $0
+DATA smallMask<>+56(SB)/8, $0
+GLOBL smallMask<>(SB), RODATA|NOPTR, $64
+
+// func gemmSmallAVX(a *float64, rs, ks int, b *float64, m, k, n int, out *float64) bool
+//
+// The small tier's kernel (gemm_small.go): out = A·b for the m×k matrix A,
+// whose element (i, p) is a[i*rs+p*ks], and the row-major k×n matrix b,
+// into the row-major m×n out. rs = k, ks = 1 reads a row-major a (a·b);
+// rs = 1, ks = m reads a k×m a down its columns (aᵀ·b). m, k and n are at
+// least 1.
+//
+// The output goes in strips of four columns and, within a strip, blocks
+// of four rows: four YMM accumulators, one lane per output element, sweep
+// the full k extent once and store with a single write each. B rows are
+// read, and outputs stored, through the strip's lane mask, so the last
+// n%4 columns need no second loop and nothing past either matrix is
+// touched. A block with fewer than four rows left re-reads its last row
+// into the spare accumulators and stores only the real rows. Every block's
+// accumulators, masked, are added into Y14, and the kernel returns false
+// when a lane of Y14 ends NaN, which it does whenever a stored output is.
+TEXT ·gemmSmallAVX(SB), NOSPLIT, $0-65
+	MOVQ rs+8(FP), R8
+	SHLQ $3, R8              // A row stride in bytes
+	MOVQ ks+16(FP), R11
+	SHLQ $3, R11             // A k stride in bytes
+	MOVQ b+24(FP), BX
+	MOVQ n+48(FP), R14
+	SHLQ $3, R14             // b and out row stride in bytes
+	VXORPD Y14, Y14, Y14     // NaN checksum
+	XORQ CX, CX              // byte offset of the strip's first column
+
+strip:
+	MOVQ R14, DX
+	SUBQ CX, DX              // bytes left in a row from the strip on
+	CMPQ DX, $32
+	JLE  narrow
+	MOVQ $32, DX
+narrow:
+	NEGQ DX
+	ADDQ $32, DX             // (4-w)*8 for a strip w columns wide
+	LEAQ smallMask<>(SB), AX
+	VMOVUPD (AX)(DX*1), Y13  // the strip's lane mask
+
+	MOVQ a+0(FP), SI         // A(i, 0) of the block's first row
+	MOVQ out+56(FP), DI
+	ADDQ CX, DI              // out(i, j) of the block's first row
+	MOVQ m+32(FP), R15       // rows left
+
+block:
+	// Byte offsets of the block's rows 1, 2 and 3 from row 0; a row past
+	// the last re-reads the last.
+	CMPQ R15, $4
+	JLT  partial
+	MOVQ R8, R9
+	LEAQ (R8)(R8*1), R10
+	LEAQ (R10)(R8*1), R12
+	JMP  tile
+partial:
+	XORQ R9, R9
+	XORQ R10, R10
+	XORQ R12, R12
+	CMPQ R15, $2
+	JLT  tile
+	MOVQ R8, R9
+	MOVQ R8, R10
+	MOVQ R8, R12
+	CMPQ R15, $3
+	JLT  tile
+	LEAQ (R8)(R8*1), R10
+	MOVQ R10, R12
+
+tile:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	MOVQ SI, AX              // A(i, p)
+	LEAQ (BX)(CX*1), R13     // b(p, j)
+	MOVQ k+40(FP), DX
+
+loop:
+	VMASKMOVPD (R13), Y13, Y4
+	VBROADCASTSD (AX), Y5
+	VMULPD Y4, Y5, Y5
+	VADDPD Y5, Y0, Y0
+	VBROADCASTSD (AX)(R9*1), Y6
+	VMULPD Y4, Y6, Y6
+	VADDPD Y6, Y1, Y1
+	VBROADCASTSD (AX)(R10*1), Y7
+	VMULPD Y4, Y7, Y7
+	VADDPD Y7, Y2, Y2
+	VBROADCASTSD (AX)(R12*1), Y8
+	VMULPD Y4, Y8, Y8
+	VADDPD Y8, Y3, Y3
+	ADDQ R11, AX
+	ADDQ R14, R13
+	DECQ DX
+	JNZ  loop
+
+	VADDPD Y1, Y0, Y5
+	VADDPD Y3, Y2, Y6
+	VADDPD Y6, Y5, Y5
+	VANDPD Y13, Y5, Y5       // masked-off lanes may hold 0·Inf
+	VADDPD Y5, Y14, Y14
+
+	VMASKMOVPD Y0, Y13, (DI)
+	CMPQ R15, $2
+	JLT  stored
+	VMASKMOVPD Y1, Y13, (DI)(R14*1)
+	CMPQ R15, $3
+	JLT  stored
+	VMASKMOVPD Y2, Y13, (DI)(R14*2)
+	CMPQ R15, $4
+	JLT  stored
+	LEAQ (DI)(R14*2), AX
+	VMASKMOVPD Y3, Y13, (AX)(R14*1)
+stored:
+	LEAQ (SI)(R8*4), SI
+	LEAQ (DI)(R14*4), DI
+	SUBQ $4, R15
+	JGT  block
+
+	ADDQ $32, CX
+	CMPQ CX, R14
+	JLT  strip
+
+	VCMPPD $3, Y14, Y14, Y14 // unordered: all ones in a NaN lane
+	VMOVMSKPD Y14, AX
+	VZEROUPPER
+	TESTQ AX, AX
+	SETEQ ret+64(FP)
 	RET

@@ -3,9 +3,40 @@
 package tensor
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
+
+// forEachKernelPath runs f with the assembly kernels switched off and, on
+// an AVX host, again with them on, naming each run after its setting.
+func forEachKernelPath(t *testing.T, f func(t *testing.T)) {
+	defer func(saved bool) { hasAVX = saved }(hasAVX)
+	avx := hasAVX
+	hasAVX = false
+	t.Run("pure Go", f)
+	if !avx {
+		t.Log("no AVX on this CPU: only the pure-Go kernels ran")
+		return
+	}
+	hasAVX = true
+	t.Run("AVX", f)
+}
+
+// smallEdgeShapes puts every remainder of the AVX small kernel's four-row
+// blocks and four-column strips (m%4 and n%4 of 0, 1, 2 and 3) next to
+// single rows and columns, at a k of one and of several steps.
+func smallEdgeShapes() []struct{ m, k, n int } {
+	var shapes []struct{ m, k, n int }
+	for _, m := range []int{1, 2, 3, 4, 5, 6, 7, 9} {
+		for _, n := range []int{1, 2, 3, 4, 5, 6, 7} {
+			for _, k := range []int{1, 9} {
+				shapes = append(shapes, struct{ m, k, n int }{m, k, n})
+			}
+		}
+	}
+	return shapes
+}
 
 // On an AVX host the pure-Go micro-kernels only run when the assembly is
 // switched off, so this test does exactly that: every GEMM entry point must
@@ -32,6 +63,35 @@ func TestPureGoKernelsMatchAVX(t *testing.T) {
 		}
 		if !Equal(MatMul(a, b), asmAuto, 0) {
 			t.Errorf("MatMul pure Go != AVX at %dx%dx%d", s.m, s.k, s.n)
+		}
+	}
+	// The small tier's products, through the entry points that reach it,
+	// into dsts full of NaN so an unwritten element shows.
+	for _, s := range append(append([]struct{ m, k, n int }(nil), equivShapes...), smallEdgeShapes()...) {
+		a, b := randMat(rng, s.m, s.k), randMat(rng, s.k, s.n)
+		at, bt := Transpose(a), Transpose(b)
+		ab, bb := New(2, s.m, s.k), New(2, s.k, s.n)
+		for _, x := range []*Tensor{ab, bb} {
+			for i := range x.Data {
+				x.Data[i] = rng.NormFloat64()
+			}
+		}
+		products := []struct {
+			name string
+			run  func() *Tensor
+		}{
+			{"MatMulInto", func() *Tensor { return MatMulInto(Full(math.NaN(), s.m, s.n), a, b) }},
+			{"MatMulTransAInto", func() *Tensor { return MatMulTransAInto(Full(math.NaN(), s.m, s.n), at, b) }},
+			{"MatMulTransBInto", func() *Tensor { return MatMulTransBInto(Full(math.NaN(), s.m, s.n), a, bt) }},
+			{"BatMul", func() *Tensor { return BatMul(ab, bb) }},
+		}
+		for _, p := range products {
+			hasAVX = true
+			asm := p.run()
+			hasAVX = false
+			if i := firstBitDiff(p.run(), asm); i >= 0 {
+				t.Errorf("%s pure Go != AVX at %dx%dx%d elem %d", p.name, s.m, s.k, s.n, i)
+			}
 		}
 	}
 }

@@ -375,9 +375,17 @@ func firstBitDiff(got, want *Tensor) int {
 // skipped, must keep the NaN. In "NaN after Inf−Inf" each output of A's
 // last row sums +Inf, −Inf and then NaN, so its NaN payload depends on
 // which operand each add keeps; the first four shapes give that row to
-// exactly one tile path each (2×4, 2×1, 1×4, 1×1), so every path's
-// checksum must send its product back to the reference.
+// exactly one tile path of the Go loops each (2×4, 2×1, 1×4, 1×1), so
+// every path's checksum must send its product back to the reference. The
+// cases run with the assembly kernels off and, on an AVX host, on. The
+// AVX kernel's tiles are four rows by four columns: the first four shapes
+// put that row in a short block of two or three rows, against a full or a
+// masked strip, and 16×6×24, 64×8×2 and 8×64×2 in a full block.
 func TestSubThresholdBitExactOnNonFinite(t *testing.T) {
+	forEachKernelPath(t, testSubThresholdBitExactOnNonFinite)
+}
+
+func testSubThresholdBitExactOnNonFinite(t *testing.T) {
 	specials := []float64{math.NaN(), -math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0}
 	rng := rand.New(rand.NewSource(48))
 	poison := func(x *Tensor) {

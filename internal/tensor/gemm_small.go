@@ -3,24 +3,32 @@ package tensor
 import "math"
 
 // This file is the small tier of the kernel hierarchy (see gemm.go): one
-// register-tiled loop for each product a Dense layer makes — a·b, aᵀ·b and
-// a·bᵀ — at shapes below usePacked's threshold, where repacking B cannot
-// pay for itself and the reference loops' inner loops are only a few
-// elements wide. Each output element is one register accumulator over
-// ascending k, stored once: no FMA (every product is written float64(x*y),
-// which the Go spec forbids fusing), no reassociation, no allocation. Rows
-// are taken in pairs and columns in fours; the odd row and the last n%4
-// columns run the same loop narrowed. Each operand row is resliced to
-// length k so the compiler drops its bounds checks inside the k loop.
+// kernel for each product a Dense layer makes — a·b, aᵀ·b and a·bᵀ — at
+// shapes below usePacked's threshold, where repacking B cannot pay for
+// itself and the reference loops' inner loops are only a few elements
+// wide. Each output element is one register accumulator over ascending k,
+// one rounded multiply and one rounded add per step, stored once: no FMA,
+// no reassociation, no allocation.
 //
-// Exactness. The loops multiply through a zero the reference skips, and a
-// register accumulator keeps its own NaN where the reference's memory
+// On amd64 with AVX the products run gemmSmallAVX (gemm_amd64.s): one
+// YMM lane per output, four rows by four columns per tile, VMULPD then
+// VADDPD. It reads A through a row stride and a k stride, so a·b and aᵀ·b
+// share it, and B row-major, so a·bᵀ first transposes B into pooled
+// scratch, which it does only where that pays (see smallNT). Elsewhere,
+// and with hasAVX off, register-tiled Go loops run instead, with every product written float64(x*y), which the Go spec
+// forbids fusing. Their rows are taken in pairs and columns in fours; the
+// odd row and the last n%4 columns run the same loop narrowed. Each
+// operand row is resliced to length k so the compiler drops its bounds
+// checks inside the k loop. Both paths give the same bits.
+//
+// Exactness. Both paths multiply through a zero the reference skips, and
+// a register accumulator keeps its own NaN where the reference's memory
 // accumulator takes the incoming product's, so only non-NaN results are
 // guaranteed to match. Those match for every input: they do not depend on
 // operand order, and a skipped term whose B element is finite adds ±0 to
 // an accumulator that starts at +0 and so is never −0, which changes no
 // bit; a skipped term against a non-finite B makes the output NaN. Each
-// loop therefore folds the outputs it stores into one checksum, which is
+// kernel therefore folds the outputs it stores into one checksum, which is
 // NaN whenever an output is (or, harmlessly, when outputs of opposite
 // infinite sign meet), and reports whether it stayed a number. When it did
 // not, the caller reruns the product on the reference loop, whose bits are
@@ -28,8 +36,9 @@ import "math"
 // overflow to infinities of both signs.
 
 // smallMaxKN is the most elements of B the small tier walks by column
-// strips: 1024 float64s are 8 KiB, so B stays in L1 while every row pair
-// sweeps it.
+// strips: 1024 float64s are 8 KiB, so B stays in L1 while every row pair,
+// or every four-row block of the AVX kernel, sweeps it. It also bounds the
+// pooled scratch that a·bᵀ transposes B into for the AVX kernel.
 const smallMaxKN = 1024
 
 // useSmall reports whether a sub-threshold a·b or aᵀ·b takes the small
@@ -46,6 +55,9 @@ func useSmall(m, k, n int) bool {
 // matrix b, storing every element of the m×n out. It reports false when
 // an output may be NaN.
 func smallNN(a []float64, m, k int, b []float64, n int, out []float64) bool {
+	if hasAVX && m > 0 && k > 0 && n > 0 {
+		return gemmSmallAVX(&a[0], k, 1, &b[0], m, k, n, &out[0])
+	}
 	var chk float64
 	i := 0
 	for ; i+2 <= m; i += 2 {
@@ -113,6 +125,9 @@ func smallNN(a []float64, m, k int, b []float64, n int, out []float64) bool {
 // column i of a, so both operands are walked down their rows. It reports
 // false when an output may be NaN.
 func smallTN(a []float64, m, k int, b []float64, n int, out []float64) bool {
+	if hasAVX && m > 0 && k > 0 && n > 0 {
+		return gemmSmallAVX(&a[0], 1, m, &b[0], m, k, n, &out[0])
+	}
 	var chk float64
 	i := 0
 	for ; i+2 <= m; i += 2 {
@@ -178,9 +193,21 @@ func smallTN(a []float64, m, k int, b []float64, n int, out []float64) bool {
 
 // smallNT computes out = a·bᵀ for the row-major m×k matrix a and n×k
 // matrix b, storing every element of the m×n out. Every operand row is
-// contiguous in k, so this loop has no width limit and also takes single
-// rows. It reports false when an output may be NaN.
+// contiguous in k, so the Go loop has no width limit and also takes single
+// rows. The AVX kernel takes a B that fits in L1 once it is transposed,
+// and at least one full block of four rows: transposing costs about 1.5 ns
+// an element, so with one to three rows it cost more than the kernel saved
+// (1×3×8 took 117 ns against 42, 3×64×8 1,364 ns against 833), and from
+// four rows on it paid (4×64×8 1,113 ns against 1,243, 8×64×8 1,538
+// against 2,447). It reports false when an output may be NaN.
 func smallNT(a []float64, m, k int, b []float64, n int, out []float64) bool {
+	if hasAVX && m >= 4 && k > 0 && n > 0 && k*n <= smallMaxKN {
+		bt := getScratch(k * n)
+		transposeInto(*bt, b, n, k)
+		ok := gemmSmallAVX(&a[0], k, 1, &(*bt)[0], m, k, n, &out[0])
+		putScratch(bt)
+		return ok
+	}
 	var chk float64
 	i := 0
 	for ; i+2 <= m; i += 2 {

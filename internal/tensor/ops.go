@@ -74,7 +74,7 @@ func (t *Tensor) ApplyInPlace(f func(float64) float64) {
 // MatMul returns the matrix product of two rank-2 tensors: (m×k)·(k×n) → m×n.
 // Products worth blocking run the cache-tiled packed kernel (gemm.go),
 // partitioned across the persistent worker pool once they cross the
-// parallel threshold; smaller ones run the register-tiled small kernel
+// parallel threshold; smaller ones run the small-tier kernel
 // (gemm_small.go) or the serial reference loop, picked from the shapes.
 // Every tier accumulates each output element in the same ascending-k order
 // and gives the reference kernel's bits (see gemm.go for where that holds).
@@ -143,7 +143,7 @@ func matMulRows(a, b, out *Tensor, lo, hi int) {
 // Used by backward passes to avoid materialising transposes. Large
 // products run fused through the tiled engine: the packing pass reads b's
 // rows directly (they are already the columns the kernel wants), so the
-// transpose is free. Smaller ones run the small tier's a·bᵀ loop.
+// transpose is free. Smaller ones run the small tier's a·bᵀ kernel.
 func MatMulTransB(a, b *Tensor) *Tensor { return mustT(MatMulTransBChecked(a, b)) }
 
 // MatMulTransBChecked is MatMulTransB returning an error instead of
