@@ -60,6 +60,36 @@ func TestConfigValidateTable(t *testing.T) {
 			c.Fault = fault.Config{Schedule: []fault.Window{
 				{Kind: fault.KindDrop, Prob: 0.1}, {Kind: fault.KindCrash, Workers: []int{1, 9}, Prob: 1}}}
 		}, "Fault.Schedule[1].Workers"},
+		// A collective draws no worker messages: it never draws Drops and
+		// draws Corrupts only for snapshots (worker −1), so a message
+		// window listing workers never fires there. On the star it does.
+		{"drop-window-workers-on-ring", func(c *Config) {
+			c.Topology = TopoRing
+			c.Fault = fault.Config{Schedule: []fault.Window{{Kind: fault.KindDrop, Workers: []int{1}, Prob: 0.5}}}
+		}, "Fault.Schedule[0].Workers"},
+		{"corrupt-window-workers-on-hier", func(c *Config) {
+			c.Topology = TopoHier
+			c.Fault = fault.Config{Schedule: []fault.Window{
+				{Kind: fault.KindCrash, Workers: []int{2}, Prob: 0.1}, {Kind: fault.KindCorrupt, Workers: []int{0, 3}, Prob: 0.5}}}
+		}, "Fault.Schedule[1].Workers"},
+		{"empty-worker-list-drop-window-on-tree", func(c *Config) {
+			c.Topology = TopoTree
+			c.Fault = fault.Config{Schedule: []fault.Window{{Kind: fault.KindDrop, Workers: []int{}, Prob: 0.5}}}
+		}, "Fault.Schedule[0].Workers"},
+		{"drop-window-workers-on-star", func(c *Config) {
+			c.Fault = fault.Config{Schedule: []fault.Window{{Kind: fault.KindDrop, Workers: []int{1}, Prob: 0.5}}}
+		}, ""},
+		{"corrupt-window-workers-on-star", func(c *Config) {
+			c.Fault = fault.Config{Schedule: []fault.Window{{Kind: fault.KindCorrupt, Workers: []int{1}, Prob: 0.5}}}
+		}, ""},
+		{"workerless-corrupt-window-on-all-to-all", func(c *Config) {
+			c.Topology = TopoAllToAll
+			c.Fault = fault.Config{Schedule: []fault.Window{{Kind: fault.KindCorrupt, Prob: 0.5}}}
+		}, ""},
+		{"crash-window-workers-on-ring", func(c *Config) {
+			c.Topology = TopoRing
+			c.Fault = fault.Config{Schedule: []fault.Window{{Kind: fault.KindCrash, Workers: []int{1}, Prob: 0.5}}}
+		}, ""},
 		// NaN and ±Inf slip past every range comparison, so each float
 		// field is checked for them explicitly.
 		{"lr-nan", func(c *Config) { c.LR = math.NaN() }, "LR"},

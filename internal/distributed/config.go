@@ -4,6 +4,7 @@ import (
 	"sort"
 	"strconv"
 
+	"dlsys/internal/fault"
 	"dlsys/internal/invalid"
 )
 
@@ -87,11 +88,18 @@ func (c Config) Validate() error {
 		}
 	}
 	for i, win := range c.Fault.Schedule {
+		field := "Fault.Schedule[" + strconv.Itoa(i) + "].Workers"
 		for _, w := range win.Workers {
 			if w >= c.Workers {
-				return invalid.New("distributed", "Fault.Schedule["+strconv.Itoa(i)+"].Workers",
-					"worker %d out of [0, %d workers)", w, c.Workers)
+				return invalid.New("distributed", field, "worker %d out of [0, %d workers)", w, c.Workers)
 			}
+		}
+		// A collective sends no worker messages: it draws link faults per
+		// hop, never Drops, and Corrupts only for snapshots, as worker −1.
+		// So a message window that lists workers never fires there.
+		if c.Topology != TopoDefault && win.Workers != nil && (win.Kind == fault.KindDrop || win.Kind == fault.KindCorrupt) {
+			return invalid.New("distributed", field, "%v set on a %v window, which the %s collective never draws for a worker",
+				win.Workers, win.Kind, c.Topology)
 		}
 	}
 	if err := c.Fault.Validate(); err != nil {

@@ -126,7 +126,8 @@ func decodeCollectiveConfig(in []byte) Config {
 // FuzzCollectiveConfig holds every config Validate accepts to its
 // promise: Train does not panic, and the obs counters reconcile with
 // Stats exactly. The one rejection Validate leaves to Train is an arch
-// whose widths the data does not fit.
+// whose widths the data does not fit. Any config Validate rejects, such as
+// a drop or corrupt window listing workers on a collective, is skipped.
 func FuzzCollectiveConfig(f *testing.F) {
 	ds := data.GaussianMixture(rand.New(rand.NewSource(5)), 96, 5, 3, 3.2)
 	y := nn.OneHot(ds.Labels, 3)
@@ -164,6 +165,8 @@ func FuzzCollectiveConfig(f *testing.F) {
 	f.Add([]byte{4, 0, 0, 3, 2, 0, 9, 0, 0})                                       // no hidden layer, Local SGD
 	f.Add([]byte{6, 2, 0, 3, 3, 0, 16, 17, 1, 11, 13, 0, 0, 3, 0})                 // two hidden layers, dropout 0.2, median, link drops on a ring
 	f.Add([]byte{4, 0, 0, 3, 4, 0, 24, 48, 0})                                     // hidden width −2 and NaN dropout: rejected
+	f.Add([]byte{6, 2, 0, 3, 1, 0, 0, 0, 1, 2, 1, 0, 0, 5, 0})                     // drop on worker 1 of a ring, never drawn: rejected
+	f.Add([]byte{6, 1, 0, 3, 1, 0, 0, 0, 1, 3, 2, 0, 0, 3, 0})                     // corrupt on worker 2 of all-to-all, never drawn: rejected
 	f.Fuzz(func(t *testing.T, in []byte) {
 		cfg := decodeCollectiveConfig(in)
 		if cfg.Validate() != nil {

@@ -81,20 +81,18 @@ func (d *Dense) applyMask() {
 	}
 }
 
-// Forward implements Layer.
+// Forward implements Layer. The product and the bias add are one kernel
+// call (tensor.MatMulAddRowInto), with the bits of MatMul followed by
+// AddRowVectorInPlace.
 func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	d.applyMask()
-	var out *tensor.Tensor
-	if train {
-		d.x = x
-		d.out = tensor.MatMulInto(d.out, x, d.W.Value)
-		out = d.out
-	} else {
+	if !train {
 		d.x = nil
-		out = tensor.MatMul(x, d.W.Value)
+		return tensor.MatMulAddRowInto(nil, x, d.W.Value, d.B.Value)
 	}
-	tensor.AddRowVectorInPlace(out, d.B.Value)
-	return out
+	d.x = x
+	d.out = tensor.MatMulAddRowInto(d.out, x, d.W.Value, d.B.Value)
+	return d.out
 }
 
 // Backward implements Layer.

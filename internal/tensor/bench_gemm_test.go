@@ -61,22 +61,33 @@ var smallShapes = []struct{ m, k, n int }{
 // BenchmarkSmallShapes times the three …Into products with a reused
 // destination at every shape in smallShapes: MatMulInto (a·b),
 // MatMulTransAInto (aᵀ·b with a stored k×m) and MatMulTransBInto (a·bᵀ
-// with b stored n×k), each giving the m×n result.
+// with b stored n×k), each giving the m×n result. At the first four, the
+// Dense forward shapes (batch × in × out), it also times the layer's bias
+// add, MatMulAddRowInto with a 1×n row ("NN+row"), and its bias-gradient
+// column sum, SumRowsInto of an m×n tensor ("SumRows").
 func BenchmarkSmallShapes(b *testing.B) {
-	for _, s := range smallShapes {
+	type product struct {
+		kind string
+		run  func(dst *Tensor) *Tensor
+	}
+	for si, s := range smallShapes {
 		rng := rand.New(rand.NewSource(int64(s.m*s.k + s.n)))
 		x := RandNormal(rng, 0, 1, s.m, s.k)
 		y := RandNormal(rng, 0, 1, s.k, s.n)
 		xt, yt := Transpose(x), Transpose(y)
 		name := strconv.Itoa(s.m) + "x" + strconv.Itoa(s.k) + "x" + strconv.Itoa(s.n)
-		for _, c := range []struct {
-			kind string
-			run  func(dst *Tensor) *Tensor
-		}{
+		products := []product{
 			{"NN", func(dst *Tensor) *Tensor { return MatMulInto(dst, x, y) }},
 			{"TN", func(dst *Tensor) *Tensor { return MatMulTransAInto(dst, xt, y) }},
 			{"NT", func(dst *Tensor) *Tensor { return MatMulTransBInto(dst, x, yt) }},
-		} {
+		}
+		if si < 4 {
+			row, dout := RandNormal(rng, 0, 1, 1, s.n), RandNormal(rng, 0, 1, s.m, s.n)
+			products = append(products,
+				product{"NN+row", func(dst *Tensor) *Tensor { return MatMulAddRowInto(dst, x, y, row) }},
+				product{"SumRows", func(dst *Tensor) *Tensor { return SumRowsInto(dst, dout) }})
+		}
+		for _, c := range products {
 			b.Run(c.kind+"/"+name, func(b *testing.B) {
 				dst := c.run(nil)
 				for i := 0; i < b.N; i++ {

@@ -12,7 +12,8 @@ import (
 // threshold: the small tier and the reference loops give the same bits for
 // every input there, while above it the tiled kernel's multiply-through of
 // a skipped zero may differ from the reference on non-finite input
-// (gemm.go).
+// (gemm.go). The fused bias add and the column sum are held to their
+// unfused forms at every shape, with the poison in the bias row too.
 
 // clampFinite maps arbitrary fuzzed float64 bits to a finite value.
 func clampFinite(v float64) float64 {
@@ -62,11 +63,15 @@ func FuzzMatMulShapes(f *testing.F) {
 		for i := range b.Data {
 			b.Data[i] = next()
 		}
+		row := New(1, n)
+		for i := range row.Data {
+			row.Data[i] = next()
+		}
 		poisoned := poison != 0 && !usePacked(m, k, n)
 		if poisoned {
 			specials := []float64{math.NaN(), -math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1)}
 			r := poison
-			for _, x := range []*Tensor{a, b} {
+			for _, x := range []*Tensor{a, b, row} {
 				for i := range x.Data {
 					r = r*6364136223846793005 + 1442695040888963407
 					if r>>61 == 0 {
@@ -97,6 +102,21 @@ func FuzzMatMulShapes(f *testing.F) {
 					t.Fatalf("%s differs from its reference loop in the bits of element %d at %dx%dx%d, poison %#x",
 						r.name, i, m, k, n, poison)
 				}
+			}
+		}
+		// The fused bias add against MatMul then AddRowVectorInPlace, and
+		// the column sum against its scalar loop, at every shape: both run
+		// the same tier as their unfused forms, so even above the packed
+		// threshold they must give the same bits.
+		unfused := MatMul(a, b)
+		AddRowVectorInPlace(unfused, row)
+		if i := firstBitDiff(MatMulAddRowInto(nil, a, b, row), unfused); i >= 0 {
+			t.Fatalf("MatMulAddRowInto != MatMul + AddRowVectorInPlace in the bits of element %d at %dx%dx%d, poison %#x",
+				i, m, k, n, poison)
+		}
+		for _, x := range []*Tensor{a, b} {
+			if i := firstBitDiff(SumRowsInto(nil, x), refSumRows(x)); i >= 0 {
+				t.Fatalf("SumRowsInto != its scalar loop in the bits of element %d of a %v sum, poison %#x", i, x.Shape(), poison)
 			}
 		}
 		// The f32 tier: packed kernels against its row-by-row reference.

@@ -17,6 +17,8 @@ import "sync"
 //	            one YMM lane per output; a·bᵀ transposes B into pooled
 //	            scratch for it when k·n ≤ smallMaxKN and there are at
 //	            least four rows. Elsewhere register-tiled Go loops run.
+//	            MatMulAddRowInto adds a bias row in the kernel's epilogue,
+//	            and SumRowsInto runs it as a row of ones times its tensor.
 //	tiled     — gemmPacked: B repacked into contiguous gemmNR-wide column
 //	            strips, output computed by a branch-free 4x4 register
 //	            micro-kernel sweeping the full k extent per output tile.
@@ -386,7 +388,7 @@ func BatMulChecked(a, b *Tensor) (*Tensor, error) {
 		av := batSlice(a, i, m, k)
 		bv := batSlice(b, i, k, n)
 		ov := batSlice(out, i, m, n)
-		if !small || !smallNN(av.Data, m, k, bv.Data, n, ov.Data) {
+		if !small || !smallNN(av.Data, m, k, bv.Data, n, ov.Data, nil) {
 			ov.Zero()
 			matMulRows(av, bv, ov, 0, m)
 		}

@@ -214,13 +214,16 @@ DATA smallMask<>+48(SB)/8, $0
 DATA smallMask<>+56(SB)/8, $0
 GLOBL smallMask<>(SB), RODATA|NOPTR, $64
 
-// func gemmSmallAVX(a *float64, rs, ks int, b *float64, m, k, n int, out *float64) bool
+// func gemmSmallAVX(a *float64, rs, ks int, b *float64, m, k, n int, out, bias *float64) bool
 //
-// The small tier's kernel (gemm_small.go): out = A·b for the m×k matrix A,
-// whose element (i, p) is a[i*rs+p*ks], and the row-major k×n matrix b,
-// into the row-major m×n out. rs = k, ks = 1 reads a row-major a (a·b);
-// rs = 1, ks = m reads a k×m a down its columns (aᵀ·b). m, k and n are at
-// least 1.
+// The small tier's kernel (gemm_small.go): out = A·b (+ bias) for the m×k
+// matrix A, whose element (i, p) is a[i*rs+p*ks], and the row-major k×n
+// matrix b, into the row-major m×n out. rs = k, ks = 1 reads a row-major a
+// (a·b); rs = 1, ks = m reads a k×m a down its columns (aᵀ·b); rs = ks = 0
+// reads the one element a points at everywhere, so a pointer to 1.0 with
+// m = 1 gives b's column sums (SumRowsInto). m, k and n are at least 1.
+// bias, when not nil, points at a row of n elements that is added to every
+// output row.
 //
 // The output goes in strips of four columns and, within a strip, blocks
 // of four rows: four YMM accumulators, one lane per output element, sweep
@@ -230,8 +233,13 @@ GLOBL smallMask<>(SB), RODATA|NOPTR, $64
 // touched. A block with fewer than four rows left re-reads its last row
 // into the spare accumulators and stores only the real rows. Every block's
 // accumulators, masked, are added into Y14, and the kernel returns false
-// when a lane of Y14 ends NaN, which it does whenever a stored output is.
-TEXT ·gemmSmallAVX(SB), NOSPLIT, $0-65
+// when a lane of Y14 ends NaN, which it does whenever a product is. The
+// bias strip, read through the same mask, is added to each accumulator
+// after that checksum, one VADDPD with the product as the first operand,
+// so out gets the bits of the product followed by a scalar add of bias: a
+// NaN the add makes (a NaN bias, or infinities of opposite sign) is the
+// scalar add's NaN and does not send the product back to the reference.
+TEXT ·gemmSmallAVX(SB), NOSPLIT, $0-73
 	MOVQ rs+8(FP), R8
 	SHLQ $3, R8              // A row stride in bytes
 	MOVQ ks+16(FP), R11
@@ -253,7 +261,12 @@ narrow:
 	ADDQ $32, DX             // (4-w)*8 for a strip w columns wide
 	LEAQ smallMask<>(SB), AX
 	VMOVUPD (AX)(DX*1), Y13  // the strip's lane mask
+	MOVQ bias+64(FP), AX
+	TESTQ AX, AX
+	JZ   rows
+	VMASKMOVPD (AX)(CX*1), Y13, Y12 // the strip's bias row
 
+rows:
 	MOVQ a+0(FP), SI         // A(i, 0) of the block's first row
 	MOVQ out+56(FP), DI
 	ADDQ CX, DI              // out(i, j) of the block's first row
@@ -316,6 +329,14 @@ loop:
 	VANDPD Y13, Y5, Y5       // masked-off lanes may hold 0·Inf
 	VADDPD Y5, Y14, Y14
 
+	CMPQ bias+64(FP), $0
+	JEQ  write
+	VADDPD Y12, Y0, Y0       // product + bias, the product first
+	VADDPD Y12, Y1, Y1
+	VADDPD Y12, Y2, Y2
+	VADDPD Y12, Y3, Y3
+
+write:
 	VMASKMOVPD Y0, Y13, (DI)
 	CMPQ R15, $2
 	JLT  stored
@@ -341,5 +362,5 @@ stored:
 	VMOVMSKPD Y14, AX
 	VZEROUPPER
 	TESTQ AX, AX
-	SETEQ ret+64(FP)
+	SETEQ ret+72(FP)
 	RET

@@ -39,8 +39,9 @@ func smallEdgeShapes() []struct{ m, k, n int } {
 }
 
 // On an AVX host the pure-Go micro-kernels only run when the assembly is
-// switched off, so this test does exactly that: every GEMM entry point must
-// give the same bits with and without the AVX kernels.
+// switched off, so this test does exactly that: every GEMM entry point,
+// and the column sum that runs the small kernel, must give the same bits
+// with and without the AVX kernels.
 func TestPureGoKernelsMatchAVX(t *testing.T) {
 	if !hasAVX {
 		t.Skip("no AVX on this CPU: every run already takes the pure-Go kernels")
@@ -66,10 +67,14 @@ func TestPureGoKernelsMatchAVX(t *testing.T) {
 		}
 	}
 	// The small tier's products, through the entry points that reach it,
-	// into dsts full of NaN so an unwritten element shows.
+	// into dsts full of NaN so an unwritten element shows. On each path the
+	// fused bias add must equal MatMulInto then AddRowVectorInPlace, and
+	// the column sum its scalar loop, which with the check above holds
+	// them to the same bits with and without the AVX kernel.
 	for _, s := range append(append([]struct{ m, k, n int }(nil), equivShapes...), smallEdgeShapes()...) {
 		a, b := randMat(rng, s.m, s.k), randMat(rng, s.k, s.n)
 		at, bt := Transpose(a), Transpose(b)
+		row, c := randMat(rng, 1, s.n), randMat(rng, s.m, s.n)
 		ab, bb := New(2, s.m, s.k), New(2, s.k, s.n)
 		for _, x := range []*Tensor{ab, bb} {
 			for i := range x.Data {
@@ -91,6 +96,17 @@ func TestPureGoKernelsMatchAVX(t *testing.T) {
 			hasAVX = false
 			if i := firstBitDiff(p.run(), asm); i >= 0 {
 				t.Errorf("%s pure Go != AVX at %dx%dx%d elem %d", p.name, s.m, s.k, s.n, i)
+			}
+		}
+		for _, avx := range []bool{false, true} {
+			hasAVX = avx
+			unfused := MatMulInto(nil, a, b)
+			AddRowVectorInPlace(unfused, row)
+			if i := firstBitDiff(MatMulAddRowInto(Full(math.NaN(), s.m, s.n), a, b, row), unfused); i >= 0 {
+				t.Errorf("MatMulAddRowInto != MatMulInto + AddRowVectorInPlace at %dx%dx%d, AVX %v, elem %d", s.m, s.k, s.n, avx, i)
+			}
+			if i := firstBitDiff(SumRowsInto(Full(math.NaN(), 1, s.n), c), refSumRows(c)); i >= 0 {
+				t.Errorf("SumRowsInto != its scalar loop at %dx%d, AVX %v, elem %d", s.m, s.n, avx, i)
 			}
 		}
 	}

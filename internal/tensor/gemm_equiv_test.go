@@ -126,6 +126,8 @@ func TestIntoKernelsReuseDirtyDst(t *testing.T) {
 // tier uses no scratch, and the packed tier hands its pooled buffers back
 // through the pointer it got them by, so no Put boxes a new slice header.
 // 64³ is packed but below the parallel threshold, so it runs serially.
+// The fused bias add and the column sum of the product's shape hold to
+// the same rule.
 func TestIntoKernelsAllocateNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop buffers")
@@ -134,6 +136,7 @@ func TestIntoKernelsAllocateNothing(t *testing.T) {
 	for _, s := range []struct{ m, k, n int }{{64, 3, 8}, {64, 64, 64}} {
 		a, b := randMat(rng, s.m, s.k), randMat(rng, s.k, s.n)
 		at, bt := Transpose(a), Transpose(b)
+		row, sums := randMat(rng, 1, s.n), New(1, s.n)
 		dst := New(s.m, s.n)
 		for _, c := range []struct {
 			name string
@@ -142,6 +145,8 @@ func TestIntoKernelsAllocateNothing(t *testing.T) {
 			{"MatMulInto", func() { MatMulInto(dst, a, b) }},
 			{"MatMulTransAInto", func() { MatMulTransAInto(dst, at, b) }},
 			{"MatMulTransBInto", func() { MatMulTransBInto(dst, a, bt) }},
+			{"MatMulAddRowInto", func() { MatMulAddRowInto(dst, a, b, row) }},
+			{"SumRowsInto", func() { SumRowsInto(sums, dst) }},
 		} {
 			c.run()
 			if got := testing.AllocsPerRun(50, c.run); got != 0 {
@@ -352,6 +357,19 @@ func refTransB(a, b *Tensor) *Tensor {
 	return out
 }
 
+// refSumRows is SumRowsInto's scalar loop: each column sums in memory from
+// +0 over ascending rows.
+func refSumRows(t *Tensor) *Tensor {
+	m, n := t.Dim(0), t.Dim(1)
+	out := New(1, n)
+	for i := 0; i < m; i++ {
+		for j, v := range t.Data[i*n : (i+1)*n] {
+			out.Data[j] += v
+		}
+	}
+	return out
+}
+
 // firstBitDiff returns the first index where got and want differ in their
 // bits (or shape), or -1 when they are bit-identical.
 func firstBitDiff(got, want *Tensor) int {
@@ -381,6 +399,15 @@ func firstBitDiff(got, want *Tensor) int {
 // AVX kernel's tiles are four rows by four columns: the first four shapes
 // put that row in a short block of two or three rows, against a full or a
 // masked strip, and 16×6×24, 64×8×2 and 8×64×2 in a full block.
+//
+// The fused bias add, MatMulAddRowInto, must give MatMulRef's bits
+// followed by AddRowVectorInPlace's, with the specials in the bias row
+// too. A NaN the add makes is the add's own: a NaN bias on a finite
+// product keeps the bias's payload, and a +Inf product meeting a −Inf
+// bias is the add's default NaN, neither of which may send the product to
+// the reference loop or change its bits. SumRowsInto must give its scalar
+// loop's bits on A, on Aᵀ (whose first column is A's −0 row in "a −0
+// row") and on B.
 func TestSubThresholdBitExactOnNonFinite(t *testing.T) {
 	forEachKernelPath(t, testSubThresholdBitExactOnNonFinite)
 }
@@ -401,37 +428,53 @@ func testSubThresholdBitExactOnNonFinite(t *testing.T) {
 	} {
 		for _, c := range []struct {
 			name string
-			prep func(a, b *Tensor)
+			prep func(a, b, row *Tensor)
 		}{
-			{"A", func(a, b *Tensor) { poison(a) }},
-			{"B", func(a, b *Tensor) { poison(b) }},
-			{"A and B", func(a, b *Tensor) {
+			{"A", func(a, b, row *Tensor) { poison(a) }},
+			{"B", func(a, b, row *Tensor) { poison(b) }},
+			{"A and B", func(a, b, row *Tensor) {
 				poison(a)
 				poison(b)
 				a.Data[0], b.Data[0] = 0, math.Inf(1)
 			}},
-			{"a −0 row", func(a, b *Tensor) {
+			{"the bias", func(a, b, row *Tensor) { poison(row) }},
+			{"A, B and the bias", func(a, b, row *Tensor) {
+				poison(a)
+				poison(b)
+				poison(row)
+			}},
+			{"a NaN bias on a finite product", func(a, b, row *Tensor) { row.Data[s.n-1] = -math.NaN() }},
+			{"a +Inf product meeting a −Inf bias", func(a, b, row *Tensor) {
+				// Every output of row 0 sums +Inf·1 and finite terms.
+				a.Data[0] = math.Inf(1)
+				for j := 0; j < s.n; j++ {
+					b.Data[j], row.Data[j] = 1, math.Inf(-1)
+				}
+			}},
+			{"a −0 row", func(a, b, row *Tensor) {
 				// Every product in row 0 is ±0, and its sums must come out
 				// +0 as the reference's do.
 				for p := 0; p < s.k; p++ {
 					a.Data[p] = math.Copysign(0, -1)
 				}
 			}},
-			{"NaN after Inf−Inf", func(a, b *Tensor) {
+			{"NaN after Inf−Inf", func(a, b, row *Tensor) {
 				copy(a.Data[(s.m-1)*s.k:], []float64{math.Inf(1), math.Inf(-1), math.NaN()})
 				for i := range b.Data {
 					b.Data[i] = 1
 				}
 			}},
 		} {
-			a, b := randMat(rng, s.m, s.k), randMat(rng, s.k, s.n)
-			c.prep(a, b)
+			a, b, row := randMat(rng, s.m, s.k), randMat(rng, s.k, s.n), randMat(rng, 1, s.n)
+			c.prep(a, b, row)
 			at, bt := Transpose(a), Transpose(b)
 			ref, refA, refB := MatMulRef(a, b), refTransA(at, b), refTransB(a, bt)
 			if i := firstBitDiff(refA, ref); i >= 0 {
 				t.Fatalf("%s %dx%dx%d: the TransA reference loop differs from MatMulRef at %d", c.name, s.m, s.k, s.n, i)
 			}
-			dirty := func() *Tensor { return Full(math.NaN(), s.m, s.n) }
+			refRow := ref.Clone()
+			AddRowVectorInPlace(refRow, row)
+			dirty := func(r, c int) *Tensor { return Full(math.NaN(), r, c) }
 			ab, bb := New(1, s.m, s.k), New(1, s.k, s.n)
 			copy(ab.Data, a.Data)
 			copy(bb.Data, b.Data)
@@ -439,10 +482,14 @@ func testSubThresholdBitExactOnNonFinite(t *testing.T) {
 				name      string
 				got, want *Tensor
 			}{
-				{"MatMulInto", MatMulInto(dirty(), a, b), ref},
-				{"MatMulTransAInto", MatMulTransAInto(dirty(), at, b), refA},
-				{"MatMulTransBInto", MatMulTransBInto(dirty(), a, bt), refB},
+				{"MatMulInto", MatMulInto(dirty(s.m, s.n), a, b), ref},
+				{"MatMulTransAInto", MatMulTransAInto(dirty(s.m, s.n), at, b), refA},
+				{"MatMulTransBInto", MatMulTransBInto(dirty(s.m, s.n), a, bt), refB},
 				{"BatMul", FromSlice(BatMul(ab, bb).Data, s.m, s.n), ref},
+				{"MatMulAddRowInto", MatMulAddRowInto(dirty(s.m, s.n), a, b, row), refRow},
+				{"SumRowsInto of A", SumRowsInto(dirty(1, s.k), a), refSumRows(a)},
+				{"SumRowsInto of Aᵀ", SumRowsInto(dirty(1, s.m), at), refSumRows(at)},
+				{"SumRowsInto of B", SumRowsInto(dirty(1, s.n), b), refSumRows(b)},
 			} {
 				if i := firstBitDiff(r.got, r.want); i >= 0 {
 					t.Errorf("%s with specials in %s at %dx%dx%d: element %d is %v (%#x), want %v (%#x)",

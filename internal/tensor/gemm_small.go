@@ -14,7 +14,9 @@ import "math"
 // YMM lane per output, four rows by four columns per tile, VMULPD then
 // VADDPD. It reads A through a row stride and a k stride, so a·b and aᵀ·b
 // share it, and B row-major, so a·bᵀ first transposes B into pooled
-// scratch, which it does only where that pays (see smallNT). Elsewhere,
+// scratch, which it does only where that pays (see smallNT). For a·b it
+// can also add a bias row after the checksum (MatMulAddRowInto), and with
+// both strides 0 it reads one 1.0 as a row of ones (SumRowsInto). Elsewhere,
 // and with hasAVX off, register-tiled Go loops run instead, with every product written float64(x*y), which the Go spec
 // forbids fusing. Their rows are taken in pairs and columns in fours; the
 // odd row and the last n%4 columns run the same loop narrowed. Each
@@ -52,11 +54,17 @@ func useSmall(m, k, n int) bool {
 }
 
 // smallNN computes out = a·b for the row-major m×k matrix a and k×n
-// matrix b, storing every element of the m×n out. It reports false when
-// an output may be NaN.
-func smallNN(a []float64, m, k int, b []float64, n int, out []float64) bool {
+// matrix b, storing every element of the m×n out, and then, when row is
+// not nil, adds the n-element row to every output row. It reports false
+// when a product may be NaN, and out is then unspecified; a NaN the add
+// makes is the add's own and is reported as true.
+func smallNN(a []float64, m, k int, b []float64, n int, out, row []float64) bool {
 	if hasAVX && m > 0 && k > 0 && n > 0 {
-		return gemmSmallAVX(&a[0], k, 1, &b[0], m, k, n, &out[0])
+		var bias *float64
+		if row != nil {
+			bias = &row[0]
+		}
+		return gemmSmallAVX(&a[0], k, 1, &b[0], m, k, n, &out[0], bias)
 	}
 	var chk float64
 	i := 0
@@ -117,7 +125,13 @@ func smallNN(a []float64, m, k int, b []float64, n int, out []float64) bool {
 			chk += c
 		}
 	}
-	return !math.IsNaN(chk)
+	if math.IsNaN(chk) {
+		return false
+	}
+	if row != nil {
+		addRow(out[:m*n], row)
+	}
+	return true
 }
 
 // smallTN computes out = aᵀ·b for the row-major k×m matrix a and k×n
@@ -126,7 +140,7 @@ func smallNN(a []float64, m, k int, b []float64, n int, out []float64) bool {
 // false when an output may be NaN.
 func smallTN(a []float64, m, k int, b []float64, n int, out []float64) bool {
 	if hasAVX && m > 0 && k > 0 && n > 0 {
-		return gemmSmallAVX(&a[0], 1, m, &b[0], m, k, n, &out[0])
+		return gemmSmallAVX(&a[0], 1, m, &b[0], m, k, n, &out[0], nil)
 	}
 	var chk float64
 	i := 0
@@ -204,7 +218,7 @@ func smallNT(a []float64, m, k int, b []float64, n int, out []float64) bool {
 	if hasAVX && m >= 4 && k > 0 && n > 0 && k*n <= smallMaxKN {
 		bt := getScratch(k * n)
 		transposeInto(*bt, b, n, k)
-		ok := gemmSmallAVX(&a[0], k, 1, &(*bt)[0], m, k, n, &out[0])
+		ok := gemmSmallAVX(&a[0], k, 1, &(*bt)[0], m, k, n, &out[0], nil)
 		putScratch(bt)
 		return ok
 	}
