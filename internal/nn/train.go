@@ -151,7 +151,9 @@ func GatherBatchInto(bx, by, x, y *tensor.Tensor, idx []int) (*tensor.Tensor, *t
 // dst under GatherBatchInto's reuse rule. An example of at most
 // shortExample elements is copied by a plain loop: on such rows a memmove
 // call per example cost more than the move (64 random rows of 2 or 3
-// elements took about 1.5× as long).
+// elements took about 1.5× as long). Wider examples keep one copy call
+// each, which the loop lost to at 16 elements: E28's 64-pixel digits and
+// the interpret_tour example's 10-feature mixture gather that way.
 func gatherRows(dst, src *tensor.Tensor, idx []int) *tensor.Tensor {
 	if !holdsRows(dst, src, len(idx)) {
 		dst = tensor.New(append([]int{len(idx)}, src.Shape()[1:]...)...)

@@ -110,4 +110,13 @@ func TestPureGoKernelsMatchAVX(t *testing.T) {
 			}
 		}
 	}
+	// The column sum takes the kernel at any size, so hold it to the
+	// scalar loop past 2¹⁶ elements too: tall and narrow, and wide.
+	hasAVX = true
+	for _, s := range []struct{ m, n int }{{16387, 5}, {301, 259}} {
+		c := randMat(rng, s.m, s.n)
+		if i := firstBitDiff(SumRowsInto(Full(math.NaN(), 1, s.n), c), refSumRows(c)); i >= 0 {
+			t.Errorf("SumRowsInto != its scalar loop at %dx%d, elem %d", s.m, s.n, i)
+		}
+	}
 }

@@ -377,18 +377,17 @@ func SumRows(t *Tensor) *Tensor { return SumRowsInto(nil, t) }
 
 // SumRowsInto is SumRows writing into dst, reusing it when it is already
 // 1×n; it returns the tensor holding the result. Each column sums from +0
-// over ascending rows. On amd64 with AVX a t of at most colSumMaxElems
-// elements runs the small tier's kernel as a row of ones times t: its A is
-// the variable one, read at row and k stride 0, and 1·x = x exactly, so
-// each lane adds t's elements in the scalar loop's order and gives its
-// bits. A column sum that comes out NaN, whose payload depends on operand
-// order, is redone by the scalar loop.
+// over ascending rows. On amd64 with AVX it runs the small tier's kernel
+// as a row of ones times t: its A is the variable one, read at row and k
+// stride 0, and 1·x = x exactly, so each lane adds t's elements in the
+// scalar loop's order and gives its bits. A column sum that comes out NaN,
+// whose payload depends on operand order, is redone by the scalar loop.
 func SumRowsInto(dst, t *Tensor) *Tensor {
 	if t.Rank() != 2 {
 		panic(errf("SumRows", "requires rank 2, got %v", t.shape))
 	}
 	m, n := t.shape[0], t.shape[1]
-	if hasAVX && m > 0 && n > 0 && m*n <= colSumMaxElems {
+	if hasAVX && m > 0 && n > 0 {
 		out := dstFor(dst, 1, n, false)
 		if gemmSmallAVX(&one, 0, 0, &t.Data[0], 1, m, n, &out.Data[0], nil) {
 			return out
@@ -407,14 +406,6 @@ func SumRowsInto(dst, t *Tensor) *Tensor {
 
 // one is the element SumRowsInto's ones row reads.
 var one = 1.0
-
-// colSumMaxElems bounds the tensors SumRowsInto sums with the AVX kernel,
-// which walks t once per four-column strip: 1<<16 float64s are 512 KiB,
-// which stay in L2 between strips. Up to that size the kernel took a
-// third to a half of the scalar loop's time (64×8, 256×64, 1024×64 and
-// 256×256); at 512×512 the two tied, and at 4096×256 the kernel was about
-// 15% slower.
-const colSumMaxElems = 1 << 16
 
 // AddRowVectorInPlace adds a 1×n row vector to every row of an m×n tensor
 // (broadcast over the leading axis).
