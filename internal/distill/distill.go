@@ -27,50 +27,9 @@ type Config struct {
 // Distill trains student to mimic teacher on inputs x with hard labels y
 // (one-hot). The teacher is only used for inference. Returns training stats.
 func Distill(rng *rand.Rand, teacher, student *nn.Network, x, y *tensor.Tensor, cfg Config) nn.TrainStats {
-	// Precompute the teacher's soft targets once; the teacher is frozen.
-	teacherLogits := teacher.Forward(x, false)
-	teacherSoft := nn.SoftmaxTemperature(teacherLogits, cfg.T)
-
-	loss := nn.NewDistillLoss(cfg.Alpha, cfg.T)
-	opt := nn.NewAdam(cfg.LR)
-	n := x.Dim(0)
-	bs := cfg.BatchSize
-	if bs <= 0 || bs > n {
-		bs = n
-	}
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
-	}
-	var stats nn.TrainStats
-	flopsPerStep := 3 * student.FLOPs(bs)
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		rng.Shuffle(n, func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
-		var epochLoss float64
-		batches := 0
-		for start := 0; start < n; start += bs {
-			end := start + bs
-			if end > n {
-				end = n
-			}
-			idx := perm[start:end]
-			bx, by := nn.GatherBatch(x, y, idx)
-			_, bsoft := nn.GatherBatch(x, teacherSoft, idx)
-			student.ZeroGrad()
-			logits := student.Forward(bx, true)
-			l := loss.ForwardDistill(logits, by, bsoft)
-			student.Backward(loss.Backward())
-			opt.Step(student.Params())
-			student.PostStep()
-			epochLoss += l
-			batches++
-			stats.Steps++
-			stats.FLOPs += flopsPerStep * int64(end-start) / int64(bs)
-			stats.Examples += int64(end - start)
-		}
-		stats.EpochLoss = append(stats.EpochLoss, epochLoss/float64(batches))
-	}
-	return stats
+	// The teacher is frozen, so its soft targets are computed once.
+	soft := nn.SoftmaxTemperature(teacher.Forward(x, false), cfg.T)
+	return distillAgainstSoft(rng, student, x, y, soft, cfg)
 }
 
 // DistillEnsemble distills the averaged soft predictions of several teachers
@@ -92,36 +51,29 @@ func DistillEnsemble(rng *rand.Rand, teachers []*nn.Network, student *nn.Network
 func distillAgainstSoft(rng *rand.Rand, student *nn.Network, x, y, soft *tensor.Tensor, cfg Config) nn.TrainStats {
 	loss := nn.NewDistillLoss(cfg.Alpha, cfg.T)
 	opt := nn.NewAdam(cfg.LR)
-	n := x.Dim(0)
-	bs := cfg.BatchSize
-	if bs <= 0 || bs > n {
-		bs = n
-	}
-	perm := rng.Perm(n)
+	batches := nn.NewBatches(rng, x.Dim(0), cfg.BatchSize)
+	bs := int64(batches.Size())
 	var stats nn.TrainStats
+	var bx, by, bsoft *tensor.Tensor // batch buffers
+	flopsPerStep := 3 * student.FLOPs(batches.Size())
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		rng.Shuffle(n, func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
 		var epochLoss float64
-		batches := 0
-		for start := 0; start < n; start += bs {
-			end := start + bs
-			if end > n {
-				end = n
-			}
-			idx := perm[start:end]
-			bx, by := nn.GatherBatch(x, y, idx)
-			_, bsoft := nn.GatherBatch(x, soft, idx)
+		steps := 0
+		batches.Epoch(func(idx []int) {
+			bx, by = nn.GatherBatchInto(bx, by, x, y, idx)
+			bsoft = nn.GatherInto(bsoft, soft, idx)
 			student.ZeroGrad()
 			logits := student.Forward(bx, true)
-			l := loss.ForwardDistill(logits, by, bsoft)
+			epochLoss += loss.ForwardDistill(logits, by, bsoft)
 			student.Backward(loss.Backward())
 			opt.Step(student.Params())
 			student.PostStep()
-			epochLoss += l
-			batches++
-			stats.Steps++
-		}
-		stats.EpochLoss = append(stats.EpochLoss, epochLoss/float64(batches))
+			steps++
+			stats.FLOPs += flopsPerStep * int64(len(idx)) / bs
+			stats.Examples += int64(len(idx))
+		})
+		stats.Steps += steps
+		stats.EpochLoss = append(stats.EpochLoss, epochLoss/float64(steps))
 	}
 	return stats
 }
@@ -147,25 +99,12 @@ func HintTrain(rng *rand.Rand, teacher, student *nn.Network, x *tensor.Tensor, c
 	proj := nn.NewDense(rng, "hint-proj", guided.Dim(1), hint.Dim(1))
 	opt := nn.NewAdam(cfg.LR)
 	mse := nn.NewMSE()
-	n := x.Dim(0)
-	bs := cfg.BatchSize
-	if bs <= 0 || bs > n {
-		bs = n
-	}
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
-	}
+	batches := nn.NewBatches(rng, x.Dim(0), cfg.BatchSize)
+	var bx, bhint *tensor.Tensor // batch buffers
 	var last float64
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		rng.Shuffle(n, func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
-		for start := 0; start < n; start += bs {
-			end := start + bs
-			if end > n {
-				end = n
-			}
-			idx := perm[start:end]
-			bx, bhint := nn.GatherBatch(x, hint, idx)
+		batches.Epoch(func(idx []int) {
+			bx, bhint = nn.GatherBatchInto(bx, bhint, x, hint, idx)
 			student.ZeroGrad()
 			proj.W.ZeroGrad()
 			proj.B.ZeroGrad()
@@ -183,7 +122,7 @@ func HintTrain(rng *rand.Rand, teacher, student *nn.Network, x *tensor.Tensor, c
 			params := append(student.Params(), proj.W, proj.B)
 			opt.Step(params)
 			student.PostStep()
-		}
+		})
 	}
 	return last
 }

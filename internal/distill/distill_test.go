@@ -1,6 +1,7 @@
 package distill
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -104,5 +105,38 @@ func TestAgreementBounds(t *testing.T) {
 	teacher := trainTeacher(t, train)
 	if ag := Agreement(teacher, teacher, train.X); ag != 1 {
 		t.Fatalf("self agreement %g != 1", ag)
+	}
+}
+
+// DistillEnsemble trains through Distill's loop: it tallies examples and
+// FLOPs as Distill does for the same student, and with one teacher it
+// trains that student bit for bit as Distill does.
+func TestDistillEnsembleTrainsThroughDistillsLoop(t *testing.T) {
+	train, _ := hardDataset(6)
+	y := nn.OneHot(train.Labels, 4)
+	newNet := func(seed int64, hidden int) *nn.Network {
+		return nn.NewMLP(rand.New(rand.NewSource(seed)), nn.MLPConfig{In: 8, Hidden: []int{hidden}, Out: 4})
+	}
+	teachers := []*nn.Network{newNet(40, 16), newNet(41, 16)}
+	// 720 examples in batches of 50 end each epoch on a short batch.
+	cfg := Config{Alpha: 0.3, T: 3, Epochs: 3, BatchSize: 50, LR: 0.01}
+
+	single := newNet(42, 8)
+	want := Distill(rand.New(rand.NewSource(43)), teachers[0], single, train.X, y, cfg)
+	got := DistillEnsemble(rand.New(rand.NewSource(43)), teachers, newNet(42, 8), train.X, y, cfg)
+	if n := int64(train.X.Dim(0)); got.Examples != int64(cfg.Epochs)*n {
+		t.Errorf("Examples = %d, want Epochs·n = %d", got.Examples, int64(cfg.Epochs)*n)
+	}
+	if got.FLOPs == 0 || got.FLOPs != want.FLOPs || got.Steps != want.Steps {
+		t.Errorf("FLOPs %d over %d steps, Distill's %d over %d", got.FLOPs, got.Steps, want.FLOPs, want.Steps)
+	}
+
+	one := newNet(42, 8)
+	DistillEnsemble(rand.New(rand.NewSource(43)), teachers[:1], one, train.X, y, cfg)
+	wp, gp := single.ParamVector(), one.ParamVector()
+	for i := range wp {
+		if math.Float64bits(gp[i]) != math.Float64bits(wp[i]) {
+			t.Fatalf("parameter %d: one-teacher DistillEnsemble %g, Distill %g", i, gp[i], wp[i])
+		}
 	}
 }

@@ -194,7 +194,7 @@ func TestSyncEqualsSequentialBigBatch(t *testing.T) {
 			}
 			idx = append(idx, shards[w][start:end]...)
 		}
-		bx, by := nn.GatherBatch(tr4.X, y, idx)
+		bx, by := nn.GatherBatchInto(nil, nil, tr4.X, y, idx)
 		reftr.Step(bx, by)
 	}
 	a := net.ParamVector()

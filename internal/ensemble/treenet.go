@@ -132,15 +132,7 @@ func TrainTreeNet(seed int64, x, y *tensor.Tensor, cfg TrainConfig) Result {
 	rng := rand.New(rand.NewSource(seed))
 	t := NewTreeNet(rng, cfg.K, cfg.Arch)
 	opt := nn.NewAdam(cfg.LR)
-	n := x.Dim(0)
-	bs := cfg.BatchSize
-	if bs <= 0 || bs > n {
-		bs = n
-	}
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
-	}
+	batches := nn.NewBatches(rng, x.Dim(0), cfg.BatchSize)
 	losses := make([]*nn.SoftmaxCrossEntropy, cfg.K)
 	for i := range losses {
 		losses[i] = nn.NewSoftmaxCrossEntropy()
@@ -150,14 +142,10 @@ func TrainTreeNet(seed int64, x, y *tensor.Tensor, cfg TrainConfig) Result {
 	// sequential per-branch walk, which remains as the reference path.
 	batched := !cfg.SequentialBranches && branchesBatchable(t)
 	var res Result
+	var bx, by *tensor.Tensor // batch buffers
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		rng.Shuffle(n, func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
-		for start := 0; start < n; start += bs {
-			end := start + bs
-			if end > n {
-				end = n
-			}
-			bx, by := nn.GatherBatch(x, y, perm[start:end])
+		batches.Epoch(func(idx []int) {
+			bx, by = nn.GatherBatchInto(bx, by, x, y, idx)
 			for _, p := range t.Params() {
 				p.ZeroGrad()
 			}
@@ -180,8 +168,8 @@ func TrainTreeNet(seed int64, x, y *tensor.Tensor, cfg TrainConfig) Result {
 			}
 			opt.Step(t.Params())
 			res.Steps++
-			res.FLOPs += t.trainFLOPsPerExample() * int64(end-start)
-		}
+			res.FLOPs += t.trainFLOPsPerExample() * int64(len(idx))
+		})
 	}
 	res.Committee = t
 	return res

@@ -42,24 +42,12 @@ func TrainAutoencoder(rng *rand.Rand, x *tensor.Tensor, cfg AEConfig) *Autoencod
 	)
 	opt := nn.NewAdam(cfg.LR)
 	mse := nn.NewMSE()
-	n := x.Dim(0)
-	bs := cfg.BatchSize
-	if bs <= 0 || bs > n {
-		bs = n
-	}
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
-	}
+	batches := nn.NewBatches(rng, x.Dim(0), cfg.BatchSize)
 	params := append(enc.Params(), dec.Params()...)
+	var bx *tensor.Tensor // batch buffer
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		rng.Shuffle(n, func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
-		for start := 0; start < n; start += bs {
-			end := start + bs
-			if end > n {
-				end = n
-			}
-			bx, _ := nn.GatherBatch(x, x, perm[start:end])
+		batches.Epoch(func(idx []int) {
+			bx = nn.GatherInto(bx, x, idx)
 			enc.ZeroGrad()
 			dec.ZeroGrad()
 			z := enc.Forward(bx, true)
@@ -68,7 +56,7 @@ func TrainAutoencoder(rng *rand.Rand, x *tensor.Tensor, cfg AEConfig) *Autoencod
 			dz := dec.Backward(mse.Backward())
 			enc.Backward(dz)
 			opt.Step(params)
-		}
+		})
 	}
 	return &Autoencoder{enc: enc, dec: dec, LatentDim: cfg.LatentDim}
 }

@@ -189,3 +189,25 @@ func TestNewViewGridRejectsUnknownColumns(t *testing.T) {
 		}
 	}
 }
+
+// A training step gathers into one reused batch buffer. The difference
+// between a 2-epoch and a 1-epoch run is one epoch of 16 steps, so set-up
+// allocations cancel.
+func TestTrainAutoencoderStepAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation")
+	}
+	x := CorrelatedTable(rand.New(rand.NewSource(1)), 256, 6, 0.05)
+	allocs := func(epochs int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			TrainAutoencoder(rand.New(rand.NewSource(2)), x, AEConfig{
+				InDim: 6, Hidden: 8, LatentDim: 2, Epochs: epochs, LR: 0.01, BatchSize: 16,
+			})
+		})
+	}
+	perStep := (allocs(2) - allocs(1)) / 16
+	t.Logf("%v allocations per step", perStep)
+	if perStep > 8 {
+		t.Fatalf("a TrainAutoencoder step makes %v allocations, want at most 8", perStep)
+	}
+}

@@ -221,3 +221,40 @@ func TestAblationZeroesOutgoingWeights(t *testing.T) {
 		}
 	}
 }
+
+// Both trainers clamp a batch size ≤ 0 or > n to n, as every trainer does,
+// so each such size trains the same parameters, bit for bit, as size n.
+// −1 runs first: it once panicked on a negative slice bound, while 0 never
+// returned.
+func TestTrainersClampBatchSize(t *testing.T) {
+	c := data.BiasedCensus(rand.New(rand.NewSource(9)), data.CensusConfig{N: 120, Bias: 0.5})
+	n := c.X.Dim(0)
+	weights := Reweigh(c.Labels, c.Group)
+	for _, tc := range []struct {
+		name  string
+		train func(batchSize int) []float64
+	}{
+		{"TrainWeighted", func(bs int) []float64 {
+			net := nn.NewMLP(rand.New(rand.NewSource(10)), nn.MLPConfig{In: c.X.Dim(1), Hidden: []int{8}, Out: 2})
+			TrainWeighted(rand.New(rand.NewSource(11)), net, c.X, c.Labels, weights, 2, 3, bs, 0.01)
+			return net.ParamVector()
+		}},
+		{"TrainAdversarial", func(bs int) []float64 {
+			m := TrainAdversarial(rand.New(rand.NewSource(12)), c.X, c.Labels, c.Group, 2,
+				AdversarialConfig{Encoder: []int{8}, Lambda: 1, Epochs: 3, BatchSize: bs, LR: 0.01})
+			return append(append(m.Encoder.ParamVector(), m.Predictor.ParamVector()...), m.Adversary.ParamVector()...)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want := tc.train(n)
+			for _, bs := range []int{-1, 0, n + 1} {
+				got := tc.train(bs)
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("batch size %d: parameter %d is %g, %g at batch size %d", bs, i, got[i], want[i], n)
+					}
+				}
+			}
+		})
+	}
+}

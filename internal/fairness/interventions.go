@@ -17,20 +17,11 @@ func TrainWeighted(rng *rand.Rand, net *nn.Network, x *tensor.Tensor, labels []i
 	y := nn.OneHot(labels, classes)
 	opt := nn.NewAdam(lr)
 	loss := nn.NewSoftmaxCrossEntropy()
-	n := x.Dim(0)
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
-	}
+	batches := nn.NewBatches(rng, x.Dim(0), batchSize)
+	var bx, by *tensor.Tensor // batch buffers
 	for epoch := 0; epoch < epochs; epoch++ {
-		rng.Shuffle(n, func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
-		for start := 0; start < n; start += batchSize {
-			end := start + batchSize
-			if end > n {
-				end = n
-			}
-			idx := perm[start:end]
-			bx, by := nn.GatherBatch(x, y, idx)
+		batches.Epoch(func(idx []int) {
+			bx, by = nn.GatherBatchInto(bx, by, x, y, idx)
 			net.ZeroGrad()
 			out := net.Forward(bx, true)
 			loss.Forward(out, by)
@@ -47,7 +38,7 @@ func TrainWeighted(rng *rand.Rand, net *nn.Network, x *tensor.Tensor, labels []i
 			net.Backward(g)
 			opt.Step(net.Params())
 			net.PostStep()
-		}
+		})
 	}
 }
 
@@ -101,11 +92,8 @@ func TrainAdversarial(rng *rand.Rand, x *tensor.Tensor, labels, group []int, cla
 	predLoss := nn.NewSoftmaxCrossEntropy()
 	advLoss := nn.NewSoftmaxCrossEntropy()
 
-	n := x.Dim(0)
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
-	}
+	batches := nn.NewBatches(rng, x.Dim(0), cfg.BatchSize)
+	var bx, by, bg *tensor.Tensor // batch buffers
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		// Ramp the reversal strength from 0 to Lambda over training (the
 		// DANN schedule): the encoder first learns the task, then is
@@ -113,15 +101,9 @@ func TrainAdversarial(rng *rand.Rand, x *tensor.Tensor, labels, group []int, cla
 		// the min-max game oscillate.
 		progress := float64(epoch) / float64(cfg.Epochs)
 		lambda := cfg.Lambda * (2/(1+math.Exp(-5*progress)) - 1)
-		rng.Shuffle(n, func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
-		for start := 0; start < n; start += cfg.BatchSize {
-			end := start + cfg.BatchSize
-			if end > n {
-				end = n
-			}
-			idx := perm[start:end]
-			bx, by := nn.GatherBatch(x, y, idx)
-			_, bg := nn.GatherBatch(x, gy, idx)
+		batches.Epoch(func(idx []int) {
+			bx, by = nn.GatherBatchInto(bx, by, x, y, idx)
+			bg = nn.GatherInto(bg, gy, idx)
 
 			m.Encoder.ZeroGrad()
 			m.Predictor.ZeroGrad()
@@ -146,7 +128,7 @@ func TrainAdversarial(rng *rand.Rand, x *tensor.Tensor, labels, group []int, cla
 			encOpt.Step(m.Encoder.Params())
 			predOpt.Step(m.Predictor.Params())
 			advOpt.Step(m.Adversary.Params())
-		}
+		})
 	}
 	return m
 }

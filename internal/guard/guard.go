@@ -316,7 +316,8 @@ type FitConfig struct {
 	Epochs    int
 	BatchSize int
 	// Inject, when non-nil, may poison the gathered batch in place before
-	// the step runs — the hook fault-injection experiments use.
+	// the step runs — the hook fault-injection experiments use. The batch
+	// is the trainer's reused buffer, valid until the next step's gather.
 	Inject func(step int, bx, by *tensor.Tensor)
 	// LRSpike, when non-nil, returns a transient learning-rate multiplier
 	// for the step (1 = no fault).
@@ -326,27 +327,16 @@ type FitConfig struct {
 // Fit trains like nn.Trainer.Fit but through the guarded step. Epoch losses
 // average only finite step losses; Steps counts applied updates.
 func (g *Trainer) Fit(x, y *tensor.Tensor, cfg FitConfig) nn.TrainStats {
-	n := x.Dim(0)
-	bs := cfg.BatchSize
-	if bs <= 0 || bs > n {
-		bs = n
-	}
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
-	}
+	batches := nn.NewBatches(g.Inner.RNG, x.Dim(0), cfg.BatchSize)
+	bs := int64(batches.Size())
 	var stats nn.TrainStats
-	flopsPerStep := 3 * g.Inner.Net.FLOPs(bs)
+	var bx, by *tensor.Tensor // batch buffers; each gather overwrites what Inject poisoned
+	flopsPerStep := 3 * g.Inner.Net.FLOPs(batches.Size())
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		g.Inner.RNG.Shuffle(n, func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
 		var epochLoss float64
 		finiteBatches := 0
-		for start := 0; start < n; start += bs {
-			end := start + bs
-			if end > n {
-				end = n
-			}
-			bx, by := nn.GatherBatch(x, y, perm[start:end])
+		batches.Epoch(func(idx []int) {
+			bx, by = nn.GatherBatchInto(bx, by, x, y, idx)
 			if cfg.Inject != nil {
 				cfg.Inject(g.step, bx, by)
 			}
@@ -362,9 +352,9 @@ func (g *Trainer) Fit(x, y *tensor.Tensor, cfg FitConfig) nn.TrainStats {
 			if applied {
 				stats.Steps++
 			}
-			stats.FLOPs += flopsPerStep * int64(end-start) / int64(bs)
-			stats.Examples += int64(end - start)
-		}
+			stats.FLOPs += flopsPerStep * int64(len(idx)) / bs
+			stats.Examples += int64(len(idx))
+		})
 		if finiteBatches > 0 {
 			epochLoss /= float64(finiteBatches)
 		} else {

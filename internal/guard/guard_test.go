@@ -24,7 +24,7 @@ func newTrainer(seed int64) (*nn.Trainer, *data.Dataset, *tensor.Tensor) {
 func TestNonFiniteBatchSkipped(t *testing.T) {
 	tr, ds, y := newTrainer(1)
 	g := New(tr, Policy{})
-	bx, by := nn.GatherBatch(ds.X, y, []int{0, 1, 2, 3})
+	bx, by := nn.GatherBatchInto(nil, nil, ds.X, y, []int{0, 1, 2, 3})
 	before := append([]float64(nil), tr.Net.ParamVector()...)
 	bx.Data[3] = math.NaN()
 	_, applied := g.Step(bx, by)
@@ -46,7 +46,7 @@ func TestSchemaRejectsBadBatchBeforeCompute(t *testing.T) {
 	tr, ds, y := newTrainer(2)
 	schema := NewBatchSchema(ds.X, 6)
 	g := New(tr, Policy{Schema: schema})
-	bx, by := nn.GatherBatch(ds.X, y, []int{0, 1, 2, 3})
+	bx, by := nn.GatherBatchInto(nil, nil, ds.X, y, []int{0, 1, 2, 3})
 	bx.Data[0] = 1e12 // wildly out of schema range but finite
 	_, applied := g.Step(bx, by)
 	if applied {
@@ -92,7 +92,7 @@ func TestRollbackRestoresBitIdenticalParams(t *testing.T) {
 	g := New(tr, Policy{SnapshotEvery: 1, RollbackAfter: 3, Obs: h})
 	// A few healthy steps; SnapshotEvery=1 snapshots after each.
 	for i := 0; i < 5; i++ {
-		bx, by := nn.GatherBatch(ds.X, y, []int{4 * i, 4*i + 1, 4*i + 2, 4*i + 3})
+		bx, by := nn.GatherBatchInto(nil, nil, ds.X, y, []int{4 * i, 4*i + 1, 4*i + 2, 4*i + 3})
 		if _, applied := g.Step(bx, by); !applied {
 			t.Fatalf("healthy step %d skipped", i)
 		}
@@ -100,7 +100,7 @@ func TestRollbackRestoresBitIdenticalParams(t *testing.T) {
 	want := append([]float64(nil), tr.Net.ParamVector()...)
 	// Three consecutive poisoned batches escalate to rollback.
 	for i := 0; i < 3; i++ {
-		bx, by := nn.GatherBatch(ds.X, y, []int{0, 1, 2, 3})
+		bx, by := nn.GatherBatchInto(nil, nil, ds.X, y, []int{0, 1, 2, 3})
 		bx.Data[i] = math.NaN()
 		g.Step(bx, by)
 	}
@@ -138,14 +138,14 @@ func TestOptimizerStateResetDeterministic(t *testing.T) {
 		y := nn.OneHot(ds.Labels, ds.Classes)
 		if reset {
 			// Pollute optimizer state, then reset it.
-			bx, by := nn.GatherBatch(ds.X, y, []int{0, 1, 2, 3})
+			bx, by := nn.GatherBatchInto(nil, nil, ds.X, y, []int{0, 1, 2, 3})
 			snap := append([]float64(nil), net.ParamVector()...)
 			tr.Step(bx, by)
 			net.SetParamVector(snap)
 			opt.(nn.StateResetter).ResetState()
 		}
 		for i := 0; i < 5; i++ {
-			bx, by := nn.GatherBatch(ds.X, y, []int{4 * i, 4*i + 1, 4*i + 2, 4*i + 3})
+			bx, by := nn.GatherBatchInto(nil, nil, ds.X, y, []int{4 * i, 4*i + 1, 4*i + 2, 4*i + 3})
 			tr.Step(bx, by)
 		}
 		return net.ParamVector()
@@ -171,12 +171,12 @@ func TestLossSpikeBacksOffLR(t *testing.T) {
 	tr, ds, y := newTrainer(5)
 	g := New(tr, Policy{WarmupSteps: 4, LossSpikeZ: 4})
 	for i := 0; i < 8; i++ {
-		bx, by := nn.GatherBatch(ds.X, y, []int{4 * i, 4*i + 1, 4*i + 2, 4*i + 3})
+		bx, by := nn.GatherBatchInto(nil, nil, ds.X, y, []int{4 * i, 4*i + 1, 4*i + 2, 4*i + 3})
 		g.Step(bx, by)
 	}
 	lrBefore := g.BaseLR()
 	// Shuffled labels drive the loss far above baseline without NaNs.
-	bx, by := nn.GatherBatch(ds.X, y, []int{0, 1, 2, 3})
+	bx, by := nn.GatherBatchInto(nil, nil, ds.X, y, []int{0, 1, 2, 3})
 	inj := fault.NewInjector(fault.Config{Seed: 11, Schedule: []fault.Window{{Kind: fault.KindLabelNoise, Prob: 1}}})
 	inj.ShuffleLabels(by.Data, 4, 3, 0, 0)
 	for i := range bx.Data {
@@ -198,10 +198,10 @@ func TestGradExplosionClipped(t *testing.T) {
 	tr, ds, y := newTrainer(6)
 	g := New(tr, Policy{NormWindow: 4, ExplodeFactor: 5, LossSpikeZ: 1e9, WarmupSteps: 1 << 30})
 	for i := 0; i < 6; i++ {
-		bx, by := nn.GatherBatch(ds.X, y, []int{4 * i, 4*i + 1, 4*i + 2, 4*i + 3})
+		bx, by := nn.GatherBatchInto(nil, nil, ds.X, y, []int{4 * i, 4*i + 1, 4*i + 2, 4*i + 3})
 		g.Step(bx, by)
 	}
-	bx, by := nn.GatherBatch(ds.X, y, []int{0, 1, 2, 3})
+	bx, by := nn.GatherBatchInto(nil, nil, ds.X, y, []int{0, 1, 2, 3})
 	for i := range bx.Data {
 		bx.Data[i] *= 1e4 // finite but explosive inputs
 	}
@@ -271,7 +271,7 @@ func TestFitReplayIdenticalLedger(t *testing.T) {
 func TestObserveModeNeverIntervenes(t *testing.T) {
 	tr, ds, y := newTrainer(10)
 	g := New(tr, Policy{Mode: Observe})
-	bx, by := nn.GatherBatch(ds.X, y, []int{0, 1, 2, 3})
+	bx, by := nn.GatherBatchInto(nil, nil, ds.X, y, []int{0, 1, 2, 3})
 	bx.Data[0] = math.NaN()
 	_, applied := g.Step(bx, by)
 	if !applied {

@@ -14,8 +14,6 @@ type TrainConfig struct {
 	// OnEpochEnd, when non-nil, is invoked after each epoch with the epoch
 	// index and the mean training loss; ensembles use it to take snapshots.
 	OnEpochEnd func(epoch int, loss float64)
-	// Silent reserved for future logging; the trainer never prints.
-	Silent bool
 }
 
 // TrainStats summarises a completed training run with the resource metrics
@@ -49,42 +47,67 @@ func NewTrainer(net *Network, loss Loss, opt Optimizer, rng *rand.Rand) *Trainer
 	return &Trainer{Net: net, Loss: loss, Opt: opt, RNG: rng}
 }
 
-// Fit trains on inputs x (rank ≥ 2, leading axis = examples) against targets
-// y (rank-2, same leading axis) for the configured number of epochs.
-func (t *Trainer) Fit(x, y *tensor.Tensor, cfg TrainConfig) TrainStats {
-	n := x.Dim(0)
-	bs := cfg.BatchSize
-	if bs <= 0 || bs > n {
-		bs = n
+// Batches deals the examples [0, n) into minibatches, one shuffled pass
+// per epoch. Every trainer runs its epochs through it, so all of them draw
+// alike: one rng.Shuffle(n, …) per epoch, over a permutation that starts as
+// the identity and carries over from one epoch to the next.
+type Batches struct {
+	rng  *rand.Rand
+	perm []int
+	size int
+}
+
+// NewBatches returns the driver for n examples in batches of size; a size
+// ≤ 0 or > n is clamped to n.
+func NewBatches(rng *rand.Rand, n, size int) *Batches {
+	if size <= 0 || size > n {
+		size = n
 	}
 	perm := make([]int, n)
 	for i := range perm {
 		perm[i] = i
 	}
+	return &Batches{rng: rng, perm: perm, size: size}
+}
+
+// Size returns the clamped batch size. Every batch holds that many
+// examples except an epoch's last, which may hold fewer.
+func (b *Batches) Size() int { return b.size }
+
+// Epoch shuffles the permutation once and calls step on each consecutive
+// slice of it, in order. idx is valid only during its call.
+func (b *Batches) Epoch(step func(idx []int)) {
+	perm, n := b.perm, len(b.perm)
+	b.rng.Shuffle(n, func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
+	for start := 0; start < n; start += b.size {
+		step(perm[start:min(start+b.size, n)])
+	}
+}
+
+// Fit trains on inputs x (rank ≥ 2, leading axis = examples) against targets
+// y (rank-2, same leading axis) for the configured number of epochs.
+func (t *Trainer) Fit(x, y *tensor.Tensor, cfg TrainConfig) TrainStats {
+	batches := NewBatches(t.RNG, x.Dim(0), cfg.BatchSize)
+	bs := int64(batches.Size())
 	var stats TrainStats
 	var bx, by *tensor.Tensor // batch buffers, regrown only for a partial batch
 	// The backward pass costs roughly 2× the forward pass.
-	flopsPerStep := 3 * t.Net.FLOPs(bs)
+	flopsPerStep := 3 * t.Net.FLOPs(batches.Size())
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		if cfg.Schedule != nil {
 			t.Opt.SetLR(cfg.Schedule(epoch))
 		}
-		t.RNG.Shuffle(n, func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
 		var epochLoss float64
-		batches := 0
-		for start := 0; start < n; start += bs {
-			end := start + bs
-			if end > n {
-				end = n
-			}
-			bx, by = GatherBatchInto(bx, by, x, y, perm[start:end])
+		steps := 0
+		batches.Epoch(func(idx []int) {
+			bx, by = GatherBatchInto(bx, by, x, y, idx)
 			epochLoss += t.Step(bx, by)
-			batches++
-			stats.Steps++
-			stats.FLOPs += flopsPerStep * int64(end-start) / int64(bs)
-			stats.Examples += int64(end - start)
-		}
-		epochLoss /= float64(batches)
+			steps++
+			stats.FLOPs += flopsPerStep * int64(len(idx)) / bs
+			stats.Examples += int64(len(idx))
+		})
+		stats.Steps += steps
+		epochLoss /= float64(steps)
 		stats.EpochLoss = append(stats.EpochLoss, epochLoss)
 		if cfg.OnEpochEnd != nil {
 			cfg.OnEpochEnd(epoch, epochLoss)
@@ -132,29 +155,26 @@ func (t *Trainer) computeGrad(params []*Param, bx, by *tensor.Tensor) float64 {
 	return loss
 }
 
-// GatherBatch copies the selected example indices of x and y into fresh
-// batch tensors, for packages that orchestrate their own training loops.
-// x may be rank 2 (tabular) or rank 4 (images).
-func GatherBatch(x, y *tensor.Tensor, idx []int) (*tensor.Tensor, *tensor.Tensor) {
-	return GatherBatchInto(nil, nil, x, y, idx)
-}
-
-// GatherBatchInto is GatherBatch writing into bx and by, reusing each when
-// it already holds len(idx) examples of its source's shape (nil or a
-// differently shaped buffer allocates). It returns the tensors holding the
-// batch; loops that gather every step keep them as their batch buffers.
+// GatherBatchInto gathers the examples idx of x and y into bx and by with
+// GatherInto, and returns the tensors holding the batch.
 func GatherBatchInto(bx, by, x, y *tensor.Tensor, idx []int) (*tensor.Tensor, *tensor.Tensor) {
-	return gatherRows(bx, x, idx), gatherRows(by, y, idx)
+	return GatherInto(bx, x, idx), GatherInto(by, y, idx)
 }
 
-// gatherRows copies the examples idx of src (leading axis = examples) into
-// dst under GatherBatchInto's reuse rule. An example of at most
-// shortExample elements is copied by a plain loop: on such rows a memmove
-// call per example cost more than the move (64 random rows of 2 or 3
-// elements took about 1.5× as long). Wider examples keep one copy call
-// each, which the loop lost to at 16 elements: E28's 64-pixel digits and
-// the interpret_tour example's 10-feature mixture gather that way.
-func gatherRows(dst, src *tensor.Tensor, idx []int) *tensor.Tensor {
+// GatherInto copies the examples idx of src (leading axis = examples; rank
+// 2 for tabular data, rank 4 for images) into dst and returns the tensor
+// holding them. dst is reused when it already holds len(idx) examples of
+// src's shape; nil or a differently shaped dst allocates. Training loops
+// keep the result as their batch buffer, so a gathered batch is valid until
+// the next step's gather.
+//
+// An example of at most shortExample elements is copied by a plain loop:
+// on such rows a memmove call per example cost more than the move (64
+// random rows of 2 or 3 elements took about 1.5× as long). Wider examples
+// keep one copy call each, which the loop lost to at 16 elements: E28's
+// 64-pixel digits and the interpret_tour example's 10-feature mixture
+// gather that way.
+func GatherInto(dst, src *tensor.Tensor, idx []int) *tensor.Tensor {
 	if !holdsRows(dst, src, len(idx)) {
 		dst = tensor.New(append([]int{len(idx)}, src.Shape()[1:]...)...)
 	}
@@ -174,7 +194,7 @@ func gatherRows(dst, src *tensor.Tensor, idx []int) *tensor.Tensor {
 	return dst
 }
 
-// shortExample is the widest example gatherRows copies without memmove:
+// shortExample is the widest example GatherInto copies without memmove:
 // one 64-byte cache line of float64s.
 const shortExample = 8
 
