@@ -59,14 +59,15 @@ func distillAgainstSoft(rng *rand.Rand, student *nn.Network, x, y, soft *tensor.
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		var epochLoss float64
 		steps := 0
+		params := student.Params()
 		batches.Epoch(func(idx []int) {
 			bx, by = nn.GatherBatchInto(bx, by, x, y, idx)
 			bsoft = nn.GatherInto(bsoft, soft, idx)
-			student.ZeroGrad()
+			nn.ZeroGrads(params)
 			logits := student.Forward(bx, true)
 			epochLoss += loss.ForwardDistill(logits, by, bsoft)
 			student.Backward(loss.Backward())
-			opt.Step(student.Params())
+			opt.Step(params)
 			student.PostStep()
 			steps++
 			stats.FLOPs += flopsPerStep * int64(len(idx)) / bs
@@ -103,11 +104,10 @@ func HintTrain(rng *rand.Rand, teacher, student *nn.Network, x *tensor.Tensor, c
 	var bx, bhint *tensor.Tensor // batch buffers
 	var last float64
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
+		params := append(student.Params(), proj.W, proj.B)
 		batches.Epoch(func(idx []int) {
 			bx, bhint = nn.GatherBatchInto(bx, bhint, x, hint, idx)
-			student.ZeroGrad()
-			proj.W.ZeroGrad()
-			proj.B.ZeroGrad()
+			nn.ZeroGrads(params)
 			// Forward through the guided prefix of the student.
 			h := bx
 			for li := 0; li <= cfg.StudentLayer; li++ {
@@ -119,7 +119,6 @@ func HintTrain(rng *rand.Rand, teacher, student *nn.Network, x *tensor.Tensor, c
 			for li := cfg.StudentLayer; li >= 0; li-- {
 				dh = student.Layers[li].Backward(dh)
 			}
-			params := append(student.Params(), proj.W, proj.B)
 			opt.Step(params)
 			student.PostStep()
 		})

@@ -144,11 +144,10 @@ func TrainTreeNet(seed int64, x, y *tensor.Tensor, cfg TrainConfig) Result {
 	var res Result
 	var bx, by *tensor.Tensor // batch buffers
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
+		params := t.Params()
 		batches.Epoch(func(idx []int) {
 			bx, by = nn.GatherBatchInto(bx, by, x, y, idx)
-			for _, p := range t.Params() {
-				p.ZeroGrad()
-			}
+			nn.ZeroGrads(params)
 			if batched {
 				t.trainStepBatched(bx, by, losses)
 			} else {
@@ -166,7 +165,7 @@ func TrainTreeNet(seed int64, x, y *tensor.Tensor, cfg TrainConfig) Result {
 				}
 				backwardLayers(t.Trunk, dTrunk)
 			}
-			opt.Step(t.Params())
+			opt.Step(params)
 			res.Steps++
 			res.FLOPs += t.trainFLOPsPerExample() * int64(len(idx))
 		})

@@ -48,8 +48,7 @@ func TrainAutoencoder(rng *rand.Rand, x *tensor.Tensor, cfg AEConfig) *Autoencod
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		batches.Epoch(func(idx []int) {
 			bx = nn.GatherInto(bx, x, idx)
-			enc.ZeroGrad()
-			dec.ZeroGrad()
+			nn.ZeroGrads(params)
 			z := enc.Forward(bx, true)
 			out := dec.Forward(z, true)
 			mse.Forward(out, bx)

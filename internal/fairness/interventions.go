@@ -20,9 +20,10 @@ func TrainWeighted(rng *rand.Rand, net *nn.Network, x *tensor.Tensor, labels []i
 	batches := nn.NewBatches(rng, x.Dim(0), batchSize)
 	var bx, by *tensor.Tensor // batch buffers
 	for epoch := 0; epoch < epochs; epoch++ {
+		params := net.Params()
 		batches.Epoch(func(idx []int) {
 			bx, by = nn.GatherBatchInto(bx, by, x, y, idx)
-			net.ZeroGrad()
+			nn.ZeroGrads(params)
 			out := net.Forward(bx, true)
 			loss.Forward(out, by)
 			g := loss.Backward()
@@ -36,7 +37,7 @@ func TrainWeighted(rng *rand.Rand, net *nn.Network, x *tensor.Tensor, labels []i
 				}
 			}
 			net.Backward(g)
-			opt.Step(net.Params())
+			opt.Step(params)
 			net.PostStep()
 		})
 	}
@@ -101,13 +102,14 @@ func TrainAdversarial(rng *rand.Rand, x *tensor.Tensor, labels, group []int, cla
 		// the min-max game oscillate.
 		progress := float64(epoch) / float64(cfg.Epochs)
 		lambda := cfg.Lambda * (2/(1+math.Exp(-5*progress)) - 1)
+		encP, predP, advP := m.Encoder.Params(), m.Predictor.Params(), m.Adversary.Params()
 		batches.Epoch(func(idx []int) {
 			bx, by = nn.GatherBatchInto(bx, by, x, y, idx)
 			bg = nn.GatherInto(bg, gy, idx)
 
-			m.Encoder.ZeroGrad()
-			m.Predictor.ZeroGrad()
-			m.Adversary.ZeroGrad()
+			nn.ZeroGrads(encP)
+			nn.ZeroGrads(predP)
+			nn.ZeroGrads(advP)
 
 			h := m.Encoder.Forward(bx, true)
 			// Task head.
@@ -125,9 +127,9 @@ func TrainAdversarial(rng *rand.Rand, x *tensor.Tensor, labels, group []int, cla
 			dh.AxpyInPlace(-lambda, dhAdv)
 			m.Encoder.Backward(dh)
 
-			encOpt.Step(m.Encoder.Params())
-			predOpt.Step(m.Predictor.Params())
-			advOpt.Step(m.Adversary.Params())
+			encOpt.Step(encP)
+			predOpt.Step(predP)
+			advOpt.Step(advP)
 		})
 	}
 	return m

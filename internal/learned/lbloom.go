@@ -68,23 +68,22 @@ func BuildLearnedBloom(rng *rand.Rand, keys, negatives []uint64, cfg LearnedBloo
 	}
 	scale := float64(maxKey) + 1
 
-	n := len(keys) + len(negatives)
-	x := tensor.New(n, numKeyFeatures)
-	labels := make([]int, n)
-	for i, k := range keys {
-		keyFeatures(x.Row(i), k, scale)
+	x := trainingRows(keys, negatives, scale)
+	labels := make([]int, x.Dim(0))
+	for i := range keys {
 		labels[i] = 1
-	}
-	for i, k := range negatives {
-		keyFeatures(x.Row(len(keys)+i), k, scale)
 	}
 	model := nn.NewMLP(rng, nn.MLPConfig{In: numKeyFeatures, Hidden: []int{cfg.Hidden}, Out: 2})
 	tr := nn.NewTrainer(model, nn.NewSoftmaxCrossEntropy(), nn.NewAdam(cfg.LR), rng)
 	tr.Fit(x, nn.OneHot(labels, 2), nn.TrainConfig{Epochs: cfg.Epochs, BatchSize: 64})
 
 	lb := &LearnedBloom{model: model, keyScale: scale}
+	// Every key and negative is scored in one forward over the training
+	// rows: rows are independent and, for finite features, every GEMM tier
+	// is bit-identical, so each score equals MayContain's lb.score(k).
+	scores := lb.rowScores(x)
+	keyScores, negScores := scores[:len(keys)], scores[len(keys):]
 	// Threshold: the (1-TargetFPR) quantile of negative scores.
-	negScores := lb.scores(negatives)
 	sortFloats(negScores)
 	qIdx := int(float64(len(negScores)) * (1 - cfg.TargetFPR))
 	if qIdx >= len(negScores) {
@@ -92,11 +91,9 @@ func BuildLearnedBloom(rng *rand.Rand, keys, negatives []uint64, cfg LearnedBloo
 	}
 	lb.threshold = negScores[qIdx]
 
-	// Backup filter over the classifier's false negatives, scored in one
-	// batch: rows are independent and, for finite features, every GEMM
-	// tier is bit-identical, so each score equals MayContain's lb.score(k).
+	// Backup filter over the classifier's false negatives.
 	var fns []uint64
-	for i, s := range lb.scores(keys) {
+	for i, s := range keyScores {
 		if s < lb.threshold {
 			fns = append(fns, keys[i])
 		}
@@ -129,13 +126,24 @@ func (lb *LearnedBloom) score(k uint64) float64 {
 	return probs.At(0, 1)
 }
 
-func (lb *LearnedBloom) scores(keys []uint64) []float64 {
-	x := tensor.New(len(keys), numKeyFeatures)
+// trainingRows returns the features of every key, then of every negative,
+// one row each.
+func trainingRows(keys, negatives []uint64, scale float64) *tensor.Tensor {
+	x := tensor.New(len(keys)+len(negatives), numKeyFeatures)
 	for i, k := range keys {
-		keyFeatures(x.Row(i), k, lb.keyScale)
+		keyFeatures(x.Row(i), k, scale)
 	}
+	for i, k := range negatives {
+		keyFeatures(x.Row(len(keys)+i), k, scale)
+	}
+	return x
+}
+
+// rowScores returns the classifier's positive-class probability for every
+// row of features x, from one eval-mode forward.
+func (lb *LearnedBloom) rowScores(x *tensor.Tensor) []float64 {
 	probs := nn.Softmax(lb.model.Forward(x, false))
-	out := make([]float64, len(keys))
+	out := make([]float64, x.Dim(0))
 	for i := range out {
 		out[i] = probs.At(i, 1)
 	}

@@ -204,21 +204,24 @@ func TestLearnedPlannerNearOptimal(t *testing.T) {
 	}
 }
 
-// BuildLearnedBloom finds its false negatives with one batched forward, so
+// BuildLearnedBloom scores every key and negative with one batched forward
+// over its training rows, for the threshold and the false negatives, so
 // every batched score must equal the single-row score MayContain computes.
-// 6400 keys put the batch's first-layer product (6400·3·8) past the packed
+// 6400 keys put the batch's first-layer product (9601·3·8) past the packed
 // kernel's FLOP threshold while a single row stays on the reference
 // kernel, which pins the tier equivalence the batching relies on at the
 // shape the live index builds.
 func TestBatchedScoresMatchPerKeyScores(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	keys := ClusteredKeys(rng, 6400, 4, 1<<30)
-	lb := must(BuildLearnedBloom(rng, keys, data.NegativeKeys(rng, keys, len(keys)/2+1), LearnedBloomConfig{
+	negs := data.NegativeKeys(rng, keys, len(keys)/2+1)
+	lb := must(BuildLearnedBloom(rng, keys, negs, LearnedBloomConfig{
 		Hidden: 8, Epochs: 3, LR: 0.01, TargetFPR: 0.025, BackupFPR: 0.025,
 	}))
-	for i, s := range lb.scores(keys) {
-		if one := lb.score(keys[i]); math.Float64bits(s) != math.Float64bits(one) {
-			t.Fatalf("key %d (%d): batched score %v, single-row score %v", i, keys[i], s, one)
+	rows := append(append([]uint64(nil), keys...), negs...)
+	for i, s := range lb.rowScores(trainingRows(keys, negs, lb.keyScale)) {
+		if one := lb.score(rows[i]); math.Float64bits(s) != math.Float64bits(one) {
+			t.Fatalf("row %d (key %d): batched score %v, single-row score %v", i, rows[i], s, one)
 		}
 	}
 }

@@ -178,15 +178,21 @@ func Softmax(logits *tensor.Tensor) *tensor.Tensor {
 }
 
 // softmaxInto writes Softmax(logits) into out, which has logits' shape,
-// overwriting every element, and returns out.
+// overwriting every element, and returns out. Each row's sum is taken in
+// ascending order from 0, and each probability is a divide by it.
+//
+// exp runs only where d = v − max is non-zero. The max's own term, and any
+// tie with it, has d = ±0, and exp(±0) is exactly 1 on every amd64 and 386
+// path of math.Exp (the FMA and plain assemblies and the pure-Go exp), so
+// the skip keeps every bit. Where v or the max is NaN, or both are +Inf or
+// both −Inf, d is NaN, so exp still runs and keeps its NaN.
 func softmaxInto(out, logits *tensor.Tensor) *tensor.Tensor {
 	if logits.Rank() != 2 {
 		panic("nn: Softmax requires rank-2 logits")
 	}
-	m := logits.Dim(0)
-	for i := 0; i < m; i++ {
-		row := logits.Row(i)
-		orow := out.Row(i)
+	w := logits.Dim(1)
+	for off := 0; off < len(logits.Data); off += w {
+		row, orow := logits.Data[off:off+w], out.Data[off:off+w]
 		max := row[0]
 		for _, v := range row[1:] {
 			if v > max {
@@ -195,7 +201,10 @@ func softmaxInto(out, logits *tensor.Tensor) *tensor.Tensor {
 		}
 		var sum float64
 		for j, v := range row {
-			e := math.Exp(v - max)
+			e := 1.0
+			if d := v - max; d != 0 {
+				e = math.Exp(d)
+			}
 			orow[j] = e
 			sum += e
 		}

@@ -200,6 +200,44 @@ func TestTrainStepAllocations(t *testing.T) {
 	}
 }
 
+// A steady-state Fit step allocates nothing: Fit takes the parameter list
+// once per epoch, and with n a multiple of the batch size no batch, layer
+// or loss buffer regrows. Fit's per-call and per-epoch allocations cancel
+// in the difference between runs of 8 and 4 batches an epoch.
+func TestFitStepAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation")
+	}
+	const epochs = 2
+	for _, c := range []struct {
+		name                   string
+		in, hidden, out, batch int
+	}{
+		{"bloom [3→8→2] batch 64", 3, 8, 2, 64},
+		{"day [6→24→3] batch 16", 6, 24, 3, 16},
+	} {
+		rng := rand.New(rand.NewSource(1))
+		net := NewMLP(rng, MLPConfig{In: c.in, Hidden: []int{c.hidden}, Out: c.out})
+		tr := NewTrainer(net, NewSoftmaxCrossEntropy(), NewAdam(0.01), rng)
+		allocs := func(batches int) float64 {
+			n := batches * c.batch
+			x := tensor.RandNormal(rng, 0, 1, n, c.in)
+			labels := make([]int, n)
+			for i := range labels {
+				labels[i] = i % c.out
+			}
+			y := OneHot(labels, c.out)
+			cfg := TrainConfig{Epochs: epochs, BatchSize: c.batch}
+			tr.Fit(x, y, cfg) // sizes the buffers and Adam's moments
+			return testing.AllocsPerRun(10, func() { tr.Fit(x, y, cfg) })
+		}
+		many, few := allocs(8), allocs(4)
+		if perStep := (many - few) / (epochs * 4); perStep != 0 {
+			t.Errorf("%s: a Fit step makes %v allocations (Fit %v at 8 batches an epoch, %v at 4), want 0", c.name, perStep, many, few)
+		}
+	}
+}
+
 // Inference results belong to the caller: no later forward of the layer,
 // in either mode, may overwrite them.
 func TestInferenceOutputsAreFresh(t *testing.T) {

@@ -30,6 +30,15 @@ func NewParam(name string, v *tensor.Tensor) *Param {
 // ZeroGrad clears the accumulated gradient.
 func (p *Param) ZeroGrad() { p.Grad.Zero() }
 
+// ZeroGrads clears the gradient of every parameter in params. Network.Params
+// builds its list anew on each call, so training loops take it once per
+// epoch and zero that list before each step.
+func ZeroGrads(params []*Param) {
+	for _, p := range params {
+		p.ZeroGrad()
+	}
+}
+
 // Layer is one stage of a network. Forward computes the layer's output for
 // a batch and, when train is true, caches whatever Backward will need.
 // Backward consumes the gradient of the loss with respect to the layer's

@@ -11,7 +11,11 @@ import (
 // targets, and the gradient of that loss with respect to the outputs. A
 // loss follows the Layer rule for train-mode results: the gradient Backward
 // returns lives in a buffer the loss owns and is valid until its next
-// Forward or Backward.
+// Forward or Backward. A loss may write that gradient during Forward and
+// return the same buffer from every Backward until the next Forward, as
+// SoftmaxCrossEntropy does. So a caller that edits it in place, as
+// fairness.TrainWeighted scales its rows, edits the loss's buffer, and a
+// second Backward returns the edited values.
 type Loss interface {
 	// Forward returns the mean loss over the batch.
 	Forward(pred, target *tensor.Tensor) float64
@@ -23,37 +27,37 @@ type Loss interface {
 // loss against one-hot (or soft) target rows. The fused backward pass is the
 // numerically-stable (p - t)/batch.
 type SoftmaxCrossEntropy struct {
-	probs, target *tensor.Tensor
-	grad          *tensor.Tensor // Backward's buffer
+	probs *tensor.Tensor
+	grad  *tensor.Tensor // Forward writes it, Backward returns it
 }
 
 // NewSoftmaxCrossEntropy creates the fused softmax + cross-entropy loss.
 func NewSoftmaxCrossEntropy() *SoftmaxCrossEntropy { return &SoftmaxCrossEntropy{} }
 
-// Forward implements Loss. target rows must sum to 1 (one-hot or soft).
+// Forward implements Loss. target rows must sum to 1 (one-hot or soft), and
+// target must have logits' shape. After the softmax, one pass over the
+// probabilities writes the gradient (p − t)·(1/batch), which Backward then
+// returns, and sums the loss terms −t·log(max(p, 1e-300)) where t > 0 in
+// row-major order; the sum is divided by the batch size at the end.
 func (l *SoftmaxCrossEntropy) Forward(logits, target *tensor.Tensor) float64 {
-	softmaxInto(buffer(&l.probs, logits, true), logits)
-	l.target = target
+	mustSameShape("SoftmaxCrossEntropy", logits, target)
+	probs := softmaxInto(buffer(&l.probs, logits, true), logits).Data
+	grad := buffer(&l.grad, logits, true).Data[:len(probs)]
+	t := target.Data[:len(probs)]
 	m := logits.Dim(0)
+	scale := 1 / float64(m)
 	var loss float64
-	for i := range l.probs.Data {
-		if t := target.Data[i]; t > 0 {
-			loss -= t * math.Log(math.Max(l.probs.Data[i], 1e-300))
+	for i, p := range probs {
+		if ti := t[i]; ti > 0 {
+			loss -= ti * math.Log(math.Max(p, 1e-300))
 		}
+		grad[i] = (p - t[i]) * scale
 	}
 	return loss / float64(m)
 }
 
-// Backward implements Loss.
-func (l *SoftmaxCrossEntropy) Backward() *tensor.Tensor {
-	mustSameShape("SoftmaxCrossEntropy", l.probs, l.target)
-	grad := buffer(&l.grad, l.probs, true)
-	scale := 1 / float64(l.probs.Dim(0))
-	for i, p := range l.probs.Data {
-		grad.Data[i] = (p - l.target.Data[i]) * scale
-	}
-	return grad
-}
+// Backward implements Loss: it returns the gradient the last Forward wrote.
+func (l *SoftmaxCrossEntropy) Backward() *tensor.Tensor { return l.grad }
 
 // Probs returns the softmax probabilities from the last Forward. They live
 // in the loss's own buffer, valid until its next Forward.

@@ -146,11 +146,7 @@ func (n *Network) PostStep() {
 }
 
 // ZeroGrad clears every parameter gradient.
-func (n *Network) ZeroGrad() {
-	for _, p := range n.Params() {
-		p.ZeroGrad()
-	}
-}
+func (n *Network) ZeroGrad() { ZeroGrads(n.Params()) }
 
 // NumParams returns the total number of trainable scalars.
 func (n *Network) NumParams() int {

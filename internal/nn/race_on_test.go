@@ -1,0 +1,6 @@
+//go:build race
+
+package nn
+
+// raceEnabled reports a -race build, where instrumentation allocates.
+const raceEnabled = true

@@ -99,9 +99,10 @@ func (t *Trainer) Fit(x, y *tensor.Tensor, cfg TrainConfig) TrainStats {
 		}
 		var epochLoss float64
 		steps := 0
+		params := t.Net.Params()
 		batches.Epoch(func(idx []int) {
 			bx, by = GatherBatchInto(bx, by, x, y, idx)
-			epochLoss += t.Step(bx, by)
+			epochLoss += t.step(params, bx, by)
 			steps++
 			stats.FLOPs += flopsPerStep * int64(len(idx)) / bs
 			stats.Examples += int64(len(idx))
@@ -119,7 +120,12 @@ func (t *Trainer) Fit(x, y *tensor.Tensor, cfg TrainConfig) TrainStats {
 // Step runs one forward/backward/update on a single batch and returns the
 // batch loss.
 func (t *Trainer) Step(bx, by *tensor.Tensor) float64 {
-	params := t.Net.Params()
+	return t.step(t.Net.Params(), bx, by)
+}
+
+// step is Step on the network's parameter list params, which Fit takes
+// once per epoch.
+func (t *Trainer) step(params []*Param, bx, by *tensor.Tensor) float64 {
 	loss := t.computeGrad(params, bx, by)
 	t.Opt.Step(params)
 	t.Net.PostStep()
@@ -146,9 +152,7 @@ func (t *Trainer) ComputeGrad(bx, by *tensor.Tensor) float64 {
 // them. Nothing reads the gradient with respect to the batch, so the
 // backward pass stops at the parameters' (Network.backwardParams).
 func (t *Trainer) computeGrad(params []*Param, bx, by *tensor.Tensor) float64 {
-	for _, p := range params {
-		p.ZeroGrad()
-	}
+	ZeroGrads(params)
 	out := t.Net.Forward(bx, true)
 	loss := t.Loss.Forward(out, by)
 	t.Net.backwardParams(t.Loss.Backward())
