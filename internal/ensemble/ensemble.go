@@ -88,11 +88,6 @@ type TrainConfig struct {
 	Epochs    int // epochs for the baseline member (budgets below derive from it)
 	BatchSize int
 	LR        float64
-	// SequentialBranches forces TrainTreeNet onto the per-branch rank-2
-	// path instead of the default BatMul-fused one. The two are bit
-	// identical (asserted by test); the flag exists so the equivalence is
-	// checkable and the reference path stays exercised.
-	SequentialBranches bool
 }
 
 // TrainIndependent trains K members from scratch with different random

@@ -137,10 +137,6 @@ func TrainTreeNet(seed int64, x, y *tensor.Tensor, cfg TrainConfig) Result {
 	for i := range losses {
 		losses[i] = nn.NewSoftmaxCrossEntropy()
 	}
-	// The K branches share one skeleton, so their forward GEMMs batch into
-	// rank-3 BatMul calls (see treenet_batched.go) — bit-identical to the
-	// sequential per-branch walk, which remains as the reference path.
-	batched := !cfg.SequentialBranches && branchesBatchable(t)
 	var res Result
 	var bx, by *tensor.Tensor // batch buffers
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
@@ -148,23 +144,19 @@ func TrainTreeNet(seed int64, x, y *tensor.Tensor, cfg TrainConfig) Result {
 		batches.Epoch(func(idx []int) {
 			bx, by = nn.GatherBatchInto(bx, by, x, y, idx)
 			nn.ZeroGrads(params)
-			if batched {
-				t.trainStepBatched(bx, by, losses)
-			} else {
-				h := t.forwardTrunk(bx, true)
-				var dTrunk *tensor.Tensor
-				for bi, br := range t.Branches {
-					logits := forwardLayers(br, h, true)
-					losses[bi].Forward(logits, by)
-					dh := backwardLayers(br, losses[bi].Backward())
-					if dTrunk == nil {
-						dTrunk = dh
-					} else {
-						dTrunk.AddInPlace(dh)
-					}
+			h := t.forwardTrunk(bx, true)
+			var dTrunk *tensor.Tensor
+			for bi, br := range t.Branches {
+				logits := forwardLayers(br, h, true)
+				losses[bi].Forward(logits, by)
+				dh := backwardLayers(br, losses[bi].Backward())
+				if dTrunk == nil {
+					dTrunk = dh
+				} else {
+					dTrunk.AddInPlace(dh)
 				}
-				backwardLayers(t.Trunk, dTrunk)
 			}
+			backwardLayers(t.Trunk, dTrunk)
 			opt.Step(params)
 			res.Steps++
 			res.FLOPs += t.trainFLOPsPerExample() * int64(len(idx))

@@ -1,10 +1,6 @@
 package serve
 
-import (
-	"math"
-
-	"dlsys/internal/invalid"
-)
+import "math"
 
 // Admission control for the event-driven fleet. Two modes:
 //
@@ -35,33 +31,15 @@ type AdmissionConfig struct {
 	// Adaptive selects the delay-aware ladder; false selects the legacy
 	// fixed queue cap.
 	Adaptive bool
-	// QueueCap is the legacy global queue cap (default 10000 entries).
-	// Ignored in adaptive mode.
-	QueueCap int
-	// TargetS is the CoDel sojourn target (default DeadlineS/4).
-	TargetS float64
-	// IntervalS is the CoDel control interval (default DeadlineS).
-	IntervalS float64
 }
 
-func (c *AdmissionConfig) defaults(deadlineS float64) {
-	if c.QueueCap <= 0 {
-		c.QueueCap = 10000
-	}
-	if c.TargetS <= 0 {
-		c.TargetS = deadlineS / 4
-	}
-	if c.IntervalS <= 0 {
-		c.IntervalS = deadlineS
-	}
-}
-
-func (c AdmissionConfig) validate() error {
-	if c.TargetS > 0 && c.IntervalS > 0 && c.TargetS >= c.IntervalS {
-		return invalid.New("serve", "Admission.TargetS", "CoDel target %g must be below the interval %g", c.TargetS, c.IntervalS)
-	}
-	return nil
-}
+// The gate's fixed policy: the legacy global queue cap, in entries, and
+// CoDel's sojourn target as a fraction of DeadlineS. CoDel's control
+// interval is DeadlineS itself.
+const (
+	legacyQueueCap = 10000
+	codelTargetDiv = 4
+)
 
 // codel is the queue-delay controller: sojourn observations arrive from
 // dequeues, shed verdicts are consulted at admission. The control law is
@@ -111,7 +89,7 @@ func (c *codel) shouldShed(now float64) bool {
 
 // admitter is the runtime admission state shared by both modes.
 type admitter struct {
-	cfg       AdmissionConfig
+	adaptive  bool
 	deadlineS float64
 	serviceS  float64 // one fresh request's service time
 
@@ -123,12 +101,11 @@ type admitter struct {
 }
 
 func newAdmitter(cfg AdmissionConfig, deadlineS, serviceS, drainRate float64, weights []float64) *admitter {
-	cfg.defaults(deadlineS)
 	a := &admitter{
-		cfg:       cfg,
+		adaptive:  cfg.Adaptive,
 		deadlineS: deadlineS,
 		serviceS:  serviceS,
-		codel:     codel{target: cfg.TargetS, interval: cfg.IntervalS},
+		codel:     codel{target: deadlineS / codelTargetDiv, interval: deadlineS},
 		weights:   weights,
 	}
 	// The deadline horizon in queue slots: a queue longer than this makes
@@ -154,8 +131,8 @@ func newAdmitter(cfg AdmissionConfig, deadlineS, serviceS, drainRate float64, we
 // admit decides whether the request may join the queue. estDelay is the
 // fleet's current queue-delay estimate, queueLen the global queue length.
 func (a *admitter) admit(tenant int, now, estDelay float64, queueLen int) bool {
-	if !a.cfg.Adaptive {
-		return queueLen < a.cfg.QueueCap
+	if !a.adaptive {
+		return queueLen < legacyQueueCap
 	}
 	// Rung one: deadline infeasibility. Admitting work that cannot finish
 	// in time only converts capacity into misses.

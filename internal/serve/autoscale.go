@@ -31,13 +31,15 @@ type AutoscaleConfig struct {
 	LagS float64
 	// CooldownS is the minimum time between decisions (default 2 intervals).
 	CooldownS float64
-	// UpDelayS is the queue-delay estimate at which the fleet scales up
-	// (default half the deadline).
-	UpDelayS float64
-	// DownDelayS is the estimate below which it scales back toward the
-	// floor (default 2% of the deadline).
-	DownDelayS float64
 }
+
+// The scaler's thresholds, as fractions of DeadlineS: it scales up when the
+// queue-delay estimate passes DeadlineS/scaleUpDiv, and back toward the
+// floor when the estimate falls below DeadlineS/scaleDownDiv.
+const (
+	scaleUpDiv   = 2
+	scaleDownDiv = 50
+)
 
 func (c *AutoscaleConfig) defaults(replicas int, deadlineS float64) {
 	if c.MaxReplicas <= 0 {
@@ -52,12 +54,6 @@ func (c *AutoscaleConfig) defaults(replicas int, deadlineS float64) {
 	if c.CooldownS <= 0 {
 		c.CooldownS = 2 * c.IntervalS
 	}
-	if c.UpDelayS <= 0 {
-		c.UpDelayS = deadlineS / 2
-	}
-	if c.DownDelayS <= 0 {
-		c.DownDelayS = deadlineS / 50
-	}
 }
 
 func (c AutoscaleConfig) validate(replicas int) error {
@@ -66,9 +62,6 @@ func (c AutoscaleConfig) validate(replicas int) error {
 	}
 	if c.MaxReplicas > 0 && c.MaxReplicas < replicas {
 		return invalid.New("serve", "Autoscale.MaxReplicas", "%d below the initial fleet size %d", c.MaxReplicas, replicas)
-	}
-	if c.DownDelayS > 0 && c.UpDelayS > 0 && c.DownDelayS >= c.UpDelayS {
-		return invalid.New("serve", "Autoscale.DownDelayS", "scale-down threshold must sit below the scale-up threshold")
 	}
 	return nil
 }
@@ -82,6 +75,7 @@ type autoscaler struct {
 	delay *obs.Gauge // fleet.queue_delay_est, written by admission
 
 	min, max      int
+	up, down      float64 // queue-delay thresholds
 	cooldownUntil float64
 }
 
@@ -90,6 +84,7 @@ func newAutoscaler(cfg AutoscaleConfig, f *Fleet, actor *sim.Actor, delay *obs.G
 	return &autoscaler{
 		cfg: cfg, fleet: f, actor: actor, delay: delay,
 		min: f.cfg.Replicas, max: cfg.MaxReplicas,
+		up: f.cfg.DeadlineS / scaleUpDiv, down: f.cfg.DeadlineS / scaleDownDiv,
 	}
 }
 
@@ -115,7 +110,7 @@ func (a *autoscaler) decide(now float64) bool {
 	}
 	d := a.delay.Value()
 	switch {
-	case d > a.cfg.UpDelayS && f.desired < a.max:
+	case d > a.up && f.desired < a.max:
 		add := f.desired / 2
 		if add < 1 {
 			add = 1
@@ -131,7 +126,7 @@ func (a *autoscaler) decide(now float64) bool {
 		a.actor.After(a.cfg.LagS, func(stamp float64) {
 			f.addReplicas(add, stamp)
 		})
-	case d < a.cfg.DownDelayS && f.desired > a.min:
+	case d < a.down && f.desired > a.min:
 		a.cooldownUntil = now + a.cfg.CooldownS
 		f.removeReplicas(f.desired-a.min, now)
 	}

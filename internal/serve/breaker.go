@@ -8,10 +8,7 @@
 // seed always reproduces the same request ledger, bit for bit.
 package serve
 
-import (
-	"dlsys/internal/invalid"
-	"dlsys/internal/obs"
-)
+import "dlsys/internal/obs"
 
 // BreakerState is the classic three-state circuit-breaker automaton.
 type BreakerState int
@@ -40,59 +37,40 @@ func (s BreakerState) String() string {
 	return "unknown"
 }
 
-// BreakerConfig tunes one replica's circuit breaker.
-type BreakerConfig struct {
+// breakerConfig tunes one replica's circuit breaker. The Server builds
+// every breaker from the constants below; tests build smaller ones.
+type breakerConfig struct {
 	// Window is the sliding window of recent request outcomes consulted
-	// for the failure rate (default 16).
+	// for the failure rate.
 	Window int
 	// MinSamples is how many outcomes the window must hold before the
-	// breaker may trip (default Window/2), so one early failure cannot
-	// open it.
+	// breaker may trip, so one early failure cannot open it.
 	MinSamples int
 	// FailureRate is the windowed failure fraction at or above which the
-	// breaker opens (default 0.5).
+	// breaker opens.
 	FailureRate float64
 	// CooldownS is how long (simulated seconds) the breaker stays open
-	// before admitting probes. Must be positive.
+	// before admitting probes.
 	CooldownS float64
 	// HalfOpenProbes is how many consecutive probe successes re-close the
-	// breaker (default 2).
+	// breaker.
 	HalfOpenProbes int
 }
 
-func (c *BreakerConfig) defaults() {
-	if c.Window <= 0 {
-		c.Window = 16
-	}
-	if c.MinSamples <= 0 {
-		c.MinSamples = c.Window / 2
-	}
-	if c.FailureRate <= 0 {
-		c.FailureRate = 0.5
-	}
-	if c.HalfOpenProbes <= 0 {
-		c.HalfOpenProbes = 2
-	}
-}
-
-func (c BreakerConfig) validate() error {
-	if c.CooldownS <= 0 {
-		return invalid.New("serve", "Breaker.CooldownS", "must be positive, got %g", c.CooldownS)
-	}
-	if c.FailureRate > 1 {
-		return invalid.New("serve", "Breaker.FailureRate", "%g out of (0,1]", c.FailureRate)
-	}
-	if c.MinSamples > c.Window {
-		return invalid.New("serve", "Breaker.MinSamples", "%d exceeds Window %d", c.MinSamples, c.Window)
-	}
-	return nil
-}
+// The Server's breaker policy. The cooldown is in base service times.
+const (
+	breakerWindow      = 16
+	breakerMinSamples  = breakerWindow / 2
+	breakerFailureRate = 0.5
+	breakerCooldown    = 20
+	breakerProbes      = 2
+)
 
 // Breaker guards one replica. It is driven entirely by simulated
 // timestamps passed in by the caller, so it is as deterministic as the
 // event stream feeding it.
 type Breaker struct {
-	cfg BreakerConfig
+	cfg breakerConfig
 
 	state    BreakerState
 	openedAt float64 // when the breaker last opened
@@ -111,10 +89,8 @@ type Breaker struct {
 	onOpen, onReclose *obs.Counter
 }
 
-// NewBreaker builds a breaker; zero-valued config fields take defaults.
-// CooldownS must be set (validated by the Server's config).
-func NewBreaker(cfg BreakerConfig) *Breaker {
-	cfg.defaults()
+// newBreaker builds a breaker; cfg.Window must be positive.
+func newBreaker(cfg breakerConfig) *Breaker {
 	return &Breaker{cfg: cfg, window: make([]bool, cfg.Window)}
 }
 

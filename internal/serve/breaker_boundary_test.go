@@ -6,7 +6,7 @@ import "testing"
 // exactly on the open threshold, the sliding window wrapping over old
 // outcomes, and half-open probe arithmetic at its exact limits.
 func TestBreakerBoundaries(t *testing.T) {
-	cfg := BreakerConfig{Window: 4, MinSamples: 4, FailureRate: 0.5, CooldownS: 10, HalfOpenProbes: 2}
+	cfg := breakerConfig{Window: 4, MinSamples: 4, FailureRate: 0.5, CooldownS: 10, HalfOpenProbes: 2}
 	cases := []struct {
 		name  string
 		drive func(b *Breaker)
@@ -109,7 +109,7 @@ func TestBreakerBoundaries(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			b := NewBreaker(cfg)
+			b := newBreaker(cfg)
 			tc.drive(b)
 			if got := b.State(); got != tc.state {
 				t.Fatalf("state = %v, want %v", got, tc.state)
@@ -133,7 +133,7 @@ func trip(b *Breaker) {
 // alternating stream at rate 0.5 with threshold 0.75 must never trip no
 // matter how often the ring wraps.
 func TestBreakerWindowWrapNoDoubleCount(t *testing.T) {
-	b := NewBreaker(BreakerConfig{Window: 4, MinSamples: 4, FailureRate: 0.75, CooldownS: 10})
+	b := newBreaker(breakerConfig{Window: 4, MinSamples: 4, FailureRate: 0.75, CooldownS: 10})
 	for i := 0; i < 1000; i++ {
 		b.Record(float64(i), i%2 == 0)
 		if b.State() != Closed {

@@ -3,7 +3,7 @@ package serve
 import "testing"
 
 func newTestBreaker() *Breaker {
-	return NewBreaker(BreakerConfig{
+	return newBreaker(breakerConfig{
 		Window: 8, MinSamples: 4, FailureRate: 0.5, CooldownS: 10, HalfOpenProbes: 2,
 	})
 }

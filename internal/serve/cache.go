@@ -1,46 +1,38 @@
 package serve
 
 // Hot-key result cache. Serving traffic is heavily key-skewed (a few
-// prompts, a few feature vectors dominate); a small LRU of recent results
-// with a staleness bound absorbs the hottest keys before they reach the
-// queue, which both cuts latency for the common case and removes load
-// exactly where the Zipf head concentrates it. Entries are inserted when a
-// replica serves a key; the cached value is the model prediction the
-// fleet precomputed through the batched BatMul path (tierPredictions /
-// batchPredict), so a hit returns bit-identically what the replica would
-// have computed. The LRU lives in a fixed array of Capacity slots linked
-// in recency order by index, found through a dense key→slot table (keys
-// lie in [0, Keys)), so it allocates nothing after construction.
+// prompts, a few feature vectors dominate); a small LRU of recently served
+// keys with a staleness bound absorbs the hottest keys before they reach
+// the queue, which both cuts latency for the common case and removes load
+// exactly where the Zipf head concentrates it. A key enters when a replica
+// serves it, and a hit serves the request at once. The LRU lives in a
+// fixed array of slots linked in recency order by index, found through a
+// dense key→slot table (keys lie in [0, fleetKeys)), so it allocates
+// nothing after construction.
 
 // CacheConfig tunes the fleet's hot-key result cache.
 type CacheConfig struct {
 	// Disabled turns the cache off (every request hits the queue).
 	Disabled bool
-	// Capacity is the max cached keys (default 256).
-	Capacity int
-	// TTLS bounds staleness: entries older than this are misses and are
-	// evicted on contact (default 50 deadlines).
-	TTLS float64
 }
 
-func (c *CacheConfig) defaults(deadlineS float64) {
-	if c.Capacity <= 0 {
-		c.Capacity = 256
-	}
-	if c.TTLS <= 0 {
-		c.TTLS = 50 * deadlineS
-	}
-}
+// The cache's fixed policy: the most keys it holds, and the staleness
+// bound in deadlines (DeadlineS) after which an entry is a miss and is
+// evicted on contact.
+const (
+	cacheCapacity = 256
+	cacheTTL      = 50
+)
 
 // cacheSlot is one cache entry and its recency links: slot indices, -1 at
 // either end. A free slot is chained to the next free one through next.
 type cacheSlot struct {
-	key, pred  int
+	key        int
 	expires    float64
 	prev, next int
 }
 
-// resultCache is a TTL'd LRU keyed by request key.
+// resultCache is a TTL'd LRU of request keys.
 type resultCache struct {
 	ttl        float64
 	slots      []cacheSlot
@@ -50,12 +42,12 @@ type resultCache struct {
 	n          int
 }
 
-// newResultCache builds an empty cache for keys in [0, keys).
-func newResultCache(cfg CacheConfig, deadlineS float64, keys int) *resultCache {
-	cfg.defaults(deadlineS)
+// newResultCache builds an empty cache of capacity slots whose entries
+// live ttl seconds, for keys in [0, keys).
+func newResultCache(capacity int, ttl float64, keys int) *resultCache {
 	c := &resultCache{
-		ttl:    cfg.TTLS,
-		slots:  make([]cacheSlot, cfg.Capacity),
+		ttl:    ttl,
+		slots:  make([]cacheSlot, capacity),
 		slotOf: make([]int, keys),
 		head:   -1,
 		tail:   -1,
@@ -94,12 +86,12 @@ func (c *resultCache) pushFront(i int) {
 	c.head = i
 }
 
-// get returns the cached prediction for key if present and fresh,
-// promoting it to most-recently-used. Expired entries are evicted.
-func (c *resultCache) get(key int, now float64) (int, bool) {
+// get reports whether key is present and fresh, promoting it to
+// most-recently-used. Expired entries are evicted.
+func (c *resultCache) get(key int, now float64) bool {
 	i := c.slotOf[key] - 1
 	if i < 0 {
-		return 0, false
+		return false
 	}
 	s := &c.slots[i]
 	if now >= s.expires {
@@ -108,16 +100,16 @@ func (c *resultCache) get(key int, now float64) (int, bool) {
 		s.next = c.free
 		c.free = i
 		c.n--
-		return 0, false
+		return false
 	}
 	c.unlink(i)
 	c.pushFront(i)
-	return s.pred, true
+	return true
 }
 
-// put inserts (or refreshes) the key's result, evicting the
-// least-recently-used entry when full.
-func (c *resultCache) put(key, pred int, now float64) {
+// put inserts (or refreshes) the key, evicting the least-recently-used
+// entry when full.
+func (c *resultCache) put(key int, now float64) {
 	i := c.slotOf[key] - 1
 	switch {
 	case i >= 0:
@@ -131,7 +123,7 @@ func (c *resultCache) put(key, pred int, now float64) {
 		c.unlink(i)
 		c.slotOf[c.slots[i].key] = 0
 	}
-	c.slots[i] = cacheSlot{key: key, pred: pred, expires: now + c.ttl}
+	c.slots[i] = cacheSlot{key: key, expires: now + c.ttl}
 	c.slotOf[key] = i + 1
 	c.pushFront(i)
 }

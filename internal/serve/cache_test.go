@@ -16,33 +16,32 @@ type listCache struct {
 }
 
 type listEntry struct {
-	key, pred int
-	expires   float64
+	key     int
+	expires float64
 }
 
 func newListCache(capacity int, ttl float64) *listCache {
 	return &listCache{capacity: capacity, ttl: ttl, order: list.New(), byKey: map[int]*list.Element{}}
 }
 
-func (c *listCache) get(key int, now float64) (int, bool) {
+func (c *listCache) get(key int, now float64) bool {
 	el, ok := c.byKey[key]
 	if !ok {
-		return 0, false
+		return false
 	}
 	ent := el.Value.(*listEntry)
 	if now >= ent.expires {
 		c.order.Remove(el)
 		delete(c.byKey, key)
-		return 0, false
+		return false
 	}
 	c.order.MoveToFront(el)
-	return ent.pred, true
+	return true
 }
 
-func (c *listCache) put(key, pred int, now float64) {
+func (c *listCache) put(key int, now float64) {
 	if el, ok := c.byKey[key]; ok {
 		ent := el.Value.(*listEntry)
-		ent.pred = pred
 		ent.expires = now + c.ttl
 		c.order.MoveToFront(el)
 		return
@@ -52,7 +51,7 @@ func (c *listCache) put(key, pred int, now float64) {
 		c.order.Remove(oldest)
 		delete(c.byKey, oldest.Value.(*listEntry).key)
 	}
-	c.byKey[key] = c.order.PushFront(&listEntry{key: key, pred: pred, expires: now + c.ttl})
+	c.byKey[key] = c.order.PushFront(&listEntry{key: key, expires: now + c.ttl})
 }
 
 // TestResultCacheMatchesListLRU drives the slot-array cache and the list
@@ -70,7 +69,7 @@ func TestResultCacheMatchesListLRU(t *testing.T) {
 		var atExpiry, refreshes, evictions int
 		for seed := int64(0); seed < 40; seed++ {
 			rng := rand.New(rand.NewSource(seed))
-			got := newResultCache(CacheConfig{Capacity: capacity, TTLS: ttl}, 0.02, keys)
+			got := newResultCache(capacity, ttl, keys)
 			want := newListCache(capacity, ttl)
 			now := 0.0
 			for op := 0; op < 3000; op++ {
@@ -85,11 +84,9 @@ func TestResultCacheMatchesListLRU(t *testing.T) {
 					if el, ok := want.byKey[key]; ok && el.Value.(*listEntry).expires == now {
 						atExpiry++
 					}
-					gp, gok := got.get(key, now)
-					wp, wok := want.get(key, now)
-					if gp != wp || gok != wok {
-						t.Fatalf("cap %d seed %d op %d: get(%d, %g) = %d,%v, list model %d,%v",
-							capacity, seed, op, key, now, gp, gok, wp, wok)
+					if g, w := got.get(key, now), want.get(key, now); g != w {
+						t.Fatalf("cap %d seed %d op %d: get(%d, %g) = %v, list model %v",
+							capacity, seed, op, key, now, g, w)
 					}
 				} else {
 					if _, ok := want.byKey[key]; ok {
@@ -97,9 +94,8 @@ func TestResultCacheMatchesListLRU(t *testing.T) {
 					} else if want.order.Len() >= capacity {
 						evictions++
 					}
-					pred := rng.Intn(1000)
-					got.put(key, pred, now)
-					want.put(key, pred, now)
+					got.put(key, now)
+					want.put(key, now)
 				}
 				if got.len() != want.order.Len() {
 					t.Fatalf("cap %d seed %d op %d: len %d, list model %d",

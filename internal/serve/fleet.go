@@ -6,10 +6,8 @@ import (
 	"dlsys/internal/fault"
 	"dlsys/internal/fp"
 	"dlsys/internal/invalid"
-	"dlsys/internal/nn"
 	"dlsys/internal/obs"
 	"dlsys/internal/sim"
-	"dlsys/internal/tensor"
 )
 
 // Fleet is the planet-scale serving simulator: a discrete-event actor
@@ -46,45 +44,37 @@ type FleetConfig struct {
 	Obs    *obs.Handle  // optional; the fleet builds a private handle when nil
 	// because the autoscaler is driven by the gauges
 
-	Tenants int     // client classes sharing the fleet (default 8)
-	ZipfS   float64 // Zipf exponent of tenant traffic shares (default 1.1)
+	Tenants int // client classes sharing the fleet (default 8)
 
 	Requests    int     // total first-attempt requests across tenants
 	ArrivalRate float64 // aggregate mean arrivals per simulated second
 
-	Replicas   int     // initial replica count (default 8)
-	ServiceS   float64 // one fresh request's service time (default 1ms)
-	BatchMax   int     // max requests coalesced per replica dispatch (default 4)
-	BatchItemS float64 // marginal service time per extra batched item (default 0.2*ServiceS)
+	Replicas int     // initial replica count (default 8)
+	ServiceS float64 // one fresh request's service time (default 1ms)
 
-	DeadlineS   float64 // per-attempt deadline (default 20*ServiceS)
-	MaxAttempts int     // client attempts incl. the first (default 3, max 16)
-	BackoffS    float64 // base retry backoff, doubling per attempt (default DeadlineS/2)
-
-	Keys    int     // hot-key space size (default 4096)
-	KeySkew float64 // key popularity skew; higher = hotter head (default 3)
+	DeadlineS float64 // per-attempt deadline (default 20*ServiceS)
+	BackoffS  float64 // base retry backoff, doubling per attempt (default DeadlineS/2)
 
 	Budget    RetryBudgetConfig
 	Admission AdmissionConfig
 	Autoscale AutoscaleConfig
 	Cache     CacheConfig
 
-	// CacheModels + EvalX, when set, give cached results real identities:
-	// the fleet scores the models over EvalX through the batched BatMul
-	// prediction path (batchPredict) and each key's cached value is the
-	// prediction a replica hosting that key's model would compute.
-	CacheModels []*nn.Network
-	EvalX       *tensor.Tensor
-
 	BucketS float64 // goodput timeline bucket width (default 10*DeadlineS)
 }
+
+// The fleet's fixed policy.
+const (
+	tenantZipf     = 1.1  // Zipf exponent of tenant traffic shares
+	batchMax       = 4    // max requests coalesced per replica dispatch
+	batchItemShare = 0.2  // marginal service per extra batched item, in ServiceS
+	fleetAttempts  = 3    // client attempts incl. the first, before any retry storm
+	fleetKeys      = 4096 // hot-key space size
+)
 
 func (c *FleetConfig) defaults() {
 	if c.Tenants <= 0 {
 		c.Tenants = 8
-	}
-	if c.ZipfS <= 0 {
-		c.ZipfS = 1.1
 	}
 	if c.Replicas <= 0 {
 		c.Replicas = 8
@@ -92,26 +82,11 @@ func (c *FleetConfig) defaults() {
 	if c.ServiceS <= 0 {
 		c.ServiceS = 1e-3
 	}
-	if c.BatchMax <= 0 {
-		c.BatchMax = 4
-	}
-	if c.BatchItemS <= 0 {
-		c.BatchItemS = 0.2 * c.ServiceS
-	}
 	if c.DeadlineS <= 0 {
 		c.DeadlineS = 20 * c.ServiceS
 	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 3
-	}
 	if c.BackoffS <= 0 {
 		c.BackoffS = c.DeadlineS / 2
-	}
-	if c.Keys <= 0 {
-		c.Keys = 4096
-	}
-	if c.KeySkew <= 0 {
-		c.KeySkew = 3
 	}
 	if c.BucketS <= 0 {
 		c.BucketS = 10 * c.DeadlineS
@@ -123,14 +98,10 @@ func (c *FleetConfig) defaults() {
 // would silently replace -Inf. Zero still means the default.
 func (c FleetConfig) finite() error {
 	return invalid.Finite("serve",
-		invalid.F("ZipfS", c.ZipfS), invalid.F("ArrivalRate", c.ArrivalRate), invalid.F("ServiceS", c.ServiceS),
-		invalid.F("BatchItemS", c.BatchItemS), invalid.F("DeadlineS", c.DeadlineS), invalid.F("BackoffS", c.BackoffS),
-		invalid.F("KeySkew", c.KeySkew), invalid.F("BucketS", c.BucketS),
-		invalid.F("Budget.Ratio", c.Budget.Ratio), invalid.F("Budget.Burst", c.Budget.Burst),
-		invalid.F("Admission.TargetS", c.Admission.TargetS), invalid.F("Admission.IntervalS", c.Admission.IntervalS),
+		invalid.F("ArrivalRate", c.ArrivalRate), invalid.F("ServiceS", c.ServiceS),
+		invalid.F("DeadlineS", c.DeadlineS), invalid.F("BackoffS", c.BackoffS), invalid.F("BucketS", c.BucketS),
 		invalid.F("Autoscale.IntervalS", c.Autoscale.IntervalS), invalid.F("Autoscale.LagS", c.Autoscale.LagS),
-		invalid.F("Autoscale.CooldownS", c.Autoscale.CooldownS), invalid.F("Autoscale.UpDelayS", c.Autoscale.UpDelayS),
-		invalid.F("Autoscale.DownDelayS", c.Autoscale.DownDelayS), invalid.F("Cache.TTLS", c.Cache.TTLS))
+		invalid.F("Autoscale.CooldownS", c.Autoscale.CooldownS))
 }
 
 func (c FleetConfig) validate() error {
@@ -139,18 +110,6 @@ func (c FleetConfig) validate() error {
 	}
 	if c.ArrivalRate <= 0 {
 		return invalid.New("serve", "ArrivalRate", "must be positive, got %g", c.ArrivalRate)
-	}
-	if c.MaxAttempts > maxFleetAttempts {
-		return invalid.New("serve", "MaxAttempts", "%d exceeds %d", c.MaxAttempts, maxFleetAttempts)
-	}
-	if len(c.CacheModels) > 0 && c.EvalX == nil {
-		return invalid.New("serve", "CacheModels", "need EvalX to score cached results")
-	}
-	if err := c.Budget.validate(); err != nil {
-		return err
-	}
-	if err := c.Admission.validate(); err != nil {
-		return err
 	}
 	if err := c.Autoscale.validate(c.Replicas); err != nil {
 		return err
@@ -183,7 +142,7 @@ type arrivalChain struct {
 	fire func(stamp float64)
 }
 
-// replica is one server's batch, in a BatchMax buffer it owns, and the
+// replica is one server's batch, in a batchMax buffer it owns, and the
 // handler that completes it. A replica serves one batch at a time.
 type replica struct {
 	batch []fleetReq
@@ -305,7 +264,6 @@ type Fleet struct {
 
 	weights  []float64 // tenant traffic shares, sum 1
 	quota    []int     // per-tenant first-attempt request counts
-	keyPred  []int     // cached result identity per key
 	arrivals []arrivalChain
 
 	queue []fleetReq
@@ -335,8 +293,8 @@ type Fleet struct {
 	buckets  []GoodputBucket
 	ledger   fp.Hash
 
-	perItemS float64 // amortized service per request at full batch
-	skewN    int     // KeySkew when it is an integer in [1, 16]; 0 means math.Pow
+	batchItemS float64 // marginal service per extra batched item
+	perItemS   float64 // amortized service per request at full batch
 
 	started, finished bool
 	res               FleetResult
@@ -360,6 +318,7 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 	if h == nil {
 		h = obs.NewHandle()
 	}
+	batchItemS := batchItemShare * cfg.ServiceS
 	f := &Fleet{
 		cfg:          cfg,
 		inj:          fault.NewInjector(cfg.Faults),
@@ -373,10 +332,8 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 		tenants:      make([]TenantStats, cfg.Tenants),
 		ledger:       fp.New(),
 		latWidth:     4 * cfg.DeadlineS / fleetLatBuckets,
-		perItemS:     (cfg.ServiceS + float64(cfg.BatchMax-1)*cfg.BatchItemS) / float64(cfg.BatchMax),
-	}
-	if s := cfg.KeySkew; s >= 1 && s <= 16 && s == math.Trunc(s) {
-		f.skewN = int(s)
+		batchItemS:   batchItemS,
+		perItemS:     (cfg.ServiceS + float64(batchMax-1)*batchItemS) / float64(batchMax),
 	}
 	for i := 0; i < cfg.Replicas; i++ {
 		f.newReplica()
@@ -391,7 +348,7 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 	f.weights = make([]float64, cfg.Tenants)
 	z := 0.0
 	for i := range f.weights {
-		f.weights[i] = math.Pow(float64(i+1), -cfg.ZipfS)
+		f.weights[i] = math.Pow(float64(i+1), -tenantZipf)
 		z += f.weights[i]
 	}
 	for i := range f.weights {
@@ -423,44 +380,10 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 	f.adm = newAdmitter(cfg.Admission, cfg.DeadlineS, cfg.ServiceS, drain, f.weights)
 	f.budget = newRetryBudget(cfg.Budget, cfg.Tenants)
 	if !cfg.Cache.Disabled {
-		f.cache = newResultCache(cfg.Cache, cfg.DeadlineS, cfg.Keys)
+		f.cache = newResultCache(cacheCapacity, cacheTTL*cfg.DeadlineS, fleetKeys)
 	}
-	f.keyPred = keyPredictions(cfg.CacheModels, cfg.EvalX, cfg.Keys)
 	f.scaler = newAutoscaler(cfg.Autoscale, f, k.Actor("fleet-scale"), f.obs.queueDelayEst)
 	return f, nil
-}
-
-// keyPredictions scores the cache models over the eval matrix — batched
-// through BatMul when they share a Dense+ReLU architecture — and maps
-// every key to the prediction its serving model would produce. Without
-// models the identity mapping stands in.
-func keyPredictions(models []*nn.Network, evalX *tensor.Tensor, keys int) []int {
-	out := make([]int, keys)
-	if len(models) == 0 || evalX == nil {
-		for k := range out {
-			out[k] = k
-		}
-		return out
-	}
-	preds := make([][]int, len(models))
-	batchable := len(models) >= 2
-	for _, m := range models {
-		if denseArch(m) == "" || (batchable && denseArch(m) != denseArch(models[0])) {
-			batchable = false
-		}
-	}
-	if batchable {
-		preds = batchPredict(models, evalX)
-	} else {
-		for i, m := range models {
-			preds[i] = m.Predict(evalX)
-		}
-	}
-	rows := evalX.Dim(0)
-	for k := range out {
-		out[k] = preds[k%len(models)][k%rows]
-	}
-	return out
 }
 
 // newReplica provisions the next replica id with its batch buffer and
@@ -468,7 +391,7 @@ func keyPredictions(models []*nn.Network, evalX *tensor.Tensor, keys int) []int 
 func (f *Fleet) newReplica() {
 	r := len(f.replicas)
 	f.replicas = append(f.replicas, replica{
-		batch: make([]fleetReq, 0, f.cfg.BatchMax),
+		batch: make([]fleetReq, 0, batchMax),
 		done:  func(stamp float64) { f.complete(r, stamp) },
 	})
 }
@@ -539,15 +462,12 @@ func mix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// hotKey maps (tenant, seq) to a skewed key: a uniform hash draw pushed
-// through u^skew concentrates mass on the low keys, the stand-in for the
-// Zipf head of real serving traffic.
+// hotKey maps (tenant, seq) to a skewed key: a uniform hash draw u pushed
+// through u³ concentrates mass on the low keys, the stand-in for the Zipf
+// head of real serving traffic. u³ < 1, and scaling by the power of two
+// fleetKeys is exact, so the key is below fleetKeys.
 func (f *Fleet) hotKey(tenant, seq int) int {
-	k := int(float64(f.cfg.Keys) * f.skew(keyDraw(f.cfg.Seed, tenant, seq)))
-	if k >= f.cfg.Keys {
-		k = f.cfg.Keys - 1
-	}
-	return k
+	return int(fleetKeys * cube(keyDraw(f.cfg.Seed, tenant, seq)))
 }
 
 // keyDraw is hotKey's uniform draw for (tenant, seq): 0 or a multiple of
@@ -557,32 +477,11 @@ func keyDraw(seed int64, tenant, seq int) float64 {
 	return float64(x>>11) / (1 << 53)
 }
 
-// skew returns u^KeySkew, by powInt when KeySkew is a small integer.
-func (f *Fleet) skew(u float64) float64 {
-	if f.skewN > 0 {
-		return powInt(u, f.skewN)
-	}
-	return math.Pow(u, f.cfg.KeySkew)
-}
-
-// powInt returns u^n by square-and-multiply over n's bits from the lowest:
-// the products math.Pow forms for an integer exponent, in the same order.
-// Pow multiplies normalised mantissas. For keyDraw's values and n in
-// [1, 16] no product here leaves the normal range, so each rounds exactly
-// as Pow's does and the result equals math.Pow(u, float64(n)) bit for bit.
-func powInt(u float64, n int) float64 {
-	r := 1.0
-	for {
-		if n&1 == 1 {
-			r *= u
-		}
-		n >>= 1
-		if n == 0 {
-			return r
-		}
-		u *= u
-	}
-}
+// cube returns u³ as u·(u·u), the products math.Pow forms for the exponent
+// 3, in the same order. Pow multiplies normalised mantissas; for keyDraw's
+// values no product here leaves the normal range, so each rounds exactly
+// as Pow's does and the result equals math.Pow(u, 3) bit for bit.
+func cube(u float64) float64 { return u * (u * u) }
 
 // delayEst is the admission-time queue delay estimate: the backlog over
 // the fleet's current drain rate.
@@ -596,7 +495,7 @@ func (f *Fleet) queueLen() int { return len(f.queue) - f.qHead }
 // the admission gate into the queue.
 func (f *Fleet) handleAttempt(rq fleetReq, now float64) {
 	if f.cache != nil {
-		if _, ok := f.cache.get(rq.key, now); ok {
+		if f.cache.get(rq.key, now) {
 			f.cacheHits++
 			f.obs.cacheHits.Inc()
 			f.finishServed(rq, now)
@@ -620,14 +519,14 @@ func (f *Fleet) handleAttempt(rq fleetReq, now float64) {
 }
 
 // tryDispatch pairs idle replicas with queued work: each replica takes up
-// to BatchMax requests FIFO and schedules one completion event for the
+// to batchMax requests FIFO and schedules one completion event for the
 // whole batch — the amortization that keeps the loop near two events per
 // request. Brownout windows stretch the batch's service time.
 func (f *Fleet) tryDispatch(now float64) {
 	for len(f.idle) > 0 && f.queueLen() > 0 {
 		r := f.idle[len(f.idle)-1]
 		f.idle = f.idle[:len(f.idle)-1]
-		n := f.cfg.BatchMax
+		n := batchMax
 		if ql := f.queueLen(); n > ql {
 			n = ql
 		}
@@ -641,7 +540,7 @@ func (f *Fleet) tryDispatch(now float64) {
 		for _, rq := range rep.batch {
 			f.adm.dequeued(rq.tenant, now-rq.enqueued, now)
 		}
-		service := (f.cfg.ServiceS + float64(n-1)*f.cfg.BatchItemS) *
+		service := (f.cfg.ServiceS + float64(n-1)*f.batchItemS) *
 			f.inj.FactorAt(fault.KindBrownout, r, now)
 		f.inFlight += n
 		f.srv.At(now+service, rep.done)
@@ -676,7 +575,7 @@ func (f *Fleet) complete(r int, stamp float64) {
 
 func (f *Fleet) serveFromReplica(rq fleetReq, stamp float64) {
 	if f.cache != nil {
-		f.cache.put(rq.key, f.keyPred[rq.key], stamp)
+		f.cache.put(rq.key, stamp)
 	}
 	f.finishServed(rq, stamp)
 }
@@ -751,20 +650,20 @@ func (f *Fleet) retry(i int, stamp float64) {
 	f.handleAttempt(rq, stamp)
 }
 
-// maxFleetAttempts caps a client's attempts, a retry storm's included. The
-// backoff doubles per attempt: a ×3 storm on 16 attempts, uncapped, would
-// book the last retry 2⁴⁷/3 BackoffS out, and the autoscaler ticks until
-// it lands.
+// maxFleetAttempts caps a client's attempts under a retry storm. The
+// backoff doubles per attempt: a ×8 storm on fleetAttempts, uncapped,
+// would ask for 24 attempts and book the last retry about 2²³/8 BackoffS
+// out, and the autoscaler ticks until it lands.
 const maxFleetAttempts = 16
 
 // maxAttempts is the client's attempt limit at time t: a retry-storm
-// window multiplies the tenant's configured attempts (impatient clients
-// retry more), up to maxFleetAttempts.
+// window multiplies the tenant's fleetAttempts (impatient clients retry
+// more), up to maxFleetAttempts.
 func (f *Fleet) maxAttempts(tenant int, t float64) int {
 	if s := f.inj.FactorAt(fault.KindRetryStorm, tenant, t); s > 1 {
-		return int(math.Min(float64(f.cfg.MaxAttempts)*s+0.5, maxFleetAttempts))
+		return int(math.Min(float64(fleetAttempts)*s+0.5, maxFleetAttempts))
 	}
-	return f.cfg.MaxAttempts
+	return fleetAttempts
 }
 
 // backoff is the client's wait before retry attempt+1: exponential from

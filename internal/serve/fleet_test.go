@@ -241,18 +241,11 @@ func TestFleetConfigErrors(t *testing.T) {
 	}{
 		{"no requests", func(c *FleetConfig) { c.Requests = 0 }, "Requests"},
 		{"no arrival rate", func(c *FleetConfig) { c.ArrivalRate = 0 }, "ArrivalRate"},
-		{"too many attempts", func(c *FleetConfig) { c.MaxAttempts = 17 }, "MaxAttempts"},
-		{"budget ratio", func(c *FleetConfig) { c.Budget.Ratio = 1.5 }, "Budget.Ratio"},
-		{"codel target", func(c *FleetConfig) { c.Admission.TargetS = 2; c.Admission.IntervalS = 1 }, "Admission.TargetS"},
 		{"scaler cap", func(c *FleetConfig) { c.Autoscale.MaxReplicas = 2 }, "Autoscale.MaxReplicas"},
-		{"scaler thresholds", func(c *FleetConfig) { c.Autoscale.UpDelayS = 0.1; c.Autoscale.DownDelayS = 0.2 }, "Autoscale.DownDelayS"},
 		{"NaN arrival rate", func(c *FleetConfig) { c.ArrivalRate = nan }, "ArrivalRate"},
 		{"NaN service time", func(c *FleetConfig) { c.ServiceS = nan }, "ServiceS"},
 		{"NaN deadline", func(c *FleetConfig) { c.DeadlineS = nan }, "DeadlineS"},
 		{"NaN bucket", func(c *FleetConfig) { c.BucketS = nan }, "BucketS"},
-		{"NaN key skew", func(c *FleetConfig) { c.KeySkew = nan }, "KeySkew"},
-		{"NaN Zipf exponent", func(c *FleetConfig) { c.ZipfS = nan }, "ZipfS"},
-		{"-Inf cache TTL", func(c *FleetConfig) { c.Cache.TTLS = math.Inf(-1) }, "Cache.TTLS"},
 	}
 	for _, tc := range cases {
 		cfg := fleetScenario(1, 1000, true)
@@ -315,10 +308,8 @@ func TestFleetRunAllocations(t *testing.T) {
 	}
 }
 
-// TestKeySkewMatchesPowByBits holds the integer key-skew path to math.Pow
-// bit for bit, for every integer skew in [1, 16], over 10⁶ of hotKey's
-// draws plus the ends of the draw range. Any other skew must still take
-// math.Pow.
+// TestKeySkewMatchesPowByBits holds hotKey's cube to math.Pow(u, 3) bit
+// for bit, over 10⁶ of hotKey's draws plus the ends of the draw range.
 func TestKeySkewMatchesPowByBits(t *testing.T) {
 	draws := 1_000_000
 	if raceEnabled {
@@ -328,36 +319,9 @@ func TestKeySkewMatchesPowByBits(t *testing.T) {
 	for i := 0; i < draws; i++ {
 		us = append(us, keyDraw(int64(i%5), i%8, i/40))
 	}
-	skewFleet := func(s float64) *Fleet {
-		t.Helper()
-		cfg := fleetScenario(1, 100, true)
-		cfg.KeySkew = s
-		f, err := NewFleet(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return f
-	}
-	for n := 1; n <= 16; n++ {
-		f := skewFleet(float64(n))
-		if f.skewN != n {
-			t.Fatalf("KeySkew %d: integer path not taken (skewN %d)", n, f.skewN)
-		}
-		for _, u := range us {
-			if got, want := f.skew(u), math.Pow(u, float64(n)); math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("KeySkew %d, u = %b: got %b, math.Pow %b", n, u, got, want)
-			}
-		}
-	}
-	for _, s := range []float64{2.5, 0.5, 17} {
-		f := skewFleet(s)
-		if f.skewN != 0 {
-			t.Fatalf("KeySkew %g took the integer path (skewN %d)", s, f.skewN)
-		}
-		for _, u := range us[:1000] {
-			if got, want := f.skew(u), math.Pow(u, s); math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("KeySkew %g, u = %b: got %b, math.Pow %b", s, u, got, want)
-			}
+	for _, u := range us {
+		if got, want := cube(u), math.Pow(u, 3); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("u = %b: got %b, math.Pow %b", u, got, want)
 		}
 	}
 }

@@ -40,29 +40,19 @@ func decodeFleetConfig(in []byte) FleetConfig {
 		Tenants:     1 + int(at(1))%8,
 		Replicas:    1 + int(at(2))%8,
 		ArrivalRate: pick(fuzzRates, 5),
-		ZipfS:       pick(fuzzScales, 6),
-		ServiceS:    pick(fuzzDurations, 7),
-		BatchMax:    int(at(8)) % 6,
-		BatchItemS:  pick(fuzzDurations, 9),
-		DeadlineS:   pick(fuzzDurations, 10),
-		MaxAttempts: int(at(11)) % 18,
-		BackoffS:    pick(fuzzDurations, 12),
-		Keys:        int(at(13)) % 64,
-		KeySkew:     pick(fuzzScales, 14),
-		BucketS:     pick(fuzzDurations, 15),
-		Budget: RetryBudgetConfig{Disabled: flags&1 != 0,
-			Ratio: pick(fuzzScales, 16), Burst: pick(fuzzScales, 17)},
-		Admission: AdmissionConfig{Adaptive: flags&2 != 0, QueueCap: int(at(18)) % 32,
-			TargetS: pick(fuzzDurations, 19), IntervalS: pick(fuzzDurations, 20)},
-		Autoscale: AutoscaleConfig{Disabled: flags&4 != 0, MaxReplicas: int(at(21)) % 20,
-			IntervalS: pick(fuzzDurations, 22), LagS: pick(fuzzDurations, 23),
-			CooldownS: pick(fuzzDurations, 24), UpDelayS: pick(fuzzDurations, 25),
-			DownDelayS: pick(fuzzDurations, 26)},
-		Cache: CacheConfig{Disabled: flags&8 != 0, Capacity: int(at(27)) % 16,
-			TTLS: pick(fuzzDurations, 28)},
+		ServiceS:    pick(fuzzDurations, 6),
+		DeadlineS:   pick(fuzzDurations, 7),
+		BackoffS:    pick(fuzzDurations, 8),
+		BucketS:     pick(fuzzDurations, 9),
+		Budget:      RetryBudgetConfig{Disabled: flags&1 != 0},
+		Admission:   AdmissionConfig{Adaptive: flags&2 != 0},
+		Autoscale: AutoscaleConfig{Disabled: flags&4 != 0, MaxReplicas: int(at(10)) % 20,
+			IntervalS: pick(fuzzDurations, 11), LagS: pick(fuzzDurations, 12),
+			CooldownS: pick(fuzzDurations, 13)},
+		Cache: CacheConfig{Disabled: flags&8 != 0},
 	}
-	c.Faults.Seed = int64(at(29))
-	for i := 30; i+5 < len(in) && len(c.Faults.Schedule) < 3; i += 6 {
+	c.Faults.Seed = int64(at(14))
+	for i := 15; i+5 < len(in) && len(c.Faults.Schedule) < 3; i += 6 {
 		w := fault.Window{
 			Kind:   fault.Kind(int(in[i]) % 25),
 			StartS: pick(fuzzDurations, i+1),
@@ -82,22 +72,22 @@ func decodeFleetConfig(in []byte) FleetConfig {
 // returns without a panic, and the obs counters reconcile with the
 // request ledger exactly.
 func FuzzFleetConfig(f *testing.F) {
-	// Bytes 0–28 are requests, tenants, replicas, switches, seed, then the
-	// float, size and cap fields in decode order; byte 29 is the fault
-	// seed, and each window after it is six bytes: kind, start, end, prob,
-	// factor, worker.
+	// Bytes 0–13 are requests, tenants, replicas, switches, seed, then the
+	// float and cap fields in decode order; byte 14 is the fault seed, and
+	// each window after it is six bytes: kind, start, end, prob, factor,
+	// worker.
 	pad := func(head []byte, windows ...byte) []byte {
-		b := make([]byte, 30, 30+len(windows))
+		b := make([]byte, 15, 15+len(windows))
 		copy(b, head)
 		return append(b, windows...)
 	}
-	f.Add(pad([]byte{200, 7, 3, 0, 1, 2, 2, 1, 3}))                               // budgets, autoscaler and cache on
-	f.Add(pad([]byte{120, 3, 1, 13, 2, 3, 0, 2, 1, 0, 1, 16, 3}))                 // every control off, 16 attempts
-	f.Add(pad([]byte{150, 8, 2, 2, 3, 3, 1, 1, 4, 1, 2, 4, 2}, 6, 2, 0, 0, 5, 0)) // flash crowd on tenant 0
-	f.Add(pad([]byte{150, 4, 2, 1, 4, 2}, 17, 0, 0, 0, 5, 9, 18, 2, 4, 0, 4, 1))  // retry storm and brownout
-	f.Add(pad([]byte{50, 2, 2, 0, 5, 6, 9, 7, 0, 8, 6}))                          // NaN and ±Inf fields: rejected
-	f.Add(pad([]byte{50, 2, 2, 0, 6, 1, 0, 0, 0, 0, 0, 17}))                      // 17 attempts: rejected
-	f.Add(pad([]byte{50, 2, 2, 0, 7, 1}, 1, 0, 0, 3, 5, 9))                       // factor on a crash window: rejected
+	f.Add(pad([]byte{200, 7, 3, 0, 1, 2, 1}))                                    // budgets, autoscaler and cache on
+	f.Add(pad([]byte{120, 3, 1, 13, 2, 3, 2, 1, 3}))                             // every control off, every attempt past its deadline
+	f.Add(pad([]byte{150, 8, 2, 2, 3, 3, 1, 2, 2}, 6, 2, 0, 0, 5, 0))            // flash crowd on tenant 0
+	f.Add(pad([]byte{150, 4, 2, 1, 4, 2}, 17, 0, 0, 0, 5, 9, 18, 2, 4, 0, 4, 1)) // retry storm and brownout
+	f.Add(pad([]byte{50, 2, 2, 0, 5, 6, 7, 6, 8}))                               // NaN and ±Inf fields: rejected
+	f.Add(pad([]byte{50, 2, 7, 0, 6, 1, 0, 0, 0, 0, 3}))                         // scaler cap below 8 replicas: rejected
+	f.Add(pad([]byte{50, 2, 2, 0, 7, 1}, 1, 0, 0, 3, 5, 9))                      // factor on a crash window: rejected
 	f.Fuzz(func(t *testing.T, in []byte) {
 		cfg := decodeFleetConfig(in)
 		h := obs.NewHandle()

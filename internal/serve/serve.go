@@ -27,9 +27,10 @@ func (r Replica) ServiceS() float64 {
 	return r.Device.ServeTime(r.Variant.Bytes, r.Variant.FLOPs, r.Efficiency)
 }
 
-// Config declares one serving run. Durations are simulated seconds; the
-// zero value of every tunable takes a default derived from the fleet's
-// fastest full-tier service time, so one knob (ArrivalRate) scales load.
+// Config declares one serving run. Durations are simulated seconds. The
+// Server's time constants are multiples of the fleet's base service time
+// (the fastest fault-free service among the best tier's replicas), so one
+// knob, ArrivalRate, scales load.
 type Config struct {
 	Seed     int64
 	Faults   fault.Config // replica-level fault injection (crash/straggle/drop/corrupt)
@@ -38,16 +39,7 @@ type Config struct {
 	ArrivalRate float64 // mean requests per simulated second (Poisson)
 	Requests    int     // number of requests to simulate
 
-	DeadlineS   float64 // per-request deadline from arrival (default 8x base service)
-	QueueCap    int     // max requests queued per replica (default 4)
-	MaxAttempts int     // primary attempts per request, 1..4 (default 3)
-	BackoffS    float64 // initial retry backoff, doubling per retry (default 0.25x base service)
-	RestartS    float64 // how long a crashed replica stays down (default 25x base service)
-
-	HedgeQuantile   float64 // launch a hedge when an attempt exceeds this latency quantile; 0 disables
-	HedgeMinSamples int     // latency samples needed before hedging (default 16)
-
-	Breaker BreakerConfig // per-replica circuit breaker (CooldownS default 20x base service)
+	HedgeQuantile float64 // launch a hedge when an attempt exceeds this latency quantile; 0 disables
 
 	// Fallback routes to degraded tiers when every better tier is
 	// saturated or broken. When false only the best (lowest) tier
@@ -74,6 +66,20 @@ type Config struct {
 	Kernel *sim.Kernel
 }
 
+// The Server's fixed policy. Times are in base service times.
+const (
+	serverDeadline  = 8    // per-request deadline from arrival
+	serverBackoff   = 0.25 // initial retry backoff, doubling per retry
+	serverRestart   = 25   // how long a crashed replica stays down
+	serverQueueCap  = 4    // requests queued per replica
+	hedgeMinSamples = 16   // latency samples needed before hedging
+
+	// serverAttempts is the primary attempts per request. The fault hash
+	// stream encodes (request, attempt) with primary attempts in slots
+	// 0..3 and hedges in 4..7, so it must not exceed 4.
+	serverAttempts = 3
+)
+
 // baseServiceS is the fastest fault-free service time among lowest-tier
 // replicas — the natural time unit of the fleet.
 func (c Config) baseServiceS() float64 {
@@ -88,42 +94,10 @@ func (c Config) baseServiceS() float64 {
 	return best
 }
 
-func (c *Config) defaults() {
-	base := c.baseServiceS()
-	if c.DeadlineS <= 0 {
-		c.DeadlineS = 8 * base
-	}
-	if c.QueueCap <= 0 {
-		c.QueueCap = 4
-	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 3
-	}
-	if c.BackoffS <= 0 {
-		c.BackoffS = 0.25 * base
-	}
-	if c.RestartS <= 0 {
-		c.RestartS = 25 * base
-	}
-	if c.HedgeMinSamples <= 0 {
-		c.HedgeMinSamples = 16
-	}
-	if c.Breaker.CooldownS <= 0 {
-		c.Breaker.CooldownS = 20 * base
-	}
-	c.Breaker.defaults()
-}
-
-// validateFleet rejects NaN and ±Inf in every float field, then checks the
-// replica set. It must pass before defaults(), which derives time units
-// from replica service times and would silently replace a -Inf.
-func (c Config) validateFleet() error {
-	fields := []invalid.Field{
-		invalid.F("ArrivalRate", c.ArrivalRate), invalid.F("DeadlineS", c.DeadlineS),
-		invalid.F("BackoffS", c.BackoffS), invalid.F("RestartS", c.RestartS),
-		invalid.F("HedgeQuantile", c.HedgeQuantile),
-		invalid.F("Breaker.FailureRate", c.Breaker.FailureRate), invalid.F("Breaker.CooldownS", c.Breaker.CooldownS),
-	}
+// validate rejects NaN and ±Inf in every float field, then checks the
+// replica set and the load.
+func (c Config) validate() error {
+	fields := []invalid.Field{invalid.F("ArrivalRate", c.ArrivalRate), invalid.F("HedgeQuantile", c.HedgeQuantile)}
 	for i, r := range c.Replicas {
 		at := fmt.Sprintf("Replicas[%d].", i)
 		d := r.Device
@@ -150,29 +124,16 @@ func (c Config) validateFleet() error {
 			return invalid.New("serve", fmt.Sprintf("Replicas[%d].Variant.Tier", i), "unknown tier %d", r.Variant.Tier)
 		}
 	}
-	return nil
-}
-
-func (c Config) validate() error {
 	if c.ArrivalRate <= 0 {
 		return invalid.New("serve", "ArrivalRate", "must be positive, got %g", c.ArrivalRate)
 	}
 	if c.Requests <= 0 {
 		return invalid.New("serve", "Requests", "must be positive, got %d", c.Requests)
 	}
-	// The fault hash stream encodes (request, attempt) with primary
-	// attempts in slots 0..3 and hedges in 4..7, so more than 4 primary
-	// attempts would collide with hedge draws.
-	if c.MaxAttempts > 4 {
-		return invalid.New("serve", "MaxAttempts", "%d exceeds 4", c.MaxAttempts)
-	}
 	if c.HedgeQuantile < 0 || c.HedgeQuantile >= 1 {
 		return invalid.New("serve", "HedgeQuantile", "%g out of [0,1)", c.HedgeQuantile)
 	}
-	if err := c.Faults.Validate(); err != nil {
-		return err
-	}
-	return c.Breaker.validate()
+	return c.Faults.Validate()
 }
 
 // Outcome classifies how a request ended.
@@ -280,11 +241,15 @@ type Server struct {
 	byTier  [][]int // replica indices per tier, ascending id
 	minTier Tier    // best tier present in the fleet
 
+	deadlineS, backoffS, restartS float64 // the fixed policy, scaled by the base service time
+
 	// latency ring of recent successful attempt durations, for the
-	// hedging quantile estimate.
+	// hedging quantile estimate, and the scratch copy each hedge check
+	// sorts.
 	lat     []float64
 	latHead int
 	latN    int
+	hedgeQ  []float64
 
 	preds [numTiers][]int // per-tier predictions over the eval rows
 
@@ -301,10 +266,6 @@ type Server struct {
 // NewServer validates the config and prepares a server. The same server
 // must not be reused across runs; build a fresh one per Run.
 func NewServer(cfg Config) (*Server, error) {
-	if err := cfg.validateFleet(); err != nil {
-		return nil, err
-	}
-	cfg.defaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -312,18 +273,27 @@ func NewServer(cfg Config) (*Server, error) {
 	if k == nil {
 		k = sim.New()
 	}
+	base := cfg.baseServiceS()
 	s := &Server{
-		cfg:    cfg,
-		inj:    fault.NewInjector(cfg.Faults),
-		k:      k,
-		actor:  k.Actor("serve"),
-		byTier: make([][]int, numTiers),
-		lat:    make([]float64, 64),
-		obs:    newServeObs(cfg.Obs),
+		cfg:       cfg,
+		inj:       fault.NewInjector(cfg.Faults),
+		k:         k,
+		actor:     k.Actor("serve"),
+		byTier:    make([][]int, numTiers),
+		deadlineS: serverDeadline * base,
+		backoffS:  serverBackoff * base,
+		restartS:  serverRestart * base,
+		lat:       make([]float64, 64),
+		hedgeQ:    make([]float64, 0, 64),
+		obs:       newServeObs(cfg.Obs),
 	}
 	s.minTier = numTiers
+	brCfg := breakerConfig{
+		Window: breakerWindow, MinSamples: breakerMinSamples, FailureRate: breakerFailureRate,
+		CooldownS: breakerCooldown * base, HalfOpenProbes: breakerProbes,
+	}
 	for i, r := range cfg.Replicas {
-		br := NewBreaker(cfg.Breaker)
+		br := newBreaker(brCfg)
 		br.instrument(s.obs.breakerOpened, s.obs.breakerReclosed)
 		s.states = append(s.states, &replicaState{br: br})
 		s.byTier[r.Variant.Tier] = append(s.byTier[r.Variant.Tier], i)
@@ -448,10 +418,10 @@ func (s *Server) Result() Result {
 // hedging, returning its ledger line.
 func (s *Server) serveOne(id int, arrival float64) RequestRecord {
 	rec := RequestRecord{ID: id, ArrivalS: arrival, Replica: -1}
-	deadline := arrival + s.cfg.DeadlineS
+	deadline := arrival + s.deadlineS
 	dispatch := arrival
 	lastFail := arrival
-	for attempt := 0; attempt < s.cfg.MaxAttempts; attempt++ {
+	for attempt := 0; attempt < serverAttempts; attempt++ {
 		if dispatch > deadline {
 			break
 		}
@@ -509,7 +479,7 @@ func (s *Server) serveOne(id int, arrival float64) RequestRecord {
 		// Every copy failed or finished past the deadline: retry with
 		// exponential backoff from the latest failure.
 		lastFail = failEnd
-		backoff := s.cfg.BackoffS * float64(int(1)<<attempt)
+		backoff := s.backoffS * float64(int(1)<<attempt)
 		dispatch = lastFail + backoff
 	}
 	rec.Outcome = Failed
@@ -563,7 +533,7 @@ func (s *Server) dispatch(id, attempt int, now, deadline float64, exclude int, o
 		// The replica dies mid-request and needs a restart.
 		finish := start + 0.5*work
 		st.busyUntilS = finish
-		st.downUntilS = finish + s.cfg.RestartS
+		st.downUntilS = finish + s.restartS
 		st.done = append(st.done, finish)
 		st.br.Record(finish, false)
 		return attemptResult{ok: false, finishS: finish, replica: ri}
@@ -605,7 +575,7 @@ func (s *Server) route(now, deadline float64, exclude int, onlyTier Tier) int {
 			if !st.br.Allow(now) {
 				continue
 			}
-			if st.pending(now) >= s.cfg.QueueCap {
+			if st.pending(now) >= serverQueueCap {
 				continue
 			}
 			start := now
@@ -631,14 +601,14 @@ func (s *Server) route(now, deadline float64, exclude int, onlyTier Tier) int {
 
 // hedgeLatency returns the current hedging trigger (the configured
 // quantile of recent successful attempt latencies) once enough samples
-// have accumulated.
+// have accumulated. It sorts a copy of the ring in the Server's scratch
+// slice, so a check allocates nothing.
 func (s *Server) hedgeLatency() (float64, bool) {
-	if s.cfg.HedgeQuantile <= 0 || s.latN < s.cfg.HedgeMinSamples {
+	if s.cfg.HedgeQuantile <= 0 || s.latN < hedgeMinSamples {
 		return 0, false
 	}
-	window := make([]float64, s.latN)
-	copy(window, s.lat[:s.latN])
-	return quantile(window, s.cfg.HedgeQuantile), true
+	s.hedgeQ = append(s.hedgeQ[:0], s.lat[:s.latN]...)
+	return quantile(s.hedgeQ, s.cfg.HedgeQuantile), true
 }
 
 func (s *Server) recordLatency(d float64) {
@@ -649,17 +619,27 @@ func (s *Server) recordLatency(d float64) {
 	}
 }
 
-// quantile returns the q-quantile of xs by nearest-rank on a sorted copy;
-// 0 for an empty slice.
+// tierPredictions scores one representative model per tier over the eval
+// matrix.
+func tierPredictions(reps [numTiers]Predictor, evalX *tensor.Tensor) (preds [numTiers][]int) {
+	for t, m := range reps {
+		if m != nil {
+			preds[t] = m.Predict(evalX)
+		}
+	}
+	return preds
+}
+
+// quantile returns the q-quantile of xs by nearest rank, sorting xs in
+// place; 0 for an empty slice.
 func quantile(xs []float64, q float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	idx := int(q * float64(len(sorted)))
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
+	sort.Float64s(xs)
+	idx := int(q * float64(len(xs)))
+	if idx >= len(xs) {
+		idx = len(xs) - 1
 	}
-	return sorted[idx]
+	return xs[idx]
 }

@@ -6,7 +6,6 @@ import (
 
 	"dlsys/internal/data"
 	"dlsys/internal/distill"
-	"dlsys/internal/invalid"
 	"dlsys/internal/nn"
 	"dlsys/internal/prune"
 	"dlsys/internal/quant"
@@ -69,17 +68,7 @@ type Variant struct {
 type VariantsConfig struct {
 	Seed     int64
 	Examples int // dataset size (default 2000)
-	Features int // default 8
-	Classes  int // default 4
-	Sep      float64
-	Hidden   []int // full-model hidden widths (default {48, 48})
-
-	Epochs    int // default 30
-	BatchSize int // default 32
-	LR        float64
-
-	DistillWidth  int     // student hidden width (default 8)
-	PruneSparsity float64 // default 0.7
+	Epochs   int // default 30
 
 	// Float32 swaps the full tier's served model to the float32 inference
 	// path (tensor engine f32 tier). The full tier has always been PRICED
@@ -94,59 +83,40 @@ func (c *VariantsConfig) defaults() {
 	if c.Examples <= 0 {
 		c.Examples = 2000
 	}
-	if c.Features <= 0 {
-		c.Features = 8
-	}
-	if c.Classes <= 0 {
-		c.Classes = 4
-	}
-	if c.Sep == 0 {
-		c.Sep = 2.5
-	}
-	if len(c.Hidden) == 0 {
-		c.Hidden = []int{48, 48}
-	}
 	if c.Epochs <= 0 {
 		c.Epochs = 30
 	}
-	if c.BatchSize <= 0 {
-		c.BatchSize = 32
-	}
-	if c.LR == 0 {
-		c.LR = 0.01
-	}
-	if c.DistillWidth <= 0 {
-		c.DistillWidth = 8
-	}
-	if c.PruneSparsity == 0 {
-		c.PruneSparsity = 0.7
-	}
 }
+
+// The ladder's fixed recipe: the Gaussian-mixture task, the full model's
+// two hidden layers, the training batch and learning rate, the distilled
+// student's width and the pruned tier's sparsity.
+const (
+	ladderFeatures = 8
+	ladderClasses  = 4
+	ladderSep      = 2.5
+	fullWidth      = 48
+	ladderBatch    = 32
+	ladderLR       = 0.01
+	distillWidth   = 8
+	pruneSparsity  = 0.7
+)
 
 // BuildVariants trains the full model and derives the degradation ladder:
 // int8-quantized, distilled, and pruned variants, each with real measured
 // accuracy and honest cost figures. It also returns the eval split so the
-// server can score the accuracy of the responses it actually serves. A
-// NaN or ±Inf Sep, LR or PruneSparsity, or a PruneSparsity outside [0, 1),
-// is rejected with a typed *invalid.Error.
+// server can score the accuracy of the responses it actually serves.
 func BuildVariants(cfg VariantsConfig) ([]Variant, *data.Dataset, error) {
-	if err := invalid.Finite("serve", invalid.F("Sep", cfg.Sep), invalid.F("LR", cfg.LR),
-		invalid.F("PruneSparsity", cfg.PruneSparsity)); err != nil {
-		return nil, nil, err
-	}
 	cfg.defaults()
-	if !(cfg.PruneSparsity >= 0 && cfg.PruneSparsity < 1) { // false for NaN too
-		return nil, nil, invalid.New("serve", "PruneSparsity", "%g out of [0, 1)", cfg.PruneSparsity)
-	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	ds := data.GaussianMixture(rng, cfg.Examples, cfg.Features, cfg.Classes, cfg.Sep)
+	ds := data.GaussianMixture(rng, cfg.Examples, ladderFeatures, ladderClasses, ladderSep)
 	train, eval := ds.Split(rng, 0.8)
-	y := nn.OneHot(train.Labels, cfg.Classes)
+	y := nn.OneHot(train.Labels, ladderClasses)
 
-	mlpCfg := nn.MLPConfig{In: cfg.Features, Hidden: cfg.Hidden, Out: cfg.Classes}
+	mlpCfg := nn.MLPConfig{In: ladderFeatures, Hidden: []int{fullWidth, fullWidth}, Out: ladderClasses}
 	full := nn.NewMLP(rng, mlpCfg)
-	tr := nn.NewTrainer(full, nn.NewSoftmaxCrossEntropy(), nn.NewAdam(cfg.LR), rng)
-	tr.Fit(train.X, y, nn.TrainConfig{Epochs: cfg.Epochs, BatchSize: cfg.BatchSize})
+	tr := nn.NewTrainer(full, nn.NewSoftmaxCrossEntropy(), nn.NewAdam(ladderLR), rng)
+	tr.Fit(train.X, y, nn.TrainConfig{Epochs: cfg.Epochs, BatchSize: ladderBatch})
 
 	variants := []Variant{{
 		Tier: TierFull, Name: "full-fp32", Model: full,
@@ -172,32 +142,35 @@ func BuildVariants(cfg VariantsConfig) ([]Variant, *data.Dataset, error) {
 	})
 
 	// Distilled: a narrow student taught by the full model.
-	sCfg := nn.MLPConfig{In: cfg.Features, Hidden: []int{cfg.DistillWidth}, Out: cfg.Classes}
+	sCfg := nn.MLPConfig{In: ladderFeatures, Hidden: []int{distillWidth}, Out: ladderClasses}
 	student := nn.NewMLP(rng, sCfg)
 	distill.Distill(rng, full, student, train.X, y, distill.Config{
-		Alpha: 0.3, T: 3, Epochs: cfg.Epochs, BatchSize: cfg.BatchSize, LR: cfg.LR,
+		Alpha: 0.3, T: 3, Epochs: cfg.Epochs, BatchSize: ladderBatch, LR: ladderLR,
 	})
 	variants = append(variants, Variant{
-		Tier: TierDistilled, Name: fmt.Sprintf("distilled-w%d", cfg.DistillWidth), Model: student,
+		Tier: TierDistilled, Name: fmt.Sprintf("distilled-w%d", distillWidth), Model: student,
 		Accuracy: student.Accuracy(eval.X, eval.Labels),
 		FLOPs:    student.FLOPs(1), Bytes: student.ParamBytes(32),
 	})
 
 	// Pruned: sparsify a clone of the full model, fine-tune briefly, and
 	// deploy in a sparse format. An idealised sparse kernel skips the
-	// zeroed multiplies, so per-request FLOPs shrink with sparsity.
+	// zeroed multiplies, so per-request FLOPs shrink with sparsity. The
+	// float64 variable makes 1 - sparsity a float64 subtraction, not an
+	// exact constant one.
+	sparsity := float64(pruneSparsity)
 	pruned := nn.CloneMLP(full, rand.New(rand.NewSource(cfg.Seed+1)), mlpCfg)
-	ptr := nn.NewTrainer(pruned, nn.NewSoftmaxCrossEntropy(), nn.NewAdam(cfg.LR), rng)
-	if err := prune.GlobalPrune(rng, pruned, cfg.PruneSparsity, prune.Magnitude); err != nil {
+	ptr := nn.NewTrainer(pruned, nn.NewSoftmaxCrossEntropy(), nn.NewAdam(ladderLR), rng)
+	if err := prune.GlobalPrune(rng, pruned, sparsity, prune.Magnitude); err != nil {
 		return nil, nil, err
 	}
-	ptr.Fit(train.X, y, nn.TrainConfig{Epochs: cfg.Epochs / 5, BatchSize: cfg.BatchSize})
-	sparseFLOPs := int64(float64(pruned.FLOPs(1)) * (1 - cfg.PruneSparsity))
+	ptr.Fit(train.X, y, nn.TrainConfig{Epochs: cfg.Epochs / 5, BatchSize: ladderBatch})
+	sparseFLOPs := int64(float64(pruned.FLOPs(1)) * (1 - sparsity))
 	if sparseFLOPs < 1 {
 		sparseFLOPs = 1
 	}
 	variants = append(variants, Variant{
-		Tier: TierPruned, Name: fmt.Sprintf("pruned-%.0f%%", cfg.PruneSparsity*100), Model: pruned,
+		Tier: TierPruned, Name: fmt.Sprintf("pruned-%.0f%%", sparsity*100), Model: pruned,
 		Accuracy: pruned.Accuracy(eval.X, eval.Labels),
 		FLOPs:    sparseFLOPs, Bytes: prune.NonzeroParamBytes(pruned),
 	})
