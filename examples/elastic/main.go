@@ -43,7 +43,7 @@ func main() {
 				return
 			}
 			round := stats.CommSeconds / float64(stats.CommRounds)
-			pred := planner.CollectiveTime(string(topo), n, payload, device.ClusterNode, 0)
+			pred := planner.CollectiveTime(string(topo), n, payload, device.ClusterNode)
 			if topo == distributed.TopoAllToAll {
 				mesh = round
 			}
@@ -51,7 +51,7 @@ func main() {
 				topo, n, round, pred, mesh/round)
 		}
 	}
-	best, s := planner.BestCollective(256, payload, device.ClusterNode, 0)
+	best, s := planner.BestCollective(256, payload, device.ClusterNode)
 	fmt.Printf("\nplanner's pick for n=256 at this payload: %s (%.6f s/round)\n", best, s)
 
 	fmt.Println("\nring all-reduce, 16 workers, link faults + scheduled churn:")

@@ -194,7 +194,7 @@ func runX12(scale Scale) *Table {
 			}
 			measured := stats.CommSeconds / float64(stats.CommRounds)
 			perRound[topo] = measured
-			pred := planner.CollectiveTime(string(topo), n, payload, device.ClusterNode, 0)
+			pred := planner.CollectiveTime(string(topo), n, payload, device.ClusterNode)
 			predRatio := pred / measured
 			cellModelOK := predRatio > 0.95 && predRatio < 1.05
 			modelOK = modelOK && cellModelOK

@@ -15,15 +15,16 @@ type CensusConfig struct {
 	// positive label is flipped to negative (historical discrimination
 	// baked into training labels).
 	Bias float64
-	// GroupFrac is the fraction of examples in the protected group
-	// (default 0.4).
-	GroupFrac float64
-	// Leakage in [0, 1] is how strongly the proxy features encode group
-	// membership (default 0.8): even with the protected attribute excluded
-	// from the features, the model can infer it — the "retina" effect the
-	// tutorial describes.
-	Leakage float64
 }
+
+// The census population: the fraction of examples in the protected group,
+// and how strongly the proxy features encode group membership. Even with
+// the protected attribute excluded from the features, the model can infer
+// it — the "retina" effect the tutorial describes.
+const (
+	censusGroupFrac float64 = 0.4
+	censusLeakage   float64 = 0.8
+)
 
 // CensusData is a census-like tabular dataset with a protected binary
 // attribute. Features deliberately EXCLUDE the protected attribute; Group
@@ -41,12 +42,6 @@ type CensusData struct {
 // hours/week, plus two proxy features correlated with group membership
 // (e.g. neighbourhood, industry code).
 func BiasedCensus(rng *rand.Rand, cfg CensusConfig) *CensusData {
-	if cfg.GroupFrac == 0 {
-		cfg.GroupFrac = 0.4
-	}
-	if cfg.Leakage == 0 {
-		cfg.Leakage = 0.8
-	}
 	const dim = 5
 	x := tensor.New(cfg.N, dim)
 	labels := make([]int, cfg.N)
@@ -54,7 +49,7 @@ func BiasedCensus(rng *rand.Rand, cfg CensusConfig) *CensusData {
 	merit := make([]int, cfg.N)
 	for i := 0; i < cfg.N; i++ {
 		g := 0
-		if rng.Float64() < cfg.GroupFrac {
+		if rng.Float64() < censusGroupFrac {
 			g = 1
 		}
 		group[i] = g
@@ -73,8 +68,8 @@ func BiasedCensus(rng *rand.Rand, cfg CensusConfig) *CensusData {
 		}
 		labels[i] = label
 		// Proxy features leak group membership.
-		proxy1 := cfg.Leakage*float64(g) + (1-cfg.Leakage)*rng.NormFloat64()
-		proxy2 := cfg.Leakage*float64(1-g) + (1-cfg.Leakage)*rng.NormFloat64()
+		proxy1 := censusLeakage*float64(g) + (1-censusLeakage)*rng.NormFloat64()
+		proxy2 := censusLeakage*float64(1-g) + (1-censusLeakage)*rng.NormFloat64()
 		row := x.Row(i)
 		row[0], row[1], row[2], row[3], row[4] = edu, exp, hours, proxy1, proxy2
 	}

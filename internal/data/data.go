@@ -97,43 +97,39 @@ func TwoMoons(rng *rand.Rand, n int, noise float64) *Dataset {
 
 // DigitsConfig controls SyntheticDigits generation.
 type DigitsConfig struct {
-	N       int
-	Size    int     // image side length (default 8)
-	Classes int     // default 4
-	Noise   float64 // pixel noise std (default 0.25)
+	N int
 }
 
-// SyntheticDigits generates [N, 1, Size, Size] images where each class has a
-// distinct bright glyph (horizontal bar, vertical bar, diagonal, square
+// The digit images: side length in pixels, class count and the pixel
+// noise's standard deviation.
+const (
+	digitsSize            = 8
+	digitsClasses         = 4
+	digitsNoise   float64 = 0.25
+)
+
+// SyntheticDigits generates [N, 1, 8, 8] images where each of 4 classes has
+// a distinct bright glyph (horizontal bar, vertical bar, diagonal, square
 // outline) on a noisy background. The glyph pixels are the ground-truth
 // discriminative region, which the saliency experiments (E28) check against.
 func SyntheticDigits(rng *rand.Rand, cfg DigitsConfig) (*Dataset, [][]bool) {
-	if cfg.Size == 0 {
-		cfg.Size = 8
-	}
-	if cfg.Classes == 0 {
-		cfg.Classes = 4
-	}
-	if cfg.Noise == 0 {
-		cfg.Noise = 0.25
-	}
-	s := cfg.Size
-	masks := glyphMasks(s, cfg.Classes)
+	const s = digitsSize
+	masks := glyphMasks(s, digitsClasses)
 	x := tensor.New(cfg.N, 1, s, s)
 	labels := make([]int, cfg.N)
 	for i := 0; i < cfg.N; i++ {
-		c := i % cfg.Classes
+		c := i % digitsClasses
 		labels[i] = c
 		base := i * s * s
 		for p := 0; p < s*s; p++ {
-			v := cfg.Noise * rng.NormFloat64()
+			v := digitsNoise * rng.NormFloat64()
 			if masks[c][p] {
 				v += 1.0
 			}
 			x.Data[base+p] = v
 		}
 	}
-	return &Dataset{X: x, Labels: labels, Classes: cfg.Classes}, masks
+	return &Dataset{X: x, Labels: labels, Classes: digitsClasses}, masks
 }
 
 // glyphMasks returns, for each class, a boolean mask over the s×s pixels

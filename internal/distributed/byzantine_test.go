@@ -42,11 +42,10 @@ func TestConfigValidateTable(t *testing.T) {
 		{"topk-negative", func(c *Config) { c.TopK = -0.5 }, "TopK"},
 		{"quant-negative", func(c *Config) { c.QuantBits = -4 }, "QuantBits"},
 		{"retries-negative", func(c *Config) { c.MaxRetries = -1 }, "MaxRetries"},
-		// Attempt 64's backoff term is RetryBackoffS·(int64(1)<<63) < 0,
+		// Attempt 64's backoff term is retryBackoff·(int64(1)<<63) < 0,
 		// which would cancel every earlier backoff; 64 retries stop short.
 		{"retries-64", func(c *Config) { c.MaxRetries = 64 }, ""},
 		{"retries-65", func(c *Config) { c.MaxRetries = 65 }, "MaxRetries"},
-		{"backoff-negative", func(c *Config) { c.RetryBackoffS = -1e-3 }, "RetryBackoffS"},
 		{"snapshot-negative", func(c *Config) { c.SnapshotPeriod = -5 }, "SnapshotPeriod"},
 		{"dropk-equals-workers", func(c *Config) { c.DropSlowestK = 4 }, "DropSlowestK"},
 		{"dropk-negative", func(c *Config) { c.DropSlowestK = -1 }, "DropSlowestK"},
@@ -96,10 +95,6 @@ func TestConfigValidateTable(t *testing.T) {
 		{"lr-inf", func(c *Config) { c.LR = math.Inf(1) }, "LR"},
 		{"topk-nan", func(c *Config) { c.TopK = math.NaN() }, "TopK"},
 		{"topk-inf", func(c *Config) { c.TopK = math.Inf(1) }, "TopK"},
-		{"backoff-inf-with-drops", func(c *Config) {
-			c.RetryBackoffS, c.Fault = math.Inf(1), fault.Config{Seed: 1, Schedule: []fault.Window{{Kind: fault.KindDrop, Prob: 0.5}}}
-		}, "RetryBackoffS"},
-		{"backoff-nan", func(c *Config) { c.RetryBackoffS = math.NaN() }, "RetryBackoffS"},
 		{"reputation-decay-nan", func(c *Config) { c.Reputation = &robust.ReputationConfig{Decay: math.NaN()} }, "Reputation.Decay"},
 		{"reputation-threshold-nan", func(c *Config) { c.Reputation = &robust.ReputationConfig{Threshold: math.NaN()} }, "Reputation.Threshold"},
 		{"reputation-threshold-inf", func(c *Config) { c.Reputation = &robust.ReputationConfig{Threshold: math.Inf(1)} }, "Reputation.Threshold"},
@@ -108,9 +103,6 @@ func TestConfigValidateTable(t *testing.T) {
 		{"arch-in-negative", func(c *Config) { c.Arch.In = -5 }, "Arch"},
 		{"arch-hidden-zero", func(c *Config) { c.Arch.Hidden = []int{24, 0} }, "Arch"},
 		{"arch-out-zero", func(c *Config) { c.Arch.Out = 0 }, "Arch"},
-		{"arch-dropout-one", func(c *Config) { c.Arch.Dropout = 1 }, "Arch"},
-		{"arch-dropout-nan", func(c *Config) { c.Arch.Dropout = math.NaN() }, "Arch.Dropout"},
-		{"arch-dropout", func(c *Config) { c.Arch.Dropout = 0.2 }, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -15,8 +15,7 @@ import (
 // would otherwise hide are rejected. Train calls Validate before touching
 // any state.
 func (c Config) Validate() error {
-	fields := []invalid.Field{invalid.F("LR", c.LR), invalid.F("TopK", c.TopK),
-		invalid.F("RetryBackoffS", c.RetryBackoffS), invalid.F("Arch.Dropout", c.Arch.Dropout)}
+	fields := []invalid.Field{invalid.F("LR", c.LR), invalid.F("TopK", c.TopK)}
 	if r := c.Reputation; r != nil {
 		fields = append(fields, invalid.F("Reputation.Decay", r.Decay),
 			invalid.F("Reputation.Threshold", r.Threshold))
@@ -51,9 +50,6 @@ func (c Config) Validate() error {
 	if c.MaxRetries < 0 || c.MaxRetries > maxRetryCap {
 		return invalid.New("distributed", "MaxRetries", "%d out of [0, %d]", c.MaxRetries, maxRetryCap)
 	}
-	if c.RetryBackoffS < 0 {
-		return invalid.New("distributed", "RetryBackoffS", "%g is negative", c.RetryBackoffS)
-	}
 	if c.SnapshotPeriod < 0 {
 		return invalid.New("distributed", "SnapshotPeriod", "%d is negative", c.SnapshotPeriod)
 	}
@@ -62,12 +58,6 @@ func (c Config) Validate() error {
 	}
 	if !c.Topology.valid() {
 		return invalid.New("distributed", "Topology", "%q is not a known topology", string(c.Topology))
-	}
-	if c.GroupSize != 0 && c.GroupSize < 2 {
-		return invalid.New("distributed", "GroupSize", "%d < 2: a hierarchical group needs at least two members", c.GroupSize)
-	}
-	if c.SnapshotKeep < 0 {
-		return invalid.New("distributed", "SnapshotKeep", "%d is negative", c.SnapshotKeep)
 	}
 	if err := c.validateChurn(); err != nil {
 		return err
@@ -109,7 +99,7 @@ func (c Config) Validate() error {
 }
 
 // maxRetryCap bounds MaxRetries: the backoff before attempt a is
-// RetryBackoffS·2^(a−1) in int64 arithmetic, and at attempt 64 that term
+// retryBackoff·2^(a−1) in int64 arithmetic, and at attempt 64 that term
 // turns negative and cancels every earlier one.
 const maxRetryCap = 64
 

@@ -69,9 +69,6 @@ type Config struct {
 	// one round (default 4, at most 64); a sender that exhausts them times
 	// out and is excluded from that round's average.
 	MaxRetries int
-	// RetryBackoffS is the base exponential-backoff delay, in simulated
-	// seconds, inserted before each retransmission (default 1ms).
-	RetryBackoffS float64
 	// DropSlowestK enables straggler mitigation: each averaging round the
 	// k slowest workers are excluded from aggregation (the backup-worker
 	// pattern — the round completes at the pace of the fastest survivors).
@@ -90,18 +87,11 @@ type Config struct {
 	// link faults, and degrade to the all-to-all fallback when healing
 	// would break the contribution quorum.
 	Topology Topology
-	// GroupSize is the intra-group ring width for TopoHier (default
-	// ceil(sqrt(members)), minimum 2). Ignored by the other topologies.
-	GroupSize int
 	// Churn is the deterministic elastic-membership schedule: each event
 	// makes one worker join or leave at the start of its round. Joiners
 	// catch up from the newest CRC-valid snapshot. An empty schedule keeps
 	// membership static (the historical behaviour).
 	Churn []ChurnEvent
-	// SnapshotKeep bounds the checkpoint ring: only the newest N global
-	// snapshots stay resident (default 2), so large-n runs with periodic
-	// snapshots hold bounded memory.
-	SnapshotKeep int
 
 	// Guard, when non-nil, screens worker contributions for numerical
 	// faults before they reach the aggregate: a worker whose loss or

@@ -74,6 +74,15 @@ type Job struct {
 	finalized bool
 }
 
+// The job's fixed retry and checkpoint policy: the base exponential-backoff
+// delay before a retransmission, in simulated seconds, and how many global
+// snapshots the checkpoint ring keeps resident, so large-n runs with
+// periodic snapshots hold bounded memory.
+const (
+	retryBackoff float64 = 1e-3
+	snapshotKeep         = 2
+)
+
 // NewJob validates the config and prepares a training job on the
 // configured kernel (Config.Kernel, or a private one when nil — the
 // standalone path). All model and worker state is initialised here; no
@@ -102,14 +111,8 @@ func NewJob(seed int64, x, y *tensor.Tensor, cfg Config) (*Job, error) {
 	if cfg.MaxRetries < 1 {
 		cfg.MaxRetries = 4
 	}
-	if cfg.RetryBackoffS <= 0 {
-		cfg.RetryBackoffS = 1e-3
-	}
 	if cfg.SnapshotPeriod < 1 {
 		cfg.SnapshotPeriod = 5
-	}
-	if cfg.SnapshotKeep < 1 {
-		cfg.SnapshotKeep = 2
 	}
 	k := cfg.Kernel
 	if k == nil {
@@ -143,7 +146,7 @@ func NewJob(seed int64, x, y *tensor.Tensor, cfg Config) (*Job, error) {
 		j.rep = robust.NewReputation(*cfg.Reputation)
 	}
 	j.ins = newDistObs(cfg.Obs, cfg.Workers)
-	j.net = &transport{inj: j.inj, prof: j.prof, maxRetries: cfg.MaxRetries, backoffS: cfg.RetryBackoffS, obs: j.ins}
+	j.net = &transport{inj: j.inj, prof: j.prof, maxRetries: cfg.MaxRetries, backoffS: retryBackoff, obs: j.ins}
 	j.trainSpan = j.ins.span("distributed.train", j.clk.now())
 
 	// All workers start from the same initialisation but own independent
@@ -151,19 +154,14 @@ func NewJob(seed int64, x, y *tensor.Tensor, cfg Config) (*Job, error) {
 	// reordering of worker execution cannot change any worker's batches.
 	// A replica is a copy of the global model. The generator that builds
 	// it only draws He weights the copy overwrites, so every replica
-	// shares the global model's, unless dropout masks draw from it: then
-	// each keeps a generator seeded like the global model's.
+	// shares the global model's.
 	initRNG := rand.New(rand.NewSource(seed))
 	j.global = nn.NewMLP(initRNG, cfg.Arch)
 	params := j.global.ParamVector()
 	j.workers = make([]*worker, cfg.Workers)
 	shards := shardIndices(x.Dim(0), cfg.Workers)
 	for w := range j.workers {
-		rng := initRNG
-		if cfg.Arch.Dropout > 0 {
-			rng = rand.New(rand.NewSource(seed))
-		}
-		wnet := nn.NewMLP(rng, cfg.Arch)
+		wnet := nn.NewMLP(initRNG, cfg.Arch)
 		wnet.SetParamVector(params)
 		wrng := rand.New(rand.NewSource(fault.WorkerSeed(seed, w)))
 		j.workers[w] = &worker{
@@ -196,7 +194,7 @@ func NewJob(seed int64, x, y *tensor.Tensor, cfg Config) (*Job, error) {
 		}
 	}
 
-	j.store = checkpoint.NewStore(cfg.SnapshotKeep)
+	j.store = checkpoint.NewStore(snapshotKeep)
 	j.snaps = j.inj != nil || len(j.churn) > 0
 	if j.snaps {
 		j.snapshot(0, j.global)

@@ -38,8 +38,7 @@ const (
 	TopoTree Topology = "tree"
 	// TopoHier is the two-level hierarchy: ring all-reduce inside fixed
 	// groups, tree reduce-broadcast across group leaders, then a binomial
-	// broadcast back inside each group. GroupSize picks the group width
-	// (default ceil(sqrt(m))).
+	// broadcast back inside each group of ceil(sqrt(m)) members.
 	TopoHier Topology = "hier"
 )
 
@@ -89,20 +88,10 @@ func ceilDiv(a int64, b int) int64 {
 // heapDepth is the depth of index i in a 0-based binary heap.
 func heapDepth(i int) int { return bits.Len(uint(i+1)) - 1 }
 
-// hierGroupSize resolves the intra-group width for TopoHier: the configured
-// size clamped to the member count, defaulting to ceil(sqrt(m)) (minimum 2).
-func hierGroupSize(groupSize, m int) int {
-	gs := groupSize
-	if gs < 2 {
-		gs = int(math.Ceil(math.Sqrt(float64(m))))
-		if gs < 2 {
-			gs = 2
-		}
-	}
-	if gs > m {
-		gs = m
-	}
-	return gs
+// hierGroupSize is TopoHier's intra-group width over m ≥ 2 members:
+// ceil(sqrt(m)), at least 2, which never exceeds m.
+func hierGroupSize(m int) int {
+	return max(2, int(math.Ceil(math.Sqrt(float64(m)))))
 }
 
 // phaseHops enumerates the collective's phases over the live members
@@ -111,7 +100,7 @@ func hierGroupSize(groupSize, m int) int {
 // across the round. Every phase's hops live in buf, which phaseHops
 // returns, grown, for the next call to reuse, so visit must neither keep
 // nor modify them.
-func phaseHops(kind Topology, members []int, payload int64, groupSize int, buf []hop, visit func(seq int, hops []hop)) []hop {
+func phaseHops(kind Topology, members []int, payload int64, buf []hop, visit func(seq int, hops []hop)) []hop {
 	m := len(members)
 	if m < 2 {
 		return buf
@@ -164,7 +153,7 @@ func phaseHops(kind Topology, members []int, payload int64, groupSize int, buf [
 			emit()
 		}
 	case TopoHier:
-		gs := hierGroupSize(groupSize, m)
+		gs := hierGroupSize(m)
 		var groups [][]int
 		for i := 0; i < m; i += gs {
 			end := i + gs
@@ -315,13 +304,13 @@ func (t *transport) wire(bytes int64) float64 {
 // phase costs its slowest hop); phases serialize. Each link's draws are
 // resolved once per walk, and the per-hop Stats tallies reach obs once,
 // when the walk ends.
-func (t *transport) walk(kind Topology, live []int, payload int64, round, groupSize, salt int, stats *Stats) (map[int]bool, float64) {
+func (t *transport) walk(kind Topology, live []int, payload int64, round, salt int, stats *Stats) (map[int]bool, float64) {
 	lost := make(map[int]bool)
 	failed := make(map[int]int)
 	t.links, t.wires = t.links[:0], t.wires[:0]
 	sent, slow, retrans, dropped, heals := stats.BytesSent, stats.LinkSlowHops, stats.Retransmissions, stats.LinkDropped, stats.TopoHeals
 	var total float64
-	t.hops = phaseHops(kind, live, payload, groupSize, t.hops, func(seq int, hops []hop) {
+	t.hops = phaseHops(kind, live, payload, t.hops, func(seq int, hops []hop) {
 		var phaseS float64
 		for pos, h := range hops {
 			ok, s := t.hop(t.link(pos, h.src, h.dst, round), t.wire(h.bytes), h.bytes, salt+seq, stats)
@@ -360,7 +349,7 @@ func (t *transport) walk(kind Topology, live []int, payload int64, round, groupS
 // degrades the whole round to the all-to-all fallback. Returns the members
 // whose contribution was excluded, the simulated seconds elapsed, and
 // whether the round degraded.
-func (t *transport) collective(kind Topology, members []int, payload int64, round, groupSize int, stats *Stats) (excluded map[int]bool, elapsed float64, degraded bool) {
+func (t *transport) collective(kind Topology, members []int, payload int64, round int, stats *Stats) (excluded map[int]bool, elapsed float64, degraded bool) {
 	excluded = make(map[int]bool)
 	if len(members) < 2 {
 		return excluded, 0, false
@@ -398,7 +387,7 @@ func (t *transport) collective(kind Topology, members []int, payload int64, roun
 		}
 	}
 	if len(live) >= 2 {
-		lost, s := t.walk(kind, live, payload, round, groupSize, 0, stats)
+		lost, s := t.walk(kind, live, payload, round, 0, stats)
 		elapsed += s
 		for w := range lost {
 			excluded[w] = true
@@ -411,7 +400,7 @@ func (t *transport) collective(kind Topology, members []int, payload int64, roun
 			degraded = true
 			stats.TopoDegraded++
 			t.obs.topoDegraded.Inc()
-			lost2, s2 := t.walk(TopoAllToAll, live, payload, round, groupSize, degradeSalt, stats)
+			lost2, s2 := t.walk(TopoAllToAll, live, payload, round, degradeSalt, stats)
 			elapsed += s2
 			excluded = make(map[int]bool)
 			for _, w := range cut {
@@ -462,7 +451,7 @@ func (j *Job) exchange(members []*worker, ups []upload, payload int64, round int
 	for i, wk := range members {
 		ids[i] = wk.id
 	}
-	lost, commS, _ := j.net.collective(j.cfg.Topology, ids, payload, round, j.cfg.GroupSize, stats)
+	lost, commS, _ := j.net.collective(j.cfg.Topology, ids, payload, round, stats)
 	stats.CommRounds++
 	j.ins.commRounds.Inc()
 	stats.CommSeconds += commS

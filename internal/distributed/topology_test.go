@@ -28,9 +28,9 @@ func members(n int) []int {
 }
 
 // collectPhases materialises phaseHops output for structural assertions.
-func collectPhases(kind Topology, m []int, payload int64, groupSize int) [][]hop {
+func collectPhases(kind Topology, m []int, payload int64) [][]hop {
 	var phases [][]hop
-	phaseHops(kind, m, payload, groupSize, nil, func(seq int, hops []hop) {
+	phaseHops(kind, m, payload, nil, func(seq int, hops []hop) {
 		if seq != len(phases) {
 			panic("phase seq out of order")
 		}
@@ -45,7 +45,7 @@ func TestPhaseHopsStructure(t *testing.T) {
 		m := members(n)
 
 		// All-to-all: n-1 phases of n full-payload hops.
-		a2a := collectPhases(TopoAllToAll, m, payload, 0)
+		a2a := collectPhases(TopoAllToAll, m, payload)
 		if len(a2a) != n-1 {
 			t.Fatalf("n=%d all-to-all: %d phases, want %d", n, len(a2a), n-1)
 		}
@@ -61,7 +61,7 @@ func TestPhaseHopsStructure(t *testing.T) {
 		}
 
 		// Ring: 2(n-1) phases of n segment hops, each to the successor.
-		ring := collectPhases(TopoRing, m, payload, 0)
+		ring := collectPhases(TopoRing, m, payload)
 		if len(ring) != 2*(n-1) {
 			t.Fatalf("n=%d ring: %d phases, want %d", n, len(ring), 2*(n-1))
 		}
@@ -82,7 +82,7 @@ func TestPhaseHopsStructure(t *testing.T) {
 
 		// Tree: 2*depth phases; reduce phases total n-1 hops (every non-root
 		// sends to its heap parent exactly once), broadcast mirrors them.
-		tree := collectPhases(TopoTree, m, payload, 0)
+		tree := collectPhases(TopoTree, m, payload)
 		depth := heapDepth(n - 1)
 		if len(tree) != 2*depth {
 			t.Fatalf("n=%d tree: %d phases, want %d", n, len(tree), 2*depth)
@@ -97,7 +97,7 @@ func TestPhaseHopsStructure(t *testing.T) {
 
 		// Hier: every phase's hop endpoints are members; per-member traffic
 		// exists (every member appears as a src or dst at least once).
-		hier := collectPhases(TopoHier, m, payload, 0)
+		hier := collectPhases(TopoHier, m, payload)
 		touched := make(map[int]bool)
 		for _, ph := range hier {
 			for _, h := range ph {
@@ -112,17 +112,16 @@ func TestPhaseHopsStructure(t *testing.T) {
 }
 
 func TestHierGroupSize(t *testing.T) {
-	if gs := hierGroupSize(0, 64); gs != 8 {
-		t.Fatalf("default group size for 64 members = %d, want 8 (ceil sqrt)", gs)
+	if gs := hierGroupSize(64); gs != 8 {
+		t.Fatalf("group size for 64 members = %d, want 8 (ceil sqrt)", gs)
 	}
-	if gs := hierGroupSize(0, 2); gs != 2 {
+	if gs := hierGroupSize(2); gs != 2 {
 		t.Fatalf("minimum group size = %d, want 2", gs)
 	}
-	if gs := hierGroupSize(100, 8); gs != 8 {
-		t.Fatalf("group size should clamp to member count, got %d", gs)
-	}
-	if gs := hierGroupSize(4, 64); gs != 4 {
-		t.Fatalf("configured group size ignored: got %d, want 4", gs)
+	for m := 2; m <= 300; m++ {
+		if gs := hierGroupSize(m); gs > m || gs*gs < m || (gs > 2 && (gs-1)*(gs-1) >= m) {
+			t.Fatalf("group size for %d members = %d, want ceil(sqrt(m)) in [2, m]", m, gs)
+		}
 	}
 }
 
@@ -138,7 +137,7 @@ func TestExchangeCleanLinks(t *testing.T) {
 	out := map[Topology]res{}
 	for _, topo := range Topologies() {
 		var stats Stats
-		excluded, s, degraded := net.collective(topo, members(8), payload, 0, 0, &stats)
+		excluded, s, degraded := net.collective(topo, members(8), payload, 0, &stats)
 		if len(excluded) != 0 || degraded {
 			t.Fatalf("%s: clean exchange excluded %d, degraded %v", topo, len(excluded), degraded)
 		}
@@ -156,7 +155,7 @@ func TestExchangeCleanLinks(t *testing.T) {
 	// Determinism: a second walk over the same round reproduces the time.
 	for _, topo := range Topologies() {
 		var stats Stats
-		_, s, _ := net.collective(topo, members(8), payload, 0, 0, &stats)
+		_, s, _ := net.collective(topo, members(8), payload, 0, &stats)
 		if s != out[topo].s {
 			t.Fatalf("%s: exchange time not deterministic: %g vs %g", topo, s, out[topo].s)
 		}
@@ -171,7 +170,7 @@ func TestExchangeDegradesUnderTotalLinkLoss(t *testing.T) {
 	net := newTestTransport(inj, 3)
 	for _, topo := range []Topology{TopoRing, TopoTree, TopoHier} {
 		var stats Stats
-		excluded, s, degraded := net.collective(topo, members(8), 1000, 0, 0, &stats)
+		excluded, s, degraded := net.collective(topo, members(8), 1000, 0, &stats)
 		if !degraded || stats.TopoDegraded != 1 {
 			t.Fatalf("%s: total link loss did not degrade (stats %+v)", topo, stats)
 		}
@@ -195,7 +194,7 @@ func TestExchangeHealsModerateLoss(t *testing.T) {
 	var stats Stats
 	healedRounds := 0
 	for round := 0; round < 20; round++ {
-		excluded, _, degraded := net.collective(TopoRing, members(8), 1000, round, 0, &stats)
+		excluded, _, degraded := net.collective(TopoRing, members(8), 1000, round, &stats)
 		if degraded {
 			t.Fatalf("round %d: ring degraded under 30%% loss with retries", round)
 		}
@@ -234,7 +233,7 @@ func TestExchangePartitionExcludesMinority(t *testing.T) {
 		minority = 9 - side0
 	}
 	var stats Stats
-	excluded, _, _ := net.collective(TopoRing, members(9), 1000, 5, 0, &stats)
+	excluded, _, _ := net.collective(TopoRing, members(9), 1000, 5, &stats)
 	if stats.PartitionedRounds != 1 {
 		t.Fatalf("PartitionedRounds = %d, want 1", stats.PartitionedRounds)
 	}
@@ -252,10 +251,10 @@ func TestLinkSlowHopsAccounted(t *testing.T) {
 	inj := fault.NewInjector(fault.Config{Seed: 5, Schedule: []fault.Window{{Kind: fault.KindLinkSlow, Prob: 1, Factor: 8}}})
 	net := newTestTransport(inj, 4)
 	var slowStats Stats
-	_, slowS, _ := net.collective(TopoRing, members(4), 1000, 0, 0, &slowStats)
+	_, slowS, _ := net.collective(TopoRing, members(4), 1000, 0, &slowStats)
 	clean := newTestTransport(nil, 4)
 	var cleanStats Stats
-	_, cleanS, _ := clean.collective(TopoRing, members(4), 1000, 0, 0, &cleanStats)
+	_, cleanS, _ := clean.collective(TopoRing, members(4), 1000, 0, &cleanStats)
 	if slowStats.LinkSlowHops == 0 {
 		t.Fatal("link-slow probability 1 recorded no slow hops")
 	}
@@ -275,18 +274,6 @@ func TestTopologyConfigValidation(t *testing.T) {
 		t.Fatal("unknown topology accepted")
 	} else if ce, ok := err.(*invalid.Error); !ok || ce.Field != "Topology" {
 		t.Fatalf("want *invalid.Error{Topology}, got %v", err)
-	}
-
-	bad = base
-	bad.GroupSize = 1
-	if _, _, err := Train(1, train.X, y, bad); err == nil {
-		t.Fatal("group size 1 accepted")
-	}
-
-	bad = base
-	bad.SnapshotKeep = -1
-	if _, _, err := Train(1, train.X, y, bad); err == nil {
-		t.Fatal("negative SnapshotKeep accepted")
 	}
 
 	for name, churn := range map[string][]ChurnEvent{

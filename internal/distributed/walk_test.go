@@ -15,11 +15,11 @@ import (
 // resolved once per walk: every hop resolves its own link and its own wire
 // time, and every attempt updates obs as it happens. It is the oracle the
 // memoized transport.walk must equal.
-func perHopWalk(t *transport, kind Topology, live []int, payload int64, round, groupSize, salt int, stats *Stats) (map[int]bool, float64) {
+func perHopWalk(t *transport, kind Topology, live []int, payload int64, round, salt int, stats *Stats) (map[int]bool, float64) {
 	lost := make(map[int]bool)
 	failed := make(map[int]int)
 	var total float64
-	phaseHops(kind, live, payload, groupSize, nil, func(seq int, hops []hop) {
+	phaseHops(kind, live, payload, nil, func(seq int, hops []hop) {
 		var phaseS float64
 		for _, h := range hops {
 			ok, s := perHopPrice(t, h.src, h.dst, h.bytes, round, salt+seq, stats)
@@ -103,15 +103,6 @@ func TestWalkMatchesPerHopPricing(t *testing.T) {
 			{Kind: fault.KindLinkDrop, Workers: []int{0, 2, 5}, StartS: 2, Prob: 0.4},
 		}},
 	}
-	type topoCase struct {
-		kind      Topology
-		groupSize int
-	}
-	var topos []topoCase
-	for _, kind := range Topologies() {
-		topos = append(topos, topoCase{kind, 0})
-	}
-	topos = append(topos, topoCase{TopoHier, 3}, topoCase{TopoHier, 5})
 	walks := []struct {
 		round int
 		now   float64
@@ -119,10 +110,10 @@ func TestWalkMatchesPerHopPricing(t *testing.T) {
 
 	var slowHops, drops, heals, lostMembers int
 	for fname, fc := range faults {
-		for _, tc := range topos {
+		for _, kind := range Topologies() {
 			for _, m := range []int{2, 3, 5, 8, 13, 33} {
 				for _, salt := range []int{0, degradeSalt} {
-					name := fmt.Sprintf("%s/%s/gs%d/m%d/salt%d", fname, tc.kind, tc.groupSize, m, salt)
+					name := fmt.Sprintf("%s/%s/m%d/salt%d", fname, kind, m, salt)
 					clk := &walkClock{}
 					var inj *fault.Injector
 					if len(fc.Schedule) > 0 {
@@ -138,8 +129,8 @@ func TestWalkMatchesPerHopPricing(t *testing.T) {
 					var sm, so Stats
 					for _, w := range walks {
 						clk.t = w.now
-						lm, em := memo.walk(tc.kind, members(m), 1000, w.round, tc.groupSize, salt, &sm)
-						lo, eo := perHopWalk(oracle, tc.kind, members(m), 1000, w.round, tc.groupSize, salt, &so)
+						lm, em := memo.walk(kind, members(m), 1000, w.round, salt, &sm)
+						lo, eo := perHopWalk(oracle, kind, members(m), 1000, w.round, salt, &so)
 						if !reflect.DeepEqual(lm, lo) {
 							t.Fatalf("%s round %d: lost %v, per-hop %v", name, w.round, lm, lo)
 						}
@@ -177,9 +168,9 @@ func TestWalkMemoAllocatesNothingNew(t *testing.T) {
 	for _, kind := range Topologies() {
 		net, oracle := newTestTransport(inj, 3), newTestTransport(inj, 3)
 		var stats Stats
-		net.walk(kind, live, 1000, 0, 0, 0, &stats)
-		memo := testing.AllocsPerRun(10, func() { net.walk(kind, live, 1000, 1, 0, 0, &stats) })
-		perHop := testing.AllocsPerRun(10, func() { perHopWalk(oracle, kind, live, 1000, 1, 0, 0, &stats) })
+		net.walk(kind, live, 1000, 0, 0, &stats)
+		memo := testing.AllocsPerRun(10, func() { net.walk(kind, live, 1000, 1, 0, &stats) })
+		perHop := testing.AllocsPerRun(10, func() { perHopWalk(oracle, kind, live, 1000, 1, 0, &stats) })
 		if memo > perHop {
 			t.Fatalf("%s: memoized walk allocates %v per call, per-hop pricing %v", kind, memo, perHop)
 		}

@@ -125,7 +125,7 @@ func TestReweighedTrainingShrinksGap(t *testing.T) {
 
 func TestAdversarialDebiasingReducesLeakage(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	c := data.BiasedCensus(rng, data.CensusConfig{N: 5000, Bias: 0.5, Leakage: 0.9})
+	c := data.BiasedCensus(rng, data.CensusConfig{N: 5000, Bias: 0.5})
 	train, test := c.SplitCensus(rng, 0.7)
 
 	cfg := AdversarialConfig{Encoder: []int{16, 8}, Lambda: 0, Epochs: 20, BatchSize: 64, LR: 0.01}

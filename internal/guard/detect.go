@@ -87,9 +87,9 @@ func (w *normWindow) median() float64 {
 
 // gradExplosion is the explosion predicate: a norm is an explosion when it
 // is at least factor times the healthy rolling median AND not below the
-// absolute floor minNorm. The floor comparison is inclusive — the Policy
-// contract is that norms *below* the floor are never explosions, so a norm
-// exactly at the floor is still eligible when the relative test fires.
+// absolute floor minNorm. The floor comparison is inclusive — the contract
+// is that norms *below* the floor are never explosions, so a norm exactly
+// at the floor is still eligible when the relative test fires.
 func gradExplosion(norm, median, factor, minNorm float64) bool {
 	return norm >= minNorm && norm > factor*median
 }

@@ -2,10 +2,10 @@ package guard
 
 import "testing"
 
-// The explosion predicate's boundary semantics, per the Policy doc: norms
-// strictly below ExplodeMinNorm are never explosions, a norm exactly at the
-// floor is still eligible, and the relative test against the rolling median
-// decides from there. The floor row at exactly ExplodeMinNorm is the
+// The explosion predicate's boundary semantics, per explodeMinNorm's doc:
+// norms strictly below the floor are never explosions, a norm exactly at
+// the floor is still eligible, and the relative test against the rolling
+// median decides from there. The floor row at exactly the floor is the
 // regression case for the historical off-by-one (the floor comparison used
 // to be strict, silently exempting the boundary itself).
 func TestGradExplosionBoundary(t *testing.T) {

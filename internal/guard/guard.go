@@ -23,32 +23,12 @@ const (
 	Observe
 )
 
-// Policy configures detection thresholds and the remediation escalation.
-// The zero value gets sensible defaults from New.
+// Policy configures a guarded trainer: whether it intervenes, what input
+// it accepts and where it reports. The detection thresholds and the
+// remediation escalation are the constants below.
 type Policy struct {
-	Mode Mode
-
-	// Detection.
-	LossSpikeZ    float64 // z-score above which a loss is a spike (default 8)
-	EMADecay      float64 // loss EMA decay (default 0.95)
-	WarmupSteps   int     // healthy steps before spike detection arms (default 8)
-	NormWindow    int     // rolling window of healthy gradient norms (default 16)
-	ExplodeFactor float64 // norm > factor·median ⇒ explosion (default 10)
-	// ExplodeMinNorm is an absolute floor: norms below it are never treated
-	// as explosions, however small the rolling median gets late in training
-	// (default 1). Set a tiny value to make the detector purely relative.
-	ExplodeMinNorm float64
-	Schema         *BatchSchema // nil disables input validation
-
-	// Remediation.
-	LRBackoff     float64 // LR multiplier on a loss spike (default 0.5)
-	MinLR         float64 // floor under backoff/damping (default 1e-5)
-	DampFactor    float64 // LR multiplier after a rollback (default 0.7)
-	RollbackAfter int     // consecutive bad steps before rollback (default 3)
-
-	// Checkpointing.
-	SnapshotEvery int // healthy steps between snapshots (default 10)
-	KeepSnapshots int // retained snapshots (default 3)
+	Mode   Mode
+	Schema *BatchSchema // nil disables input validation
 
 	// Obs, when non-nil, receives live incident/remediation counters
 	// (mirroring the Ledger summary counters exactly) and a span per
@@ -56,46 +36,25 @@ type Policy struct {
 	Obs *obs.Handle
 }
 
-// withDefaults fills zero fields with the documented defaults.
-func (p Policy) withDefaults() Policy {
-	if p.LossSpikeZ == 0 {
-		p.LossSpikeZ = 8
-	}
-	if p.EMADecay == 0 {
-		p.EMADecay = 0.95
-	}
-	if p.WarmupSteps == 0 {
-		p.WarmupSteps = 8
-	}
-	if p.NormWindow == 0 {
-		p.NormWindow = 16
-	}
-	if p.ExplodeFactor == 0 {
-		p.ExplodeFactor = 10
-	}
-	if p.ExplodeMinNorm == 0 {
-		p.ExplodeMinNorm = 1
-	}
-	if p.LRBackoff == 0 {
-		p.LRBackoff = 0.5
-	}
-	if p.MinLR == 0 {
-		p.MinLR = 1e-5
-	}
-	if p.DampFactor == 0 {
-		p.DampFactor = 0.7
-	}
-	if p.RollbackAfter == 0 {
-		p.RollbackAfter = 3
-	}
-	if p.SnapshotEvery == 0 {
-		p.SnapshotEvery = 10
-	}
-	if p.KeepSnapshots == 0 {
-		p.KeepSnapshots = 3
-	}
-	return p
-}
+// Detection thresholds.
+const (
+	lossSpikeZ     float64 = 8    // z-score above which a loss is a spike
+	emaDecay       float64 = 0.95 // loss EMA decay
+	warmupSteps            = 8    // healthy steps before spike detection arms
+	normWindowSize         = 16   // rolling window of healthy gradient norms
+	explodeFactor  float64 = 10   // norm > factor·median ⇒ explosion
+	explodeMinNorm float64 = 1    // norms below this floor are never explosions
+)
+
+// Remediation and checkpointing.
+const (
+	lrBackoff     float64 = 0.5  // LR multiplier on a loss spike
+	minLR         float64 = 1e-5 // floor under backoff/damping
+	dampFactor    float64 = 0.7  // LR multiplier after a rollback
+	rollbackAfter         = 3    // consecutive bad steps before rollback
+	snapshotEvery         = 10   // healthy steps between snapshots
+	keepSnapshots         = 3    // retained snapshots
+)
 
 // Trainer wraps an nn.Trainer with self-healing supervision. Each step runs
 // detect → remediate → (maybe) update, and every intervention lands in the
@@ -120,14 +79,13 @@ type Trainer struct {
 // taken immediately so rollback is always possible, and the optimizer's
 // current LR becomes the base rate that backoff and damping operate on.
 func New(inner *nn.Trainer, p Policy) *Trainer {
-	p = p.withDefaults()
 	g := &Trainer{
 		Inner:   inner,
 		Policy:  p,
 		obs:     newGuardObs(p.Obs),
-		store:   checkpoint.NewStore(p.KeepSnapshots),
-		lossMon: lossMonitor{decay: p.EMADecay, warmup: p.WarmupSteps},
-		normWin: newNormWindow(p.NormWindow),
+		store:   checkpoint.NewStore(keepSnapshots),
+		lossMon: lossMonitor{decay: emaDecay, warmup: warmupSteps},
+		normWin: newNormWindow(normWindowSize),
 		baseLR:  inner.Opt.LR(),
 	}
 	g.store.Put(checkpoint.TakeSnapshot(0, inner.Net))
@@ -205,11 +163,11 @@ func (g *Trainer) StepLR(bx, by *tensor.Tensor, lrFactor float64) (loss float64,
 		}
 		// A spiking loss means the model is being driven somewhere bad:
 		// discard the step and take smaller ones from here on.
-		g.baseLR = math.Max(g.Policy.MinLR, g.baseLR*g.Policy.LRBackoff)
+		g.baseLR = math.Max(minLR, g.baseLR*lrBackoff)
 		g.bad(step, KindLossSpike, ActionBackoffLR, z)
 		return loss, false
 
-	case g.normWin.ready() && gradExplosion(norm, g.normWin.median(), g.Policy.ExplodeFactor, g.Policy.ExplodeMinNorm):
+	case g.normWin.ready() && gradExplosion(norm, g.normWin.median(), explodeFactor, explodeMinNorm):
 		if !enforce {
 			g.record(Incident{Step: step, Kind: KindGradExplosion, Action: ActionObserved, Value: norm})
 			break
@@ -261,7 +219,7 @@ func (g *Trainer) record(in Incident) {
 
 // lossSpike reports whether the loss is a finite spike vs the EMA baseline.
 func (g *Trainer) lossSpike(loss float64) bool {
-	return g.lossMon.zscore(loss) > g.Policy.LossSpikeZ
+	return g.lossMon.zscore(loss) > lossSpikeZ
 }
 
 // applyHealthy applies the pending update, feeds the monitors, resets the
@@ -272,17 +230,17 @@ func (g *Trainer) applyHealthy(step int, loss, norm float64) {
 	g.normWin.add(norm)
 	g.consecBad = 0
 	g.sinceSnap++
-	if g.sinceSnap >= g.Policy.SnapshotEvery {
+	if g.sinceSnap >= snapshotEvery {
 		g.store.Put(checkpoint.TakeSnapshot(step, g.Inner.Net))
 		g.sinceSnap = 0
 	}
 }
 
 // bad records a remediated-but-skipped step and escalates to rollback after
-// RollbackAfter consecutive bad steps.
+// rollbackAfter consecutive bad steps.
 func (g *Trainer) bad(step int, kind IncidentKind, action Action, val float64) {
 	g.consecBad++
-	if g.consecBad >= g.Policy.RollbackAfter {
+	if g.consecBad >= rollbackAfter {
 		g.rollback(step, kind, val)
 		return
 	}
@@ -304,9 +262,9 @@ func (g *Trainer) rollback(step int, kind IncidentKind, val float64) {
 	if r, ok := g.Inner.Opt.(nn.StateResetter); ok {
 		r.ResetState()
 	}
-	g.baseLR = math.Max(g.Policy.MinLR, g.baseLR*g.Policy.DampFactor)
-	g.lossMon = lossMonitor{decay: g.Policy.EMADecay, warmup: g.Policy.WarmupSteps}
-	g.normWin = newNormWindow(g.Policy.NormWindow)
+	g.baseLR = math.Max(minLR, g.baseLR*dampFactor)
+	g.lossMon = lossMonitor{decay: emaDecay, warmup: warmupSteps}
+	g.normWin = newNormWindow(normWindowSize)
 	g.consecBad = 0
 	g.record(Incident{Step: step, Kind: kind, Action: ActionRollback, Value: val})
 }

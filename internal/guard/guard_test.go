@@ -89,14 +89,15 @@ func TestBatchSchemaChecks(t *testing.T) {
 func TestRollbackRestoresBitIdenticalParams(t *testing.T) {
 	tr, ds, y := newTrainer(4)
 	h := obs.NewHandle()
-	g := New(tr, Policy{SnapshotEvery: 1, RollbackAfter: 3, Obs: h})
-	// A few healthy steps; SnapshotEvery=1 snapshots after each.
+	g := New(tr, Policy{Obs: h})
+	// A few healthy steps, fewer than snapshotEvery, then a forced snapshot.
 	for i := 0; i < 5; i++ {
 		bx, by := nn.GatherBatchInto(nil, nil, ds.X, y, []int{4 * i, 4*i + 1, 4*i + 2, 4*i + 3})
 		if _, applied := g.Step(bx, by); !applied {
 			t.Fatalf("healthy step %d skipped", i)
 		}
 	}
+	g.Snapshot()
 	want := append([]float64(nil), tr.Net.ParamVector()...)
 	// Three consecutive poisoned batches escalate to rollback.
 	for i := 0; i < 3; i++ {
@@ -169,7 +170,7 @@ func TestOptimizerStateResetDeterministic(t *testing.T) {
 
 func TestLossSpikeBacksOffLR(t *testing.T) {
 	tr, ds, y := newTrainer(5)
-	g := New(tr, Policy{WarmupSteps: 4, LossSpikeZ: 4})
+	g := New(tr, Policy{})
 	for i := 0; i < 8; i++ {
 		bx, by := nn.GatherBatchInto(nil, nil, ds.X, y, []int{4 * i, 4*i + 1, 4*i + 2, 4*i + 3})
 		g.Step(bx, by)
@@ -196,7 +197,10 @@ func TestLossSpikeBacksOffLR(t *testing.T) {
 
 func TestGradExplosionClipped(t *testing.T) {
 	tr, ds, y := newTrainer(6)
-	g := New(tr, Policy{NormWindow: 4, ExplodeFactor: 5, LossSpikeZ: 1e9, WarmupSteps: 1 << 30})
+	g := New(tr, Policy{})
+	// Six healthy steps fill a 4-norm window; the spike detector is still
+	// warming up.
+	g.normWin = newNormWindow(4)
 	for i := 0; i < 6; i++ {
 		bx, by := nn.GatherBatchInto(nil, nil, ds.X, y, []int{4 * i, 4*i + 1, 4*i + 2, 4*i + 3})
 		g.Step(bx, by)
@@ -219,7 +223,7 @@ func TestGradExplosionClipped(t *testing.T) {
 
 func TestLRSpikeRecoveredByRollback(t *testing.T) {
 	tr, ds, y := newTrainer(8)
-	g := New(tr, Policy{SnapshotEvery: 2, RollbackAfter: 2})
+	g := New(tr, Policy{})
 	inj := fault.NewInjector(fault.Config{Seed: 3, Schedule: []fault.Window{{Kind: fault.KindLRSpike, Prob: 0.2, Factor: 1e6}}})
 	stats := g.Fit(ds.X, y, FitConfig{
 		Epochs: 4, BatchSize: 16,

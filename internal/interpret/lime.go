@@ -13,8 +13,10 @@ type LIMEConfig struct {
 	Samples     int     // perturbations drawn around the input
 	KernelWidth float64 // locality kernel width (in feature std units)
 	Sigma       float64 // perturbation std
-	Ridge       float64 // L2 regularisation of the surrogate
 }
+
+// limeRidge is the L2 regularisation of the surrogate.
+const limeRidge float64 = 1e-3
 
 // Explanation is a local linear surrogate of the model around one input:
 // score(x) ≈ Intercept + Σ Weights[j]·x[j], with Fidelity the
@@ -37,9 +39,6 @@ func LIME(rng *rand.Rand, net *nn.Network, x []float64, class int, cfg LIMEConfi
 	}
 	if cfg.Sigma == 0 {
 		cfg.Sigma = 0.5
-	}
-	if cfg.Ridge == 0 {
-		cfg.Ridge = 1e-3
 	}
 	d := len(x)
 	// Sample perturbations and model responses.
@@ -87,7 +86,7 @@ func LIME(rng *rand.Rand, net *nn.Network, x []float64, class int, cfg LIMEConfi
 		}
 	}
 	for a := 1; a < k; a++ {
-		ata[a][a] += cfg.Ridge
+		ata[a][a] += limeRidge
 	}
 	beta := solveLinear(ata, aty)
 

@@ -73,89 +73,6 @@ func TestBuildLearnedBloomArgErrors(t *testing.T) {
 	}
 }
 
-func TestNewDynamicRMIArgErrors(t *testing.T) {
-	for _, c := range []struct {
-		name   string
-		keys   []uint64
-		leaves int
-	}{
-		{"empty keys", nil, 8},
-		{"zero leaves", []uint64{1, 2, 3}, 0},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			d, err := NewDynamicRMI(c.keys, c.leaves)
-			if d != nil || err == nil {
-				t.Fatalf("got (%v, %v), want (nil, *invalid.Error)", d, err)
-			}
-			var ae *invalid.Error
-			if !errors.As(err, &ae) || ae.Field != "NewDynamicRMI" {
-				t.Fatalf("error %v is not an *invalid.Error from NewDynamicRMI", err)
-			}
-		})
-	}
-}
-
-// Satellite 2: the rebuild threshold is inclusive — the insert that brings
-// the delta buffer exactly to RebuildFraction*len(keys)+1 must itself
-// trigger the merge, and duplicate inserts must not count toward it.
-func TestDynamicRMIRebuildThresholdBoundary(t *testing.T) {
-	sorted := func(n int) []uint64 {
-		ks := make([]uint64, n)
-		for i := range ks {
-			ks[i] = uint64(i*10 + 5)
-		}
-		return ks
-	}
-	cases := []struct {
-		name     string
-		baseN    int
-		fraction float64
-		// number of fresh inserts after which the first rebuild must fire
-		trigger int
-	}{
-		// 100 keys at 0.1: threshold = 0.1*100+1 = 11 buffered inserts.
-		{"100 keys f=0.1", 100, 0.1, 11},
-		// 50 keys at 0.2: threshold = 0.2*50+1 = 11.
-		{"50 keys f=0.2", 50, 0.2, 11},
-		// Tiny set: threshold = 0.1*5+1 = 1.5, so the 2nd insert fires —
-		// the +1 floor keeps it from rebuilding on every single insert.
-		{"5 keys f=0.1", 5, 0.1, 2},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			d := must(NewDynamicRMI(sorted(c.baseN), 4))
-			d.RebuildFraction = c.fraction
-			for i := 1; i <= c.trigger; i++ {
-				// Duplicate of an indexed key: ignored, never counts.
-				d.Insert(sorted(c.baseN)[i%c.baseN])
-				if d.Rebuilds() != 0 {
-					t.Fatalf("duplicate insert %d triggered a rebuild", i)
-				}
-				// Fresh key (odd, so disjoint from the 10i+5 base set).
-				d.Insert(uint64(1000000 + 2*i))
-				// Re-inserting a buffered key must not count either.
-				d.Insert(uint64(1000000 + 2*i))
-				want := 0
-				if i == c.trigger {
-					want = 1
-				}
-				if d.Rebuilds() != want {
-					t.Fatalf("after %d fresh inserts: rebuilds=%d, want %d", i, d.Rebuilds(), want)
-				}
-			}
-			// The merge must have drained the buffer and kept every key.
-			for i := 1; i <= c.trigger; i++ {
-				if !d.Contains(uint64(1000000 + 2*i)) {
-					t.Fatalf("key %d lost across rebuild", 1000000+2*i)
-				}
-			}
-			if d.Len() != c.baseN+c.trigger {
-				t.Fatalf("Len=%d, want %d", d.Len(), c.baseN+c.trigger)
-			}
-		})
-	}
-}
-
 // Coeffs/RMIFromCoeffs must round-trip exactly: the reconstructed index
 // answers every probe identically, bit for bit.
 func TestRMICoeffsRoundTrip(t *testing.T) {

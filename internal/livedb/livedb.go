@@ -97,69 +97,50 @@ func (s State) String() string {
 type Config struct {
 	Seed int64
 
-	// Index shape.
-	Leaves    int     // RMI second-level models (default 64)
-	TargetFPR float64 // learned-Bloom build-time FPR target (default 0.05)
-	// BloomHidden/BloomEpochs size the bloom classifier's training
-	// (defaults 8 and 12 — the filter is rebuilt at every swap, so builds
-	// must stay cheap).
-	BloomHidden int
-	BloomEpochs int
-
-	// Maintenance triggers.
-	// RebuildFraction: retrain when the delta buffer reaches this fraction
-	// of the model-indexed array, +1 (default 0.08, mirroring DynamicRMI).
-	RebuildFraction float64
-	// FPRTriggerFactor: retrain when the measured live FPR reaches this
-	// multiple of TargetFPR (default 1.5 — strictly inside the 2x budget the
-	// degradation tests assert).
-	FPRTriggerFactor float64
-	// MinFPRProbes: negative probes before the FPR trigger arms (default 200).
-	MinFPRProbes int
-	// WindowCap rejects candidates whose max search window exceeds it
-	// (default 4x the initial index's window, floor 64).
-	WindowCap int
-
 	// Timing, in simulated seconds.
 	MaintainEvery float64 // monitoring window (default 0.25)
 	RetrainS      float64 // candidate build duration (default 0.5)
 	CooldownS     float64 // post-rollback distrust window (default 0.3)
 
-	// Snapshots retained for rollback (default 3); a fresh snapshot of the
-	// active index is taken every SnapshotEvery maintenance windows
-	// (default 4) and at every swap.
-	Snapshots     int
-	SnapshotEvery int
-
-	// DriftSigma for the guard schema's drift flag (default 3).
-	DriftSigma float64
-
 	Kernel *sim.Kernel // required: the shared clock and event loop
 	Obs    *obs.Handle // optional instrumentation
 }
 
+// The index shape: RMI second-level models, the learned Bloom filter's
+// build-time FPR target, and its classifier's hidden width and training
+// epochs (the filter is rebuilt at every swap, so builds must stay cheap).
+const (
+	leaves              = 64
+	targetFPR   float64 = 0.05
+	bloomHidden         = 8
+	bloomEpochs         = 12
+)
+
+// The maintenance policy.
+const (
+	// rebuildFraction: retrain when the delta buffer reaches this fraction
+	// of the model-indexed array, +1.
+	rebuildFraction float64 = 0.08
+	// fprTriggerFactor: retrain when the measured live FPR reaches this
+	// multiple of targetFPR, strictly inside the 2x budget the
+	// degradation tests assert.
+	fprTriggerFactor float64 = 1.5
+	// minFPRProbes: negative probes before the FPR trigger arms.
+	minFPRProbes = 200
+	// snapshots are retained for rollback; a fresh snapshot of the active
+	// index is taken every snapshotEvery maintenance windows and at every
+	// swap.
+	snapshots     = 3
+	snapshotEvery = 4
+	// driftSigma is the guard schema's drift flag, in standard deviations.
+	driftSigma float64 = 3
+)
+
+// windowCapFor is the largest max search window a candidate may have,
+// given the active index's validated window: 4x that window, at least 64.
+func windowCapFor(declaredWin int) int { return max(4*declaredWin, 64) }
+
 func (c Config) withDefaults() Config {
-	if c.Leaves == 0 {
-		c.Leaves = 64
-	}
-	if c.TargetFPR == 0 {
-		c.TargetFPR = 0.05
-	}
-	if c.BloomHidden == 0 {
-		c.BloomHidden = 8
-	}
-	if c.BloomEpochs == 0 {
-		c.BloomEpochs = 12
-	}
-	if c.RebuildFraction == 0 {
-		c.RebuildFraction = 0.08
-	}
-	if c.FPRTriggerFactor == 0 {
-		c.FPRTriggerFactor = 1.5
-	}
-	if c.MinFPRProbes == 0 {
-		c.MinFPRProbes = 200
-	}
 	if c.MaintainEvery == 0 {
 		c.MaintainEvery = 0.25
 	}
@@ -169,48 +150,19 @@ func (c Config) withDefaults() Config {
 	if c.CooldownS == 0 {
 		c.CooldownS = 0.3
 	}
-	if c.Snapshots == 0 {
-		c.Snapshots = 3
-	}
-	if c.SnapshotEvery == 0 {
-		c.SnapshotEvery = 4
-	}
-	if c.DriftSigma == 0 {
-		c.DriftSigma = 3
-	}
 	return c
 }
 
 // validate rejects incoherent configurations with a typed *invalid.Error:
-// NaN and ±Inf first, then out-of-range values and negative sizes.
+// NaN and ±Inf first, then out-of-range values.
 func (c Config) validate() error {
-	if err := invalid.Finite("livedb", invalid.F("TargetFPR", c.TargetFPR),
-		invalid.F("RebuildFraction", c.RebuildFraction), invalid.F("FPRTriggerFactor", c.FPRTriggerFactor),
-		invalid.F("MaintainEvery", c.MaintainEvery), invalid.F("RetrainS", c.RetrainS),
-		invalid.F("CooldownS", c.CooldownS), invalid.F("DriftSigma", c.DriftSigma)); err != nil {
+	if err := invalid.Finite("livedb", invalid.F("MaintainEvery", c.MaintainEvery),
+		invalid.F("RetrainS", c.RetrainS), invalid.F("CooldownS", c.CooldownS)); err != nil {
 		return err
-	}
-	for _, n := range []struct {
-		name string
-		v    int
-	}{
-		{"Leaves", c.Leaves}, {"BloomHidden", c.BloomHidden}, {"BloomEpochs", c.BloomEpochs},
-		{"MinFPRProbes", c.MinFPRProbes}, {"WindowCap", c.WindowCap},
-		{"Snapshots", c.Snapshots}, {"SnapshotEvery", c.SnapshotEvery},
-	} {
-		if n.v < 0 {
-			return invalid.New("livedb", n.name, "%d is negative", n.v)
-		}
 	}
 	switch {
 	case c.Kernel == nil:
 		return invalid.New("livedb", "Kernel", "is required")
-	case c.TargetFPR <= 0 || c.TargetFPR >= 1:
-		return invalid.New("livedb", "TargetFPR", "%g out of (0,1)", c.TargetFPR)
-	case c.RebuildFraction <= 0:
-		return invalid.New("livedb", "RebuildFraction", "%g is not positive", c.RebuildFraction)
-	case c.FPRTriggerFactor < 1:
-		return invalid.New("livedb", "FPRTriggerFactor", "%g is below 1", c.FPRTriggerFactor)
 	case c.MaintainEvery <= 0:
 		return invalid.New("livedb", "MaintainEvery", "%g is not positive", c.MaintainEvery)
 	case c.RetrainS <= 0:
@@ -344,7 +296,7 @@ func NewEngine(initial []uint64, cfg Config) (*Engine, error) {
 	main := append([]uint64(nil), initial...)
 	sort.Slice(main, func(i, j int) bool { return main[i] < main[j] })
 
-	rmi, err := learned.BuildRMI(main, cfg.Leaves)
+	rmi, err := learned.BuildRMI(main, leaves)
 	if err != nil {
 		return nil, err
 	}
@@ -357,14 +309,8 @@ func NewEngine(initial []uint64, cfg Config) (*Engine, error) {
 		bt:          db.BulkLoadBTree(main),
 		declaredWin: rmi.MaxSearchWindow(),
 	}
-	e.windowCap = cfg.WindowCap
-	if e.windowCap == 0 {
-		e.windowCap = 4 * e.declaredWin
-		if e.windowCap < 64 {
-			e.windowCap = 64
-		}
-	}
-	e.schema = keySchema(main, cfg.DriftSigma)
+	e.windowCap = windowCapFor(e.declaredWin)
+	e.schema = keySchema(main, driftSigma)
 	e.lb = e.buildBloom(main)
 	e.takeSnapshot()
 	return e, nil
@@ -380,12 +326,12 @@ func (e *Engine) buildBloom(keys []uint64) *learned.LearnedBloom {
 	// the classifier OR the backup filter, so giving each stage the full
 	// target would serve ~2x the declared FPR from the start.
 	lb, err := learned.BuildLearnedBloom(rng, keys, negs, learned.LearnedBloomConfig{
-		Hidden: e.cfg.BloomHidden, Epochs: e.cfg.BloomEpochs, LR: 0.01,
-		TargetFPR: e.cfg.TargetFPR / 2, BackupFPR: e.cfg.TargetFPR / 2,
+		Hidden: bloomHidden, Epochs: bloomEpochs, LR: 0.01,
+		TargetFPR: targetFPR / 2, BackupFPR: targetFPR / 2,
 	})
 	if err != nil {
-		// Unreachable: validation bounds TargetFPR inside (0,1), NaN
-		// included, and rejects a negative BloomHidden.
+		// Unreachable: keys is never empty, the constant target lies
+		// inside (0, 1) and the hidden width is positive.
 		panic("livedb: buildBloom: " + err.Error())
 	}
 	return lb

@@ -109,11 +109,6 @@ func TestConfigValidation(t *testing.T) {
 		cfg   Config
 		field string
 	}{
-		{"TargetFPR above one", Config{TargetFPR: 1.5}, "TargetFPR"},
-		{"FPRTriggerFactor below one", Config{FPRTriggerFactor: 0.5}, "FPRTriggerFactor"},
-		{"NaN TargetFPR", Config{TargetFPR: nan}, "TargetFPR"},
-		{"negative BloomHidden", Config{BloomHidden: -1}, "BloomHidden"},
-		{"negative Snapshots", Config{Snapshots: -1}, "Snapshots"},
 		{"NaN MaintainEvery", Config{MaintainEvery: nan}, "MaintainEvery"},
 	} {
 		tc.cfg.Kernel = k
@@ -128,7 +123,6 @@ func TestConfigValidation(t *testing.T) {
 		field string
 	}{
 		{"zero Ops", WorkloadConfig{}, "Ops"},
-		{"negative BatchSize", WorkloadConfig{Ops: 10, BatchSize: -1}, "BatchSize"},
 		{"NaN Rate", WorkloadConfig{Ops: 10, Rate: nan}, "Rate"},
 	} {
 		if _, err := NewWorkload(eng, nil, tc.cfg); !errors.As(err, &ce) || ce.Field != tc.field {
@@ -251,23 +245,19 @@ func TestFPRTriggerFiresBeforeDoubleTarget(t *testing.T) {
 		Seed:          5,
 		Kernel:        k,
 		Obs:           h,
-		TargetFPR:     0.05,
 		MaintainEvery: 0.05, // tight monitoring so the trigger fires near the crossing
-		MinFPRProbes:  350,  // arm only once the cumulative estimate has settled
 	}))
 	wl := must(NewWorkload(eng, initial, WorkloadConfig{
-		Seed:       6,
-		Ops:        2600,
-		Rate:       400,
-		InsertFrac: -1, // lookup-only: isolate the FPR trigger
-		RangeFrac:  -1,
-		AbsentFrac: 0.4,
-		Space:      initial[len(initial)-1],
+		Seed:  6,
+		Ops:   2600,
+		Rate:  400,
+		Space: initial[len(initial)-1],
 		Phases: []Phase{
 			{StartS: 0},
 			{StartS: 2.2, HardNegFrac: 0.6}, // drift begins after the trigger arms
 		},
 	}))
+	wl.insertFrac, wl.rangeFrac = 0, 0 // lookup-only: isolate the FPR trigger
 	s := &scenario{k: k, h: h, eng: eng, wl: wl}
 	s.run()
 
@@ -278,8 +268,8 @@ func TestFPRTriggerFiresBeforeDoubleTarget(t *testing.T) {
 	if e.T < 2.2 {
 		t.Fatalf("trigger at t=%.2f predates the drift phase — base-rate false alarm", e.T)
 	}
-	target := s.eng.cfg.TargetFPR
-	if e.Value < s.eng.cfg.FPRTriggerFactor*target {
+	target := targetFPR
+	if e.Value < fprTriggerFactor*target {
 		t.Fatalf("trigger fired below threshold: fpr=%.4f", e.Value)
 	}
 	if e.Value >= 2*target {

@@ -40,7 +40,7 @@ func (e *Engine) tick(now float64) {
 		e.ledger.add(Entry{T: now, Kind: EvCooldownEnd, Reason: "elapsed"})
 	}
 	e.ticks++
-	if e.state == StateServing && e.rmi != nil && e.ticks%e.cfg.SnapshotEvery == 0 {
+	if e.state == StateServing && e.rmi != nil && e.ticks%snapshotEvery == 0 {
 		// Re-snapshot the active index periodically so the ring holds
 		// several same-version copies — CRC corruption of one snapshot then
 		// degrades to an older copy instead of to the B-tree-only ladder.
@@ -64,9 +64,9 @@ func (e *Engine) tick(now float64) {
 		// Cooldown expired with no restorable snapshot: rebuild from live
 		// data — the ladder has been serving from the B-tree rung.
 		e.startRetrain(now, "no-index", 0)
-	case float64(len(e.delta)) >= e.cfg.RebuildFraction*float64(len(e.main))+1:
+	case float64(len(e.delta)) >= rebuildFraction*float64(len(e.main))+1:
 		e.startRetrain(now, "delta-fraction", deltaFrac)
-	case probes >= e.cfg.MinFPRProbes && fpr >= e.cfg.FPRTriggerFactor*e.cfg.TargetFPR:
+	case probes >= minFPRProbes && fpr >= fprTriggerFactor*targetFPR:
 		e.startRetrain(now, "bloom-fpr", fpr)
 	case degraded > 0:
 		e.startRetrain(now, "degraded-probe", float64(degraded))
@@ -101,10 +101,10 @@ func (e *Engine) startRetrain(now float64, reason string, value float64) {
 // (corrupted inserts put outliers in the frozen set), the search-window
 // cap, and a held-out probe sweep. Any failure rolls back.
 func (e *Engine) finishRetrain(now float64) {
-	cand, err := learned.BuildRMI(e.frozen, e.cfg.Leaves)
+	cand, err := learned.BuildRMI(e.frozen, leaves)
 	if err != nil {
-		// Unreachable: frozen ⊇ the non-empty initial set and Leaves is
-		// validated positive — but a rollback is the safe answer regardless.
+		// Unreachable: frozen ⊇ the non-empty initial set and leaves is
+		// positive — but a rollback is the safe answer regardless.
 		e.rollback(now, "build: "+err.Error())
 		return
 	}
@@ -144,13 +144,10 @@ func (e *Engine) swap(now float64, cand *learned.RMI) {
 	e.declaredWin = cand.MaxSearchWindow()
 	e.delta = e.pending
 	e.pending = nil
-	// Re-derive the window cap from the installed index, mirroring
-	// NewEngine: escalations forced by a skewed phase decay back once a
-	// candidate with a tight window swaps in.
-	e.windowCap = 4 * e.declaredWin
-	if e.windowCap < 64 {
-		e.windowCap = 64
-	}
+	// Re-derive the window cap from the installed index: escalations
+	// forced by a skewed phase decay back once a candidate with a tight
+	// window swaps in.
+	e.windowCap = windowCapFor(e.declaredWin)
 	e.lb = e.buildBloom(e.main)
 	e.cumFP, e.cumTN = 0, 0
 	e.learnedServeS, e.btreeAltS, e.learnedSince = 0, 0, 0
@@ -236,8 +233,8 @@ func (e *Engine) rollback(now float64, reason string) {
 func (e *Engine) takeSnapshot() {
 	s := checkpoint.SnapshotVector(e.ticks, e.rmi.Coeffs())
 	e.snaps = append(e.snaps, versionedSnap{version: e.mainVersion, snap: s})
-	if len(e.snaps) > e.cfg.Snapshots {
-		e.snaps = e.snaps[len(e.snaps)-e.cfg.Snapshots:]
+	if len(e.snaps) > snapshots {
+		e.snaps = e.snaps[len(e.snaps)-snapshots:]
 	}
 	e.stats.Snapshots++
 	e.h.Counter("livedb.snapshots").Inc()

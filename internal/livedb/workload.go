@@ -28,16 +28,8 @@ type WorkloadConfig struct {
 	Ops  int     // total operations to issue (required)
 	Rate float64 // operations per simulated second (default 500)
 
-	// Operation mix. Zero means the default; a negative value disables the
-	// operation class entirely (the FPR-drift tests run lookup-only traffic).
-	InsertFrac float64 // fraction of ops that are insert batches (default 0.25)
-	RangeFrac  float64 // fraction of ops that are range counts (default 0.1)
-	AbsentFrac float64 // fraction of point lookups probing absent keys (default 0.35)
-
-	BatchSize    int    // keys per insert batch (default 8)
 	Space        uint64 // key universe [0, Space) (default 1<<44)
 	ClusterWidth uint64 // spread around a cluster center (default 1<<20)
-	RangeWidth   uint64 // span of a range count (default Space/512)
 
 	Phases []Phase // drift schedule; empty means uniform throughout
 
@@ -52,29 +44,26 @@ func (c WorkloadConfig) withDefaults() WorkloadConfig {
 	if c.Rate == 0 {
 		c.Rate = 500
 	}
-	if c.InsertFrac == 0 {
-		c.InsertFrac = 0.25
-	}
-	if c.RangeFrac == 0 {
-		c.RangeFrac = 0.1
-	}
-	if c.AbsentFrac == 0 {
-		c.AbsentFrac = 0.35
-	}
-	if c.BatchSize == 0 {
-		c.BatchSize = 8
-	}
 	if c.Space == 0 {
 		c.Space = 1 << 44
 	}
 	if c.ClusterWidth == 0 {
 		c.ClusterWidth = 1 << 20
 	}
-	if c.RangeWidth == 0 {
-		c.RangeWidth = c.Space / 512
-	}
 	return c
 }
+
+// The operation mix: the fractions of operations that are insert batches
+// and range counts (the rest are point lookups), the fraction of point
+// lookups that probe absent keys, the keys per insert batch, and how many
+// range counts' spans tile the key space.
+const (
+	insertFrac float64 = 0.25
+	rangeFrac  float64 = 0.1
+	absentFrac float64 = 0.35
+	batchSize          = 8
+	rangeSpans         = 512
+)
 
 // WorkloadStats summarizes a finished run from the client's side of the
 // wire: every answer was checked against an exact oracle of acked writes,
@@ -96,6 +85,10 @@ type Workload struct {
 	rng *rand.Rand
 	inj *fault.Injector
 
+	// The operation mix, resolved from insertFrac and rangeFrac; an
+	// in-package test runs lookup-only traffic by zeroing both.
+	insertFrac, rangeFrac float64
+
 	present []uint64 // sorted oracle: every key the engine acked
 	stats   WorkloadStats
 }
@@ -104,8 +97,7 @@ type Workload struct {
 // oracle starts as a sorted copy).
 func NewWorkload(eng *Engine, initial []uint64, cfg WorkloadConfig) (*Workload, error) {
 	cfg = cfg.withDefaults()
-	fields := []invalid.Field{invalid.F("Rate", cfg.Rate), invalid.F("InsertFrac", cfg.InsertFrac),
-		invalid.F("RangeFrac", cfg.RangeFrac), invalid.F("AbsentFrac", cfg.AbsentFrac)}
+	fields := []invalid.Field{invalid.F("Rate", cfg.Rate)}
 	for i, ph := range cfg.Phases {
 		at := fmt.Sprintf("Phases[%d].", i)
 		fields = append(fields, invalid.F(at+"StartS", ph.StartS), invalid.F(at+"HardNegFrac", ph.HardNegFrac))
@@ -118,8 +110,6 @@ func NewWorkload(eng *Engine, initial []uint64, cfg WorkloadConfig) (*Workload, 
 		return nil, invalid.New("livedb", "Ops", "%d is not positive", cfg.Ops)
 	case cfg.Rate < 0:
 		return nil, invalid.New("livedb", "Rate", "%g is negative", cfg.Rate)
-	case cfg.BatchSize < 0:
-		return nil, invalid.New("livedb", "BatchSize", "%d is negative", cfg.BatchSize)
 	}
 	if err := cfg.Faults.Validate(); err != nil {
 		return nil, err
@@ -127,11 +117,13 @@ func NewWorkload(eng *Engine, initial []uint64, cfg WorkloadConfig) (*Workload, 
 	present := append([]uint64(nil), initial...)
 	sort.Slice(present, func(i, j int) bool { return present[i] < present[j] })
 	return &Workload{
-		cfg:     cfg,
-		eng:     eng,
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
-		inj:     fault.NewInjector(cfg.Faults),
-		present: present,
+		cfg:        cfg,
+		eng:        eng,
+		rng:        rand.New(rand.NewSource(cfg.Seed)),
+		inj:        fault.NewInjector(cfg.Faults),
+		insertFrac: insertFrac,
+		rangeFrac:  rangeFrac,
+		present:    present,
 	}, nil
 }
 
@@ -175,9 +167,9 @@ func (w *Workload) op(i int, now float64) {
 	w.stats.Ops++
 	ph := w.phase(now)
 	switch r := w.rng.Float64(); {
-	case r < w.cfg.InsertFrac:
+	case r < w.insertFrac:
 		w.insert(i, now, ph)
-	case r < w.cfg.InsertFrac+w.cfg.RangeFrac:
+	case r < w.insertFrac+w.rangeFrac:
 		w.rangeCount()
 	default:
 		w.lookup(ph)
@@ -186,7 +178,7 @@ func (w *Workload) op(i int, now float64) {
 
 func (w *Workload) lookup(ph Phase) {
 	var key uint64
-	if w.rng.Float64() < w.cfg.AbsentFrac {
+	if w.rng.Float64() < absentFrac {
 		if w.rng.Float64() < ph.HardNegFrac && len(w.present) > 0 {
 			// Hard negative: one off a present key — nearly identical
 			// features, so a drift-stale learned Bloom scores it positive.
@@ -213,7 +205,7 @@ func (w *Workload) lookup(ph Phase) {
 
 func (w *Workload) rangeCount() {
 	lo := w.rng.Uint64() % w.cfg.Space
-	hi := lo + w.cfg.RangeWidth
+	hi := lo + w.cfg.Space/rangeSpans
 	got, _ := w.eng.Count(lo, hi)
 	if want := sortedRange(w.present, lo, hi); got != want {
 		w.stats.Mismatches++
@@ -221,7 +213,7 @@ func (w *Workload) rangeCount() {
 }
 
 func (w *Workload) insert(i int, now float64, ph Phase) {
-	batch := make([]uint64, w.cfg.BatchSize)
+	batch := make([]uint64, batchSize)
 	for j := range batch {
 		var k uint64
 		if len(ph.Clusters) > 0 {

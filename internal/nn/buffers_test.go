@@ -174,6 +174,9 @@ func TestTrainBuffersBitIdenticalToFreshAllocation(t *testing.T) {
 // A steady-state training step allocates nothing but Network.Params' slice:
 // layer and loss buffers are regrown only when the batch shape changes.
 func TestTrainStepAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation")
+	}
 	for _, c := range []struct {
 		name                   string
 		in, hidden, out, batch int

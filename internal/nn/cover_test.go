@@ -18,8 +18,6 @@ func TestLayerInterfaceSurface(t *testing.T) {
 		NewReLU("r"),
 		NewSigmoid("s"),
 		NewTanh("t"),
-		NewBatchNorm("bn", 8),
-		mustDropout(NewDropout(rng, "do", 0.1)),
 		NewConv2D(rng, "c", g, 3),
 		NewMaxPool2D("p", 2, 6, 6, 2),
 		NewFlatten("f"),
@@ -34,8 +32,6 @@ func TestLayerInterfaceSurface(t *testing.T) {
 	shapes := map[string][]int{
 		"d":   {8},
 		"r":   {4},
-		"bn":  {4}, // identity over its input shape
-		"do":  {4},
 		"f":   {12},
 		"res": {8},
 		"s":   {4},
@@ -61,11 +57,11 @@ func TestLayerInterfaceSurface(t *testing.T) {
 		}
 	}
 	// Conv/pool spatial shapes.
-	conv := layers[7].(*Conv2D)
+	conv := layers[5].(*Conv2D)
 	if got := conv.OutputShape([]int{2, 6, 6}); got[0] != 3 || got[1] != 6 || got[2] != 6 {
 		t.Fatalf("conv OutputShape %v", got)
 	}
-	pool := layers[8].(*MaxPool2D)
+	pool := layers[6].(*MaxPool2D)
 	if got := pool.OutputShape([]int{2, 6, 6}); got[1] != 3 || got[2] != 3 {
 		t.Fatalf("pool OutputShape %v", got)
 	}
@@ -118,7 +114,6 @@ func TestBackwardWithoutForwardPanics(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for name, fn := range map[string]func(){
 		"dense": func() { NewDense(rng, "d", 2, 2).Backward(tensor.New(1, 2)) },
-		"bn":    func() { NewBatchNorm("bn", 2).Backward(tensor.New(1, 2)) },
 		"conv": func() {
 			g := tensor.ConvGeom{InC: 1, InH: 2, InW: 2, KH: 1, KW: 1, Stride: 1, Pad: 0}
 			NewConv2D(rng, "c", g, 1).Backward(tensor.New(1, 1, 2, 2))
@@ -146,23 +141,11 @@ func TestSetParamVectorLengthMismatchPanics(t *testing.T) {
 	net.SetParamVector(make([]float64, 3))
 }
 
-func TestDropoutBadRate(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	if _, err := NewDropout(rng, "do", 1.0); err == nil {
-		t.Fatal("expected error for rate 1.0")
-	}
-	if _, err := NewDropout(rng, "do", -0.1); err == nil {
-		t.Fatal("expected error for negative rate")
-	}
-}
-
 func TestMLPConfigValidate(t *testing.T) {
 	bad := []MLPConfig{
 		{In: 0, Out: 2},
 		{In: 2, Out: 0},
 		{In: 2, Hidden: []int{4, 0}, Out: 2},
-		{In: 2, Out: 2, Dropout: 1},
-		{In: 2, Out: 2, Dropout: -0.5},
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
@@ -172,7 +155,7 @@ func TestMLPConfigValidate(t *testing.T) {
 			t.Fatalf("NewMLPChecked should reject config %d", i)
 		}
 	}
-	good := MLPConfig{In: 3, Hidden: []int{8}, Out: 2, Dropout: 0.2}
+	good := MLPConfig{In: 3, Hidden: []int{8}, Out: 2}
 	if err := good.Validate(); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
 	}
@@ -189,14 +172,6 @@ func TestNewMLPPanicsOnInvalidConfig(t *testing.T) {
 		}
 	}()
 	NewMLP(rand.New(rand.NewSource(1)), MLPConfig{In: 0, Out: 2})
-}
-
-// mustDropout unwraps NewDropout in tests where the rate is known-valid.
-func mustDropout(d *Dropout, err error) *Dropout {
-	if err != nil {
-		panic(err)
-	}
-	return d
 }
 
 func TestTrainStatsFinalLossEmpty(t *testing.T) {

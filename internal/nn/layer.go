@@ -54,9 +54,8 @@ func ZeroGrads(params []*Param) {
 type Layer interface {
 	// Name identifies the layer for serialization and debugging.
 	Name() string
-	// Forward runs the layer on x. When train is false the layer may use a
-	// cheaper inference path (e.g. BatchNorm running statistics) and must
-	// not retain references to x.
+	// Forward runs the layer on x. When train is false the layer may skip
+	// what only Backward needs and must not retain references to x.
 	Forward(x *tensor.Tensor, train bool) *tensor.Tensor
 	// Backward propagates dout (dL/doutput) to dL/dinput. It must only be
 	// called after a Forward with train=true.

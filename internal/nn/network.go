@@ -18,17 +18,15 @@ func NewNetwork(layers ...Layer) *Network { return &Network{Layers: layers} }
 // MLPConfig describes a multi-layer perceptron: input width, hidden widths,
 // and output width (number of classes or regression targets).
 type MLPConfig struct {
-	In      int
-	Hidden  []int
-	Out     int
-	Dropout float64 // 0 disables
-	BatchNm bool
+	In     int
+	Hidden []int
+	Out    int
 }
 
 // Validate checks the config describes a constructible network: positive
-// widths everywhere and a dropout rate in [0, 1). Callers that accept
-// configs from untrusted input (distributed specs, pipelines) validate at
-// construction so no layer constructor can fail downstream.
+// widths everywhere. Callers that accept configs from untrusted input
+// (distributed specs, pipelines) validate at construction so no layer
+// constructor can fail downstream.
 func (cfg MLPConfig) Validate() error {
 	if cfg.In < 1 {
 		return fmt.Errorf("nn: MLP input width %d < 1", cfg.In)
@@ -40,9 +38,6 @@ func (cfg MLPConfig) Validate() error {
 		if h < 1 {
 			return fmt.Errorf("nn: MLP hidden width %d (layer %d) < 1", h, i)
 		}
-	}
-	if cfg.Dropout < 0 || cfg.Dropout >= 1 {
-		return fmt.Errorf("nn: MLP dropout rate %g out of [0, 1)", cfg.Dropout)
 	}
 	return nil
 }
@@ -69,15 +64,7 @@ func NewMLPChecked(rng *rand.Rand, cfg MLPConfig) (*Network, error) {
 	prev := cfg.In
 	for i, h := range cfg.Hidden {
 		layers = append(layers, NewDense(rng, fmt.Sprintf("fc%d", i), prev, h))
-		if cfg.BatchNm {
-			layers = append(layers, NewBatchNorm(fmt.Sprintf("bn%d", i), h))
-		}
 		layers = append(layers, NewReLU(fmt.Sprintf("relu%d", i)))
-		if cfg.Dropout > 0 {
-			// The validated rate cannot make NewDropout fail.
-			drop, _ := NewDropout(rng, fmt.Sprintf("drop%d", i), cfg.Dropout)
-			layers = append(layers, drop)
-		}
 		prev = h
 	}
 	layers = append(layers, NewDense(rng, fmt.Sprintf("fc%d", len(cfg.Hidden)), prev, cfg.Out))
@@ -247,39 +234,22 @@ func (n *Network) SetGradVector(v []float64) {
 	}
 }
 
-// StateDict captures all parameter values keyed by name (plus batch-norm
-// running statistics under ".running_mean"/".running_var" suffixes).
+// StateDict captures all parameter values keyed by name.
 func (n *Network) StateDict() map[string][]float64 {
 	sd := make(map[string][]float64)
 	for _, p := range n.Params() {
 		sd[p.Name] = append([]float64(nil), p.Value.Data...)
 	}
-	for _, l := range n.Layers {
-		if bn, ok := l.(*BatchNorm); ok {
-			mean, variance := bn.RunningStats()
-			sd[bn.Name()+".running_mean"] = append([]float64(nil), mean...)
-			sd[bn.Name()+".running_var"] = append([]float64(nil), variance...)
-		}
-	}
 	return sd
 }
 
-// LoadStateDict restores parameters (and batch-norm statistics) captured by
-// StateDict on an identically-architected network. Unknown keys are ignored;
-// missing keys leave the current value in place.
+// LoadStateDict restores parameters captured by StateDict on an
+// identically-architected network. Unknown keys are ignored; missing keys
+// leave the current value in place.
 func (n *Network) LoadStateDict(sd map[string][]float64) {
 	for _, p := range n.Params() {
 		if v, ok := sd[p.Name]; ok {
 			copy(p.Value.Data, v)
-		}
-	}
-	for _, l := range n.Layers {
-		if bn, ok := l.(*BatchNorm); ok {
-			mean, haveM := sd[bn.Name()+".running_mean"]
-			variance, haveV := sd[bn.Name()+".running_var"]
-			if haveM && haveV {
-				bn.SetRunningStats(mean, variance)
-			}
 		}
 	}
 }

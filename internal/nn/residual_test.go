@@ -65,9 +65,8 @@ func TestResidualShapeMismatchPanics(t *testing.T) {
 
 func TestSaveLoadMLPRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	cfg := MLPConfig{In: 4, Hidden: []int{8, 8}, Out: 3, BatchNm: true}
+	cfg := MLPConfig{In: 4, Hidden: []int{8, 8}, Out: 3}
 	net := NewMLP(rng, cfg)
-	// Train briefly so batch-norm running stats are non-trivial.
 	ds := data.GaussianMixture(rng, 200, 4, 3, 3)
 	NewTrainer(net, NewSoftmaxCrossEntropy(), NewAdam(0.01), rng).
 		Fit(ds.X, OneHot(ds.Labels, 3), TrainConfig{Epochs: 5, BatchSize: 32})

@@ -83,9 +83,8 @@ func TestOptimizersAllConverge(t *testing.T) {
 
 func TestStateDictRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	cfg := MLPConfig{In: 4, Hidden: []int{8}, Out: 3, BatchNm: true}
+	cfg := MLPConfig{In: 4, Hidden: []int{8}, Out: 3}
 	a := NewMLP(rng, cfg)
-	// Touch batchnorm running stats by a training pass.
 	x := tensor.RandNormal(rng, 0, 1, 16, 4)
 	y := OneHot(make([]int, 16), 3)
 	NewTrainer(a, NewSoftmaxCrossEntropy(), NewSGD(0.01), rng).Fit(x, y, TrainConfig{Epochs: 2, BatchSize: 8})
@@ -172,29 +171,6 @@ func TestFLOPsAndBytesAccounting(t *testing.T) {
 	}
 }
 
-func TestDropoutTrainVsEval(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	d, err := NewDropout(rng, "drop", 0.5)
-	if err != nil {
-		t.Fatalf("NewDropout: %v", err)
-	}
-	x := tensor.Full(1, 100, 10)
-	outTrain := d.Forward(x, true)
-	zeros := 0
-	for _, v := range outTrain.Data {
-		if v == 0 {
-			zeros++
-		}
-	}
-	if zeros < 300 || zeros > 700 {
-		t.Fatalf("dropout zeroed %d of 1000, want ~500", zeros)
-	}
-	outEval := d.Forward(x, false)
-	if !tensor.Equal(outEval, x, 0) {
-		t.Fatal("eval-mode dropout should be identity")
-	}
-}
-
 func TestSoftmaxRowsSumToOne(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	logits := tensor.RandNormal(rng, 0, 5, 7, 9)
@@ -215,27 +191,6 @@ func TestSoftmaxRowsSumToOne(t *testing.T) {
 	p5 := SoftmaxTemperature(logits, 5)
 	if p5.Max() >= p.Max() {
 		t.Fatal("temperature should soften the distribution")
-	}
-}
-
-func TestBatchNormInferenceUsesRunningStats(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	bn := NewBatchNorm("bn", 3)
-	// Train on shifted data so running stats move away from init.
-	for i := 0; i < 50; i++ {
-		x := tensor.RandNormal(rng, 5, 2, 16, 3)
-		out := bn.Forward(x, true)
-		bn.Backward(tensor.New(out.Shape()...))
-	}
-	mean, _ := bn.RunningStats()
-	if mean[0] < 3 {
-		t.Fatalf("running mean %g did not track data mean 5", mean[0])
-	}
-	// Inference on the same distribution should be ~standardized.
-	x := tensor.RandNormal(rng, 5, 2, 512, 3)
-	out := bn.Forward(x, false)
-	if m := out.Mean(); math.Abs(m) > 0.3 {
-		t.Fatalf("inference output mean %g, want ~0", m)
 	}
 }
 

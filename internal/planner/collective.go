@@ -41,27 +41,16 @@ func collCeilDiv(a int64, b int) int64 {
 // collHeapDepth is the depth of index i in a 0-based binary heap.
 func collHeapDepth(i int) int { return bits.Len(uint(i+1)) - 1 }
 
-// collGroupSize resolves TopoHier's intra-group width: the configured size
-// clamped to the member count, defaulting to ceil(sqrt(m)) (minimum 2).
-func collGroupSize(groupSize, m int) int {
-	gs := groupSize
-	if gs < 2 {
-		gs = int(math.Ceil(math.Sqrt(float64(m))))
-		if gs < 2 {
-			gs = 2
-		}
-	}
-	if gs > m {
-		gs = m
-	}
-	return gs
+// collGroupSize is TopoHier's intra-group width over m ≥ 2 members:
+// ceil(sqrt(m)), at least 2, which never exceeds m.
+func collGroupSize(m int) int {
+	return max(2, int(math.Ceil(math.Sqrt(float64(m)))))
 }
 
 // CollectiveTime returns the simulated seconds one clean-link
 // reduce-broadcast of payloadBytes takes over the topology spanning n
-// members of the given profile. groupSize only affects CollectiveHier
-// (0 = default). Unknown topologies and n < 2 cost zero.
-func CollectiveTime(topology string, n int, payloadBytes int64, prof device.Profile, groupSize int) float64 {
+// members of the given profile. Unknown topologies and n < 2 cost zero.
+func CollectiveTime(topology string, n int, payloadBytes int64, prof device.Profile) float64 {
 	if n < 2 {
 		return 0
 	}
@@ -77,7 +66,7 @@ func CollectiveTime(topology string, n int, payloadBytes int64, prof device.Prof
 		// Binary-tree reduce then broadcast: one phase per level each way.
 		return float64(2*collHeapDepth(n-1)) * hop(payloadBytes)
 	case CollectiveHier:
-		gs := collGroupSize(groupSize, n)
+		gs := collGroupSize(n)
 		// Group lengths: full groups of gs plus one remainder group.
 		var lens []int
 		for i := 0; i < n; i += gs {
@@ -128,10 +117,10 @@ func CollectiveTime(topology string, n int, payloadBytes int64, prof device.Prof
 // BestCollective returns the modeled-cheapest topology for the scale and
 // payload, with its predicted seconds — the planner's answer to "how should
 // these n members average gradients".
-func BestCollective(n int, payloadBytes int64, prof device.Profile, groupSize int) (string, float64) {
+func BestCollective(n int, payloadBytes int64, prof device.Profile) (string, float64) {
 	best, bestT := "", math.Inf(1)
 	for _, topo := range CollectiveTopologies() {
-		if t := CollectiveTime(topo, n, payloadBytes, prof, groupSize); t < bestT {
+		if t := CollectiveTime(topo, n, payloadBytes, prof); t < bestT {
 			best, bestT = topo, t
 		}
 	}

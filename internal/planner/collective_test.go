@@ -22,28 +22,24 @@ func TestCollectiveTimeMatchesSimulator(t *testing.T) {
 	modelSize := nn.NewMLP(rand.New(rand.NewSource(1)), arch).NumParams()
 	payload := int64(modelSize) * 4 // dense float32 wire
 
-	for _, tc := range []struct {
-		workers, groupSize int
-	}{
-		{5, 0}, {7, 3}, {8, 0}, {12, 4},
-	} {
+	for _, workers := range []int{5, 7, 8, 12} {
 		for _, topo := range CollectiveTopologies() {
 			_, stats, err := distributed.Train(10, ds.X, y, distributed.Config{
-				Workers: tc.workers, Arch: arch, Epochs: 2, BatchSize: 16, LR: 0.1,
+				Workers: workers, Arch: arch, Epochs: 2, BatchSize: 16, LR: 0.1,
 				AveragePeriod: 1, Topology: distributed.Topology(topo),
-				GroupSize: tc.groupSize, Device: device.ClusterNode,
+				Device: device.ClusterNode,
 			})
 			if err != nil {
-				t.Fatalf("%s n=%d: %v", topo, tc.workers, err)
+				t.Fatalf("%s n=%d: %v", topo, workers, err)
 			}
 			if stats.CommRounds == 0 {
-				t.Fatalf("%s n=%d: no collective rounds", topo, tc.workers)
+				t.Fatalf("%s n=%d: no collective rounds", topo, workers)
 			}
 			want := float64(stats.CommRounds) *
-				CollectiveTime(topo, tc.workers, payload, device.ClusterNode, tc.groupSize)
+				CollectiveTime(topo, workers, payload, device.ClusterNode)
 			if rel := math.Abs(stats.CommSeconds-want) / want; rel > 1e-9 {
-				t.Fatalf("%s n=%d gs=%d: measured CommSeconds %g, model %g (rel err %g)",
-					topo, tc.workers, tc.groupSize, stats.CommSeconds, want, rel)
+				t.Fatalf("%s n=%d: measured CommSeconds %g, model %g (rel err %g)",
+					topo, workers, stats.CommSeconds, want, rel)
 			}
 		}
 	}
@@ -55,10 +51,10 @@ func TestCollectiveTimeScaling(t *testing.T) {
 	const payload = int64(100_000) // ~25k-param dense gradient
 	prof := device.ClusterNode
 	for _, n := range []int{8, 64, 256} {
-		a2a := CollectiveTime(CollectiveAllToAll, n, payload, prof, 0)
-		ring := CollectiveTime(CollectiveRing, n, payload, prof, 0)
-		tree := CollectiveTime(CollectiveTree, n, payload, prof, 0)
-		hier := CollectiveTime(CollectiveHier, n, payload, prof, 0)
+		a2a := CollectiveTime(CollectiveAllToAll, n, payload, prof)
+		ring := CollectiveTime(CollectiveRing, n, payload, prof)
+		tree := CollectiveTime(CollectiveTree, n, payload, prof)
+		hier := CollectiveTime(CollectiveHier, n, payload, prof)
 		if n >= 64 {
 			if ring >= a2a {
 				t.Fatalf("n=%d: ring %g >= all-to-all %g", n, ring, a2a)
@@ -72,10 +68,10 @@ func TestCollectiveTimeScaling(t *testing.T) {
 		}
 	}
 	// The mesh's cost is linear in n; the tree's logarithmic.
-	t64 := CollectiveTime(CollectiveTree, 64, payload, prof, 0)
-	t256 := CollectiveTime(CollectiveTree, 256, payload, prof, 0)
-	a64 := CollectiveTime(CollectiveAllToAll, 64, payload, prof, 0)
-	a256 := CollectiveTime(CollectiveAllToAll, 256, payload, prof, 0)
+	t64 := CollectiveTime(CollectiveTree, 64, payload, prof)
+	t256 := CollectiveTime(CollectiveTree, 256, payload, prof)
+	a64 := CollectiveTime(CollectiveAllToAll, 64, payload, prof)
+	a256 := CollectiveTime(CollectiveAllToAll, 256, payload, prof)
 	if a256/a64 < 3.5 {
 		t.Fatalf("all-to-all 256/64 ratio %g, want ~4 (linear)", a256/a64)
 	}
@@ -85,13 +81,13 @@ func TestCollectiveTimeScaling(t *testing.T) {
 }
 
 func TestCollectiveTimeEdgeCases(t *testing.T) {
-	if CollectiveTime(CollectiveRing, 1, 1000, device.ClusterNode, 0) != 0 {
+	if CollectiveTime(CollectiveRing, 1, 1000, device.ClusterNode) != 0 {
 		t.Fatal("single member should cost zero")
 	}
-	if CollectiveTime("torus", 8, 1000, device.ClusterNode, 0) != 0 {
+	if CollectiveTime("torus", 8, 1000, device.ClusterNode) != 0 {
 		t.Fatal("unknown topology should cost zero")
 	}
-	best, s := BestCollective(256, 100_000, device.ClusterNode, 0)
+	best, s := BestCollective(256, 100_000, device.ClusterNode)
 	if best == CollectiveAllToAll || s <= 0 {
 		t.Fatalf("BestCollective(256) = %q %g; the mesh cannot win at scale", best, s)
 	}

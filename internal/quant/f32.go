@@ -16,7 +16,7 @@ type F32Dense struct {
 }
 
 // F32MLP is a float32 inference network: alternating F32Dense and ReLU,
-// mirroring an nn MLP built by nn.NewMLP (without batchnorm/dropout).
+// mirroring an nn MLP built by nn.NewMLP.
 type F32MLP struct {
 	Layers []*F32Dense
 }

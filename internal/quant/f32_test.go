@@ -53,7 +53,7 @@ func TestF32MLPBytesHalved(t *testing.T) {
 
 func TestCompileF32MLPRejectsUnsupportedLayers(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	net := nn.NewMLP(rng, nn.MLPConfig{In: 4, Hidden: []int{4}, Out: 2, Dropout: 0.5})
+	net := nn.NewNetwork(nn.NewDense(rng, "fc0", 4, 4), nn.NewSigmoid("sig0"), nn.NewDense(rng, "fc1", 4, 2))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic for non-Dense/ReLU network")

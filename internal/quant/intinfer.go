@@ -20,7 +20,7 @@ type IntDense struct {
 }
 
 // IntMLP is an integer-only inference network: alternating IntDense and
-// ReLU, mirroring an nn MLP built by nn.NewMLP (without batchnorm/dropout).
+// ReLU, mirroring an nn MLP built by nn.NewMLP.
 type IntMLP struct {
 	Layers []*IntDense
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // ReputationConfig tunes the per-worker reputation tracker. The zero value
-// gets sensible defaults via withDefaults (mirroring guard.Policy).
+// gets sensible defaults via withDefaults.
 type ReputationConfig struct {
 	// Decay is the EMA coefficient on the previous score: score =
 	// Decay*score + (1-Decay)*relDist. Default 0.7.

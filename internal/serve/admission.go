@@ -94,7 +94,6 @@ type admitter struct {
 	serviceS  float64 // one fresh request's service time
 
 	codel        codel
-	weights      []float64 // tenant entitlements, sum 1
 	tenantQueued []int
 	tenantCap    []int // fair queue-slot cap per tenant (adaptive mode)
 	fairDepth    int   // queue length at which fair caps engage
@@ -106,7 +105,6 @@ func newAdmitter(cfg AdmissionConfig, deadlineS, serviceS, drainRate float64, we
 		deadlineS: deadlineS,
 		serviceS:  serviceS,
 		codel:     codel{target: deadlineS / codelTargetDiv, interval: deadlineS},
-		weights:   weights,
 	}
 	// The deadline horizon in queue slots: a queue longer than this makes
 	// every admitted request infeasible. Fair-share caps split that depth

@@ -134,7 +134,7 @@ func TestResultCacheLRUAndTTL(t *testing.T) {
 	if c.get(1, 1.01) {
 		t.Fatal("expired entry served")
 	}
-	if c.len() != 1 { // key 3 remains
-		t.Fatalf("cache len %d after expiry eviction", c.len())
+	if n := entries(c); n != 1 { // key 3 remains
+		t.Fatalf("cache holds %d entries after expiry eviction", n)
 	}
 }

@@ -10,32 +10,19 @@ package serve
 
 import "dlsys/internal/obs"
 
-// BreakerState is the classic three-state circuit-breaker automaton.
-type BreakerState int
+// breakerState is the classic three-state circuit-breaker automaton.
+type breakerState int
 
 // Breaker states.
 const (
-	// Closed passes traffic and watches the failure rate.
-	Closed BreakerState = iota
-	// Open rejects traffic until a cooldown elapses.
-	Open
-	// HalfOpen admits a few probe requests; success re-closes, failure
-	// re-opens.
-	HalfOpen
+	// breakerClosed passes traffic and watches the failure rate.
+	breakerClosed breakerState = iota
+	// breakerOpen rejects traffic until a cooldown elapses.
+	breakerOpen
+	// breakerHalfOpen admits a few probe requests; success re-closes,
+	// failure re-opens.
+	breakerHalfOpen
 )
-
-// String names the state for logs and tables.
-func (s BreakerState) String() string {
-	switch s {
-	case Closed:
-		return "closed"
-	case Open:
-		return "open"
-	case HalfOpen:
-		return "half-open"
-	}
-	return "unknown"
-}
 
 // breakerConfig tunes one replica's circuit breaker. The Server builds
 // every breaker from the constants below; tests build smaller ones.
@@ -66,13 +53,13 @@ const (
 	breakerProbes      = 2
 )
 
-// Breaker guards one replica. It is driven entirely by simulated
+// breaker guards one replica. It is driven entirely by simulated
 // timestamps passed in by the caller, so it is as deterministic as the
 // event stream feeding it.
-type Breaker struct {
+type breaker struct {
 	cfg breakerConfig
 
-	state    BreakerState
+	state    breakerState
 	openedAt float64 // when the breaker last opened
 
 	window []bool // ring of outcomes, true = failure
@@ -90,34 +77,34 @@ type Breaker struct {
 }
 
 // newBreaker builds a breaker; cfg.Window must be positive.
-func newBreaker(cfg breakerConfig) *Breaker {
-	return &Breaker{cfg: cfg, window: make([]bool, cfg.Window)}
+func newBreaker(cfg breakerConfig) *breaker {
+	return &breaker{cfg: cfg, window: make([]bool, cfg.Window)}
 }
 
 // State reports the current automaton state.
-func (b *Breaker) State() BreakerState { return b.state }
+func (b *breaker) State() breakerState { return b.state }
 
 // Opened counts how many times the breaker has tripped open.
-func (b *Breaker) Opened() int { return b.opened }
+func (b *breaker) Opened() int { return b.opened }
 
 // Reclosed counts how many times it has recovered to closed.
-func (b *Breaker) Reclosed() int { return b.reclosed }
+func (b *breaker) Reclosed() int { return b.reclosed }
 
 // Allow reports whether a request may be sent to the replica at the given
 // simulated time. An open breaker whose cooldown has elapsed transitions
 // to half-open and admits the probe.
-func (b *Breaker) Allow(now float64) bool {
+func (b *breaker) Allow(now float64) bool {
 	switch b.state {
-	case Closed:
+	case breakerClosed:
 		return true
-	case Open:
+	case breakerOpen:
 		if now >= b.openedAt+b.cfg.CooldownS {
-			b.state = HalfOpen
+			b.state = breakerHalfOpen
 			b.probeOK = 0
 			return true
 		}
 		return false
-	case HalfOpen:
+	case breakerHalfOpen:
 		return true
 	}
 	return false
@@ -125,21 +112,21 @@ func (b *Breaker) Allow(now float64) bool {
 
 // Record feeds one request outcome (observed at simulated time now) into
 // the breaker.
-func (b *Breaker) Record(now float64, ok bool) {
+func (b *breaker) Record(now float64, ok bool) {
 	switch b.state {
-	case HalfOpen:
+	case breakerHalfOpen:
 		if !ok {
 			b.trip(now)
 			return
 		}
 		b.probeOK++
 		if b.probeOK >= b.cfg.HalfOpenProbes {
-			b.state = Closed
+			b.state = breakerClosed
 			b.reclosed++
 			b.onReclose.Inc()
 			b.resetWindow()
 		}
-	case Closed:
+	case breakerClosed:
 		b.window[b.head] = !ok
 		b.head = (b.head + 1) % len(b.window)
 		if b.filled < len(b.window) {
@@ -148,14 +135,14 @@ func (b *Breaker) Record(now float64, ok bool) {
 		if b.filled >= b.cfg.MinSamples && b.failureRate() >= b.cfg.FailureRate {
 			b.trip(now)
 		}
-	case Open:
+	case breakerOpen:
 		// A late completion from before the trip; the window restarts
 		// from scratch on re-close, so drop it.
 	}
 }
 
-func (b *Breaker) trip(now float64) {
-	b.state = Open
+func (b *breaker) trip(now float64) {
+	b.state = breakerOpen
 	b.openedAt = now
 	b.opened++
 	b.onOpen.Inc()
@@ -163,15 +150,15 @@ func (b *Breaker) trip(now float64) {
 }
 
 // instrument attaches transition counters; nil counters stay no-ops.
-func (b *Breaker) instrument(onOpen, onReclose *obs.Counter) {
+func (b *breaker) instrument(onOpen, onReclose *obs.Counter) {
 	b.onOpen, b.onReclose = onOpen, onReclose
 }
 
-func (b *Breaker) resetWindow() {
+func (b *breaker) resetWindow() {
 	b.head, b.filled = 0, 0
 }
 
-func (b *Breaker) failureRate() float64 {
+func (b *breaker) failureRate() float64 {
 	fails := 0
 	for i := 0; i < b.filled; i++ {
 		if b.window[i] {

@@ -2,7 +2,7 @@ package serve
 
 import "testing"
 
-func newTestBreaker() *Breaker {
+func newTestBreaker() *breaker {
 	return newBreaker(breakerConfig{
 		Window: 8, MinSamples: 4, FailureRate: 0.5, CooldownS: 10, HalfOpenProbes: 2,
 	})
@@ -16,7 +16,7 @@ func TestBreakerStaysClosedUnderSuccess(t *testing.T) {
 		}
 		b.Record(float64(i), true)
 	}
-	if b.State() != Closed || b.Opened() != 0 {
+	if b.State() != breakerClosed || b.Opened() != 0 {
 		t.Fatalf("state %v opened %d", b.State(), b.Opened())
 	}
 }
@@ -28,11 +28,11 @@ func TestBreakerTripsOnFailureRate(t *testing.T) {
 	b.Record(0, true)
 	b.Record(1, true)
 	b.Record(2, false)
-	if b.State() != Closed {
+	if b.State() != breakerClosed {
 		t.Fatal("tripped below MinSamples")
 	}
 	b.Record(3, false)
-	if b.State() != Open {
+	if b.State() != breakerOpen {
 		t.Fatalf("state %v after 2/4 failures", b.State())
 	}
 	if b.Opened() != 1 {
@@ -50,7 +50,7 @@ func TestBreakerMinSamplesGuard(t *testing.T) {
 	b.Record(0, false)
 	b.Record(1, false)
 	b.Record(2, false)
-	if b.State() != Closed {
+	if b.State() != breakerClosed {
 		t.Fatalf("state %v below MinSamples", b.State())
 	}
 }
@@ -60,7 +60,7 @@ func TestBreakerHalfOpenRecovery(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		b.Record(float64(i), false)
 	}
-	if b.State() != Open {
+	if b.State() != breakerOpen {
 		t.Fatal("not open")
 	}
 	// Cooldown is 10s from the trip at t=3.
@@ -70,15 +70,15 @@ func TestBreakerHalfOpenRecovery(t *testing.T) {
 	if !b.Allow(13.1) {
 		t.Fatal("probe rejected after cooldown")
 	}
-	if b.State() != HalfOpen {
+	if b.State() != breakerHalfOpen {
 		t.Fatalf("state %v", b.State())
 	}
 	b.Record(13.5, true)
-	if b.State() != HalfOpen {
+	if b.State() != breakerHalfOpen {
 		t.Fatal("closed after one probe, want two")
 	}
 	b.Record(14.0, true)
-	if b.State() != Closed {
+	if b.State() != breakerClosed {
 		t.Fatalf("state %v after 2 probe successes", b.State())
 	}
 	if b.Reclosed() != 1 {
@@ -95,7 +95,7 @@ func TestBreakerHalfOpenFailureReopens(t *testing.T) {
 		t.Fatal("probe rejected")
 	}
 	b.Record(20.5, false)
-	if b.State() != Open {
+	if b.State() != breakerOpen {
 		t.Fatalf("state %v after failed probe", b.State())
 	}
 	if b.Opened() != 2 {
@@ -118,7 +118,7 @@ func TestBreakerWindowResetsAfterRecovery(t *testing.T) {
 	b.Allow(20)
 	b.Record(20, true)
 	b.Record(21, true)
-	if b.State() != Closed {
+	if b.State() != breakerClosed {
 		t.Fatal("not reclosed")
 	}
 	// The pre-trip failures must not linger: two fresh failures alone
@@ -126,7 +126,7 @@ func TestBreakerWindowResetsAfterRecovery(t *testing.T) {
 	b.Record(22, false)
 	b.Record(23, false)
 	b.Record(24, true)
-	if b.State() != Closed {
+	if b.State() != breakerClosed {
 		t.Fatal("stale window outcomes survived recovery")
 	}
 }

@@ -39,7 +39,6 @@ type resultCache struct {
 	slotOf     []int // key → slot index + 1; 0 when the key is absent
 	head, tail int   // most and least recently used slots, -1 when empty
 	free       int   // first free slot, -1 when full
-	n          int
 }
 
 // newResultCache builds an empty cache of capacity slots whose entries
@@ -99,7 +98,6 @@ func (c *resultCache) get(key int, now float64) bool {
 		c.slotOf[key] = 0
 		s.next = c.free
 		c.free = i
-		c.n--
 		return false
 	}
 	c.unlink(i)
@@ -117,7 +115,6 @@ func (c *resultCache) put(key int, now float64) {
 	case c.free >= 0:
 		i = c.free
 		c.free = c.slots[i].next
-		c.n++
 	default:
 		i = c.tail
 		c.unlink(i)
@@ -127,6 +124,3 @@ func (c *resultCache) put(key int, now float64) {
 	c.slotOf[key] = i + 1
 	c.pushFront(i)
 }
-
-// len reports live entries (expired ones may linger until touched).
-func (c *resultCache) len() int { return c.n }

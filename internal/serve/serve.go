@@ -214,7 +214,7 @@ type replicaState struct {
 	busyUntilS float64
 	downUntilS float64
 	done       []float64 // completion times of dispatched work, ascending
-	br         *Breaker
+	br         *breaker
 }
 
 func (rs *replicaState) pending(now float64) int {
@@ -313,9 +313,6 @@ func NewServer(cfg Config) (*Server, error) {
 	}
 	return s, nil
 }
-
-// Breaker exposes replica i's circuit breaker (for tests and ledgers).
-func (s *Server) Breaker(i int) *Breaker { return s.states[i].br }
 
 // Kernel returns the simulation kernel arrivals are scheduled on.
 func (s *Server) Kernel() *sim.Kernel { return s.k }

@@ -48,17 +48,17 @@ func (a *Actor) Fired() int { return a.fired }
 
 // At schedules fn at absolute time t under this actor's name. The event
 // carries the actor, so running it counts the firing without a lookup.
-func (a *Actor) At(t float64, fn func(stamp float64)) Event {
-	return a.k.schedule(event{t: t, actor: a, name: a.name, fn: fn})
+func (a *Actor) At(t float64, fn func(stamp float64)) {
+	a.k.schedule(event{t: t, actor: a, name: a.name, fn: fn})
 }
 
 // After schedules fn d seconds from now under this actor's name.
-func (a *Actor) After(d float64, fn func(stamp float64)) Event {
-	return a.At(a.k.later(d), fn)
+func (a *Actor) After(d float64, fn func(stamp float64)) {
+	a.At(a.k.later(d), fn)
 }
 
 // Every schedules a periodic event under this actor's name; see
 // Kernel.Every for the cadence and termination contract.
-func (a *Actor) Every(start, period float64, fn func(now float64) bool) Event {
-	return a.k.every(event{t: start, actor: a, name: a.name}, period, fn)
+func (a *Actor) Every(start, period float64, fn func(now float64) bool) {
+	a.k.every(event{t: start, actor: a, name: a.name}, period, fn)
 }

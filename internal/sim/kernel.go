@@ -35,46 +35,17 @@ import (
 	"dlsys/internal/fp"
 )
 
-// Event is a handle to one scheduled occurrence, returned by the
-// scheduling methods and kept by callers only to Cancel it. It is a small
-// value, not the queue entry itself: the queue stores events by value, so
-// scheduling allocates nothing. The zero Event is a handle to nothing.
-type Event struct {
-	k   *Kernel
-	seq uint64    // a one-shot's sequence number
-	per *periodic // an Every chain's shared state; nil for one-shots
-}
-
-// Cancel stops the event from running: a one-shot is skipped when popped,
-// and a periodic event skips its pending firing and is never rescheduled.
-// Cancelling the zero handle, or a one-shot that has already run, is a
-// no-op. Cancelled events still consume their queue slot but do not
-// appear in the execution log or fingerprint.
-func (e Event) Cancel() {
-	switch {
-	case e.per != nil:
-		e.per.canceled = true
-	case e.k != nil:
-		// Sequence numbers are never reused, so a mark for a one-shot
-		// that already ran matches nothing later.
-		if e.k.canceled == nil {
-			e.k.canceled = map[uint64]struct{}{}
-		}
-		e.k.canceled[e.seq] = struct{}{}
-	}
-}
-
 // periodic is the state an Every chain keeps across its firings, allocated
-// once per Every call; its handle's Cancel sets canceled.
+// once per Every call.
 type periodic struct {
-	fn       func(now float64) bool
-	period   float64
-	canceled bool
+	fn     func(now float64) bool
+	period float64
 }
 
-// event is one queue entry. A one-shot carries fn, a periodic firing per.
-// actor is nil when the event was scheduled by name through Kernel.At; the
-// name is then resolved to an actor when the event runs.
+// event is one queue entry, stored by value, so scheduling allocates
+// nothing. A one-shot carries fn, a periodic firing per. actor is nil when
+// the event was scheduled by name through Kernel.At; the name is then
+// resolved to an actor when the event runs.
 type event struct {
 	t     float64
 	seq   uint64
@@ -146,7 +117,6 @@ type Kernel struct {
 	now       float64
 	seq       uint64
 	queue     eventQueue
-	canceled  map[uint64]struct{} // sequence numbers of cancelled one-shots
 	processed int
 	actors    map[string]*Actor
 	// log folds every executed event's actor name, scheduled stamp and
@@ -163,12 +133,10 @@ func New() *Kernel {
 // Now returns the current simulated time in seconds.
 func (k *Kernel) Now() float64 { return k.now }
 
-// Processed returns how many events have executed so far (cancelled events
-// excluded).
+// Processed returns how many events have executed so far.
 func (k *Kernel) Processed() int { return k.processed }
 
-// Pending returns how many events are queued (including cancelled ones not
-// yet popped).
+// Pending returns how many events are queued.
 func (k *Kernel) Pending() int { return len(k.queue) }
 
 // At schedules fn to run at absolute time t, stamped with t. The time may
@@ -180,14 +148,14 @@ func (k *Kernel) Pending() int { return len(k.queue) }
 // (training rounds). The event counts toward the Fired count of the actor
 // registered under that name when it runs, even if the actor is
 // registered after scheduling.
-func (k *Kernel) At(t float64, actor string, fn func(stamp float64)) Event {
-	return k.schedule(event{t: t, name: actor, fn: fn})
+func (k *Kernel) At(t float64, actor string, fn func(stamp float64)) {
+	k.schedule(event{t: t, name: actor, fn: fn})
 }
 
 // After schedules fn to run d seconds from the current clock. Negative d
 // clamps to zero.
-func (k *Kernel) After(d float64, actor string, fn func(stamp float64)) Event {
-	return k.At(k.later(d), actor, fn)
+func (k *Kernel) After(d float64, actor string, fn func(stamp float64)) {
+	k.At(k.later(d), actor, fn)
 }
 
 // later returns the instant d seconds from now, negative d clamped to zero.
@@ -204,26 +172,25 @@ func (k *Kernel) later(d float64) float64 {
 // not fixed-delay), so a handler that advances the clock does not skew the
 // cadence. A non-positive period panics: it would loop forever at one
 // instant.
-func (k *Kernel) Every(start, period float64, actor string, fn func(now float64) bool) Event {
-	return k.every(event{t: start, name: actor}, period, fn)
+func (k *Kernel) Every(start, period float64, actor string, fn func(now float64) bool) {
+	k.every(event{t: start, name: actor}, period, fn)
 }
 
 // every queues the first firing of a periodic chain; the chain's state is
 // the one allocation it makes.
-func (k *Kernel) every(ev event, period float64, fn func(now float64) bool) Event {
+func (k *Kernel) every(ev event, period float64, fn func(now float64) bool) {
 	if period <= 0 {
 		panic(fmt.Sprintf("sim: Every(%q) with non-positive period %g", ev.name, period))
 	}
 	ev.per = &periodic{fn: fn, period: period}
-	return k.schedule(ev)
+	k.schedule(ev)
 }
 
 // schedule assigns ev the next sequence number and queues it.
-func (k *Kernel) schedule(ev event) Event {
+func (k *Kernel) schedule(ev event) {
 	ev.seq = k.seq
 	k.seq++
 	k.queue.push(ev)
-	return Event{k: k, seq: ev.seq, per: ev.per}
 }
 
 // Advance moves the clock forward by d seconds, modelling work performed
@@ -242,64 +209,42 @@ func (k *Kernel) AdvanceTo(t float64) {
 	}
 }
 
-// skip reports whether a popped event was cancelled, forgetting a
-// one-shot's mark once it has served.
-func (k *Kernel) skip(ev *event) bool {
-	if ev.per != nil {
-		return ev.per.canceled
-	}
-	if len(k.canceled) == 0 {
-		return false
-	}
-	if _, ok := k.canceled[ev.seq]; ok {
-		delete(k.canceled, ev.seq)
-		return true
-	}
-	return false
-}
-
 // Step pops and executes the earliest pending event, returning false when
 // the queue is empty. The clock is set to max(now, event time) before the
 // handler runs; the handler receives the event's own scheduled stamp.
 func (k *Kernel) Step() bool {
-	for len(k.queue) > 0 {
-		ev := k.queue.pop()
-		if k.skip(&ev) {
-			continue
+	if len(k.queue) == 0 {
+		return false
+	}
+	ev := k.queue.pop()
+	if ev.t > k.now {
+		k.now = ev.t
+	}
+	k.processed++
+	a := ev.actor
+	if a == nil {
+		a = k.actors[ev.name]
+	}
+	if a != nil {
+		a.fired++
+		k.log.Prefolded(&a.fold)
+	} else {
+		k.log.String(ev.name)
+	}
+	k.log.Float(ev.t)
+	k.log.Word(ev.seq)
+	if p := ev.per; p != nil {
+		if p.fn(ev.t) {
+			// The next firing is start+n*period even if the clock has
+			// moved past it — fixed-rate, catching up rather than
+			// skewing.
+			ev.t += p.period
+			k.schedule(ev)
 		}
-		if ev.t > k.now {
-			k.now = ev.t
-		}
-		k.processed++
-		a := ev.actor
-		if a == nil {
-			a = k.actors[ev.name]
-		}
-		if a != nil {
-			a.fired++
-			k.log.Prefolded(&a.fold)
-		} else {
-			k.log.String(ev.name)
-		}
-		k.log.Float(ev.t)
-		k.log.Word(ev.seq)
-		if p := ev.per; p != nil {
-			if p.fn(ev.t) && !p.canceled {
-				// The chain's handle stays valid across reschedules
-				// because it points at p, not at a queue entry. The next
-				// firing is start+n*period even if the clock has moved
-				// past it — fixed-rate, catching up rather than skewing.
-				ev.t += p.period
-				k.schedule(ev)
-			}
-			return true
-		}
-		ev.fn(ev.t)
 		return true
 	}
-	// Every mark left belongs to a one-shot that already ran.
-	k.canceled = nil
-	return false
+	ev.fn(ev.t)
+	return true
 }
 
 // Run executes events until the queue drains, returning how many ran.
@@ -318,16 +263,11 @@ func (k *Kernel) RunUntil(t float64) int {
 	n := 0
 	for len(k.queue) > 0 {
 		// Peek: the heap minimum is index 0.
-		if k.skip(&k.queue[0]) {
-			k.queue.pop()
-			continue
-		}
 		if k.queue[0].t > t {
 			break
 		}
-		if k.Step() {
-			n++
-		}
+		k.Step()
+		n++
 	}
 	k.AdvanceTo(t)
 	return n

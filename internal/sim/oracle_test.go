@@ -9,21 +9,18 @@ import (
 	"testing"
 )
 
-// The property test runs seeded random programs of At/After/Every/Cancel,
+// The property test runs seeded random programs of At/After/Every,
 // Advance and RunUntil twice: on the kernel, and on an oracle that keeps
-// pending events in a plain slice, sorts it by (t, seq) before every pop
-// and holds each event behind a pointer whose canceled flag Cancel sets.
-// Every executed event — which one, its stamp, the clock it ran at — must
-// agree, and so must the fingerprints and per-actor fired counts.
+// pending events in a plain slice and sorts it by (t, seq) before every
+// pop. Every executed event — which one, its stamp, the clock it ran at —
+// must agree, and so must the fingerprints and per-actor fired counts.
 
-// scheduler is the surface a program drives. Scheduling calls return the
-// event's cancel function.
+// scheduler is the surface a program drives.
 type scheduler interface {
 	Now() float64
-	At(t float64, actor string, viaActor bool, fn func(float64)) func()
-	After(d float64, actor string, viaActor bool, fn func(float64)) func()
-	Every(start, period float64, actor string, viaActor bool, fn func(float64) bool) func()
-	ZeroCancel() func()
+	At(t float64, actor string, viaActor bool, fn func(float64))
+	After(d float64, actor string, viaActor bool, fn func(float64))
+	Every(start, period float64, actor string, viaActor bool, fn func(float64) bool)
 	Advance(d float64)
 	Step() bool
 	RunUntil(t float64) int
@@ -36,25 +33,27 @@ type scheduler interface {
 type kernelSched struct{ k *Kernel }
 
 func (s kernelSched) Now() float64 { return s.k.Now() }
-func (s kernelSched) At(t float64, actor string, viaActor bool, fn func(float64)) func() {
+func (s kernelSched) At(t float64, actor string, viaActor bool, fn func(float64)) {
 	if viaActor {
-		return s.k.Actor(actor).At(t, fn).Cancel
+		s.k.Actor(actor).At(t, fn)
+		return
 	}
-	return s.k.At(t, actor, fn).Cancel
+	s.k.At(t, actor, fn)
 }
-func (s kernelSched) After(d float64, actor string, viaActor bool, fn func(float64)) func() {
+func (s kernelSched) After(d float64, actor string, viaActor bool, fn func(float64)) {
 	if viaActor {
-		return s.k.Actor(actor).After(d, fn).Cancel
+		s.k.Actor(actor).After(d, fn)
+		return
 	}
-	return s.k.After(d, actor, fn).Cancel
+	s.k.After(d, actor, fn)
 }
-func (s kernelSched) Every(start, period float64, actor string, viaActor bool, fn func(float64) bool) func() {
+func (s kernelSched) Every(start, period float64, actor string, viaActor bool, fn func(float64) bool) {
 	if viaActor {
-		return s.k.Actor(actor).Every(start, period, fn).Cancel
+		s.k.Actor(actor).Every(start, period, fn)
+		return
 	}
-	return s.k.Every(start, period, actor, fn).Cancel
+	s.k.Every(start, period, actor, fn)
 }
-func (s kernelSched) ZeroCancel() func()     { return Event{}.Cancel }
 func (s kernelSched) Advance(d float64)      { s.k.Advance(d) }
 func (s kernelSched) Step() bool             { return s.k.Step() }
 func (s kernelSched) RunUntil(t float64) int { return s.k.RunUntil(t) }
@@ -71,13 +70,12 @@ func (s kernelSched) registered() map[string]bool {
 }
 
 type oracleEvent struct {
-	t        float64
-	seq      uint64
-	actor    string
-	fn       func(float64)
-	every    func(float64) bool
-	period   float64
-	canceled bool
+	t      float64
+	seq    uint64
+	actor  string
+	fn     func(float64)
+	every  func(float64) bool
+	period float64
 }
 
 type oracle struct {
@@ -91,11 +89,10 @@ type oracle struct {
 
 func newOracle() *oracle { return &oracle{fired: map[string]int{}} }
 
-func (o *oracle) push(ev *oracleEvent) func() {
+func (o *oracle) push(ev *oracleEvent) {
 	ev.seq = o.seq
 	o.seq++
 	o.pending = append(o.pending, ev)
-	return func() { ev.canceled = true }
 }
 
 func (o *oracle) sortPending() {
@@ -109,16 +106,15 @@ func (o *oracle) sortPending() {
 }
 
 func (o *oracle) Now() float64 { return o.now }
-func (o *oracle) At(t float64, actor string, _ bool, fn func(float64)) func() {
-	return o.push(&oracleEvent{t: t, actor: actor, fn: fn})
+func (o *oracle) At(t float64, actor string, _ bool, fn func(float64)) {
+	o.push(&oracleEvent{t: t, actor: actor, fn: fn})
 }
-func (o *oracle) After(d float64, actor string, via bool, fn func(float64)) func() {
-	return o.At(o.now+math.Max(d, 0), actor, via, fn)
+func (o *oracle) After(d float64, actor string, via bool, fn func(float64)) {
+	o.At(o.now+math.Max(d, 0), actor, via, fn)
 }
-func (o *oracle) Every(start, period float64, actor string, _ bool, fn func(float64) bool) func() {
-	return o.push(&oracleEvent{t: start, actor: actor, every: fn, period: period})
+func (o *oracle) Every(start, period float64, actor string, _ bool, fn func(float64) bool) {
+	o.push(&oracleEvent{t: start, actor: actor, every: fn, period: period})
 }
-func (o *oracle) ZeroCancel() func() { return func() {} }
 func (o *oracle) Advance(d float64) {
 	if d > 0 {
 		o.now += d
@@ -126,42 +122,35 @@ func (o *oracle) Advance(d float64) {
 }
 
 func (o *oracle) Step() bool {
-	for len(o.pending) > 0 {
-		o.sortPending()
-		ev := o.pending[0]
-		o.pending = o.pending[1:]
-		if ev.canceled {
-			continue
+	if len(o.pending) == 0 {
+		return false
+	}
+	o.sortPending()
+	ev := o.pending[0]
+	o.pending = o.pending[1:]
+	o.now = math.Max(o.now, ev.t)
+	o.processed++
+	o.log = append(o.log, ev.actor...)
+	o.log = binary.LittleEndian.AppendUint64(o.log, math.Float64bits(ev.t))
+	o.log = binary.LittleEndian.AppendUint64(o.log, ev.seq)
+	if _, ok := o.fired[ev.actor]; ok {
+		o.fired[ev.actor]++
+	}
+	if ev.every != nil {
+		if ev.every(ev.t) {
+			ev.t += ev.period
+			o.push(ev)
 		}
-		o.now = math.Max(o.now, ev.t)
-		o.processed++
-		o.log = append(o.log, ev.actor...)
-		o.log = binary.LittleEndian.AppendUint64(o.log, math.Float64bits(ev.t))
-		o.log = binary.LittleEndian.AppendUint64(o.log, ev.seq)
-		if _, ok := o.fired[ev.actor]; ok {
-			o.fired[ev.actor]++
-		}
-		if ev.every != nil {
-			if ev.every(ev.t) && !ev.canceled {
-				ev.t += ev.period
-				o.push(ev)
-			}
-			return true
-		}
-		ev.fn(ev.t)
 		return true
 	}
-	return false
+	ev.fn(ev.t)
+	return true
 }
 
 func (o *oracle) RunUntil(t float64) int {
 	n := 0
 	for len(o.pending) > 0 {
 		o.sortPending()
-		if o.pending[0].canceled {
-			o.pending = o.pending[1:]
-			continue
-		}
 		if o.pending[0].t > t {
 			break
 		}
@@ -196,15 +185,13 @@ type execution struct {
 // coverage counts the cases a program reached, so the test can insist
 // that the seeds exercise each of them.
 type coverage struct {
-	overtaken, ties, runUntil                         int
-	selfCancel, periodicCancel, ranCancel, zeroCancel int
+	overtaken, ties, runUntil int
 }
 
 // runProgram drives one seeded random program on s and returns its trace.
 // Times sit on a half-second grid so same-instant ties are common; handlers
-// advance the clock past pending events, schedule behind the clock, cancel
-// handles at random — pending, already run, periodic, or the zero handle —
-// and register actors late.
+// advance the clock past pending events, schedule behind the clock, and
+// register actors late.
 func runProgram(seed int64, s scheduler) ([]execution, coverage) {
 	rng := rand.New(rand.NewSource(seed))
 	actors := []string{"a", "b", "c"}
@@ -213,13 +200,10 @@ func runProgram(seed int64, s scheduler) ([]execution, coverage) {
 		registered[name] = true
 		s.Register(name)
 	}
-	// Handles by label; label 0 is the zero handle.
-	cancels := []func(){s.ZeroCancel()}
-	periodic := []bool{false}
-	ran := []bool{false}
 	var (
-		trace []execution
-		cov   coverage
+		trace  []execution
+		cov    coverage
+		labels int
 	)
 	budget := 60 + rng.Intn(200)
 
@@ -233,24 +217,11 @@ func runProgram(seed int64, s scheduler) ([]execution, coverage) {
 			cov.ties++
 		}
 		trace = append(trace, execution{label: label, stamp: stamp, now: s.Now()})
-		ran[label] = true
 		if rng.Intn(6) == 0 {
 			s.Advance(grid(0, 6))
 		}
 		for n := rng.Intn(3); n > 0; n-- {
 			spawn()
-		}
-		if rng.Intn(3) == 0 {
-			i := rng.Intn(len(cancels))
-			switch {
-			case i == 0:
-				cov.zeroCancel++
-			case periodic[i]:
-				cov.periodicCancel++
-			case ran[i]:
-				cov.ranCancel++
-			}
-			cancels[i]()
 		}
 		if rng.Intn(10) == 0 {
 			register(actors[rng.Intn(len(actors))])
@@ -261,36 +232,28 @@ func runProgram(seed int64, s scheduler) ([]execution, coverage) {
 			return
 		}
 		budget--
-		label := len(cancels)
+		label := labels
+		labels++
 		actor := actors[rng.Intn(len(actors))]
 		via := registered[actor] && rng.Intn(2) == 0
-		var cancel func()
-		kind := rng.Intn(5)
-		switch kind {
+		switch rng.Intn(5) {
 		case 0, 1:
 			// May lie behind the clock: an overtaken stamp.
 			t := math.Max(0, s.Now()+grid(-6, 8))
-			cancel = s.At(t, actor, via, func(stamp float64) { act(label, stamp) })
+			s.At(t, actor, via, func(stamp float64) { act(label, stamp) })
 		case 2, 3:
-			cancel = s.After(grid(-2, 6), actor, via, func(stamp float64) { act(label, stamp) })
+			s.After(grid(-2, 6), actor, via, func(stamp float64) { act(label, stamp) })
 		default:
 			limit, fires := 1+rng.Intn(5), 0
-			cancel = s.Every(s.Now()+grid(0, 4), grid(1, 4), actor, via, func(now float64) bool {
+			s.Every(s.Now()+grid(0, 4), grid(1, 4), actor, via, func(now float64) bool {
 				fires++
 				act(label, now)
-				switch rng.Intn(6) {
-				case 0:
-					cov.selfCancel++
-					cancels[label]()
-				case 1:
+				if rng.Intn(6) == 0 {
 					return false
 				}
 				return fires < limit
 			})
 		}
-		cancels = append(cancels, cancel)
-		periodic = append(periodic, kind == 4)
-		ran = append(ran, false)
 	}
 
 	register("a")
@@ -343,16 +306,10 @@ func TestKernelMatchesSortOracle(t *testing.T) {
 		total.overtaken += cov.overtaken
 		total.ties += cov.ties
 		total.runUntil += cov.runUntil
-		total.selfCancel += cov.selfCancel
-		total.periodicCancel += cov.periodicCancel
-		total.ranCancel += cov.ranCancel
-		total.zeroCancel += cov.zeroCancel
 	}
 	t.Logf("%d events over %d seeds; coverage %+v", events, seeds, total)
 	for name, n := range map[string]int{
 		"overtaken stamps": total.overtaken, "same-instant ties": total.ties, "RunUntil calls": total.runUntil,
-		"periodic self-cancels": total.selfCancel, "periodic cancels by another event": total.periodicCancel,
-		"cancels of a one-shot that ran": total.ranCancel, "zero-handle cancels": total.zeroCancel,
 	} {
 		if n < seeds/10 {
 			t.Errorf("only %d %s over %d seeds", n, name, seeds)
