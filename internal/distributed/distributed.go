@@ -13,16 +13,15 @@
 // slow them down (mitigated by drop-slowest-k a.k.a. backup-worker
 // aggregation), and drop or corrupt messages (survived by retransmission
 // with exponential backoff). Every failure scenario derives from the fault
-// seed, so runs are bit-reproducible, faults and all. Workers compute in
-// parallel goroutines with per-worker RNG streams, so execution order
-// cannot perturb results.
+// seed, so runs are bit-reproducible, faults and all. Workers compute on
+// the tensor package's worker pool with per-worker RNG streams, so
+// execution order cannot perturb results.
 package distributed
 
 import (
 	"math"
 	"math/rand"
 	"sort"
-	"sync"
 
 	"dlsys/internal/checkpoint"
 	"dlsys/internal/device"
@@ -278,18 +277,17 @@ type gradResult struct {
 	// slips past the guard — only robust aggregation defends)
 }
 
-// computeGrads runs every active worker's forward/backward in parallel
-// goroutines — a local optimizer step when localStep is set — and records
-// each worker's compute time. Determinism holds because workers share no
-// mutable state and results are consumed in worker-id order.
+// computeGrads runs every active worker's forward/backward — a local
+// optimizer step when localStep is set — on tensor.ParallelFor, the
+// persistent pool: inline at GOMAXPROCS 1, and otherwise in at most
+// GOMAXPROCS chunks of workers. It records each worker's compute time.
+// Determinism holds because workers share no mutable state and results
+// are indexed, and consumed, in worker-id order.
 func (j *Job) computeGrads(active []*worker, step, round int, localStep bool) []gradResult {
 	inj := j.inj
 	results := make([]gradResult, len(active))
-	var wg sync.WaitGroup
-	for i, wk := range active {
-		wg.Add(1)
-		go func(i int, wk *worker) {
-			defer wg.Done()
+	tensor.ParallelFor(len(active), func(lo, hi int) {
+		for i, wk := range active[lo:hi] {
 			bx, by := wk.nextBatch(j.x, j.y, step, j.cfg.BatchSize)
 			r := gradResult{wk: wk}
 			// Numerical fault injection: the draws are keyed by
@@ -325,10 +323,9 @@ func (j *Job) computeGrads(active []*worker, step, round int, localStep bool) []
 				r.poisoned = math.IsNaN(loss) || math.IsInf(loss, 0) || !tensor.AllFinite(r.grad)
 			}
 			r.seconds = j.prof.ComputeTime(j.flopsPerExample*int64(bx.Dim(0)), 0.5) * inj.StraggleFactor(wk.id, round)
-			results[i] = r
-		}(i, wk)
-	}
-	wg.Wait()
+			results[lo+i] = r
+		}
+	})
 	j.ins.observeSteps(results)
 	return results
 }

@@ -239,6 +239,47 @@ func TestLRSpikeRecoveredByRollback(t *testing.T) {
 	if g.Ledger().Len() == 0 {
 		t.Fatal("expected incidents under a 20% LR-spike rate")
 	}
+	// A ×1e6 spike moves no parameter far enough to make a loss
+	// non-finite: the guard meets each one as an exploding gradient on the
+	// steps after it and clips, and never rolls back
+	// (TestLRSpikeReachesRollback holds a spike to a rollback).
+	for _, in := range g.Ledger().Incidents {
+		if in.Kind != KindGradExplosion || in.Action != ActionClipGrad {
+			t.Fatalf("incident %v, want every incident grad-explosion/clip-grad", in)
+		}
+	}
+}
+
+// A ×1e200 spike under Adam moves the parameters to about 1e198, finite,
+// so the post-update scan passes, but the next loss is NaN: the guard
+// skips the batch, and at the third bad step in a row it rolls back. The
+// run must roll back at least once, only for non-finite losses, and end on
+// finite parameters. It checks no loss: at this factor a spiked update can
+// be the step that takes the periodic snapshot, and from then on every
+// rollback restores that snapshot, so later epochs average a NaN loss.
+func TestLRSpikeReachesRollback(t *testing.T) {
+	tr, ds, y := newTrainer(8)
+	g := New(tr, Policy{})
+	inj := fault.NewInjector(fault.Config{Seed: 3, Schedule: []fault.Window{{Kind: fault.KindLRSpike, Prob: 0.2, Factor: 1e200}}})
+	g.Fit(ds.X, y, FitConfig{
+		Epochs: 4, BatchSize: 16,
+		LRSpike: func(step int) float64 { return inj.LRSpikeFactor(0, step) },
+	})
+	if !tensor.AllFinite(tr.Net.ParamVector()) {
+		t.Fatal("guarded training left non-finite parameters")
+	}
+	rollbacks := 0
+	for _, in := range g.Ledger().Incidents {
+		if in.Kind != KindNonFiniteLoss {
+			t.Fatalf("incident %v, want every incident a non-finite loss", in)
+		}
+		if in.Action == ActionRollback {
+			rollbacks++
+		}
+	}
+	if rollbacks == 0 {
+		t.Fatalf("no rollback among %d incidents", g.Ledger().Len())
+	}
 }
 
 func TestFitReplayIdenticalLedger(t *testing.T) {

@@ -9,8 +9,7 @@ import (
 // ReLU applies max(0, x) element-wise.
 type ReLU struct {
 	name    string
-	mask    []uint8 // 0xFF where the input was positive, else 0
-	n       int
+	y       *tensor.Tensor // the train-mode output, > 0 exactly where the input was
 	out, dx *tensor.Tensor // train-mode buffers (see Layer)
 }
 
@@ -32,52 +31,42 @@ func positiveMask(v float64) uint64 {
 }
 
 // Forward implements Layer. Each output is v where v > 0 and +0 elsewhere
-// (NaN, ±0 and negatives), selected by masking v's bits.
+// (NaN, ±0 and negatives), selected by masking v's bits. In train mode the
+// output is also what Backward gates on.
 func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	out := buffer(&r.out, x, train)
-	xd := x.Data
-	var mask []uint8
-	if train {
-		if cap(r.mask) < len(xd) {
-			r.mask = make([]uint8, len(xd))
-		}
-		mask = r.mask[:len(xd)]
-		r.mask, r.n = mask, len(xd)
+	od := out.Data[:len(x.Data)]
+	for i, v := range x.Data {
+		od[i] = math.Float64frombits(math.Float64bits(v) & positiveMask(v))
 	}
-	od := out.Data[:len(xd)]
-	for i, v := range xd {
-		m := positiveMask(v)
-		od[i] = math.Float64frombits(math.Float64bits(v) & m)
-		if train {
-			mask[i] = uint8(m)
-		}
-	}
+	r.record(out, train)
 	return out
 }
 
-// Backward implements Layer: dout where the input was positive, +0
-// elsewhere, selected through the forward pass's mask.
+// record keeps y, this layer's output, for Backward when train is set and
+// drops any earlier one otherwise. Network's fused walk records the
+// output the Dense before this layer wrote with ReLU's select applied.
+func (r *ReLU) record(y *tensor.Tensor, train bool) {
+	if !train {
+		y = nil
+	}
+	r.y = y
+}
+
+// Backward implements Layer: dout where the recorded output is > 0, +0
+// elsewhere. The output is > 0 exactly where the input was, since the
+// select keeps those values and makes every other one +0.
 func (r *ReLU) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	dx := buffer(&r.dx, dout, true)
-	mask, dd := r.mask[:len(dout.Data)], dx.Data[:len(dout.Data)]
+	y, dd := r.y.Data[:len(dout.Data)], dx.Data[:len(dout.Data)]
 	for i, v := range dout.Data {
-		m := uint64(int64(int8(mask[i]))) // sign extension widens 0xFF to all ones
-		dd[i] = math.Float64frombits(math.Float64bits(v) & m)
+		dd[i] = math.Float64frombits(math.Float64bits(v) & positiveMask(y[i]))
 	}
 	return dx
 }
 
 // Params implements Layer.
 func (r *ReLU) Params() []*Param { return nil }
-
-// ActivationFloats implements ActivationSizer. The byte mask is charged as
-// one float per element to keep the accounting simple and conservative.
-func (r *ReLU) ActivationFloats(batch int) int64 {
-	if batch <= 0 || r.n == 0 {
-		return 0
-	}
-	return int64(r.n)
-}
 
 // OutputShape implements OutputShaper.
 func (r *ReLU) OutputShape(in []int) []int { return in }

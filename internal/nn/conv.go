@@ -111,11 +111,6 @@ func (c *Conv2D) FLOPs(batch int) int64 {
 	return int64(batch) * positions * (perPos + int64(c.OutC))
 }
 
-// ActivationFloats implements ActivationSizer: the im2col matrix dominates.
-func (c *Conv2D) ActivationFloats(batch int) int64 {
-	return int64(batch) * int64(c.Geom.OutH()*c.Geom.OutW()) * int64(c.Geom.InC*c.Geom.KH*c.Geom.KW)
-}
-
 // OutputShape implements OutputShaper.
 func (c *Conv2D) OutputShape(in []int) []int {
 	return []int{c.OutC, c.Geom.OutH(), c.Geom.OutW()}

@@ -7,8 +7,8 @@ import (
 	"dlsys/internal/tensor"
 )
 
-// Exercise the small Layer interface surface (Name, OutputShape,
-// ActivationFloats) that other packages rely on for planning.
+// Exercise the small Layer interface surface (Name, and OutputShape, which
+// checkpoint.FromNetwork plans with).
 func TestLayerInterfaceSurface(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	g := tensor.ConvGeom{InC: 2, InH: 6, InW: 6, KH: 3, KW: 3, Stride: 1, Pad: 1}
@@ -64,28 +64,6 @@ func TestLayerInterfaceSurface(t *testing.T) {
 	pool := layers[6].(*MaxPool2D)
 	if got := pool.OutputShape([]int{2, 6, 6}); got[1] != 3 || got[2] != 3 {
 		t.Fatalf("pool OutputShape %v", got)
-	}
-}
-
-func TestActivationSizers(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	d := NewDense(rng, "d", 4, 8)
-	if d.ActivationFloats(16) != 64 {
-		t.Fatalf("dense activation floats %d", d.ActivationFloats(16))
-	}
-	g := tensor.ConvGeom{InC: 1, InH: 4, InW: 4, KH: 3, KW: 3, Stride: 1, Pad: 1}
-	c := NewConv2D(rng, "c", g, 2)
-	if c.ActivationFloats(2) != int64(2*16*9) {
-		t.Fatalf("conv activation floats %d", c.ActivationFloats(2))
-	}
-	r := NewReLU("r")
-	// Before any forward, ReLU reports zero retained floats.
-	if r.ActivationFloats(4) != 0 {
-		t.Fatal("fresh ReLU should report 0 activation floats")
-	}
-	r.Forward(tensor.New(4, 8), true)
-	if r.ActivationFloats(4) != 32 {
-		t.Fatalf("ReLU activation floats %d", r.ActivationFloats(4))
 	}
 }
 

@@ -85,13 +85,23 @@ func (d *Dense) applyMask() {
 // call (tensor.MatMulAddRowInto), with the bits of MatMul followed by
 // AddRowVectorInPlace.
 func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	return d.forward(x, train, false)
+}
+
+// forward is Forward, and with relu set it returns relu(xW + b), ReLU's
+// select applied in the same kernel call (tensor.MatMulAddRowReLUInto).
+func (d *Dense) forward(x *tensor.Tensor, train, relu bool) *tensor.Tensor {
 	d.applyMask()
+	product := tensor.MatMulAddRowInto
+	if relu {
+		product = tensor.MatMulAddRowReLUInto
+	}
 	if !train {
 		d.x = nil
-		return tensor.MatMulAddRowInto(nil, x, d.W.Value, d.B.Value)
+		return product(nil, x, d.W.Value, d.B.Value)
 	}
 	d.x = x
-	d.out = tensor.MatMulAddRowInto(d.out, x, d.W.Value, d.B.Value)
+	d.out = product(d.out, x, d.W.Value, d.B.Value)
 	return d.out
 }
 
@@ -99,6 +109,17 @@ func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 func (d *Dense) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	d.backwardParams(dout)
 	d.dx = tensor.MatMulTransBInto(d.dx, dout, d.W.Value)
+	return d.dx
+}
+
+// backwardGated is Backward for a Dense whose input is a ReLU's output,
+// with the ReLU's Backward applied to the input gradient in the same
+// kernel call (tensor.MatMulTransBGateInto): dout·Wᵀ is kept where the
+// cached input is > 0, which is where the ReLU's input was.
+func (d *Dense) backwardGated(dout *tensor.Tensor) *tensor.Tensor {
+	act := d.x
+	d.backwardParams(dout)
+	d.dx = tensor.MatMulTransBGateInto(d.dx, dout, d.W.Value, act)
 	return d.dx
 }
 
@@ -127,11 +148,6 @@ func (d *Dense) Params() []*Param { return []*Param{d.W, d.B} }
 func (d *Dense) FLOPs(batch int) int64 {
 	in, out := int64(d.In()), int64(d.Out())
 	return int64(batch) * (2*in*out + out)
-}
-
-// ActivationFloats implements ActivationSizer: the cached input.
-func (d *Dense) ActivationFloats(batch int) int64 {
-	return int64(batch) * int64(d.In())
 }
 
 // OutputShape implements OutputShaper.

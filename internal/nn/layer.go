@@ -71,14 +71,6 @@ type FLOPsCounter interface {
 	FLOPs(batch int) int64
 }
 
-// ActivationSizer is implemented by layers that report the number of
-// float64 values they must keep alive between Forward and Backward for a
-// given batch size. The checkpointing experiments use this to account
-// training memory.
-type ActivationSizer interface {
-	ActivationFloats(batch int) int64
-}
-
 // OutputShaper reports the per-example output shape of a layer given its
 // per-example input shape. Used to size downstream layers mechanically.
 type OutputShaper interface {

@@ -73,9 +73,19 @@ func NewMLPChecked(rng *rand.Rand, cfg MLPConfig) (*Network, error) {
 
 // Forward runs the network on a batch, returning the final output (logits
 // for classifiers). When train is true, every layer caches for backward.
+//
+// Each Dense→ReLU→Dense run in the layer list (reluRun) is fused: the
+// first Dense writes relu(xW + b) in one kernel call, and the ReLU only
+// records that output, which is the bits its own Forward would return.
 func (n *Network) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	for _, l := range n.Layers {
-		x = l.Forward(x, train)
+	for i := 0; i < len(n.Layers); i++ {
+		if d, r := reluRun(n.Layers, i); r != nil {
+			x = d.forward(x, train, true)
+			r.record(x, train)
+			i++
+			continue
+		}
+		x = n.Layers[i].Forward(x, train)
 	}
 	return x
 }
@@ -83,27 +93,55 @@ func (n *Network) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // Backward propagates dout through all layers in reverse, accumulating
 // parameter gradients, and returns the gradient w.r.t. the network input.
 func (n *Network) Backward(dout *tensor.Tensor) *tensor.Tensor {
-	for i := len(n.Layers) - 1; i >= 0; i-- {
-		dout = n.Layers[i].Backward(dout)
-	}
-	return dout
+	return n.backward(dout, 0)
 }
 
 // backwardParams is Backward for a training step, which reads only the
 // parameter gradients: a first Dense layer stops at its own, skipping the
 // product that would give the gradient with respect to the input.
 func (n *Network) backwardParams(dout *tensor.Tensor) {
-	for i := len(n.Layers) - 1; i > 0; i-- {
-		dout = n.Layers[i].Backward(dout)
-	}
 	if len(n.Layers) == 0 {
 		return
 	}
 	if d, ok := n.Layers[0].(*Dense); ok {
-		d.backwardParams(dout)
+		d.backwardParams(n.backward(dout, 1))
 		return
 	}
-	n.Layers[0].Backward(dout)
+	n.backward(dout, 0)
+}
+
+// backward propagates dout from the last layer down to layer stop and
+// returns the gradient with respect to layer stop's input. The second
+// Dense of each Dense→ReLU→Dense run gates its input gradient by its
+// cached input, the ReLU's output, in the same kernel call, and the ReLU's
+// own Backward is skipped.
+func (n *Network) backward(dout *tensor.Tensor, stop int) *tensor.Tensor {
+	for i := len(n.Layers) - 1; i >= stop; i-- {
+		if _, r := reluRun(n.Layers, i-2); r != nil && i-1 >= stop {
+			dout = n.Layers[i].(*Dense).backwardGated(dout)
+			i--
+			continue
+		}
+		dout = n.Layers[i].Backward(dout)
+	}
+	return dout
+}
+
+// reluRun reports whether layers i, i+1 and i+2 are a Dense, a ReLU and a
+// Dense, a run the walks fuse: it returns the first Dense and the ReLU, or
+// nil for both. The ReLU's output is > 0 exactly where its input is, so
+// the second Dense's cached input is a gate with the ReLU mask's bits.
+func reluRun(layers []Layer, i int) (*Dense, *ReLU) {
+	if i < 0 || i+2 >= len(layers) {
+		return nil, nil
+	}
+	d, ok := layers[i].(*Dense)
+	r, isReLU := layers[i+1].(*ReLU)
+	_, next := layers[i+2].(*Dense)
+	if !ok || !isReLU || !next {
+		return nil, nil
+	}
+	return d, r
 }
 
 // Params returns all trainable parameters in layer order.

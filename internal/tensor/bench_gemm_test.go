@@ -63,8 +63,11 @@ var smallShapes = []struct{ m, k, n int }{
 // MatMulTransAInto (aᵀ·b with a stored k×m) and MatMulTransBInto (a·bᵀ
 // with b stored n×k), each giving the m×n result. At the first four, the
 // Dense forward shapes (batch × in × out), it also times the layer's bias
-// add, MatMulAddRowInto with a 1×n row ("NN+row"), and its bias-gradient
-// column sum, SumRowsInto of an m×n tensor ("SumRows").
+// add, MatMulAddRowInto with a 1×n row ("NN+row"), the same add with a
+// following ReLU's select, MatMulAddRowReLUInto ("NN+row+relu"), the
+// input gradient gated by an m×n matrix, MatMulTransBGateInto ("NT+gate"),
+// and its bias-gradient column sum, SumRowsInto of an m×n tensor
+// ("SumRows").
 func BenchmarkSmallShapes(b *testing.B) {
 	type product struct {
 		kind string
@@ -85,6 +88,8 @@ func BenchmarkSmallShapes(b *testing.B) {
 			row, dout := RandNormal(rng, 0, 1, 1, s.n), RandNormal(rng, 0, 1, s.m, s.n)
 			products = append(products,
 				product{"NN+row", func(dst *Tensor) *Tensor { return MatMulAddRowInto(dst, x, y, row) }},
+				product{"NN+row+relu", func(dst *Tensor) *Tensor { return MatMulAddRowReLUInto(dst, x, y, row) }},
+				product{"NT+gate", func(dst *Tensor) *Tensor { return MatMulTransBGateInto(dst, x, yt, dout) }},
 				product{"SumRows", func(dst *Tensor) *Tensor { return SumRowsInto(dst, dout) }})
 		}
 		for _, c := range products {

@@ -164,14 +164,14 @@ func TestMatMulDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	}
 }
 
-// parallelRows must not spawn chunks for row counts below the worker
+// ParallelFor must not spawn chunks for row counts below the worker
 // target — the heuristic fix: a tiny m above the FLOP threshold used to
 // fan out anyway.
 func TestParallelRowsSkipsSpawnForTinyM(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	runtime.GOMAXPROCS(8)
 	calls := 0
-	parallelRows(3, func(lo, hi int) {
+	ParallelFor(3, func(lo, hi int) {
 		calls++
 		if lo != 0 || hi != 3 {
 			t.Fatalf("expected one serial chunk, got [%d,%d)", lo, hi)
@@ -182,15 +182,44 @@ func TestParallelRowsSkipsSpawnForTinyM(t *testing.T) {
 	}
 	// Chunk count never exceeds the worker target.
 	var chunks atomic.Int32
-	parallelRows(1000, func(lo, hi int) { chunks.Add(1) })
+	ParallelFor(1000, func(lo, hi int) { chunks.Add(1) })
 	if c := chunks.Load(); c > 8 {
 		t.Fatalf("chunks %d exceed GOMAXPROCS", c)
 	}
 }
 
+// ParallelFor may run inside one of its own chunks, as a distributed
+// worker's products do above the parallel threshold. The caller waits only
+// for chunks a goroutine has claimed, so a nested call returns even when
+// every pool worker is itself waiting on one, and each row of each level
+// runs exactly once.
+func TestParallelForNests(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{2, 4, 8} {
+		runtime.GOMAXPROCS(procs)
+		var seen [64][64]atomic.Int32
+		ParallelFor(64, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				ParallelFor(64, func(lo, hi int) {
+					for j := lo; j < hi; j++ {
+						seen[i][j].Add(1)
+					}
+				})
+			}
+		})
+		for i := range seen {
+			for j := range seen[i] {
+				if c := seen[i][j].Load(); c != 1 {
+					t.Fatalf("GOMAXPROCS=%d: row %d of inner call %d visited %d times", procs, j, i, c)
+				}
+			}
+		}
+	}
+}
+
 func TestParallelRowsCoversRange(t *testing.T) {
 	seen := make([]int32, 1000)
-	parallelRows(1000, func(lo, hi int) {
+	ParallelFor(1000, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			seen[i]++
 		}
@@ -202,7 +231,7 @@ func TestParallelRowsCoversRange(t *testing.T) {
 	}
 	// Degenerate sizes.
 	called := false
-	parallelRows(1, func(lo, hi int) { called = lo == 0 && hi == 1 })
+	ParallelFor(1, func(lo, hi int) { called = lo == 0 && hi == 1 })
 	if !called {
 		t.Fatal("single-row case not handled")
 	}

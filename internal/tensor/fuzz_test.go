@@ -12,8 +12,9 @@ import (
 // threshold: the small tier and the reference loops give the same bits for
 // every input there, while above it the tiled kernel's multiply-through of
 // a skipped zero may differ from the reference on non-finite input
-// (gemm.go). The fused bias add and the column sum are held to their
-// unfused forms at every shape, with the poison in the bias row too.
+// (gemm.go). The fused bias add, ReLU and gate and the column sum are held
+// to their unfused forms at every shape, with the poison in the bias row
+// too.
 
 // clampFinite maps arbitrary fuzzed float64 bits to a finite value.
 func clampFinite(v float64) float64 {
@@ -112,6 +113,17 @@ func FuzzMatMulShapes(f *testing.F) {
 		AddRowVectorInPlace(unfused, row)
 		if i := firstBitDiff(MatMulAddRowInto(nil, a, b, row), unfused); i >= 0 {
 			t.Fatalf("MatMulAddRowInto != MatMul + AddRowVectorInPlace in the bits of element %d at %dx%dx%d, poison %#x",
+				i, m, k, n, poison)
+		}
+		// The fused ReLU and the gated a·bᵀ, gated by that sum, against
+		// the select and the gate by their definitions.
+		if i := firstBitDiff(MatMulAddRowReLUInto(nil, a, b, row), refReLU(unfused)); i >= 0 {
+			t.Fatalf("MatMulAddRowReLUInto != refReLU of the bias add in the bits of element %d at %dx%dx%d, poison %#x",
+				i, m, k, n, poison)
+		}
+		bt := Transpose(b)
+		if i := firstBitDiff(MatMulTransBGateInto(nil, a, bt, unfused), refGate(MatMulTransB(a, bt), unfused)); i >= 0 {
+			t.Fatalf("MatMulTransBGateInto != refGate of MatMulTransB in the bits of element %d at %dx%dx%d, poison %#x",
 				i, m, k, n, poison)
 		}
 		for _, x := range []*Tensor{a, b} {

@@ -18,7 +18,9 @@ import "sync"
 //	            scratch for it when k·n ≤ smallMaxKN and there are at
 //	            least four rows. Elsewhere register-tiled Go loops run.
 //	            MatMulAddRowInto adds a bias row in the kernel's epilogue,
-//	            and SumRowsInto runs it as a row of ones times its tensor.
+//	            MatMulAddRowReLUInto then applies ReLU's select there, and
+//	            MatMulTransBGateInto ReLU's backward gate; SumRowsInto
+//	            runs it as a row of ones times its tensor.
 //	tiled     — gemmPacked: B repacked into contiguous gemmNR-wide column
 //	            strips, output computed by a branch-free 4x4 register
 //	            micro-kernel sweeping the full k extent per output tile.
@@ -388,7 +390,7 @@ func BatMulChecked(a, b *Tensor) (*Tensor, error) {
 		av := batSlice(a, i, m, k)
 		bv := batSlice(b, i, k, n)
 		ov := batSlice(out, i, m, n)
-		if !small || !smallNN(av.Data, m, k, bv.Data, n, ov.Data, nil) {
+		if !small || !smallNN(av.Data, m, k, bv.Data, n, ov.Data, nil, false) {
 			ov.Zero()
 			matMulRows(av, bv, ov, 0, m)
 		}

@@ -7,7 +7,7 @@ func cpuidex(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv0() (eax, edx uint32)
 func gemm8x4AVX(a *float64, k int, strip *float64, out *float64, n int)
 func gemm8x8AVX32(a *float32, k int, strip *float32, out *float32, n int)
-func gemmSmallAVX(a *float64, rs, ks int, b *float64, m, k, n int, out, bias *float64) bool
+func gemmSmallAVX(a *float64, rs, ks int, b *float64, m, k, n int, out, bias, gate *float64, relu bool) bool
 
 // hasAVX reports whether the CPU and OS support 256-bit AVX state, gating
 // the assembly micro-kernels. Detection runs once at startup; everything

@@ -214,7 +214,7 @@ DATA smallMask<>+48(SB)/8, $0
 DATA smallMask<>+56(SB)/8, $0
 GLOBL smallMask<>(SB), RODATA|NOPTR, $64
 
-// func gemmSmallAVX(a *float64, rs, ks int, b *float64, m, k, n int, out, bias *float64) bool
+// func gemmSmallAVX(a *float64, rs, ks int, b *float64, m, k, n int, out, bias, gate *float64, relu bool) bool
 //
 // The small tier's kernel (gemm_small.go): out = A·b (+ bias) for the m×k
 // matrix A, whose element (i, p) is a[i*rs+p*ks], and the row-major k×n
@@ -223,7 +223,11 @@ GLOBL smallMask<>(SB), RODATA|NOPTR, $64
 // reads the one element a points at everywhere, so a pointer to 1.0 with
 // m = 1 gives b's column sums (SumRowsInto). m, k and n are at least 1.
 // bias, when not nil, points at a row of n elements that is added to every
-// output row.
+// output row. With relu set, each output is then kept where it is > +0
+// and stored as +0 elsewhere (ReLU's select), and gate, when not nil,
+// points at a row-major m×n matrix: each output is kept where gate's
+// element at the same place is > +0 and stored as +0 elsewhere (ReLU's
+// backward gate).
 //
 // The output goes in strips of four columns and, within a strip, blocks
 // of four rows: four YMM accumulators, one lane per output element, sweep
@@ -239,7 +243,15 @@ GLOBL smallMask<>(SB), RODATA|NOPTR, $64
 // so out gets the bits of the product followed by a scalar add of bias: a
 // NaN the add makes (a NaN bias, or infinities of opposite sign) is the
 // scalar add's NaN and does not send the product back to the reference.
-TEXT ·gemmSmallAVX(SB), NOSPLIT, $0-73
+//
+// The select and the gate run after the checksum and the bias add, as two
+// store epilogues: VCMPPD with predicate 0x1e (greater-than, ordered,
+// quiet) against +0 gives all ones exactly where the scalar v > 0 holds,
+// so NaN, ±0 and negatives give zeros, and VANDPD with that mask keeps
+// the value's bits or makes +0. The gate reads each stored row of gate
+// through the strip's mask just before the row's store, so a short block
+// reads no row past the last.
+TEXT ·gemmSmallAVX(SB), NOSPLIT, $0-89
 	MOVQ rs+8(FP), R8
 	SHLQ $3, R8              // A row stride in bytes
 	MOVQ ks+16(FP), R11
@@ -248,6 +260,7 @@ TEXT ·gemmSmallAVX(SB), NOSPLIT, $0-73
 	MOVQ n+48(FP), R14
 	SHLQ $3, R14             // b and out row stride in bytes
 	VXORPD Y14, Y14, Y14     // NaN checksum
+	VXORPD Y15, Y15, Y15     // +0, the select's and the gate's threshold
 	XORQ CX, CX              // byte offset of the strip's first column
 
 strip:
@@ -330,13 +343,28 @@ loop:
 	VADDPD Y5, Y14, Y14
 
 	CMPQ bias+64(FP), $0
-	JEQ  write
+	JEQ  select
 	VADDPD Y12, Y0, Y0       // product + bias, the product first
 	VADDPD Y12, Y1, Y1
 	VADDPD Y12, Y2, Y2
 	VADDPD Y12, Y3, Y3
 
+select:
+	CMPB relu+80(FP), $0
+	JEQ  write
+	VCMPPD $0x1e, Y15, Y0, Y4 // all ones where the output is > +0
+	VANDPD Y4, Y0, Y0
+	VCMPPD $0x1e, Y15, Y1, Y5
+	VANDPD Y5, Y1, Y1
+	VCMPPD $0x1e, Y15, Y2, Y6
+	VANDPD Y6, Y2, Y2
+	VCMPPD $0x1e, Y15, Y3, Y7
+	VANDPD Y7, Y3, Y3
+
 write:
+	MOVQ gate+72(FP), DX
+	TESTQ DX, DX
+	JNZ  gated
 	VMASKMOVPD Y0, Y13, (DI)
 	CMPQ R15, $2
 	JLT  stored
@@ -346,6 +374,35 @@ write:
 	VMASKMOVPD Y2, Y13, (DI)(R14*2)
 	CMPQ R15, $4
 	JLT  stored
+	LEAQ (DI)(R14*2), AX
+	VMASKMOVPD Y3, Y13, (AX)(R14*1)
+	JMP  stored
+
+gated:
+	SUBQ out+56(FP), DX
+	ADDQ DI, DX              // gate(i, j) of the block's first row
+	VMASKMOVPD (DX), Y13, Y4
+	VCMPPD $0x1e, Y15, Y4, Y4 // all ones where the gate is > +0
+	VANDPD Y4, Y0, Y0
+	VMASKMOVPD Y0, Y13, (DI)
+	CMPQ R15, $2
+	JLT  stored
+	VMASKMOVPD (DX)(R14*1), Y13, Y5
+	VCMPPD $0x1e, Y15, Y5, Y5
+	VANDPD Y5, Y1, Y1
+	VMASKMOVPD Y1, Y13, (DI)(R14*1)
+	CMPQ R15, $3
+	JLT  stored
+	VMASKMOVPD (DX)(R14*2), Y13, Y6
+	VCMPPD $0x1e, Y15, Y6, Y6
+	VANDPD Y6, Y2, Y2
+	VMASKMOVPD Y2, Y13, (DI)(R14*2)
+	CMPQ R15, $4
+	JLT  stored
+	LEAQ (DX)(R14*2), DX
+	VMASKMOVPD (DX)(R14*1), Y13, Y7
+	VCMPPD $0x1e, Y15, Y7, Y7
+	VANDPD Y7, Y3, Y3
 	LEAQ (DI)(R14*2), AX
 	VMASKMOVPD Y3, Y13, (AX)(R14*1)
 stored:
@@ -362,5 +419,5 @@ stored:
 	VMOVMSKPD Y14, AX
 	VZEROUPPER
 	TESTQ AX, AX
-	SETEQ ret+72(FP)
+	SETEQ ret+88(FP)
 	RET

@@ -68,13 +68,21 @@ func TestPureGoKernelsMatchAVX(t *testing.T) {
 	}
 	// The small tier's products, through the entry points that reach it,
 	// into dsts full of NaN so an unwritten element shows. On each path the
-	// fused bias add must equal MatMulInto then AddRowVectorInPlace, and
-	// the column sum its scalar loop, which with the check above holds
-	// them to the same bits with and without the AVX kernel.
+	// fused bias add must equal MatMulInto then AddRowVectorInPlace, the
+	// fused ReLU that sum's refReLU, the gated a·bᵀ refGate of
+	// MatMulTransBInto by a gate holding NaN, ±Inf, ±0 and a subnormal
+	// among normal values of both signs, and the column sum its scalar
+	// loop, which with the check above holds them to the same bits with
+	// and without the AVX kernel.
 	for _, s := range append(append([]struct{ m, k, n int }(nil), equivShapes...), smallEdgeShapes()...) {
 		a, b := randMat(rng, s.m, s.k), randMat(rng, s.k, s.n)
 		at, bt := Transpose(a), Transpose(b)
-		row, c := randMat(rng, 1, s.n), randMat(rng, s.m, s.n)
+		row, c, gate := randMat(rng, 1, s.n), randMat(rng, s.m, s.n), randMat(rng, s.m, s.n)
+		for i, v := range []float64{math.NaN(), math.Inf(1), math.Copysign(0, -1), 0, math.Inf(-1), 0x1p-1060} {
+			if j := 3 * i; j < len(gate.Data) {
+				gate.Data[j] = v
+			}
+		}
 		ab, bb := New(2, s.m, s.k), New(2, s.k, s.n)
 		for _, x := range []*Tensor{ab, bb} {
 			for i := range x.Data {
@@ -89,6 +97,8 @@ func TestPureGoKernelsMatchAVX(t *testing.T) {
 			{"MatMulTransAInto", func() *Tensor { return MatMulTransAInto(Full(math.NaN(), s.m, s.n), at, b) }},
 			{"MatMulTransBInto", func() *Tensor { return MatMulTransBInto(Full(math.NaN(), s.m, s.n), a, bt) }},
 			{"BatMul", func() *Tensor { return BatMul(ab, bb) }},
+			{"MatMulAddRowReLUInto", func() *Tensor { return MatMulAddRowReLUInto(Full(math.NaN(), s.m, s.n), a, b, row) }},
+			{"MatMulTransBGateInto", func() *Tensor { return MatMulTransBGateInto(Full(math.NaN(), s.m, s.n), a, bt, gate) }},
 		}
 		for _, p := range products {
 			hasAVX = true
@@ -104,6 +114,13 @@ func TestPureGoKernelsMatchAVX(t *testing.T) {
 			AddRowVectorInPlace(unfused, row)
 			if i := firstBitDiff(MatMulAddRowInto(Full(math.NaN(), s.m, s.n), a, b, row), unfused); i >= 0 {
 				t.Errorf("MatMulAddRowInto != MatMulInto + AddRowVectorInPlace at %dx%dx%d, AVX %v, elem %d", s.m, s.k, s.n, avx, i)
+			}
+			if i := firstBitDiff(MatMulAddRowReLUInto(Full(math.NaN(), s.m, s.n), a, b, row), refReLU(unfused)); i >= 0 {
+				t.Errorf("MatMulAddRowReLUInto != refReLU of the bias add at %dx%dx%d, AVX %v, elem %d", s.m, s.k, s.n, avx, i)
+			}
+			gated := refGate(MatMulTransBInto(nil, a, bt), gate)
+			if i := firstBitDiff(MatMulTransBGateInto(Full(math.NaN(), s.m, s.n), a, bt, gate), gated); i >= 0 {
+				t.Errorf("MatMulTransBGateInto != refGate of MatMulTransBInto at %dx%dx%d, AVX %v, elem %d", s.m, s.k, s.n, avx, i)
 			}
 			if i := firstBitDiff(SumRowsInto(Full(math.NaN(), 1, s.n), c), refSumRows(c)); i >= 0 {
 				t.Errorf("SumRowsInto != its scalar loop at %dx%d, AVX %v, elem %d", s.m, s.n, avx, i)

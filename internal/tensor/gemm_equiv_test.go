@@ -126,8 +126,8 @@ func TestIntoKernelsReuseDirtyDst(t *testing.T) {
 // tier uses no scratch, and the packed tier hands its pooled buffers back
 // through the pointer it got them by, so no Put boxes a new slice header.
 // 64³ is packed but below the parallel threshold, so it runs serially.
-// The fused bias add and the column sum of the product's shape hold to
-// the same rule.
+// The fused bias add, ReLU and gate and the column sum of the product's
+// shape hold to the same rule.
 func TestIntoKernelsAllocateNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop buffers")
@@ -137,7 +137,7 @@ func TestIntoKernelsAllocateNothing(t *testing.T) {
 		a, b := randMat(rng, s.m, s.k), randMat(rng, s.k, s.n)
 		at, bt := Transpose(a), Transpose(b)
 		row, sums := randMat(rng, 1, s.n), New(1, s.n)
-		dst := New(s.m, s.n)
+		dst, gate := New(s.m, s.n), randMat(rng, s.m, s.n)
 		for _, c := range []struct {
 			name string
 			run  func()
@@ -146,6 +146,8 @@ func TestIntoKernelsAllocateNothing(t *testing.T) {
 			{"MatMulTransAInto", func() { MatMulTransAInto(dst, at, b) }},
 			{"MatMulTransBInto", func() { MatMulTransBInto(dst, a, bt) }},
 			{"MatMulAddRowInto", func() { MatMulAddRowInto(dst, a, b, row) }},
+			{"MatMulAddRowReLUInto", func() { MatMulAddRowReLUInto(dst, a, b, row) }},
+			{"MatMulTransBGateInto", func() { MatMulTransBGateInto(dst, a, bt, gate) }},
 			{"SumRowsInto", func() { SumRowsInto(sums, dst) }},
 		} {
 			c.run()
@@ -370,6 +372,31 @@ func refSumRows(t *Tensor) *Tensor {
 	return out
 }
 
+// refReLU is ReLU by its definition, applied to a copy of t: each element
+// that is > 0 stays, and every other one (NaN, ±0 and negatives) is +0.
+func refReLU(t *Tensor) *Tensor {
+	out := t.Clone()
+	for i, v := range out.Data {
+		if !(v > 0) {
+			out.Data[i] = 0
+		}
+	}
+	return out
+}
+
+// refGate is ReLU's backward gate by its definition, applied to a copy of
+// t: each element stays where gate's element at the same index is > 0 and
+// is +0 elsewhere.
+func refGate(t, gate *Tensor) *Tensor {
+	out := t.Clone()
+	for i, g := range gate.Data {
+		if !(g > 0) {
+			out.Data[i] = 0
+		}
+	}
+	return out
+}
+
 // firstBitDiff returns the first index where got and want differ in their
 // bits (or shape), or -1 when they are bit-identical.
 func firstBitDiff(got, want *Tensor) int {
@@ -408,12 +435,23 @@ func firstBitDiff(got, want *Tensor) int {
 // the reference loop or change its bits. SumRowsInto must give its scalar
 // loop's bits on A, on Aᵀ (whose first column is A's −0 row in "a −0
 // row") and on B.
+//
+// The fused ReLU, MatMulAddRowReLUInto, must give refReLU of that sum, and
+// the gated a·bᵀ, MatMulTransBGateInto, refGate of refTransB's product by
+// a gate that is the sum with every other element replaced by the
+// specials in turn, subnormals included, so each value meets the gate in
+// every shape. "Specials as pre-activations" gives row 0 of the sum the
+// specials themselves (a zero row of A plus a bias of specials), and
+// "products overflowing to both infinities" sends every tier's row 0 to
+// the reference loop through finite operands. m runs over 1–9, so each
+// short AVX block of one, two and three rows is hit, next to n%4 ≠ 0.
 func TestSubThresholdBitExactOnNonFinite(t *testing.T) {
 	forEachKernelPath(t, testSubThresholdBitExactOnNonFinite)
 }
 
 func testSubThresholdBitExactOnNonFinite(t *testing.T) {
-	specials := []float64{math.NaN(), -math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0}
+	specials := []float64{math.NaN(), -math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0,
+		math.SmallestNonzeroFloat64, -0x1p-1040}
 	rng := rand.New(rand.NewSource(48))
 	poison := func(x *Tensor) {
 		for i := range x.Data {
@@ -425,6 +463,7 @@ func testSubThresholdBitExactOnNonFinite(t *testing.T) {
 	for _, s := range []struct{ m, k, n int }{
 		{2, 4, 4}, {2, 4, 3}, {3, 4, 4}, {3, 4, 3},
 		{3, 5, 6}, {5, 4, 9}, {1, 3, 8}, {16, 6, 24}, {64, 8, 2}, {8, 64, 2}, {4, 40, 40},
+		{6, 3, 5}, {7, 8, 2}, {9, 3, 7},
 	} {
 		for _, c := range []struct {
 			name string
@@ -464,6 +503,28 @@ func testSubThresholdBitExactOnNonFinite(t *testing.T) {
 					b.Data[i] = 1
 				}
 			}},
+			{"specials as pre-activations", func(a, b, row *Tensor) {
+				for p := 0; p < s.k; p++ {
+					a.Data[p] = 0
+				}
+				for j := range row.Data {
+					row.Data[j] = specials[j%len(specials)]
+				}
+			}},
+			{"products overflowing to both infinities", func(a, b, row *Tensor) {
+				// Row 0's first two products are +Inf and −Inf in every
+				// column, from finite operands; with k = 1 only +Inf.
+				a.Data[0] = 1e300
+				if s.k > 1 {
+					a.Data[1] = 1e300
+				}
+				for j := 0; j < s.n; j++ {
+					b.Data[j] = 1e300
+					if s.k > 1 {
+						b.Data[s.n+j] = -1e300
+					}
+				}
+			}},
 		} {
 			a, b, row := randMat(rng, s.m, s.k), randMat(rng, s.k, s.n), randMat(rng, 1, s.n)
 			c.prep(a, b, row)
@@ -474,6 +535,10 @@ func testSubThresholdBitExactOnNonFinite(t *testing.T) {
 			}
 			refRow := ref.Clone()
 			AddRowVectorInPlace(refRow, row)
+			gate := refRow.Clone()
+			for i := 0; i < len(gate.Data); i += 2 {
+				gate.Data[i] = specials[i/2%len(specials)]
+			}
 			dirty := func(r, c int) *Tensor { return Full(math.NaN(), r, c) }
 			ab, bb := New(1, s.m, s.k), New(1, s.k, s.n)
 			copy(ab.Data, a.Data)
@@ -487,6 +552,8 @@ func testSubThresholdBitExactOnNonFinite(t *testing.T) {
 				{"MatMulTransBInto", MatMulTransBInto(dirty(s.m, s.n), a, bt), refB},
 				{"BatMul", FromSlice(BatMul(ab, bb).Data, s.m, s.n), ref},
 				{"MatMulAddRowInto", MatMulAddRowInto(dirty(s.m, s.n), a, b, row), refRow},
+				{"MatMulAddRowReLUInto", MatMulAddRowReLUInto(dirty(s.m, s.n), a, b, row), refReLU(refRow)},
+				{"MatMulTransBGateInto", MatMulTransBGateInto(dirty(s.m, s.n), a, bt, gate), refGate(refB, gate)},
 				{"SumRowsInto of A", SumRowsInto(dirty(1, s.k), a), refSumRows(a)},
 				{"SumRowsInto of Aᵀ", SumRowsInto(dirty(1, s.m), at), refSumRows(at)},
 				{"SumRowsInto of B", SumRowsInto(dirty(1, s.n), b), refSumRows(b)},

@@ -14,6 +14,6 @@ func gemm8x8AVX32(a *float32, k int, strip *float32, out *float32, n int) {
 	panic(errf("MatMul32", "assembly kernel unavailable on this architecture"))
 }
 
-func gemmSmallAVX(a *float64, rs, ks int, b *float64, m, k, n int, out, bias *float64) bool {
+func gemmSmallAVX(a *float64, rs, ks int, b *float64, m, k, n int, out, bias, gate *float64, relu bool) bool {
 	panic(errf("MatMul", "assembly kernel unavailable on this architecture"))
 }

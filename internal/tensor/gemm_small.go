@@ -14,14 +14,21 @@ import "math"
 // YMM lane per output, four rows by four columns per tile, VMULPD then
 // VADDPD. It reads A through a row stride and a k stride, so a·b and aᵀ·b
 // share it, and B row-major, so a·bᵀ first transposes B into pooled
-// scratch, which it does only where that pays (see smallNT). For a·b it
-// can also add a bias row after the checksum (MatMulAddRowInto), and with
-// both strides 0 it reads one 1.0 as a row of ones (SumRowsInto). Elsewhere,
-// and with hasAVX off, register-tiled Go loops run instead, with every product written float64(x*y), which the Go spec
-// forbids fusing. Their rows are taken in pairs and columns in fours; the
-// odd row and the last n%4 columns run the same loop narrowed. Each
-// operand row is resliced to length k so the compiler drops its bounds
-// checks inside the k loop. Both paths give the same bits.
+// scratch, which it does only where that pays (see smallNT). Its store has
+// three epilogues: for a·b it can add a bias row after the checksum
+// (MatMulAddRowInto) and then keep only the outputs > 0, ReLU's select
+// (MatMulAddRowReLUInto); for a·bᵀ it can keep only the outputs whose
+// element of a same-shaped gate matrix is > 0, ReLU's backward gate
+// (MatMulTransBGateInto). With both strides 0 it reads one 1.0 as a row of
+// ones (SumRowsInto). Elsewhere, and with hasAVX off, register-tiled Go
+// loops run instead, with every product written float64(x*y), which the Go
+// spec forbids fusing, and the bias add, the select and the gate run as
+// passes over the stored product. Their rows are taken in pairs and
+// columns in fours; the odd row and the last n%4 columns run the same loop
+// narrowed. Each operand row is resliced to length k so the compiler drops
+// its bounds checks inside the k loop. Both paths give the same bits: the
+// select and the gate are masks of an element's bits, all ones where the
+// deciding value is > 0 (ordered, so never at a NaN) and zero elsewhere.
 //
 // Exactness. Both paths multiply through a zero the reference skips, and
 // a register accumulator keeps its own NaN where the reference's memory
@@ -55,16 +62,17 @@ func useSmall(m, k, n int) bool {
 
 // smallNN computes out = a·b for the row-major m×k matrix a and k×n
 // matrix b, storing every element of the m×n out, and then, when row is
-// not nil, adds the n-element row to every output row. It reports false
-// when a product may be NaN, and out is then unspecified; a NaN the add
-// makes is the add's own and is reported as true.
-func smallNN(a []float64, m, k int, b []float64, n int, out, row []float64) bool {
+// not nil, adds the n-element row to every output row, and with relu set
+// keeps each output > 0 and makes the others +0. It reports false when a
+// product may be NaN, and out is then unspecified; a NaN the add makes is
+// the add's own and is reported as true.
+func smallNN(a []float64, m, k int, b []float64, n int, out, row []float64, relu bool) bool {
 	if hasAVX && m > 0 && k > 0 && n > 0 {
 		var bias *float64
 		if row != nil {
 			bias = &row[0]
 		}
-		return gemmSmallAVX(&a[0], k, 1, &b[0], m, k, n, &out[0], bias)
+		return gemmSmallAVX(&a[0], k, 1, &b[0], m, k, n, &out[0], bias, nil, relu)
 	}
 	var chk float64
 	i := 0
@@ -131,6 +139,9 @@ func smallNN(a []float64, m, k int, b []float64, n int, out, row []float64) bool
 	if row != nil {
 		addRow(out[:m*n], row)
 	}
+	if relu {
+		selectPositive(out[:m*n])
+	}
 	return true
 }
 
@@ -140,7 +151,7 @@ func smallNN(a []float64, m, k int, b []float64, n int, out, row []float64) bool
 // false when an output may be NaN.
 func smallTN(a []float64, m, k int, b []float64, n int, out []float64) bool {
 	if hasAVX && m > 0 && k > 0 && n > 0 {
-		return gemmSmallAVX(&a[0], 1, m, &b[0], m, k, n, &out[0], nil)
+		return gemmSmallAVX(&a[0], 1, m, &b[0], m, k, n, &out[0], nil, nil, false)
 	}
 	var chk float64
 	i := 0
@@ -213,12 +224,19 @@ func smallTN(a []float64, m, k int, b []float64, n int, out []float64) bool {
 // an element, so with one to three rows it cost more than the kernel saved
 // (1×3×8 took 117 ns against 42, 3×64×8 1,364 ns against 833), and from
 // four rows on it paid (4×64×8 1,113 ns against 1,243, 8×64×8 1,538
-// against 2,447). It reports false when an output may be NaN.
-func smallNT(a []float64, m, k int, b []float64, n int, out []float64) bool {
+// against 2,447). When gate is not nil it is a row-major m×n matrix, and
+// each output is kept where gate's element at its place is > 0 and made
+// +0 elsewhere. It reports false when a product may be NaN, and out is
+// then unspecified.
+func smallNT(a []float64, m, k int, b []float64, n int, out, gate []float64) bool {
 	if hasAVX && m >= 4 && k > 0 && n > 0 && k*n <= smallMaxKN {
+		var g *float64
+		if gate != nil {
+			g = &gate[0]
+		}
 		bt := getScratch(k * n)
 		transposeInto(*bt, b, n, k)
-		ok := gemmSmallAVX(&a[0], k, 1, &(*bt)[0], m, k, n, &out[0], nil)
+		ok := gemmSmallAVX(&a[0], k, 1, &(*bt)[0], m, k, n, &out[0], nil, g, false)
 		putScratch(bt)
 		return ok
 	}
@@ -284,5 +302,39 @@ func smallNT(a []float64, m, k int, b []float64, n int, out []float64) bool {
 			chk += c
 		}
 	}
-	return !math.IsNaN(chk)
+	if math.IsNaN(chk) {
+		return false
+	}
+	if gate != nil {
+		gatePositive(out[:m*n], gate)
+	}
+	return true
+}
+
+// positive returns all ones when v > 0 and zero otherwise, NaN included:
+// the lane mask gemmSmallAVX's VCMPPD makes, as a conditional move rather
+// than a branch.
+func positive(v float64) uint64 {
+	var m uint64
+	if v > 0 {
+		m = ^uint64(0)
+	}
+	return m
+}
+
+// selectPositive keeps each element of data that is > 0 and makes every
+// other one +0 (NaN, ±0 and negatives): ReLU's forward select.
+func selectPositive(data []float64) {
+	for i, v := range data {
+		data[i] = math.Float64frombits(math.Float64bits(v) & positive(v))
+	}
+}
+
+// gatePositive keeps each element of data whose element of gate at the
+// same index is > 0 and makes every other one +0: ReLU's backward gate.
+func gatePositive(data, gate []float64) {
+	gate = gate[:len(data)]
+	for i, v := range data {
+		data[i] = math.Float64frombits(math.Float64bits(v) & positive(gate[i]))
+	}
 }

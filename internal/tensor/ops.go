@@ -82,22 +82,35 @@ func MatMul(a, b *Tensor) *Tensor { return mustT(MatMulChecked(a, b)) }
 
 // MatMulChecked is MatMul returning an error instead of panicking on a
 // shape mismatch.
-func MatMulChecked(a, b *Tensor) (*Tensor, error) { return matMulInto(nil, a, b, nil) }
+func MatMulChecked(a, b *Tensor) (*Tensor, error) { return matMulInto(nil, a, b, nil, false) }
 
 // MatMulInto is MatMul writing into dst, reusing its storage when dst is
 // already m×n; nil or a wrongly shaped dst allocates. It returns the tensor
 // holding the result. dst must not alias a or b.
-func MatMulInto(dst, a, b *Tensor) *Tensor { return mustT(matMulInto(dst, a, b, nil)) }
+func MatMulInto(dst, a, b *Tensor) *Tensor { return mustT(matMulInto(dst, a, b, nil, false)) }
 
 // MatMulAddRowInto is MatMulInto followed by AddRowVectorInPlace with the
 // 1×n row, a Dense layer's xW + b, and gives those bits. On amd64 with AVX
 // a small-tier product adds row in the kernel's epilogue instead of in a
 // second pass over the output. dst must not alias a, b or row.
-func MatMulAddRowInto(dst, a, b, row *Tensor) *Tensor { return mustT(matMulInto(dst, a, b, row)) }
+func MatMulAddRowInto(dst, a, b, row *Tensor) *Tensor {
+	return mustT(matMulInto(dst, a, b, row, false))
+}
+
+// MatMulAddRowReLUInto is MatMulAddRowInto followed by ReLU, relu(xW + b):
+// each output is kept where it is > 0 and stored as +0 elsewhere (NaN, ±0
+// and negatives), with the bits of that select applied to
+// MatMulAddRowInto's result. On amd64 with AVX a small-tier product
+// selects in the kernel's store, and every other tier in a pass after the
+// product. dst must not alias a, b or row.
+func MatMulAddRowReLUInto(dst, a, b, row *Tensor) *Tensor {
+	return mustT(matMulInto(dst, a, b, row, true))
+}
 
 // matMulInto computes a·b into dst under MatMulInto's reuse rule and then,
-// when row is not nil, adds row to every output row.
-func matMulInto(dst, a, b, row *Tensor) (*Tensor, error) {
+// when row is not nil, adds row to every output row, and with relu set
+// keeps each output > 0 and makes the others +0.
+func matMulInto(dst, a, b, row *Tensor, relu bool) (*Tensor, error) {
 	if err := checkMatMul("MatMul", a, b); err != nil {
 		return nil, err
 	}
@@ -114,7 +127,7 @@ func matMulInto(dst, a, b, row *Tensor) (*Tensor, error) {
 		if row != nil {
 			rowData = row.Data
 		}
-		if smallNN(a.Data, m, k, b.Data, n, out.Data, rowData) {
+		if smallNN(a.Data, m, k, b.Data, n, out.Data, rowData, relu) {
 			return out, nil
 		}
 		out.Zero()
@@ -125,7 +138,7 @@ func matMulInto(dst, a, b, row *Tensor) (*Tensor, error) {
 	default:
 		out = dstFor(dst, m, n, true)
 		if int64(m)*int64(n)*int64(k) >= parallelFLOPThreshold && m >= 2 {
-			parallelRows(m, func(lo, hi int) {
+			ParallelFor(m, func(lo, hi int) {
 				matMulRows(a, b, out, lo, hi)
 			})
 		} else {
@@ -134,6 +147,9 @@ func matMulInto(dst, a, b, row *Tensor) (*Tensor, error) {
 	}
 	if row != nil {
 		addRow(out.Data, row.Data)
+	}
+	if relu {
+		selectPositive(out.Data)
 	}
 	return out, nil
 }
@@ -167,13 +183,27 @@ func MatMulTransB(a, b *Tensor) *Tensor { return mustT(MatMulTransBChecked(a, b)
 
 // MatMulTransBChecked is MatMulTransB returning an error instead of
 // panicking on a shape mismatch.
-func MatMulTransBChecked(a, b *Tensor) (*Tensor, error) { return matMulTransBInto(nil, a, b) }
+func MatMulTransBChecked(a, b *Tensor) (*Tensor, error) { return matMulTransBInto(nil, a, b, nil) }
 
 // MatMulTransBInto is MatMulTransB writing into dst under MatMulInto's
 // reuse rule.
-func MatMulTransBInto(dst, a, b *Tensor) *Tensor { return mustT(matMulTransBInto(dst, a, b)) }
+func MatMulTransBInto(dst, a, b *Tensor) *Tensor { return mustT(matMulTransBInto(dst, a, b, nil)) }
 
-func matMulTransBInto(dst, a, b *Tensor) (*Tensor, error) {
+// MatMulTransBGateInto is MatMulTransBInto followed by ReLU's backward
+// gate: each output is kept where gate, an m×n matrix, is > 0 at the same
+// place and stored as +0 elsewhere (where gate is NaN, ±0 or negative),
+// with the bits of that gate applied to MatMulTransBInto's result. A
+// Dense layer fed by a ReLU passes its input, the ReLU's output, which is
+// > 0 exactly where the ReLU's input was. On amd64 with AVX a small-tier
+// product gates in the kernel's store, and every other tier in a pass
+// after the product. dst must not alias a, b or gate.
+func MatMulTransBGateInto(dst, a, b, gate *Tensor) *Tensor {
+	return mustT(matMulTransBInto(dst, a, b, gate))
+}
+
+// matMulTransBInto computes a·bᵀ into dst under MatMulInto's reuse rule
+// and then, when gate is not nil, keeps each output where gate is > 0.
+func matMulTransBInto(dst, a, b, gate *Tensor) (*Tensor, error) {
 	if a.Rank() != 2 || b.Rank() != 2 {
 		return nil, errf("MatMulTransB", "requires rank-2 operands, got %v and %v", a.shape, b.shape)
 	}
@@ -182,7 +212,14 @@ func matMulTransBInto(dst, a, b *Tensor) (*Tensor, error) {
 	if k != k2 {
 		return nil, errf("MatMulTransB", "inner dimension mismatch %v · %vᵀ", a.shape, b.shape)
 	}
-	// Both paths store every output element once, so a reused dst needs
+	var gateData []float64
+	if gate != nil {
+		if gate.Rank() != 2 || gate.shape[0] != m || gate.shape[1] != n {
+			return nil, errf("MatMulTransBGate", "gate %v does not match product %dx%d", gate.shape, m, n)
+		}
+		gateData = gate.Data
+	}
+	// Every path stores every output element once, so a reused dst needs
 	// no zeroing.
 	out := dstFor(dst, m, n, false)
 	if usePacked(m, k, n) {
@@ -190,10 +227,13 @@ func matMulTransBInto(dst, a, b *Tensor) (*Tensor, error) {
 		packBTrans(b, *bp)
 		gemmAuto(a.Data, m, k, n, *bp, out.Data)
 		putScratch(bp)
+	} else if smallNT(a.Data, m, k, b.Data, n, out.Data, gateData) {
 		return out, nil
-	}
-	if !smallNT(a.Data, m, k, b.Data, n, out.Data) {
+	} else {
 		matMulTransBRows(a, b, out)
+	}
+	if gate != nil {
+		gatePositive(out.Data, gateData)
 	}
 	return out, nil
 }
@@ -389,7 +429,7 @@ func SumRowsInto(dst, t *Tensor) *Tensor {
 	m, n := t.shape[0], t.shape[1]
 	if hasAVX && m > 0 && n > 0 {
 		out := dstFor(dst, 1, n, false)
-		if gemmSmallAVX(&one, 0, 0, &t.Data[0], 1, m, n, &out.Data[0], nil) {
+		if gemmSmallAVX(&one, 0, 0, &t.Data[0], 1, m, n, &out.Data[0], nil, nil, false) {
 			return out
 		}
 		dst = out

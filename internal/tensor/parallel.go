@@ -10,16 +10,17 @@ import (
 // costs more than it saves, even with the persistent pool.
 const parallelFLOPThreshold = 1 << 20 // ~1M fused ops
 
-// The persistent worker pool. Workers are spawned lazily up to
-// GOMAXPROCS-1 (the submitting goroutine always participates, so the pool
-// only ever needs helpers) and then parked on the task channel for the
-// life of the process — the per-call goroutine spawn and its scheduler
-// churn are gone from the GEMM hot path. Tasks are self-scheduling: each
-// submitted helper drains chunks from a shared atomic counter, so an idle
-// worker steals whatever chunks a slow one has not claimed yet. Chunk
-// boundaries depend only on the row count and worker target, and every
-// output row is written by exactly one task, so results are deterministic
-// regardless of which worker runs which chunk.
+// The persistent worker pool, and the repository's one fan-out primitive:
+// no other non-test code under internal/ starts a goroutine. Workers are
+// spawned lazily up to GOMAXPROCS-1 (the submitting goroutine always
+// participates, so the pool only ever needs helpers) and then parked on
+// the task channel for the life of the process — the per-call goroutine
+// spawn and its scheduler churn are gone from the hot paths. Tasks are
+// self-scheduling: each submitted helper drains chunks from a shared
+// atomic counter, so an idle worker steals whatever chunks a slow one has
+// not claimed yet. Chunk boundaries depend only on the row count and
+// worker target, and every output row is written by exactly one task, so
+// results are deterministic regardless of which worker runs which chunk.
 var (
 	poolTasks = make(chan func(), 256)
 	poolMu    sync.Mutex
@@ -42,19 +43,23 @@ func poolEnsure(n int) {
 	poolMu.Unlock()
 }
 
-// parallelRows splits [0, m) into contiguous chunks and runs fn on each,
-// using the persistent pool. When m is smaller than the worker target the
-// call runs serially — spawning cannot pay for itself on fewer rows than
-// workers.
-func parallelRows(m int, fn func(lo, hi int)) { parallelRowsAligned(m, 1, fn) }
+// ParallelFor splits [0, m) into at most GOMAXPROCS contiguous chunks and
+// runs fn on each, using the persistent pool, and returns once every chunk
+// has run. At GOMAXPROCS 1, or when m is smaller than the worker target,
+// it calls fn(0, m) inline: spawning cannot pay for itself on fewer rows
+// than workers. fn may run on several goroutines at once, so chunks must
+// write disjoint state; fn may itself call ParallelFor.
+func ParallelFor(m int, fn func(lo, hi int)) { parallelRowsAligned(m, 1, fn) }
 
-// parallelRowsAligned is parallelRows with chunk boundaries rounded up to a
+// parallelRowsAligned is ParallelFor with chunk boundaries rounded up to a
 // multiple of align (except the final chunk), so blocked kernels keep full
 // micro-tiles inside one chunk. Chunk count is capped at the worker target
-// (GOMAXPROCS), and the caller always executes chunks alongside the pool:
-// if every pool worker is busy — including the nested-parallelism case
-// where fn itself reaches this function — the caller simply drains the
-// whole range itself, so the pool cannot deadlock.
+// (GOMAXPROCS), and the caller always executes chunks alongside the pool.
+// The caller waits only for chunks a goroutine has claimed, each of which
+// that goroutine is running, never for a queued task: when every pool
+// worker is busy — including the nested case where fn itself reaches this
+// function — the caller drains the whole range itself, and a task that
+// runs later finds no chunk left. So the pool cannot deadlock.
 func parallelRowsAligned(m, align int, fn func(lo, hi int)) {
 	workers := runtime.GOMAXPROCS(0)
 	if workers <= 1 || m < workers || m < align*2 {
@@ -75,6 +80,8 @@ func parallelRowsAligned(m, align int, fn func(lo, hi int)) {
 	poolEnsure(workers - 1)
 
 	var next atomic.Int64
+	var done sync.WaitGroup
+	done.Add(nchunks)
 	work := func() {
 		for {
 			c := int(next.Add(1)) - 1
@@ -82,28 +89,18 @@ func parallelRowsAligned(m, align int, fn func(lo, hi int)) {
 				return
 			}
 			lo := c * chunk
-			hi := lo + chunk
-			if hi > m {
-				hi = m
-			}
-			fn(lo, hi)
+			fn(lo, min(lo+chunk, m))
+			done.Done()
 		}
 	}
-	var wg sync.WaitGroup
+submit:
 	for i := 0; i < nchunks-1; i++ {
-		wg.Add(1)
-		task := func() { defer wg.Done(); work() }
-		submitted := false
 		select {
-		case poolTasks <- task:
-			submitted = true
+		case poolTasks <- work:
 		default:
-		}
-		if !submitted {
-			wg.Done()
-			break
+			break submit
 		}
 	}
 	work()
-	wg.Wait()
+	done.Wait()
 }
