@@ -3,10 +3,6 @@
 // sqrt(n) equidistant, and budget-constrained optimal checkpoint placement
 // (the Checkmate idea specialised to layer chains), plus an analytic model
 // of offloading intermediate results to host memory over a PCIe-like link.
-//
-// The executable part (Run) performs real recompute-in-backward training
-// steps on an nn.Network and produces gradients bit-identical to the
-// standard path while storing only the planned subset of activations.
 package checkpoint
 
 import (
@@ -14,7 +10,6 @@ import (
 
 	"dlsys/internal/device"
 	"dlsys/internal/nn"
-	"dlsys/internal/tensor"
 )
 
 // Plan marks which layer OUTPUTS are retained during the forward pass.
@@ -272,83 +267,6 @@ func (cm CostModel) intervalCost(a, b int) int64 {
 		s += cm.Costs[i]
 	}
 	return s
-}
-
-// Runner executes real checkpointed training steps on a network.
-type Runner struct {
-	Net  *nn.Network
-	Plan Plan
-	// PeakFloats records the highest number of activation floats stored
-	// simultaneously during the last Run (kept checkpoints + the segment
-	// being rematerialised).
-	PeakFloats int64
-	// ExtraForwards counts recomputed layer forwards during the last Run.
-	ExtraForwards int
-}
-
-// Run performs one full forward/backward with recomputation under the plan
-// and leaves gradients accumulated on the network (like Trainer.ComputeGrad,
-// but with bounded activation memory). Returns the loss. The network must
-// consist of deterministic layers (no Dropout).
-func (r *Runner) Run(x *tensor.Tensor, loss nn.Loss, y *tensor.Tensor) float64 {
-	layers := r.Net.Layers
-	n := len(layers)
-	if len(r.Plan.Keep) != n {
-		panic("checkpoint: plan length != layer count")
-	}
-	r.Net.ZeroGrad()
-	r.PeakFloats = 0
-	r.ExtraForwards = 0
-
-	// Forward in inference mode, retaining only planned activations.
-	kept := make(map[int]*tensor.Tensor) // -1 = input
-	kept[-1] = x
-	var keptFloats int64
-	h := x
-	for i, l := range layers {
-		h = l.Forward(h, false)
-		if r.Plan.Keep[i] || i == n-1 {
-			kept[i] = h
-			keptFloats += int64(h.Size())
-		}
-	}
-	r.track(keptFloats)
-	lossVal := loss.Forward(h, y)
-	dout := loss.Backward()
-
-	// Backward over segments, last to first, rematerialising interiors.
-	segs := r.Plan.Segments()
-	for si := len(segs) - 1; si >= 0; si-- {
-		seg := segs[si]
-		start, end := seg[0], seg[1]
-		// Recompute the segment in training mode from its checkpoint so the
-		// layers repopulate their backward caches.
-		var segFloats int64
-		a := kept[start]
-		for i := start + 1; i <= end; i++ {
-			a = layers[i].Forward(a, true)
-			segFloats += int64(a.Size())
-			if i < end {
-				r.ExtraForwards++
-			}
-		}
-		r.track(keptFloats + segFloats)
-		for i := end; i > start; i-- {
-			dout = layers[i].Backward(dout)
-		}
-		// Release this segment's checkpoint.
-		if t, ok := kept[end]; ok && end != n-1 {
-			keptFloats -= int64(t.Size())
-			delete(kept, end)
-		}
-	}
-	return lossVal
-}
-
-func (r *Runner) track(f int64) {
-	if f > r.PeakFloats {
-		r.PeakFloats = f
-	}
 }
 
 // OffloadModel estimates the offloading tradeoff (§2.3): keeping a fraction

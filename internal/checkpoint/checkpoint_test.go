@@ -7,7 +7,6 @@ import (
 
 	"dlsys/internal/device"
 	"dlsys/internal/nn"
-	"dlsys/internal/tensor"
 )
 
 // deepMLP builds an n-block Dense+ReLU chain for checkpointing tests.
@@ -107,88 +106,6 @@ func TestOptimalPlanUsesStoreAllWhenRoomy(t *testing.T) {
 	plan, ok := cm.OptimalPlan(1 << 30)
 	if !ok || cm.RecomputeFLOPs(plan) != 0 {
 		t.Fatal("with a huge budget the plan should store everything")
-	}
-}
-
-// The core correctness property: checkpointed training produces the exact
-// gradients of standard training.
-func TestRunnerGradientsMatchStandardBackprop(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	blocks := 8
-	net := deepMLP(rng, blocks, 16)
-	x := tensor.RandNormal(rng, 0, 1, 12, 16)
-	y := nn.OneHot([]int{0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2}, 3)
-
-	// Reference gradients.
-	ref := nn.NewTrainer(net, nn.NewSoftmaxCrossEntropy(), nn.NewSGD(0), rng)
-	refLoss := ref.ComputeGrad(x, y)
-	refGrads := net.GradVector()
-
-	for _, plan := range []Plan{StoreAll(len(net.Layers)), SqrtN(len(net.Layers))} {
-		r := &Runner{Net: net, Plan: plan}
-		loss := r.Run(x, nn.NewSoftmaxCrossEntropy(), y)
-		if math.Abs(loss-refLoss) > 1e-12 {
-			t.Fatalf("loss mismatch: %g vs %g", loss, refLoss)
-		}
-		got := net.GradVector()
-		for i := range got {
-			if math.Abs(got[i]-refGrads[i]) > 1e-12 {
-				t.Fatalf("gradient mismatch at %d: %g vs %g", i, got[i], refGrads[i])
-			}
-		}
-	}
-}
-
-func TestRunnerMemoryOrdering(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	net := deepMLP(rng, 16, 32)
-	x := tensor.RandNormal(rng, 0, 1, 8, 32)
-	labels := make([]int, 8)
-	y := nn.OneHot(labels, 3)
-
-	all := &Runner{Net: net, Plan: StoreAll(len(net.Layers))}
-	all.Run(x, nn.NewSoftmaxCrossEntropy(), y)
-	sq := &Runner{Net: net, Plan: SqrtN(len(net.Layers))}
-	sq.Run(x, nn.NewSoftmaxCrossEntropy(), y)
-
-	if sq.PeakFloats >= all.PeakFloats {
-		t.Fatalf("sqrt(n) peak %d not below store-all %d", sq.PeakFloats, all.PeakFloats)
-	}
-	if all.ExtraForwards != 0 {
-		t.Fatalf("store-all recomputed %d forwards", all.ExtraForwards)
-	}
-	if sq.ExtraForwards == 0 {
-		t.Fatal("sqrt(n) should recompute forwards")
-	}
-}
-
-func TestRunnerTrainsToConvergence(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	net := deepMLP(rng, 4, 16)
-	// Tiny classification task on random separable data.
-	x := tensor.RandNormal(rng, 0, 1, 60, 16)
-	labels := make([]int, 60)
-	for i := range labels {
-		if x.At(i, 0) > 0 {
-			labels[i] = 1
-		}
-	}
-	y := nn.OneHot(labels, 3)
-	r := &Runner{Net: net, Plan: SqrtN(len(net.Layers))}
-	opt := nn.NewAdam(0.01)
-	loss := nn.NewSoftmaxCrossEntropy()
-	var first, last float64
-	for step := 0; step < 120; step++ {
-		l := r.Run(x, loss, y)
-		opt.Step(net.Params())
-		net.PostStep()
-		if step == 0 {
-			first = l
-		}
-		last = l
-	}
-	if last > first/3 {
-		t.Fatalf("checkpointed training failed to converge: %g -> %g", first, last)
 	}
 }
 

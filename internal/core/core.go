@@ -94,7 +94,7 @@ func Techniques() []Technique {
 		{"pca / t-sne", "interpret", []Metric{Transparency}, []Metric{OptimizeTime}, "4.2"},
 		{"lime", "interpret", []Metric{Transparency}, []Metric{InferenceTime}, "4.2"},
 		{"surrogate models", "interpret", []Metric{Transparency}, []Metric{Accuracy}, "4.2"},
-		{"saliency / activation maximization", "interpret", []Metric{Transparency}, nil, "4.2"},
+		{"gradient saliency", "interpret", []Metric{Transparency}, nil, "4.2"},
 		{"intermediates store", "modelstore", []Metric{Memory, Transparency}, nil, "4.2"},
 		{"carbon accounting", "green", []Metric{Energy}, nil, "4.3"},
 		{"carbon-aware scheduling", "green", []Metric{Energy}, nil, "4.3"},

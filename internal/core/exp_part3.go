@@ -61,7 +61,7 @@ func init() {
 	register(Experiment{
 		ID: "E28", Section: "4.2",
 		Title: "Saliency localises responsible inputs",
-		Claim: "Gradient saliency concentrates on the ground-truth discriminative pixels; activation maximization recovers class templates",
+		Claim: "Gradient saliency concentrates on the ground-truth discriminative pixels",
 		Run:   runE28,
 	})
 	register(Experiment{

@@ -165,46 +165,6 @@ func glyphMasks(s, classes int) [][]bool {
 	return masks
 }
 
-// Standardize rescales each feature of a rank-2 dataset to zero mean and
-// unit variance in place, returning the per-feature means and stds so test
-// data can be transformed consistently.
-func Standardize(x *tensor.Tensor) (mean, std []float64) {
-	m, n := x.Dim(0), x.Dim(1)
-	mean = make([]float64, n)
-	std = make([]float64, n)
-	for j := 0; j < n; j++ {
-		var mu float64
-		for i := 0; i < m; i++ {
-			mu += x.Data[i*n+j]
-		}
-		mu /= float64(m)
-		var v float64
-		for i := 0; i < m; i++ {
-			d := x.Data[i*n+j] - mu
-			v += d * d
-		}
-		sd := math.Sqrt(v / float64(m))
-		if sd == 0 {
-			sd = 1
-		}
-		mean[j], std[j] = mu, sd
-		for i := 0; i < m; i++ {
-			x.Data[i*n+j] = (x.Data[i*n+j] - mu) / sd
-		}
-	}
-	return mean, std
-}
-
-// ApplyStandardize applies a previously-computed standardization to x.
-func ApplyStandardize(x *tensor.Tensor, mean, std []float64) {
-	m, n := x.Dim(0), x.Dim(1)
-	for j := 0; j < n; j++ {
-		for i := 0; i < m; i++ {
-			x.Data[i*n+j] = (x.Data[i*n+j] - mean[j]) / std[j]
-		}
-	}
-}
-
 // RegressionConfig controls Regression generation.
 type RegressionConfig struct {
 	N     int

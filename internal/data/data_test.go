@@ -91,31 +91,6 @@ func TestSyntheticDigitsGlyphBrighter(t *testing.T) {
 	}
 }
 
-func TestStandardize(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	ds := GaussianMixture(rng, 500, 3, 2, 10)
-	mean, std := Standardize(ds.X)
-	if len(mean) != 3 || len(std) != 3 {
-		t.Fatal("wrong stat lengths")
-	}
-	m, n := ds.X.Dim(0), ds.X.Dim(1)
-	for j := 0; j < n; j++ {
-		var mu, v float64
-		for i := 0; i < m; i++ {
-			mu += ds.X.At(i, j)
-		}
-		mu /= float64(m)
-		for i := 0; i < m; i++ {
-			d := ds.X.At(i, j) - mu
-			v += d * d
-		}
-		v /= float64(m)
-		if math.Abs(mu) > 1e-9 || math.Abs(v-1) > 1e-9 {
-			t.Fatalf("feature %d not standardized: mu=%g var=%g", j, mu, v)
-		}
-	}
-}
-
 func TestGenerateKeysSortedDistinct(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	for _, dist := range []KeyDistribution{Uniform, ZipfGaps, Lognormal} {

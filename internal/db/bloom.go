@@ -88,9 +88,6 @@ func (b *Bloom) MayContain(key uint64) bool {
 	return true
 }
 
-// Bits returns the filter's bit budget.
-func (b *Bloom) Bits() uint64 { return b.m }
-
 // MemoryBytes returns the filter's resident size.
 func (b *Bloom) MemoryBytes() int64 { return int64(len(b.bits))*8 + 24 }
 

@@ -1,16 +1,11 @@
 package db
 
-import (
-	"math"
-
-	"dlsys/internal/invalid"
-)
+import "dlsys/internal/invalid"
 
 // Canopy is a Data-Canopy-style statistics cache (Wasay et al., cited in
-// the tutorial's data-exploration discussion): descriptive statistics over
-// row ranges decompose into per-chunk basic aggregates (count, sum, sum of
-// squares, min, max, and pairwise sum-of-products). Chunks are computed on
-// first touch and reused by every later query that overlaps them, so an
+// the tutorial's data-exploration discussion): a range mean decomposes into
+// per-chunk basic aggregates (count and sum). Chunks are computed on first
+// touch and reused by every later query that overlaps them, so an
 // exploratory session's repeated, overlapping statistics get faster as it
 // proceeds.
 type Canopy struct {
@@ -18,28 +13,19 @@ type Canopy struct {
 	chunkSize int
 	// univariate chunk stats, built lazily per column
 	cols map[string][]chunkStats
-	// pairwise sum-of-products chunks, built lazily per (colA, colB)
-	pairs map[[2]string][]pairStats
 	// accounting
 	rowsScanned int64 // rows touched building chunks or scanning edges
 }
 
 type chunkStats struct {
 	built      bool
-	count      float64
-	sum, sumSq float64
-	min, max   float64
-}
-
-type pairStats struct {
-	built   bool
-	sumProd float64
+	count, sum float64
 }
 
 // NewCanopy creates a cache over t with the given chunk size (rows). A
-// typed error rejects a non-positive chunk size. The statistics methods
-// (Mean, Std, Min, Max, Correlation) require existing column names — the
-// table's schema is fixed at construction, so callers resolve names once.
+// typed error rejects a non-positive chunk size. Mean requires an existing
+// column name — the table's schema is fixed at construction, so callers
+// resolve names once.
 func NewCanopy(t *Table, chunkSize int) (*Canopy, error) {
 	if chunkSize < 1 {
 		return nil, invalid.New("db", "NewCanopy", "chunk size %d < 1", chunkSize)
@@ -48,7 +34,6 @@ func NewCanopy(t *Table, chunkSize int) (*Canopy, error) {
 		table:     t,
 		chunkSize: chunkSize,
 		cols:      map[string][]chunkStats{},
-		pairs:     map[[2]string][]pairStats{},
 	}, nil
 }
 
@@ -77,18 +62,10 @@ func (c *Canopy) buildChunk(col string, chunks []chunkStats, ci int) {
 	if hi > len(data) {
 		hi = len(data)
 	}
-	st := chunkStats{built: true, min: math.Inf(1), max: math.Inf(-1)}
+	st := chunkStats{built: true}
 	for r := lo; r < hi; r++ {
-		v := data[r]
 		st.count++
-		st.sum += v
-		st.sumSq += v * v
-		if v < st.min {
-			st.min = v
-		}
-		if v > st.max {
-			st.max = v
-		}
+		st.sum += data[r]
 	}
 	c.rowsScanned += int64(hi - lo)
 	chunks[ci] = st
@@ -104,17 +81,10 @@ func (c *Canopy) rangeStats(col string, lo, hi int) chunkStats {
 	if hi > len(data) {
 		hi = len(data)
 	}
-	agg := chunkStats{min: math.Inf(1), max: math.Inf(-1)}
+	var agg chunkStats
 	addRow := func(v float64) {
 		agg.count++
 		agg.sum += v
-		agg.sumSq += v * v
-		if v < agg.min {
-			agg.min = v
-		}
-		if v > agg.max {
-			agg.max = v
-		}
 	}
 	chunks := c.colChunks(col)
 	firstFull := (lo + c.chunkSize - 1) / c.chunkSize
@@ -137,16 +107,8 @@ func (c *Canopy) rangeStats(col string, lo, hi int) chunkStats {
 		if !chunks[ci].built {
 			c.buildChunk(col, chunks, ci)
 		}
-		st := chunks[ci]
-		agg.count += st.count
-		agg.sum += st.sum
-		agg.sumSq += st.sumSq
-		if st.min < agg.min {
-			agg.min = st.min
-		}
-		if st.max > agg.max {
-			agg.max = st.max
-		}
+		agg.count += chunks[ci].count
+		agg.sum += chunks[ci].sum
 	}
 	// Trailing edge.
 	for r := lastFull * c.chunkSize; r < hi; r++ {
@@ -163,99 +125,6 @@ func (c *Canopy) Mean(col string, lo, hi int) float64 {
 		return 0
 	}
 	return st.sum / st.count
-}
-
-// Std returns the population standard deviation of col over [lo, hi).
-func (c *Canopy) Std(col string, lo, hi int) float64 {
-	st := c.rangeStats(col, lo, hi)
-	if st.count == 0 {
-		return 0
-	}
-	mean := st.sum / st.count
-	v := st.sumSq/st.count - mean*mean
-	if v < 0 {
-		v = 0
-	}
-	return math.Sqrt(v)
-}
-
-// Min returns the minimum of col over [lo, hi).
-func (c *Canopy) Min(col string, lo, hi int) float64 {
-	return c.rangeStats(col, lo, hi).min
-}
-
-// Max returns the maximum of col over [lo, hi).
-func (c *Canopy) Max(col string, lo, hi int) float64 {
-	return c.rangeStats(col, lo, hi).max
-}
-
-// Correlation returns the Pearson correlation of two columns over [lo, hi),
-// using cached sum-of-product chunks for the interior.
-func (c *Canopy) Correlation(colA, colB string, lo, hi int) float64 {
-	a := c.rangeStats(colA, lo, hi)
-	b := c.rangeStats(colB, lo, hi)
-	sp := c.rangeSumProd(colA, colB, lo, hi)
-	n := a.count
-	if n == 0 {
-		return 0
-	}
-	cov := sp/n - (a.sum/n)*(b.sum/n)
-	sdA := math.Sqrt(a.sumSq/n - (a.sum/n)*(a.sum/n))
-	sdB := math.Sqrt(b.sumSq/n - (b.sum/n)*(b.sum/n))
-	if sdA == 0 || sdB == 0 {
-		return 0
-	}
-	return cov / (sdA * sdB)
-}
-
-func (c *Canopy) rangeSumProd(colA, colB string, lo, hi int) float64 {
-	if colB < colA {
-		colA, colB = colB, colA
-	}
-	key := [2]string{colA, colB}
-	chunks, ok := c.pairs[key]
-	if !ok {
-		chunks = make([]pairStats, c.numChunks())
-		c.pairs[key] = chunks
-	}
-	da, db := c.table.mustColumn(colA), c.table.mustColumn(colB)
-	if hi > len(da) {
-		hi = len(da)
-	}
-	var sp float64
-	firstFull := (lo + c.chunkSize - 1) / c.chunkSize
-	lastFull := hi / c.chunkSize
-	if firstFull >= lastFull {
-		for r := lo; r < hi; r++ {
-			sp += da[r] * db[r]
-		}
-		c.rowsScanned += int64(hi - lo)
-		return sp
-	}
-	for r := lo; r < firstFull*c.chunkSize; r++ {
-		sp += da[r] * db[r]
-	}
-	for ci := firstFull; ci < lastFull; ci++ {
-		if !chunks[ci].built {
-			cl := ci * c.chunkSize
-			ch := cl + c.chunkSize
-			if ch > len(da) {
-				ch = len(da)
-			}
-			var s float64
-			for r := cl; r < ch; r++ {
-				s += da[r] * db[r]
-			}
-			chunks[ci] = pairStats{built: true, sumProd: s}
-			c.rowsScanned += int64(ch - cl)
-		}
-		sp += chunks[ci].sumProd
-	}
-	for r := lastFull * c.chunkSize; r < hi; r++ {
-		sp += da[r] * db[r]
-	}
-	c.rowsScanned += int64(firstFull*c.chunkSize - lo + hi - lastFull*c.chunkSize)
-	return sp
 }
 
 // NaiveMean scans the range directly (the no-cache baseline), charging the

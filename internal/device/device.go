@@ -66,11 +66,6 @@ var (
 	}
 )
 
-// Catalog lists all built-in profiles.
-func Catalog() []Profile {
-	return []Profile{CPUServer, GPUSmall, GPULarge, TPULike, EdgeDevice, ClusterNode}
-}
-
 // ComputeTime returns the seconds needed to execute the given FLOPs at an
 // assumed fraction of peak (efficiency in (0, 1]).
 func (p Profile) ComputeTime(flops int64, efficiency float64) float64 {
@@ -111,12 +106,6 @@ func TransferTime(from, to Profile, bytes int64) float64 {
 		bw = to.LinkBandwidth
 	}
 	return from.LinkLatencyS + to.LinkLatencyS + float64(bytes)/bw
-}
-
-// EnergyJoules returns the energy for running the device under load for
-// busySeconds and idle for idleSeconds.
-func (p Profile) EnergyJoules(busySeconds, idleSeconds float64) float64 {
-	return p.Watts*busySeconds + p.IdleWatts*idleSeconds
 }
 
 // StepTime estimates one training-step time for a model on this device:

@@ -89,6 +89,22 @@ func TestConfigValidateTable(t *testing.T) {
 			c.Topology = TopoRing
 			c.Fault = fault.Config{Schedule: []fault.Window{{Kind: fault.KindCrash, Workers: []int{1}, Prob: 0.5}}}
 		}, ""},
+		// No training path draws these kinds: only guard.Fit reads an
+		// lr-spike, and only serve draws the other three.
+		{"lr-spike-window", func(c *Config) {
+			c.Fault = fault.Config{Schedule: []fault.Window{
+				{Kind: fault.KindDrop, Prob: 0.1}, {Kind: fault.KindLRSpike, Prob: 0.2, Factor: 1e4}}}
+		}, "Fault.Schedule[1].Kind"},
+		{"arrival-window", func(c *Config) {
+			c.Fault = fault.Config{Schedule: []fault.Window{{Kind: fault.KindArrival, Prob: 1, Factor: 4}}}
+		}, "Fault.Schedule[0].Kind"},
+		{"retry-storm-window", func(c *Config) {
+			c.Topology = TopoRing
+			c.Fault = fault.Config{Schedule: []fault.Window{{Kind: fault.KindRetryStorm, Prob: 1, Factor: 8}}}
+		}, "Fault.Schedule[0].Kind"},
+		{"brownout-window", func(c *Config) {
+			c.Fault = fault.Config{Schedule: []fault.Window{{Kind: fault.KindBrownout, Workers: []int{2}, Prob: 1, Factor: 3}}}
+		}, "Fault.Schedule[0].Kind"},
 		// NaN and ±Inf slip past every range comparison, so each float
 		// field is checked for them explicitly.
 		{"lr-nan", func(c *Config) { c.LR = math.NaN() }, "LR"},

@@ -78,7 +78,15 @@ func (c Config) Validate() error {
 		}
 	}
 	for i, win := range c.Fault.Schedule {
-		field := "Fault.Schedule[" + strconv.Itoa(i) + "].Workers"
+		prefix := "Fault.Schedule[" + strconv.Itoa(i) + "]"
+		switch win.Kind {
+		case fault.KindLRSpike, fault.KindArrival, fault.KindRetryStorm, fault.KindBrownout:
+			// Only guard.Fit reads LRSpikeFactor, and only serve draws
+			// arrivals, retry storms and brownouts, so no training path
+			// fires such a window.
+			return invalid.New("distributed", prefix+".Kind", "%v windows never fire in distributed training", win.Kind)
+		}
+		field := prefix + ".Workers"
 		for _, w := range win.Workers {
 			if w >= c.Workers {
 				return invalid.New("distributed", field, "worker %d out of [0, %d workers)", w, c.Workers)

@@ -47,8 +47,9 @@ var (
 	fuzzOuts    = []int{3, 2, 4, 0}
 )
 
-// fuzzKinds are the fault kinds training draws: worker, message,
-// numerical, Byzantine and link faults.
+// fuzzKinds are the worker, message, numerical, Byzantine and link fault
+// kinds. Training draws every one but KindLRSpike, which Validate rejects;
+// it keeps its index, so every seed below keeps its meaning.
 var fuzzKinds = []fault.Kind{
 	fault.KindCrash, fault.KindStraggle, fault.KindDrop, fault.KindCorrupt,
 	fault.KindBatchCorrupt, fault.KindLabelNoise, fault.KindLRSpike,
@@ -142,7 +143,7 @@ func FuzzCollectiveConfig(f *testing.F) {
 	f.Add([]byte{5, 0, 3, 5, 0, 0, 0, 1, 3, 13, 0, 0, 3, 0})                     // corrupt
 	f.Add([]byte{6, 0, 3, 6, 0, 0, 2, 1, 4, 13, 0, 0, 2, 0})                     // batch-corrupt, guarded
 	f.Add([]byte{6, 0, 3, 7, 0, 1, 2, 1, 5, 13, 0, 0, 5, 0})                     // label noise, Local SGD, guarded
-	f.Add([]byte{6, 0, 3, 8, 0, 0, 0, 1, 6, 13, 0, 0, 3, 6})                     // lr-spike ×1e4, which only guard.Fit reads
+	f.Add([]byte{6, 0, 3, 8, 0, 0, 0, 1, 6, 13, 0, 0, 3, 6})                     // lr-spike ×1e4: rejected, since only guard.Fit reads it
 	f.Add([]byte{8, 0, 3, 9, 0, 0, 1, 1, 7, 2, 0, 0, 0, 5})                      // sign-flip ×64 by worker 2, median
 	f.Add([]byte{8, 2, 3, 10, 0, 1, 3, 1, 8, 3, 1, 0, 0, 6})                     // scale-attack ×1e4 from 1e-5 s, ring, Local SGD
 	f.Add([]byte{8, 3, 3, 11, 0, 0, 1, 1, 9, 4, 0, 0, 2, 3})                     // drift ×3 at rate 0.3, tree, median

@@ -11,11 +11,17 @@ import (
 )
 
 // numericalCfg configures sync training under numerical faults (poisoned
-// batches and shuffled labels) with the given guard mode.
+// batches and shuffled labels) with the given guard mode: the batch-corrupt
+// and label-noise windows of fault.NumericalRate. Its lr-spike window is
+// left out, since only guard.Fit reads it and Validate rejects it here.
 func numericalCfg(rate float64, mode guard.Mode) Config {
 	return Config{
 		Workers: 4, Arch: distArch, Epochs: 12, BatchSize: 16, LR: 0.1,
-		AveragePeriod: 1, Fault: fault.NumericalRate(33, rate),
+		AveragePeriod: 1,
+		Fault: fault.Config{Seed: 33, Schedule: []fault.Window{
+			{Kind: fault.KindBatchCorrupt, Prob: rate},
+			{Kind: fault.KindLabelNoise, Prob: rate / 2},
+		}},
 		Guard: &guard.Policy{Mode: mode},
 	}
 }

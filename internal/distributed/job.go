@@ -205,9 +205,6 @@ func NewJob(seed int64, x, y *tensor.Tensor, cfg Config) (*Job, error) {
 	return j, nil
 }
 
-// Kernel returns the simulation kernel driving the job.
-func (j *Job) Kernel() *sim.Kernel { return j.k }
-
 // Start schedules the job's first round on the kernel. The job then
 // self-perpetuates: each round event schedules the next at the simulated
 // instant the previous one finished, until every epoch completes.

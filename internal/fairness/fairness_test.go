@@ -49,7 +49,7 @@ func TestMetricsInRange(t *testing.T) {
 	r := Evaluate(preds, labels, group)
 	for _, v := range []float64{
 		r.DemographicParityGap(), r.DisparateImpact(),
-		r.EqualOpportunityGap(), r.EqualizedOddsGap(), r.Accuracy,
+		r.EqualOpportunityGap(), r.Accuracy,
 	} {
 		if v < 0 || v > 1 || math.IsNaN(v) {
 			t.Fatalf("metric out of range: %g", v)
@@ -256,5 +256,52 @@ func TestTrainersClampBatchSize(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+func TestPreferentialSampleRestoresIndependence(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	c := data.BiasedCensus(rng, data.CensusConfig{N: 8000, Bias: 0.7})
+	idx := PreferentialSample(rng, c.Labels, c.Group)
+	if len(idx) != c.N() {
+		t.Fatalf("sample size %d", len(idx))
+	}
+	var pos, n [2]float64
+	for _, i := range idx {
+		g := c.Group[i]
+		n[g]++
+		pos[g] += float64(c.Labels[i])
+	}
+	gap := math.Abs(pos[0]/n[0] - pos[1]/n[1])
+	if gap > 0.04 {
+		t.Fatalf("resampled positive-rate gap %g, want ~0", gap)
+	}
+}
+
+func TestPreferentialSamplingTrainsFairerModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	c := data.BiasedCensus(rng, data.CensusConfig{N: 8000, Bias: 0.8})
+	train, test := c.SplitCensus(rng, 0.7)
+
+	base := nn.NewMLP(rng, nn.MLPConfig{In: 5, Hidden: []int{16}, Out: 2})
+	nn.NewTrainer(base, nn.NewSoftmaxCrossEntropy(), nn.NewAdam(0.01), rng).
+		Fit(train.X, nn.OneHot(train.Labels, 2), nn.TrainConfig{Epochs: 20, BatchSize: 64})
+	rBase := Evaluate(base.Predict(test.X), test.TrueMerit, test.Group)
+
+	idx := PreferentialSample(rng, train.Labels, train.Group)
+	resampled := train.Subset(idx)
+	resLabels := make([]int, len(idx))
+	for i, j := range idx {
+		resLabels[i] = train.Labels[j]
+	}
+	fair := nn.NewMLP(rng, nn.MLPConfig{In: 5, Hidden: []int{16}, Out: 2})
+	nn.NewTrainer(fair, nn.NewSoftmaxCrossEntropy(), nn.NewAdam(0.01), rng).
+		Fit(resampled.X, nn.OneHot(resLabels, 2), nn.TrainConfig{Epochs: 20, BatchSize: 64})
+	rFair := Evaluate(fair.Predict(test.X), test.TrueMerit, test.Group)
+
+	t.Logf("gap: baseline %.3f -> preferential sampling %.3f", rBase.DemographicParityGap(), rFair.DemographicParityGap())
+	if rFair.DemographicParityGap() >= rBase.DemographicParityGap() {
+		t.Fatalf("sampling did not shrink the gap: %.3f vs %.3f",
+			rFair.DemographicParityGap(), rBase.DemographicParityGap())
 	}
 }

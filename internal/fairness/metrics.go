@@ -1,11 +1,14 @@
 // Package fairness implements Part 3.1 of the tutorial: group fairness
-// metrics (demographic parity, disparate impact, equalized odds, equal
-// opportunity), and the mitigation techniques it surveys — pre-processing
-// (reweighing), in-processing (adversarial debiasing), and post-processing
-// (per-group thresholds and correlated-neuron ablation).
+// metrics (demographic parity, disparate impact, equal opportunity), and
+// the mitigation techniques it surveys — pre-processing (reweighing and
+// preferential sampling), in-processing (adversarial debiasing), and
+// post-processing (per-group thresholds and correlated-neuron ablation).
 package fairness
 
-import "math"
+import (
+	"math"
+	"math/rand"
+)
 
 // Report summarises group fairness for binary predictions against binary
 // labels and a binary protected attribute (group 1 = protected).
@@ -81,16 +84,6 @@ func (r Report) EqualOpportunityGap() float64 {
 	return math.Abs(r.TPR[0] - r.TPR[1])
 }
 
-// EqualizedOddsGap is the maximum of the TPR and FPR gaps.
-func (r Report) EqualizedOddsGap() float64 {
-	tpr := math.Abs(r.TPR[0] - r.TPR[1])
-	fpr := math.Abs(r.FPR[0] - r.FPR[1])
-	if fpr > tpr {
-		return fpr
-	}
-	return tpr
-}
-
 // Reweigh computes per-example weights that make label and group
 // statistically independent in the training set (Kamiran & Calders):
 // w(g, y) = P(g)·P(y) / P(g, y).
@@ -114,4 +107,34 @@ func Reweigh(labels, group []int) []float64 {
 		w[i] = (pg[g] / n) * (py[y] / n) / joint
 	}
 	return w
+}
+
+// PreferentialSample returns example indices resampled (with replacement)
+// so that label and group are statistically independent — the sampling
+// counterpart of Reweigh for training APIs that cannot take weights. The
+// output has the same length as the input data.
+func PreferentialSample(rng *rand.Rand, labels, group []int) []int {
+	w := Reweigh(labels, group)
+	// Build the cumulative distribution over examples ∝ weights.
+	cum := make([]float64, len(w))
+	var total float64
+	for i, v := range w {
+		total += v
+		cum[i] = total
+	}
+	out := make([]int, len(w))
+	for i := range out {
+		r := rng.Float64() * total
+		lo, hi := 0, len(cum)-1
+		for lo < hi {
+			mid := (lo + hi) / 2
+			if cum[mid] < r {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		out[i] = lo
+	}
+	return out
 }

@@ -1,8 +1,7 @@
 // Package interpret implements the interpretable-deep-learning techniques
 // of Part 3.2 of the tutorial: dimensionality reduction (PCA and t-SNE),
 // local surrogate explanations (LIME), global surrogacy (decision trees and
-// distilled students), gradient saliency maps, activation maximization, and
-// network inversion.
+// distilled students), and gradient saliency maps.
 package interpret
 
 import (

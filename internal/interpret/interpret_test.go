@@ -232,32 +232,3 @@ func TestSaliencyConcentratesOnGlyph(t *testing.T) {
 		t.Fatalf("saliency concentration ratio %.2f too low (1 = uniform)", ratio)
 	}
 }
-
-func TestActivationMaximizationIncreasesLogit(t *testing.T) {
-	net, _ := trainInterpretNet(t, 15)
-	x0 := tensor.New(1, 6)
-	before := Logit(net, x0, 1)
-	x := ActivationMaximization(net, []int{6}, 1, 100, 0.1, 0.001)
-	after := Logit(net, x, 1)
-	if after <= before {
-		t.Fatalf("activation maximization failed: %.4f -> %.4f", before, after)
-	}
-}
-
-func TestNetworkInversionMatchesRepresentation(t *testing.T) {
-	net, ds := trainInterpretNet(t, 16)
-	x := tensor.FromSlice(append([]float64(nil), ds.X.Row(3)...), 1, 6)
-	layer := 1 // first ReLU output
-	target := RepresentationAt(net, x, layer)
-	inv := NetworkInversion(net, []int{6}, layer, target, 400, 0.1)
-	got := RepresentationAt(net, inv, layer)
-	var se, scale float64
-	for i := range target.Data {
-		d := target.Data[i] - got.Data[i]
-		se += d * d
-		scale += target.Data[i] * target.Data[i]
-	}
-	if se > 0.05*scale {
-		t.Fatalf("inversion representation error %.4f too large (scale %.4f)", se, scale)
-	}
-}

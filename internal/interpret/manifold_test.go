@@ -3,6 +3,7 @@ package interpret
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"dlsys/internal/tensor"
@@ -42,6 +43,20 @@ func manifoldCorrelation(embedded *tensor.Tensor, params []float64) float64 {
 		d2 += d * d
 	}
 	return math.Abs(1 - 6*d2/(n*(n*n-1)))
+}
+
+// ranks assigns 1-based ranks, ties broken by index.
+func ranks(vals []float64) []float64 {
+	idx := make([]int, len(vals))
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.SliceStable(idx, func(a, b int) bool { return vals[idx[a]] < vals[idx[b]] })
+	out := make([]float64, len(vals))
+	for rank, i := range idx {
+		out[i] = float64(rank + 1)
+	}
+	return out
 }
 
 func TestIsomapRecoversManifoldOrdering(t *testing.T) {

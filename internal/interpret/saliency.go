@@ -34,62 +34,3 @@ func SaliencyMass(sal *tensor.Tensor, mask []bool) float64 {
 	}
 	return in / total
 }
-
-// ActivationMaximization synthesises an input that maximises the given
-// class logit by gradient ascent with L2 decay, starting from zeros: the
-// result visualises what the network "looks for" in that class.
-func ActivationMaximization(net *nn.Network, inShape []int, class int, steps int, lr, decay float64) *tensor.Tensor {
-	shape := append([]int{1}, inShape...)
-	x := tensor.New(shape...)
-	for s := 0; s < steps; s++ {
-		out := net.Forward(x, true)
-		dout := tensor.New(out.Shape()...)
-		dout.Set(1, 0, class)
-		dx := net.Backward(dout)
-		for i := range x.Data {
-			x.Data[i] += lr*dx.Data[i] - decay*x.Data[i]
-		}
-	}
-	return x
-}
-
-// Logit returns the class logit of a single example, used to verify that
-// activation maximization actually increased the target activation.
-func Logit(net *nn.Network, x *tensor.Tensor, class int) float64 {
-	return net.Forward(x, false).At(0, class)
-}
-
-// NetworkInversion reconstructs an input whose representation at layer
-// `layer` matches the given target representation, by gradient descent on
-// the squared representation distance — visualising which input aspects a
-// layer preserves.
-func NetworkInversion(net *nn.Network, inShape []int, layer int, target *tensor.Tensor, steps int, lr float64) *tensor.Tensor {
-	shape := append([]int{1}, inShape...)
-	x := tensor.New(shape...)
-	for s := 0; s < steps; s++ {
-		// Forward through the prefix in train mode (caches for backward).
-		h := x
-		for li := 0; li <= layer; li++ {
-			h = net.Layers[li].Forward(h, true)
-		}
-		// d/dh ½||h - target||² = h - target.
-		dh := tensor.Sub(h, target)
-		for li := layer; li >= 0; li-- {
-			dh = net.Layers[li].Backward(dh)
-		}
-		for i := range x.Data {
-			x.Data[i] -= lr * dh.Data[i]
-		}
-	}
-	return x
-}
-
-// RepresentationAt runs a single example through layers [0, layer] in
-// inference mode.
-func RepresentationAt(net *nn.Network, x *tensor.Tensor, layer int) *tensor.Tensor {
-	h := x
-	for li := 0; li <= layer; li++ {
-		h = net.Layers[li].Forward(h, false)
-	}
-	return h
-}

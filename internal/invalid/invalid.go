@@ -8,9 +8,9 @@
 // default rule would replace a -Inf it never saw. Finite names the first
 // NaN or ±Inf field before any range check runs.
 //
-// tensor.Error stays a type of its own: tensor.AsError re-raises every
-// panic that is not a *tensor.Error, and sharing this type would let it
-// swallow other packages' panics.
+// tensor.Error stays a type of its own: it names the tensor operation whose
+// shapes do not fit, mostly as the panic value of a programming error,
+// while an *invalid.Error names the package and field of a rejected input.
 package invalid
 
 import (

@@ -400,9 +400,6 @@ func (e *Engine) Reconcile() error {
 // State returns the maintenance state machine's position.
 func (e *Engine) State() State { return e.state }
 
-// DeltaLen returns the current delta-buffer size (including pending).
-func (e *Engine) DeltaLen() int { return len(e.delta) + len(e.pending) }
-
 // QuarantineLen returns how many scrubbed keys are parked for audit.
 func (e *Engine) QuarantineLen() int { return len(e.quarantine) }
 

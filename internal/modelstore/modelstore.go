@@ -138,23 +138,6 @@ func (s *Store) Get(model, layer string) (*tensor.Tensor, error) {
 	return out, nil
 }
 
-// GetRows reconstructs only the requested example rows — the "query model
-// intermediates" access path that avoids materialising whole tensors.
-func (s *Store) GetRows(model, layer string, rows []int) (*tensor.Tensor, error) {
-	e, ok := s.entries[key(model, layer)]
-	if !ok {
-		return nil, fmt.Errorf("modelstore: no entry for model %q layer %q", model, layer)
-	}
-	out := tensor.New(len(rows), e.rowLen)
-	for i, r := range rows {
-		if r < 0 || r >= e.rows {
-			return nil, fmt.Errorf("modelstore: row %d out of range [0,%d)", r, e.rows)
-		}
-		decodeRow(s.chunks[e.chunkRefs[r]], out.Data[i*e.rowLen:(i+1)*e.rowLen])
-	}
-	return out, nil
-}
-
 // Entries returns the number of stored (model, layer) entries.
 func (s *Store) Entries() int { return len(s.entries) }
 

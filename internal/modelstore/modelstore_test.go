@@ -41,29 +41,6 @@ func TestGetMissingEntryErrors(t *testing.T) {
 	}
 }
 
-func TestGetRows(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	s := NewStore()
-	acts := tensor.RandNormal(rng, 0, 1, 10, 4)
-	mustPut(t, s, "m", "l", acts)
-	sub, err := s.GetRows("m", "l", []int{3, 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sub.Dim(0) != 2 || sub.Dim(1) != 4 {
-		t.Fatalf("shape %v", sub.Shape())
-	}
-	full, _ := s.Get("m", "l")
-	for c := 0; c < 4; c++ {
-		if sub.At(0, c) != full.At(3, c) || sub.At(1, c) != full.At(7, c) {
-			t.Fatal("row slice mismatch")
-		}
-	}
-	if _, err := s.GetRows("m", "l", []int{99}); err == nil {
-		t.Fatal("expected out-of-range error")
-	}
-}
-
 func TestQuantizationAloneGivesLargeSavings(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	s := NewStore()

@@ -158,9 +158,6 @@ func BuildVocabulary(utterances []Utterance) *Vocabulary {
 	return v
 }
 
-// Size returns the vocabulary size.
-func (v *Vocabulary) Size() int { return len(v.index) }
-
 func tokens(text string) []string {
 	fields := strings.Fields(strings.ToLower(text))
 	out := fields[:0]

@@ -91,8 +91,8 @@ func TestTrainBuffersBitIdenticalToFreshAllocation(t *testing.T) {
 		masked bool
 	}{
 		{"relu/sce/adam/masked", func(s string) Layer { return NewReLU(s) }, false, func() Optimizer { return NewAdam(0.01) }, true},
-		{"sigmoid/mse/momentum", func(s string) Layer { return NewSigmoid(s) }, true, func() Optimizer { return NewMomentum(0.05, 0.9) }, false},
-		{"tanh/sce/momentum", func(s string) Layer { return NewTanh(s) }, false, func() Optimizer { return NewMomentum(0.05, 0.9) }, false},
+		{"sigmoid/mse/sgd", func(s string) Layer { return NewSigmoid(s) }, true, func() Optimizer { return NewSGD(0.05) }, false},
+		{"tanh/sce/sgd", func(s string) Layer { return NewTanh(s) }, false, func() Optimizer { return NewSGD(0.05) }, false},
 		{"relu/mse/adam", func(s string) Layer { return NewReLU(s) }, true, func() Optimizer { return NewAdam(0.01) }, false},
 	}
 	for _, c := range cases {

@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"math"
 	"math/rand"
 
 	"dlsys/internal/tensor"
@@ -114,85 +113,6 @@ func (c *Conv2D) FLOPs(batch int) int64 {
 // OutputShape implements OutputShaper.
 func (c *Conv2D) OutputShape(in []int) []int {
 	return []int{c.OutC, c.Geom.OutH(), c.Geom.OutW()}
-}
-
-// MaxPool2D performs max pooling with a square window and equal stride over
-// NCHW inputs.
-type MaxPool2D struct {
-	name          string
-	Window        int
-	C, InH, InW   int
-	argmax        []int // flat input index of each output's max
-	inShape       []int
-	outH, outW, n int
-}
-
-// NewMaxPool2D creates a pooling layer for inputs with the given channel
-// count and spatial size.
-func NewMaxPool2D(name string, c, inH, inW, window int) *MaxPool2D {
-	return &MaxPool2D{name: name, Window: window, C: c, InH: inH, InW: inW}
-}
-
-// Name implements Layer.
-func (m *MaxPool2D) Name() string { return m.name }
-
-// Forward implements Layer.
-func (m *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	n := x.Dim(0)
-	oh, ow := m.InH/m.Window, m.InW/m.Window
-	out := tensor.New(n, m.C, oh, ow)
-	if train {
-		m.argmax = make([]int, out.Size())
-		m.inShape = x.Shape()
-		m.outH, m.outW, m.n = oh, ow, n
-	}
-	oi := 0
-	for b := 0; b < n; b++ {
-		for c := 0; c < m.C; c++ {
-			base := ((b * m.C) + c) * m.InH * m.InW
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					best := math.Inf(-1)
-					bestIdx := -1
-					for wy := 0; wy < m.Window; wy++ {
-						iy := oy*m.Window + wy
-						for wx := 0; wx < m.Window; wx++ {
-							ix := ox*m.Window + wx
-							idx := base + iy*m.InW + ix
-							if v := x.Data[idx]; v > best {
-								best = v
-								bestIdx = idx
-							}
-						}
-					}
-					out.Data[oi] = best
-					if train {
-						m.argmax[oi] = bestIdx
-					}
-					oi++
-				}
-			}
-		}
-	}
-	return out
-}
-
-// Backward implements Layer.
-func (m *MaxPool2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
-	dx := tensor.New(m.inShape...)
-	for oi, idx := range m.argmax {
-		dx.Data[idx] += dout.Data[oi]
-	}
-	m.argmax = nil
-	return dx
-}
-
-// Params implements Layer.
-func (m *MaxPool2D) Params() []*Param { return nil }
-
-// OutputShape implements OutputShaper.
-func (m *MaxPool2D) OutputShape(in []int) []int {
-	return []int{m.C, m.InH / m.Window, m.InW / m.Window}
 }
 
 // Flatten reshapes [N, ...] to [N, prod(...)]. It is shape bookkeeping

@@ -19,9 +19,7 @@ func TestLayerInterfaceSurface(t *testing.T) {
 		NewSigmoid("s"),
 		NewTanh("t"),
 		NewConv2D(rng, "c", g, 3),
-		NewMaxPool2D("p", 2, 6, 6, 2),
 		NewFlatten("f"),
-		NewResidualMLPBlock(rng, "res", 8),
 	}
 	for _, l := range layers {
 		if l.Name() == "" {
@@ -30,12 +28,11 @@ func TestLayerInterfaceSurface(t *testing.T) {
 	}
 	// OutputShape chains for the MLP-ish layers.
 	shapes := map[string][]int{
-		"d":   {8},
-		"r":   {4},
-		"f":   {12},
-		"res": {8},
-		"s":   {4},
-		"t":   {4},
+		"d": {8},
+		"r": {4},
+		"f": {12},
+		"s": {4},
+		"t": {4},
 	}
 	for _, l := range layers {
 		os, ok := l.(OutputShaper)
@@ -47,23 +44,16 @@ func TestLayerInterfaceSurface(t *testing.T) {
 			if l.Name() == "f" {
 				in = []int{3, 2, 2}
 			}
-			if l.Name() == "res" {
-				in = []int{8}
-			}
 			got := os.OutputShape(in)
 			if len(got) != len(want) || got[0] != want[0] {
 				t.Fatalf("%s OutputShape = %v, want %v", l.Name(), got, want)
 			}
 		}
 	}
-	// Conv/pool spatial shapes.
+	// Conv spatial shape.
 	conv := layers[5].(*Conv2D)
 	if got := conv.OutputShape([]int{2, 6, 6}); got[0] != 3 || got[1] != 6 || got[2] != 6 {
 		t.Fatalf("conv OutputShape %v", got)
-	}
-	pool := layers[6].(*MaxPool2D)
-	if got := pool.OutputShape([]int{2, 6, 6}); got[1] != 3 || got[2] != 3 {
-		t.Fatalf("pool OutputShape %v", got)
 	}
 }
 
@@ -150,11 +140,4 @@ func TestNewMLPPanicsOnInvalidConfig(t *testing.T) {
 		}
 	}()
 	NewMLP(rand.New(rand.NewSource(1)), MLPConfig{In: 0, Out: 2})
-}
-
-func TestTrainStatsFinalLossEmpty(t *testing.T) {
-	var s TrainStats
-	if s.FinalLoss() != 0 {
-		t.Fatal("empty stats FinalLoss should be 0")
-	}
 }

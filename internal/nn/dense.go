@@ -68,8 +68,8 @@ func (d *Dense) SetMask(m *tensor.Tensor) error {
 func (d *Dense) Mask() *tensor.Tensor { return d.mask }
 
 // PostStep implements PostStepper: it re-zeroes masked weights that the
-// optimizer may have perturbed (momentum and Adam state produce nonzero
-// updates even for zero gradients).
+// optimizer may have perturbed (Adam's moments produce nonzero updates
+// even for zero gradients).
 func (d *Dense) PostStep() { d.applyMask() }
 
 func (d *Dense) applyMask() {

@@ -148,19 +148,19 @@ func TestFusedMLPMatchesPerLayerWalk(t *testing.T) {
 		x.Data[3*c.cfg.In], x.Data[4*c.cfg.In] = math.NaN(), math.Inf(1)
 		dout := tensor.RandNormal(rng, 0, 1, c.batch, c.cfg.Out)
 
-		fused.ZeroGrad()
-		walk.ZeroGrad()
+		ZeroGrads(fused.Params())
+		ZeroGrads(walk.Params())
 		sameBits(c.name+" train output", fused.Forward(x, true).Data, walkForward(walk, x, true).Data)
 		want := walkBackward(walk, dout).Clone()
 		sameBits(c.name+" input gradient", fused.Backward(dout).Data, want.Data)
 		sameGrads(c.name+" Backward", fused, walk)
 
-		fused.ZeroGrad()
+		ZeroGrads(fused.Params())
 		fused.Forward(x, true)
 		fused.backwardParams(dout)
 		sameGrads(c.name+" training step", fused, walk)
 
-		fused.ZeroGrad()
+		ZeroGrads(fused.Params())
 		fused.Forward(x, true)
 		sameBits(c.name+" per-layer Backward after a fused Forward", walkBackward(fused, dout).Data, want.Data)
 		sameGrads(c.name+" per-layer Backward after a fused Forward", fused, walk)

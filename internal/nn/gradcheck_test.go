@@ -173,17 +173,6 @@ func TestConv2DStridedGradients(t *testing.T) {
 	checkLayerGradients(t, layer, x, 1e-4)
 }
 
-func TestMaxPoolGradients(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	layer := NewMaxPool2D("p", 2, 4, 4, 2)
-	x := tensor.RandNormal(rng, 0, 1, 2, 2, 4, 4)
-	// Separate ties so the argmax is stable under perturbation.
-	for i := range x.Data {
-		x.Data[i] += float64(i) * 1e-3
-	}
-	checkLayerGradients(t, layer, x, 1e-4)
-}
-
 func TestSoftmaxCrossEntropyGradient(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	logits := tensor.RandNormal(rng, 0, 1, 4, 3)
@@ -236,7 +225,7 @@ func TestNetworkEndToEndGradient(t *testing.T) {
 	loss := NewSoftmaxCrossEntropy()
 	lossFn := func() float64 { return loss.Forward(net.Forward(x, true), y) }
 
-	net.ZeroGrad()
+	ZeroGrads(net.Params())
 	lossFn()
 	net.Backward(loss.Backward())
 	for _, p := range net.Params() {

@@ -155,7 +155,7 @@ func (n *Network) Params() []*Param {
 
 // PostStepper is implemented by layers that must restore invariants after
 // an optimizer update (e.g. masked Dense layers re-zeroing pruned weights,
-// which momentum-carrying optimizers would otherwise perturb).
+// which Adam's moments would otherwise perturb).
 type PostStepper interface {
 	PostStep()
 }
@@ -169,9 +169,6 @@ func (n *Network) PostStep() {
 		}
 	}
 }
-
-// ZeroGrad clears every parameter gradient.
-func (n *Network) ZeroGrad() { ZeroGrads(n.Params()) }
 
 // NumParams returns the total number of trainable scalars.
 func (n *Network) NumParams() int {

@@ -13,9 +13,8 @@ type Optimizer interface {
 }
 
 // StateResetter is implemented by optimizers that carry per-parameter state
-// (momentum velocity, Adam moments). Checkpoint rollback calls ResetState so
-// stale state accumulated from diverging steps cannot re-poison the restored
-// parameters.
+// (Adam's moments). Checkpoint rollback calls ResetState so stale state
+// accumulated from diverging steps cannot re-poison the restored parameters.
 type StateResetter interface {
 	ResetState()
 }
@@ -44,43 +43,6 @@ func (o *SGD) SetLR(lr float64) { o.lr = lr }
 
 // LR implements Optimizer.
 func (o *SGD) LR() float64 { return o.lr }
-
-// Momentum is SGD with classical momentum.
-type Momentum struct {
-	lr, Beta    float64
-	WeightDecay float64
-	velocity    map[*Param][]float64
-}
-
-// NewMomentum creates a momentum optimizer (beta is typically 0.9).
-func NewMomentum(lr, beta float64) *Momentum {
-	return &Momentum{lr: lr, Beta: beta, velocity: make(map[*Param][]float64)}
-}
-
-// Step implements Optimizer.
-func (o *Momentum) Step(params []*Param) {
-	for _, p := range params {
-		v, ok := o.velocity[p]
-		if !ok {
-			v = make([]float64, p.Value.Size())
-			o.velocity[p] = v
-		}
-		for i := range p.Value.Data {
-			g := p.Grad.Data[i] + o.WeightDecay*p.Value.Data[i]
-			v[i] = o.Beta*v[i] - o.lr*g
-			p.Value.Data[i] += v[i]
-		}
-	}
-}
-
-// ResetState implements StateResetter: it discards all velocity.
-func (o *Momentum) ResetState() { o.velocity = make(map[*Param][]float64) }
-
-// SetLR implements Optimizer.
-func (o *Momentum) SetLR(lr float64) { o.lr = lr }
-
-// LR implements Optimizer.
-func (o *Momentum) LR() float64 { return o.lr }
 
 // Adam is the Adam optimizer (Kingma & Ba) with bias correction.
 type Adam struct {
@@ -139,26 +101,6 @@ func (o *Adam) LR() float64 { return o.lr }
 
 // LRSchedule maps a global step/epoch index to a learning rate.
 type LRSchedule func(epoch int) float64
-
-// ConstantLR returns a schedule that always yields lr.
-func ConstantLR(lr float64) LRSchedule { return func(int) float64 { return lr } }
-
-// StepDecayLR decays lr by factor every period epochs.
-func StepDecayLR(lr, factor float64, period int) LRSchedule {
-	return func(epoch int) float64 {
-		return lr * math.Pow(factor, float64(epoch/period))
-	}
-}
-
-// CosineAnnealingLR anneals from lr to ~0 over total epochs.
-func CosineAnnealingLR(lr float64, total int) LRSchedule {
-	return func(epoch int) float64 {
-		if epoch >= total {
-			return 0
-		}
-		return lr / 2 * (1 + math.Cos(math.Pi*float64(epoch)/float64(total)))
-	}
-}
 
 // CyclicCosineLR implements the snapshot-ensembles schedule: the cosine
 // annealing restarts every cycleLen epochs, so the model repeatedly

@@ -25,14 +25,6 @@ type TrainStats struct {
 	Examples  int64     // examples processed
 }
 
-// FinalLoss returns the last epoch's mean loss (0 if no epochs ran).
-func (s TrainStats) FinalLoss() float64 {
-	if len(s.EpochLoss) == 0 {
-		return 0
-	}
-	return s.EpochLoss[len(s.EpochLoss)-1]
-}
-
 // Trainer runs mini-batch gradient descent on a network.
 type Trainer struct {
 	Net  *Network

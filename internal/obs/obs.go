@@ -143,31 +143,6 @@ func (h *Histogram) Bounds() []float64 {
 	return h.bounds
 }
 
-// Quantile returns the q-quantile estimated from the bucket counts: the
-// upper bound of the first bucket at or past rank q (the overflow bucket
-// reports +Inf). It returns 0 when the histogram is empty or nil.
-func (h *Histogram) Quantile(q float64) float64 {
-	n := h.Count()
-	if n == 0 {
-		return 0
-	}
-	rank := int64(q * float64(n))
-	if rank >= n {
-		rank = n - 1
-	}
-	var seen int64
-	for i := range h.buckets {
-		seen += h.buckets[i].Load()
-		if seen > rank {
-			if i < len(h.bounds) {
-				return h.bounds[i]
-			}
-			return math.Inf(1)
-		}
-	}
-	return math.Inf(1)
-}
-
 // ExpBuckets returns n upper bounds starting at start and growing by
 // factor: start, start*factor, ... — the standard latency-histogram shape.
 func ExpBuckets(start, factor float64, n int) []float64 {

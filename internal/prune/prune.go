@@ -1,9 +1,8 @@
 // Package prune implements the neural-network pruning techniques from
 // Part 1 of the tutorial (§2.1): unstructured magnitude pruning, saliency
-// (loss-gradient) pruning, random pruning as a control baseline, structured
-// filter/unit pruning, and the iterative prune-and-retrain schedule of
-// Han et al. Pruned weights are held at zero through further training via
-// masks on nn.Dense layers.
+// (loss-gradient) pruning, and random pruning as a control baseline.
+// Pruned weights are held at zero through further training via masks on
+// nn.Dense layers.
 package prune
 
 import (
@@ -100,72 +99,6 @@ func GlobalPrune(rng *rand.Rand, net *nn.Network, sparsity float64, crit Criteri
 		}
 	}
 	return nil
-}
-
-// PruneUnits performs structured pruning: it removes (masks entire columns
-// for) the lowest-L2-norm output units of the given Dense layer, the
-// MLP analogue of filter-level CNN pruning. Returns the indices pruned.
-func PruneUnits(d *nn.Dense, fraction float64) ([]int, error) {
-	in, out := d.In(), d.Out()
-	norms := make([]float64, out)
-	for j := 0; j < out; j++ {
-		var s float64
-		for i := 0; i < in; i++ {
-			w := d.W.Value.Data[i*out+j]
-			s += w * w
-		}
-		norms[j] = math.Sqrt(s)
-	}
-	order := make([]int, out)
-	for j := range order {
-		order[j] = j
-	}
-	sort.Slice(order, func(a, b int) bool { return norms[order[a]] < norms[order[b]] })
-	k := int(fraction * float64(out))
-	mask := d.Mask()
-	if mask == nil {
-		mask = tensor.Full(1, in, out)
-	}
-	pruned := order[:k]
-	for _, j := range pruned {
-		for i := 0; i < in; i++ {
-			mask.Data[i*out+j] = 0
-		}
-	}
-	if err := d.SetMask(mask); err != nil {
-		return nil, err
-	}
-	return pruned, nil
-}
-
-// IterativeConfig controls prune-and-retrain scheduling.
-type IterativeConfig struct {
-	TargetSparsity float64
-	Steps          int // number of prune/retrain rounds
-	RetrainEpochs  int // epochs of fine-tuning after each round
-	BatchSize      int
-	Criterion      Criterion
-}
-
-// IterativePrune runs the Han-et-al. schedule: repeatedly prune a slice of
-// the remaining weights and fine-tune, reaching TargetSparsity after Steps
-// rounds. Sparsity follows a cubic ramp, which prunes gently at first.
-// Returns the per-round sparsity and training loss, or an error if the
-// target sparsity is outside [0, 1).
-func IterativePrune(rng *rand.Rand, tr *nn.Trainer, x, y *tensor.Tensor, cfg IterativeConfig) (sparsities, losses []float64, err error) {
-	for step := 1; step <= cfg.Steps; step++ {
-		frac := cfg.TargetSparsity * (1 - math.Pow(1-float64(step)/float64(cfg.Steps), 3))
-		if cfg.Criterion == Saliency {
-			tr.ComputeGrad(x, y)
-		}
-		if err := GlobalPrune(rng, tr.Net, frac, cfg.Criterion); err != nil {
-			return nil, nil, err
-		}
-		stats := tr.Fit(x, y, nn.TrainConfig{Epochs: cfg.RetrainEpochs, BatchSize: cfg.BatchSize})
-		sparsities = append(sparsities, Sparsity(tr.Net))
-		losses = append(losses, stats.FinalLoss())
-	}
-	return sparsities, losses, nil
 }
 
 // NonzeroParamBytes returns the storage for a pruned network in a sparse

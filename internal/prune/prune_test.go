@@ -117,56 +117,6 @@ func TestSaliencyPruning(t *testing.T) {
 	}
 }
 
-func TestPruneUnitsStructured(t *testing.T) {
-	tr, _, _ := trainedNet(t, 15)
-	var hidden *nn.Dense
-	for _, l := range tr.Net.Layers {
-		if d, ok := l.(*nn.Dense); ok {
-			hidden = d
-			break
-		}
-	}
-	pruned, err := PruneUnits(hidden, 0.25)
-	if err != nil {
-		t.Fatalf("PruneUnits: %v", err)
-	}
-	if len(pruned) != hidden.Out()/4 {
-		t.Fatalf("pruned %d units, want %d", len(pruned), hidden.Out()/4)
-	}
-	// Whole columns must be zero.
-	for _, j := range pruned {
-		for i := 0; i < hidden.In(); i++ {
-			if hidden.W.Value.Data[i*hidden.Out()+j] != 0 {
-				t.Fatalf("unit %d not fully pruned", j)
-			}
-		}
-	}
-}
-
-func TestIterativePruneRampsToTarget(t *testing.T) {
-	tr, train, test := trainedNet(t, 17)
-	sparsities, losses, err := IterativePrune(rand.New(rand.NewSource(18)), tr, train.X, nn.OneHot(train.Labels, 3), IterativeConfig{
-		TargetSparsity: 0.8, Steps: 4, RetrainEpochs: 4, BatchSize: 32, Criterion: Magnitude,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sparsities) != 4 || len(losses) != 4 {
-		t.Fatal("wrong round count")
-	}
-	for i := 1; i < len(sparsities); i++ {
-		if sparsities[i] < sparsities[i-1]-1e-9 {
-			t.Fatalf("sparsity not monotone: %v", sparsities)
-		}
-	}
-	if math.Abs(sparsities[3]-0.8) > 0.02 {
-		t.Fatalf("final sparsity %.3f, want ~0.8", sparsities[3])
-	}
-	if acc := tr.Net.Accuracy(test.X, test.Labels); acc < 0.8 {
-		t.Fatalf("iteratively pruned accuracy %.3f", acc)
-	}
-}
-
 func TestNonzeroParamBytesShrinks(t *testing.T) {
 	tr, _, _ := trainedNet(t, 19)
 	before := NonzeroParamBytes(tr.Net)
@@ -183,14 +133,5 @@ func TestGlobalPruneBadSparsityErrors(t *testing.T) {
 		if err := GlobalPrune(rand.New(rand.NewSource(1)), tr.Net, sp, Magnitude); err == nil {
 			t.Fatalf("sparsity %g accepted", sp)
 		}
-	}
-	// And the iterative schedule surfaces the same error rather than
-	// panicking mid-run.
-	tr2, train, _ := trainedNet(t, 22)
-	_, _, err := IterativePrune(rand.New(rand.NewSource(2)), tr2, train.X, nn.OneHot(train.Labels, 3), IterativeConfig{
-		TargetSparsity: 1.2, Steps: 2, RetrainEpochs: 1, BatchSize: 32, Criterion: Magnitude,
-	})
-	if err == nil {
-		t.Fatal("IterativePrune accepted target sparsity 1.2")
 	}
 }

@@ -203,18 +203,3 @@ func QuantizeNetwork(net *nn.Network, bits int) (state map[string][]float64, byt
 	}
 	return state, bytes, nil
 }
-
-// QuantizeNetworkKMeans is QuantizeNetwork with a k-means codebook per
-// parameter tensor.
-func QuantizeNetworkKMeans(rng *rand.Rand, net *nn.Network, k, iters int) (state map[string][]float64, bytes int64, err error) {
-	state = net.StateDict()
-	for _, p := range net.Params() {
-		q, err := QuantizeKMeans(rng, p.Value, k, iters)
-		if err != nil {
-			return nil, 0, err
-		}
-		bytes += q.Bytes()
-		state[p.Name] = q.Dequantize().Data
-	}
-	return state, bytes, nil
-}

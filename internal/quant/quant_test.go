@@ -297,7 +297,4 @@ func TestQuantizeBadRangesReturnErrors(t *testing.T) {
 	if _, _, err := QuantizeNetwork(net, 0); err == nil {
 		t.Fatal("QuantizeNetwork accepted bits=0")
 	}
-	if _, _, err := QuantizeNetworkKMeans(rng, net, 1, 5); err == nil {
-		t.Fatal("QuantizeNetworkKMeans accepted k=1")
-	}
 }

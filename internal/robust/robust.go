@@ -6,11 +6,11 @@
 //
 // The aggregators reproduce the standard robust-aggregation families:
 // coordinate-wise median and trimmed mean (Yin et al., "Byzantine-Robust
-// Distributed Learning"), Krum and Multi-Krum (Blanchard et al., "Machine
-// Learning with Adversaries"), and norm clipping — alongside the plain mean
-// baseline that a single poisoned gradient corrupts. Every aggregator is a
-// deterministic pure function of its inputs (ties broken by index), so
-// robust runs replay bit-identically like everything else in dlsys.
+// Distributed Learning"), Krum (Blanchard et al., "Machine Learning with
+// Adversaries"), and norm clipping — alongside the plain mean baseline that
+// a single poisoned gradient corrupts. Every aggregator is a deterministic
+// pure function of its inputs (ties broken by index), so robust runs replay
+// bit-identically like everything else in dlsys.
 //
 // Each aggregator also carries a FLOPs cost model, which the distributed
 // simulator charges to its virtual clock: robustness costs measurable but
@@ -169,45 +169,6 @@ func (k Krum) Aggregate(out []float64, vecs [][]float64) {
 	}
 	best := krumOrder(vecs, k.F)[0]
 	copy(out, vecs[best])
-}
-
-// MultiKrum averages the M best-scored vectors under the Krum criterion
-// (in index order), trading a little of Krum's robustness for lower
-// selection variance. M is clamped to [1, n].
-type MultiKrum struct {
-	F int
-	M int
-}
-
-// Name implements Aggregator.
-func (k MultiKrum) Name() string { return fmt.Sprintf("multikrum(%d,%d)", k.F, k.M) }
-
-// FLOPs implements Aggregator.
-func (k MultiKrum) FLOPs(n, d int) int64 { return 3*int64(n)*int64(n)*int64(d) + int64(k.M)*int64(d) }
-
-// Aggregate implements Aggregator.
-func (k MultiKrum) Aggregate(out []float64, vecs [][]float64) {
-	zero(out)
-	if len(vecs) == 0 {
-		return
-	}
-	m := k.M
-	if m < 1 {
-		m = 1
-	}
-	if m > len(vecs) {
-		m = len(vecs)
-	}
-	chosen := append([]int(nil), krumOrder(vecs, k.F)[:m]...)
-	sort.Ints(chosen) // average in index order for determinism
-	for _, w := range chosen {
-		for i, x := range vecs[w] {
-			out[i] += x
-		}
-	}
-	for i := range out {
-		out[i] /= float64(m)
-	}
 }
 
 // krumOrder returns vector indices sorted by ascending Krum score: the sum

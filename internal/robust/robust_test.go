@@ -74,14 +74,6 @@ func TestKrumRejectsOutlier(t *testing.T) {
 	}
 }
 
-func TestMultiKrumAveragesHonest(t *testing.T) {
-	out := make([]float64, 1)
-	MultiKrum{F: 1, M: 3}.Aggregate(out, vecs(
-		[]float64{1}, []float64{1.1}, []float64{0.9}, []float64{1e6},
-	))
-	almostEq(t, out, []float64{1}, 1e-9)
-}
-
 func TestNormClipTamesScaleButNotSignFlip(t *testing.T) {
 	honest := []float64{1, 0}
 	// Scale attack: same direction, huge norm. Clipping to the mean norm
@@ -100,7 +92,7 @@ func TestNormClipTamesScaleButNotSignFlip(t *testing.T) {
 }
 
 func TestAggregatorsDoNotMutateInputs(t *testing.T) {
-	aggs := []Aggregator{Mean{}, CoordMedian{}, TrimmedMean{Trim: 1}, Krum{F: 1}, MultiKrum{F: 1, M: 2}, NormClip{}}
+	aggs := []Aggregator{Mean{}, CoordMedian{}, TrimmedMean{Trim: 1}, Krum{F: 1}, NormClip{}}
 	for _, a := range aggs {
 		in := vecs([]float64{1, 2}, []float64{3, 4}, []float64{-50, 60}, []float64{5, 6})
 		want := vecs([]float64{1, 2}, []float64{3, 4}, []float64{-50, 60}, []float64{5, 6})

@@ -314,9 +314,6 @@ func NewServer(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Kernel returns the simulation kernel arrivals are scheduled on.
-func (s *Server) Kernel() *sim.Kernel { return s.k }
-
 // Run simulates the configured request stream and returns the ledger. It
 // is the standalone wrapper over the kernel-driven API: schedule the
 // arrival chain, drain the kernel, collect the result. With a shared

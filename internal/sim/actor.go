@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"sort"
 
 	"dlsys/internal/fp"
@@ -57,8 +58,16 @@ func (a *Actor) After(d float64, fn func(stamp float64)) {
 	a.At(a.k.later(d), fn)
 }
 
-// Every schedules a periodic event under this actor's name; see
-// Kernel.Every for the cadence and termination contract.
+// Every schedules fn under this actor's name to first run at start and
+// then every period seconds, for as long as fn returns true. Each firing
+// is stamped with its scheduled instant; the next firing is scheduled
+// relative to that stamp (fixed-rate, not fixed-delay), so a handler that
+// advances the clock does not skew the cadence. A non-positive period
+// panics: it would loop forever at one instant. The chain's state is the
+// one allocation it makes.
 func (a *Actor) Every(start, period float64, fn func(now float64) bool) {
-	a.k.every(event{t: start, actor: a, name: a.name}, period, fn)
+	if period <= 0 {
+		panic(fmt.Sprintf("sim: Every(%q) with non-positive period %g", a.name, period))
+	}
+	a.k.schedule(event{t: start, actor: a, name: a.name, per: &periodic{fn: fn, period: period}})
 }

@@ -29,11 +29,7 @@
 // fingerprint to cross-check beyond metrics, traces, and ledgers.
 package sim
 
-import (
-	"fmt"
-
-	"dlsys/internal/fp"
-)
+import "dlsys/internal/fp"
 
 // periodic is the state an Every chain keeps across its firings, allocated
 // once per Every call.
@@ -166,26 +162,6 @@ func (k *Kernel) later(d float64) float64 {
 	return k.now + d
 }
 
-// Every schedules fn to first run at start and then every period seconds,
-// for as long as fn returns true. Each firing is stamped with its scheduled
-// instant; the next firing is scheduled relative to that stamp (fixed-rate,
-// not fixed-delay), so a handler that advances the clock does not skew the
-// cadence. A non-positive period panics: it would loop forever at one
-// instant.
-func (k *Kernel) Every(start, period float64, actor string, fn func(now float64) bool) {
-	k.every(event{t: start, name: actor}, period, fn)
-}
-
-// every queues the first firing of a periodic chain; the chain's state is
-// the one allocation it makes.
-func (k *Kernel) every(ev event, period float64, fn func(now float64) bool) {
-	if period <= 0 {
-		panic(fmt.Sprintf("sim: Every(%q) with non-positive period %g", ev.name, period))
-	}
-	ev.per = &periodic{fn: fn, period: period}
-	k.schedule(ev)
-}
-
 // schedule assigns ev the next sequence number and queues it.
 func (k *Kernel) schedule(ev event) {
 	ev.seq = k.seq
@@ -199,13 +175,6 @@ func (k *Kernel) schedule(ev event) {
 func (k *Kernel) Advance(d float64) {
 	if d > 0 {
 		k.now += d
-	}
-}
-
-// AdvanceTo moves the clock to absolute time t if t is ahead of it.
-func (k *Kernel) AdvanceTo(t float64) {
-	if t > k.now {
-		k.now = t
 	}
 }
 
@@ -269,7 +238,9 @@ func (k *Kernel) RunUntil(t float64) int {
 		k.Step()
 		n++
 	}
-	k.AdvanceTo(t)
+	if t > k.now {
+		k.now = t
+	}
 	return n
 }
 

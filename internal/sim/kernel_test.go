@@ -65,7 +65,7 @@ func TestStampIsScheduledTime(t *testing.T) {
 // anything scheduled later — and the clock never rewinds for it.
 func TestPastSchedulingKeepsStamp(t *testing.T) {
 	k := New()
-	k.AdvanceTo(100)
+	k.Advance(100)
 	var order []float64
 	k.At(200, "future", func(s float64) { order = append(order, s) })
 	k.At(5, "late", func(s float64) { order = append(order, s) })
@@ -82,7 +82,6 @@ func TestAdvanceNeverRewinds(t *testing.T) {
 	k := New()
 	k.Advance(5)
 	k.Advance(-3)
-	k.AdvanceTo(2)
 	if k.Now() != 5 {
 		t.Fatalf("clock %g, want 5 (negative/backward moves ignored)", k.Now())
 	}
@@ -91,7 +90,7 @@ func TestAdvanceNeverRewinds(t *testing.T) {
 func TestPeriodicStopsWhenFalse(t *testing.T) {
 	k := New()
 	var stamps []float64
-	k.Every(0, 2.5, "tick", func(now float64) bool {
+	k.Actor("tick").Every(0, 2.5, func(now float64) bool {
 		stamps = append(stamps, now)
 		return len(stamps) < 3
 	})
@@ -113,7 +112,7 @@ func TestPeriodicNonPositivePeriodPanics(t *testing.T) {
 			t.Fatal("Every with period 0 did not panic")
 		}
 	}()
-	New().Every(0, 0, "bad", func(float64) bool { return true })
+	New().Actor("bad").Every(0, 0, func(float64) bool { return true })
 }
 
 func TestRunUntil(t *testing.T) {

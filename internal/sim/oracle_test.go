@@ -9,18 +9,19 @@ import (
 	"testing"
 )
 
-// The property test runs seeded random programs of At/After/Every,
-// Advance and RunUntil twice: on the kernel, and on an oracle that keeps
-// pending events in a plain slice and sorts it by (t, seq) before every
-// pop. Every executed event — which one, its stamp, the clock it ran at —
-// must agree, and so must the fingerprints and per-actor fired counts.
+// The property test runs seeded random programs of At/After (by name and
+// by actor), Every (by actor), Advance and RunUntil twice: on the kernel,
+// and on an oracle that keeps pending events in a plain slice and sorts it
+// by (t, seq) before every pop. Every executed event — which one, its
+// stamp, the clock it ran at — must agree, and so must the fingerprints and
+// per-actor fired counts.
 
 // scheduler is the surface a program drives.
 type scheduler interface {
 	Now() float64
 	At(t float64, actor string, viaActor bool, fn func(float64))
 	After(d float64, actor string, viaActor bool, fn func(float64))
-	Every(start, period float64, actor string, viaActor bool, fn func(float64) bool)
+	Every(start, period float64, actor string, fn func(float64) bool)
 	Advance(d float64)
 	Step() bool
 	RunUntil(t float64) int
@@ -47,12 +48,8 @@ func (s kernelSched) After(d float64, actor string, viaActor bool, fn func(float
 	}
 	s.k.After(d, actor, fn)
 }
-func (s kernelSched) Every(start, period float64, actor string, viaActor bool, fn func(float64) bool) {
-	if viaActor {
-		s.k.Actor(actor).Every(start, period, fn)
-		return
-	}
-	s.k.Every(start, period, actor, fn)
+func (s kernelSched) Every(start, period float64, actor string, fn func(float64) bool) {
+	s.k.Actor(actor).Every(start, period, fn)
 }
 func (s kernelSched) Advance(d float64)      { s.k.Advance(d) }
 func (s kernelSched) Step() bool             { return s.k.Step() }
@@ -112,7 +109,7 @@ func (o *oracle) At(t float64, actor string, _ bool, fn func(float64)) {
 func (o *oracle) After(d float64, actor string, via bool, fn func(float64)) {
 	o.At(o.now+math.Max(d, 0), actor, via, fn)
 }
-func (o *oracle) Every(start, period float64, actor string, _ bool, fn func(float64) bool) {
+func (o *oracle) Every(start, period float64, actor string, fn func(float64) bool) {
 	o.push(&oracleEvent{t: start, actor: actor, every: fn, period: period})
 }
 func (o *oracle) Advance(d float64) {
@@ -244,8 +241,11 @@ func runProgram(seed int64, s scheduler) ([]execution, coverage) {
 		case 2, 3:
 			s.After(grid(-2, 6), actor, via, func(stamp float64) { act(label, stamp) })
 		default:
+			// A periodic chain runs under an actor handle, so its actor
+			// registers first.
+			register(actor)
 			limit, fires := 1+rng.Intn(5), 0
-			s.Every(s.Now()+grid(0, 4), grid(1, 4), actor, via, func(now float64) bool {
+			s.Every(s.Now()+grid(0, 4), grid(1, 4), actor, func(now float64) bool {
 				fires++
 				act(label, now)
 				if rng.Intn(6) == 0 {

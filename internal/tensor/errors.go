@@ -3,14 +3,12 @@ package tensor
 import "fmt"
 
 // Error is the typed value every tensor invariant violation carries. The
-// package's algebra keeps its panicking API for programming errors (shape
-// mismatches are bugs, like out-of-range slice indexing), but the panic
-// value is now always a *tensor.Error, so API boundaries that must survive
-// corrupted or adversarial inputs — the pipeline's stage runner, the
-// training guard — can convert it into a returned error with Guard or
-// AsError instead of crashing the process. Fallible entry points that
-// commonly receive untrusted data additionally have Checked variants
-// returning errors directly.
+// package's algebra panics on programming errors (shape mismatches are
+// bugs, like out-of-range slice indexing), and the panic value is always a
+// *tensor.Error, so a caller that recovers can tell a tensor invariant
+// violation from any other panic by a type assertion. Entry points that
+// commonly receive untrusted shapes have Checked variants that return the
+// *Error instead of panicking.
 type Error struct {
 	Op  string // the operation that failed, e.g. "MatMul"
 	Msg string
@@ -43,31 +41,4 @@ func checkSameShape(op string, t, u *Tensor) error {
 		return errf(op, "shape mismatch %v vs %v", t.shape, u.shape)
 	}
 	return nil
-}
-
-// AsError converts a recovered panic value from a tensor operation into an
-// error. Non-tensor panic values are re-raised: only invariant violations
-// this package itself detected are safe to translate.
-func AsError(recovered any) error {
-	if recovered == nil {
-		return nil
-	}
-	if te, ok := recovered.(*Error); ok {
-		return te
-	}
-	panic(recovered)
-}
-
-// Guard converts a tensor invariant panic into a returned error:
-//
-//	func f(...) (err error) {
-//	    defer tensor.Guard(&err)
-//	    ... tensor algebra on untrusted shapes ...
-//	}
-//
-// Panics that did not originate from a tensor invariant propagate.
-func Guard(err *error) {
-	if r := recover(); r != nil {
-		*err = AsError(r)
-	}
 }

@@ -31,9 +31,6 @@ func AllFinite(xs []float64) bool {
 	return true
 }
 
-// AllFinite reports whether every element of the tensor is finite.
-func (t *Tensor) AllFinite() bool { return AllFinite(t.Data) }
-
 // Stats summarises the numerical health of a vector in one pass.
 type Stats struct {
 	Count int     // total elements scanned

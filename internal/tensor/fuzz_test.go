@@ -203,15 +203,15 @@ func FuzzIm2ColGeom(f *testing.F) {
 			if err == nil {
 				t.Fatalf("invalid geometry %+v accepted", g)
 			}
-			if AsError(err) == nil {
-				t.Fatalf("error for %+v is not a typed *tensor.Error", g)
+			if _, ok := err.(*Error); !ok {
+				t.Fatalf("error for %+v is %T, not a typed *tensor.Error", g, err)
 			}
 			return
 		}
 		if err != nil {
 			// Valid geometry, but the input may not match it.
-			if AsError(err) == nil {
-				t.Fatalf("error for %+v is not a typed *tensor.Error", g)
+			if _, ok := err.(*Error); !ok {
+				t.Fatalf("error for %+v is %T, not a typed *tensor.Error", g, err)
 			}
 			return
 		}

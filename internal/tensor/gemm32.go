@@ -35,9 +35,6 @@ func New32(shape ...int) *Tensor32 {
 	return &Tensor32{shape: append([]int(nil), shape...), Data: make([]float32, size)}
 }
 
-// Shape returns the tensor's dimensions. The caller must not mutate it.
-func (t *Tensor32) Shape() []int { return t.shape }
-
 // Rank returns the number of dimensions.
 func (t *Tensor32) Rank() int { return len(t.shape) }
 
@@ -318,27 +315,4 @@ func ReLU32InPlace(t *Tensor32) {
 			t.Data[i] = 0
 		}
 	}
-}
-
-// Equal32 reports whether t and u have the same shape and all elements
-// within tol of each other.
-func Equal32(t, u *Tensor32, tol float32) bool {
-	if len(t.shape) != len(u.shape) {
-		return false
-	}
-	for i := range t.shape {
-		if t.shape[i] != u.shape[i] {
-			return false
-		}
-	}
-	for i := range t.Data {
-		d := t.Data[i] - u.Data[i]
-		if d < 0 {
-			d = -d
-		}
-		if d > tol {
-			return false
-		}
-	}
-	return true
 }

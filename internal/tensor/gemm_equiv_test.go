@@ -198,7 +198,7 @@ func TestBatMulRejectsDegenerateShapes(t *testing.T) {
 	} {
 		if _, err := BatMulChecked(New(s.a...), New(s.b...)); err == nil {
 			t.Errorf("BatMulChecked(%v, %v): expected error", s.a, s.b)
-		} else if AsError(err) == nil {
+		} else if _, ok := err.(*Error); !ok {
 			t.Errorf("BatMulChecked(%v, %v): error is not a typed *tensor.Error", s.a, s.b)
 		}
 	}

@@ -2,27 +2,6 @@ package tensor
 
 import "math"
 
-// Add returns t + u element-wise. Shapes must match.
-func Add(t, u *Tensor) *Tensor { return zipNew(t, u, func(a, b float64) float64 { return a + b }) }
-
-// Sub returns t - u element-wise. Shapes must match.
-func Sub(t, u *Tensor) *Tensor { return zipNew(t, u, func(a, b float64) float64 { return a - b }) }
-
-// Mul returns the element-wise (Hadamard) product t ⊙ u. Shapes must match.
-func Mul(t, u *Tensor) *Tensor { return zipNew(t, u, func(a, b float64) float64 { return a * b }) }
-
-// Div returns t / u element-wise. Shapes must match.
-func Div(t, u *Tensor) *Tensor { return zipNew(t, u, func(a, b float64) float64 { return a / b }) }
-
-func zipNew(t, u *Tensor, f func(a, b float64) float64) *Tensor {
-	must(checkSameShape("zip", t, u))
-	out := New(t.shape...)
-	for i := range t.Data {
-		out.Data[i] = f(t.Data[i], u.Data[i])
-	}
-	return out
-}
-
 // AddInPlace adds u into t element-wise.
 func (t *Tensor) AddInPlace(u *Tensor) {
 	must(checkSameShape("AddInPlace", t, u))
@@ -62,13 +41,6 @@ func Apply(t *Tensor, f func(float64) float64) *Tensor {
 		out.Data[i] = f(v)
 	}
 	return out
-}
-
-// ApplyInPlace applies f to every element of t.
-func (t *Tensor) ApplyInPlace(f func(float64) float64) {
-	for i, v := range t.Data {
-		t.Data[i] = f(v)
-	}
 }
 
 // MatMul returns the matrix product of two rank-2 tensors: (m×k)·(k×n) → m×n.
@@ -387,15 +359,6 @@ func (t *Tensor) AbsMax() float64 {
 		}
 	}
 	return m
-}
-
-// Norm2 returns the Euclidean (Frobenius) norm.
-func (t *Tensor) Norm2() float64 {
-	var s float64
-	for _, v := range t.Data {
-		s += float64(v * v)
-	}
-	return math.Sqrt(s)
 }
 
 // ArgMaxRow returns the index of the maximum value in row i of a rank-2

@@ -32,16 +32,6 @@ func New(shape ...int) *Tensor {
 	return &Tensor{shape: append([]int(nil), shape...), Data: make([]float64, n)}
 }
 
-// NewChecked is New returning an error instead of panicking, for shapes
-// that come from untrusted input.
-func NewChecked(shape ...int) (*Tensor, error) {
-	n, err := checkShape(shape)
-	if err != nil {
-		return nil, err
-	}
-	return &Tensor{shape: append([]int(nil), shape...), Data: make([]float64, n)}, nil
-}
-
 // FromSlice wraps data in a tensor of the given shape. The slice is used
 // directly (not copied); it panics if len(data) does not match the shape.
 func FromSlice(data []float64, shape ...int) *Tensor {
@@ -179,12 +169,6 @@ func (t *Tensor) Row(i int) []float64 {
 	}
 	c := t.shape[1]
 	return t.Data[i*c : (i+1)*c]
-}
-
-// CopyFrom copies u's data into t. Shapes must match exactly.
-func (t *Tensor) CopyFrom(u *Tensor) {
-	must(checkSameShape("CopyFrom", t, u))
-	copy(t.Data, u.Data)
 }
 
 // Fill sets every element of t to v.
