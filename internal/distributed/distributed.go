@@ -212,6 +212,7 @@ type worker struct {
 	absent   bool      // elastically left (or not yet joined) via the churn schedule
 	lastLoss float64
 	bx, by   *tensor.Tensor // batch buffers, reused across rounds
+	grad     []float64      // flat gradient buffer, reused across rounds
 }
 
 // nextBatch gathers the worker's batch for step into its own buffers; the
@@ -230,7 +231,7 @@ func (w *worker) nextBatch(x, y *tensor.Tensor, step, bs int) (*tensor.Tensor, *
 // returns the up workers in id order.
 func (j *Job) liveWorkers(round int) []*worker {
 	stats, ins := &j.stats, j.ins
-	var active []*worker
+	active := make([]*worker, 0, len(j.workers))
 	for _, wk := range j.workers {
 		if wk.absent {
 			continue // elastically departed (or not yet joined)
@@ -316,7 +317,10 @@ func (j *Job) computeGrads(active []*worker, step, round int, localStep bool) []
 			wk.lastLoss = loss
 			r.loss = loss
 			if !localStep {
-				r.grad = wk.net.GradVector()
+				// The buffer is the worker's: its contents live until the
+				// worker's next round, past every read of this one.
+				wk.grad = wk.net.GradVectorInto(wk.grad)
+				r.grad = wk.grad
 				// Byzantine corruption happens on the upload, after the
 				// honest local computation; the result stays finite.
 				r.byzantine = inj.CorruptGradient(r.grad, wk.id, round)
@@ -625,11 +629,9 @@ type transport struct {
 	obs        *distObs // always non-nil; build with newDistObs (nil handle → no-ops)
 
 	// One collective walk's scratch, reset when the next walk starts: each
-	// phase's hops, the resolved links by hop position, and the wire time
-	// per payload size.
+	// phase's hops, and the link table by hop position.
 	hops  []hop
-	links []walkLink
-	wires []wireTime
+	table []walkHop
 }
 
 // send attempts a worker upload up to maxRetries times. Returns whether

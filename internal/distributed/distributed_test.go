@@ -11,6 +11,7 @@ import (
 	"dlsys/internal/fault"
 	"dlsys/internal/invalid"
 	"dlsys/internal/nn"
+	"dlsys/internal/sim"
 	"dlsys/internal/tensor"
 )
 
@@ -283,5 +284,37 @@ func TestCompressGradientNilResidual(t *testing.T) {
 	compressGradient(g, nil, 0.4, 0)
 	if g[0] != 10 || g[3] != -9 || g[1] != 0 {
 		t.Fatalf("nil-residual compression wrong: %v", g)
+	}
+}
+
+// A steady synchronous ring round allocates nothing per worker: each
+// worker reuses its batch and gradient buffers, the networks their
+// parameter lists, and the walk its link table. The round's own
+// allocations (its result, upload and id lists, the aggregate, the walk's
+// lost set) cancel in the difference between rounds at 16 and 8 workers,
+// which hold 16 examples each so both cross epochs on the same rounds.
+func TestRingRoundAllocationsPerWorker(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation")
+	}
+	allocs := func(workers int) float64 {
+		ds := data.GaussianMixture(rand.New(rand.NewSource(4)), 16*workers, 5, 3, 3.2)
+		k := sim.New()
+		j, err := NewJob(5, ds.X, nn.OneHot(ds.Labels, 3), Config{
+			Workers: workers, Arch: nn.MLPConfig{In: 5, Hidden: []int{16}, Out: 3}, Epochs: 100, BatchSize: 8, LR: 0.1,
+			AveragePeriod: 1, Topology: TopoRing, Kernel: k,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		j.Start()
+		for range 4 { // sizes every buffer
+			k.Step()
+		}
+		return testing.AllocsPerRun(20, func() { k.Step() })
+	}
+	many, few := allocs(16), allocs(8)
+	if perWorker := (many - few) / 8; perWorker != 0 {
+		t.Errorf("a ring round makes %v allocations per worker (%v a round at 16 workers, %v at 8), want 0", perWorker, many, few)
 	}
 }

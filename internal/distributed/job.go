@@ -152,17 +152,12 @@ func NewJob(seed int64, x, y *tensor.Tensor, cfg Config) (*Job, error) {
 	// All workers start from the same initialisation but own independent
 	// RNG streams derived from (seed, workerID), so fault-induced
 	// reordering of worker execution cannot change any worker's batches.
-	// A replica is a copy of the global model. The generator that builds
-	// it only draws He weights the copy overwrites, so every replica
-	// shares the global model's.
-	initRNG := rand.New(rand.NewSource(seed))
-	j.global = nn.NewMLP(initRNG, cfg.Arch)
-	params := j.global.ParamVector()
+	// A replica is a copy of the global model, which draws nothing.
+	j.global = nn.NewMLP(rand.New(rand.NewSource(seed)), cfg.Arch)
 	j.workers = make([]*worker, cfg.Workers)
 	shards := shardIndices(x.Dim(0), cfg.Workers)
 	for w := range j.workers {
-		wnet := nn.NewMLP(initRNG, cfg.Arch)
-		wnet.SetParamVector(params)
+		wnet := nn.CloneMLP(j.global, cfg.Arch)
 		wrng := rand.New(rand.NewSource(fault.WorkerSeed(seed, w)))
 		j.workers[w] = &worker{
 			id:       w,

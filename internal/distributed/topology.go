@@ -97,10 +97,11 @@ func hierGroupSize(m int) int {
 // phaseHops enumerates the collective's phases over the live members
 // (ascending worker ids), calling visit once per phase with that phase's
 // concurrent hops. seq numbers the phases so per-hop fault draws are unique
-// across the round. Every phase's hops live in buf, which phaseHops
-// returns, grown, for the next call to reuse, so visit must neither keep
-// nor modify them.
-func phaseHops(kind Topology, members []int, payload int64, buf []hop, visit func(seq int, hops []hop)) []hop {
+// across the round; repeat reports that hops are the previous phase's,
+// unchanged. Every phase's hops live in buf, which phaseHops returns,
+// grown, for the next call to reuse, so visit must neither keep nor modify
+// them.
+func phaseHops(kind Topology, members []int, payload int64, buf []hop, visit func(seq int, hops []hop, repeat bool)) []hop {
 	m := len(members)
 	if m < 2 {
 		return buf
@@ -108,7 +109,7 @@ func phaseHops(kind Topology, members []int, payload int64, buf []hop, visit fun
 	seq := 0
 	buf = buf[:0]
 	emit := func() {
-		visit(seq, buf)
+		visit(seq, buf, false)
 		seq++
 		buf = buf[:0]
 	}
@@ -130,7 +131,7 @@ func phaseHops(kind Topology, members []int, payload int64, buf []hop, visit fun
 			buf = append(buf, hop{members[i], members[(i+1)%m], seg})
 		}
 		for ; seq < 2*(m-1); seq++ {
-			visit(seq, buf)
+			visit(seq, buf, seq > 0)
 		}
 	case TopoTree:
 		// Heap-indexed binary tree over the members array: reduce from the
@@ -219,37 +220,69 @@ func phaseHops(kind Topology, members []int, payload int64, buf []hop, visit fun
 	return buf
 }
 
-// hop prices one topology hop over its resolved link l: slow-link latency
-// multiplication of the unslowed wire time, per-attempt link-drop retries
-// with exponential backoff, and — once the retry budget exhausts — a
-// single healing reroute around the dead link (the ring skips to the next
-// live peer, the tree re-parents under the grandparent), modelled as one
-// relayed attempt at twice the wire time. It tallies into stats only;
-// walk mirrors the tallies into obs. Returns whether the payload
-// ultimately got through and the simulated seconds spent.
-func (t *transport) hop(l *fault.Link, wire float64, bytes int64, seq int, stats *Stats) (bool, float64) {
-	slow := l.Slow()
-	if slow > 1 {
-		stats.LinkSlowHops++
+// walkHop is one hop position's entry in a walk's link table: the hop it
+// was resolved for, that hop's link, and its slowed wire time.
+type walkHop struct {
+	hop
+	link fault.Link
+	base float64 // device.TransferTime of the hop's bytes × the link's slow factor
+}
+
+// tabulate points the link table's first len(hops) entries at a phase's
+// hops and returns the phase's first-attempt bytes and slowed hops. An
+// entry resolves its link again only when it held another directed pair,
+// and its wire time whenever the pair or the size changed. A walk runs at
+// one clock instant in one round, so an entry is sound for every phase of
+// that walk whose hop at its position matches: hier's intra-group ring
+// phases reuse their entries, and a ring phase after the first, which
+// repeats the previous one's hops, skips tabulating altogether.
+func (t *transport) tabulate(hops []hop, round int) (bytes int64, slowHops int) {
+	for len(t.table) < len(hops) {
+		t.table = append(t.table, walkHop{hop: hop{src: -1}}) // matches no hop
 	}
-	base := wire * slow
-	var elapsed float64
-	for attempt := 0; attempt < t.maxRetries; attempt++ {
-		if attempt > 0 {
-			stats.Retransmissions++
-			elapsed += t.backoffS * float64(int64(1)<<(attempt-1))
+	for i, h := range hops {
+		e := &t.table[i]
+		if e.hop != h {
+			if e.src != h.src || e.dst != h.dst {
+				e.link = t.inj.Link(h.src, h.dst, round)
+			}
+			e.hop = h
+			e.base = device.TransferTime(t.prof, t.prof, h.bytes) * e.link.Slow()
 		}
-		stats.BytesSent += bytes
-		elapsed += base
-		if l.Drops(seq, attempt) {
+		bytes += h.bytes
+		if e.link.Slow() > 1 {
+			slowHops++
+		}
+	}
+	return bytes, slowHops
+}
+
+// hop finishes a hop whose first attempt over e's link dropped: retries
+// with exponential backoff up to the retry budget (maxRetries ≥ 1
+// attempts in all), then a single healing reroute around the dead link
+// (the ring skips to the next live peer, the tree re-parents under the
+// grandparent), modelled as one relayed attempt at twice the wire time.
+// It tallies into stats only, the first attempt's drop included but not
+// its bytes, which walk counts with the phase's; walk mirrors the tallies
+// into obs. Returns whether the payload ultimately got through and the
+// simulated seconds spent, the first attempt's included.
+func (t *transport) hop(e *walkHop, seq int, stats *Stats) (bool, float64) {
+	stats.LinkDropped++
+	elapsed := e.base
+	for attempt := 1; attempt < t.maxRetries; attempt++ {
+		stats.Retransmissions++
+		elapsed += t.backoffS * float64(int64(1)<<(attempt-1))
+		stats.BytesSent += e.bytes
+		elapsed += e.base
+		if e.link.Drops(seq, attempt) {
 			stats.LinkDropped++
 			continue
 		}
 		return true, elapsed
 	}
-	stats.BytesSent += 2 * bytes
-	elapsed += 2 * base
-	if !l.Drops(seq, t.maxRetries) {
+	stats.BytesSent += 2 * e.bytes
+	elapsed += 2 * e.base
+	if !e.link.Drops(seq, t.maxRetries) {
 		stats.TopoHeals++
 		return true, elapsed
 	}
@@ -257,63 +290,38 @@ func (t *transport) hop(l *fault.Link, wire float64, bytes int64, seq int, stats
 	return false, elapsed
 }
 
-// walkLink is one hop position's resolved link, for the directed pair it
-// was resolved for.
-type walkLink struct {
-	src, dst int
-	link     fault.Link
-}
-
-// wireTime is device.TransferTime for one payload size.
-type wireTime struct {
-	bytes int64
-	s     float64
-}
-
-// link returns the resolved link for the pos-th hop of a phase, reusing
-// the one an earlier phase of the walk resolved at that position when its
-// (src, dst) matches. Every ring phase, and every intra-group ring phase
-// of hier, repeats the same hop list, so those walks resolve each link
-// once. Reuse is sound only inside one walk, which runs at one clock
-// instant in one round.
-func (t *transport) link(pos, src, dst, round int) *fault.Link {
-	if pos == len(t.links) {
-		t.links = append(t.links, walkLink{src: src, dst: dst, link: t.inj.Link(src, dst, round)})
-	} else if w := &t.links[pos]; w.src != src || w.dst != dst {
-		*w = walkLink{src: src, dst: dst, link: t.inj.Link(src, dst, round)}
-	}
-	return &t.links[pos].link
-}
-
-// wire returns the hop transfer time for a payload of bytes, priced once
-// per distinct size in a walk.
-func (t *transport) wire(bytes int64) float64 {
-	for _, w := range t.wires {
-		if w.bytes == bytes {
-			return w.s
-		}
-	}
-	s := device.TransferTime(t.prof, t.prof, bytes)
-	t.wires = append(t.wires, wireTime{bytes, s})
-	return s
-}
-
 // walk prices one traversal of the topology's phases over the live members,
 // returning the members whose contribution dead links lost plus the
 // simulated seconds elapsed. Hops within a phase run concurrently (the
-// phase costs its slowest hop); phases serialize. Each link's draws are
-// resolved once per walk, and the per-hop Stats tallies reach obs once,
-// when the walk ends.
+// phase costs its slowest hop); phases serialize. Each phase tabulates its
+// hops into the link table (t.table, indexed by hop position) and tallies
+// its first-attempt bytes and slowed hops once; a phase that repeats the
+// previous one's hops, as every ring phase after the first does, keeps the
+// table and the tallies as they are. The phase loop draws every hop's
+// first attempt inline, and only a hop that drops goes on to hop's
+// retries. The Stats tallies reach obs once, when the walk ends.
 func (t *transport) walk(kind Topology, live []int, payload int64, round, salt int, stats *Stats) (map[int]bool, float64) {
 	lost := make(map[int]bool)
 	failed := make(map[int]int)
-	t.links, t.wires = t.links[:0], t.wires[:0]
+	t.table = t.table[:0]
 	sent, slow, retrans, dropped, heals := stats.BytesSent, stats.LinkSlowHops, stats.Retransmissions, stats.LinkDropped, stats.TopoHeals
 	var total float64
-	t.hops = phaseHops(kind, live, payload, t.hops, func(seq int, hops []hop) {
+	var bytes int64
+	var slowHops int
+	t.hops = phaseHops(kind, live, payload, t.hops, func(seq int, hops []hop, repeat bool) {
+		if !repeat {
+			bytes, slowHops = t.tabulate(hops, round)
+		}
+		stats.BytesSent += bytes
+		stats.LinkSlowHops += slowHops
+		seq += salt
 		var phaseS float64
-		for pos, h := range hops {
-			ok, s := t.hop(t.link(pos, h.src, h.dst, round), t.wire(h.bytes), h.bytes, salt+seq, stats)
+		for i := range hops {
+			e := &t.table[i]
+			ok, s := true, e.base
+			if e.link.Drops(seq, 0) {
+				ok, s = t.hop(e, seq, stats)
+			}
 			if s > phaseS {
 				phaseS = s
 			}
@@ -323,12 +331,12 @@ func (t *transport) walk(kind Topology, live []int, payload int64, round, salt i
 			if kind == TopoAllToAll {
 				// Full mesh: one dead edge only loses one peer's copy; the
 				// contribution is lost only when most peers never got it.
-				failed[h.src]++
-				if 2*failed[h.src] > len(live)-1 {
-					lost[h.src] = true
+				failed[e.src]++
+				if 2*failed[e.src] > len(live)-1 {
+					lost[e.src] = true
 				}
 			} else {
-				lost[h.src] = true
+				lost[e.src] = true
 			}
 		}
 		total += phaseS

@@ -2,6 +2,7 @@ package distributed
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"dlsys/internal/device"
@@ -27,12 +28,16 @@ func members(n int) []int {
 	return m
 }
 
-// collectPhases materialises phaseHops output for structural assertions.
+// collectPhases materialises phaseHops output for structural assertions,
+// and checks that a phase flagged as a repeat has the previous one's hops.
 func collectPhases(kind Topology, m []int, payload int64) [][]hop {
 	var phases [][]hop
-	phaseHops(kind, m, payload, nil, func(seq int, hops []hop) {
+	phaseHops(kind, m, payload, nil, func(seq int, hops []hop, repeat bool) {
 		if seq != len(phases) {
 			panic("phase seq out of order")
+		}
+		if repeat && (seq == 0 || !slices.Equal(hops, phases[seq-1])) {
+			panic("phase flagged as a repeat differs from the previous one")
 		}
 		phases = append(phases, append([]hop(nil), hops...))
 	})
@@ -487,13 +492,18 @@ func TestTransportRetryExhaustion(t *testing.T) {
 }
 
 // hop exhausts retries, then heals via the detour when the extra draw
-// succeeds; with certain loss even the detour fails.
+// succeeds; with certain loss even the detour fails. Like walk, each case
+// draws the first attempt itself and hands hop only a hop that dropped.
 func TestHopDetourHealing(t *testing.T) {
 	certain := fault.NewInjector(fault.Config{Seed: 1, Schedule: []fault.Window{{Kind: fault.KindLinkDrop, Prob: 1}}})
 	net := newTestTransport(certain, 2)
 	var stats Stats
-	l := certain.Link(0, 1, 0)
-	ok, elapsed := net.hop(&l, net.wire(100), 100, 0, &stats)
+	net.tabulate([]hop{{0, 1, 100}}, 0)
+	e := &net.table[0]
+	if !e.link.Drops(0, 0) {
+		t.Fatal("first attempt delivered at link-drop probability 1")
+	}
+	ok, elapsed := net.hop(e, 0, &stats)
 	if ok {
 		t.Fatal("hop delivered at link-drop probability 1")
 	}
@@ -508,9 +518,12 @@ func TestHopDetourHealing(t *testing.T) {
 	flaky := fault.NewInjector(fault.Config{Seed: 2, Schedule: []fault.Window{{Kind: fault.KindLinkDrop, Prob: 0.9}}})
 	net = newTestTransport(flaky, 2)
 	var fstats Stats
-	l = flaky.Link(0, 1, 0)
+	net.tabulate([]hop{{0, 1, 100}}, 0)
+	e = &net.table[0]
 	for seq := 0; seq < 200; seq++ {
-		net.hop(&l, net.wire(100), 100, seq, &fstats)
+		if e.link.Drops(seq, 0) {
+			net.hop(e, seq, &fstats)
+		}
 	}
 	if fstats.TopoHeals == 0 {
 		t.Fatal("no detour heals over 200 hops at p=0.9")

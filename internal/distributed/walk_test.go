@@ -11,15 +11,15 @@ import (
 	"dlsys/internal/obs"
 )
 
-// perHopWalk prices a walk the way it was priced before links were
-// resolved once per walk: every hop resolves its own link and its own wire
-// time, and every attempt updates obs as it happens. It is the oracle the
-// memoized transport.walk must equal.
+// perHopWalk prices a walk the way it was priced before the link table:
+// every hop resolves its own link and its own wire time, every attempt,
+// the first included, runs in one retry loop, and every attempt updates
+// obs as it happens. It is the oracle transport.walk must equal.
 func perHopWalk(t *transport, kind Topology, live []int, payload int64, round, salt int, stats *Stats) (map[int]bool, float64) {
 	lost := make(map[int]bool)
 	failed := make(map[int]int)
 	var total float64
-	phaseHops(kind, live, payload, nil, func(seq int, hops []hop) {
+	phaseHops(kind, live, payload, nil, func(seq int, hops []hop, _ bool) {
 		var phaseS float64
 		for _, h := range hops {
 			ok, s := perHopPrice(t, h.src, h.dst, h.bytes, round, salt+seq, stats)
@@ -86,11 +86,12 @@ type walkClock struct{ t float64 }
 
 func (c *walkClock) Now() float64 { return c.t }
 
-// The memoized walk must price exactly what per-hop pricing does: the same
+// The table walk must price exactly what per-hop pricing does: the same
 // lost members, the same elapsed time by bits, every Stats field, and the
 // same registry fingerprint. Each case walks one transport four times, at
-// four rounds and four clock instants, so a memo that outlived its walk or
-// matched a link by hop position alone would show.
+// four rounds and four clock instants, so a table entry that outlived its
+// walk or matched a link by hop position alone would show. A retry budget
+// of 1 sends a dropped first attempt straight to the detour.
 func TestWalkMatchesPerHopPricing(t *testing.T) {
 	faults := map[string]fault.Config{
 		"clean": {},
@@ -108,12 +109,13 @@ func TestWalkMatchesPerHopPricing(t *testing.T) {
 		now   float64
 	}{{0, 0}, {1, 1.5}, {2, 2.6}, {7, 3.5}}
 
-	var slowHops, drops, heals, lostMembers int
+	var slowHops, retries, drops, heals, lostMembers int
 	for fname, fc := range faults {
 		for _, kind := range Topologies() {
 			for _, m := range []int{2, 3, 5, 8, 13, 33} {
-				for _, salt := range []int{0, degradeSalt} {
-					name := fmt.Sprintf("%s/%s/m%d/salt%d", fname, kind, m, salt)
+				for _, c := range []struct{ salt, maxRetries int }{{0, 3}, {degradeSalt, 3}, {0, 1}} {
+					salt := c.salt
+					name := fmt.Sprintf("%s/%s/m%d/salt%d/retries%d", fname, kind, m, salt, c.maxRetries)
 					clk := &walkClock{}
 					var inj *fault.Injector
 					if len(fc.Schedule) > 0 {
@@ -123,13 +125,13 @@ func TestWalkMatchesPerHopPricing(t *testing.T) {
 						inj = fault.NewInjector(fc)
 						inj.SetClock(clk)
 					}
-					memo, oracle := newTestTransport(inj, 3), newTestTransport(inj, 3)
+					table, oracle := newTestTransport(inj, c.maxRetries), newTestTransport(inj, c.maxRetries)
 					hm, ho := obs.NewHandle(), obs.NewHandle()
-					memo.obs, oracle.obs = newDistObs(hm, 0), newDistObs(ho, 0)
+					table.obs, oracle.obs = newDistObs(hm, 0), newDistObs(ho, 0)
 					var sm, so Stats
 					for _, w := range walks {
 						clk.t = w.now
-						lm, em := memo.walk(kind, members(m), 1000, w.round, salt, &sm)
+						lm, em := table.walk(kind, members(m), 1000, w.round, salt, &sm)
 						lo, eo := perHopWalk(oracle, kind, members(m), 1000, w.round, salt, &so)
 						if !reflect.DeepEqual(lm, lo) {
 							t.Fatalf("%s round %d: lost %v, per-hop %v", name, w.round, lm, lo)
@@ -146,20 +148,21 @@ func TestWalkMatchesPerHopPricing(t *testing.T) {
 						lostMembers += len(lm)
 					}
 					slowHops += sm.LinkSlowHops
+					retries += sm.Retransmissions
 					drops += sm.LinkDropped
 					heals += sm.TopoHeals
 				}
 			}
 		}
 	}
-	// The sweep must reach every branch of hop: slowed links, drops,
-	// detour heals, and members lost to dead links.
-	if slowHops == 0 || drops == 0 || heals == 0 || lostMembers == 0 {
-		t.Fatalf("sweep too tame: %d slow hops, %d drops, %d heals, %d lost members", slowHops, drops, heals, lostMembers)
+	// The sweep must reach every branch of walk and hop: slowed links,
+	// drops, retries, detour heals, and members lost to dead links.
+	if slowHops == 0 || retries == 0 || drops == 0 || heals == 0 || lostMembers == 0 {
+		t.Fatalf("sweep too tame: %d slow hops, %d retries, %d drops, %d heals, %d lost members", slowHops, retries, drops, heals, lostMembers)
 	}
 }
 
-// The memo lives on the transport, so once its buffers have grown a walk
+// The link table lives on the transport, so once it has grown a walk
 // allocates no more than per-hop pricing does.
 func TestWalkMemoAllocatesNothingNew(t *testing.T) {
 	inj := fault.NewInjector(fault.Config{Seed: 3, Schedule: []fault.Window{
@@ -169,10 +172,10 @@ func TestWalkMemoAllocatesNothingNew(t *testing.T) {
 		net, oracle := newTestTransport(inj, 3), newTestTransport(inj, 3)
 		var stats Stats
 		net.walk(kind, live, 1000, 0, 0, &stats)
-		memo := testing.AllocsPerRun(10, func() { net.walk(kind, live, 1000, 1, 0, &stats) })
+		walk := testing.AllocsPerRun(10, func() { net.walk(kind, live, 1000, 1, 0, &stats) })
 		perHop := testing.AllocsPerRun(10, func() { perHopWalk(oracle, kind, live, 1000, 1, 0, &stats) })
-		if memo > perHop {
-			t.Fatalf("%s: memoized walk allocates %v per call, per-hop pricing %v", kind, memo, perHop)
+		if walk > perHop {
+			t.Fatalf("%s: the table walk allocates %v per call, per-hop pricing %v", kind, walk, perHop)
 		}
 	}
 }

@@ -1,5 +1,7 @@
 package fault
 
+import "math"
+
 // Link-level fault draws: faults that live on the edges of a
 // collective-communication topology rather than on whole workers. A link
 // is the directed pair (src, dst); every draw is a pure splitmix64 hash of
@@ -29,12 +31,13 @@ func linkKey(src, dst int) int {
 
 // Link is one directed link's fault draws for one round, resolved by
 // Injector.Link at the injector's instant: the slow multiplier, the drop
-// probability, and the drop stream's hash prefix over (seed,
-// KindLinkDrop, link, round), so each drop draw costs one splitmix64. It
-// stays valid only while the clock and the round stay where they were.
+// probability as an integer threshold (dropThreshold), and the drop
+// stream's hash prefix over (seed, KindLinkDrop, link, round), so each
+// drop draw costs one splitmix64 and one integer compare. It stays valid
+// only while the clock and the round stay where they were.
 type Link struct {
 	slow   float64
-	dropP  float64
+	drop   uint64
 	prefix uint64
 }
 
@@ -48,11 +51,28 @@ func (i *Injector) Link(src, dst, round int) Link {
 	}
 	key := linkKey(src, dst)
 	l.slow = i.scaled(KindLinkSlow, src, key, round, 8)
-	l.dropP, _ = i.resolve(KindLinkDrop, src, i.now())
-	if l.dropP > 0 {
+	p, _ := i.resolve(KindLinkDrop, src, i.now())
+	if l.drop = dropThreshold(p); l.drop > 0 {
 		l.prefix = i.prefix(KindLinkDrop, key, round)
 	}
 	return l
+}
+
+// dropThreshold is ⌈p·2⁵³⌉ clamped to [0, 2⁵³], with 0 for NaN. A draw's
+// 53 hash bits u give finish's u/2⁵³ exactly, and for an integer u,
+// u/2⁵³ < p holds if and only if u < ⌈p·2⁵³⌉; p·2⁵³ is exact, since
+// scaling by a power of two rounds nothing short of overflow. So
+// u < dropThreshold(p) is the float rule finish(prefix, k) < p, bit for
+// bit, on every p: 0 where p ≤ 0 or NaN never fires, and 2⁵³ where p ≥ 1
+// always does.
+func dropThreshold(p float64) uint64 {
+	if !(p > 0) {
+		return 0
+	}
+	if p >= 1 {
+		return 1 << 53
+	}
+	return uint64(math.Ceil(p * (1 << 53)))
 }
 
 // Slow returns the latency multiplier for hops over the link this round:
@@ -61,9 +81,10 @@ func (i *Injector) Link(src, dst, round int) Link {
 func (l *Link) Slow() float64 { return l.slow }
 
 // Drops reports whether the attempt-th transmission over the link is
-// lost, for the hopSeq-th phase of the round's collective.
+// lost, for the hopSeq-th phase of the round's collective: finish's draw,
+// compared in its 53 integer bits against the threshold.
 func (l *Link) Drops(hopSeq, attempt int) bool {
-	return l.dropP > 0 && finish(l.prefix, hopSeq*1024+attempt) < l.dropP
+	return l.drop > 0 && splitmix64(l.prefix^uint64(int64(hopSeq*1024+attempt)))>>11 < l.drop
 }
 
 // PartitionRoundsLen returns how many rounds a partition lasts once begun.

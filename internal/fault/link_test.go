@@ -307,3 +307,69 @@ func TestUnitMatchesStraightMixes(t *testing.T) {
 		}
 	}
 }
+
+// unmix inverts splitmix64, so a test can pick the 53 bits a draw yields
+// and build the prefix that yields them.
+func unmix(h uint64) uint64 {
+	inverse := func(c uint64) uint64 { // c odd: Newton's iteration mod 2⁶⁴
+		v := c
+		for range 5 {
+			v *= 2 - c*v
+		}
+		return v
+	}
+	h ^= h>>31 ^ h>>62
+	h *= inverse(0x94d049bb133111eb)
+	h ^= h>>27 ^ h>>54
+	h *= inverse(0xbf58476d1ce4e5b9)
+	h ^= h>>30 ^ h>>60
+	return h - 0x9e3779b97f4a7c15
+}
+
+// Drops compares a draw's 53 bits against the integer threshold; it must
+// answer the float rule finish(prefix, k) < dropP on every probability,
+// including 0, subnormals, 1 − 2⁻⁵³, 1, above 1, +Inf and NaN. Each case
+// places draws on both sides of the threshold, at 0 and at 2⁵³ − 1, and
+// on a seeded sweep.
+func TestDropsMatchesFloatRule(t *testing.T) {
+	const top = 1<<53 - 1
+	if splitmix64(unmix(0x0123456789abcdef)) != 0x0123456789abcdef {
+		t.Fatal("unmix does not invert splitmix64")
+	}
+	probs := []float64{0, 5e-324, 1e-300, 0.12, 0.5, 1 - 0x1p-53, 1, 2, math.Inf(1), math.NaN()}
+	rng := uint64(1)
+	for _, p := range probs {
+		thr := dropThreshold(p)
+		draws := []uint64{0, 1, top - 1, top}
+		if thr > 0 && thr <= top {
+			draws = append(draws, thr-1, thr)
+		}
+		if thr < top {
+			draws = append(draws, thr+1)
+		}
+		for range 2000 {
+			rng = splitmix64(rng)
+			draws = append(draws, rng>>11)
+		}
+		fired, held := 0, 0
+		for i, u := range draws {
+			hopSeq, attempt := i%7, i%5
+			k := hopSeq*1024 + attempt
+			prefix := unmix(u<<11|uint64(i)&0x7ff) ^ uint64(int64(k))
+			l := Link{drop: thr, prefix: prefix}
+			got, want := l.Drops(hopSeq, attempt), finish(prefix, k) < p
+			if got != want {
+				t.Fatalf("dropP %v (threshold %d), draw %d: Drops %v, float rule %v", p, thr, u, got, want)
+			}
+			if got {
+				fired++
+			} else {
+				held++
+			}
+		}
+		// Each probability strictly inside (0, 1) has draws on both sides.
+		if p > 0 && p < 1 && (fired == 0 || held == 0) {
+			t.Fatalf("dropP %v: %d fired, %d held; want both", p, fired, held)
+		}
+	}
+}

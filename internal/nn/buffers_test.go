@@ -137,19 +137,19 @@ func TestTrainBuffersBitIdenticalToFreshAllocation(t *testing.T) {
 				tr.Fit(x, y, TrainConfig{Epochs: 4, BatchSize: 16})
 			}
 
-			refLayers := build()
-			ref := NewNetwork()
-			for _, l := range refLayers {
-				ref.Layers = append(ref.Layers, cloneLayer{l})
+			var refLayers []Layer
+			for _, l := range build() {
+				refLayers = append(refLayers, cloneLayer{l})
 			}
+			ref := NewNetwork(refLayers...)
 			fit(ref, cloneLoss{newLoss()})
 
 			var lent lender
-			bufLayers := build()
-			buf := NewNetwork()
-			for i, l := range bufLayers {
-				buf.Layers = append(buf.Layers, poisonLayer{Layer: l, l: &lent, first: i == 0})
+			var bufLayers []Layer
+			for i, l := range build() {
+				bufLayers = append(bufLayers, poisonLayer{Layer: l, l: &lent, first: i == 0})
 			}
+			buf := NewNetwork(bufLayers...)
 			fit(buf, poisonLoss{newLoss(), &lent})
 
 			want, got := ref.ParamVector(), buf.ParamVector()
@@ -171,8 +171,9 @@ func TestTrainBuffersBitIdenticalToFreshAllocation(t *testing.T) {
 	}
 }
 
-// A steady-state training step allocates nothing but Network.Params' slice:
-// layer and loss buffers are regrown only when the batch shape changes.
+// A steady-state training step allocates nothing: the network's parameter
+// list is built once, and layer and loss buffers are regrown only when the
+// batch shape changes.
 func TestTrainStepAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation")
@@ -194,11 +195,11 @@ func TestTrainStepAllocations(t *testing.T) {
 		}
 		y := OneHot(labels, c.out)
 		tr.Step(x, y) // sizes the buffers and Adam's moments
-		if got := testing.AllocsPerRun(20, func() { tr.Step(x, y) }); got > 4 {
-			t.Errorf("%s: Step makes %v allocations, want at most 4", c.name, got)
+		if got := testing.AllocsPerRun(20, func() { tr.Step(x, y) }); got != 0 {
+			t.Errorf("%s: Step makes %v allocations, want 0", c.name, got)
 		}
-		if got := testing.AllocsPerRun(20, func() { tr.ComputeGrad(x, y) }); got > 4 {
-			t.Errorf("%s: ComputeGrad makes %v allocations, want at most 4", c.name, got)
+		if got := testing.AllocsPerRun(20, func() { tr.ComputeGrad(x, y) }); got != 0 {
+			t.Errorf("%s: ComputeGrad makes %v allocations, want 0", c.name, got)
 		}
 	}
 }

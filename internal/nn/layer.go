@@ -30,9 +30,8 @@ func NewParam(name string, v *tensor.Tensor) *Param {
 // ZeroGrad clears the accumulated gradient.
 func (p *Param) ZeroGrad() { p.Grad.Zero() }
 
-// ZeroGrads clears the gradient of every parameter in params. Network.Params
-// builds its list anew on each call, so training loops take it once per
-// epoch and zero that list before each step.
+// ZeroGrads clears the gradient of every parameter in params; training
+// loops zero a network's Params before each step.
 func ZeroGrads(params []*Param) {
 	for _, p := range params {
 		p.ZeroGrad()

@@ -3,17 +3,30 @@ package nn
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"dlsys/internal/tensor"
 )
 
-// Network is an ordered sequence of layers trained end to end.
+// Network is an ordered sequence of layers trained end to end. Build it
+// with NewNetwork and leave Layers as built: the parameter list is taken
+// from them once, there.
 type Network struct {
 	Layers []Layer
+	params []*Param // every layer's parameters in layer order, cap == len
 }
 
-// NewNetwork creates a network from the given layers.
-func NewNetwork(layers ...Layer) *Network { return &Network{Layers: layers} }
+// NewNetwork creates a network from the given layers and takes their
+// parameter list once, so Params allocates nothing and concurrent readers
+// need no lock.
+func NewNetwork(layers ...Layer) *Network {
+	n := &Network{Layers: layers}
+	for _, l := range layers {
+		n.params = append(n.params, l.Params()...)
+	}
+	n.params = slices.Clip(n.params)
+	return n
+}
 
 // MLPConfig describes a multi-layer perceptron: input width, hidden widths,
 // and output width (number of classes or regression targets).
@@ -60,15 +73,20 @@ func NewMLPChecked(rng *rand.Rand, cfg MLPConfig) (*Network, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	return mlp(cfg, func(name string, in, out int) *Dense { return NewDense(rng, name, in, out) }), nil
+}
+
+// mlp lays out cfg's Dense→ReLU stack, building each Dense with dense.
+func mlp(cfg MLPConfig, dense func(name string, in, out int) *Dense) *Network {
 	var layers []Layer
 	prev := cfg.In
 	for i, h := range cfg.Hidden {
-		layers = append(layers, NewDense(rng, fmt.Sprintf("fc%d", i), prev, h))
+		layers = append(layers, dense(fmt.Sprintf("fc%d", i), prev, h))
 		layers = append(layers, NewReLU(fmt.Sprintf("relu%d", i)))
 		prev = h
 	}
-	layers = append(layers, NewDense(rng, fmt.Sprintf("fc%d", len(cfg.Hidden)), prev, cfg.Out))
-	return NewNetwork(layers...), nil
+	layers = append(layers, dense(fmt.Sprintf("fc%d", len(cfg.Hidden)), prev, cfg.Out))
+	return NewNetwork(layers...)
 }
 
 // Forward runs the network on a batch, returning the final output (logits
@@ -144,14 +162,10 @@ func reluRun(layers []Layer, i int) (*Dense, *ReLU) {
 	return d, r
 }
 
-// Params returns all trainable parameters in layer order.
-func (n *Network) Params() []*Param {
-	var ps []*Param
-	for _, l := range n.Layers {
-		ps = append(ps, l.Params()...)
-	}
-	return ps
-}
+// Params returns all trainable parameters in layer order. The list is the
+// network's own, built by NewNetwork: callers read it and must not write
+// its elements. Its capacity equals its length, so appending to it copies.
+func (n *Network) Params() []*Param { return n.params }
 
 // PostStepper is implemented by layers that must restore invariants after
 // an optimizer update (e.g. masked Dense layers re-zeroing pruned weights,
@@ -251,11 +265,18 @@ func (n *Network) SetParamVector(v []float64) {
 
 // GradVector flattens all parameter gradients into a single slice.
 func (n *Network) GradVector() []float64 {
-	out := make([]float64, 0, n.NumParams())
+	return n.GradVectorInto(make([]float64, 0, n.NumParams()))
+}
+
+// GradVectorInto flattens the parameter gradients into dst, reusing its
+// capacity, and returns the (possibly regrown) slice: ParamVectorInto's
+// counterpart, for loops that take a gradient every step.
+func (n *Network) GradVectorInto(dst []float64) []float64 {
+	dst = dst[:0]
 	for _, p := range n.Params() {
-		out = append(out, p.Grad.Data...)
+		dst = append(dst, p.Grad.Data...)
 	}
-	return out
+	return dst
 }
 
 // SetGradVector overwrites all parameter gradients from a flat vector.
@@ -289,10 +310,15 @@ func (n *Network) LoadStateDict(sd map[string][]float64) {
 	}
 }
 
-// CloneMLP builds a fresh MLP with the same configuration and copies this
-// network's state into it. It requires that n was built by NewMLP with cfg.
-func CloneMLP(n *Network, rng *rand.Rand, cfg MLPConfig) *Network {
-	c := NewMLP(rng, cfg)
-	c.LoadStateDict(n.StateDict())
+// CloneMLP builds an MLP with the same configuration holding copies of
+// this network's parameter values, drawing no weights. It requires that n
+// was built by NewMLP with cfg.
+func CloneMLP(n *Network, cfg MLPConfig) *Network {
+	c := mlp(cfg, func(name string, in, out int) *Dense {
+		return &Dense{name: name, W: NewParam(name+".W", tensor.New(in, out)), B: NewParam(name+".b", tensor.New(1, out))}
+	})
+	for i, p := range n.Params() {
+		copy(c.params[i].Value.Data, p.Value.Data)
+	}
 	return c
 }

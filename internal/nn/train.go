@@ -91,10 +91,9 @@ func (t *Trainer) Fit(x, y *tensor.Tensor, cfg TrainConfig) TrainStats {
 		}
 		var epochLoss float64
 		steps := 0
-		params := t.Net.Params()
 		batches.Epoch(func(idx []int) {
 			bx, by = GatherBatchInto(bx, by, x, y, idx)
-			epochLoss += t.step(params, bx, by)
+			epochLoss += t.Step(bx, by)
 			steps++
 			stats.FLOPs += flopsPerStep * int64(len(idx)) / bs
 			stats.Examples += int64(len(idx))
@@ -112,15 +111,8 @@ func (t *Trainer) Fit(x, y *tensor.Tensor, cfg TrainConfig) TrainStats {
 // Step runs one forward/backward/update on a single batch and returns the
 // batch loss.
 func (t *Trainer) Step(bx, by *tensor.Tensor) float64 {
-	return t.step(t.Net.Params(), bx, by)
-}
-
-// step is Step on the network's parameter list params, which Fit takes
-// once per epoch.
-func (t *Trainer) step(params []*Param, bx, by *tensor.Tensor) float64 {
-	loss := t.computeGrad(params, bx, by)
-	t.Opt.Step(params)
-	t.Net.PostStep()
+	loss := t.ComputeGrad(bx, by)
+	t.ApplyUpdate()
 	return loss
 }
 
@@ -136,15 +128,12 @@ func (t *Trainer) ApplyUpdate() {
 // ComputeGrad runs one forward/backward on a batch without updating
 // parameters, leaving gradients accumulated on the network. Distributed
 // training uses this to obtain per-worker gradients. Returns the loss.
-func (t *Trainer) ComputeGrad(bx, by *tensor.Tensor) float64 {
-	return t.computeGrad(t.Net.Params(), bx, by)
-}
-
-// computeGrad zeroes params' gradients and accumulates the batch's into
+//
+// It zeroes the parameters' gradients and accumulates the batch's into
 // them. Nothing reads the gradient with respect to the batch, so the
 // backward pass stops at the parameters' (Network.backwardParams).
-func (t *Trainer) computeGrad(params []*Param, bx, by *tensor.Tensor) float64 {
-	ZeroGrads(params)
+func (t *Trainer) ComputeGrad(bx, by *tensor.Tensor) float64 {
+	ZeroGrads(t.Net.Params())
 	out := t.Net.Forward(bx, true)
 	loss := t.Loss.Forward(out, by)
 	t.Net.backwardParams(t.Loss.Backward())

@@ -159,7 +159,7 @@ func BuildVariants(cfg VariantsConfig) ([]Variant, *data.Dataset, error) {
 	// float64 variable makes 1 - sparsity a float64 subtraction, not an
 	// exact constant one.
 	sparsity := float64(pruneSparsity)
-	pruned := nn.CloneMLP(full, rand.New(rand.NewSource(cfg.Seed+1)), mlpCfg)
+	pruned := nn.CloneMLP(full, mlpCfg)
 	ptr := nn.NewTrainer(pruned, nn.NewSoftmaxCrossEntropy(), nn.NewAdam(ladderLR), rng)
 	if err := prune.GlobalPrune(rng, pruned, sparsity, prune.Magnitude); err != nil {
 		return nil, nil, err
