@@ -294,8 +294,8 @@ func TestUnitMatchesStraightMixes(t *testing.T) {
 	for _, seed := range []int64{0, 1, -1, 42, math.MaxInt64, math.MinInt64} {
 		inj := NewInjector(Config{Seed: seed})
 		for kind := Kind(0); kind <= kindEnd+1; kind++ {
-			for _, worker := range []int{-1, 0, 3, 1 << 20, -1 << 40} {
-				for _, step := range []int{-5, 0, 1, 999, 1 << 33} {
+			for _, worker := range []int{-1, 0, 3, 1 << 20, math.MinInt} {
+				for _, step := range []int{-5, 0, 1, 999, math.MaxInt} {
 					for _, attempt := range []int{-1, 0, 1, 63, 64, 1<<12 + 64} {
 						got, want := inj.unit(kind, worker, step, attempt), oracleUnit(inj, kind, worker, step, attempt)
 						if math.Float64bits(got) != math.Float64bits(want) {

@@ -53,14 +53,15 @@ func (m *lossMonitor) zscore(loss float64) float64 {
 // the baseline that explosion detection and clipping target. The median (not
 // the mean) keeps one legitimate large step from doubling the baseline.
 type normWindow struct {
-	vals []float64
-	size int
-	next int
-	n    int
+	vals   []float64
+	sorted []float64 // median's scratch copy of vals
+	size   int
+	next   int
+	n      int
 }
 
 func newNormWindow(size int) *normWindow {
-	return &normWindow{vals: make([]float64, size), size: size}
+	return &normWindow{vals: make([]float64, size), sorted: make([]float64, size), size: size}
 }
 
 // add feeds one healthy gradient norm.
@@ -80,7 +81,7 @@ func (w *normWindow) median() float64 {
 	if w.n == 0 {
 		return 0
 	}
-	tmp := append([]float64(nil), w.vals[:w.n]...)
+	tmp := w.sorted[:copy(w.sorted, w.vals[:w.n])]
 	sort.Float64s(tmp)
 	return tmp[len(tmp)/2]
 }

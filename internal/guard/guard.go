@@ -73,6 +73,7 @@ type Trainer struct {
 	step      int
 	sinceSnap int
 	paramBuf  []float64 // reused for post-update finiteness scans
+	gradBuf   []float64 // reused for each step's flattened gradient
 }
 
 // New wraps a trainer in a self-healing supervisor. An initial snapshot is
@@ -135,7 +136,8 @@ func (g *Trainer) StepLR(bx, by *tensor.Tensor, lrFactor float64) (loss float64,
 
 	// 2. Forward/backward without touching parameters.
 	loss = g.Inner.ComputeGrad(bx, by)
-	grads := g.Inner.Net.GradVector()
+	g.gradBuf = g.Inner.Net.GradVectorInto(g.gradBuf)
+	grads := g.gradBuf
 	norm, gradsFinite := tensor.Norm2Finite(grads)
 	lossFinite := !math.IsNaN(loss) && !math.IsInf(loss, 0)
 

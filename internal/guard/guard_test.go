@@ -345,3 +345,31 @@ func TestIncidentStringAndKindNames(t *testing.T) {
 		t.Fatal("empty incident string")
 	}
 }
+
+// A guarded step that takes no snapshot allocates nothing. The steps run
+// once the norm window is ready, so each also runs the explosion check and
+// its median, and all of them fall between two periodic snapshots:
+// AllocsPerRun makes one call more than its run count.
+func TestGuardedStepAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's runtime allocates")
+	}
+	tr, ds, y := newTrainer(5)
+	g := New(tr, Policy{})
+	bx, by := nn.GatherBatchInto(nil, nil, ds.X, y, []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
+	step := func() {
+		if _, applied := g.Step(bx, by); !applied {
+			t.Fatalf("healthy step %d skipped", g.step-1)
+		}
+	}
+	for step(); !g.normWin.ready() || g.sinceSnap != 0; {
+		step()
+	}
+	if got := testing.AllocsPerRun(snapshotEvery-2, step); got != 0 {
+		t.Errorf("a guarded step makes %v allocations, want 0", got)
+	}
+	if g.sinceSnap != snapshotEvery-1 || len(g.Ledger().Incidents) != 0 {
+		t.Fatalf("the measured steps took a snapshot or an incident: %d steps since the last snapshot, %d incidents",
+			g.sinceSnap, len(g.Ledger().Incidents))
+	}
+}

@@ -263,14 +263,10 @@ func (n *Network) SetParamVector(v []float64) {
 	}
 }
 
-// GradVector flattens all parameter gradients into a single slice.
-func (n *Network) GradVector() []float64 {
-	return n.GradVectorInto(make([]float64, 0, n.NumParams()))
-}
-
 // GradVectorInto flattens the parameter gradients into dst, reusing its
 // capacity, and returns the (possibly regrown) slice: ParamVectorInto's
-// counterpart, for loops that take a gradient every step.
+// counterpart, for loops that take a gradient every step. A nil dst gives
+// a fresh slice.
 func (n *Network) GradVectorInto(dst []float64) []float64 {
 	dst = dst[:0]
 	for _, p := range n.Params() {

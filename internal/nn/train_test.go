@@ -119,7 +119,7 @@ func TestParamAndGradVectors(t *testing.T) {
 		g[i] = -float64(i)
 	}
 	net.SetGradVector(g)
-	g2 := net.GradVector()
+	g2 := net.GradVectorInto(nil)
 	for i := range g2 {
 		if g2[i] != -float64(i) {
 			t.Fatal("grad vector round trip failed")
@@ -212,7 +212,7 @@ func TestComputeGradSkipsOnlyTheInputGradient(t *testing.T) {
 	y := OneHot(labels, 2)
 	tr := NewTrainer(net, NewSoftmaxCrossEntropy(), NewSGD(0.1), rng)
 	loss := tr.ComputeGrad(x, y)
-	grads := net.GradVector()
+	grads := net.GradVectorInto(nil)
 	if dx := net.Layers[0].(*Dense).dx; dx != nil {
 		t.Fatalf("a training step computed the first layer's input gradient %v", dx.Shape())
 	}
@@ -224,7 +224,7 @@ func TestComputeGradSkipsOnlyTheInputGradient(t *testing.T) {
 	if math.Float64bits(full) != math.Float64bits(loss) {
 		t.Fatalf("loss %v, full backward's %v", loss, full)
 	}
-	for i, g := range net.GradVector() {
+	for i, g := range net.GradVectorInto(nil) {
 		if math.Float64bits(g) != math.Float64bits(grads[i]) {
 			t.Fatalf("gradient %d is %v, full backward's %v", i, grads[i], g)
 		}

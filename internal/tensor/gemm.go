@@ -21,17 +21,31 @@ import "sync"
 //	            MatMulAddRowReLUInto then applies ReLU's select there, and
 //	            MatMulTransBGateInto ReLU's backward gate; SumRowsInto
 //	            runs it as a row of ones times its tensor.
-//	tiled     — gemmPacked: B repacked into contiguous gemmNR-wide column
-//	            strips, output computed by a branch-free 4x4 register
-//	            micro-kernel sweeping the full k extent per output tile.
+//	tiled     — gemmPacked: B repacked into contiguous column strips,
+//	            output computed by a branch-free register micro-kernel
+//	            sweeping the full k extent per output tile. The strip
+//	            width depends on the host (stripWidth): 8 columns, one ZMM
+//	            register, where the CPU and OS have AVX-512, with an 8×8
+//	            ZMM kernel (gemm8x8AVX512) on each full tile; 4 columns,
+//	            one YMM register, elsewhere, with an 8×4 AVX kernel
+//	            (gemm8x4AVX) and a 4×4 Go kernel. On an AVX-512 host a
+//	            remainder of 4–7 columns still gets a 4-wide strip and the
+//	            YMM kernel; narrower remainders and leftover rows go to
+//	            microEdge. packB copies B 16 rows at a time across every
+//	            strip, so each source cache line is used whole while it is
+//	            resident. Blocking (gemmMC, gemmNC) is the same on every
+//	            host. A CPU whose 512-bit multiplies and adds issue on one
+//	            port only (some Skylake-SP parts) is unmeasured; the ZMM
+//	            kernels may gain nothing there.
 //	pooled    — the tiled kernel with output rows partitioned across the
 //	            persistent worker pool (parallel.go).
 //	batched   — BatMul: the tiled/pooled kernel applied per batch slice of
 //	            contiguous stride-indexed rank-3 operands, and below the
 //	            threshold the small tier or the reference loop per slice.
 //	f32       — gemm32.go: the same tiling for float32 storage (serving-side
-//	            inference) with 8-wide strips, bounded-ULP against the
-//	            float64 reference and bit-identical across its own paths.
+//	            inference) with strips twice as many columns wide (16 on
+//	            AVX-512, 8 elsewhere), bounded-ULP against the float64
+//	            reference and bit-identical across its own paths.
 //
 // The tier is picked from the operand shapes alone, with one exception: a
 // small-tier product whose output holds a NaN is rerun on the reference
@@ -49,12 +63,15 @@ import "sync"
 // input, NaN, ±Inf and ±0 included, because the small tier hands any NaN
 // output back to the reference loop. Above it, non-finite inputs — where
 // 0·Inf is NaN — can make the tiled tiers differ from the reference; each
-// tier stays deterministic even then.
+// tier stays deterministic even then. The AVX-512 kernels change none of
+// this: each ZMM lane is one output element that rounds its multiply and
+// then its add, as the YMM lanes and the Go loops do, so every host and
+// every kernel path gives the same bits.
 const (
 	gemmMR    = 4 // scalar micro-kernel rows per sweep
-	gemmNR    = 4 // float64 micro-kernel columns; also the packed strip width
-	gemmMRAsm = 8 // AVX micro-kernel rows per sweep (gemm_amd64.s)
-	gemmNR32  = 8 // float32 strip width: one YMM register of columns
+	gemmNR    = 4 // float64 strip width without AVX-512: one YMM register of columns
+	gemmMRAsm = 8 // assembly micro-kernel rows per sweep (gemm_amd64.s)
+	gemmNR32  = 8 // float32 strip width without AVX-512: one YMM register of columns
 	gemmMC    = 64
 	// gemmNC is the column-block width per cache pass: one block of packed
 	// strips (gemmNC·k floats) is reused across a gemmMC-row block before
@@ -92,28 +109,42 @@ func putScratch(s *[]float64) {
 	scratchPool.Put(s)
 }
 
-// packB repacks the k×n matrix b into gemmNR-wide column strips: strip js
-// (js a multiple of gemmNR, width w = min(gemmNR, n-js)) occupies
+// stripWidth returns the width of the packed strip that starts at column
+// js of an n-column operand whose base width is nr (gemmNR for float64,
+// gemmNR32 for float32). Strips are nr wide, one YMM register of columns.
+// On an AVX-512 host they are 2·nr wide, one ZMM register, while a full
+// one fits; a remainder of nr to 2·nr−1 columns then packs as one nr-wide
+// strip, which keeps the YMM kernel, and the rest. It reads hasAVX512 at
+// each call, so every packer and both packed kernels agree on the layout
+// within a product.
+func stripWidth(js, n, nr int) int {
+	w := n - js
+	if hasAVX512 && w >= 2*nr {
+		return 2 * nr
+	}
+	return min(w, nr)
+}
+
+// packRows is how many rows of B packB and packB32 copy per pass across
+// the strips, so that each pass uses its source rows' cache lines (and
+// pages) whole while they are resident, rather than walking all k rows
+// once per strip.
+const packRows = 16
+
+// packB repacks the k×n matrix b into column strips, each as wide as
+// stripWidth says: the strip at column js, w wide, occupies
 // bp[js*k : js*k+k*w], stored p-major so the micro-kernel streams it
 // sequentially. Every strip row sits on consecutive cache lines regardless
 // of n, which removes the large-stride (and power-of-two aliasing) misses
 // of walking b's rows directly.
 func packB(b *Tensor, bp []float64) {
 	k, n := b.shape[0], b.shape[1]
-	for js := 0; js < n; js += gemmNR {
-		w := n - js
-		if w > gemmNR {
-			w = gemmNR
-		}
-		dst := bp[js*k : js*k+k*w]
-		if w == gemmNR {
-			for p := 0; p < k; p++ {
-				src := b.Data[p*n+js : p*n+js+gemmNR]
-				d := dst[p*gemmNR : p*gemmNR+gemmNR]
-				d[0], d[1], d[2], d[3] = src[0], src[1], src[2], src[3]
-			}
-		} else {
-			for p := 0; p < k; p++ {
+	for p0 := 0; p0 < k; p0 += packRows {
+		p1 := min(p0+packRows, k)
+		for js, w := 0, 0; js < n; js += w {
+			w = stripWidth(js, n, gemmNR)
+			dst := bp[js*k : js*k+k*w]
+			for p := p0; p < p1; p++ {
 				copy(dst[p*w:p*w+w], b.Data[p*n+js:p*n+js+w])
 			}
 		}
@@ -125,11 +156,8 @@ func packB(b *Tensor, bp []float64) {
 // pack streams b once.
 func packBTrans(b *Tensor, bp []float64) {
 	n, k := b.shape[0], b.shape[1]
-	for js := 0; js < n; js += gemmNR {
-		w := n - js
-		if w > gemmNR {
-			w = gemmNR
-		}
+	for js, w := 0, 0; js < n; js += w {
+		w = stripWidth(js, n, gemmNR)
 		dst := bp[js*k : js*k+k*w]
 		for jr := 0; jr < w; jr++ {
 			row := b.Data[(js+jr)*k : (js+jr)*k+k]
@@ -143,8 +171,10 @@ func packBTrans(b *Tensor, bp []float64) {
 // gemmPacked computes output rows [lo, hi) of the m×n product against a
 // packed operand: out[i] += a[i]·B with B in packB/packBTrans strip layout.
 // Rows are blocked by gemmMC and columns by gemmNC so one block of strips
-// stays cache-resident while gemmMC rows sweep it; each 4x4 output tile is
-// produced by a register micro-kernel sweeping the full k extent.
+// stays cache-resident while gemmMC rows sweep it; each output tile is
+// produced by a register micro-kernel sweeping the full k extent: 8×8 on
+// AVX-512 (8-wide strips), 8×4 on AVX and 4×4 in Go (4-wide strips), and
+// microEdge for the rest.
 func gemmPacked(aData []float64, k, n int, bp, out []float64, lo, hi int) {
 	for jc := 0; jc < n; jc += gemmNC {
 		nc := n - jc
@@ -156,14 +186,16 @@ func gemmPacked(aData []float64, k, n int, bp, out []float64, lo, hi int) {
 			if mc > gemmMC {
 				mc = gemmMC
 			}
-			for js := jc; js < jc+nc; js += gemmNR {
-				w := n - js
-				if w > gemmNR {
-					w = gemmNR
-				}
+			for js, w := jc, 0; js < jc+nc; js += w {
+				w = stripWidth(js, n, gemmNR)
 				strip := bp[js*k : js*k+k*w]
 				i := ic
-				if w == gemmNR {
+				switch w {
+				case 2 * gemmNR: // only on AVX-512 hosts
+					for ; i+gemmMRAsm <= ic+mc; i += gemmMRAsm {
+						gemm8x8AVX512(&aData[i*k], k, &strip[0], &out[i*n+js], n)
+					}
+				case gemmNR:
 					if hasAVX && k > 0 {
 						for ; i+gemmMRAsm <= ic+mc; i += gemmMRAsm {
 							gemm8x4AVX(&aData[i*k], k, &strip[0], &out[i*n+js], n)
@@ -228,22 +260,24 @@ func micro4x4(a []float64, k int, strip, out []float64, n int) {
 	o[0], o[1], o[2], o[3] = c30, c31, c32, c33
 }
 
-// microEdge handles the remainder tiles (r ≤ 4 rows, w ≤ 4 columns) with
-// the same single-accumulator ascending-k order as micro4x4.
+// microEdge handles the remainder tiles (r ≤ 4 rows, w ≤ 8 columns) with
+// the same single-accumulator ascending-k order as micro4x4: the rows an
+// 8-row kernel leaves, and strips narrower than gemmNR.
 func microEdge(a []float64, k, r int, strip []float64, w int, out []float64, n int) {
-	var acc [gemmMR * gemmNR]float64
+	const ws = 2 * gemmNR // the widest strip
+	var acc [gemmMR * ws]float64
 	for p := 0; p < k; p++ {
 		bq := strip[p*w : p*w+w]
 		for ir := 0; ir < r; ir++ {
 			v := a[ir*k+p]
-			ac := acc[ir*gemmNR : ir*gemmNR+w]
+			ac := acc[ir*ws : ir*ws+w]
 			for jr, bv := range bq {
 				ac[jr] += float64(v * bv)
 			}
 		}
 	}
 	for ir := 0; ir < r; ir++ {
-		copy(out[ir*n:ir*n+w], acc[ir*gemmNR:ir*gemmNR+w])
+		copy(out[ir*n:ir*n+w], acc[ir*ws:ir*ws+w])
 	}
 }
 

@@ -9,10 +9,14 @@ import "sync"
 // micro-kernel sweeping the full k extent with one accumulator per output
 // element — but accumulates in float32, so results track the float64
 // reference within bounded ULP error rather than bit-exactly. Strips are
-// gemmNR32 = 8 wide, one YMM register of float32 columns, so on AVX
-// machines an 8x8 assembly kernel (gemm_amd64.s) covers every full tile.
-// Every path — AVX, the scalar 4x8 kernel, the edge kernel and the i-k-j
-// loop for small shapes — rounds each multiply and each add separately in
+// one vector register of float32 columns wide (stripWidth): 16, a ZMM
+// register, where the CPU and OS have AVX-512, so an 8x16 assembly kernel
+// covers every full tile, and 8, a YMM register, elsewhere, with an 8x8
+// AVX kernel (gemm_amd64.s). On an AVX-512 host a remainder of 8–15
+// columns still gets an 8-wide strip and the YMM kernel. packB32 copies B
+// 16 rows at a time across every strip, as packB does. Every path —
+// AVX-512, AVX, the scalar 4x8 kernel, the edge kernel and the i-k-j loop
+// for small shapes — rounds each multiply and each add separately in
 // ascending k, so all of them are bit-identical to each other.
 
 // Tensor32 is a dense row-major float32 tensor. It is deliberately
@@ -155,25 +159,27 @@ func MatMul32Checked(a, b *Tensor32) (*Tensor32, error) {
 	return out, nil
 }
 
-// packB32 is packB for float32 operands: gemmNR32-wide column strips,
-// p-major.
+// packB32 is packB for float32 operands: strips as wide as stripWidth
+// says for base width gemmNR32, p-major, copied packRows rows at a time.
 func packB32(b *Tensor32, bp []float32) {
 	k, n := b.shape[0], b.shape[1]
-	for js := 0; js < n; js += gemmNR32 {
-		w := n - js
-		if w > gemmNR32 {
-			w = gemmNR32
-		}
-		dst := bp[js*k : js*k+k*w]
-		for p := 0; p < k; p++ {
-			copy(dst[p*w:p*w+w], b.Data[p*n+js:p*n+js+w])
+	for p0 := 0; p0 < k; p0 += packRows {
+		p1 := min(p0+packRows, k)
+		for js, w := 0, 0; js < n; js += w {
+			w = stripWidth(js, n, gemmNR32)
+			dst := bp[js*k : js*k+k*w]
+			for p := p0; p < p1; p++ {
+				copy(dst[p*w:p*w+w], b.Data[p*n+js:p*n+js+w])
+			}
 		}
 	}
 }
 
-// gemmPacked32 is gemmPacked for float32: same blocking over 8-wide
-// strips. Full tiles run the 8x8 AVX kernel where available, then the
-// scalar 4x8 kernel; microEdge32 takes the row and column remainders.
+// gemmPacked32 is gemmPacked for float32: the same blocking over strips
+// twice as many columns wide. Full tiles run the 8x16 AVX-512 kernel on
+// 16-wide strips, and the 8x8 AVX kernel where available and then the
+// scalar 4x8 kernel on 8-wide ones; microEdge32 takes the row and column
+// remainders.
 func gemmPacked32(aData []float32, k, n int, bp, out []float32, lo, hi int) {
 	for jc := 0; jc < n; jc += gemmNC {
 		nc := n - jc
@@ -185,15 +191,17 @@ func gemmPacked32(aData []float32, k, n int, bp, out []float32, lo, hi int) {
 			if mc > gemmMC {
 				mc = gemmMC
 			}
-			for js := jc; js < jc+nc; js += gemmNR32 {
-				w := n - js
-				if w > gemmNR32 {
-					w = gemmNR32
-				}
+			for js, w := jc, 0; js < jc+nc; js += w {
+				w = stripWidth(js, n, gemmNR32)
 				strip := bp[js*k : js*k+k*w]
 				i := ic
-				if w == gemmNR32 {
-					if hasAVX { // k > 0: usePacked guarantees it
+				switch w { // k > 0: usePacked guarantees it
+				case 2 * gemmNR32: // only on AVX-512 hosts
+					for ; i+gemmMRAsm <= ic+mc; i += gemmMRAsm {
+						gemm8x16AVX512f32(&aData[i*k], k, &strip[0], &out[i*n+js], n)
+					}
+				case gemmNR32:
+					if hasAVX {
 						for ; i+gemmMRAsm <= ic+mc; i += gemmMRAsm {
 							gemm8x8AVX32(&aData[i*k], k, &strip[0], &out[i*n+js], n)
 						}
@@ -274,22 +282,23 @@ func micro4x8f32(a []float32, k int, strip, out []float32, n int) {
 	o[0], o[1], o[2], o[3], o[4], o[5], o[6], o[7] = c30, c31, c32, c33, c34, c35, c36, c37
 }
 
-// microEdge32 handles the remainder tiles (r ≤ 4 rows, w ≤ 8 columns) in
-// the same single-accumulator ascending-k order.
+// microEdge32 handles the remainder tiles (r ≤ 4 rows, w ≤ 16 columns)
+// in the same single-accumulator ascending-k order.
 func microEdge32(a []float32, k, r int, strip []float32, w int, out []float32, n int) {
-	var acc [gemmMR * gemmNR32]float32
+	const ws = 2 * gemmNR32 // the widest strip
+	var acc [gemmMR * ws]float32
 	for p := 0; p < k; p++ {
 		bq := strip[p*w : p*w+w]
 		for ir := 0; ir < r; ir++ {
 			v := a[ir*k+p]
-			ac := acc[ir*gemmNR32 : ir*gemmNR32+w]
+			ac := acc[ir*ws : ir*ws+w]
 			for jr, bv := range bq {
 				ac[jr] += float32(v * bv)
 			}
 		}
 	}
 	for ir := 0; ir < r; ir++ {
-		copy(out[ir*n:ir*n+w], acc[ir*gemmNR32:ir*gemmNR32+w])
+		copy(out[ir*n:ir*n+w], acc[ir*ws:ir*ws+w])
 	}
 }
 

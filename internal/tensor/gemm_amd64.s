@@ -1,10 +1,12 @@
-// AVX kernels for the tiled GEMM engine (gemm.go, gemm32.go) and the small
-// tier (gemm_small.go). All three keep the bit-exactness contract: each
-// output element is one YMM lane that accumulates a[i][p]*b[p][j] in
-// ascending p with a separate multiply and add (VMULPD/VADDPD for float64,
-// VMULPS/VADDPS for float32) — the same IEEE-754 mul-then-add rounding as
-// the scalar reference kernels. FMA is never used (its single rounding
-// would differ).
+// AVX and AVX-512 kernels for the tiled GEMM engine (gemm.go, gemm32.go)
+// and the small tier (gemm_small.go). All of them keep the bit-exactness
+// contract: each output element is one YMM or ZMM lane that accumulates
+// a[i][p]*b[p][j] in ascending p with a separate multiply and add
+// (VMULPD/VADDPD for float64, VMULPS/VADDPS for float32) — the same
+// IEEE-754 mul-then-add rounding as the scalar reference kernels. FMA is
+// never used (its single rounding would differ). The AVX-512 kernels run
+// only where detectAVX512 (gemm_amd64.go) finds AVX512F and the OS saving
+// ZMM state, and end with VZEROUPPER as the AVX ones do.
 
 #include "textflag.h"
 
@@ -27,6 +29,27 @@ TEXT ·xgetbv0(SB), NOSPLIT, $0-8
 	MOVL DX, edx+4(FP)
 	RET
 
+// ROW is one output row's step of an 8-row packed kernel: bcast loads the
+// row's a element at src into every lane of t, mul multiplies it by the
+// strip row in b, and add adds that product into the row's accumulator
+// acc. Each lane rounds the multiply and then the add, as the scalar
+// kernels do; no kernel fuses them.
+#define ROW(bcast, mul, add, src, b, t, acc) \
+	bcast src, t; \
+	mul b, t, t; \
+	add t, acc, acc
+
+// AROWS points R9–R14 and AX at rows 1–7 of the 8-row block of a whose row
+// 0 is at SI, with R15 holding a's row stride in bytes.
+#define AROWS \
+	LEAQ (SI)(R15*1), R9; \
+	LEAQ (R9)(R15*1), R10; \
+	LEAQ (R10)(R15*1), R11; \
+	LEAQ (R11)(R15*1), R12; \
+	LEAQ (R12)(R15*1), R13; \
+	LEAQ (R13)(R15*1), R14; \
+	LEAQ (R14)(R15*1), AX
+
 // func gemm8x4AVX(a *float64, k int, strip *float64, out *float64, n int)
 //
 // Computes a full 8x4 output tile: out[r*n+j] = sum_p a[r*k+p]*strip[p*4+j]
@@ -45,13 +68,7 @@ TEXT ·gemm8x4AVX(SB), NOSPLIT, $0-40
 	SHLQ $3, DX              // out row stride in bytes
 	MOVQ CX, R15
 	SHLQ $3, R15             // a row stride in bytes; also the loop bound
-	LEAQ (SI)(R15*1), R9     // a row 1
-	LEAQ (R9)(R15*1), R10    // a row 2
-	LEAQ (R10)(R15*1), R11   // a row 3
-	LEAQ (R11)(R15*1), R12   // a row 4
-	LEAQ (R12)(R15*1), R13   // a row 5
-	LEAQ (R13)(R15*1), R14   // a row 6
-	LEAQ (R14)(R15*1), AX    // a row 7
+	AROWS
 
 	VXORPD Y8, Y8, Y8
 	VXORPD Y9, Y9, Y9
@@ -68,30 +85,14 @@ TEXT ·gemm8x4AVX(SB), NOSPLIT, $0-40
 
 loop:
 	VMOVUPD (BX)(R8*4), Y0   // strip[p*4 .. p*4+3]
-	VBROADCASTSD (SI)(R8*1), Y1
-	VMULPD Y0, Y1, Y1
-	VADDPD Y1, Y8, Y8
-	VBROADCASTSD (R9)(R8*1), Y2
-	VMULPD Y0, Y2, Y2
-	VADDPD Y2, Y9, Y9
-	VBROADCASTSD (R10)(R8*1), Y3
-	VMULPD Y0, Y3, Y3
-	VADDPD Y3, Y10, Y10
-	VBROADCASTSD (R11)(R8*1), Y4
-	VMULPD Y0, Y4, Y4
-	VADDPD Y4, Y11, Y11
-	VBROADCASTSD (R12)(R8*1), Y5
-	VMULPD Y0, Y5, Y5
-	VADDPD Y5, Y12, Y12
-	VBROADCASTSD (R13)(R8*1), Y6
-	VMULPD Y0, Y6, Y6
-	VADDPD Y6, Y13, Y13
-	VBROADCASTSD (R14)(R8*1), Y7
-	VMULPD Y0, Y7, Y7
-	VADDPD Y7, Y14, Y14
-	VBROADCASTSD (AX)(R8*1), Y1
-	VMULPD Y0, Y1, Y1
-	VADDPD Y1, Y15, Y15
+	ROW(VBROADCASTSD, VMULPD, VADDPD, (SI)(R8*1), Y0, Y1, Y8)
+	ROW(VBROADCASTSD, VMULPD, VADDPD, (R9)(R8*1), Y0, Y2, Y9)
+	ROW(VBROADCASTSD, VMULPD, VADDPD, (R10)(R8*1), Y0, Y3, Y10)
+	ROW(VBROADCASTSD, VMULPD, VADDPD, (R11)(R8*1), Y0, Y4, Y11)
+	ROW(VBROADCASTSD, VMULPD, VADDPD, (R12)(R8*1), Y0, Y5, Y12)
+	ROW(VBROADCASTSD, VMULPD, VADDPD, (R13)(R8*1), Y0, Y6, Y13)
+	ROW(VBROADCASTSD, VMULPD, VADDPD, (R14)(R8*1), Y0, Y7, Y14)
+	ROW(VBROADCASTSD, VMULPD, VADDPD, (AX)(R8*1), Y0, Y1, Y15)
 	ADDQ $8, R8
 	CMPQ R8, R15
 	JLT  loop
@@ -115,6 +116,70 @@ store:
 	VZEROUPPER
 	RET
 
+// func gemm8x8AVX512(a *float64, k int, strip *float64, out *float64, n int)
+//
+// gemm8x4AVX on an AVX-512 host: a full 8x8 output tile,
+// out[r*n+j] = sum_p a[r*k+p]*strip[p*8+j] for r, j in 0..7. strip is a
+// packB strip 8 wide, so one ZMM register holds a whole strip row and
+// each of the eight ZMM accumulators is one output row.
+TEXT ·gemm8x8AVX512(SB), NOSPLIT, $0-40
+	MOVQ a+0(FP), SI
+	MOVQ k+8(FP), CX
+	MOVQ strip+16(FP), BX
+	MOVQ out+24(FP), DI
+	MOVQ n+32(FP), DX
+
+	SHLQ $3, DX              // out row stride in bytes
+	MOVQ CX, R15
+	SHLQ $3, R15             // a row stride in bytes; also the loop bound
+	AROWS
+
+	VPXORQ Z8, Z8, Z8
+	VPXORQ Z9, Z9, Z9
+	VPXORQ Z10, Z10, Z10
+	VPXORQ Z11, Z11, Z11
+	VPXORQ Z12, Z12, Z12
+	VPXORQ Z13, Z13, Z13
+	VPXORQ Z14, Z14, Z14
+	VPXORQ Z15, Z15, Z15
+
+	XORQ R8, R8              // byte offset into each a row; strip offset is 8x
+	CMPQ R8, R15
+	JGE  store
+
+loop:
+	VMOVUPD (BX)(R8*8), Z0   // strip[p*8 .. p*8+7]
+	ROW(VBROADCASTSD, VMULPD, VADDPD, (SI)(R8*1), Z0, Z1, Z8)
+	ROW(VBROADCASTSD, VMULPD, VADDPD, (R9)(R8*1), Z0, Z2, Z9)
+	ROW(VBROADCASTSD, VMULPD, VADDPD, (R10)(R8*1), Z0, Z3, Z10)
+	ROW(VBROADCASTSD, VMULPD, VADDPD, (R11)(R8*1), Z0, Z4, Z11)
+	ROW(VBROADCASTSD, VMULPD, VADDPD, (R12)(R8*1), Z0, Z5, Z12)
+	ROW(VBROADCASTSD, VMULPD, VADDPD, (R13)(R8*1), Z0, Z6, Z13)
+	ROW(VBROADCASTSD, VMULPD, VADDPD, (R14)(R8*1), Z0, Z7, Z14)
+	ROW(VBROADCASTSD, VMULPD, VADDPD, (AX)(R8*1), Z0, Z1, Z15)
+	ADDQ $8, R8
+	CMPQ R8, R15
+	JLT  loop
+
+store:
+	VMOVUPD Z8, (DI)
+	ADDQ DX, DI
+	VMOVUPD Z9, (DI)
+	ADDQ DX, DI
+	VMOVUPD Z10, (DI)
+	ADDQ DX, DI
+	VMOVUPD Z11, (DI)
+	ADDQ DX, DI
+	VMOVUPD Z12, (DI)
+	ADDQ DX, DI
+	VMOVUPD Z13, (DI)
+	ADDQ DX, DI
+	VMOVUPD Z14, (DI)
+	ADDQ DX, DI
+	VMOVUPD Z15, (DI)
+	VZEROUPPER
+	RET
+
 // func gemm8x8AVX32(a *float32, k int, strip *float32, out *float32, n int)
 //
 // The float32 counterpart of gemm8x4AVX: a full 8x8 output tile,
@@ -131,13 +196,7 @@ TEXT ·gemm8x8AVX32(SB), NOSPLIT, $0-40
 	SHLQ $2, DX              // out row stride in bytes
 	MOVQ CX, R15
 	SHLQ $2, R15             // a row stride in bytes; also the loop bound
-	LEAQ (SI)(R15*1), R9     // a row 1
-	LEAQ (R9)(R15*1), R10    // a row 2
-	LEAQ (R10)(R15*1), R11   // a row 3
-	LEAQ (R11)(R15*1), R12   // a row 4
-	LEAQ (R12)(R15*1), R13   // a row 5
-	LEAQ (R13)(R15*1), R14   // a row 6
-	LEAQ (R14)(R15*1), AX    // a row 7
+	AROWS
 
 	VXORPS Y8, Y8, Y8
 	VXORPS Y9, Y9, Y9
@@ -150,39 +209,23 @@ TEXT ·gemm8x8AVX32(SB), NOSPLIT, $0-40
 
 	XORQ R8, R8              // byte offset into each a row; strip offset is 8x
 	CMPQ R8, R15
-	JGE  store32
+	JGE  store
 
-loop32:
+loop:
 	VMOVUPS (BX)(R8*8), Y0   // strip[p*8 .. p*8+7]
-	VBROADCASTSS (SI)(R8*1), Y1
-	VMULPS Y0, Y1, Y1
-	VADDPS Y1, Y8, Y8
-	VBROADCASTSS (R9)(R8*1), Y2
-	VMULPS Y0, Y2, Y2
-	VADDPS Y2, Y9, Y9
-	VBROADCASTSS (R10)(R8*1), Y3
-	VMULPS Y0, Y3, Y3
-	VADDPS Y3, Y10, Y10
-	VBROADCASTSS (R11)(R8*1), Y4
-	VMULPS Y0, Y4, Y4
-	VADDPS Y4, Y11, Y11
-	VBROADCASTSS (R12)(R8*1), Y5
-	VMULPS Y0, Y5, Y5
-	VADDPS Y5, Y12, Y12
-	VBROADCASTSS (R13)(R8*1), Y6
-	VMULPS Y0, Y6, Y6
-	VADDPS Y6, Y13, Y13
-	VBROADCASTSS (R14)(R8*1), Y7
-	VMULPS Y0, Y7, Y7
-	VADDPS Y7, Y14, Y14
-	VBROADCASTSS (AX)(R8*1), Y1
-	VMULPS Y0, Y1, Y1
-	VADDPS Y1, Y15, Y15
+	ROW(VBROADCASTSS, VMULPS, VADDPS, (SI)(R8*1), Y0, Y1, Y8)
+	ROW(VBROADCASTSS, VMULPS, VADDPS, (R9)(R8*1), Y0, Y2, Y9)
+	ROW(VBROADCASTSS, VMULPS, VADDPS, (R10)(R8*1), Y0, Y3, Y10)
+	ROW(VBROADCASTSS, VMULPS, VADDPS, (R11)(R8*1), Y0, Y4, Y11)
+	ROW(VBROADCASTSS, VMULPS, VADDPS, (R12)(R8*1), Y0, Y5, Y12)
+	ROW(VBROADCASTSS, VMULPS, VADDPS, (R13)(R8*1), Y0, Y6, Y13)
+	ROW(VBROADCASTSS, VMULPS, VADDPS, (R14)(R8*1), Y0, Y7, Y14)
+	ROW(VBROADCASTSS, VMULPS, VADDPS, (AX)(R8*1), Y0, Y1, Y15)
 	ADDQ $4, R8
 	CMPQ R8, R15
-	JLT  loop32
+	JLT  loop
 
-store32:
+store:
 	VMOVUPS Y8, (DI)
 	ADDQ DX, DI
 	VMOVUPS Y9, (DI)
@@ -198,6 +241,72 @@ store32:
 	VMOVUPS Y14, (DI)
 	ADDQ DX, DI
 	VMOVUPS Y15, (DI)
+	VZEROUPPER
+	RET
+
+// func gemm8x16AVX512f32(a *float32, k int, strip *float32, out *float32, n int)
+//
+// gemm8x8AVX32 on an AVX-512 host: a full 8x16 output tile,
+// out[r*n+j] = sum_p a[r*k+p]*strip[p*16+j] for r in 0..7, j in 0..15.
+// strip is a packB32 strip 16 wide, one ZMM register per strip row and
+// per output row. A strip row is 16 times an a element's size, past the
+// largest index scale, so BX steps along the strip by itself.
+TEXT ·gemm8x16AVX512f32(SB), NOSPLIT, $0-40
+	MOVQ a+0(FP), SI
+	MOVQ k+8(FP), CX
+	MOVQ strip+16(FP), BX
+	MOVQ out+24(FP), DI
+	MOVQ n+32(FP), DX
+
+	SHLQ $2, DX              // out row stride in bytes
+	MOVQ CX, R15
+	SHLQ $2, R15             // a row stride in bytes; also the loop bound
+	AROWS
+
+	VPXORD Z8, Z8, Z8
+	VPXORD Z9, Z9, Z9
+	VPXORD Z10, Z10, Z10
+	VPXORD Z11, Z11, Z11
+	VPXORD Z12, Z12, Z12
+	VPXORD Z13, Z13, Z13
+	VPXORD Z14, Z14, Z14
+	VPXORD Z15, Z15, Z15
+
+	XORQ R8, R8              // byte offset into each a row
+	CMPQ R8, R15
+	JGE  store
+
+loop:
+	VMOVUPS (BX), Z0         // strip[p*16 .. p*16+15]
+	ROW(VBROADCASTSS, VMULPS, VADDPS, (SI)(R8*1), Z0, Z1, Z8)
+	ROW(VBROADCASTSS, VMULPS, VADDPS, (R9)(R8*1), Z0, Z2, Z9)
+	ROW(VBROADCASTSS, VMULPS, VADDPS, (R10)(R8*1), Z0, Z3, Z10)
+	ROW(VBROADCASTSS, VMULPS, VADDPS, (R11)(R8*1), Z0, Z4, Z11)
+	ROW(VBROADCASTSS, VMULPS, VADDPS, (R12)(R8*1), Z0, Z5, Z12)
+	ROW(VBROADCASTSS, VMULPS, VADDPS, (R13)(R8*1), Z0, Z6, Z13)
+	ROW(VBROADCASTSS, VMULPS, VADDPS, (R14)(R8*1), Z0, Z7, Z14)
+	ROW(VBROADCASTSS, VMULPS, VADDPS, (AX)(R8*1), Z0, Z1, Z15)
+	ADDQ $64, BX
+	ADDQ $4, R8
+	CMPQ R8, R15
+	JLT  loop
+
+store:
+	VMOVUPS Z8, (DI)
+	ADDQ DX, DI
+	VMOVUPS Z9, (DI)
+	ADDQ DX, DI
+	VMOVUPS Z10, (DI)
+	ADDQ DX, DI
+	VMOVUPS Z11, (DI)
+	ADDQ DX, DI
+	VMOVUPS Z12, (DI)
+	ADDQ DX, DI
+	VMOVUPS Z13, (DI)
+	ADDQ DX, DI
+	VMOVUPS Z14, (DI)
+	ADDQ DX, DI
+	VMOVUPS Z15, (DI)
 	VZEROUPPER
 	RET
 

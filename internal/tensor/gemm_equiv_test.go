@@ -278,9 +278,15 @@ func firstBitDiff32(got, want *Tensor32) int {
 	return -1
 }
 
-// Every f32 path (AVX, scalar, edge and reference loop) must agree with the
-// row-by-row reference bit-exactly, same contract as the f64 tiers.
+// Every f32 path (AVX-512, AVX, scalar, edge and reference loop) must
+// agree with the row-by-row reference bit-exactly, same contract as the
+// f64 tiers, on every kernel path. The wide strips' edge shapes run the
+// packed tier directly, since the size rule would send them to the loop.
 func TestFloat32PathsAgree(t *testing.T) {
+	forEachKernelPath(t, testFloat32PathsAgree)
+}
+
+func testFloat32PathsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
 	for _, s := range f32Shapes {
 		a32 := ToFloat32(randMat(rng, s.m, s.k))
@@ -290,6 +296,51 @@ func TestFloat32PathsAgree(t *testing.T) {
 			t.Errorf("f32 packed != f32 reference at %dx%dx%d elem %d", s.m, s.k, s.n, i)
 		}
 	}
+	for _, s := range wideStripShapes() {
+		a32 := ToFloat32(randMat(rng, s.m, s.k))
+		b32 := ToFloat32(randMat(rng, s.k, s.n))
+		if i := firstBitDiff32(tiled32(a32, b32), matMul32RowByRow(a32, b32)); i >= 0 {
+			t.Errorf("f32 packed tier != f32 reference at %dx%dx%d elem %d", s.m, s.k, s.n, i)
+		}
+	}
+}
+
+// wideStripShapes sit at the edges of the AVX-512 strips and of the packs'
+// row blocks: n of one to five 8-wide float64 strips and up to two
+// 16-wide float32 strips, each remainder kind included (a base-width
+// strip, a narrower rest, or both); m of one 8-row tile, one row past it,
+// and two tiles and a row; k on both sides of packRows.
+func wideStripShapes() []struct{ m, k, n int } {
+	var shapes []struct{ m, k, n int }
+	for _, m := range []int{8, 9, 17} {
+		for _, k := range []int{1, 15, 16, 17} {
+			for _, n := range []int{12, 16, 20, 24, 31, 33, 47} {
+				shapes = append(shapes, struct{ m, k, n int }{m, k, n})
+			}
+		}
+	}
+	return shapes
+}
+
+// tiled32 is MatMul32's packed tier at any shape, run serially.
+func tiled32(a, b *Tensor32) *Tensor32 {
+	m, k, n := a.Dim(0), a.Dim(1), b.Dim(1)
+	out := New32(m, n)
+	bp := make([]float32, k*n)
+	packB32(b, bp)
+	gemmPacked32(a.Data, k, n, bp, out.Data, 0, m)
+	return out
+}
+
+// tiledTransB is MatMulTransB's packed tier at any shape, run serially:
+// a·bᵀ for b of shape n×k.
+func tiledTransB(a, b *Tensor) *Tensor {
+	m, k, n := a.Dim(0), a.Dim(1), b.Dim(0)
+	out := New(m, n)
+	bp := make([]float64, k*n)
+	packBTrans(b, bp)
+	gemmPacked(a.Data, k, n, bp, out.Data, 0, m)
+	return out
 }
 
 func TestMatMul32ShapeErrors(t *testing.T) {
