@@ -64,8 +64,10 @@ func TestX8ObservabilityClaims(t *testing.T) {
 			// Fastest instrumented run vs fastest bare run. The scenarios
 			// are compute-dominated (training / full simulations), so the
 			// handful of atomic updates per step must disappear into noise.
-			instr := bestOf(func() { sc.run(obs.NewHandle()) })
-			bare := bestOf(func() { sc.run(nil) })
+			instr, bare := bestOfPairs(
+				func() { sc.run(obs.NewHandle()) },
+				func() { sc.run(nil) },
+			)
 			pct := 100 * (instr.Seconds() - bare.Seconds()) / bare.Seconds()
 			t.Logf("attempt %d: %s overhead %.3g%%", attempt, sc.name, pct)
 			if pct >= overheadBound {
@@ -79,26 +81,42 @@ func TestX8ObservabilityClaims(t *testing.T) {
 	}
 }
 
-// bestOf returns the fastest of repeated runs of fn — the standard defence
-// against scheduler noise in wall-clock comparisons. Short scenarios repeat
-// until enough total time accumulates for the minimum to be trustworthy.
-func bestOf(fn func()) time.Duration {
+// bestOfPairs returns the fastest run of a and the fastest run of b — the
+// standard defence against scheduler noise in wall-clock comparisons. The
+// runs go in pairs, one of each, and the pair's order alternates, so both
+// sides sample the same background load. Timing every run of a and then
+// every run of b lets a change in load between the two phases read as a
+// difference between a and b: on a shared 2-vCPU host running the whole
+// suite, where other test processes start and finish meanwhile, that moved
+// single readings by tens of percent either way. Short runs repeat until
+// each side has accumulated enough total time for its minimum to be
+// trustworthy.
+func bestOfPairs(a, b func()) (bestA, bestB time.Duration) {
 	const (
-		minReps  = 3
-		maxReps  = 100
-		minTotal = 200 * time.Millisecond
+		minPairs = 3
+		maxPairs = 100
+		minTotal = 200 * time.Millisecond // per side
 	)
-	best, total := time.Duration(0), time.Duration(0)
-	for i := 0; i < maxReps && (i < minReps || total < minTotal); i++ {
+	timed := func(fn func(), best *time.Duration) time.Duration {
 		start := time.Now()
 		fn()
 		d := time.Since(start)
-		total += d
-		if best == 0 || d < best {
-			best = d
+		if *best == 0 || d < *best {
+			*best = d
+		}
+		return d
+	}
+	var totalA, totalB time.Duration
+	for i := 0; i < maxPairs && (i < minPairs || totalA < minTotal || totalB < minTotal); i++ {
+		if i%2 == 0 {
+			totalA += timed(a, &bestA)
+			totalB += timed(b, &bestB)
+		} else {
+			totalB += timed(b, &bestB)
+			totalA += timed(a, &bestA)
 		}
 	}
-	return best
+	return bestA, bestB
 }
 
 // TestExperimentReplayDeterminism runs the fault/serving/self-healing

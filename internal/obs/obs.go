@@ -263,7 +263,19 @@ func (r *Registry) Snapshot() []Point {
 	if r == nil {
 		return nil
 	}
+	// Size the result first: a run registers dozens of instruments, and
+	// growing the slice by appends would copy it several times over.
+	n := 0
+	for i := range r.shards {
+		s := &r.shards[i]
+		s.mu.Lock()
+		n += len(s.counters) + len(s.gauges) + len(s.histograms)
+		s.mu.Unlock()
+	}
 	var pts []Point
+	if n > 0 {
+		pts = make([]Point, 0, n)
+	}
 	for i := range r.shards {
 		s := &r.shards[i]
 		s.mu.Lock()
@@ -282,14 +294,25 @@ func (r *Registry) Snapshot() []Point {
 		}
 		s.mu.Unlock()
 	}
-	sort.Slice(pts, func(a, b int) bool {
-		if pts[a].Kind != pts[b].Kind {
-			return pts[a].Kind < pts[b].Kind
-		}
-		return pts[a].Name < pts[b].Name
-	})
+	sort.Sort(byKindName(pts))
 	return pts
 }
+
+// pointLess orders points by kind, then name: Snapshot's order, in which no
+// two instruments compare equal. It takes pointers so that sorting and
+// searching a snapshot copy no Point.
+func pointLess(a, b *Point) bool {
+	if a.Kind != b.Kind {
+		return a.Kind < b.Kind
+	}
+	return a.Name < b.Name
+}
+
+type byKindName []Point
+
+func (p byKindName) Len() int           { return len(p) }
+func (p byKindName) Less(i, j int) bool { return pointLess(&p[i], &p[j]) }
+func (p byKindName) Swap(i, j int)      { p[i], p[j] = p[j], p[i] }
 
 // Fingerprint hashes the sorted snapshot — names, kinds, counts, values,
 // bounds, and bucket counts — with FNV-1a. Two same-seed runs of an

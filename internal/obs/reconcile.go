@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 )
 
@@ -10,54 +11,83 @@ import (
 // construction, so a name the run never registered reads as 0 and nothing
 // it does moves Reg.Fingerprint(). It is complete: Err also names every
 // counter under the prefix that was neither checked nor exempted.
+//
+// A check costs a binary search of the sorted snapshot and formats nothing
+// unless it fails, so reconciling a run allocates little beyond the
+// snapshot itself.
 type Reconciler struct {
 	prefix string
-	snap   []Point
-	points map[string]Point // snap keyed by kind + " " + name
+	snap   []Point // sorted by (Kind, Name), as Snapshot returns it
+	seen   []bool  // snap[i] is a counter checked or exempted
 	spans  []SpanRecord
-	seen   map[string]bool // counters checked or exempted
 	errs   []string
 }
 
 // NewReconciler reads h (nil reads as empty) for the subsystem whose
 // counters start with prefix.
 func NewReconciler(h *Handle, prefix string) *Reconciler {
-	r := &Reconciler{prefix: prefix, points: map[string]Point{}, seen: map[string]bool{}}
+	r := &Reconciler{prefix: prefix}
 	if h != nil {
 		r.snap, r.spans = h.Reg.Snapshot(), h.Tracer.Spans()
 	}
-	for _, p := range r.snap {
-		r.points[p.Kind+" "+p.Name] = p
-	}
+	r.seen = make([]bool, len(r.snap))
 	return r
+}
+
+// find returns the index of the snapshot point of the given kind and name.
+func (r *Reconciler) find(kind, name string) (int, bool) {
+	key := Point{Kind: kind, Name: name}
+	i := sort.Search(len(r.snap), func(i int) bool { return !pointLess(&r.snap[i], &key) })
+	return i, i < len(r.snap) && r.snap[i].Kind == kind && r.snap[i].Name == name
+}
+
+// point returns the snapshot point of the given kind and name, or the zero
+// Point when the run never registered it.
+func (r *Reconciler) point(kind, name string) Point {
+	if i, ok := r.find(kind, name); ok {
+		return r.snap[i]
+	}
+	return Point{}
 }
 
 // Counter checks that the named counter equals want.
 func (r *Reconciler) Counter(name string, want int64) {
-	r.seen[name] = true
-	got := r.points["counter "+name].Count
-	r.Check(got == want, "%s=%d want %d", name, got, want)
+	var got int64
+	if i, ok := r.find("counter", name); ok {
+		r.seen[i] = true
+		got = r.snap[i].Count
+	}
+	if got != want {
+		r.failf("%s=%d want %d", name, got, want)
+	}
 }
 
 // Exempt marks a counter under the prefix as mirroring no tally.
-func (r *Reconciler) Exempt(name string) { r.seen[name] = true }
+func (r *Reconciler) Exempt(name string) {
+	if i, ok := r.find("counter", name); ok {
+		r.seen[i] = true
+	}
+}
 
 // Gauge checks that the named gauge's last value equals want exactly.
 func (r *Reconciler) Gauge(name string, want float64) {
-	got := r.points["gauge "+name].Value
-	r.Check(got == want, "%s=%g want %g", name, got, want)
+	if got := r.point("gauge", name).Value; got != want {
+		r.failf("%s=%g want %g", name, got, want)
+	}
 }
 
 // HistogramCount checks the named histogram's observation count.
 func (r *Reconciler) HistogramCount(name string, want int64) {
-	got := r.points["histogram "+name].Count
-	r.Check(got == want, "%s count=%d want %d", name, got, want)
+	if got := r.point("histogram", name).Count; got != want {
+		r.failf("%s count=%d want %d", name, got, want)
+	}
 }
 
 // HistogramSum checks the named histogram's sum bit for bit.
 func (r *Reconciler) HistogramSum(name string, want float64) {
-	got := r.points["histogram "+name].Value
-	r.Check(got == want, "%s sum=%g want %g", name, got, want)
+	if got := r.point("histogram", name).Value; got != want {
+		r.failf("%s sum=%g want %g", name, got, want)
+	}
 }
 
 // Spans checks how many spans have a name starting with prefix.
@@ -68,22 +98,28 @@ func (r *Reconciler) Spans(prefix string, want int) {
 			got++
 		}
 	}
-	r.Check(got == want, "%s* spans=%d want %d", prefix, got, want)
+	if got != want {
+		r.failf("%s* spans=%d want %d", prefix, got, want)
+	}
 }
 
 // Check records a mismatch described by format and args unless ok.
 func (r *Reconciler) Check(ok bool, format string, args ...any) {
 	if !ok {
-		r.errs = append(r.errs, fmt.Sprintf(format, args...))
+		r.failf(format, args...)
 	}
+}
+
+func (r *Reconciler) failf(format string, args ...any) {
+	r.errs = append(r.errs, fmt.Sprintf(format, args...))
 }
 
 // Err returns one error listing every mismatch and every unchecked counter
 // under the prefix, or nil when there are none.
 func (r *Reconciler) Err() error {
 	errs := r.errs
-	for _, p := range r.snap {
-		if p.Kind == "counter" && strings.HasPrefix(p.Name, r.prefix) && !r.seen[p.Name] {
+	for i, p := range r.snap {
+		if p.Kind == "counter" && strings.HasPrefix(p.Name, r.prefix) && !r.seen[i] {
 			errs = append(errs, "unchecked counter "+p.Name)
 		}
 	}
